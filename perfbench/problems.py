@@ -29,10 +29,13 @@ force: ``verify`` fails, but the dissipative suite, which reads ``D``
 through its velocity Hessian and horizontal derivatives of its velocity
 gradient, still passes, so it is never used as a ``check`` negative.
 
-Generation is untimed. A problem's shape comes from a fixed list per
-stream and its coefficients from a ``random.Random`` keyed by (seed,
-stream, index), so the same seed always gives the same files, and the
-seed changes values but not sizes.
+Generation is untimed. A problem's shape, with the magnitude of every
+coefficient, comes from a fixed list per stream; the signs of its
+coefficients come from a ``random.Random`` keyed by (seed, stream,
+shape), which deals each occurrence of a shape in a run another sign
+pattern. So the same seed always gives the same files, no file repeats
+in a run, and the seed changes values but neither sizes nor the sizes
+of the numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from invlag.exprcore import ExprContext
 from invlag.reconstruct import forward_sode
 
-COEFFS = (-3, -2, -1, 1, 2, 3)
+MAGNITUDES = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -94,8 +97,8 @@ class Op:
         return None
 
 
-def _coeff(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(COEFFS), rng.choice((1, 1, 2, 3)))
+def _magnitude(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice(MAGNITUDES), rng.choice((1, 1, 2, 3)))
 
 
 def _text(c: Fraction) -> str:
@@ -108,11 +111,13 @@ def _monomial(rng: random.Random, names: List[str], degree: int) -> str:
 
 @dataclass(frozen=True)
 class Shape:
-    """What a generated problem looks like apart from its coefficients:
-    the kinetic matrix, the monomials of the potential and of ``D``, and
-    the perturbation of the file's ``D``. Shapes do not depend on the
-    seed, so every run of a workload makes calls of the same sizes in
-    the same proportions, and only the coefficients change with it."""
+    """What a generated problem looks like apart from the signs of its
+    coefficients: the kinetic matrix, the monomials of the potential and
+    of ``D``, the perturbation of the file's ``D`` and the magnitude of
+    every coefficient (potential, then ``D``, then the perturbation).
+    Shapes do not depend on the seed, so every run of a workload makes
+    calls of the same sizes with coefficients of the same sizes in the
+    same proportions, and only the signs change with it."""
 
     n: int
     g: Tuple[Tuple[str, ...], ...]
@@ -120,6 +125,7 @@ class Shape:
     dissipation: Tuple[str, ...]
     perturb: str
     shift: str
+    magnitudes: Tuple[Fraction, ...]
 
 
 def shape(stream: str, template: int, n: int, perturb: str,
@@ -163,8 +169,10 @@ def shape(stream: str, template: int, n: int, perturb: str,
         shift = f"{rng.choice(vs)}*{rng.choice(vs)}"
     elif perturb == "linear":
         shift = rng.choice(vs)
+    count = len(potential) + len(dissipation) + bool(shift)
+    magnitudes = tuple(_magnitude(rng) for _ in range(count))
     return Shape(n, tuple(tuple(row) for row in g), potential,
-                 tuple(dissipation), perturb, shift)
+                 tuple(dissipation), perturb, shift, magnitudes)
 
 
 @dataclass(frozen=True)
@@ -178,25 +186,38 @@ class Drawn:
     file_D: str
 
 
-def _sum(rng: random.Random, monomials) -> str:
-    return " + ".join(f"{_text(_coeff(rng))}*{m}" for m in monomials)
+def _sum(coeffs, monomials) -> str:
+    return " + ".join(f"{_text(c)}*{m}" for c, m in zip(coeffs, monomials))
 
 
-def draw(seed, stream: str, index: int, form: Shape) -> Drawn:
-    """Problem ``index`` of a stream: ``form`` with coefficients drawn
-    from (seed, stream, index)."""
-    rng = random.Random(f"{seed}/{stream}/{index}")
+def draw(seed, stream: str, template: int, occurrence: int,
+         form: Shape) -> Drawn:
+    """Occurrence ``occurrence`` of shape ``template`` in a stream:
+    ``form`` with the signs of its coefficients drawn from (seed,
+    stream, template). The sign patterns of one template are taken in a
+    shuffled order, so no two occurrences in a run are the same problem.
+    A sign flip leaves every coefficient's size alone, so the seed moves
+    a problem's cost less than drawing whole coefficients did."""
+    patterns = list(range(2 ** len(form.magnitudes)))
+    random.Random(f"{seed}/{stream}/{template}").shuffle(patterns)
+    if occurrence >= len(patterns):
+        raise ValueError(f"shape {template} of {stream} has only "
+                         f"{len(patterns)} sign patterns")
+    bits = patterns[occurrence]
+    coeffs = [-m if bits >> k & 1 else m
+              for k, m in enumerate(form.magnitudes)]
     n = form.n
     kinetic = " + ".join(f"1/2*({form.g[i][j]})*v{i + 1}*v{j + 1}"
                          for i in range(n) for j in range(n)
                          if form.g[i][j] != "0")
-    L = f"{kinetic} - ({_sum(rng, form.potential)})"
-    D = _sum(rng, form.dissipation)
+    split = len(form.potential)
+    L = f"{kinetic} - ({_sum(coeffs[:split], form.potential)})"
+    D = _sum(coeffs[split:], form.dissipation)
     ctx = ExprContext(n)
     s = forward_sode(ctx.parse(L), ctx.parse(D), n)
     file_D = D
     if form.shift:
-        file_D += f" + {_text(_coeff(rng))}*{form.shift}"
+        file_D += f" + {_text(coeffs[-1])}*{form.shift}"
     return Drawn(form, L, tuple(str(e) for e in s.f), file_D)
 
 

@@ -1,6 +1,6 @@
 """invlag benchmark: one workload, one seed, one closed-loop caller.
 
-    python3 perfbench/run.py --workload certify --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload certify --seed 1 --seconds 22 --trace 0
 
 Run from the root of a checkout; the program is imported from ``src``.
 One caller in one thread calls ``invlag.cli.main(argv)`` in process with
@@ -15,7 +15,10 @@ calls the same whatever the speed of the run, so percentiles compare
 across runs and commits; a run still stops starting calls once their
 time passes ``CAP`` times ``--seconds``.
 
-``--trace 0`` prints the end-to-end metrics named in ``BENCHMARK.json``.
+``--trace 0`` prints the end-to-end metrics named in ``BENCHMARK.json``,
+with times in reference seconds (``ReferenceClock``): each call's wall
+time scaled by the host's speed at that moment, read from a fixed probe
+run right before and right after it.
 ``--trace 1`` makes each call twice, once with the span wrappers of
 ``tracing.py`` installed and once without, alternating which goes
 first; it prints the per-layer metrics and the tracing overhead, and
@@ -41,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -51,9 +55,15 @@ OUT = BENCH / "out"
 SETUP_RUNS = 5
 TAIL_BEYOND = 10
 # A run stops starting calls once their time passes CAP * --seconds.
-CAP = 1.5
+CAP = 1.4
+# The probe time that defines a reference second (about the probe's
+# median on a 2-CPU x86-64 host); see ReferenceClock.
+PROBE_REF_S = 0.006
+# Times ``import invlag.cli``, then runs the reference clock's probe
+# twice in the same process, after the timed import.
 IMPORT_CHILD = ("import time; t = time.perf_counter(); import invlag.cli; "
-                "print(time.perf_counter() - t)")
+                "seconds = time.perf_counter() - t; import run; "
+                "print(seconds, run.probe_seconds(), run.probe_seconds())")
 
 
 class BenchError(Exception):
@@ -62,7 +72,7 @@ class BenchError(Exception):
 
 def _fresh_import(*flags: str) -> subprocess.CompletedProcess:
     """Run ``import invlag.cli`` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(BENCH))))
     done = subprocess.run([sys.executable, *flags, "-c", IMPORT_CHILD],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
@@ -71,9 +81,14 @@ def _fresh_import(*flags: str) -> subprocess.CompletedProcess:
     return done
 
 
-def setup_seconds() -> float:
-    """Time ``import invlag.cli`` takes in a fresh interpreter."""
-    return float(_fresh_import().stdout.split()[-1])
+def setup_seconds():
+    """Time ``import invlag.cli`` takes in a fresh interpreter, as (wall,
+    reference) seconds. The reference time is scaled by the probes the
+    child runs right after its import: a fresh process may run on
+    another core than the benchmark's, and the two cores of a shared
+    host need not run at the same speed."""
+    seconds, *probes = map(float, _fresh_import().stdout.split())
+    return seconds, seconds * PROBE_REF_S * len(probes) / sum(probes)
 
 
 def sympy_import_seconds() -> float:
@@ -99,11 +114,13 @@ class Result(NamedTuple):
 
 
 def call(main, op) -> Result:
-    """Make one call, timed. Garbage is collected first, so every call
-    starts from the same collector state and runs the same number of
-    full collections."""
+    """Make one call, timed. Garbage is collected and what survives is
+    frozen first, so every call starts from the same collector state
+    and its collections scan its own objects only, as in a fresh
+    ``invlag`` process, whatever earlier calls left behind."""
     out, err = io.StringIO(), io.StringIO()
     gc.collect()
+    gc.freeze()
     problem = None
     start = time.perf_counter()
     try:
@@ -146,28 +163,69 @@ def report_failures(results) -> int:
 
 def warm_up(main, workloads, workload: str, workdir: str) -> int:
     """Untimed calls on inputs of their own: lazy imports and first-call
-    set-up happen here, not in a measured call. Afterwards the heap left
-    by the import and the warm-up is frozen, so the collection before
-    each call is cheap and collections inside a call do not rescan it."""
+    set-up happen here, not in a measured call."""
     warm_dir = os.path.join(workdir, "warmup")
     os.makedirs(warm_dir)
-    failed = report_failures([call(main, op) for op in
-                              workloads.warmup(workload, warm_dir)])
+    return report_failures([call(main, op) for op in
+                            workloads.warmup(workload, warm_dir)])
+
+
+def _probe_work():
+    """A fixed piece of the kind of work invlag spends its time on: the
+    product of two sparse polynomials stored as dicts from exponent
+    tuples to small Fractions."""
+    a = {(i, j): Fraction(i + 1, j + 2) for i in range(6) for j in range(6)}
+    b = {(i, j): Fraction(j - 3, i + 1) for i in range(6) for j in range(6)}
+    product = {}
+    for (i, j), x in a.items():
+        for (k, m), y in b.items():
+            key = (i + k, j + m)
+            product[key] = product.get(key, 0) + x * y
+
+
+def probe_seconds() -> float:
     gc.collect()
-    gc.freeze()
-    return failed
+    start = time.perf_counter()
+    _probe_work()
+    return time.perf_counter() - start
 
 
-def run_calls(cli, ops, budget: float, tracer=None, setup=None):
+class ReferenceClock:
+    """Turns wall times into reference seconds: the time a piece of work
+    would take on a host where the probe takes ``PROBE_REF_S``.
+
+    The host shares its cores with other tenants, and its speed drifts
+    by tens of percent within seconds and between minutes, with CPU time
+    equal to wall time throughout. The probe runs right before and right
+    after every timed call (the probe after one is the probe before the
+    next), and the call's wall time is scaled by the reference over the
+    mean of its two probes: the host's speed at that moment, measured on
+    the same kind of arithmetic. The probe is the same on every commit,
+    so a change to the program moves reference seconds exactly as it
+    moves wall seconds."""
+
+    def __init__(self):
+        self.probes = [probe_seconds()]
+
+    def scale(self, seconds: float) -> float:
+        self.probes.append(probe_seconds())
+        return seconds * PROBE_REF_S * 2 / (self.probes[-2] + self.probes[-1])
+
+    def mark(self):
+        """Probe again after untimed work, so the next call has a fresh
+        probe before it."""
+        self.probes.append(probe_seconds())
+
+
+def run_plain(cli, ops, budget: float):
     """Make the calls in order until they are done or their call time
-    passes ``budget``. With a tracer, each call is made twice, traced and
-    untraced, alternating which goes first; returns (untraced, traced).
-    ``cli.main`` is looked up at each call, so a traced call goes through
-    the installed wrapper and ``cli.main`` is the root span of its op.
-    With a ``setup`` list, ``SETUP_RUNS`` set-up samples are taken
-    between calls spread evenly over the run, so their median does not
-    hang on the host's load at one moment."""
-    plain, traced = [], []
+    passes ``budget``, each timed on the reference clock. ``SETUP_RUNS``
+    set-up samples are taken between calls spread evenly over the run,
+    so their median does not hang on the host's load at one moment.
+    Returns the results, their reference seconds and the set-up
+    samples as (wall, reference) seconds."""
+    clock = ReferenceClock()
+    results, scaled, setup = [], [], []
     busy = 0.0
     samples_at = {k * len(ops) // SETUP_RUNS for k in range(SETUP_RUNS)}
     for index, op in enumerate(ops):
@@ -175,12 +233,34 @@ def run_calls(cli, ops, budget: float, tracer=None, setup=None):
             print(f"stopped after {index} of {len(ops)} calls: call time "
                   f"passed {budget:.0f} s")
             break
-        if setup is not None and index in samples_at:
+        if index in samples_at:
             setup.append(setup_seconds())
-        if tracer is None:
-            plain.append(call(cli.main, op))
-            busy += plain[-1].seconds
-            continue
+            clock.mark()
+        results.append(call(cli.main, op))
+        scaled.append(clock.scale(results[-1].seconds))
+        busy += results[-1].seconds
+    while len(setup) < SETUP_RUNS:
+        setup.append(setup_seconds())
+    print("probe seconds: median {:.5f}, quartiles {:.5f} {:.5f} over {}"
+          .format(statistics.median(clock.probes),
+                  *statistics.quantiles(clock.probes, n=4)[::2],
+                  len(clock.probes)))
+    return results, scaled, setup
+
+
+def run_pairs(cli, ops, budget: float, tracer):
+    """Make each call twice, traced and untraced, alternating which goes
+    first, until the calls are done or their traced time passes
+    ``budget``; returns (untraced, traced). ``cli.main`` is looked up at
+    each call, so a traced call goes through the installed wrapper and
+    ``cli.main`` is the root span of its op."""
+    plain, traced = [], []
+    busy = 0.0
+    for index, op in enumerate(ops):
+        if busy >= budget:
+            print(f"stopped after {index} of {len(ops)} calls: call time "
+                  f"passed {budget:.0f} s")
+            break
         tracer.op = index
         for is_traced in (index % 2 == 0, index % 2 == 1):
             if is_traced:
@@ -198,28 +278,28 @@ def run_calls(cli, ops, budget: float, tracer=None, setup=None):
 def measure(cli, workloads, args, workdir: str):
     ops = workloads.calls(args.workload, args.seed, workdir, args.seconds)
     warm_failed = warm_up(cli.main, workloads, args.workload, workdir)
-    setup = []
-    results, _ = run_calls(cli, ops, CAP * args.seconds, setup=setup)
-    while len(setup) < SETUP_RUNS:
-        setup.append(setup_seconds())
+    results, latencies, setup = run_plain(cli, ops, CAP * args.seconds)
     failed = report_failures(results)
     busy = sum(r.seconds for r in results)
-    latencies = [r.seconds for r in results]
     tail_value, tail_pct = tail(latencies)
     values = {
         "latency_p50_s": statistics.median(latencies),
         "latency_tail_s": tail_value,
-        "ops_per_s": len(results) / busy,
+        "ops_per_s": len(results) / sum(latencies),
         "peak_rss_mb": peak_rss_mb(),
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(ref for _, ref in setup),
     }
+    wall = [r.seconds for r in results]
     print(f"workload {args.workload} seed {args.seed}: {len(results)} calls "
-          f"in {busy:.2f} s of call time")
+          f"in {busy:.2f} s of call time ({sum(latencies):.2f} reference s)")
+    print(f"wall time: latency p50 {statistics.median(wall):.4f} s, "
+          f"tail {tail(wall)[0]:.4f} s, {len(results) / busy:.4f} ops/s")
     print(f"latency_tail_s is p{tail_pct:.1f} over {len(results)} samples "
           f"({TAIL_BEYOND} beyond it)")
     print(f"error_rate {failed}/{len(results)}; warm-up failures "
           f"{warm_failed}")
-    print("setup_s samples: " + ", ".join(f"{v:.4f}" for v in setup))
+    print("setup_s samples, reference / wall s: " + ", ".join(
+        f"{ref:.4f} / {wall:.4f}" for wall, ref in setup))
     return warm_failed == 0 and failed == 0, len(results), failed, values
 
 
@@ -230,7 +310,7 @@ def trace(cli, workloads, args, workdir: str):
     sympy_share = [sympy_import_seconds() for _ in range(SETUP_RUNS)]
     warm_failed = warm_up(cli.main, workloads, args.workload, workdir)
     tracer = Tracer()
-    plain, traced = run_calls(cli, ops, CAP * args.seconds, tracer)
+    plain, traced = run_pairs(cli, ops, CAP * args.seconds, tracer)
     failed = report_failures(traced)
     mismatched = 0
     for a, b in zip(traced, plain):

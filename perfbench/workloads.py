@@ -105,72 +105,84 @@ def _readme_search(seed) -> List[Op]:
 PERTURB = ("true", "true", "quadratic", "linear")
 
 
-def _certify(seed, workdir: str, index: int) -> List[Op]:
-    """One n = 2 problem, then two n = 3 problems; each n sees every
-    perturbation. The n = 2 calls are the cheap cluster; with a third of
-    the problems they stay below the median, which then falls inside the
-    n = 3 cluster instead of at the boundary between the two."""
+def _certify(seed, workdir: str, index: int,
+             stream: str = "certify") -> List[Op]:
+    """One n = 3 problem, then two n = 2 problems; each n sees every
+    perturbation. The cheap calls (every n = 2 call, most README calls
+    and the n = 3 ``verify``) are then about three quarters of the
+    calls, so the median falls inside their dense cluster, not on the
+    sparse boundary between it and the dear n = 3 calls, where a small
+    shift moves it far; the tail falls among the n = 3 calls."""
     t = index % 9
-    n = 2 if t % 3 == 0 else 3
-    form = shape("certify", t, n, PERTURB[t % 4])
-    return certify_ops(draw(seed, "certify", index, form),
+    n = 3 if t % 3 == 0 else 2
+    form = shape(stream, t, n, PERTURB[t % 4])
+    return certify_ops(draw(seed, stream, t, index // 9, form),
                        os.path.join(workdir, f"certify-{index}.json"),
                        f"certify-{index}-s{t}-n{n}-{form.perturb}")
 
 
-def _search(seed, workdir: str, index: int) -> List[Op]:
+def _search(seed, workdir: str, index: int,
+            stream: str = "search") -> List[Op]:
     """Shapes 0, 3 and 6 take the constant ansatz, the rest the degree-1
     one."""
     t = index % 8
     degree = 0 if t % 3 == 0 else 1
-    form = shape("search", t, 3, "true", cubic=True)
-    return [search_op(draw(seed, "search", index, form),
+    form = shape(stream, t, 3, "true", cubic=True)
+    return [search_op(draw(seed, stream, t, index // 8, form),
                       os.path.join(workdir, f"search-{index}.json"),
                       degree, f"search-{index}-s{t}-deg{degree}")]
 
 
-def _geometry(seed, workdir: str, index: int) -> List[Op]:
+def _geometry(seed, workdir: str, index: int,
+              stream: str = "geometry") -> List[Op]:
     """One n = 3 system with one or two position-dependent kinetic
     entries, then two n = 4 systems with a constant kinetic matrix. The
     n = 3 calls take most of the time; the n = 4 calls are most of the
     calls, so the median call falls inside their cluster."""
     t = index % 9
     n, moving = (3, 1 + t // 3 % 2) if t % 3 == 0 else (4, 0)
-    form = shape("geometry", t, n, PERTURB[t % 4], moving)
-    return geometry_ops(draw(seed, "geometry", index, form),
+    form = shape(stream, t, n, PERTURB[t % 4], moving)
+    return geometry_ops(draw(seed, stream, t, index // 9, form),
                         os.path.join(workdir, f"geometry-{index}.json"),
                         f"geometry-{index}-s{t}-n{n}-{form.perturb}")
 
 
-# name: (README calls for a seed, one problem's calls, nominal seconds
-# of the README calls and of one generated problem, measured at commit
-# b9fa981 on a 2-CPU x86-64 machine).
+# name: (README calls for a seed, one problem's calls, nominal reference
+# seconds (run.ReferenceClock) of the README calls and of one generated
+# problem, measured on the program of commit b9fa981 on a 2-CPU x86-64
+# machine).
 WORKLOADS = {
-    "certify": (lambda seed: README_CERTIFY, _certify, 1.3, 0.45),
+    "certify": (lambda seed: README_CERTIFY, _certify, 1.3, 0.37),
     "search": (_readme_search, _search, 10.0, 0.6),
     "rational_geometry": (lambda seed: (), _geometry, 0.0, 1.7),
 }
-WARMUP_SEED = "warmup"  # no integer --seed can draw these
+WARMUP_SEED = "warmup"
 
 
 def calls(workload: str, seed: int, workdir: str, seconds: float) -> List[Op]:
-    """README calls, then as many generated problems as fill
-    ``seconds`` at the nominal costs. The list depends on the seed and
-    the run length only, never on how fast this run goes, so every run
-    makes calls of the same sizes in the same proportions."""
+    """README calls and as many generated problems as fill ``seconds``
+    at the nominal costs, the README calls spread evenly among the
+    generated ones, so a slow stretch of the host does not fall on all
+    the dear calls at once. The list depends on the seed and the run
+    length only, never on how fast this run goes, so every run makes
+    calls of the same sizes in the same proportions."""
     readme, generate, readme_s, problem_s = WORKLOADS[workload]
-    ops = list(readme(seed))
+    fixed = list(readme(seed))
+    generated = []
     for index in range(max(2, round((seconds - readme_s) / problem_s))):
-        ops.extend(generate(seed, workdir, index))
-    return ops
+        generated.extend(generate(seed, workdir, index))
+    placed = [((k + 0.5) / len(part), op) for part in (fixed, generated)
+              for k, op in enumerate(part)]
+    return [op for _, op in sorted(placed, key=lambda item: item[0])]
 
 
 def warmup(workload: str, workdir: str) -> List[Op]:
-    """Calls on one problem of each of the first two shapes, from a
-    seed no measured run uses; the caller gives them a directory of
-    their own."""
+    """Calls on two problems of the workload's kinds but of shapes of
+    their own, so no measured run repeats one of them; the caller gives
+    them a directory of their own."""
     _readme, generate, _readme_s, _problem_s = WORKLOADS[workload]
     ops = []
     for index in range(2):
-        ops.extend(generate(WARMUP_SEED, workdir, index))
+        ops.extend(generate(WARMUP_SEED, workdir, index,
+                            stream=f"warmup-{workload}"))
     return ops
