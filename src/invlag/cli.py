@@ -50,7 +50,7 @@ from .conditions import (ConditionReport, ImplicitOrderError, ImplicitSystem,
                          check_rayleigh, implicit_context)
 from .exprcore import Expr, ExprContext, ExprError
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
-                       TensorField, connection, curvature, jacobi, matrix_det,
+                       TensorField, connection, curvature, jacobi,
                        matrix_solve, theta_tensor)
 from .numeric import DEFAULT_SEED, crosscheck_cells, seeded_rng
 from .reconstruct import (MultiplierCheckError, ReconstructError,
@@ -616,9 +616,7 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
             "det": str(space.representative_det),
             "vector": [str(value) for value in space.representative_vector],
         }
-        report = _suite_report(family.suite, problem, s, representative,
-                               space.representative_omega or family.omega,
-                               family.D)
+        report = space.representative_report
         payload["representative_report"] = report_payload(report)
         payload["numeric_crosscheck"] = numeric_payload([report])
         return payload, 0
@@ -690,10 +688,6 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
 def _forward_accelerations(ctx: ExprContext, L: Expr, D: Optional[Expr],
                            omega: Optional[TensorField]) -> List[Expr]:
     g = hessian(L)
-    if matrix_det(g).is_zero():
-        raise SingularHessianError(
-            "velocity Hessian of the Lagrangian is singular; cannot "
-            "rebuild the accelerations")
     rhs = []
     for j in range(1, ctx.n + 1):
         entry = L.diff(ctx.q(j))
@@ -705,7 +699,12 @@ def _forward_accelerations(ctx: ExprContext, L: Expr, D: Optional[Expr],
         for k in range(1, ctx.n + 1):
             entry = entry - ctx.var(ctx.v(k)) * L.diff(ctx.q(k)).diff(ctx.v(j))
         rhs.append(entry)
-    return matrix_solve(g, rhs)
+    try:
+        return matrix_solve(g, rhs)
+    except GeometryError as exc:
+        raise SingularHessianError(
+            "velocity Hessian of the Lagrangian is singular; cannot "
+            "rebuild the accelerations") from exc
 
 
 def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:

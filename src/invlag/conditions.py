@@ -12,6 +12,7 @@ implicit systems get their own wrapper type and checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Tuple
@@ -63,10 +64,20 @@ class NonsingularityRecord:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """The cells of one suite run. The nonsingularity record of the
+    multiplier is computed on first read of ``nonsingularity``, so
+    callers that only want the verdict never pay for the determinant."""
+
     suite: str
     cells: Tuple[Cell, ...]
-    nonsingularity: Optional[NonsingularityRecord] = None
+    multiplier: Optional[TensorField] = field(default=None, compare=False)
     notes: Tuple[str, ...] = ()
+
+    @cached_property
+    def nonsingularity(self) -> Optional[NonsingularityRecord]:
+        if self.multiplier is None:
+            return None
+        return nonsingularity_record(self.multiplier)
 
     @property
     def passes(self) -> bool:
@@ -194,8 +205,7 @@ def check_classical(s: Sode, g: TensorField) -> ConditionReport:
     of the force endomorphism lowered with the candidate."""
     _require_multiplier(s, g)
     cells = _hd1_cells(s, g) + _nabla_cells(s, g) + _phi_cells(s, g)
-    return ConditionReport("classical", tuple(cells),
-                           nonsingularity=nonsingularity_record(g))
+    return ConditionReport("classical", tuple(cells), multiplier=g)
 
 
 def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
@@ -216,8 +226,7 @@ def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
         correction = (horizontal_apply(s, i, D.diff(ctx.v(j)))
                       - horizontal_apply(s, j, D.diff(ctx.v(i))))
         cells.append(Cell(_label("HD3", i, j), _phi_skew(s, g, i, j) - correction))
-    return ConditionReport("dissipative", tuple(cells),
-                           nonsingularity=nonsingularity_record(g))
+    return ConditionReport("dissipative", tuple(cells), multiplier=g)
 
 
 def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionReport:
@@ -237,8 +246,7 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
                        + omega.entry(k, i).diff(ctx.q(j)))
             contraction = contraction + d_omega * ctx.var(ctx.v(k))
         cells.append(Cell(_label("Hg3", i, j), _phi_skew(s, g, i, j) - contraction))
-    return ConditionReport("gyroscopic", tuple(cells),
-                           nonsingularity=nonsingularity_record(g))
+    return ConditionReport("gyroscopic", tuple(cells), multiplier=g)
 
 
 def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
@@ -260,8 +268,7 @@ def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
     for i, k, l in combinations(range(1, s.n + 1), 3):
         cells.append(Cell(_label("RCycle", i, k, l),
                           _curvature_cycle(s, g, i, k, l)))
-    return ConditionReport("thm3", tuple(cells),
-                           nonsingularity=nonsingularity_record(g))
+    return ConditionReport("thm3", tuple(cells), multiplier=g)
 
 
 def check_multiplier_gyroscopic(s: Sode, g: TensorField) -> ConditionReport:
@@ -281,8 +288,7 @@ def check_multiplier_gyroscopic(s: Sode, g: TensorField) -> ConditionReport:
         cells.append(Cell(_label("PhiR", k, l),
                           -_phi_skew(s, g, k, l) - contraction))
     cells.extend(_smooth_at_rest_cells(s, g))
-    return ConditionReport("thm4", tuple(cells),
-                           nonsingularity=nonsingularity_record(g))
+    return ConditionReport("thm4", tuple(cells), multiplier=g)
 
 
 def _smooth_at_rest_cells(s: Sode, g: TensorField):
@@ -311,8 +317,7 @@ def check_prop2a(s: Sode, g: TensorField) -> ConditionReport:
     condition deliberately left out."""
     _require_multiplier(s, g)
     cells = _hd1_cells(s, g) + _nabla_cells(s, g)
-    return ConditionReport("prop2a", tuple(cells),
-                           nonsingularity=nonsingularity_record(g))
+    return ConditionReport("prop2a", tuple(cells), multiplier=g)
 
 
 def check_rayleigh(s: Sode, g: TensorField) -> ConditionReport:
@@ -332,8 +337,7 @@ def check_rayleigh(s: Sode, g: TensorField) -> ConditionReport:
     base = check_multiplier_dissipative(s, g)
     verdict = "pass" if base.passes else "fail"
     notes = (f"multiplier conditions for a dissipative representation: {verdict}",)
-    return ConditionReport("rayleigh", tuple(cells),
-                           nonsingularity=nonsingularity_record(g), notes=notes)
+    return ConditionReport("rayleigh", tuple(cells), multiplier=g, notes=notes)
 
 
 # --------------------------------------------------------------------------
@@ -465,8 +469,7 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
                         {(i, j): f[i - 1].diff(d2[j - 1])
                          for i in range(1, n + 1) for j in range(1, n + 1)},
                         validate=False)
-    return ConditionReport("implicit", tuple(cells),
-                           nonsingularity=nonsingularity_record(block))
+    return ConditionReport("implicit", tuple(cells), multiplier=block)
 
 
 def _reduced_route_cells(sys: ImplicitSystem):

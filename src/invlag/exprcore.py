@@ -360,12 +360,24 @@ class ExprContext:
 
 
 def _canonical(ring, num, den):
-    """Reduce num/den to coprime form with a monic denominator."""
+    """Reduce num/den to coprime form with a monic denominator.
+
+    The multivariate gcd (``cancel``) runs only when both parts are
+    non-constant. A constant denominator is divided into the numerator,
+    giving denominator 1; a nonzero constant numerator is coprime with
+    any denominator, so only the monic normalisation is left. Reduced
+    forms with a monic denominator are unique, so the shortcuts give
+    the same result as the general path.
+    """
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
     if not num:
         return ring.zero, ring.one
-    num, den = num.cancel(den)
+    if den.is_ground:
+        lc = den.LC
+        return (num if lc == QQ(1) else num.quo_ground(lc)), ring.one
+    if not num.is_ground:
+        num, den = num.cancel(den)
     lc = den.LC
     if lc != QQ(1):
         num = num.quo_ground(lc)
@@ -644,10 +656,29 @@ def _subst_poly(ring, poly, sigma):
     Returns an unreduced (numerator, denominator) pair: the denominator
     is the product of the substituted denominators raised to the
     maximal exponent with which each generator occurs.
+
+    When every bound value is a constant, one pass over the terms
+    folds ``value**exponent`` into each coefficient, drops the bound
+    exponents and collects the result in a dict, with denominator 1.
     """
     if not sigma or not poly:
         return poly, ring.one
     terms = poly.terms()
+    if all(num.is_ground and den.is_ground for num, den in sigma.values()):
+        values = [(position, num.LC / den.LC)
+                  for position, (num, den) in sigma.items()]
+        accum = {}
+        for monom, coeff in terms:
+            residue = list(monom)
+            for position, value in values:
+                exponent = residue[position]
+                if exponent:
+                    coeff = coeff * value ** exponent
+                    residue[position] = 0
+            if coeff:
+                key = tuple(residue)
+                accum[key] = accum.get(key, 0) + coeff
+        return ring.from_dict(accum), ring.one
     max_exp = {}
     for position in sigma:
         max_exp[position] = max(t[0][position] for t in terms)

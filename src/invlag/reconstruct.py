@@ -24,10 +24,10 @@ from .exprcore import (Expr, ExprContext, NotPolynomialError,
                        ZeroDenominatorError)
 from .geometry import (DimensionMismatchError, GeometryError,
                        InternalInconsistencyError, Sode, TensorField,
-                       gamma_apply, matrix_det, matrix_solve, nabla_tensor02)
+                       gamma_apply, matrix_solve, nabla_tensor02)
 from .conditions import (ConditionReport, Cell, check_multiplier_dissipative,
-                         check_multiplier_gyroscopic, nonsingularity_record,
-                         _curvature_cycle, _require_two_form)
+                         check_multiplier_gyroscopic, _curvature_cycle,
+                         _require_two_form)
 
 
 class ReconstructError(Exception):
@@ -221,7 +221,7 @@ def verify_dissipative(s: Sode, L: Expr, D: Expr) -> ConditionReport:
     cells = tuple(Cell(f"EL[{i}]", r) for i, r in
                   enumerate(lagrange_residuals(s, L, D=D), start=1))
     return ConditionReport("lagrange-dissipative", cells,
-                           nonsingularity=nonsingularity_record(hessian(L)))
+                           multiplier=hessian(L))
 
 
 def verify_gyroscopic(s: Sode, L: Expr, omega: TensorField) -> ConditionReport:
@@ -232,8 +232,7 @@ def verify_gyroscopic(s: Sode, L: Expr, omega: TensorField) -> ConditionReport:
     _require_two_form(s, omega)
     cells = tuple(Cell(f"EL[{i}]", r) for i, r in
                   enumerate(lagrange_residuals(s, L, omega=omega), start=1))
-    return ConditionReport("lagrange-gyroscopic", cells,
-                           nonsingularity=nonsingularity_record(hessian(L)))
+    return ConditionReport("lagrange-gyroscopic", cells, multiplier=hessian(L))
 
 
 # --------------------------------------------------------------------------
@@ -451,16 +450,18 @@ def forward_sode(L: Expr, D: Expr, n: int) -> Sode:
         raise DimensionMismatchError(
             f"context has dimension {ctx.n}, not {n}")
     g = hessian(L)
-    if matrix_det(g).is_zero():
-        raise SingularHessianError(
-            "velocity Hessian of the Lagrangian is singular")
     rhs = []
     for j in range(1, n + 1):
         entry = L.diff(ctx.q(j)) + D.diff(ctx.v(j))
         for k in range(1, n + 1):
             entry = entry - ctx.var(ctx.v(k)) * L.diff(ctx.q(k)).diff(ctx.v(j))
         rhs.append(entry)
-    s = Sode(ctx, matrix_solve(g, rhs))
+    try:
+        accelerations = matrix_solve(g, rhs)
+    except GeometryError as exc:
+        raise SingularHessianError(
+            "velocity Hessian of the Lagrangian is singular") from exc
+    s = Sode(ctx, accelerations)
     if not verify_dissipative(s, L, D).passes:
         raise InternalInconsistencyError(
             "forward construction failed its own verification")

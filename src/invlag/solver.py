@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exprcore import Expr, ExprContext, convert
 from .geometry import (InternalInconsistencyError, Sode, TensorField,
                        matrix_det)
-from .conditions import (check_classical, check_dissipative,
+from .conditions import (ConditionReport, check_classical, check_dissipative,
                          check_gyroscopic, check_multiplier_dissipative,
                          check_multiplier_gyroscopic, check_prop2a)
 
@@ -108,6 +108,7 @@ class SolutionSpace:
     representative_omega: Optional[TensorField] = None
     representative_det: Optional[Expr] = None
     representative_vector: Optional[Tuple[Fraction, ...]] = None
+    representative_report: Optional[ConditionReport] = None
     exhausted: bool = False
     definitive_negative: bool = False
 
@@ -488,7 +489,8 @@ def find_nonsingular(space: SolutionSpace, s: Sode,
                      bound: int) -> Optional[TensorField]:
     """Search integer combinations over the solution space for a member
     with non-vanishing determinant; the first hit in enumeration order
-    is re-checked through the full suite and recorded on the space."""
+    is re-checked through the full suite and recorded on the space,
+    together with the report of that re-check."""
     if not space.consistent:
         space.exhausted = True
         return None
@@ -511,34 +513,36 @@ def find_nonsingular(space: SolutionSpace, s: Sode,
         determinant = matrix_det(g)
         if determinant.is_zero():
             continue
-        if not _suite_passes(problem, s, g, omega):
+        report = _suite_report(problem, s, g, omega)
+        if not report.passes:
             continue
         space.representative = g
         space.representative_omega = omega
         space.representative_det = determinant
         space.representative_vector = tuple(vector)
+        space.representative_report = report
         return g
     space.exhausted = True
     return None
 
 
-def _suite_passes(problem: AnsatzProblem, s: Sode, g: TensorField,
-                  omega: Optional[TensorField]) -> bool:
+def _suite_report(problem: AnsatzProblem, s: Sode, g: TensorField,
+                  omega: Optional[TensorField]) -> ConditionReport:
     """Full symbolic re-check of a candidate in the original context
     (the soundness invariant for returned representatives)."""
     suite = problem.suite
     if suite == "classical":
-        return check_classical(s, g).passes
+        return check_classical(s, g)
     if suite == "dissipative":
         D = problem.D if problem.D is not None else s.ctx.zero
-        return check_dissipative(s, g, D).passes
+        return check_dissipative(s, g, D)
     if suite == "gyroscopic":
         w = omega if omega is not None else \
             (problem.omega if problem.omega is not None
              else _zero_two_form(s.ctx))
-        return check_gyroscopic(s, g, w).passes
+        return check_gyroscopic(s, g, w)
     if suite == "thm3":
-        return check_multiplier_dissipative(s, g).passes
+        return check_multiplier_dissipative(s, g)
     if suite == "thm4":
-        return check_multiplier_gyroscopic(s, g).passes
-    return check_prop2a(s, g).passes
+        return check_multiplier_gyroscopic(s, g)
+    return check_prop2a(s, g)

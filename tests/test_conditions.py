@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from invlag import conditions
+from invlag.cli import ansatz_problem, load_problem, report_payload
 from invlag.exprcore import ExprContext
 from invlag.geometry import (GeometryError, Sode, TensorField,
                              identity_matrix)
@@ -17,6 +19,7 @@ from invlag.conditions import (Cell, ConditionReport, ImplicitOrderError,
                                check_multiplier_gyroscopic, check_prop2a,
                                check_rayleigh, implicit_context,
                                total_derivative)
+from invlag.solver import assemble
 
 from exprgen import random_poly, random_sode, small_fraction
 
@@ -104,6 +107,35 @@ def test_dissipative_accepts_coupled_solution():
     assert report.passes
     assert report.nonsingularity.determinant == ctx.parse("8*q2")
     assert "non-constant" in report.nonsingularity.note
+
+
+def test_nonsingularity_record_is_computed_on_first_read(monkeypatch):
+    """Assembly never reads the record, so the determinant of the
+    symbolic 50-unknown multiplier is never built; a report's payload
+    still carries the same determinant, computed once."""
+    calls = []
+    original = conditions.nonsingularity_record
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(conditions, "nonsingularity_record", counting)
+    problem = load_problem("chain4_gyro", {})
+    family, _bound = ansatz_problem(problem)
+    assemble(problem.sode(), family)
+    assert calls == []
+
+    ctx, s = coupled_three()
+    report = check_dissipative(s, coupled_metric(ctx),
+                               ctx.parse("2*q2*v1^2*v3"))
+    assert calls == []
+    assert report_payload(report)["nonsingularity"] == {
+        "determinant": "8*q2", "nonsingular": True,
+        "note": ("determinant is non-constant, so it vanishes on a proper "
+                 "subset of the domain")}
+    report_payload(report)
+    assert len(calls) == 1
 
 
 def test_dissipative_with_zero_matches_classical():

@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
                              ExprSyntaxError, JetOrderError,
@@ -259,3 +262,59 @@ def test_diff_matches_central_differences():
         tol = Fraction(1, 10**6) * (1 + abs(exact))
         assert abs(numeric - exact) <= tol
         checked += 1
+
+
+# --------------------------------------------------------------------------
+# canonical-form and substitution fast paths, against reference routes
+
+
+def _reference_reduction(num, den):
+    """sympy's own reduction followed by a monic denominator."""
+    num, den = num.cancel(den)
+    lc = den.LC
+    return num.quo_ground(lc), den.quo_ground(lc)
+
+
+_nonzero_fractions = st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=4).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=_nonzero_fractions,
+       shape=st.sampled_from(("constant_den", "constant_num", "general")))
+def test_normalize_matches_reference_reduction(seed, scale, shape):
+    ctx = ExprContext(2, parameters=("a",))
+    ring = ctx._ring
+    rng = random.Random(seed)
+    c = ring.ground_new(QQ(scale.numerator, scale.denominator))
+    top = random_expr(ctx, rng, depth=3).num
+    bottom = random_expr(ctx, rng, depth=2, allow_div=False).num
+    common = random_expr(ctx, rng, depth=2, allow_div=False).num
+    assume(bottom and common)
+    if shape == "constant_den":
+        num, den = top, c
+    elif shape == "constant_num":
+        num, den = c, bottom * common
+    else:
+        num, den = top * common, bottom * common * c
+    e = Expr(ctx, num, den, _normalize=True)
+    assert (e.num, e.den) == _reference_reduction(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_subst_of_constants_agrees_with_evaluation(seed):
+    ctx = ExprContext(2, parameters=("a",))
+    rng = random.Random(seed)
+    e = random_expr(ctx, rng, depth=3)
+    variables = ctx.all_varids()
+    bound = rng.sample(variables, rng.randint(1, len(variables)))
+    binding = {var: small_fraction(rng, -5, 5, 3) for var in bound}
+    point = {var: small_fraction(rng, -7, 7, 5) for var in variables}
+    try:
+        substituted = e.subst(binding)
+        left = substituted.eval_num(point)
+        right = e.eval_num(point | binding)
+    except (PoleError, ZeroDenominatorError):
+        assume(False)
+    assert left == right

@@ -96,6 +96,10 @@ def test_diagonal_polynomial_family_pins_unique_multiplier():
     assert rep is not None
     assert space.representative_det == ctx.parse("8*q2")
     assert check_multiplier_dissipative(s, rep).passes
+    report = space.representative_report
+    assert report.suite == "thm3" and report.passes
+    assert report.multiplier is rep
+    assert report.nonsingularity.determinant == space.representative_det
 
 
 def test_translation_invariant_family_is_structurally_singular():
