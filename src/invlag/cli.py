@@ -42,19 +42,16 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conditions import (ConditionReport, ImplicitOrderError, ImplicitSystem,
-                         TwoFormError, check_classical, check_dissipative,
-                         check_gyroscopic, check_implicit,
-                         check_multiplier_dissipative,
-                         check_multiplier_gyroscopic, check_prop2a,
-                         check_rayleigh, implicit_context)
+from .conditions import (SUITES, ConditionReport, ImplicitOrderError,
+                         ImplicitSystem, TwoFormError, check_implicit,
+                         check_suite, implicit_context)
 from .exprcore import Expr, ExprContext, ExprError
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
                        TensorField, connection, curvature, jacobi,
-                       matrix_solve, theta_tensor)
+                       theta_tensor)
 from .numeric import DEFAULT_SEED, crosscheck_cells, seeded_rng
 from .reconstruct import (MultiplierCheckError, ReconstructError,
-                          SingularHessianError, hessian,
+                          SingularHessianError, forward_accelerations,
                           reconstruct_dissipative, reconstruct_gyroscopic,
                           verify_dissipative, verify_gyroscopic)
 from .solver import (AnsatzProblem, SolverError, assemble, find_nonsingular,
@@ -63,8 +60,7 @@ from .solver import solve as solve_space
 
 PROBLEM_FIELDS = ("n", "parameters", "mode", "f", "g", "D", "L", "omega",
                   "ansatz", "options")
-CHECK_SUITES = ("classical", "dissipative", "gyroscopic", "thm3", "thm4",
-                "prop2a", "rayleigh", "implicit")
+CHECK_SUITES = tuple(SUITES) + ("implicit",)
 RECONSTRUCT_ROUTES = {"dissipative": "dissipative", "thm3": "dissipative",
                       "gyroscopic": "gyroscopic", "thm4": "gyroscopic"}
 RESIDUAL_PREVIEW = 64
@@ -208,12 +204,6 @@ class Problem:
         except (ImplicitOrderError, GeometryError,
                 DimensionMismatchError) as exc:
             raise CliError(f"{self.path}: {exc}") from exc
-
-    def zero_two_form(self) -> TensorField:
-        n = self.n
-        entries = {(i, j): self.ctx.zero
-                   for i in range(1, n + 1) for j in range(1, n + 1)}
-        return TensorField(self.ctx, (0, 2), entries, antisym=((1, 2),))
 
 
 def _expect_dimension(data: dict, path: str) -> int:
@@ -509,26 +499,6 @@ def cmd_analyze(problem: Problem, args) -> Tuple[dict, int]:
     return payload, 0
 
 
-def _suite_report(suite: str, problem: Problem, s: Sode, g: TensorField,
-                  omega: Optional[TensorField],
-                  D: Optional[Expr]) -> ConditionReport:
-    ctx = problem.ctx
-    if suite == "classical":
-        return check_classical(s, g)
-    if suite == "dissipative":
-        return check_dissipative(s, g, D if D is not None else ctx.zero)
-    if suite == "gyroscopic":
-        w = omega if omega is not None else problem.zero_two_form()
-        return check_gyroscopic(s, g, w)
-    if suite == "thm3":
-        return check_multiplier_dissipative(s, g)
-    if suite == "thm4":
-        return check_multiplier_gyroscopic(s, g)
-    if suite == "prop2a":
-        return check_prop2a(s, g)
-    return check_rayleigh(s, g)
-
-
 def cmd_check(problem: Problem, args) -> Tuple[dict, int]:
     suite = args.suite
     payload = _base_payload("check", problem)
@@ -540,33 +510,13 @@ def cmd_check(problem: Problem, args) -> Tuple[dict, int]:
         s = problem.sode()
         g = problem.require("g")
         try:
-            report = _suite_report(suite, problem, s, g,
-                                   problem.omega, problem.D)
+            report = check_suite(suite, s, g, D=problem.D,
+                                 omega=problem.omega)
         except (TwoFormError, GeometryError) as exc:
             raise CliError(f"{problem.path}: {exc}") from exc
     payload["report"] = report_payload(report)
     payload["numeric_crosscheck"] = numeric_payload([report])
     return payload, 0 if report.passes else 1
-
-
-def _forced_zero(space) -> List[str]:
-    movable = [False] * len(space.layout)
-    for vector in space.nullspace:
-        for k, value in enumerate(vector):
-            if value != 0:
-                movable[k] = True
-    if space.particular is not None:
-        for k, value in enumerate(space.particular):
-            if value != 0:
-                movable[k] = True
-    dead: Dict[Tuple[str, int, int], bool] = {}
-    for k, (part, i, j, _position) in enumerate(space.layout):
-        key = (part, i, j)
-        dead.setdefault(key, True)
-        if movable[k]:
-            dead[key] = False
-    return [f"{part}[{i},{j}]"
-            for (part, i, j), gone in sorted(dead.items()) if gone]
 
 
 def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
@@ -601,7 +551,8 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
         "nullspace": vectors,
         "particular": ([str(value) for value in space.particular]
                        if space.particular is not None else None),
-        "forced_zero": _forced_zero(space) if space.consistent else [],
+        "forced_zero": [f"{part}[{i},{j}]"
+                        for part, i, j in space.forced_zero()],
         "bound": bound,
         "exhausted": space.exhausted,
         "definitive_negative": space.definitive_negative,
@@ -685,28 +636,6 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
     return payload, 0 if verify.passes else 1
 
 
-def _forward_accelerations(ctx: ExprContext, L: Expr, D: Optional[Expr],
-                           omega: Optional[TensorField]) -> List[Expr]:
-    g = hessian(L)
-    rhs = []
-    for j in range(1, ctx.n + 1):
-        entry = L.diff(ctx.q(j))
-        if D is not None:
-            entry = entry + D.diff(ctx.v(j))
-        if omega is not None:
-            for k in range(1, ctx.n + 1):
-                entry = entry + omega.entry(j, k) * ctx.var(ctx.v(k))
-        for k in range(1, ctx.n + 1):
-            entry = entry - ctx.var(ctx.v(k)) * L.diff(ctx.q(k)).diff(ctx.v(j))
-        rhs.append(entry)
-    try:
-        return matrix_solve(g, rhs)
-    except GeometryError as exc:
-        raise SingularHessianError(
-            "velocity Hessian of the Lagrangian is singular; cannot "
-            "rebuild the accelerations") from exc
-
-
 def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
     problem.require_mode("explicit", "verify")
     s = problem.sode()
@@ -735,9 +664,10 @@ def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
     extra_cells = []
     if args.forward:
         try:
-            rebuilt = _forward_accelerations(problem.ctx, L, D, omega)
+            rebuilt = forward_accelerations(L, D, omega)
         except SingularHessianError as exc:
-            raise CliError(f"{problem.path}: {exc}") from exc
+            raise CliError(f"{problem.path}: {exc}; cannot rebuild the "
+                           "accelerations") from exc
         cells = []
         for i, (ours, theirs) in enumerate(zip(rebuilt, s.f), start=1):
             difference = ours - theirs

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
-                       TensorField, connection, curvature, horizontal_apply,
-                       gamma_apply, jacobi, matrix_det, nabla_tensor02,
-                       theta_tensor)
+                       TensorField, curvature, d_basic, horizontal_apply,
+                       jacobi, matrix_det, nabla_tensor02, theta_tensor)
 
 
 class TwoFormError(Exception):
@@ -238,13 +237,17 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
     _require_two_form(s, omega)
     ctx = s.ctx
     cells = _hd1_cells(s, g) + _nabla_cells(s, g, family="Hg2")
-    for i, j in combinations(range(1, s.n + 1), 2):
+    pairs = list(combinations(range(1, s.n + 1), 2))
+    d_omega = d_basic(ctx, {pair: omega.entry(*pair) for pair in pairs}, 2)
+    for i, j in pairs:
         contraction = ctx.zero
         for k in range(1, s.n + 1):
-            d_omega = (omega.entry(i, j).diff(ctx.q(k))
-                       + omega.entry(j, k).diff(ctx.q(i))
-                       + omega.entry(k, i).diff(ctx.q(j)))
-            contraction = contraction + d_omega * ctx.var(ctx.v(k))
+            if k in (i, j):
+                continue
+            # (i, j, k) is an odd permutation of its ascending order
+            # exactly when k lies between i and j
+            term = d_omega[tuple(sorted((i, j, k)))] * ctx.var(ctx.v(k))
+            contraction = contraction - term if i < k < j else contraction + term
         cells.append(Cell(_label("Hg3", i, j), _phi_skew(s, g, i, j) - contraction))
     return ConditionReport("gyroscopic", tuple(cells), multiplier=g)
 
@@ -338,6 +341,53 @@ def check_rayleigh(s: Sode, g: TensorField) -> ConditionReport:
     verdict = "pass" if base.passes else "fail"
     notes = (f"multiplier conditions for a dissipative representation: {verdict}",)
     return ConditionReport("rayleigh", tuple(cells), multiplier=g, notes=notes)
+
+
+# --------------------------------------------------------------------------
+# the suite table
+
+
+class Suite(NamedTuple):
+    """One explicit suite: the name of its checker in this module, the
+    candidate data it takes after ``g``, and whether the ansatz search
+    supports it."""
+
+    checker: str
+    takes: Tuple[str, ...] = ()
+    searchable: bool = True
+
+
+SUITES = {
+    "classical": Suite("check_classical"),
+    "dissipative": Suite("check_dissipative", ("D",)),
+    "gyroscopic": Suite("check_gyroscopic", ("omega",)),
+    "thm3": Suite("check_multiplier_dissipative"),
+    "thm4": Suite("check_multiplier_gyroscopic"),
+    "prop2a": Suite("check_prop2a"),
+    "rayleigh": Suite("check_rayleigh", searchable=False),
+}
+
+
+def check_suite(suite: str, s: Sode, g: TensorField, D: Optional[Expr] = None,
+                omega: Optional[TensorField] = None) -> ConditionReport:
+    """Run the explicit suite named ``suite`` on the candidate ``g``. The
+    suites that take ``D`` or ``omega`` get the zero function or the zero
+    two-form when it is not given. The checker is looked up by name at
+    call time, so a rebinding of the module attribute reaches it."""
+    entry = SUITES[suite]
+    given = {"D": D if D is not None else s.ctx.zero, "omega": omega}
+    if omega is None and "omega" in entry.takes:
+        given["omega"] = TensorField(s.ctx, (0, 2), {}, antisym=((1, 2),))
+    checker = globals()[entry.checker]
+    return checker(s, g, *(given[name] for name in entry.takes))
+
+
+def _with_nonsingularity(report: ConditionReport,
+                         record: NonsingularityRecord) -> ConditionReport:
+    """Store the record of ``report.multiplier`` computed by the caller,
+    so the report never builds the same determinant again."""
+    report.__dict__["nonsingularity"] = record
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -446,11 +496,10 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
         for j in range(1, n + 1):
             cells.append(Cell(_label("OrderS", i, j),
                               _first_order_residual(ctx, s_coeff[i - 1][j - 1])))
-    for i, j, k in combinations(range(1, n + 1), 3):
-        residual = (r_coeff[i - 1][j - 1].diff(ctx.q(k))
-                    + r_coeff[j - 1][k - 1].diff(ctx.q(i))
-                    + r_coeff[k - 1][i - 1].diff(ctx.q(j)))
-        cells.append(Cell(_label("C1", i, j, k), residual))
+    r_form = {(i, j): r_coeff[i - 1][j - 1]
+              for i, j in combinations(range(1, n + 1), 2)}
+    for idx, residual in d_basic(ctx, r_form, 2).items():
+        cells.append(Cell(_label("C1", *idx), residual))
     for i, j in combinations(range(1, n + 1), 2):
         for k in range(1, n + 1):
             residual = (r_coeff[i - 1][j - 1].diff(ctx.jet(k, 1))

@@ -15,7 +15,7 @@ Index convention: all public indices are 1-based, matching the
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, List, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext
@@ -183,6 +183,26 @@ def matrix_solve(tensor: TensorField, rhs: Sequence[Expr]) -> List[Expr]:
         solution.append(matrix_det(TensorField(tensor.ctx, (0, 2), modified,
                                                validate=False)) / det)
     return solution
+
+
+def d_basic(ctx: ExprContext, form: dict, degree: int) -> dict:
+    """Exterior derivative of a basic ``degree``-form stored on ascending
+    index tuples (missing components read as zero): returns ``d form`` on
+    every ascending ``degree + 1``-tuple, each component computed once as
+    ``sum_a (-1)^a d/dq^(i_a) form[i_0 .. (i_a left out) .. i_degree]``.
+    Only positions are differentiated, so on components that also depend
+    on velocities this is the exterior derivative at fixed velocity."""
+    result = {}
+    for idx in combinations(range(1, ctx.n + 1), degree + 1):
+        total = ctx.zero
+        for a, i in enumerate(idx):
+            component = form.get(idx[:a] + idx[a + 1:], ctx.zero)
+            if component.is_zero():
+                continue
+            term = component.diff(ctx.q(i))
+            total = total - term if a % 2 else total + term
+        result[idx] = total
+    return result
 
 
 # --------------------------------------------------------------------------

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exprcore import (Expr, ExprContext, NotPolynomialError,
                        ZeroDenominatorError)
 from .geometry import (DimensionMismatchError, GeometryError,
                        InternalInconsistencyError, Sode, TensorField,
-                       gamma_apply, matrix_solve, nabla_tensor02)
+                       d_basic, gamma_apply, matrix_solve, nabla_tensor02)
 from .conditions import (ConditionReport, Cell, check_multiplier_dissipative,
                          check_multiplier_gyroscopic, _curvature_cycle,
                          _require_two_form)
@@ -175,20 +175,9 @@ def base_homotopy(ctx: ExprContext, form: dict, degree: int) -> dict:
     return result
 
 
-def _antisym_lookup(form: dict, idx: Tuple[int, ...], ctx: ExprContext) -> Expr:
-    """Value of a fully antisymmetric form stored on ascending tuples."""
-    order = tuple(sorted(idx))
-    if len(set(idx)) != len(idx):
-        return ctx.zero
-    value = form.get(order, ctx.zero)
-    # parity of the permutation taking sorted order to idx
-    perm = [order.index(i) for i in idx]
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return value if sign > 0 else -value
+def _closed(ctx: ExprContext, form: dict, degree: int) -> bool:
+    """Is a basic form stored on ascending tuples closed?"""
+    return all(value.is_zero() for value in d_basic(ctx, form, degree).values())
 
 
 # --------------------------------------------------------------------------
@@ -256,15 +245,26 @@ def _affine_split(ctx: ExprContext, residual: Expr):
     return constant, [linear.diff(v) for v in v_vars]
 
 
-def _check_two_form_closed(ctx: ExprContext, c: dict) -> bool:
-    n = ctx.n
-    for i, j, k in combinations(range(1, n + 1), 3):
-        total = (_antisym_lookup(c, (j, k), ctx).diff(ctx.q(i))
-                 + _antisym_lookup(c, (k, i), ctx).diff(ctx.q(j))
-                 + _antisym_lookup(c, (i, j), ctx).diff(ctx.q(k)))
-        if not total.is_zero():
-            return False
-    return True
+def _split_residuals(ctx: ExprContext, residuals):
+    """Split Lagrange residuals affine in the velocities into their
+    velocity-free parts and the two-form (on ascending pairs) of their
+    linear parts, which must be antisymmetric."""
+    base_terms = []
+    rows = []
+    for r in residuals:
+        constant, linear = _affine_split(ctx, r)
+        base_terms.append(constant)
+        rows.append(linear)
+    upper = {}
+    for i, j in combinations(range(1, ctx.n + 1), 2):
+        if rows[i - 1][j - 1] != -rows[j - 1][i - 1]:
+            raise InternalInconsistencyError(
+                "velocity-linear residual part is not antisymmetric")
+        upper[(i, j)] = rows[i - 1][j - 1]
+    if any(not rows[i][i].is_zero() for i in range(ctx.n)):
+        raise InternalInconsistencyError(
+            "velocity-linear residual part has a diagonal term")
+    return base_terms, upper
 
 
 def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
@@ -286,32 +286,14 @@ def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
     n = s.n
     L0 = vertical_homotopy2(g)
     D0 = vertical_homotopy2(nabla_tensor02(s, g))
-    residuals = lagrange_residuals(s, L0, D=D0)
-    base_terms = []
-    coefficient_rows = []
-    for r in residuals:
-        constant, linear = _affine_split(ctx, r)
-        base_terms.append(constant)
-        coefficient_rows.append(linear)
-    c = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        if coefficient_rows[i - 1][j - 1] != -coefficient_rows[j - 1][i - 1]:
-            raise InternalInconsistencyError(
-                "velocity-linear residual part is not antisymmetric")
-        c[(i, j)] = coefficient_rows[i - 1][j - 1]
-    for i in range(1, n + 1):
-        if not coefficient_rows[i - 1][i - 1].is_zero():
-            raise InternalInconsistencyError(
-                "velocity-linear residual part has a diagonal term")
-    if not _check_two_form_closed(ctx, c):
+    base_terms, c = _split_residuals(ctx, lagrange_residuals(s, L0, D=D0))
+    if not _closed(ctx, c, 2):
         raise InternalInconsistencyError(
             "velocity-linear residual part is not closed")
     alpha_map = base_homotopy(ctx, _full_two_form(ctx, c), 2)
     alpha = [alpha_map[(j,)] for j in range(1, n + 1)]
-    for i, j in combinations(range(1, n + 1), 2):
-        built = alpha[j - 1].diff(ctx.q(i)) - alpha[i - 1].diff(ctx.q(j))
-        if built != c[(i, j)]:
-            raise InternalInconsistencyError("base homotopy failed to invert")
+    if d_basic(ctx, alpha_map, 1) != c:
+        raise InternalInconsistencyError("base homotopy failed to invert")
     L = L0
     D = D0
     for j in range(1, n + 1):
@@ -362,54 +344,30 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
             if value.depends_on(ctx.v(k)):
                 raise NotBasicError(
                     f"curvature form depends on velocity at {idx}")
-    if not _check_three_form_closed(ctx, rho):
+    if not _closed(ctx, rho, 3):
         raise NotClosedError("curvature form is not closed")
 
     L0 = vertical_homotopy2(g)
-    residuals = lagrange_residuals(s, L0)
-    base_terms = []
-    coefficient_rows = []
-    for r in residuals:
-        constant, linear = _affine_split(ctx, r)
-        base_terms.append(constant)
-        coefficient_rows.append(linear)
-    omega_entries = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        if coefficient_rows[i - 1][j - 1] != -coefficient_rows[j - 1][i - 1]:
-            raise InternalInconsistencyError(
-                "velocity-linear residual part is not antisymmetric")
-        omega_entries[(i, j)] = coefficient_rows[i - 1][j - 1]
-        omega_entries[(j, i)] = coefficient_rows[j - 1][i - 1]
-    for i in range(1, n + 1):
-        if not coefficient_rows[i - 1][i - 1].is_zero():
-            raise InternalInconsistencyError(
-                "velocity-linear residual part has a diagonal term")
-    omega = TensorField(ctx, (0, 2), omega_entries, antisym=((1, 2),))
+    base_terms, upper = _split_residuals(ctx, lagrange_residuals(s, L0))
+    omega = TensorField(ctx, (0, 2), _full_two_form(ctx, upper),
+                        antisym=((1, 2),))
     for k in range(1, n + 1):
-        for i, j in combinations(range(1, n + 1), 2):
-            if omega.entry(i, j).depends_on(ctx.v(k)):
+        for idx, value in upper.items():
+            if value.depends_on(ctx.v(k)):
                 raise NotBasicError(
-                    f"recovered two-form depends on velocity at {(i, j)}")
-    for i, j, k in combinations(range(1, n + 1), 3):
-        built = (omega.entry(j, k).diff(ctx.q(i))
-                 + omega.entry(k, i).diff(ctx.q(j))
-                 + omega.entry(i, j).diff(ctx.q(k)))
-        if built != rho[(i, j, k)]:
-            raise InternalInconsistencyError(
-                "two-form derivative does not match the curvature form")
+                    f"recovered two-form depends on velocity at {idx}")
+    if d_basic(ctx, upper, 2) != rho:
+        raise InternalInconsistencyError(
+            "two-form derivative does not match the curvature form")
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (base_terms[i - 1].diff(ctx.q(j))
-                    != base_terms[j - 1].diff(ctx.q(i))):
-                raise InternalInconsistencyError(
-                    "velocity-free residual part is not closed")
-    phi_map = base_homotopy(ctx, {(i,): base_terms[i - 1]
-                                  for i in range(1, n + 1)}, 1)
+    base_form = {(i,): base_terms[i - 1] for i in range(1, n + 1)}
+    if not _closed(ctx, base_form, 1):
+        raise InternalInconsistencyError(
+            "velocity-free residual part is not closed")
+    phi_map = base_homotopy(ctx, base_form, 1)
     phi = phi_map[()]
-    for i in range(1, n + 1):
-        if phi.diff(ctx.q(i)) != base_terms[i - 1]:
-            raise InternalInconsistencyError("base homotopy failed to invert")
+    if d_basic(ctx, phi_map, 0) != base_form:
+        raise InternalInconsistencyError("base homotopy failed to invert")
     L = L0 + phi
     outcome = verify_gyroscopic(s, L, omega)
     if not outcome.passes:
@@ -423,45 +381,45 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
     return Certificate(kind, L, omega=omega, gauge=gauge)
 
 
-def _check_three_form_closed(ctx: ExprContext, rho: dict) -> bool:
-    n = ctx.n
-    for i, j, k, l in combinations(range(1, n + 1), 4):
-        total = (_antisym_lookup(rho, (j, k, l), ctx).diff(ctx.q(i))
-                 - _antisym_lookup(rho, (i, k, l), ctx).diff(ctx.q(j))
-                 + _antisym_lookup(rho, (i, j, l), ctx).diff(ctx.q(k))
-                 - _antisym_lookup(rho, (i, j, k), ctx).diff(ctx.q(l)))
-        if not total.is_zero():
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # forward problem
 
 
+def forward_accelerations(L: Expr, D: Optional[Expr] = None,
+                          omega: Optional[TensorField] = None) -> List[Expr]:
+    """Solve the Lagrange equations of ``L`` with forcing from ``D``
+    and the gyroscopic force of ``omega`` (either may be absent) for
+    the accelerations. The velocity Hessian must be nonsingular as a
+    matrix of expressions."""
+    ctx = L.ctx
+    rhs = []
+    for j in range(1, ctx.n + 1):
+        entry = L.diff(ctx.q(j))
+        if D is not None:
+            entry = entry + D.diff(ctx.v(j))
+        if omega is not None:
+            for k in range(1, ctx.n + 1):
+                entry = entry + omega.entry(j, k) * ctx.var(ctx.v(k))
+        for k in range(1, ctx.n + 1):
+            entry = entry - ctx.var(ctx.v(k)) * L.diff(ctx.q(k)).diff(ctx.v(j))
+        rhs.append(entry)
+    try:
+        return matrix_solve(hessian(L), rhs)
+    except GeometryError as exc:
+        raise SingularHessianError(
+            "velocity Hessian of the Lagrangian is singular") from exc
+
+
 def forward_sode(L: Expr, D: Expr, n: int) -> Sode:
-    """The explicit system governed by ``L`` with forcing from ``D``:
-    solve the Lagrange equations for the accelerations. The velocity
-    Hessian must be nonsingular as a matrix of expressions."""
+    """The explicit system governed by ``L`` with forcing from ``D``,
+    checked against its own Lagrange equations."""
     ctx = L.ctx
     if D.ctx != ctx:
         raise DimensionMismatchError("dissipation from another context")
     if n != ctx.n:
         raise DimensionMismatchError(
             f"context has dimension {ctx.n}, not {n}")
-    g = hessian(L)
-    rhs = []
-    for j in range(1, n + 1):
-        entry = L.diff(ctx.q(j)) + D.diff(ctx.v(j))
-        for k in range(1, n + 1):
-            entry = entry - ctx.var(ctx.v(k)) * L.diff(ctx.q(k)).diff(ctx.v(j))
-        rhs.append(entry)
-    try:
-        accelerations = matrix_solve(g, rhs)
-    except GeometryError as exc:
-        raise SingularHessianError(
-            "velocity Hessian of the Lagrangian is singular") from exc
-    s = Sode(ctx, accelerations)
+    s = Sode(ctx, forward_accelerations(L, D))
     if not verify_dissipative(s, L, D).passes:
         raise InternalInconsistencyError(
             "forward construction failed its own verification")

@@ -20,13 +20,12 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, convert
-from .geometry import (InternalInconsistencyError, Sode, TensorField,
-                       matrix_det)
-from .conditions import (ConditionReport, check_classical, check_dissipative,
-                         check_gyroscopic, check_multiplier_dissipative,
-                         check_multiplier_gyroscopic, check_prop2a)
+from .geometry import InternalInconsistencyError, Sode, TensorField
+from .conditions import (SUITES as SUITE_TABLE, ConditionReport,
+                         _with_nonsingularity, check_suite,
+                         nonsingularity_record)
 
-SUITES = ("classical", "dissipative", "gyroscopic", "thm3", "thm4", "prop2a")
+SUITES = tuple(name for name, suite in SUITE_TABLE.items() if suite.searchable)
 
 
 class SolverError(Exception):
@@ -120,6 +119,19 @@ class SolutionSpace:
     def dimension(self) -> int:
         return len(self.nullspace)
 
+    def forced_zero(self) -> Tuple[Tuple[str, int, int], ...]:
+        """The declared entries ``(part, i, j)`` that vanish at every
+        point of the space, sorted; none when the system is
+        inconsistent."""
+        if not self.consistent:
+            return ()
+        points = (self.particular,) + self.nullspace
+        dead: Dict[Tuple[str, int, int], bool] = {}
+        for k, (part, i, j, _position) in enumerate(self.layout):
+            still = all(point[k] == 0 for point in points)
+            dead[(part, i, j)] = dead.get((part, i, j), True) and still
+        return tuple(sorted(key for key, gone in dead.items() if gone))
+
 
 # --------------------------------------------------------------------------
 # ansatz constructors
@@ -201,52 +213,13 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     ectx = ctx.with_parameters(names)
     s_e = Sode(ectx, [convert(f, ectx) for f in s.f])
     unknown_vars = [ectx.param(name) for name in names]
-
-    cursor = 0
-    g_entries: Dict[Tuple[int, int], Expr] = {}
-    for (i, j), basis in p.g_basis:
-        entry = ectx.zero
-        for b in basis:
-            entry = entry + ectx.var(unknown_vars[cursor]) * convert(b, ectx)
-            cursor += 1
-        g_entries[(i, j)] = entry
-        if i != j:
-            g_entries[(j, i)] = entry
-    for i in range(1, s.n + 1):
-        for j in range(1, s.n + 1):
-            g_entries.setdefault((i, j), ectx.zero)
-    g = TensorField(ectx, (0, 2), g_entries, sym=((1, 2),))
-
-    omega = None
-    if p.omega_basis:
-        w_entries: Dict[Tuple[int, int], Expr] = {}
-        for (i, j), basis in p.omega_basis:
-            entry = ectx.zero
-            for b in basis:
-                entry = entry + ectx.var(unknown_vars[cursor]) * convert(b, ectx)
-                cursor += 1
-            w_entries[(i, j)] = entry
-            w_entries[(j, i)] = -entry
-        omega = TensorField(ectx, (0, 2), w_entries, antisym=((1, 2),))
-    elif p.omega is not None:
+    g, omega = _ansatz_tensors(p, ectx, [ectx.var(var) for var in unknown_vars])
+    if omega is None and p.omega is not None:
         w_entries = {idx: convert(p.omega.entry(*idx), ectx)
                      for idx in p.omega.all_indices()}
         omega = TensorField(ectx, (0, 2), w_entries, antisym=((1, 2),))
-
-    if p.suite == "classical":
-        report = check_classical(s_e, g)
-    elif p.suite == "dissipative":
-        D = convert(p.D, ectx) if p.D is not None else ectx.zero
-        report = check_dissipative(s_e, g, D)
-    elif p.suite == "gyroscopic":
-        report = check_gyroscopic(s_e, g, omega if omega is not None
-                                  else _zero_two_form(ectx))
-    elif p.suite == "thm3":
-        report = check_multiplier_dissipative(s_e, g)
-    elif p.suite == "thm4":
-        report = check_multiplier_gyroscopic(s_e, g)
-    else:
-        report = check_prop2a(s_e, g)
+    D = convert(p.D, ectx) if p.D is not None else None
+    report = check_suite(p.suite, s_e, g, D=D, omega=omega)
 
     unknown_positions = {ectx.gen_index(var): k
                          for k, var in enumerate(unknown_vars)}
@@ -295,8 +268,32 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
                         tuple(residuals), ectx, p)
 
 
-def _zero_two_form(ctx: ExprContext) -> TensorField:
-    return TensorField(ctx, (0, 2), {}, antisym=((1, 2),))
+def _ansatz_tensors(problem: AnsatzProblem, ctx: ExprContext,
+                    coefficients: Sequence[Expr]):
+    """The multiplier of the ansatz, and its two-form when one is
+    declared, with ``coefficients`` (one per slot of the layout, in
+    ``ctx``) in front of the basis expressions."""
+    slots = iter(coefficients)
+
+    def combine(basis):
+        entry = ctx.zero
+        for b in basis:
+            entry = entry + next(slots) * convert(b, ctx)
+        return entry
+
+    g_entries: Dict[Tuple[int, int], Expr] = {}
+    for (i, j), basis in problem.g_basis:
+        g_entries[(i, j)] = g_entries[(j, i)] = combine(basis)
+    g = TensorField(ctx, (0, 2), g_entries, sym=((1, 2),))
+    omega = None
+    if problem.omega_basis:
+        w_entries: Dict[Tuple[int, int], Expr] = {}
+        for (i, j), basis in problem.omega_basis:
+            entry = combine(basis)
+            w_entries[(i, j)] = entry
+            w_entries[(j, i)] = -entry
+        omega = TensorField(ctx, (0, 2), w_entries, antisym=((1, 2),))
+    return g, omega
 
 
 def _monomial_text(ctx: ExprContext, key: tuple) -> str:
@@ -418,63 +415,10 @@ def instantiate(problem: AnsatzProblem, ctx: ExprContext,
                 vector: Sequence[Fraction]):
     """Substitute a coefficient vector into the ansatz, producing the
     multiplier (and the two-form when one was declared)."""
-    layout = problem.layout()
-    if len(vector) != len(layout):
+    if len(vector) != len(problem.layout()):
         raise SolverError("coefficient vector does not match the ansatz")
-    g_entries: Dict[Tuple[int, int], Expr] = {}
-    w_entries: Dict[Tuple[int, int], Expr] = {}
-    cursor = 0
-    for (i, j), basis in problem.g_basis:
-        entry = ctx.zero
-        for b in basis:
-            entry = entry + ctx.const(Fraction(vector[cursor])) * b
-            cursor += 1
-        g_entries[(i, j)] = entry
-        if i != j:
-            g_entries[(j, i)] = entry
-    for i in range(1, ctx.n + 1):
-        for j in range(1, ctx.n + 1):
-            g_entries.setdefault((i, j), ctx.zero)
-    g = TensorField(ctx, (0, 2), g_entries, sym=((1, 2),))
-    omega = None
-    if problem.omega_basis:
-        for (i, j), basis in problem.omega_basis:
-            entry = ctx.zero
-            for b in basis:
-                entry = entry + ctx.const(Fraction(vector[cursor])) * b
-                cursor += 1
-            w_entries[(i, j)] = entry
-            w_entries[(j, i)] = -entry
-        omega = TensorField(ctx, (0, 2), w_entries, antisym=((1, 2),))
-    return g, omega
-
-
-def _forced_zero_rows(space: SolutionSpace, n: int) -> List[int]:
-    """Rows of the multiplier that vanish for every point of the
-    solution space — a structural proof that no member is nonsingular."""
-    movable = [False] * len(space.layout)
-    for vector in space.nullspace:
-        for k, value in enumerate(vector):
-            if value != 0:
-                movable[k] = True
-    if space.particular is not None:
-        for k, value in enumerate(space.particular):
-            if value != 0:
-                movable[k] = True
-    alive = {}
-    for k, (part, i, j, _position) in enumerate(space.layout):
-        if part != "g":
-            continue
-        alive.setdefault((i, j), False)
-        if movable[k]:
-            alive[(i, j)] = True
-    rows = []
-    for i in range(1, n + 1):
-        entries = [alive.get((min(i, j), max(i, j)), False)
-                   for j in range(1, n + 1)]
-        if not any(entries):
-            rows.append(i)
-    return rows
+    return _ansatz_tensors(problem, ctx,
+                           [ctx.const(Fraction(value)) for value in vector])
 
 
 def coefficient_sequence(bound: int):
@@ -490,11 +434,18 @@ def find_nonsingular(space: SolutionSpace, s: Sode,
     """Search integer combinations over the solution space for a member
     with non-vanishing determinant; the first hit in enumeration order
     is re-checked through the full suite and recorded on the space,
-    together with the report of that re-check."""
+    together with the report of that re-check, which carries the
+    nonsingularity record the screen computed. A multiplier row forced
+    to zero across the whole space is a structural proof that no member
+    is nonsingular."""
     if not space.consistent:
         space.exhausted = True
         return None
-    if _forced_zero_rows(space, s.n):
+    dead = set(space.forced_zero())
+    live_rows = {index for part, i, j, _position in space.layout
+                 if part == "g" and (part, i, j) not in dead
+                 for index in (i, j)}
+    if len(live_rows) < s.n:
         space.definitive_negative = True
         space.exhausted = True
         return None
@@ -510,39 +461,21 @@ def find_nonsingular(space: SolutionSpace, s: Sode,
         if all(value == 0 for value in vector):
             continue
         g, omega = instantiate(problem, s.ctx, vector)
-        determinant = matrix_det(g)
-        if determinant.is_zero():
+        record = nonsingularity_record(g)
+        if not record.nonsingular:
             continue
-        report = _suite_report(problem, s, g, omega)
+        # full symbolic re-check in the original context: the soundness
+        # invariant for returned representatives
+        report = check_suite(problem.suite, s, g, D=problem.D,
+                             omega=omega if omega is not None
+                             else problem.omega)
         if not report.passes:
             continue
         space.representative = g
         space.representative_omega = omega
-        space.representative_det = determinant
+        space.representative_det = record.determinant
         space.representative_vector = tuple(vector)
-        space.representative_report = report
+        space.representative_report = _with_nonsingularity(report, record)
         return g
     space.exhausted = True
     return None
-
-
-def _suite_report(problem: AnsatzProblem, s: Sode, g: TensorField,
-                  omega: Optional[TensorField]) -> ConditionReport:
-    """Full symbolic re-check of a candidate in the original context
-    (the soundness invariant for returned representatives)."""
-    suite = problem.suite
-    if suite == "classical":
-        return check_classical(s, g)
-    if suite == "dissipative":
-        D = problem.D if problem.D is not None else s.ctx.zero
-        return check_dissipative(s, g, D)
-    if suite == "gyroscopic":
-        w = omega if omega is not None else \
-            (problem.omega if problem.omega is not None
-             else _zero_two_form(s.ctx))
-        return check_gyroscopic(s, g, w)
-    if suite == "thm3":
-        return check_multiplier_dissipative(s, g)
-    if suite == "thm4":
-        return check_multiplier_gyroscopic(s, g)
-    return check_prop2a(s, g)

@@ -55,10 +55,13 @@ def rearranged(e: Expr, ctx: ExprContext, rng) -> Expr:
     return e * (u + ctx.one) - e * u
 
 
-def random_poly(ctx: ExprContext, rng, degree: int = 2, terms: int = 3) -> Expr:
-    """A random polynomial in the positions and velocities."""
+def random_poly(ctx: ExprContext, rng, degree: int = 2, terms: int = 3,
+                velocities: bool = True) -> Expr:
+    """A random polynomial in the positions and (unless ``velocities``
+    is false) the velocities."""
     coords = [ctx.var(ctx.q(i)) for i in range(1, ctx.n + 1)]
-    coords += [ctx.var(ctx.v(i)) for i in range(1, ctx.n + 1)]
+    if velocities:
+        coords += [ctx.var(ctx.v(i)) for i in range(1, ctx.n + 1)]
     total = ctx.zero
     for _ in range(terms):
         term = ctx.const(small_fraction(rng, -3, 3, 2))

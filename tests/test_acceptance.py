@@ -13,10 +13,7 @@ finite differences.
 from __future__ import annotations
 
 import functools
-import json
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -38,6 +35,8 @@ from invlag.reconstruct import (forward_sode, hessian,
                                 verify_gyroscopic)
 from invlag.solver import assemble, instantiate, polynomial_ansatz
 from invlag.solver import solve as solve_family
+
+from clirun import run_json
 
 # Everything the criteria assert symbolically is collected here so the
 # numeric criterion can re-confirm it the pedestrian way.
@@ -86,21 +85,6 @@ def criterion(number, summary):
             _announce(f"criterion {number}: PASS - {summary}")
         return inner
     return wrap
-
-
-def run_cli(*args, instantiate_pairs=(), seed=None):
-    env = dict(os.environ)
-    env.pop("INVLAG_SEED", None)
-    if seed is not None:
-        env["INVLAG_SEED"] = str(seed)
-    argv = [sys.executable, "-m", "invlag.cli", *args]
-    for pair in instantiate_pairs:
-        argv += ["--instantiate", pair]
-    argv += ["--format", "json"]
-    result = subprocess.run(argv, capture_output=True, text=True,
-                            check=False, timeout=300, env=env)
-    payload = json.loads(result.stdout) if result.stdout.strip() else None
-    return result.returncode, payload
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +210,8 @@ def _coupled_example():
         (3, 2, 3): "1/4*v2/q2^2",
     }
 
-    code, payload = run_cli("analyze", "coupled3")
-    assert code == 0
+    result, payload = run_json("analyze", "coupled3")
+    assert result.returncode == 0
     objects = payload["objects"]
     for i in range(1, 4):
         for j in range(1, 4):
@@ -245,8 +229,8 @@ def _coupled_example():
                 assert R.entry(k, i, j) == printed
                 assert ctx.parse(objects["R"][k - 1][j - 1][i - 1]) == -printed
 
-    code, payload = run_cli("solve", "coupled3")
-    assert code == 0
+    result, payload = run_json("solve", "coupled3")
+    assert result.returncode == 0
     solution = payload["solution"]
     assert solution["dimension"] == 1
     assert solution["nullspace"][0]["g"] == {"1,1": "4", "2,2": "1",
@@ -266,8 +250,8 @@ def _coupled_example():
             _record_zero(f"coupled.NablaG[{i},{j}]",
                          grad.entry(i, j) - expected)
 
-    code, payload = run_cli("reconstruct", "coupled3")
-    assert code == 0
+    result, payload = run_json("reconstruct", "coupled3")
+    assert result.returncode == 0
     cert = payload["certificate"]
     assert ctx.parse(cert["L"]) == ctx.parse("1/2*(4*v1^2 + v2^2"
                                              " + 2*q2*v3^2)")
@@ -287,20 +271,20 @@ def _coupled_example():
 
 @functools.lru_cache(maxsize=None)
 def _chain_negatives():
-    code, payload = run_cli("solve", "chain4")
-    assert code == 3
+    result, payload = run_json("solve", "chain4")
+    assert result.returncode == 3
     solution = payload["solution"]
     assert solution["definitive_negative"]
     assert {"g[1,3]", "g[2,3]", "g[3,3]", "g[3,4]"} \
         <= set(solution["forced_zero"])
 
-    code, payload = run_cli("solve", "chain4_gyro")
-    assert code == 3
+    result, payload = run_json("solve", "chain4_gyro")
+    assert result.returncode == 3
     assert payload["solution"]["definitive_negative"]
     for value in ("1/2", "-1/3", "3/4"):
-        code, payload = run_cli("solve", "chain4_gyro",
-                                instantiate_pairs=(f"b={value}",))
-        assert code == 3, value
+        result, payload = run_json("solve", "chain4_gyro",
+                                   "--instantiate", f"b={value}")
+        assert result.returncode == 3, value
         assert payload["solution"]["definitive_negative"], value
 
     # The surviving directions of the translation-invariant family do

@@ -1,9 +1,12 @@
 """End-to-end tests for the invlag command line.
 
-Each test drives the installed module through a subprocess, the way a
-user would, and inspects exit codes plus the text or JSON reports. The
-bundled fixture files double as the test corpus; a few deliberately
-broken documents are written to tmp_path.
+Each test drives ``invlag.cli.main`` in process with its output
+captured (``clirun.run_cli``) and inspects exit codes plus the text or
+JSON reports. A few tests start ``python -m invlag.cli`` in a
+subprocess, the way a user would, and check that the real entry point
+prints the same bytes and exits with the same code as the in-process
+call. The bundled fixture files double as the test corpus; a few
+deliberately broken documents are written to tmp_path.
 """
 
 from __future__ import annotations
@@ -12,35 +15,16 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from invlag import conditions, geometry, solver
 from invlag.exprcore import ExprContext
 
-
-@lru_cache(maxsize=None)
-def run_cli(*args, seed=None):
-    env = dict(os.environ)
-    env.pop("INVLAG_SEED", None)
-    if seed is not None:
-        env["INVLAG_SEED"] = str(seed)
-    return subprocess.run(
-        [sys.executable, "-m", "invlag.cli", *args],
-        capture_output=True,
-        text=True,
-        check=False,
-        timeout=120,
-        env=env,
-    )
-
-
-def run_json(*args, seed=None):
-    result = run_cli(*args, "--format", "json", seed=seed)
-    return result, json.loads(result.stdout)
+from clirun import run_cli, run_json
 
 
 @lru_cache(maxsize=None)
@@ -52,6 +36,23 @@ def schema_validator():
 def assert_valid_report(payload):
     errors = list(schema_validator().iter_errors(payload))
     assert not errors, errors[0].message
+
+
+@pytest.mark.parametrize("args, code", [
+    (("check", "planar_drag", "--suite", "dissipative"), 0),
+    (("check", "planar_drag_euclidean", "--suite", "classical"), 1),
+    (("analyze", "planar_drag_implicit"), 2),
+    (("check", "free2"), 2),
+    (("solve", "chain4", "--format", "json"), 3),
+])
+def test_module_entry_point_matches_in_process_call(args, code):
+    env = dict(os.environ)
+    env.pop("INVLAG_SEED", None)
+    done = subprocess.run([sys.executable, "-m", "invlag.cli", *args],
+                          capture_output=True, text=True, check=False,
+                          timeout=120, env=env)
+    assert done.returncode == code
+    assert (done.returncode, done.stdout, done.stderr) == tuple(run_cli(*args))
 
 
 def test_analyze_prints_drag_geometry_exactly():
@@ -140,6 +141,31 @@ def test_solve_reports_the_unique_diagonal_multiplier():
     rep = solution["representative"]
     assert rep["det"] == "8*q2"
     assert payload["representative_report"]["passed"]
+
+
+def test_solve_builds_one_determinant_per_candidate(monkeypatch):
+    """The representative's report carries the record of the screen's
+    determinant instead of building it again."""
+    det_calls = []
+    candidates = []
+
+    def counting(original, calls):
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+        return wrapper
+
+    for module in (geometry, conditions):
+        monkeypatch.setattr(module, "matrix_det",
+                            counting(module.matrix_det, det_calls))
+    monkeypatch.setattr(solver, "instantiate",
+                        counting(solver.instantiate, candidates))
+    result, payload = run_json("solve", "coupled3")
+    assert result.returncode == 0
+    assert candidates and len(det_calls) == len(candidates)
+    assert payload["solution"]["representative"]["det"] == "8*q2"
+    record = payload["representative_report"]["nonsingularity"]
+    assert record["determinant"] == "8*q2"
 
 
 def test_solve_structural_negative_names_dead_entries():

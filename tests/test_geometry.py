@@ -4,17 +4,21 @@ derivatives, against hand-computed values for two reference systems and
 against structural identities on random systems."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext
 from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
-                             TensorField, connection, curvature, dh_jacobi,
-                             gamma_apply, horizontal_apply, identity_matrix,
-                             jacobi, matrix_det, matrix_solve, nabla_tensor02,
-                             nabla_tensor12, theta_tensor)
+                             TensorField, connection, curvature, d_basic,
+                             dh_jacobi, gamma_apply, horizontal_apply,
+                             identity_matrix, jacobi, matrix_det,
+                             matrix_solve, nabla_tensor02, nabla_tensor12,
+                             theta_tensor)
 
-from exprgen import random_sode
+from exprgen import random_poly, random_sode
 
 
 def planar_drag():
@@ -215,6 +219,32 @@ def test_matrix_det_and_solve():
     rhs = [ctx.parse("4*v1"), ctx.parse("v2"), ctx.parse("2*q2*v3")]
     assert matrix_solve(g, rhs) == [ctx.parse("v1"), ctx.parse("v2"),
                                     ctx.parse("v3")]
+
+
+def test_d_basic_components():
+    ctx = ExprContext(3)
+    alpha = {(1,): ctx.parse("q2"), (2,): ctx.parse("-q1"),
+             (3,): ctx.parse("q1*q3")}
+    assert d_basic(ctx, alpha, 1) == {(1, 2): ctx.parse("-2"),
+                                      (1, 3): ctx.parse("q3"),
+                                      (2, 3): ctx.zero}
+    omega = {(2, 3): ctx.parse("q1^2"), (1, 3): ctx.parse("q2")}
+    assert d_basic(ctx, omega, 2) == {(1, 2, 3): ctx.parse("2*q1 - 1")}
+    assert d_basic(ctx, {(): ctx.parse("q1*q2")}, 0) == {
+        (1,): ctx.parse("q2"), (2,): ctx.parse("q1"), (3,): ctx.zero}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((3, 4)),
+       degree=st.sampled_from((1, 2)))
+def test_d_basic_squares_to_zero(seed, n, degree):
+    ctx = ExprContext(n)
+    rng = random.Random(seed)
+    form = {idx: random_poly(ctx, rng, degree=3, velocities=False)
+            for idx in combinations(range(1, n + 1), degree)}
+    twice = d_basic(ctx, d_basic(ctx, form, degree), degree + 1)
+    assert set(twice) == set(combinations(range(1, n + 1), degree + 2))
+    assert all(value.is_zero() for value in twice.values())
 
 
 def test_matrix_solve_rejects_singular():
