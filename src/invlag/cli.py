@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .conditions import (SUITES, ConditionReport, ImplicitOrderError,
                          ImplicitSystem, TwoFormError, check_implicit,
                          check_suite, implicit_context)
-from .exprcore import Expr, ExprContext, ExprError
+from .exprcore import Expr, ExprContext, ExprError, NotPolynomialError
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
                        TensorField, connection, curvature, jacobi,
                        theta_tensor)
@@ -524,10 +524,13 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
     s = problem.sode()
     family, bound = ansatz_problem(problem)
     if args.bound is not None:
+        if args.bound < 0:
+            raise CliError(f"--bound must be a nonnegative integer, "
+                           f"got {args.bound}")
         bound = args.bound
     try:
         system = assemble(s, family)
-    except SolverError as exc:
+    except (SolverError, TwoFormError) as exc:
         raise CliError(f"{problem.path}: {exc}") from exc
     space = solve_space(system)
     representative = find_nonsingular(space, s, bound)
@@ -612,7 +615,7 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
         payload["multiplier_report"] = report_payload(exc.report)
         payload["numeric_crosscheck"] = numeric_payload([exc.report])
         return payload, 1
-    except (ReconstructError, GeometryError) as exc:
+    except (ReconstructError, GeometryError, NotPolynomialError) as exc:
         raise CliError(f"{problem.path}: {type(exc).__name__}: {exc}") \
             from exc
     if cert.omega is not None:

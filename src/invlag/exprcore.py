@@ -150,21 +150,25 @@ _RING_CACHE: dict = {}
 
 
 def _ring_for(key):
+    """The interned ring of a context key, with its generator names, the
+    VarId of each generator and the map from name to generator position."""
     cached = _RING_CACHE.get(key)
     if cached is not None:
         return cached
     uses_time, n, max_jet, parameters = key
-    names = []
-    if uses_time:
-        names.append("t")
-    names.extend(f"q{i}" for i in range(1, n + 1))
-    names.extend(f"v{i}" for i in range(1, n + 1))
-    for order in range(2, max_jet + 1):
-        names.extend(f"d{order}q{i}" for i in range(1, n + 1))
-    names.extend(parameters)
-    result = _make_ring(names, QQ)
-    _RING_CACHE[key] = result
-    return result
+    generators = [("t", VarId.time())] if uses_time else []
+    for order in range(max_jet + 1):
+        prefix = "q" if order == 0 else "v" if order == 1 else f"d{order}q"
+        generators.extend((f"{prefix}{i}", VarId.jet(i, order))
+                          for i in range(1, n + 1))
+    generators.extend((name, VarId.parameter(k))
+                      for k, name in enumerate(parameters, 1))
+    names = tuple(name for name, _var in generators)
+    cached = (_make_ring(names, QQ)[0], names,
+              tuple(var for _name, var in generators),
+              {name: position for position, name in enumerate(names)})
+    _RING_CACHE[key] = cached
+    return cached
 
 
 class ExprContext:
@@ -176,7 +180,8 @@ class ExprContext:
     """
 
     __slots__ = ("n", "max_jet_order", "parameters", "uses_time",
-                 "_ring", "_gens", "_name_pos", "_zero", "_one")
+                 "_ring", "_gens", "_names", "_varids", "_name_pos",
+                 "_zero", "_one")
 
     def __init__(self, n: int, parameters: Iterable[str] = (),
                  max_jet_order: int = 1, uses_time: bool = False):
@@ -198,12 +203,13 @@ class ExprContext:
         object.__setattr__(self, "max_jet_order", max_jet_order)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "uses_time", bool(uses_time))
-        key = (self.uses_time, n, max_jet_order, parameters)
-        ring_and_gens = _ring_for(key)
-        object.__setattr__(self, "_ring", ring_and_gens[0])
-        object.__setattr__(self, "_gens", ring_and_gens[0].gens)
-        object.__setattr__(self, "_name_pos",
-                           {str(s): i for i, s in enumerate(ring_and_gens[0].symbols)})
+        ring, names, varids, name_pos = _ring_for(
+            (self.uses_time, n, max_jet_order, parameters))
+        object.__setattr__(self, "_ring", ring)
+        object.__setattr__(self, "_gens", ring.gens)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_varids", varids)
+        object.__setattr__(self, "_name_pos", name_pos)
         object.__setattr__(self, "_zero", None)
         object.__setattr__(self, "_one", None)
 
@@ -288,37 +294,16 @@ class ExprContext:
         return self._name_pos[self.display_name(var)]
 
     def varid_of_gen(self, position: int) -> VarId:
-        name = str(self._ring.symbols[position])
-        var = self._resolve_name(name)
-        if var is None:
-            raise ExprError(f"cannot resolve generator {name!r}")
-        return var
+        return self._varids[position]
 
     def _resolve_name(self, name: str) -> Optional[VarId]:
-        """Map an identifier to a VarId, or None if unknown here."""
-        if name == "t":
-            return VarId.time() if self.uses_time else None
-        m = re.match(r"^q([1-9][0-9]*)$", name)
-        if m:
-            k = int(m.group(1))
-            return VarId.position(k) if k <= self.n else None
-        m = re.match(r"^v([1-9][0-9]*)$", name)
-        if m:
-            k = int(m.group(1))
-            return VarId.jet(k, 1) if k <= self.n else None
-        m = re.match(r"^d([0-9]+)q([1-9][0-9]*)$", name)
-        if m:
-            order, k = int(m.group(1)), int(m.group(2))
-            if 1 <= order <= self.max_jet_order and k <= self.n:
-                return VarId.jet(k, order)
-            return None
-        if name in self.parameters:
-            return VarId.parameter(self.parameters.index(name) + 1)
-        return None
+        """Map a generator name to its VarId, or None if unknown here."""
+        position = self._name_pos.get(name)
+        return None if position is None else self._varids[position]
 
     def all_varids(self):
         """Every variable legal in this context, in generator order."""
-        return tuple(self.varid_of_gen(i) for i in range(len(self._gens)))
+        return self._varids
 
     # -- expression constructors --------------------------------------------
 
@@ -725,8 +710,8 @@ def _eval_poly(ctx, poly, values) -> Fraction:
             if exponent:
                 value = values[position]
                 if value is None:
-                    name = str(ctx._ring.symbols[position])
-                    raise ExprError(f"evaluation point does not assign {name}")
+                    raise ExprError("evaluation point does not assign "
+                                    f"{ctx._names[position]}")
                 term *= value ** exponent
         total += term
     return total
@@ -874,9 +859,12 @@ class _Parser:
         var = ctx._resolve_name(name)
         if var is not None:
             return ctx.var(var)
+        # jets also read as d1q<i> and with zero-padded orders; otherwise
         # produce the most specific error we can
         m = re.match(r"^d([0-9]+)q([1-9][0-9]*)$", name)
         if m and int(m.group(2)) <= ctx.n:
+            if 1 <= int(m.group(1)) <= ctx.max_jet_order:
+                return ctx.var(VarId.jet(int(m.group(2)), int(m.group(1))))
             raise JetOrderError(
                 f"jet order {int(m.group(1))} exceeds context maximum "
                 f"{ctx.max_jet_order}", position)
@@ -902,7 +890,7 @@ def _rational_text(value) -> str:
 def _poly_text(ctx: ExprContext, poly) -> str:
     if not poly:
         return "0"
-    names = [str(s) for s in ctx._ring.symbols]
+    names = ctx._names
     chunks = []
     for monom, coeff in poly.terms():
         factors = []
@@ -943,7 +931,6 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
     if expr.ctx == target:
         return expr
     source = expr.ctx
-    mapping = {}
 
     def move(poly):
         if not poly:
@@ -954,15 +941,11 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
             for position, exponent in enumerate(monom):
                 if not exponent:
                     continue
-                to = mapping.get(position)
+                name = source._names[position]
+                to = target._name_pos.get(name)
                 if to is None:
-                    name = str(source._ring.symbols[position])
-                    var = target._resolve_name(name)
-                    if var is None:
-                        raise ContextMismatchError(
-                            f"target context does not declare {name!r}")
-                    to = target.gen_index(var)
-                    mapping[position] = to
+                    raise ContextMismatchError(
+                        f"target context does not declare {name!r}")
                 shifted[to] = exponent
             out[tuple(shifted)] = coeff
         return target._ring.from_dict(out)

@@ -15,8 +15,10 @@ Index convention: all public indices are 1-based, matching the
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterable, List, Sequence, Tuple
+
+from sympy.polys.matrices import DomainMatrix
 
 from .exprcore import Expr, ExprContext
 
@@ -133,38 +135,35 @@ def identity_matrix(ctx: ExprContext) -> TensorField:
     return TensorField(ctx, (0, 2), entries, sym=((1, 2),))
 
 
+def _domain_matrix(tensor: TensorField):
+    """The matrix of a rank-2 tensor over the context's polynomial ring,
+    each row multiplied by the lcm of its denominators, and the product
+    of those multipliers."""
+    ring = tensor.ctx._ring
+    rows = []
+    scale = ring.one
+    for row in tensor.matrix():
+        lcm = ring.one
+        for entry in row:
+            if not entry.den.is_ground:
+                lcm = lcm.lcm(entry.den)
+        rows.append([entry.num if entry.den == lcm
+                     else entry.num * lcm.exquo(entry.den) for entry in row])
+        scale = scale * lcm
+    return DomainMatrix(rows, (tensor.n, tensor.n), ring.to_domain()), scale
+
+
 def matrix_det(tensor: TensorField) -> Expr:
-    """Determinant of a rank-2 tensor, by the Leibniz sum (n <= 4 here)."""
+    """Determinant of a rank-2 tensor: ``(-1)^n`` times the constant
+    coefficient of the characteristic polynomial, which Berkowitz's
+    algorithm computes without division."""
     if tensor.rank != 2:
         raise GeometryError("determinant needs a rank-2 tensor")
-    n = tensor.n
-    total = tensor.ctx.zero
-    for perm in permutations(range(1, n + 1)):
-        sign = _perm_sign(perm)
-        term = tensor.ctx.one
-        for i in range(1, n + 1):
-            term = term * tensor.entry(i, perm[i - 1])
-            if term.is_zero():
-                break
-        total = total + term if sign > 0 else total - term
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    matrix, scale = _domain_matrix(tensor)
+    det = matrix.charpoly()[-1]
+    if tensor.n % 2:
+        det = -det
+    return Expr(tensor.ctx, det, scale, _normalize=True)
 
 
 def matrix_solve(tensor: TensorField, rhs: Sequence[Expr]) -> List[Expr]:

@@ -5,10 +5,10 @@ in an optional two-form), so declaring every entry as an unknown
 rational combination of user-chosen basis functions turns "does a
 multiplier of this shape exist?" into an exact linear-algebra question.
 Assembly expands every condition cell into canonical polynomial form
-and emits one equation per monomial; solving is fraction-exact Gaussian
-elimination; the nonsingular-representative search is a bounded integer
-enumeration over the solution space with a structural shortcut for
-spaces that force an identically-zero row.
+and emits one equation per monomial; solving is exact reduction to row
+echelon form over the rationals; the nonsingular-representative search
+is a bounded integer enumeration over the solution space with a
+structural shortcut for spaces that force an identically-zero row.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from .exprcore import Expr, ExprContext, convert
 from .geometry import InternalInconsistencyError, Sode, TensorField
@@ -308,55 +311,44 @@ def _monomial_text(ctx: ExprContext, key: tuple) -> str:
 
 
 def solve(system: LinearSystem) -> SolutionSpace:
-    """Reduced row echelon form over exact rationals; nullspace vectors
-    are primitive-integer normalized, one per free unknown in
-    declaration order. Every solution is re-verified symbolically
-    against the assembled residuals."""
+    """Reduced row echelon form over exact rationals, computed by
+    sympy's sparse ``DomainMatrix`` over ``QQ`` on ``[rows | rhs]``;
+    the system is inconsistent exactly when the ``rhs`` column is a
+    pivot. Nullspace vectors are primitive-integer normalized, one per
+    free unknown in declaration order. Every solution is re-verified
+    symbolically against the assembled residuals."""
     count = len(system.unknowns)
-    matrix = [list(row) + [value]
-              for row, value in zip(system.rows, system.rhs)]
-    pivot_of_column: Dict[int, int] = {}
-    rank = 0
-    for col in range(count):
-        pivot_row = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        matrix[rank] = [value / pivot for value in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b
-                             for a, b in zip(matrix[r], matrix[rank])]
-        pivot_of_column[col] = rank
-        rank += 1
+    augmented = {}
+    for r, (row, value) in enumerate(zip(system.rows, system.rhs)):
+        entries = {col: QQ(a.numerator, a.denominator)
+                   for col, a in enumerate(row + (value,)) if a}
+        if entries:
+            augmented[r] = entries
+    reduced, pivots = DomainMatrix(augmented, (len(system.rows), count + 1),
+                                   QQ).rref()
 
-    certificate = None
-    for r in range(rank, len(matrix)):
-        if matrix[r][count] != 0:
-            certificate = "0 = 1 after elimination: no solution in this ansatz"
-            break
-
-    if certificate is not None:
+    if count in pivots:
+        certificate = "0 = 1 after elimination: no solution in this ansatz"
         return SolutionSpace(system.unknowns, system.problem.layout(), (),
                              None, certificate, system.problem)
 
-    particular = [Fraction(0)] * count
-    for col, r in pivot_of_column.items():
-        particular[col] = matrix[r][count]
+    nonzero = reduced.to_dod()
+    pivot_rows = [{col: Fraction(int(value.numerator), int(value.denominator))
+                   for col, value in nonzero.get(r, {}).items()}
+                  for r in range(len(pivots))]
+    zero = Fraction(0)
 
-    free_columns = [c for c in range(count) if c not in pivot_of_column]
+    particular = [zero] * count
+    for col, row in zip(pivots, pivot_rows):
+        particular[col] = row.get(count, zero)
+
+    free_columns = [c for c in range(count) if c not in pivots]
     basis = []
     for free in free_columns:
-        vector = [Fraction(0)] * count
+        vector = [zero] * count
         vector[free] = Fraction(1)
-        for col, r in pivot_of_column.items():
-            vector[col] = -matrix[r][free]
+        for col, row in zip(pivots, pivot_rows):
+            vector[col] = -row.get(free, zero)
         basis.append(_primitive(vector))
 
     space = SolutionSpace(system.unknowns, system.problem.layout(),
@@ -372,13 +364,9 @@ def _primitive(vector: List[Fraction]) -> List[Fraction]:
     denominators = [value.denominator for value in vector if value != 0]
     if not denominators:
         return vector
-    scale = 1
-    for d in denominators:
-        scale = scale * d // gcd(scale, d)
+    scale = lcm(*denominators)
     integers = [value * scale for value in vector]
-    common = 0
-    for value in integers:
-        common = gcd(common, int(value))
+    common = gcd(*(int(value) for value in integers))
     integers = [value / common for value in integers]
     for value in integers:
         if value != 0:

@@ -21,6 +21,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import invlag
 from invlag import conditions, geometry, solver
 from invlag.exprcore import ExprContext
 
@@ -48,6 +49,10 @@ def assert_valid_report(payload):
 def test_module_entry_point_matches_in_process_call(args, code):
     env = dict(os.environ)
     env.pop("INVLAG_SEED", None)
+    # the child imports the same tree as this process
+    package_parent = os.path.dirname(os.path.dirname(invlag.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_parent, env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-m", "invlag.cli", *args],
                           capture_output=True, text=True, check=False,
                           timeout=120, env=env)
@@ -206,6 +211,26 @@ def test_solve_bound_zero_exhausts_inconclusively():
     assert not payload["solution"]["definitive_negative"]
 
 
+def test_solve_rejects_negative_bound():
+    result = run_cli("solve", "coupled3", "--bound", "-1", "--format", "json")
+    assert result == (2, "", "invlag: error: --bound must be a nonnegative "
+                             "integer, got -1\n")
+
+
+def test_solve_rejects_velocity_dependent_fixed_two_form(tmp_path):
+    problem = {
+        "n": 2,
+        "f": ["v2", "-v1"],
+        "omega": [["0", "v1"], ["-v1", "0"]],
+        "ansatz": {"suite": "gyroscopic", "g": {"preset": "constant"}},
+    }
+    path = tmp_path / "velocity_omega.json"
+    path.write_text(json.dumps(problem))
+    result = run_cli("solve", str(path))
+    assert result == (2, "", f"invlag: error: {path}: two-form entry (1, 2) "
+                             "depends on velocities\n")
+
+
 def test_solve_joint_two_form_search(tmp_path):
     problem = {
         "n": 2,
@@ -273,6 +298,22 @@ def test_reconstruct_rejects_failing_multiplier(tmp_path):
     assert_valid_report(payload)
     assert not payload["multiplier_report"]["passed"]
     assert "certificate" not in payload
+
+
+def test_reconstruct_reports_non_polynomial_base_form(tmp_path):
+    # the forward system of 1/2*v1^2 + 1/2*v2^2 - 1/(1+q1^2): the
+    # gyroscopic route's base homotopy needs polynomial position dependence
+    problem = {
+        "n": 2,
+        "f": ["(2*q1)/(q1^4 + 2*q1^2 + 1)", "0"],
+        "g": [["1", "0"], ["0", "1"]],
+    }
+    path = tmp_path / "rational_potential.json"
+    path.write_text(json.dumps(problem))
+    result = run_cli("reconstruct", str(path), "--suite", "gyroscopic")
+    assert result == (2, "", f"invlag: error: {path}: NotPolynomialError: "
+                             "base homotopy needs polynomial dependence on "
+                             "the positions\n")
 
 
 def test_reconstruct_writes_certificate_file(tmp_path):

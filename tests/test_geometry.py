@@ -4,10 +4,10 @@ derivatives, against hand-computed values for two reference systems and
 against structural identities on random systems."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext
@@ -18,7 +18,7 @@ from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
                              matrix_solve, nabla_tensor02, nabla_tensor12,
                              theta_tensor)
 
-from exprgen import random_poly, random_sode
+from exprgen import random_expr, random_poly, random_sode
 
 
 def planar_drag():
@@ -219,6 +219,79 @@ def test_matrix_det_and_solve():
     rhs = [ctx.parse("4*v1"), ctx.parse("v2"), ctx.parse("2*q2*v3")]
     assert matrix_solve(g, rhs) == [ctx.parse("v1"), ctx.parse("v2"),
                                     ctx.parse("v3")]
+
+
+def leibniz_det(tensor):
+    """Reference determinant: the sum over all permutations, each signed
+    by the parity of its inversion count."""
+    n = tensor.n
+    total = tensor.ctx.zero
+    for perm in permutations(range(1, n + 1)):
+        inversions = sum(perm[a] > perm[b]
+                         for a, b in combinations(range(n), 2))
+        term = tensor.ctx.one
+        for i, j in enumerate(perm, 1):
+            term = term * tensor.entry(i, j)
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def random_matrix(ctx, rng, kind):
+    """A random n x n tensor with about a third of its entries zero;
+    ``kind`` picks polynomial entries, rational entries with a
+    non-constant denominator, or expressions in the parameters too."""
+    def entry():
+        if rng.random() < 0.3:
+            return ctx.zero
+        if kind == "parametric":
+            return random_expr(ctx, rng, depth=2)
+        value = random_poly(ctx, rng, degree=2, terms=2)
+        if kind == "rational":
+            den = random_poly(ctx, rng, degree=1, terms=2)
+            value = value / (den + ctx.var(ctx.q(1)) if den.is_constant()
+                             else den)
+        return value
+    n = ctx.n
+    return TensorField.from_matrix(
+        ctx, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       kind=st.sampled_from(("polynomial", "rational", "parametric")))
+def test_matrix_det_matches_leibniz_sum(seed, n, kind):
+    ctx = ExprContext(n, parameters=("a", "b"))
+    g = random_matrix(ctx, random.Random(seed), kind)
+    assert matrix_det(g) == leibniz_det(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       kind=st.sampled_from(("polynomial", "rational", "parametric")))
+def test_matrix_solve_inverts_the_product(seed, n, kind):
+    ctx = ExprContext(n, parameters=("a", "b"))
+    rng = random.Random(seed)
+    g = random_matrix(ctx, rng, kind)
+    assume(not leibniz_det(g).is_zero())
+    x = [random_expr(ctx, rng, depth=2) for _ in range(n)]
+    rhs = []
+    for i in range(1, n + 1):
+        total = ctx.zero
+        for j in range(1, n + 1):
+            total = total + g.entry(i, j) * x[j - 1]
+        rhs.append(total)
+    assert matrix_solve(g, rhs) == x
+
+
+def test_matrix_det_of_dense_symbolic_six_by_six():
+    n = 6
+    ctx = ExprContext(n, parameters=[f"a{i}{j}" for i in range(1, n + 1)
+                                     for j in range(i, n + 1)])
+    g = TensorField.from_matrix(
+        ctx, [[ctx.parse(f"a{min(i, j)}{max(i, j)}")
+               for j in range(1, n + 1)] for i in range(1, n + 1)],
+        sym=((1, 2),))
+    assert matrix_det(g) == leibniz_det(g)
 
 
 def test_d_basic_components():

@@ -1,13 +1,19 @@
 """Tests for the ansatz-family multiplier search."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext
 from invlag.geometry import Sode, TensorField, matrix_det
-from invlag.solver import (AnsatzProblem, NonlinearCouplingError, SolverError,
-                           assemble, constant_ansatz, diagonal_ansatz,
+from invlag.solver import (AnsatzProblem, LinearSystem, NonlinearCouplingError,
+                           SolverError, assemble, constant_ansatz,
+                           diagonal_ansatz,
                            find_nonsingular, instantiate, polynomial_ansatz,
                            q_monomials, solve)
 from invlag.conditions import check_multiplier_dissipative
@@ -215,3 +221,84 @@ def test_solution_ordering_is_deterministic():
     rep_b = find_nonsingular(second, s, 1)
     assert rep_a == rep_b
     assert first.representative_vector == second.representative_vector
+
+
+def random_system(rng, kind):
+    """A small rational system ``rows · c = rhs`` whose residuals
+    ``rows · c - rhs`` carry the unknowns as parameters. ``kind`` adds
+    all-zero rows, dependent rows, or a dependent row with a shifted
+    right-hand side (inconsistent); ``empty`` has no rows at all."""
+    count = rng.randint(1, 5)
+
+    def value():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) \
+            if rng.random() < 0.6 else Fraction(0)
+
+    rows = [[value() for _ in range(count)] for _ in range(rng.randint(1, 4))]
+    rhs = [value() for _ in rows]
+    if kind == "empty":
+        rows, rhs = [], []
+    elif kind == "zero_rows":
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randint(0, len(rows))
+            rows.insert(at, [Fraction(0)] * count)
+            rhs.insert(at, Fraction(0))
+    elif kind in ("rank_deficient", "inconsistent"):
+        weights = [value() for _ in rows]
+        rows.append([sum(w * row[k] for w, row in zip(weights, rows))
+                     for k in range(count)])
+        rhs.append(sum(w * b for w, b in zip(weights, rhs)))
+        if kind == "inconsistent":
+            rows[-1] = [a + b for a, b in zip(rows[-1], rows[0])]
+            rhs[-1] += rhs[0] + 1
+    names = tuple(f"c{k}" for k in range(count))
+    ctx = ExprContext(1, names)
+    unknowns = [ctx.var(ctx.param(name)) for name in names]
+    residuals = []
+    for r, (row, b) in enumerate(zip(rows, rhs)):
+        total = ctx.const(-b)
+        for a, c in zip(row, unknowns):
+            total = total + ctx.const(a) * c
+        residuals.append((f"row {r}", total))
+    problem = AnsatzProblem("classical",
+                            (((1, 1), (ctx.one,) * count),))
+    return LinearSystem(names, tuple(map(tuple, rows)), tuple(rhs),
+                        tuple(label for label, _ in residuals),
+                        tuple(residuals), ctx, problem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("random", "empty", "zero_rows",
+                             "rank_deficient", "inconsistent")))
+def test_solve_matches_sympy_rref(seed, kind):
+    system = random_system(random.Random(seed), kind)
+    count = len(system.unknowns)
+    augmented = sympy.Matrix(
+        len(system.rows), count + 1,
+        [sympy.Rational(x.numerator, x.denominator)
+         for row, b in zip(system.rows, system.rhs) for x in row + (b,)])
+    reduced, pivots = augmented.rref()
+    space = solve(system)
+    if kind == "inconsistent":
+        assert count in pivots
+    assert space.consistent == (count not in pivots)
+    if not space.consistent:
+        assert space.nullspace == ()
+        return
+    expected = [Fraction(0)] * count
+    for r, col in enumerate(pivots):
+        expected[col] = Fraction(int(reduced[r, count].p),
+                                 int(reduced[r, count].q))
+    assert list(space.particular) == expected
+    free = [c for c in range(count) if c not in pivots]
+    reference = augmented[:, :count].nullspace()
+    assert len(space.nullspace) == len(reference) == len(free)
+    for vector, ref, column in zip(space.nullspace, reference, free):
+        # primitive integers, first nonzero entry positive, and the
+        # reference direction once the free unknown is scaled to 1
+        assert all(x.denominator == 1 for x in vector)
+        assert gcd(*(int(x) for x in vector)) == 1
+        assert next(x for x in vector if x) > 0
+        assert [x / vector[column] for x in vector] == \
+            [Fraction(int(y.p), int(y.q)) for y in ref]
