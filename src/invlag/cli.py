@@ -39,6 +39,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,8 +55,9 @@ from .reconstruct import (MultiplierCheckError, ReconstructError,
                           SingularHessianError, forward_accelerations,
                           reconstruct_dissipative, reconstruct_gyroscopic,
                           verify_dissipative, verify_gyroscopic)
-from .solver import (AnsatzProblem, SolverError, assemble, find_nonsingular,
-                     instantiate, q_monomials)
+from .solver import (AnsatzProblem, SolverError, assemble, constant_ansatz,
+                     diagonal_ansatz, find_nonsingular, instantiate,
+                     polynomial_ansatz)
 from .solver import solve as solve_space
 
 PROBLEM_FIELDS = ("n", "parameters", "mode", "f", "g", "D", "L", "omega",
@@ -326,11 +328,12 @@ def _basis_entries(problem: Problem, section: dict, name: str,
     return tuple(parsed)
 
 
-def _preset_entries(problem: Problem, section: dict, name: str):
+def _preset_family(problem: Problem, section: dict, name: str):
+    """The builder of the preset family declared in ``section``, waiting
+    for the suite and the rest of the family."""
     preset = section["preset"]
-    ctx = problem.ctx
     if preset == "constant":
-        basis = (ctx.one,)
+        build = partial(constant_ansatz, problem.ctx)
     elif preset in ("polynomial", "diagonal"):
         degree = section.get("degree")
         if not isinstance(degree, int) or isinstance(degree, bool) \
@@ -344,7 +347,10 @@ def _preset_entries(problem: Problem, section: dict, name: str):
                            or not 1 <= v <= problem.n for v in variables)):
                 raise CliError(f"{problem.path}: ansatz.{name}: 'variables' "
                                f"must list position indices in 1..{problem.n}")
-        basis = q_monomials(ctx, degree, variables)
+        builder = (polynomial_ansatz if preset == "polynomial"
+                   else diagonal_ansatz)
+        build = partial(builder, problem.ctx, degree=degree,
+                        variables=variables)
     else:
         raise CliError(f"{problem.path}: ansatz.{name}: unknown preset "
                        f"{preset!r} (constant, polynomial, diagonal)")
@@ -353,12 +359,7 @@ def _preset_entries(problem: Problem, section: dict, name: str):
     if unknown:
         raise CliError(f"{problem.path}: ansatz.{name}: unknown keys: "
                        + ", ".join(sorted(unknown)))
-    if preset == "diagonal":
-        pairs = [(i, i) for i in range(1, problem.n + 1)]
-    else:
-        pairs = [(i, j) for i in range(1, problem.n + 1)
-                 for j in range(i, problem.n + 1)]
-    return tuple((pair, basis) for pair in pairs)
+    return build
 
 
 def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
@@ -377,9 +378,10 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
         raise CliError(f"{problem.path}: ansatz.g must describe the "
                        "multiplier family (preset or entries)")
     if "preset" in gspec:
-        g_basis = _preset_entries(problem, gspec, "g")
+        build = _preset_family(problem, gspec, "g")
     else:
-        g_basis = _basis_entries(problem, gspec, "g", strict_upper=False)
+        build = partial(AnsatzProblem, g_basis=_basis_entries(
+            problem, gspec, "g", strict_upper=False))
     omega_basis = ()
     wspec = section.get("omega")
     if wspec is not None:
@@ -397,8 +399,8 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     if suite == "gyroscopic" and not omega_basis:
         fixed_omega = problem.omega
     try:
-        family = AnsatzProblem(suite, g_basis, omega_basis,
-                               D=fixed_D, omega=fixed_omega)
+        family = build(suite, omega_basis=omega_basis, D=fixed_D,
+                       omega=fixed_omega)
     except SolverError as exc:
         raise CliError(f"{problem.path}: ansatz: {exc}") from exc
     return family, bound
@@ -533,7 +535,7 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
     except (SolverError, TwoFormError) as exc:
         raise CliError(f"{problem.path}: {exc}") from exc
     space = solve_space(system)
-    representative = find_nonsingular(space, s, bound)
+    rep = find_nonsingular(space, s, bound)
 
     payload = _base_payload("solve", problem)
     payload["suite"] = family.suite
@@ -557,22 +559,21 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
         "forced_zero": [f"{part}[{i},{j}]"
                         for part, i, j in space.forced_zero()],
         "bound": bound,
-        "exhausted": space.exhausted,
+        "exhausted": rep is None,
         "definitive_negative": space.definitive_negative,
         "representative": None,
     }
     payload["solution"] = solution
-    if representative is not None:
+    if rep is not None:
         solution["representative"] = {
-            "g": _matrix_strings(representative),
-            "omega": (_matrix_strings(space.representative_omega)
-                      if space.representative_omega is not None else None),
-            "det": str(space.representative_det),
-            "vector": [str(value) for value in space.representative_vector],
+            "g": _matrix_strings(rep.g),
+            "omega": (_matrix_strings(rep.omega)
+                      if rep.omega is not None else None),
+            "det": str(rep.report.nonsingularity.determinant),
+            "vector": [str(value) for value in rep.vector],
         }
-        report = space.representative_report
-        payload["representative_report"] = report_payload(report)
-        payload["numeric_crosscheck"] = numeric_payload([report])
+        payload["representative_report"] = report_payload(rep.report)
+        payload["numeric_crosscheck"] = numeric_payload([rep.report])
         return payload, 0
     if space.definitive_negative or not space.consistent:
         return payload, 3

@@ -382,14 +382,6 @@ def check_suite(suite: str, s: Sode, g: TensorField, D: Optional[Expr] = None,
     return checker(s, g, *(given[name] for name in entry.takes))
 
 
-def _with_nonsingularity(report: ConditionReport,
-                         record: NonsingularityRecord) -> ConditionReport:
-    """Store the record of ``report.multiplier`` computed by the caller,
-    so the report never builds the same determinant again."""
-    report.__dict__["nonsingularity"] = record
-    return report
-
-
 # --------------------------------------------------------------------------
 # implicit systems
 
@@ -516,8 +508,7 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
 
     block = TensorField(ctx, (0, 2),
                         {(i, j): f[i - 1].diff(d2[j - 1])
-                         for i in range(1, n + 1) for j in range(1, n + 1)},
-                        validate=False)
+                         for i in range(1, n + 1) for j in range(1, n + 1)})
     return ConditionReport("implicit", tuple(cells), multiplier=block)
 
 

@@ -53,8 +53,7 @@ class TensorField:
 
     def __init__(self, ctx: ExprContext, shape: Tuple[int, int], entries: dict,
                  sym: Iterable[Tuple[int, int]] = (),
-                 antisym: Iterable[Tuple[int, int]] = (),
-                 validate: bool = True):
+                 antisym: Iterable[Tuple[int, int]] = ()):
         self.ctx = ctx
         self.n = ctx.n
         self.shape = (int(shape[0]), int(shape[1]))
@@ -71,8 +70,7 @@ class TensorField:
         self.entries = clean
         self.sym = tuple(tuple(p) for p in sym)
         self.antisym = tuple(tuple(p) for p in antisym)
-        if validate:
-            self._validate_symmetries()
+        self._validate_symmetries()
 
     @property
     def rank(self) -> int:
@@ -179,8 +177,8 @@ def matrix_solve(tensor: TensorField, rhs: Sequence[Expr]) -> List[Expr]:
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 modified[(i, j)] = rhs[i - 1] if j == column else tensor.entry(i, j)
-        solution.append(matrix_det(TensorField(tensor.ctx, (0, 2), modified,
-                                               validate=False)) / det)
+        solution.append(matrix_det(TensorField(tensor.ctx, (0, 2), modified))
+                        / det)
     return solution
 
 

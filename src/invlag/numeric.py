@@ -7,16 +7,17 @@ finite differences. Everything stays in ``fractions.Fraction``, so a
 check that passes once passes always: there is no floating-point noise,
 only the seeded choice of sample points.
 
-The seed comes from the ``INVLAG_SEED`` environment variable when set,
-otherwise a fixed default, keeping CLI reports reproducible.
+Every sampler takes its generator from the caller, and ``seeded_rng``
+builds one from an explicit seed, so a report is reproducible from the
+seed it records. ``DEFAULT_SEED`` is the seed the command line uses when
+``INVLAG_SEED`` is unset; this module reads no environment variable.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, PoleError, VarId
 
@@ -29,10 +30,8 @@ REL_TOL = Fraction(1, 10**6)
 STEP = Fraction(1, 10**4)
 
 
-def seeded_rng(seed: Optional[int] = None) -> random.Random:
-    """A deterministic RNG honouring the INVLAG_SEED environment variable."""
-    if seed is None:
-        seed = int(os.environ.get("INVLAG_SEED", DEFAULT_SEED))
+def seeded_rng(seed: int) -> random.Random:
+    """A deterministic RNG for the given seed."""
     return random.Random(seed)
 
 

@@ -389,20 +389,13 @@ def forward_accelerations(L: Expr, D: Optional[Expr] = None,
                           omega: Optional[TensorField] = None) -> List[Expr]:
     """Solve the Lagrange equations of ``L`` with forcing from ``D``
     and the gyroscopic force of ``omega`` (either may be absent) for
-    the accelerations. The velocity Hessian must be nonsingular as a
-    matrix of expressions."""
+    the accelerations: the Hessian times the accelerations equals minus
+    the residuals of those equations along zero accelerations. ``L``
+    must live in an explicit context, and its velocity Hessian must be
+    nonsingular as a matrix of expressions."""
     ctx = L.ctx
-    rhs = []
-    for j in range(1, ctx.n + 1):
-        entry = L.diff(ctx.q(j))
-        if D is not None:
-            entry = entry + D.diff(ctx.v(j))
-        if omega is not None:
-            for k in range(1, ctx.n + 1):
-                entry = entry + omega.entry(j, k) * ctx.var(ctx.v(k))
-        for k in range(1, ctx.n + 1):
-            entry = entry - ctx.var(ctx.v(k)) * L.diff(ctx.q(k)).diff(ctx.v(j))
-        rhs.append(entry)
+    free = Sode(ctx, [ctx.zero] * ctx.n)
+    rhs = [-r for r in lagrange_residuals(free, L, D, omega)]
     try:
         return matrix_solve(hessian(L), rhs)
     except GeometryError as exc:

@@ -8,15 +8,16 @@ Assembly expands every condition cell into canonical polynomial form
 and emits one equation per monomial; solving is exact reduction to row
 echelon form over the rationals; the nonsingular-representative search
 is a bounded integer enumeration over the solution space with a
-structural shortcut for spaces that force an identically-zero row.
+structural shortcut for spaces that force an identically-zero row; it
+returns the member it finds and leaves the space as it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import combinations_with_replacement, product
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sympy.polys.domains import QQ
@@ -24,9 +25,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from .exprcore import Expr, ExprContext, convert
 from .geometry import InternalInconsistencyError, Sode, TensorField
-from .conditions import (SUITES as SUITE_TABLE, ConditionReport,
-                         _with_nonsingularity, check_suite,
-                         nonsingularity_record)
+from .conditions import SUITES as SUITE_TABLE, ConditionReport, check_suite
 
 SUITES = tuple(name for name, suite in SUITE_TABLE.items() if suite.searchable)
 
@@ -68,6 +67,7 @@ class AnsatzProblem:
             raise SolverError(
                 "two-form unknowns only make sense for the gyroscopic suite")
 
+    @property
     def layout(self) -> Tuple[Tuple[str, int, int, int], ...]:
         """Unknown index -> (part, i, j, basis position), in declaration
         order; this fixes the meaning of every coefficient vector."""
@@ -95,24 +95,17 @@ class LinearSystem:
     problem: AnsatzProblem
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionSpace:
-    """Affine solution set of an assembled system, plus the outcome of
-    the nonsingular-representative search."""
+    """Affine solution set of an assembled system over ``n`` positions,
+    in the coordinates fixed by the layout of ``problem``."""
 
     unknowns: Tuple[str, ...]
-    layout: Tuple[Tuple[str, int, int, int], ...]
     nullspace: Tuple[Tuple[Fraction, ...], ...]
     particular: Optional[Tuple[Fraction, ...]]
     certificate_row: Optional[str]
     problem: AnsatzProblem
-    representative: Optional[TensorField] = None
-    representative_omega: Optional[TensorField] = None
-    representative_det: Optional[Expr] = None
-    representative_vector: Optional[Tuple[Fraction, ...]] = None
-    representative_report: Optional[ConditionReport] = None
-    exhausted: bool = False
-    definitive_negative: bool = False
+    n: int
 
     @property
     def consistent(self) -> bool:
@@ -122,6 +115,19 @@ class SolutionSpace:
     def dimension(self) -> int:
         return len(self.nullspace)
 
+    @property
+    def definitive_negative(self) -> bool:
+        """True when the space is consistent but its members leave some
+        multiplier row identically zero: a structural proof that no
+        member is nonsingular."""
+        if not self.consistent:
+            return False
+        dead = set(self.forced_zero())
+        live_rows = {index for part, i, j, _position in self.problem.layout
+                     if part == "g" and (part, i, j) not in dead
+                     for index in (i, j)}
+        return len(live_rows) < self.n
+
     def forced_zero(self) -> Tuple[Tuple[str, int, int], ...]:
         """The declared entries ``(part, i, j)`` that vanish at every
         point of the space, sorted; none when the system is
@@ -130,10 +136,25 @@ class SolutionSpace:
             return ()
         points = (self.particular,) + self.nullspace
         dead: Dict[Tuple[str, int, int], bool] = {}
-        for k, (part, i, j, _position) in enumerate(self.layout):
+        for k, (part, i, j, _position) in enumerate(self.problem.layout):
             still = all(point[k] == 0 for point in points)
             dead[(part, i, j)] = dead.get((part, i, j), True) and still
         return tuple(sorted(key for key, gone in dead.items() if gone))
+
+
+@dataclass(frozen=True)
+class Representative:
+    """A nonsingular member of a solution space: its coefficient vector,
+    its two-form when the ansatz declares one, and the report of its
+    suite re-check, which holds the multiplier and its determinant."""
+
+    vector: Tuple[Fraction, ...]
+    omega: Optional[TensorField]
+    report: ConditionReport
+
+    @property
+    def g(self) -> TensorField:
+        return self.report.multiplier
 
 
 # --------------------------------------------------------------------------
@@ -144,23 +165,11 @@ def q_monomials(ctx: ExprContext, degree: int,
                 variables: Optional[Sequence[int]] = None) -> Tuple[Expr, ...]:
     """All monomials in the chosen position variables of total degree at
     most ``degree``, constants first, in graded lexicographic order."""
-    indices = tuple(variables) if variables is not None \
-        else tuple(range(1, ctx.n + 1))
-    monomials = [ctx.one]
-    frontier = [ctx.one]
-    for _ in range(degree):
-        next_frontier = []
-        seen = set()
-        for base in frontier:
-            for i in indices:
-                candidate = base * ctx.var(ctx.q(i))
-                key = str(candidate)
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append(candidate)
-        monomials.extend(next_frontier)
-        frontier = next_frontier
-    return tuple(monomials)
+    indices = dict.fromkeys(variables if variables is not None
+                            else range(1, ctx.n + 1))
+    return tuple(prod((ctx.var(ctx.q(i)) for i in combo), start=ctx.one)
+                 for d in range(degree + 1)
+                 for combo in combinations_with_replacement(indices, d))
 
 
 def constant_ansatz(ctx: ExprContext, suite: str, **extra) -> AnsatzProblem:
@@ -211,7 +220,7 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     linear system, one equation per monomial in everything that is not
     an unknown."""
     ctx = s.ctx
-    layout = p.layout()
+    layout = p.layout
     names = _unknown_names(ctx, len(layout))
     ectx = ctx.with_parameters(names)
     s_e = Sode(ectx, [convert(f, ectx) for f in s.f])
@@ -329,8 +338,8 @@ def solve(system: LinearSystem) -> SolutionSpace:
 
     if count in pivots:
         certificate = "0 = 1 after elimination: no solution in this ansatz"
-        return SolutionSpace(system.unknowns, system.problem.layout(), (),
-                             None, certificate, system.problem)
+        return SolutionSpace(system.unknowns, (), None, certificate,
+                             system.problem, system.context.n)
 
     nonzero = reduced.to_dod()
     pivot_rows = [{col: Fraction(int(value.numerator), int(value.denominator))
@@ -351,9 +360,9 @@ def solve(system: LinearSystem) -> SolutionSpace:
             vector[col] = -row.get(free, zero)
         basis.append(_primitive(vector))
 
-    space = SolutionSpace(system.unknowns, system.problem.layout(),
-                          tuple(tuple(v) for v in basis), tuple(particular),
-                          None, system.problem)
+    space = SolutionSpace(system.unknowns, tuple(tuple(v) for v in basis),
+                          tuple(particular), None, system.problem,
+                          system.context.n)
     _reverify(system, space)
     return space
 
@@ -403,7 +412,7 @@ def instantiate(problem: AnsatzProblem, ctx: ExprContext,
                 vector: Sequence[Fraction]):
     """Substitute a coefficient vector into the ansatz, producing the
     multiplier (and the two-form when one was declared)."""
-    if len(vector) != len(problem.layout()):
+    if len(vector) != len(problem.layout):
         raise SolverError("coefficient vector does not match the ansatz")
     return _ansatz_tensors(problem, ctx,
                            [ctx.const(Fraction(value)) for value in vector])
@@ -418,29 +427,18 @@ def coefficient_sequence(bound: int):
 
 
 def find_nonsingular(space: SolutionSpace, s: Sode,
-                     bound: int) -> Optional[TensorField]:
-    """Search integer combinations over the solution space for a member
-    with non-vanishing determinant; the first hit in enumeration order
-    is re-checked through the full suite and recorded on the space,
-    together with the report of that re-check, which carries the
-    nonsingularity record the screen computed. A multiplier row forced
-    to zero across the whole space is a structural proof that no member
-    is nonsingular."""
-    if not space.consistent:
-        space.exhausted = True
-        return None
-    dead = set(space.forced_zero())
-    live_rows = {index for part, i, j, _position in space.layout
-                 if part == "g" and (part, i, j) not in dead
-                 for index in (i, j)}
-    if len(live_rows) < s.n:
-        space.definitive_negative = True
-        space.exhausted = True
+                     bound: int) -> Optional[Representative]:
+    """The first member of the space, in the enumeration order of
+    integer combinations up to ``bound``, that passes the full suite
+    re-check and whose determinant is not identically zero; ``None``
+    when the space is inconsistent, definitively negative, or has no
+    such member within the bound. The determinant is the nonsingularity
+    record of the re-check's report, so it is built once, by the report
+    that shows it."""
+    if not space.consistent or space.definitive_negative:
         return None
     problem = space.problem
-    sequence = tuple(coefficient_sequence(bound))
-    dimension = space.dimension
-    for combo in product(sequence, repeat=dimension):
+    for combo in product(coefficient_sequence(bound), repeat=space.dimension):
         vector = list(space.particular)
         for weight, direction in zip(combo, space.nullspace):
             if weight:
@@ -449,21 +447,11 @@ def find_nonsingular(space: SolutionSpace, s: Sode,
         if all(value == 0 for value in vector):
             continue
         g, omega = instantiate(problem, s.ctx, vector)
-        record = nonsingularity_record(g)
-        if not record.nonsingular:
-            continue
         # full symbolic re-check in the original context: the soundness
         # invariant for returned representatives
         report = check_suite(problem.suite, s, g, D=problem.D,
                              omega=omega if omega is not None
                              else problem.omega)
-        if not report.passes:
-            continue
-        space.representative = g
-        space.representative_omega = omega
-        space.representative_det = record.determinant
-        space.representative_vector = tuple(vector)
-        space.representative_report = _with_nonsingularity(report, record)
-        return g
-    space.exhausted = True
+        if report.passes and report.nonsingularity.nonsingular:
+            return Representative(tuple(vector), omega, report)
     return None

@@ -9,11 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invlag import conditions
 from invlag.exprcore import ExprContext
 from invlag.geometry import Sode, TensorField, matrix_det
 from invlag.solver import (AnsatzProblem, LinearSystem, NonlinearCouplingError,
-                           SolverError, assemble, constant_ansatz,
-                           diagonal_ansatz,
+                           Representative, SolverError, assemble,
+                           constant_ansatz, diagonal_ansatz,
                            find_nonsingular, instantiate, polynomial_ansatz,
                            q_monomials, solve)
 from invlag.conditions import check_multiplier_dissipative
@@ -45,6 +46,28 @@ def chain_four(b="b"):
     return ctx, Sode(ctx, f)
 
 
+def inconsistent_space():
+    """A cubic dissipation function cannot pair with any constant
+    multiplier on a trivial system."""
+    ctx = ExprContext(1)
+    s = Sode(ctx, [ctx.zero])
+    problem = AnsatzProblem("dissipative", (((1, 1), (ctx.one,)),),
+                            D=ctx.parse("v1^3"))
+    return s, solve(assemble(s, problem))
+
+
+def chain_four_space():
+    """The translation-invariant degree-1 family of the chain system."""
+    ctx, s = chain_four()
+    problem = polynomial_ansatz(ctx, "thm3", 1, variables=(1, 2))
+    return s, solve(assemble(s, problem))
+
+
+def planar_drag_space():
+    ctx, s = planar_drag()
+    return s, solve(assemble(s, constant_ansatz(ctx, "thm3")))
+
+
 def test_monomial_basis_enumeration():
     ctx = ExprContext(2)
     basis = q_monomials(ctx, 2)
@@ -53,6 +76,38 @@ def test_monomial_basis_enumeration():
         "1", "q1", "q2", "q1^2", "q1*q2", "q2^2"}
     restricted = q_monomials(ctx, 1, variables=(2,))
     assert [str(b) for b in restricted] == ["1", "q2"]
+
+
+def breadth_first_monomials(ctx, degree, variables=None):
+    """Reference for ``q_monomials``: each degree multiplies the previous
+    one by every variable in turn, dropping repeats by their text."""
+    indices = tuple(variables) if variables is not None \
+        else tuple(range(1, ctx.n + 1))
+    monomials = [ctx.one]
+    frontier = [ctx.one]
+    for _ in range(degree):
+        next_frontier = []
+        seen = set()
+        for base in frontier:
+            for i in indices:
+                candidate = base * ctx.var(ctx.q(i))
+                if str(candidate) not in seen:
+                    seen.add(str(candidate))
+                    next_frontier.append(candidate)
+        monomials.extend(next_frontier)
+        frontier = next_frontier
+    return tuple(monomials)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), degree=st.integers(0, 3))
+def test_q_monomials_match_breadth_first_order(data, n, degree):
+    """Repeated and unsorted variable lists included."""
+    variables = data.draw(st.none() | st.lists(st.integers(1, n),
+                                                max_size=4))
+    ctx = ExprContext(n)
+    assert q_monomials(ctx, degree, variables) == \
+        breadth_first_monomials(ctx, degree, variables)
 
 
 def test_constant_family_is_unconstrained_for_drag_system():
@@ -67,8 +122,8 @@ def test_constant_family_is_unconstrained_for_drag_system():
     assert space.dimension == 3
     rep = find_nonsingular(space, s, 1)
     assert rep is not None
-    assert not matrix_det(rep).is_zero()
-    assert check_multiplier_dissipative(s, rep).passes
+    assert not matrix_det(rep.g).is_zero()
+    assert check_multiplier_dissipative(s, rep.g).passes
 
 
 def test_parameter_splitting_matches_instantiation():
@@ -100,24 +155,22 @@ def test_diagonal_polynomial_family_pins_unique_multiplier():
     assert g.entry(3, 3) == ctx.parse("2*q2")
     rep = find_nonsingular(space, s, 1)
     assert rep is not None
-    assert space.representative_det == ctx.parse("8*q2")
-    assert check_multiplier_dissipative(s, rep).passes
-    report = space.representative_report
+    assert rep.report.nonsingularity.determinant == ctx.parse("8*q2")
+    assert check_multiplier_dissipative(s, rep.g).passes
+    report = rep.report
     assert report.suite == "thm3" and report.passes
-    assert report.multiplier is rep
-    assert report.nonsingularity.determinant == space.representative_det
+    assert rep.g == g and rep.vector == space.nullspace[0]
+    assert report.nonsingularity.determinant == matrix_det(rep.g)
 
 
 def test_translation_invariant_family_is_structurally_singular():
     """On the four-dimensional chain system the invariant family forces
     an entire multiplier row to zero: a definitive negative, not just
     an exhausted search."""
-    ctx, s = chain_four()
-    problem = polynomial_ansatz(ctx, "thm3", 1, variables=(1, 2))
-    space = solve(assemble(s, problem))
+    s, space = chain_four_space()
     assert space.consistent
     forced = {(1, 3), (2, 3), (3, 3), (3, 4)}
-    for k, (part, i, j, _pos) in enumerate(space.layout):
+    for k, (part, i, j, _pos) in enumerate(space.problem.layout):
         if (i, j) in forced:
             assert all(vec[k] == 0 for vec in space.nullspace)
     assert find_nonsingular(space, s, 2) is None
@@ -128,7 +181,7 @@ def test_position_family_under_gyroscopic_conditions_fails_too():
     ctx, s = chain_four()
     space = solve(assemble(s, polynomial_ansatz(ctx, "thm4", 1)))
     assert find_nonsingular(space, s, 2) is None
-    assert space.exhausted
+    assert space.definitive_negative
 
 
 @pytest.mark.parametrize("value", ["1/2", "-1/3", "3/4"])
@@ -155,23 +208,16 @@ def test_free_particle_identity_family():
     assert space.consistent and space.dimension == 2
     rep = find_nonsingular(space, s, 1)
     assert rep is not None
-    assert matrix_det(rep) == ctx.one
+    assert matrix_det(rep.g) == ctx.one
 
 
 def test_inconsistent_fixed_dissipation_yields_empty_space():
-    """A cubic dissipation function cannot pair with any constant
-    multiplier on a trivial system: the inhomogeneous system has no
-    solution and says so."""
-    ctx = ExprContext(1)
-    s = Sode(ctx, [ctx.zero])
-    problem = AnsatzProblem("dissipative", (((1, 1), (ctx.one,)),),
-                            D=ctx.parse("v1^3"))
-    space = solve(assemble(s, problem))
+    """The inhomogeneous system has no solution and says so."""
+    s, space = inconsistent_space()
     assert not space.consistent
     assert space.certificate_row is not None
     assert space.dimension == 0
     assert find_nonsingular(space, s, 1) is None
-    assert space.exhausted
 
 
 def test_joint_two_form_search():
@@ -185,7 +231,7 @@ def test_joint_two_form_search():
     assert space.consistent
     rep = find_nonsingular(space, s, 1)
     assert rep is not None
-    assert space.representative_omega is not None
+    assert rep.omega is not None
 
 
 def test_problem_validation():
@@ -219,8 +265,44 @@ def test_solution_ordering_is_deterministic():
     assert first.nullspace == second.nullspace
     rep_a = find_nonsingular(first, s, 1)
     rep_b = find_nonsingular(second, s, 1)
-    assert rep_a == rep_b
-    assert first.representative_vector == second.representative_vector
+    assert rep_a.g == rep_b.g
+    assert rep_a.vector == rep_b.vector
+
+
+@pytest.mark.parametrize("build, negative, found", [
+    (inconsistent_space, False, False),
+    (chain_four_space, True, False),
+    (planar_drag_space, False, True),
+])
+def test_search_reads_the_space_and_returns_its_result(build, negative,
+                                                       found, monkeypatch):
+    """``definitive_negative`` depends on the space alone, and the search
+    returns a record instead of writing into the space; each candidate's
+    determinant is built once, by its report."""
+    s, space = build()
+    assert space.definitive_negative is negative
+    original = conditions.nonsingularity_record
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(conditions, "nonsingularity_record", counting)
+    rep = find_nonsingular(space, s, 1)
+    assert space.definitive_negative is negative
+    if not found:
+        assert rep is None
+        assert calls == []
+        return
+    assert isinstance(rep, Representative)
+    assert rep.report.passes and rep.g is rep.report.multiplier
+    # one record per candidate; the singular (2,2) members come first
+    assert len(calls) == 3 and calls[-1] is rep.g
+    record = rep.report.nonsingularity
+    assert record.nonsingular and record.determinant == matrix_det(rep.g)
+    assert rep.report.nonsingularity is record
+    assert len(calls) == 3
 
 
 def random_system(rng, kind):
