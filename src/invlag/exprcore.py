@@ -14,13 +14,28 @@ parameters. An :class:`ExprContext` pins down the dimension ``n``, the
 highest jet order, the parameter names and whether time occurs; all
 expressions carry their context and refuse to mix with another one.
 
+Every expression also keeps its denominator factored, as exponents over
+monic factors irreducible over QQ that are interned per ring (the ring's
+factor base). With irreducible factors no operation needs a gcd: a sum
+takes the larger exponent of each factor (Henrici's method), a product
+adds exponents, a derivative raises the exponent of each factor that
+depends on the variable, and the numerator is then reduced by exact
+trial division by those few factors that can still divide it. Only a
+polynomial from outside the base (a divisor, which is also how parsing
+builds quotients, or a substituted factor) is factored with
+``factor_list``, once per polynomial. Reduced forms with a monic
+denominator are unique, so the result is the fraction a multivariate
+gcd would give, and no operation here calls one.
+
 The polynomial arithmetic itself is delegated to ``sympy.polys.rings``
-(dense-exponent sparse polynomials over QQ); the grammar, printing,
-substitution, integration and evaluation layers are implemented here.
+(dense-exponent sparse polynomials over QQ, in lex order); the grammar,
+printing, substitution, integration and evaluation layers are
+implemented here.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,13 +160,96 @@ _RESERVED_NAME = re.compile(r"^(?:t|(?:q|v|d[0-9]+q)[0-9]+)$")
 _IDENT = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 # Rings are interned so that equal-by-value contexts share one ring object
-# (sympy polynomial elements only cooperate within the same ring).
+# (sympy polynomial elements only cooperate within the same ring) and one
+# factor base.
 _RING_CACHE: dict = {}
+
+
+class _Factor:
+    """A monic irreducible polynomial interned in a factor base.
+
+    ``index`` orders factorisations, ``gens`` holds the generator
+    positions the factor depends on, and ``lead`` (its leading exponent
+    vector) and ``tail`` (its other terms) are what trial division reads.
+    """
+
+    __slots__ = ("poly", "index", "gens", "lead", "tail")
+
+    def __init__(self, poly, index: int):
+        self.poly = poly
+        self.index = index
+        self.gens = frozenset(position for monom in poly
+                              for position, exponent in enumerate(monom)
+                              if exponent)
+        self.lead = max(poly)  # the rings use lex order
+        self.tail = tuple(item for item in poly.items() if item[0] != self.lead)
+
+
+def _factorisation(exps: dict) -> tuple:
+    """The tuple form of a ``{factor: exponent}`` map, in interning order."""
+    if len(exps) < 2:
+        return tuple(exps.items())
+    return tuple(sorted(exps.items(), key=lambda pair: pair[0].index))
+
+
+class _FactorBase:
+    """The denominator factors met so far in one ring.
+
+    ``factors`` interns each factor by its polynomial; ``products`` maps
+    a factorisation (a tuple of ``(factor, exponent)`` pairs) to its
+    expanded product, and ``factored`` maps every monic polynomial
+    factored or multiplied out so far back to its factorisation. Only
+    ``factorise`` adds factors, and only irreducible ones: trial
+    division by a reducible factor would miss a proper divisor of it.
+    """
+
+    __slots__ = ("ring", "factors", "products", "factored")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.factors = {}
+        self.products = {(): ring.one}
+        self.factored = {ring.one: ()}
+
+    def product(self, fac: tuple):
+        """The monic polynomial ``prod factor**exponent``."""
+        poly = self.products.get(fac)
+        if poly is None:
+            poly = self.ring.one
+            for factor, exponent in fac:
+                poly = poly * factor.poly ** exponent
+            self.products[fac] = poly
+            self.factored.setdefault(poly, fac)
+        return poly
+
+    def factorise(self, poly):
+        """``(lc, fac)`` with ``poly == lc * product(fac)``, for nonzero
+        ``poly``; ``factor_list`` runs once per monic polynomial."""
+        lc = poly.LC
+        if poly.is_ground:
+            return lc, ()
+        monic = poly if lc == QQ(1) else poly.quo_ground(lc)
+        fac = self.factored.get(monic)
+        if fac is None:
+            exps = {}
+            for part, exponent in monic.factor_list()[1]:
+                if part.LC != QQ(1):
+                    part = part.quo_ground(part.LC)
+                factor = self.factors.get(part)
+                if factor is None:
+                    factor = _Factor(part, len(self.factors))
+                    self.factors[part] = factor
+                    self.factored[part] = ((factor, 1),)
+                exps[factor] = exps.get(factor, 0) + exponent
+            fac = _factorisation(exps)
+            self.factored[monic] = fac
+        return lc, fac
 
 
 def _ring_for(key):
     """The interned ring of a context key, with its generator names, the
-    VarId of each generator and the map from name to generator position."""
+    VarId of each generator, the map from name to generator position and
+    the ring's factor base."""
     cached = _RING_CACHE.get(key)
     if cached is not None:
         return cached
@@ -164,9 +262,10 @@ def _ring_for(key):
     generators.extend((name, VarId.parameter(k))
                       for k, name in enumerate(parameters, 1))
     names = tuple(name for name, _var in generators)
-    cached = (_make_ring(names, QQ)[0], names,
-              tuple(var for _name, var in generators),
-              {name: position for position, name in enumerate(names)})
+    ring = _make_ring(names, QQ)[0]
+    cached = (ring, names, tuple(var for _name, var in generators),
+              {name: position for position, name in enumerate(names)},
+              _FactorBase(ring))
     _RING_CACHE[key] = cached
     return cached
 
@@ -181,7 +280,7 @@ class ExprContext:
 
     __slots__ = ("n", "max_jet_order", "parameters", "uses_time",
                  "_ring", "_gens", "_names", "_varids", "_name_pos",
-                 "_zero", "_one")
+                 "_base", "_zero", "_one")
 
     def __init__(self, n: int, parameters: Iterable[str] = (),
                  max_jet_order: int = 1, uses_time: bool = False):
@@ -203,13 +302,14 @@ class ExprContext:
         object.__setattr__(self, "max_jet_order", max_jet_order)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "uses_time", bool(uses_time))
-        ring, names, varids, name_pos = _ring_for(
+        ring, names, varids, name_pos, base = _ring_for(
             (self.uses_time, n, max_jet_order, parameters))
         object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_gens", ring.gens)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_varids", varids)
         object.__setattr__(self, "_name_pos", name_pos)
+        object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_zero", None)
         object.__setattr__(self, "_one", None)
 
@@ -344,30 +444,116 @@ class ExprContext:
 # canonical expressions
 
 
-def _canonical(ring, num, den):
-    """Reduce num/den to coprime form with a monic denominator.
+def _canonical(ctx, num, den):
+    """Reduce num/den to coprime form with a monic denominator; returns
+    the numerator and the denominator's factorisation.
 
-    The multivariate gcd (``cancel``) runs only when both parts are
-    non-constant. A constant denominator is divided into the numerator,
-    giving denominator 1; a nonzero constant numerator is coprime with
-    any denominator, so only the monic normalisation is left. Reduced
-    forms with a monic denominator are unique, so the shortcuts give
-    the same result as the general path.
+    The denominator is factored over the factor base (a dict lookup for
+    a polynomial the base has seen, else ``factor_list`` once) and the
+    numerator is trial-divided by its factors. Reduced forms with a
+    monic denominator are unique, so this is the fraction a multivariate
+    gcd would give.
     """
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
     if not num:
-        return ring.zero, ring.one
-    if den.is_ground:
-        lc = den.LC
-        return (num if lc == QQ(1) else num.quo_ground(lc)), ring.one
-    if not num.is_ground:
-        num, den = num.cancel(den)
-    lc = den.LC
-    if lc != QQ(1):
-        num = num.quo_ground(lc)
-        den = den.quo_ground(lc)
-    return num, den
+        return num, ()
+    lc, fac = ctx._base.factorise(den)
+    exps = dict(fac)
+    num = _divide_out(num if lc == QQ(1) else num.quo_ground(lc), exps,
+                      list(exps))
+    return num, _factorisation(exps)
+
+
+def _exact_quotient(num, factor):
+    """``num / factor.poly`` when the factor divides ``num``, else None.
+
+    Long division by the monic factor, taking the remainder's terms from
+    a heap in descending lex order. It stops at the first leading term
+    that the factor's leading term does not divide: with a single
+    divisor, that term would stay in the remainder.
+    """
+    remainder = dict(num)
+    heap = [tuple(-e for e in monom) for monom in remainder]
+    heapq.heapify(heap)
+    lead = factor.lead
+    quotient = {}
+    while heap:
+        top = tuple(-e for e in heapq.heappop(heap))
+        coeff = remainder.pop(top, None)
+        if coeff is None:  # cancelled since it was pushed
+            continue
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift) < 0:
+            return None
+        quotient[shift] = coeff
+        for monom, c in factor.tail:
+            key = tuple(a + b for a, b in zip(monom, shift))
+            value = remainder.get(key)
+            product = coeff * c
+            if value is None:
+                remainder[key] = -product
+                heapq.heappush(heap, tuple(-e for e in key))
+            elif value == product:
+                del remainder[key]
+            else:
+                remainder[key] = value - product
+    return num.new(quotient)
+
+
+def _divide_out(num, exps: dict, factors):
+    """Divide ``num`` by each of ``factors`` as often as it goes, at most
+    the factor's exponent in ``exps`` times, and lower that exponent to
+    match."""
+    for factor in factors:
+        exponent = exps[factor]
+        while exponent and not num.is_ground:
+            quotient = _exact_quotient(num, factor)
+            if quotient is None:
+                break
+            num = quotient
+            exponent -= 1
+        if exponent:
+            exps[factor] = exponent
+        else:
+            del exps[factor]
+    return num
+
+
+def _factored(ctx: "ExprContext", num, fac: tuple) -> "Expr":
+    """The expression ``num / product(fac)``, already reduced."""
+    if not num:
+        return ctx.zero
+    expr = object.__new__(Expr)
+    object.__setattr__(expr, "ctx", ctx)
+    object.__setattr__(expr, "num", num)
+    object.__setattr__(expr, "den", ctx._base.product(fac))
+    object.__setattr__(expr, "den_factors", fac)
+    return expr
+
+
+def _lifted(base, num, lift: dict):
+    """``num`` times the product of a ``{factor: exponent}`` map."""
+    return num * base.product(_factorisation(lift)) if lift else num
+
+
+def _product(ctx, a, fa, b, fb) -> "Expr":
+    """``(a / product(fa)) * (b / product(fb))`` for reduced operands.
+
+    Each numerator is trial-divided by the factors only the other
+    operand's denominator has; a factor both denominators carry divides
+    neither numerator, so it cannot divide their product.
+    """
+    if not fa and not fb or not a or not b:
+        return _factored(ctx, a * b, ())
+    ea, eb = dict(fa), dict(fb)
+    only_b = [factor for factor in eb if factor not in ea]
+    only_a = [factor for factor in ea if factor not in eb]
+    a = _divide_out(a, eb, only_b)
+    b = _divide_out(b, ea, only_a)
+    for factor, exponent in eb.items():
+        ea[factor] = ea.get(factor, 0) + exponent
+    return _factored(ctx, a * b, _factorisation(ea))
 
 
 class Expr:
@@ -375,17 +561,24 @@ class Expr:
 
     ``num``/``den`` are coprime expanded polynomials and ``den`` is
     monic in the ring's term order, so structural equality of the pair
-    is semantic equality of the value.
+    is semantic equality of the value. ``den_factors`` is ``den`` once
+    more, factored: a tuple of ``(factor, exponent)`` pairs over the
+    context's factor base, empty when ``den`` is 1. Equality, hashing
+    and printing read ``num`` and ``den`` only.
     """
 
-    __slots__ = ("ctx", "num", "den")
+    __slots__ = ("ctx", "num", "den", "den_factors")
 
     def __init__(self, ctx: ExprContext, num, den, _normalize: bool = False):
         if _normalize:
-            num, den = _canonical(ctx._ring, num, den)
+            num, fac = _canonical(ctx, num, den)
+            den = ctx._base.product(fac)
+        else:
+            fac = () if den.is_ground else ctx._base.factorise(den)[1]
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den_factors", fac)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -400,11 +593,11 @@ class Expr:
 
     def numerator_expr(self) -> "Expr":
         """The numerator polynomial as an expression of its own."""
-        return Expr(self.ctx, self.num, self.ctx._ring.one)
+        return _factored(self.ctx, self.num, ())
 
     def denominator_expr(self) -> "Expr":
         """The (monic) denominator polynomial as an expression of its own."""
-        return Expr(self.ctx, self.den, self.ctx._ring.one)
+        return _factored(self.ctx, self.den, ())
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -448,19 +641,49 @@ class Expr:
         return None
 
     def __add__(self, other):
+        """Henrici's sum: the denominator takes the larger exponent of
+        each factor, and only a factor with equal exponents in both
+        operands can divide the new numerator."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return Expr(self.ctx, self.num + other.num, self.den, _normalize=True)
-        return Expr(self.ctx,
-                    self.num * other.den + other.num * self.den,
-                    self.den * other.den, _normalize=True)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        ctx = self.ctx
+        fa, fb = self.den_factors, other.den_factors
+        if fa == fb:
+            num = self.num + other.num
+            if not fa or not num:
+                return _factored(ctx, num, ())
+            exps = dict(fa)
+            return _factored(ctx, _divide_out(num, exps, list(exps)),
+                             _factorisation(exps))
+        exps = dict(fa)
+        lift_a, lift_b, equal = {}, {}, []
+        for factor, exponent in fb:
+            own = exps.get(factor, 0)
+            if exponent > own:
+                lift_a[factor] = exponent - own
+                exps[factor] = exponent
+            elif exponent < own:
+                lift_b[factor] = own - exponent
+            else:
+                equal.append(factor)
+        shared = dict(fb)
+        for factor, exponent in fa:
+            if factor not in shared:
+                lift_b[factor] = exponent
+        base = ctx._base
+        num = _lifted(base, self.num, lift_a) + _lifted(base, other.num, lift_b)
+        return _factored(ctx, _divide_out(num, exps, equal),
+                         _factorisation(exps))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(self.ctx, -self.num, self.den)
+        return _factored(self.ctx, -self.num, self.den_factors)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -478,10 +701,16 @@ class Expr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Expr(self.ctx, self.num * other.num, self.den * other.den,
-                    _normalize=True)
+        return _product(self.ctx, self.num, self.den_factors,
+                        other.num, other.den_factors)
 
     __rmul__ = __mul__
+
+    def _reciprocal(self):
+        """Numerator and denominator factorisation of ``1 / self``; the
+        numerator of ``self`` is factored into the base here."""
+        lc, fac = self.ctx._base.factorise(self.num)
+        return (self.den if lc == QQ(1) else self.den.quo_ground(lc)), fac
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -489,8 +718,8 @@ class Expr:
             return NotImplemented
         if other.is_zero():
             raise ZeroDenominatorError("division by the zero expression")
-        return Expr(self.ctx, self.num * other.den, self.den * other.num,
-                    _normalize=True)
+        num, fac = other._reciprocal()
+        return _product(self.ctx, self.num, self.den_factors, num, fac)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -506,28 +735,54 @@ class Expr:
         if exponent < 0:
             if self.is_zero():
                 raise ZeroDenominatorError("zero raised to a negative power")
-            base = Expr(self.ctx, self.den, self.num, _normalize=True)
+            num, fac = self._reciprocal()
             exponent = -exponent
         else:
-            base = self
-        return Expr(self.ctx, base.num ** exponent, base.den ** exponent,
-                    _normalize=True)
+            num, fac = self.num, self.den_factors
+        return _factored(self.ctx, num ** exponent,
+                         tuple((factor, k * exponent) for factor, k in fac))
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, var: VarId) -> "Expr":
-        gen = self.ctx._gens[self.ctx.gen_index(var)]
+        """Quotient rule over the factored denominator.
+
+        With ``P`` the product of the factors ``p`` (exponent ``k``)
+        that depend on the variable, ``(N/D)' = (N' P - N sum_p k p'
+        P/p) / (D P)``. A moving factor cannot divide that numerator (it
+        divides neither ``N``, ``p'`` nor ``P/p``), so only the factors
+        that do not depend on the variable are tried.
+        """
+        ctx = self.ctx
+        position = ctx.gen_index(var)
+        gen = ctx._gens[position]
         dnum = self.num.diff(gen)
-        if self.den.is_ground:
-            if not dnum:
-                return self.ctx.zero
-            return Expr(self.ctx, dnum, self.den, _normalize=True)
-        dden = self.den.diff(gen)
-        return Expr(self.ctx,
-                    dnum * self.den - self.num * dden,
-                    self.den * self.den, _normalize=True)
+        fac = self.den_factors
+        if not fac:
+            return _factored(ctx, dnum, ())
+        moving = [(factor, k) for factor, k in fac if position in factor.gens]
+        exps = dict(fac)
+        if moving:
+            base = ctx._base
+            dnum = dnum * base.product(tuple((factor, 1) for factor, _k in moving))
+            for factor, k in moving:
+                term = self.num * factor.poly.diff(gen)
+                others = tuple((other, 1) for other, _k in moving
+                               if other is not factor)
+                if others:
+                    term = term * base.product(others)
+                dnum = dnum - (term if k == 1 else term * k)
+                exps[factor] = k + 1
+        if not dnum:
+            return ctx.zero
+        still = [factor for factor, _k in fac if position not in factor.gens]
+        return _factored(ctx, _divide_out(dnum, exps, still),
+                         _factorisation(exps))
 
     def integrate_poly(self, var: VarId) -> "Expr":
+        """Antiderivative; the denominator is free of ``var``, so none of
+        its factors can divide the new numerator (it would divide the
+        numerator's derivative, the old numerator)."""
         gi = self.ctx.gen_index(var)
         ring = self.ctx._ring
         if self.den.degree(ring.gens[gi]) > 0:
@@ -541,11 +796,14 @@ class Expr:
             lifted = list(monom)
             lifted[gi] += 1
             accum[tuple(lifted)] = coeff / QQ(lifted[gi])
-        return Expr(self.ctx, ring.from_dict(accum), self.den, _normalize=True)
+        return _factored(self.ctx, ring.from_dict(accum), self.den_factors)
 
     # -- substitution and evaluation ------------------------------------------
 
     def subst(self, bindings: Mapping[VarId, Union["Expr", int, Fraction]]) -> "Expr":
+        """Substitutes the numerator and each denominator factor the
+        bindings touch, then divides: a substituted factor may split or
+        vanish."""
         if not bindings:
             return self
         ctx = self.ctx
@@ -558,14 +816,18 @@ class Expr:
             elif replacement.ctx != ctx:
                 raise ContextMismatchError(
                     "substituted expression belongs to another context")
-            sigma[ctx.gen_index(var)] = (replacement.num, replacement.den)
-        num_n, num_d = _subst_poly(ctx._ring, self.num, sigma)
-        den_n, den_d = _subst_poly(ctx._ring, self.den, sigma)
-        # (num_n/num_d) / (den_n/den_d)
-        if not den_n:
+            sigma[ctx.gen_index(var)] = replacement
+        if all(factor.gens.isdisjoint(sigma) for factor, _k in self.den_factors):
+            num, fac = _subst_poly(ctx._ring, self.num, sigma)
+            return over_factors(ctx, num, fac + self.den_factors)
+        numerator = _subst_expr(ctx, self.num, sigma)
+        denominator = ctx.one
+        for factor, exponent in self.den_factors:
+            denominator = denominator * _subst_expr(ctx, factor.poly, sigma) ** exponent
+        if denominator.is_zero():
             raise ZeroDenominatorError(
                 "substitution produced an identically-zero denominator")
-        return Expr(ctx, num_n * den_d, num_d * den_n, _normalize=True)
+        return numerator / denominator
 
     def eval_num(self, point: Mapping[VarId, Union[int, Fraction]]) -> Fraction:
         ctx = self.ctx
@@ -630,28 +892,73 @@ class Expr:
             degree = sum(monom[p] for p in positions)
             buckets.setdefault(degree, {})[monom] = coeff
         ring = ctx._ring
-        return {degree: Expr(ctx, ring.from_dict(monoms), self.den, _normalize=True)
-                for degree, monoms in sorted(buckets.items())}
+        parts = {}
+        for degree, monoms in sorted(buckets.items()):
+            exps = dict(self.den_factors)
+            num = _divide_out(ring.from_dict(monoms), exps, list(exps))
+            parts[degree] = _factored(ctx, num, _factorisation(exps))
+        return parts
+
+
+def common_denominator(exprs):
+    """The numerators of ``exprs`` over the lcm of their denominators,
+    and that lcm as a factorisation. The lcm takes the largest exponent
+    of each factor, so it needs no gcd."""
+    exprs = list(exprs)
+    lcm = {}
+    for expr in exprs:
+        for factor, exponent in expr.den_factors:
+            if exponent > lcm.get(factor, 0):
+                lcm[factor] = exponent
+    fac = _factorisation(lcm)
+    numerators = []
+    for expr in exprs:
+        if expr.den_factors == fac:
+            numerators.append(expr.num)
+            continue
+        own = dict(expr.den_factors)
+        lift = {factor: exponent - own.get(factor, 0)
+                for factor, exponent in lcm.items()
+                if exponent > own.get(factor, 0)}
+        numerators.append(_lifted(expr.ctx._base, expr.num, lift))
+    return numerators, fac
+
+
+def over_factors(ctx: ExprContext, num, fac: Iterable) -> Expr:
+    """The canonical form of the polynomial ``num`` over the product of
+    ``fac``, ``(factor, exponent)`` pairs of ``ctx``'s factor base (as
+    ``common_denominator`` returns), by trial division."""
+    exps = {}
+    for factor, exponent in fac:
+        exps[factor] = exps.get(factor, 0) + exponent
+    return _factored(ctx, _divide_out(num, exps, list(exps)),
+                     _factorisation(exps))
+
+
+def _subst_expr(ctx, poly, sigma) -> Expr:
+    """``poly`` under the substitution ``sigma``, reduced."""
+    num, fac = _subst_poly(ctx._ring, poly, sigma)
+    return over_factors(ctx, num, fac)
 
 
 def _subst_poly(ring, poly, sigma):
     """Simultaneous substitution in a polynomial.
 
-    ``sigma`` maps generator positions to (num, den) polynomial pairs.
-    Returns an unreduced (numerator, denominator) pair: the denominator
-    is the product of the substituted denominators raised to the
-    maximal exponent with which each generator occurs.
+    ``sigma`` maps generator positions to expressions. Returns an
+    unreduced numerator and its denominator's factorisation: the
+    product of the substituted denominators raised to the maximal
+    exponent with which each generator occurs.
 
     When every bound value is a constant, one pass over the terms
     folds ``value**exponent`` into each coefficient, drops the bound
     exponents and collects the result in a dict, with denominator 1.
     """
     if not sigma or not poly:
-        return poly, ring.one
+        return poly, ()
     terms = poly.terms()
-    if all(num.is_ground and den.is_ground for num, den in sigma.values()):
-        values = [(position, num.LC / den.LC)
-                  for position, (num, den) in sigma.items()]
+    if all(rep.is_constant() for rep in sigma.values()):
+        values = [(position, rep.num.LC / rep.den.LC)
+                  for position, rep in sigma.items()]
         accum = {}
         for monom, coeff in terms:
             residue = list(monom)
@@ -663,12 +970,12 @@ def _subst_poly(ring, poly, sigma):
             if coeff:
                 key = tuple(residue)
                 accum[key] = accum.get(key, 0) + coeff
-        return ring.from_dict(accum), ring.one
+        return ring.from_dict(accum), ()
     max_exp = {}
     for position in sigma:
         max_exp[position] = max(t[0][position] for t in terms)
     if all(e == 0 for e in max_exp.values()):
-        return poly, ring.one
+        return poly, ()
     power_cache = {}
 
     def power(base_key, base_poly, exponent):
@@ -685,19 +992,19 @@ def _subst_poly(ring, poly, sigma):
     for monom, coeff in terms:
         piece = ring.ground_new(coeff)
         residue = list(monom)
-        for position, (rep_num, rep_den) in sigma.items():
+        for position, rep in sigma.items():
             exponent = residue[position]
             residue[position] = 0
-            piece = piece * power(("n", position), rep_num, exponent)
-            piece = piece * power(("d", position), rep_den,
+            piece = piece * power(("n", position), rep.num, exponent)
+            piece = piece * power(("d", position), rep.den,
                                   max_exp[position] - exponent)
         piece = piece * ring.from_dict({tuple(residue): QQ(1)})
         total = total + piece
-    denominator = ring.one
-    for position, (rep_num, rep_den) in sigma.items():
-        denominator = denominator * power(("d", position), rep_den,
-                                          max_exp[position])
-    return total, denominator
+    exps = {}
+    for position, rep in sigma.items():
+        for factor, exponent in rep.den_factors:
+            exps[factor] = exps.get(factor, 0) + exponent * max_exp[position]
+    return total, _factorisation(exps)
 
 
 def _eval_poly(ctx, poly, values) -> Fraction:
@@ -950,7 +1257,17 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
             out[tuple(shifted)] = coeff
         return target._ring.from_dict(out)
 
-    return Expr(target, move(expr.num), move(expr.den), _normalize=True)
+    # Each factor moves on its own: irreducible in the source, it stays
+    # irreducible in the target (which declares at least its variables),
+    # so the moved numerator stays coprime to it and needs no division.
+    num = move(expr.num)
+    exps = {}
+    for factor, exponent in expr.den_factors:
+        lc, fac = target._base.factorise(move(factor.poly))
+        num = num.quo_ground(lc ** exponent)
+        for moved, k in fac:
+            exps[moved] = exps.get(moved, 0) + k * exponent
+    return _factored(target, num, _factorisation(exps))
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from sympy.polys.matrices import DomainMatrix
 
-from .exprcore import Expr, ExprContext
+from .exprcore import Expr, ExprContext, common_denominator, over_factors
 
 
 class GeometryError(Exception):
@@ -136,19 +136,15 @@ def identity_matrix(ctx: ExprContext) -> TensorField:
 def _domain_matrix(tensor: TensorField):
     """The matrix of a rank-2 tensor over the context's polynomial ring,
     each row multiplied by the lcm of its denominators, and the product
-    of those multipliers."""
-    ring = tensor.ctx._ring
+    of those multipliers as ``(factor, exponent)`` pairs."""
     rows = []
-    scale = ring.one
+    scale = []
     for row in tensor.matrix():
-        lcm = ring.one
-        for entry in row:
-            if not entry.den.is_ground:
-                lcm = lcm.lcm(entry.den)
-        rows.append([entry.num if entry.den == lcm
-                     else entry.num * lcm.exquo(entry.den) for entry in row])
-        scale = scale * lcm
-    return DomainMatrix(rows, (tensor.n, tensor.n), ring.to_domain()), scale
+        numerators, lcm = common_denominator(row)
+        rows.append(numerators)
+        scale.extend(lcm)
+    return (DomainMatrix(rows, (tensor.n, tensor.n),
+                         tensor.ctx._ring.to_domain()), scale)
 
 
 def matrix_det(tensor: TensorField) -> Expr:
@@ -161,7 +157,7 @@ def matrix_det(tensor: TensorField) -> Expr:
     det = matrix.charpoly()[-1]
     if tensor.n % 2:
         det = -det
-    return Expr(tensor.ctx, det, scale, _normalize=True)
+    return over_factors(tensor.ctx, det, scale)
 
 
 def matrix_solve(tensor: TensorField, rhs: Sequence[Expr]) -> List[Expr]:
@@ -259,7 +255,8 @@ def gamma_apply(s: Sode, F: Expr) -> Expr:
     total = ctx.zero
     for k in range(1, s.n + 1):
         total = total + ctx.var(ctx.v(k)) * F.diff(ctx.q(k))
-        total = total + s.f[k - 1] * F.diff(ctx.v(k))
+        if not s.f[k - 1].is_zero():
+            total = total + s.f[k - 1] * F.diff(ctx.v(k))
     return total
 
 

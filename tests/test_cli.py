@@ -20,10 +20,12 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from sympy.polys.rings import PolyElement
 
 import invlag
-from invlag import conditions, geometry, solver
+from invlag import conditions, exprcore, geometry, solver
 from invlag.exprcore import ExprContext
+from invlag.reconstruct import forward_accelerations
 
 from clirun import run_cli, run_json
 
@@ -81,6 +83,34 @@ def test_analyze_json_free_particle_all_zero():
     assert all(v == "0" for row in objects["Phi"] for v in row)
     assert all(v == "0" for m in objects["R"] for row in m for v in row)
     assert all(v == "0" for m in objects["theta"] for row in m for v in row)
+
+
+def test_analyze_position_dependent_kinetic_energy_needs_no_gcd(
+        tmp_path, monkeypatch):
+    """Every denominator of the geometry is a power of the kinetic
+    determinant, which the factor base factors once: ``analyze`` calls
+    the multivariate gcd a handful of times at most, not hundreds."""
+    ctx = ExprContext(3)
+    L = ctx.parse("1/2*(6 + q1^2)*v1^2 + v1*v2 - v1*v3 + 1/2*(4 + q3^2)*v2^2"
+                  " + 5/2*v3^2 - 2/3*q1^2 + q1^2*q3")
+    D = ctx.parse("1/2*q3*v1*v3 - 1/3*q1*v1^2*v2 + 1/2*v1*v2^2 - 2*v3")
+    path = tmp_path / "moving_mass.json"
+    path.write_text(json.dumps(
+        {"n": 3, "f": [str(e) for e in forward_accelerations(L, D)]}))
+    calls = []
+    original = PolyElement.cancel
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # a fresh factor base, as in a new process
+    monkeypatch.setattr(exprcore, "_RING_CACHE", {})
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 0
+    assert ")/(q1^2*q3^2 + 4*q1^2 + 29/5*q3^2 + 111/5)" in result.stdout
+    assert len(calls) <= 3
 
 
 def test_analyze_requires_explicit_mode():

@@ -3,7 +3,6 @@ reference systems, reduction properties between suites, and the
 implicit-system checker with its independent cross-check route."""
 
 import random
-from fractions import Fraction
 
 import pytest
 

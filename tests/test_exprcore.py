@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
+from invlag import exprcore
 from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
                              ExprSyntaxError, JetOrderError,
                              NotPolynomialError, PoleError,
@@ -299,6 +300,141 @@ def test_normalize_matches_reference_reduction(seed, scale, shape):
         num, den = top * common, bottom * common * c
     e = Expr(ctx, num, den, _normalize=True)
     assert (e.num, e.den) == _reference_reduction(num, den)
+
+
+# Denominator factors that operands share. q1^2 - q2^2 is reducible and
+# its factors q1 - q2 and q1 + q2 occur on their own as well, so a factor
+# base that kept it whole would miss a common factor.
+_SHARED_FACTORS = ("q1^2 - q2^2", "q1 - q2", "q1 + q2", "a*q1 + 1",
+                   "q2^2 + a^2 + 1", "q2*v1 - 3")
+_SHARED_CTX = ExprContext(2, parameters=("a",))
+_SHARED_VARS = (_SHARED_CTX.q(1), _SHARED_CTX.q(2), _SHARED_CTX.v(1),
+                _SHARED_CTX.param("a"))
+# Values substituted for a variable: constants, polynomials and fractions
+# over the shared factors (kept small: factoring a substituted factor
+# costs more the larger the value).
+_SUBST_VALUES = ("2", "-1/3", "q2 + 1", "a*q2 - q1", "1/(q1 + q2)",
+                 "(q2*v1 - 3)/(a*q1 + 1)", "q1^2/(q1 - q2)")
+_factor_powers = st.lists(
+    st.tuples(st.sampled_from(_SHARED_FACTORS), st.integers(1, 3)),
+    min_size=1, max_size=3)
+
+
+@st.composite
+def _shared_fraction(draw):
+    """An unreduced ``(num, den)`` pair whose denominator is a product
+    of powers of one to three shared factors and whose numerator is a
+    random polynomial times powers of some shared factors."""
+    ring = _SHARED_CTX._ring
+    core = random_expr(_SHARED_CTX, random.Random(draw(st.integers(0, 2**32 - 1))),
+                       depth=2, allow_div=False).num
+    assume(core)
+    num, den = core, ring.one
+    for text, exponent in draw(_factor_powers):
+        den = den * _SHARED_CTX.parse(text).num ** exponent
+    for text, exponent in draw(st.lists(
+            st.tuples(st.sampled_from(_SHARED_FACTORS), st.integers(1, 2)),
+            max_size=2)):
+        num = num * _SHARED_CTX.parse(text).num ** exponent
+    return num, den
+
+
+def _reference_subst(poly, var, by_num, by_den):
+    """``poly`` with ``var`` replaced by ``by_num/by_den``, as the whole
+    polynomial brought over ``by_den**degree``: (numerator, degree)."""
+    ring = poly.ring
+    position = _SHARED_CTX.gen_index(var)
+    degree = max(monom[position] for monom in poly.monoms())
+    total = ring.zero
+    for monom, coeff in poly.terms():
+        rest = list(monom)
+        rest[position] = 0
+        total += (ring({tuple(rest): coeff}) * by_num ** monom[position]
+                  * by_den ** (degree - monom[position]))
+    return total, degree
+
+
+def _pair(num, den):
+    return _SHARED_CTX.parse(num).num, _SHARED_CTX.parse(den).num
+
+
+@settings(max_examples=100, deadline=None)
+# (a + b) - b: q1 - q2 has exponent 2 in both operands of the subtraction
+# and divides the numerator of their difference.
+@example(x=_pair("1", "(q1 - q2)*(q2^2 + a^2 + 1)"),
+         y=_pair("1", "(q1 - q2)^2*(q1 + q2)"), op="+-", var=_SHARED_VARS[0],
+         value="2")
+# q1 - q2 in one numerator divides the reducible q1^2 - q2^2 in the other
+# operand's denominator.
+@example(x=_pair("1", "q1^2 - q2^2"), y=_pair("q1 - q2", "q2*v1 - 3"), op="*",
+         var=_SHARED_VARS[0], value="2")
+@given(x=_shared_fraction(), y=_shared_fraction(),
+       op=st.sampled_from(("+", "-", "*", "/", "+-", "diff", "subst")),
+       var=st.sampled_from(_SHARED_VARS), value=st.sampled_from(_SUBST_VALUES))
+def test_shared_factor_denominators_match_reference_reduction(x, y, op, var,
+                                                              value):
+    """Every operation on denominators built from shared (and one
+    reducible) factors gives sympy's reduction with a monic denominator."""
+    ctx = _SHARED_CTX
+    a = Expr(ctx, *x, _normalize=True)
+    b = Expr(ctx, *y, _normalize=True)
+    assert (a.num, a.den) == _reference_reduction(*x)
+    (xn, xd), (yn, yd) = x, y
+    gen = ctx._gens[ctx.gen_index(var)]
+    if op == "+":
+        result, expected = a + b, (xn * yd + yn * xd, xd * yd)
+    elif op == "-":
+        result, expected = a - b, (xn * yd - yn * xd, xd * yd)
+    elif op == "*":
+        result, expected = a * b, (xn * yn, xd * yd)
+    elif op == "/":
+        result, expected = a / b, (xn * yd, xd * yn)
+    elif op == "+-":
+        result, expected = (a + b) - b, x
+    elif op == "diff":
+        result = a.diff(var)
+        expected = (xn.diff(gen) * xd - xn * xd.diff(gen), xd * xd)
+    else:
+        c = ctx.parse(value)
+        top, top_degree = _reference_subst(xn, var, c.num, c.den)
+        bottom, bottom_degree = _reference_subst(xd, var, c.num, c.den)
+        if not bottom:
+            with pytest.raises(ZeroDenominatorError):
+                a.subst({var: c})
+            return
+        expected = (top * c.den ** bottom_degree, bottom * c.den ** top_degree)
+        result = a.subst({var: c})
+    if not expected[0]:
+        assert result.is_zero() and result.den == ctx._ring.one
+    else:
+        assert (result.num, result.den) == _reference_reduction(*expected)
+    assert result.den == ctx._base.product(result.den_factors)
+
+
+def test_factor_base_history_does_not_change_results(monkeypatch):
+    """The same expressions canonicalise identically whether the factor
+    base starts empty or already holds factors, met in another order."""
+    texts = ("(q1 + q2)/(q1^2 - q2^2)", "(a*q1^2 + 1)/((q1 - q2)^2*(a*q1 + 1))",
+             "(q2*v1 - 3)^2/((q1 + q2)*(q2^2 + a^2 + 1))", "v1/(q1 - q2)^3")
+
+    def build(ctx):
+        x, y, z, w = (ctx.parse(text) for text in texts)
+        results = [x, y, z, w, x + y, y - z, x * z, y / z, w / x,
+                   (y + w) - w, y.diff(ctx.q(1)), z.diff(ctx.v(1)),
+                   y.subst({ctx.q(2): x}), z.subst({ctx.v(1): 3})]
+        return [(e.num, e.den) for e in results]
+
+    monkeypatch.setattr(exprcore, "_RING_CACHE", {})
+    fresh = build(ExprContext(2, parameters=("a",)))
+    monkeypatch.setattr(exprcore, "_RING_CACHE", {})
+    ctx = ExprContext(2, parameters=("a",))
+    rng = random.Random(5)
+    for text in reversed(_SHARED_FACTORS):
+        ctx.parse(f"1/({text})")
+    for _ in range(30):
+        ctx.one / random_expr(ctx, rng, depth=2, allow_div=False)
+    assert len(ctx._base.factors) > 6
+    assert build(ctx) == fresh
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,8 +8,8 @@ import pytest
 from invlag.exprcore import ExprContext, NotPolynomialError
 from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
                              TensorField, identity_matrix, matrix_det)
-from invlag.reconstruct import (BasePointError, Certificate, GaugeRecord,
-                                MultiplierCheckError, SingularHessianError,
+from invlag.reconstruct import (BasePointError, MultiplierCheckError,
+                                SingularHessianError,
                                 forward_sode, hessian, reconstruct_dissipative,
                                 reconstruct_gyroscopic, verify_dissipative,
                                 verify_gyroscopic, vertical_homotopy2)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from invlag import conditions
 from invlag.exprcore import ExprContext
-from invlag.geometry import Sode, TensorField, matrix_det
-from invlag.solver import (AnsatzProblem, LinearSystem, NonlinearCouplingError,
-                           Representative, SolverError, assemble,
+from invlag.geometry import Sode, matrix_det
+from invlag.solver import (AnsatzProblem, LinearSystem, Representative,
+                           SolverError, assemble,
                            constant_ansatz, diagonal_ansatz,
                            find_nonsingular, instantiate, polynomial_ansatz,
                            q_monomials, solve)
