@@ -189,7 +189,7 @@ class Problem:
                            f"{mode} mode, not {self.mode}")
 
     def require(self, name: str):
-        value = getattr(self, "f" if name == "f" else name)
+        value = getattr(self, name)
         if value is None:
             raise CliError(f"{self.path}: section {name!r} is required "
                            "for this command")
@@ -997,6 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
 _COMMANDS = {
     "analyze": cmd_analyze,
     "check": cmd_check,
@@ -1007,8 +1009,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         problem = load_problem(args.file,
                                _parse_overrides(args.instantiate))

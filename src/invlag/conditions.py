@@ -170,17 +170,25 @@ def _nabla_cells(s: Sode, g: TensorField, family: str = "NablaG"):
             for i in range(1, s.n + 1) for j in range(i, s.n + 1)]
 
 
-def _phi_skew(s: Sode, g: TensorField, i: int, j: int) -> Expr:
+def _lowered_jacobi(s: Sode, g: TensorField) -> TensorField:
+    """The Jacobi endomorphism lowered with the candidate, ``(g Phi)_ij
+    = sum_k g_ik Phi^k_j``: built once per report and read by every
+    cell that needs it."""
     jac = jacobi(s)
-    total = s.ctx.zero
-    for k in range(1, s.n + 1):
-        total = total + g.entry(i, k) * jac.entry(k, j)
-        total = total - g.entry(j, k) * jac.entry(k, i)
-    return total
+    indices = range(1, s.n + 1)
+    return TensorField(s.ctx, (0, 2), {
+        (i, j): sum((g.entry(i, k) * jac.entry(k, j) for k in indices),
+                    s.ctx.zero)
+        for i in indices for j in indices})
 
 
-def _phi_cells(s: Sode, g: TensorField, family: str = "PhiSym"):
-    return [Cell(_label(family, i, j), _phi_skew(s, g, i, j))
+def _phi_skew(g_phi: TensorField, i: int, j: int) -> Expr:
+    return g_phi.entry(i, j) - g_phi.entry(j, i)
+
+
+def _phi_cells(s: Sode, g: TensorField):
+    g_phi = _lowered_jacobi(s, g)
+    return [Cell(_label("PhiSym", i, j), _phi_skew(g_phi, i, j))
             for i, j in combinations(range(1, s.n + 1), 2)]
 
 
@@ -221,10 +229,11 @@ def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
         for j in range(i, s.n + 1):
             residual = grad.entry(i, j) - D.diff(ctx.v(i)).diff(ctx.v(j))
             cells.append(Cell(_label("HD2", i, j), residual))
+    g_phi = _lowered_jacobi(s, g)
     for i, j in combinations(range(1, s.n + 1), 2):
         correction = (horizontal_apply(s, i, D.diff(ctx.v(j)))
                       - horizontal_apply(s, j, D.diff(ctx.v(i))))
-        cells.append(Cell(_label("HD3", i, j), _phi_skew(s, g, i, j) - correction))
+        cells.append(Cell(_label("HD3", i, j), _phi_skew(g_phi, i, j) - correction))
     return ConditionReport("dissipative", tuple(cells), multiplier=g)
 
 
@@ -239,6 +248,7 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
     cells = _hd1_cells(s, g) + _nabla_cells(s, g, family="Hg2")
     pairs = list(combinations(range(1, s.n + 1), 2))
     d_omega = d_basic(ctx, {pair: omega.entry(*pair) for pair in pairs}, 2)
+    g_phi = _lowered_jacobi(s, g)
     for i, j in pairs:
         contraction = ctx.zero
         for k in range(1, s.n + 1):
@@ -248,7 +258,7 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
             # exactly when k lies between i and j
             term = d_omega[tuple(sorted((i, j, k)))] * ctx.var(ctx.v(k))
             contraction = contraction - term if i < k < j else contraction + term
-        cells.append(Cell(_label("Hg3", i, j), _phi_skew(s, g, i, j) - contraction))
+        cells.append(Cell(_label("Hg3", i, j), _phi_skew(g_phi, i, j) - contraction))
     return ConditionReport("gyroscopic", tuple(cells), multiplier=g)
 
 
@@ -284,30 +294,27 @@ def check_multiplier_gyroscopic(s: Sode, g: TensorField) -> ConditionReport:
     _require_multiplier(s, g)
     ctx = s.ctx
     cells = _hd1_cells(s, g) + _nabla_cells(s, g)
+    g_phi = _lowered_jacobi(s, g)
     for k, l in combinations(range(1, s.n + 1), 2):
         contraction = ctx.zero
         for i in range(1, s.n + 1):
             contraction = contraction + _curvature_cycle(s, g, i, k, l) * ctx.var(ctx.v(i))
         cells.append(Cell(_label("PhiR", k, l),
-                          -_phi_skew(s, g, k, l) - contraction))
-    cells.extend(_smooth_at_rest_cells(s, g))
+                          -_phi_skew(g_phi, k, l) - contraction))
+    cells.extend(_smooth_at_rest_cells(s, g, g_phi))
     return ConditionReport("thm4", tuple(cells), multiplier=g)
 
 
-def _smooth_at_rest_cells(s: Sode, g: TensorField):
+def _smooth_at_rest_cells(s: Sode, g: TensorField, g_phi: TensorField):
     """Indicator cells (one when bad, zero when fine) for denominators
-    vanishing identically at zero velocity."""
+    of ``g`` and ``g Phi`` vanishing identically at zero velocity."""
     ctx = s.ctx
-    jac = jacobi(s)
     rest = {ctx.v(k): ctx.zero for k in range(1, s.n + 1)}
     cells = []
-    for name, entry_of in (("g", g.entry),
-                           ("PhiG", lambda i, j: sum(
-                               (g.entry(i, k) * jac.entry(k, j)
-                                for k in range(1, s.n + 1)), ctx.zero))):
+    for name, matrix in (("g", g), ("PhiG", g_phi)):
         for i in range(1, s.n + 1):
             for j in range(i, s.n + 1):
-                den = entry_of(i, j).denominator_expr()
+                den = matrix.entry(i, j).denominator_expr()
                 bad = den.subst(rest).is_zero()
                 cells.append(Cell(_label(f"SmoothV0.{name}", i, j),
                                   ctx.one if bad else ctx.zero))

@@ -16,16 +16,30 @@ expressions carry their context and refuse to mix with another one.
 
 Every expression also keeps its denominator factored, as exponents over
 monic factors irreducible over QQ that are interned per ring (the ring's
-factor base). With irreducible factors no operation needs a gcd: a sum
-takes the larger exponent of each factor (Henrici's method), a product
-adds exponents, a derivative raises the exponent of each factor that
-depends on the variable, and the numerator is then reduced by exact
-trial division by those few factors that can still divide it. Only a
-polynomial from outside the base (a divisor, which is also how parsing
-builds quotients, or a substituted factor) is factored with
-``factor_list``, once per polynomial. Reduced forms with a monic
-denominator are unique, so the result is the fraction a multivariate
-gcd would give, and no operation here calls one.
+factor base). Reduced forms with a monic denominator are unique, and
+with irreducible factors no operation needs a gcd to reach them. Each
+step has one path:
+
+* ``Expr(ctx, num, den)``, the one public constructor, always returns
+  the canonical form: ``den`` is factored over the base with its
+  leading coefficient divided out, and a zero ``den`` raises
+  :class:`ZeroDenominatorError`. Operations build their results,
+  already reduced, through the internal ``_factored``.
+* ``over_factors`` is the one reduction: a numerator over a
+  factorisation, reduced by exact trial division by those factors.
+  Operations that know which factors can still divide their numerator
+  try only those: a sum takes the larger exponent of each factor
+  (Henrici's method), a product adds exponents, a derivative raises
+  the exponent of each factor that depends on the variable.
+* ``subst`` substitutes the numerator and only the denominator factors
+  the bindings touch, which may split or vanish; the untouched factors
+  are kept as they are.
+
+Only a polynomial from outside the base is factored with
+``factor_list``, once per polynomial: a constructor's ``den``, a divisor
+(which is also how parsing builds quotients) or the product of the
+substituted factors. The result is the fraction a multivariate gcd
+would give, and no operation here calls one.
 
 The polynomial arithmetic itself is delegated to ``sympy.polys.rings``
 (dense-exponent sparse polynomials over QQ, in lex order); the grammar,
@@ -248,8 +262,8 @@ class _FactorBase:
 
 def _ring_for(key):
     """The interned ring of a context key, with its generator names, the
-    VarId of each generator, the map from name to generator position and
-    the ring's factor base."""
+    VarId of each generator, the maps from name and from VarId to
+    generator position and the ring's factor base."""
     cached = _RING_CACHE.get(key)
     if cached is not None:
         return cached
@@ -262,9 +276,11 @@ def _ring_for(key):
     generators.extend((name, VarId.parameter(k))
                       for k, name in enumerate(parameters, 1))
     names = tuple(name for name, _var in generators)
+    varids = tuple(var for _name, var in generators)
     ring = _make_ring(names, QQ)[0]
-    cached = (ring, names, tuple(var for _name, var in generators),
+    cached = (ring, names, varids,
               {name: position for position, name in enumerate(names)},
+              {var: position for position, var in enumerate(varids)},
               _FactorBase(ring))
     _RING_CACHE[key] = cached
     return cached
@@ -280,7 +296,7 @@ class ExprContext:
 
     __slots__ = ("n", "max_jet_order", "parameters", "uses_time",
                  "_ring", "_gens", "_names", "_varids", "_name_pos",
-                 "_base", "_zero", "_one")
+                 "_var_pos", "_base", "zero", "one")
 
     def __init__(self, n: int, parameters: Iterable[str] = (),
                  max_jet_order: int = 1, uses_time: bool = False):
@@ -302,16 +318,17 @@ class ExprContext:
         object.__setattr__(self, "max_jet_order", max_jet_order)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "uses_time", bool(uses_time))
-        ring, names, varids, name_pos, base = _ring_for(
+        ring, names, varids, name_pos, var_pos, base = _ring_for(
             (self.uses_time, n, max_jet_order, parameters))
         object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_gens", ring.gens)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_varids", varids)
         object.__setattr__(self, "_name_pos", name_pos)
+        object.__setattr__(self, "_var_pos", var_pos)
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_zero", None)
-        object.__setattr__(self, "_one", None)
+        object.__setattr__(self, "zero", _factored(self, ring.zero, ()))
+        object.__setattr__(self, "one", _factored(self, ring.one, ()))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("ExprContext is immutable")
@@ -368,13 +385,7 @@ class ExprContext:
     # -- VarId <-> ring bookkeeping -----------------------------------------
 
     def display_name(self, var: VarId) -> str:
-        if var.kind == "time":
-            return "t"
-        if var.kind == "position":
-            return f"q{var.index}"
-        if var.kind == "jet":
-            return f"v{var.index}" if var.order == 1 else f"d{var.order}q{var.index}"
-        return self.parameters[var.index - 1]
+        return self._names[self.gen_index(var)]
 
     def _validate(self, var: VarId):
         if var.kind == "time":
@@ -390,8 +401,10 @@ class ExprContext:
                 raise ExprError(f"parameter index {var.index} out of range")
 
     def gen_index(self, var: VarId) -> int:
-        self._validate(var)
-        return self._name_pos[self.display_name(var)]
+        position = self._var_pos.get(var)
+        if position is None:
+            self._validate(var)  # raises: every legal variable is a generator
+        return position
 
     def varid_of_gen(self, position: int) -> VarId:
         return self._varids[position]
@@ -407,29 +420,13 @@ class ExprContext:
 
     # -- expression constructors --------------------------------------------
 
-    @property
-    def zero(self) -> "Expr":
-        cached = self._zero
-        if cached is None:
-            cached = Expr(self, self._ring.zero, self._ring.one)
-            object.__setattr__(self, "_zero", cached)
-        return cached
-
-    @property
-    def one(self) -> "Expr":
-        cached = self._one
-        if cached is None:
-            cached = Expr(self, self._ring.one, self._ring.one)
-            object.__setattr__(self, "_one", cached)
-        return cached
-
     def const(self, value: Union[int, Fraction]) -> "Expr":
         value = Fraction(value)
         num = self._ring.ground_new(QQ(value.numerator, value.denominator))
-        return Expr(self, num, self._ring.one)
+        return _factored(self, num, ())
 
     def var(self, var: VarId) -> "Expr":
-        return Expr(self, self._gens[self.gen_index(var)], self._ring.one)
+        return _factored(self, self._gens[self.gen_index(var)], ())
 
     def parse(self, text: str) -> "Expr":
         return parse(text, self)
@@ -442,27 +439,6 @@ class ExprContext:
 
 # --------------------------------------------------------------------------
 # canonical expressions
-
-
-def _canonical(ctx, num, den):
-    """Reduce num/den to coprime form with a monic denominator; returns
-    the numerator and the denominator's factorisation.
-
-    The denominator is factored over the factor base (a dict lookup for
-    a polynomial the base has seen, else ``factor_list`` once) and the
-    numerator is trial-divided by its factors. Reduced forms with a
-    monic denominator are unique, so this is the fraction a multivariate
-    gcd would give.
-    """
-    if not den:
-        raise ZeroDenominatorError("denominator is identically zero")
-    if not num:
-        return num, ()
-    lc, fac = ctx._base.factorise(den)
-    exps = dict(fac)
-    num = _divide_out(num if lc == QQ(1) else num.quo_ground(lc), exps,
-                      list(exps))
-    return num, _factorisation(exps)
 
 
 def _exact_quotient(num, factor):
@@ -521,9 +497,10 @@ def _divide_out(num, exps: dict, factors):
 
 
 def _factored(ctx: "ExprContext", num, fac: tuple) -> "Expr":
-    """The expression ``num / product(fac)``, already reduced."""
+    """The expression ``num / product(fac)``, already reduced; a zero
+    ``num`` stands over 1."""
     if not num:
-        return ctx.zero
+        fac = ()
     expr = object.__new__(Expr)
     object.__setattr__(expr, "ctx", ctx)
     object.__setattr__(expr, "num", num)
@@ -569,16 +546,22 @@ class Expr:
 
     __slots__ = ("ctx", "num", "den", "den_factors")
 
-    def __init__(self, ctx: ExprContext, num, den, _normalize: bool = False):
-        if _normalize:
-            num, fac = _canonical(ctx, num, den)
-            den = ctx._base.product(fac)
-        else:
-            fac = () if den.is_ground else ctx._base.factorise(den)[1]
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "den_factors", fac)
+    def __init__(self, ctx: ExprContext, num, den):
+        """The canonical form of ``num / den`` for polynomials ``num``
+        and ``den`` of ``ctx``'s ring.
+
+        ``den`` is factored over the factor base, its leading
+        coefficient divided out, and ``num`` is trial-divided by its
+        factors (``over_factors``). A zero ``den`` raises
+        :class:`ZeroDenominatorError`. Operations build their already
+        reduced results without this step.
+        """
+        if not den:
+            raise ZeroDenominatorError("denominator is identically zero")
+        lc, fac = ctx._base.factorise(den)
+        reduced = over_factors(ctx, num.quo_ground(lc), fac)
+        for slot in Expr.__slots__:
+            object.__setattr__(self, slot, getattr(reduced, slot))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -654,12 +637,7 @@ class Expr:
         ctx = self.ctx
         fa, fb = self.den_factors, other.den_factors
         if fa == fb:
-            num = self.num + other.num
-            if not fa or not num:
-                return _factored(ctx, num, ())
-            exps = dict(fa)
-            return _factored(ctx, _divide_out(num, exps, list(exps)),
-                             _factorisation(exps))
+            return over_factors(ctx, self.num + other.num, fa)
         exps = dict(fa)
         lift_a, lift_b, equal = {}, {}, []
         for factor, exponent in fb:
@@ -755,8 +733,7 @@ class Expr:
         """
         ctx = self.ctx
         position = ctx.gen_index(var)
-        gen = ctx._gens[position]
-        dnum = self.num.diff(gen)
+        dnum = self.num.diff(position)
         fac = self.den_factors
         if not fac:
             return _factored(ctx, dnum, ())
@@ -766,15 +743,13 @@ class Expr:
             base = ctx._base
             dnum = dnum * base.product(tuple((factor, 1) for factor, _k in moving))
             for factor, k in moving:
-                term = self.num * factor.poly.diff(gen)
+                term = self.num * factor.poly.diff(position)
                 others = tuple((other, 1) for other, _k in moving
                                if other is not factor)
                 if others:
                     term = term * base.product(others)
                 dnum = dnum - (term if k == 1 else term * k)
                 exps[factor] = k + 1
-        if not dnum:
-            return ctx.zero
         still = [factor for factor, _k in fac if position not in factor.gens]
         return _factored(ctx, _divide_out(dnum, exps, still),
                          _factorisation(exps))
@@ -784,8 +759,7 @@ class Expr:
         its factors can divide the new numerator (it would divide the
         numerator's derivative, the old numerator)."""
         gi = self.ctx.gen_index(var)
-        ring = self.ctx._ring
-        if self.den.degree(ring.gens[gi]) > 0:
+        if self.den.degree(gi) > 0:
             raise NotPolynomialError(
                 f"expression is not polynomial in {self.ctx.display_name(var)}",
                 var)
@@ -796,14 +770,21 @@ class Expr:
             lifted = list(monom)
             lifted[gi] += 1
             accum[tuple(lifted)] = coeff / QQ(lifted[gi])
-        return _factored(self.ctx, ring.from_dict(accum), self.den_factors)
+        return _factored(self.ctx, self.ctx._ring.from_dict(accum),
+                         self.den_factors)
 
     # -- substitution and evaluation ------------------------------------------
 
     def subst(self, bindings: Mapping[VarId, Union["Expr", int, Fraction]]) -> "Expr":
-        """Substitutes the numerator and each denominator factor the
-        bindings touch, then divides: a substituted factor may split or
-        vanish."""
+        """Simultaneous substitution.
+
+        The numerator is substituted, and of the denominator only the
+        factors whose variables are bound: a substituted factor may
+        split or vanish, so their product is factored again (once per
+        polynomial) when the numerator is divided by it. The untouched
+        factors stay as they are and only reduce the new numerator by
+        trial division.
+        """
         if not bindings:
             return self
         ctx = self.ctx
@@ -817,17 +798,21 @@ class Expr:
                 raise ContextMismatchError(
                     "substituted expression belongs to another context")
             sigma[ctx.gen_index(var)] = replacement
-        if all(factor.gens.isdisjoint(sigma) for factor, _k in self.den_factors):
-            num, fac = _subst_poly(ctx._ring, self.num, sigma)
-            return over_factors(ctx, num, fac + self.den_factors)
-        numerator = _subst_expr(ctx, self.num, sigma)
+        numerator = _subst_poly(ctx, self.num, sigma)
+        kept, touched = [], []
+        for pair in self.den_factors:
+            (kept if pair[0].gens.isdisjoint(sigma) else touched).append(pair)
+        result = over_factors(ctx, numerator.num,
+                              numerator.den_factors + tuple(kept))
+        if not touched:
+            return result
         denominator = ctx.one
-        for factor, exponent in self.den_factors:
-            denominator = denominator * _subst_expr(ctx, factor.poly, sigma) ** exponent
+        for factor, exponent in touched:
+            denominator = denominator * _subst_poly(ctx, factor.poly, sigma) ** exponent
         if denominator.is_zero():
             raise ZeroDenominatorError(
                 "substitution produced an identically-zero denominator")
-        return numerator / denominator
+        return result / denominator
 
     def eval_num(self, point: Mapping[VarId, Union[int, Fraction]]) -> Fraction:
         ctx = self.ctx
@@ -844,10 +829,10 @@ class Expr:
     # -- structure inspection --------------------------------------------------
 
     def depends_on(self, var: VarId) -> bool:
-        gen = self.ctx._gens[self.ctx.gen_index(var)]
-        if self.num and self.num.degree(gen) > 0:
+        position = self.ctx.gen_index(var)
+        if self.num and self.num.degree(position) > 0:
             return True
-        return self.den.degree(gen) > 0
+        return self.den.degree(position) > 0
 
     def free_varids(self):
         """The set of variables this expression actually depends on."""
@@ -866,9 +851,8 @@ class Expr:
         (a single VarId is accepted as well)."""
         if isinstance(variables, VarId):
             variables = (variables,)
-        ring = self.ctx._ring
         for var in variables:
-            if self.den.degree(ring.gens[self.ctx.gen_index(var)]) > 0:
+            if self.den.degree(self.ctx.gen_index(var)) > 0:
                 return False
         return True
 
@@ -891,13 +875,9 @@ class Expr:
         for monom, coeff in self.num.terms():
             degree = sum(monom[p] for p in positions)
             buckets.setdefault(degree, {})[monom] = coeff
-        ring = ctx._ring
-        parts = {}
-        for degree, monoms in sorted(buckets.items()):
-            exps = dict(self.den_factors)
-            num = _divide_out(ring.from_dict(monoms), exps, list(exps))
-            parts[degree] = _factored(ctx, num, _factorisation(exps))
-        return parts
+        return {degree: over_factors(ctx, ctx._ring.from_dict(monoms),
+                                     self.den_factors)
+                for degree, monoms in sorted(buckets.items())}
 
 
 def common_denominator(exprs):
@@ -927,7 +907,8 @@ def common_denominator(exprs):
 def over_factors(ctx: ExprContext, num, fac: Iterable) -> Expr:
     """The canonical form of the polynomial ``num`` over the product of
     ``fac``, ``(factor, exponent)`` pairs of ``ctx``'s factor base (as
-    ``common_denominator`` returns), by trial division."""
+    ``common_denominator`` returns; a factor listed twice adds its
+    exponents), by trial division of ``num`` by every factor."""
     exps = {}
     for factor, exponent in fac:
         exps[factor] = exps.get(factor, 0) + exponent
@@ -935,76 +916,42 @@ def over_factors(ctx: ExprContext, num, fac: Iterable) -> Expr:
                      _factorisation(exps))
 
 
-def _subst_expr(ctx, poly, sigma) -> Expr:
-    """``poly`` under the substitution ``sigma``, reduced."""
-    num, fac = _subst_poly(ctx._ring, poly, sigma)
-    return over_factors(ctx, num, fac)
+def _subst_poly(ctx, poly, sigma) -> Expr:
+    """The polynomial ``poly`` under ``sigma``, a map from generator
+    positions to expressions.
 
-
-def _subst_poly(ring, poly, sigma):
-    """Simultaneous substitution in a polynomial.
-
-    ``sigma`` maps generator positions to expressions. Returns an
-    unreduced numerator and its denominator's factorisation: the
-    product of the substituted denominators raised to the maximal
-    exponent with which each generator occurs.
-
-    When every bound value is a constant, one pass over the terms
-    folds ``value**exponent`` into each coefficient, drops the bound
-    exponents and collects the result in a dict, with denominator 1.
+    One pass over the terms folds ``value**exponent`` of every constant
+    value into the coefficient and groups the terms by their exponents
+    of the other bound generators; each such group is then multiplied
+    by its powers of the non-constant values with ``Expr`` arithmetic.
     """
-    if not sigma or not poly:
-        return poly, ()
-    terms = poly.terms()
-    if all(rep.is_constant() for rep in sigma.values()):
-        values = [(position, rep.num.LC / rep.den.LC)
-                  for position, rep in sigma.items()]
-        accum = {}
-        for monom, coeff in terms:
-            residue = list(monom)
-            for position, value in values:
-                exponent = residue[position]
-                if exponent:
-                    coeff = coeff * value ** exponent
-                    residue[position] = 0
-            if coeff:
-                key = tuple(residue)
-                accum[key] = accum.get(key, 0) + coeff
-        return ring.from_dict(accum), ()
-    max_exp = {}
-    for position in sigma:
-        max_exp[position] = max(t[0][position] for t in terms)
-    if all(e == 0 for e in max_exp.values()):
-        return poly, ()
-    power_cache = {}
-
-    def power(base_key, base_poly, exponent):
-        if exponent == 0:
-            return ring.one
-        key = (base_key, exponent)
-        cached = power_cache.get(key)
-        if cached is None:
-            cached = base_poly ** exponent
-            power_cache[key] = cached
-        return cached
-
-    total = ring.zero
-    for monom, coeff in terms:
-        piece = ring.ground_new(coeff)
+    constants = [(position, rep.num.LC / rep.den.LC)
+                 for position, rep in sigma.items() if rep.is_constant()]
+    others = [(position, rep) for position, rep in sigma.items()
+              if not rep.is_constant()]
+    groups = {}
+    for monom, coeff in poly.terms():
         residue = list(monom)
-        for position, rep in sigma.items():
+        for position, value in constants:
             exponent = residue[position]
-            residue[position] = 0
-            piece = piece * power(("n", position), rep.num, exponent)
-            piece = piece * power(("d", position), rep.den,
-                                  max_exp[position] - exponent)
-        piece = piece * ring.from_dict({tuple(residue): QQ(1)})
-        total = total + piece
-    exps = {}
-    for position, rep in sigma.items():
-        for factor, exponent in rep.den_factors:
-            exps[factor] = exps.get(factor, 0) + exponent * max_exp[position]
-    return total, _factorisation(exps)
+            if exponent:
+                coeff = coeff * value ** exponent
+                residue[position] = 0
+        if coeff:
+            powers = tuple([residue[position] for position, _rep in others])
+            for position, _rep in others:
+                residue[position] = 0
+            group = groups.setdefault(powers, {})
+            key = tuple(residue)
+            group[key] = group.get(key, 0) + coeff
+    total = ctx.zero
+    for powers, group in groups.items():
+        part = _factored(ctx, ctx._ring.from_dict(group), ())
+        for (_position, rep), exponent in zip(others, powers):
+            if exponent:
+                part = part * rep ** exponent
+        total = total + part
+    return total
 
 
 def _eval_poly(ctx, poly, values) -> Fraction:

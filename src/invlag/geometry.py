@@ -306,18 +306,21 @@ def curvature(s: Sode) -> TensorField:
         jac = jacobi(s)
         third = ctx.const(Fraction(1, 3))
         entries = {}
+        # Both formulas are antisymmetric in (i, j) by construction: a
+        # comparison with i > j is one with i < j negated, and both
+        # vanish on the diagonal.
         for k in range(1, s.n + 1):
-            for i in range(1, s.n + 1):
-                for j in range(1, s.n + 1):
-                    from_connection = (horizontal_apply(s, j, conn.entry(k, i))
-                                       - horizontal_apply(s, i, conn.entry(k, j)))
-                    from_jacobi = (jac.entry(k, j).diff(ctx.v(i))
-                                   - jac.entry(k, i).diff(ctx.v(j))) * third
-                    if from_connection != from_jacobi:
-                        raise InternalInconsistencyError(
-                            f"curvature formulas disagree at {(k, i, j)}: "
-                            f"{from_connection} vs {from_jacobi}")
-                    entries[(k, i, j)] = from_connection
+            for i, j in combinations(range(1, s.n + 1), 2):
+                from_connection = (horizontal_apply(s, j, conn.entry(k, i))
+                                   - horizontal_apply(s, i, conn.entry(k, j)))
+                from_jacobi = (jac.entry(k, j).diff(ctx.v(i))
+                               - jac.entry(k, i).diff(ctx.v(j))) * third
+                if from_connection != from_jacobi:
+                    raise InternalInconsistencyError(
+                        f"curvature formulas disagree at {(k, i, j)}: "
+                        f"{from_connection} vs {from_jacobi}")
+                entries[(k, i, j)] = from_connection
+                entries[(k, j, i)] = -from_connection
         cached = TensorField(ctx, (1, 2), entries, antisym=((2, 3),))
         s._memo["curvature"] = cached
     return cached

@@ -239,7 +239,6 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     rhs: List[Fraction] = []
     labels: List[str] = []
     residuals: List[Tuple[str, Expr]] = []
-    ring = ectx._ring
     for cell in report.cells:
         if cell.label.startswith("SmoothV0"):
             continue
@@ -248,7 +247,7 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
             continue
         residuals.append((cell.label, residual))
         for gen_position in unknown_positions:
-            if residual.den.degree(ring.gens[gen_position]) > 0:
+            if residual.den.degree(gen_position) > 0:
                 raise NonlinearCouplingError(
                     f"unknowns in a denominator at cell {cell.label}")
         groups: Dict[tuple, Tuple[List[Fraction], Fraction]] = {}

@@ -23,7 +23,7 @@ import pytest
 from sympy.polys.rings import PolyElement
 
 import invlag
-from invlag import conditions, exprcore, geometry, solver
+from invlag import cli, conditions, exprcore, geometry, solver
 from invlag.exprcore import ExprContext
 from invlag.reconstruct import forward_accelerations
 
@@ -486,6 +486,19 @@ def test_fixture_names_resolve_like_paths():
     tail_name = by_name.stdout.splitlines()[2:]
     tail_file = by_file.stdout.splitlines()[2:]
     assert tail_name == tail_file
+
+
+def test_calls_share_the_parser_but_not_their_options(monkeypatch):
+    """``main`` parses with one parser built at import, and a call with
+    ``--instantiate`` leaves nothing behind for the next call."""
+    monkeypatch.setattr(cli, "build_parser", None)
+    plain = run_cli("analyze", "planar_drag")
+    bound = run_cli("analyze", "planar_drag", "--instantiate", "b=2")
+    again = run_cli("analyze", "planar_drag")
+    assert plain.returncode == bound.returncode == 0
+    assert "  Phi[1,2] = b" in plain.stdout
+    assert "  Phi[1,2] = 2" in bound.stdout
+    assert again == plain
 
 
 def test_rational_instantiation_rejects_garbage():

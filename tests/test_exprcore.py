@@ -8,13 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement
 
 from invlag import exprcore
 from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
-                             ExprSyntaxError, JetOrderError,
+                             ExprError, ExprSyntaxError, JetOrderError,
                              NotPolynomialError, PoleError,
-                             UnknownIdentifierError, ZeroDenominatorError,
-                             convert)
+                             UnknownIdentifierError, VarId,
+                             ZeroDenominatorError, convert)
 from invlag.numeric import (central_difference, sample_point, seeded_rng,
                             nonzero_somewhere)
 
@@ -62,6 +63,25 @@ def test_denominator_is_monic():
     assert str(e) == "(1/2*q1)/(q2 + 1)"
 
 
+def test_constructor_returns_the_canonical_form():
+    ctx = ExprContext(2)
+    ring = ctx._ring
+    q1, q2 = ring.gens[:2]
+    half = Expr(ctx, q1, ring(2))
+    assert str(half) == "1/2*q1" and half == ctx.parse("q1/2")
+    unreduced = Expr(ctx, q1 * q2, 2 * q2)
+    assert unreduced == ctx.parse("q1/2") and unreduced.den == ring.one
+    scaled = Expr(ctx, 3 * q1 * (q1 + q2), -6 * (q1 + q2) ** 2)
+    assert (scaled.num, scaled.den) == (-q1 / 2, q1 + q2)
+    assert scaled.den_factors == ctx.parse("1/(q1 + q2)").den_factors
+
+
+def test_constructor_rejects_a_zero_denominator():
+    ctx = ExprContext(2)
+    with pytest.raises(ZeroDenominatorError):
+        Expr(ctx, ctx._ring.gens[0], ctx._ring.zero)
+
+
 def test_diff_monomial():
     ctx = ExprContext(3)
     e = ctx.parse("q2*v1*v3")
@@ -97,6 +117,33 @@ def test_subst_empty_map_is_identity():
     ctx = ExprContext(2)
     e = ctx.parse("(q1 + q2)/(q1*q2)")
     assert e.subst({}) == e
+
+
+def test_subst_away_from_the_denominator_factors_nothing(monkeypatch):
+    """Bindings that touch no denominator factor leave the denominator
+    as it is: no ``factor_list`` call, for constant, polynomial and
+    rational values alike."""
+    monkeypatch.setattr(exprcore, "_RING_CACHE", {})  # a fresh factor base
+    ctx = ExprContext(2)
+    e = ctx.parse("(q1^2*v1 + v2)/(q2^2 + 1)")
+    bindings = [{ctx.q(1): 3}, {ctx.v(1): ctx.parse("q1 + v2")},
+                {ctx.q(1): ctx.parse("v1/(q2 - 1)"), ctx.v(2): Fraction(1, 2)}]
+    expected = [ctx.parse(text) for text in (
+        "(9*v1 + v2)/(q2^2 + 1)", "(q1^3 + q1^2*v2 + v2)/(q2^2 + 1)",
+        "(v1^3/(q2 - 1)^2 + 1/2)/(q2^2 + 1)")]
+    touching = ctx.parse("q1 + 2")
+    calls = []
+    original = PolyElement.factor_list
+
+    def counting(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(PolyElement, "factor_list", counting)
+    assert [e.subst(binding) for binding in bindings] == expected
+    assert calls == []
+    e.subst({ctx.q(2): touching})  # q2^2 + 1 becomes q1^2 + 4*q1 + 5
+    assert len(calls) == 1
 
 
 def test_subst_rejects_zero_denominator():
@@ -147,6 +194,20 @@ def test_integrate_rejects_rational():
     ctx = ExprContext(2)
     with pytest.raises(NotPolynomialError):
         ctx.parse("1/q2").integrate_poly(ctx.q(2))
+
+
+@pytest.mark.parametrize("var, message", [
+    (VarId.position(3), "coordinate index 3 outside 1..2"),
+    (VarId.jet(1, 2), "jet order 2 exceeds context maximum 1"),
+    (VarId.time(), "context has no time variable"),
+    (VarId.parameter(2), "parameter index 2 out of range"),
+])
+def test_variables_outside_the_context_are_rejected(var, message):
+    ctx = ExprContext(2, parameters=("a",))
+    with pytest.raises(ExprError, match=message):
+        ctx.var(var)
+    with pytest.raises(ExprError, match=message):
+        ctx.parse("q1").diff(var)
 
 
 def test_syntax_error_carries_position():
@@ -298,7 +359,7 @@ def test_normalize_matches_reference_reduction(seed, scale, shape):
         num, den = c, bottom * common
     else:
         num, den = top * common, bottom * common * c
-    e = Expr(ctx, num, den, _normalize=True)
+    e = Expr(ctx, num, den)
     assert (e.num, e.den) == _reference_reduction(num, den)
 
 
@@ -376,8 +437,8 @@ def test_shared_factor_denominators_match_reference_reduction(x, y, op, var,
     """Every operation on denominators built from shared (and one
     reducible) factors gives sympy's reduction with a monic denominator."""
     ctx = _SHARED_CTX
-    a = Expr(ctx, *x, _normalize=True)
-    b = Expr(ctx, *y, _normalize=True)
+    a = Expr(ctx, *x)
+    b = Expr(ctx, *y)
     assert (a.num, a.den) == _reference_reduction(*x)
     (xn, xd), (yn, yd) = x, y
     gen = ctx._gens[ctx.gen_index(var)]

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext
-from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
+from invlag.geometry import (DimensionMismatchError, GeometryError,
+                             InternalInconsistencyError, Sode,
                              TensorField, connection, curvature, d_basic,
                              dh_jacobi, gamma_apply, horizontal_apply,
                              identity_matrix, jacobi, matrix_det,
@@ -132,6 +133,19 @@ def test_curvature_of_coupled_system():
                 else:
                     assert R.entry(k, i, j) == ctx.parse(want), (k, i, j)
                 assert R.entry(k, j, i) == -R.entry(k, i, j)
+
+
+def test_curvature_cross_check_catches_a_corrupt_jacobi():
+    """``curvature`` compares its two formulas only for i < j; a
+    velocity-dependent term slipped into one Jacobi entry still makes
+    them disagree."""
+    ctx, s = coupled_three()
+    jac = jacobi(s)
+    entries = dict(jac.entries)
+    entries[(1, 2)] = jac.entry(1, 2) + ctx.parse("v1^2")
+    s._memo["jacobi"] = TensorField(ctx, (1, 1), entries)
+    with pytest.raises(InternalInconsistencyError):
+        curvature(s)
 
 
 def test_flow_derivative_of_coupled_metric():
