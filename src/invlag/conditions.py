@@ -121,10 +121,9 @@ def _require_multiplier(s: Sode, g: TensorField):
         raise DimensionMismatchError("multiplier lives in a different context")
     if g.shape != (0, 2):
         raise DimensionMismatchError("multiplier must be a (0,2) tensor")
-    for i in range(1, s.n + 1):
-        for j in range(i + 1, s.n + 1):
-            if g.entry(i, j) != g.entry(j, i):
-                raise GeometryError(f"multiplier is not symmetric at {(i, j)}")
+    for i, j in combinations(range(1, s.n + 1), 2):
+        if g.entry(i, j) != g.entry(j, i):
+            raise GeometryError(f"multiplier is not symmetric at {(i, j)}")
 
 
 def _require_two_form(s: Sode, omega: TensorField):
@@ -155,13 +154,10 @@ def _require_function(s: Sode, D: Expr):
 
 def _hd1_cells(s: Sode, g: TensorField):
     """Velocity symmetry of the candidate: V_k(g_ij) - V_j(g_ik)."""
-    ctx = s.ctx
-    cells = []
-    for i in range(1, s.n + 1):
-        for j, k in combinations(range(1, s.n + 1), 2):
-            residual = g.entry(i, j).diff(ctx.v(k)) - g.entry(i, k).diff(ctx.v(j))
-            cells.append(Cell(_label("HD1", i, j, k), residual))
-    return cells
+    v, indices = s.ctx.v, range(1, s.n + 1)
+    return [Cell(_label("HD1", i, j, k),
+                 g.entry(i, j).diff(v(k)) - g.entry(i, k).diff(v(j)))
+            for i in indices for j, k in combinations(indices, 2)]
 
 
 def _nabla_cells(s: Sode, g: TensorField, family: str = "NablaG"):
@@ -192,13 +188,31 @@ def _phi_cells(s: Sode, g: TensorField):
             for i, j in combinations(range(1, s.n + 1), 2)]
 
 
-def _curvature_cycle(s: Sode, g: TensorField, i: int, k: int, l: int) -> Expr:
+def _curvature_cycles(s: Sode, g: TensorField) -> dict:
+    """The curvature cycle ``sum_j g_ij R^j_kl + g_lj R^j_ik + g_kj R^j_li``
+    on every ascending triple ``(i, k, l)``, built once per report; it is
+    totally antisymmetric, so these triples determine it."""
+    if s.n < 3:  # no triples: R is not needed, so not built
+        return {}
     R = curvature(s)
-    total = s.ctx.zero
-    for j in range(1, s.n + 1):
-        total = total + g.entry(i, j) * R.entry(j, k, l)
-        total = total + g.entry(l, j) * R.entry(j, i, k)
-        total = total + g.entry(k, j) * R.entry(j, l, i)
+    indices = range(1, s.n + 1)
+    return {(i, k, l): sum((g.entry(i, j) * R.entry(j, k, l)
+                            + g.entry(l, j) * R.entry(j, i, k)
+                            + g.entry(k, j) * R.entry(j, l, i)
+                            for j in indices), s.ctx.zero)
+            for i, k, l in combinations(indices, 3)}
+
+
+def _velocity_contraction(ctx: ExprContext, form: dict, i: int, j: int) -> Expr:
+    """``sum_k form_ijk v^k`` for ``i < j`` and a totally antisymmetric
+    three-form stored on ascending index tuples: a repeated index reads
+    as zero, and ``(i, j, k)`` is an odd permutation of its ascending
+    order exactly when ``k`` lies between ``i`` and ``j``."""
+    total = ctx.zero
+    for k in range(1, ctx.n + 1):
+        if k not in (i, j):
+            term = form[tuple(sorted((i, j, k)))] * ctx.var(ctx.v(k))
+            total = total - term if i < k < j else total + term
     return total
 
 
@@ -250,14 +264,7 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
     d_omega = d_basic(ctx, {pair: omega.entry(*pair) for pair in pairs}, 2)
     g_phi = _lowered_jacobi(s, g)
     for i, j in pairs:
-        contraction = ctx.zero
-        for k in range(1, s.n + 1):
-            if k in (i, j):
-                continue
-            # (i, j, k) is an odd permutation of its ascending order
-            # exactly when k lies between i and j
-            term = d_omega[tuple(sorted((i, j, k)))] * ctx.var(ctx.v(k))
-            contraction = contraction - term if i < k < j else contraction + term
+        contraction = _velocity_contraction(ctx, d_omega, i, j)
         cells.append(Cell(_label("Hg3", i, j), _phi_skew(g_phi, i, j) - contraction))
     return ConditionReport("gyroscopic", tuple(cells), multiplier=g)
 
@@ -278,9 +285,8 @@ def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
                 residual = residual + g.entry(i, l) * theta.entry(l, j, k)
                 residual = residual - g.entry(j, l) * theta.entry(l, i, k)
             cells.append(Cell(_label("DHSym", i, j, k), residual))
-    for i, k, l in combinations(range(1, s.n + 1), 3):
-        cells.append(Cell(_label("RCycle", i, k, l),
-                          _curvature_cycle(s, g, i, k, l)))
+    cells.extend(Cell(_label("RCycle", *idx), cycle)
+                 for idx, cycle in _curvature_cycles(s, g).items())
     return ConditionReport("thm3", tuple(cells), multiplier=g)
 
 
@@ -295,10 +301,10 @@ def check_multiplier_gyroscopic(s: Sode, g: TensorField) -> ConditionReport:
     ctx = s.ctx
     cells = _hd1_cells(s, g) + _nabla_cells(s, g)
     g_phi = _lowered_jacobi(s, g)
+    cycles = _curvature_cycles(s, g)
     for k, l in combinations(range(1, s.n + 1), 2):
-        contraction = ctx.zero
-        for i in range(1, s.n + 1):
-            contraction = contraction + _curvature_cycle(s, g, i, k, l) * ctx.var(ctx.v(i))
+        # sum_i cycle_ikl v^i = sum_i cycle_kli v^i: the cycle is cyclic
+        contraction = _velocity_contraction(ctx, cycles, k, l)
         cells.append(Cell(_label("PhiR", k, l),
                           -_phi_skew(g_phi, k, l) - contraction))
     cells.extend(_smooth_at_rest_cells(s, g, g_phi))
@@ -336,14 +342,9 @@ def check_rayleigh(s: Sode, g: TensorField) -> ConditionReport:
     multiplier conditions themselves are reported in the notes, not
     enforced."""
     _require_multiplier(s, g)
-    ctx = s.ctx
-    grad = nabla_tensor02(s, g)
-    cells = []
-    for i in range(1, s.n + 1):
-        for j in range(i, s.n + 1):
-            for k in range(1, s.n + 1):
-                cells.append(Cell(_label("VNablaG", i, j, k),
-                                  grad.entry(i, j).diff(ctx.v(k))))
+    grad, indices = nabla_tensor02(s, g), range(1, s.n + 1)
+    cells = [Cell(_label("VNablaG", i, j, k), grad.entry(i, j).diff(s.ctx.v(k)))
+             for i in indices for j in range(i, s.n + 1) for k in indices]
     base = check_multiplier_dissipative(s, g)
     verdict = "pass" if base.passes else "fail"
     notes = (f"multiplier conditions for a dissipative representation: {verdict}",)

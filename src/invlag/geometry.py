@@ -6,7 +6,9 @@ Jacobi endomorphism, a curvature tensor, the vertical derivative of the
 connection (``theta``), and a covariant derivative along the flow
 acting on tensor fields. Those objects are what every condition suite
 in :mod:`invlag.conditions` is written in terms of, so they are built
-here once, exactly, and cached per system.
+here once, exactly, and cached per system. A system extended to a
+context with more parameters (:meth:`Sode.extended`) converts them from
+the system it came from instead of building them again.
 
 Index convention: all public indices are 1-based, matching the
 ``q1..qn`` naming of the expression layer.
@@ -20,7 +22,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 from sympy.polys.matrices import DomainMatrix
 
-from .exprcore import Expr, ExprContext, common_denominator, over_factors
+from .exprcore import (Expr, ExprContext, common_denominator, convert,
+                       over_factors)
 
 
 class GeometryError(Exception):
@@ -166,16 +169,11 @@ def matrix_solve(tensor: TensorField, rhs: Sequence[Expr]) -> List[Expr]:
     det = matrix_det(tensor)
     if det.is_zero():
         raise GeometryError("matrix is singular as an expression")
-    n = tensor.n
-    solution = []
-    for column in range(1, n + 1):
-        modified = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                modified[(i, j)] = rhs[i - 1] if j == column else tensor.entry(i, j)
-        solution.append(matrix_det(TensorField(tensor.ctx, (0, 2), modified))
-                        / det)
-    return solution
+    indices = range(1, tensor.n + 1)
+    return [matrix_det(TensorField(tensor.ctx, (0, 2), {
+                (i, j): rhs[i - 1] if j == column else tensor.entry(i, j)
+                for i in indices for j in indices})) / det
+            for column in indices]
 
 
 def d_basic(ctx: ExprContext, form: dict, degree: int) -> dict:
@@ -226,25 +224,48 @@ class Sode:
         self.ctx = ctx
         self.n = ctx.n
         self.f = f
+        self.origin = None
         self._memo = {}
 
     def __repr__(self):
         return f"Sode(n={self.n}, f={[str(e) for e in self.f]})"
 
+    def extended(self, ctx: ExprContext) -> "Sode":
+        """The same system over ``ctx``, which declares at least its
+        variables (e.g. ``self.ctx.with_parameters(names)``). Its geometry
+        is this system's, converted: the added generators occur in no
+        right-hand side, so every derivative commutes with the embedding."""
+        copy = Sode(ctx, [convert(entry, ctx) for entry in self.f])
+        copy.origin = self if self.origin is None else self.origin
+        return copy
+
+
+def _memoised(s: Sode, key: str, build) -> TensorField:
+    """``build(s)``, cached on the system; an extended system converts
+    its origin's object instead, building it there on first need."""
+    if key not in s._memo:
+        if s.origin is None:
+            s._memo[key] = build(s)
+        else:
+            source = _memoised(s.origin, key, build)
+            s._memo[key] = TensorField(
+                s.ctx, source.shape,
+                {idx: convert(value, s.ctx) for idx, value in source.entries.items()},
+                sym=source.sym, antisym=source.antisym)
+    return s._memo[key]
+
 
 def connection(s: Sode) -> TensorField:
     """Connection coefficients: ``-1/2 * d f^i / d v^j`` (slot order (i, j))."""
-    cached = s._memo.get("connection")
-    if cached is None:
-        ctx = s.ctx
-        entries = {}
-        half = ctx.const(Fraction(-1, 2))
-        for i in range(1, s.n + 1):
-            for j in range(1, s.n + 1):
-                entries[(i, j)] = s.f[i - 1].diff(ctx.v(j)) * half
-        cached = TensorField(ctx, (1, 1), entries)
-        s._memo["connection"] = cached
-    return cached
+    return _memoised(s, "connection", _connection)
+
+
+def _connection(s: Sode) -> TensorField:
+    ctx = s.ctx
+    half = ctx.const(Fraction(-1, 2))
+    entries = {(i, j): s.f[i - 1].diff(ctx.v(j)) * half
+               for i in range(1, s.n + 1) for j in range(1, s.n + 1)}
+    return TensorField(ctx, (1, 1), entries)
 
 
 def gamma_apply(s: Sode, F: Expr) -> Expr:
@@ -274,20 +295,16 @@ def horizontal_apply(s: Sode, i: int, F: Expr) -> Expr:
 
 def jacobi(s: Sode) -> TensorField:
     """The Jacobi endomorphism of the system (a (1,1) tensor)."""
-    cached = s._memo.get("jacobi")
-    if cached is None:
-        ctx = s.ctx
-        conn = connection(s)
-        entries = {}
-        for i in range(1, s.n + 1):
-            for j in range(1, s.n + 1):
-                value = -s.f[i - 1].diff(ctx.q(j)) - gamma_apply(s, conn.entry(i, j))
-                for k in range(1, s.n + 1):
-                    value = value - conn.entry(k, j) * conn.entry(i, k)
-                entries[(i, j)] = value
-        cached = TensorField(ctx, (1, 1), entries)
-        s._memo["jacobi"] = cached
-    return cached
+    return _memoised(s, "jacobi", _jacobi)
+
+
+def _jacobi(s: Sode) -> TensorField:
+    ctx, conn, indices = s.ctx, connection(s), range(1, s.n + 1)
+    return TensorField(ctx, (1, 1), {
+        (i, j): (-s.f[i - 1].diff(ctx.q(j)) - gamma_apply(s, conn.entry(i, j))
+                 - sum((conn.entry(k, j) * conn.entry(i, k) for k in indices),
+                       ctx.zero))
+        for i in indices for j in indices})
 
 
 def curvature(s: Sode) -> TensorField:
@@ -299,69 +316,62 @@ def curvature(s: Sode) -> TensorField:
     derivative of the Jacobi endomorphism; a mismatch would mean the
     expression kernel itself is broken, and raises.
     """
-    cached = s._memo.get("curvature")
-    if cached is None:
-        ctx = s.ctx
-        conn = connection(s)
-        jac = jacobi(s)
-        third = ctx.const(Fraction(1, 3))
-        entries = {}
-        # Both formulas are antisymmetric in (i, j) by construction: a
-        # comparison with i > j is one with i < j negated, and both
-        # vanish on the diagonal.
-        for k in range(1, s.n + 1):
-            for i, j in combinations(range(1, s.n + 1), 2):
-                from_connection = (horizontal_apply(s, j, conn.entry(k, i))
-                                   - horizontal_apply(s, i, conn.entry(k, j)))
-                from_jacobi = (jac.entry(k, j).diff(ctx.v(i))
-                               - jac.entry(k, i).diff(ctx.v(j))) * third
-                if from_connection != from_jacobi:
-                    raise InternalInconsistencyError(
-                        f"curvature formulas disagree at {(k, i, j)}: "
-                        f"{from_connection} vs {from_jacobi}")
-                entries[(k, i, j)] = from_connection
-                entries[(k, j, i)] = -from_connection
-        cached = TensorField(ctx, (1, 2), entries, antisym=((2, 3),))
-        s._memo["curvature"] = cached
-    return cached
+    return _memoised(s, "curvature", _curvature)
+
+
+def _curvature(s: Sode) -> TensorField:
+    ctx = s.ctx
+    conn = connection(s)
+    jac = jacobi(s)
+    third = ctx.const(Fraction(1, 3))
+    entries = {}
+    # Both formulas are antisymmetric in (i, j) by construction: a
+    # comparison with i > j is one with i < j negated, and both vanish
+    # on the diagonal.
+    for k in range(1, s.n + 1):
+        for i, j in combinations(range(1, s.n + 1), 2):
+            from_connection = (horizontal_apply(s, j, conn.entry(k, i))
+                               - horizontal_apply(s, i, conn.entry(k, j)))
+            from_jacobi = (jac.entry(k, j).diff(ctx.v(i))
+                           - jac.entry(k, i).diff(ctx.v(j))) * third
+            if from_connection != from_jacobi:
+                raise InternalInconsistencyError(
+                    f"curvature formulas disagree at {(k, i, j)}: "
+                    f"{from_connection} vs {from_jacobi}")
+            entries[(k, i, j)] = from_connection
+            entries[(k, j, i)] = -from_connection
+    return TensorField(ctx, (1, 2), entries, antisym=((2, 3),))
 
 
 def theta_tensor(s: Sode) -> TensorField:
     """Vertical derivative of the connection, slot order (l, j, k):
     ``d Gamma^l_j / d v^k``; symmetric in the two lower slots because
     the connection has no torsion (asserted)."""
-    cached = s._memo.get("theta")
-    if cached is None:
-        ctx = s.ctx
-        conn = connection(s)
-        entries = {}
-        for l in range(1, s.n + 1):
-            for j in range(1, s.n + 1):
-                for k in range(1, s.n + 1):
-                    entries[(l, j, k)] = conn.entry(l, j).diff(ctx.v(k))
-        try:
-            cached = TensorField(ctx, (1, 2), entries, sym=((2, 3),))
-        except GeometryError as exc:
-            raise InternalInconsistencyError(
-                f"connection acquired torsion: {exc}") from exc
-        s._memo["theta"] = cached
-    return cached
+    return _memoised(s, "theta", _theta)
+
+
+def _theta(s: Sode) -> TensorField:
+    conn = connection(s)
+    indices = range(1, s.n + 1)
+    entries = {(l, j, k): conn.entry(l, j).diff(s.ctx.v(k))
+               for l in indices for j in indices for k in indices}
+    try:
+        return TensorField(s.ctx, (1, 2), entries, sym=((2, 3),))
+    except GeometryError as exc:
+        raise InternalInconsistencyError(
+            f"connection acquired torsion: {exc}") from exc
 
 
 def nabla_tensor02(s: Sode, g: TensorField) -> TensorField:
     """Covariant derivative along the flow of a (0,2) tensor:
     ``Gamma(g_ij) - g_ik Gamma^k_j - g_jk Gamma^k_i``."""
     _expect_02(s, g)
-    conn = connection(s)
-    entries = {}
-    for i in range(1, s.n + 1):
-        for j in range(1, s.n + 1):
-            value = gamma_apply(s, g.entry(i, j))
-            for k in range(1, s.n + 1):
-                value = value - g.entry(i, k) * conn.entry(k, j)
-                value = value - g.entry(j, k) * conn.entry(k, i)
-            entries[(i, j)] = value
-    return TensorField(s.ctx, (0, 2), entries)
+    conn, indices = connection(s), range(1, s.n + 1)
+    return TensorField(s.ctx, (0, 2), {
+        (i, j): gamma_apply(s, g.entry(i, j))
+        - sum((g.entry(i, k) * conn.entry(k, j) + g.entry(j, k) * conn.entry(k, i)
+               for k in indices), s.ctx.zero)
+        for i in indices for j in indices})
 
 
 def nabla_tensor12(s: Sode, T: TensorField) -> TensorField:
@@ -369,37 +379,26 @@ def nabla_tensor12(s: Sode, T: TensorField) -> TensorField:
     (k, i, j)), by the Leibniz extension of the (1,0)/(0,1) rules."""
     if T.ctx != s.ctx or T.shape != (1, 2):
         raise DimensionMismatchError("expected a (1,2) tensor over the system")
-    conn = connection(s)
-    entries = {}
-    for k in range(1, s.n + 1):
-        for i in range(1, s.n + 1):
-            for j in range(1, s.n + 1):
-                value = gamma_apply(s, T.entry(k, i, j))
-                for l in range(1, s.n + 1):
-                    value = value + conn.entry(k, l) * T.entry(l, i, j)
-                    value = value - conn.entry(l, i) * T.entry(k, l, j)
-                    value = value - conn.entry(l, j) * T.entry(k, i, l)
-                entries[(k, i, j)] = value
-    return TensorField(s.ctx, (1, 2), entries)
+    conn, indices = connection(s), range(1, s.n + 1)
+    return TensorField(s.ctx, (1, 2), {
+        (k, i, j): gamma_apply(s, T.entry(k, i, j))
+        + sum((conn.entry(k, l) * T.entry(l, i, j)
+               - conn.entry(l, i) * T.entry(k, l, j)
+               - conn.entry(l, j) * T.entry(k, i, l) for l in indices), s.ctx.zero)
+        for k in indices for i in indices for j in indices})
 
 
 def dh_jacobi(s: Sode) -> TensorField:
     """Antisymmetrised horizontal derivative of the Jacobi endomorphism,
     slot order (k, i, j); equals the covariant derivative of the
     curvature along the flow (tested property)."""
-    jac = jacobi(s)
-    theta = theta_tensor(s)
-    entries = {}
-    for k in range(1, s.n + 1):
-        for i in range(1, s.n + 1):
-            for j in range(1, s.n + 1):
-                value = (horizontal_apply(s, i, jac.entry(k, j))
-                         - horizontal_apply(s, j, jac.entry(k, i)))
-                for l in range(1, s.n + 1):
-                    value = value + jac.entry(l, j) * theta.entry(k, l, i)
-                    value = value - jac.entry(l, i) * theta.entry(k, l, j)
-                entries[(k, i, j)] = value
-    return TensorField(s.ctx, (1, 2), entries)
+    jac, theta, indices = jacobi(s), theta_tensor(s), range(1, s.n + 1)
+    return TensorField(s.ctx, (1, 2), {
+        (k, i, j): horizontal_apply(s, i, jac.entry(k, j))
+        - horizontal_apply(s, j, jac.entry(k, i))
+        + sum((jac.entry(l, j) * theta.entry(k, l, i)
+               - jac.entry(l, i) * theta.entry(k, l, j) for l in indices), s.ctx.zero)
+        for k in indices for i in indices for j in indices})
 
 
 def _expect_02(s: Sode, g: TensorField):

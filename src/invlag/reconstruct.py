@@ -26,7 +26,7 @@ from .geometry import (DimensionMismatchError, GeometryError,
                        InternalInconsistencyError, Sode, TensorField,
                        d_basic, gamma_apply, matrix_solve, nabla_tensor02)
 from .conditions import (ConditionReport, Cell, check_multiplier_dissipative,
-                         check_multiplier_gyroscopic, _curvature_cycle,
+                         check_multiplier_gyroscopic, _curvature_cycles,
                          _require_two_form)
 
 
@@ -336,9 +336,7 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
             "multiplier fails the gyroscopic existence conditions", report)
     ctx = s.ctx
     n = s.n
-    rho = {}
-    for i, j, k in combinations(range(1, n + 1), 3):
-        rho[(i, j, k)] = -_curvature_cycle(s, g, i, j, k)
+    rho = {idx: -cycle for idx, cycle in _curvature_cycles(s, g).items()}
     for idx, value in rho.items():
         for k in range(1, n + 1):
             if value.depends_on(ctx.v(k)):

@@ -218,12 +218,13 @@ def _unknown_names(ctx: ExprContext, count: int) -> Tuple[str, ...]:
 def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     """Expand the suite's condition cells over the ansatz into an exact
     linear system, one equation per monomial in everything that is not
-    an unknown."""
+    an unknown. The suite runs on ``s.extended(...)``, which reads the
+    geometry of ``s`` instead of building it again among the unknowns."""
     ctx = s.ctx
     layout = p.layout
     names = _unknown_names(ctx, len(layout))
     ectx = ctx.with_parameters(names)
-    s_e = Sode(ectx, [convert(f, ectx) for f in s.f])
+    s_e = s.extended(ectx)
     unknown_vars = [ectx.param(name) for name in names]
     g, omega = _ansatz_tensors(p, ectx, [ectx.var(var) for var in unknown_vars])
     if omega is None and p.omega is not None:

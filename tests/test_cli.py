@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from functools import lru_cache
@@ -509,7 +510,6 @@ def test_rational_instantiation_rejects_garbage():
 
 
 def test_readme_command_table_is_accurate():
-    import pathlib
     import re
 
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -523,3 +523,34 @@ def test_readme_command_table_is_accurate():
         expected = int(match.group(1)) if match else 0
         result = run_cli(*command.split()[1:])
         assert result.returncode == expected, (command, result.stderr)
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, instantiate, code", [
+    ("planar_drag", None, 0),
+    ("coupled3", None, 0),
+    ("chain4", None, 3),
+    ("chain4_gyro", None, 3),
+    ("chain4_gyro", "b=1/2", 3),
+    ("chain4_gyro", "b=-1/3", 3),
+    ("chain4_gyro", "b=3/4", 3),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_readme_solve_rows_print_the_golden_output(name, instantiate, code, fmt):
+    """The README's ``solve`` rows print, byte for byte, the stdout kept
+    in ``tests/golden`` (file ``solve_<fixture>[_<binding>].txt|json``,
+    with ``=`` and ``/`` in the binding written as ``_``); the only
+    normalisation is the fixture directory, written ``<fixtures>``."""
+    args = ["solve", name]
+    slug = "_".join(args)
+    if instantiate is not None:
+        args += ["--instantiate", instantiate]
+        slug += "_" + instantiate.replace("=", "_").replace("/", "_")
+    args += ["--format", fmt]
+    expected = (GOLDEN / f"{slug}.{'txt' if fmt == 'text' else 'json'}").read_text()
+    result = run_cli(*args)
+    fixtures = str(resources.files("invlag") / "fixtures")
+    assert (result.returncode, result.stderr) == (code, "")
+    assert result.stdout.replace(fixtures, "<fixtures>") == expected

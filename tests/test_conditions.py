@@ -3,14 +3,15 @@ reference systems, reduction properties between suites, and the
 implicit-system checker with its independent cross-check route."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from invlag import conditions
 from invlag.cli import ansatz_problem, load_problem, report_payload
 from invlag.exprcore import ExprContext
-from invlag.geometry import (GeometryError, Sode, TensorField,
-                             identity_matrix)
+from invlag.geometry import (GeometryError, Sode, TensorField, curvature,
+                             identity_matrix, jacobi)
 from invlag.conditions import (Cell, ConditionReport, ImplicitOrderError,
                                ImplicitSystem, TwoFormError, check_classical,
                                check_dissipative, check_gyroscopic,
@@ -18,7 +19,7 @@ from invlag.conditions import (Cell, ConditionReport, ImplicitOrderError,
                                check_multiplier_gyroscopic, check_prop2a,
                                check_rayleigh, implicit_context,
                                total_derivative)
-from invlag.solver import assemble
+from invlag.solver import _ansatz_tensors, assemble
 
 from exprgen import random_poly, random_sode, small_fraction
 
@@ -261,6 +262,59 @@ def test_multiplier_gyroscopic_flat_reduction():
         g = random_symmetric(ctx, rng)
         assert (check_multiplier_gyroscopic(s, g).passes
                 == check_classical(s, g).passes)
+
+
+def reference_cycle(s, g, i, k, l):
+    """The curvature cycle built for one ordered ``(i, k, l)``, as the
+    suites built every one of them before the cycles were shared."""
+    R = curvature(s)
+    total = s.ctx.zero
+    for j in range(1, s.n + 1):
+        total = total + g.entry(i, j) * R.entry(j, k, l)
+        total = total + g.entry(l, j) * R.entry(j, i, k)
+        total = total + g.entry(k, j) * R.entry(j, l, i)
+    return total
+
+
+def cycle_cells_match_reference(s, g):
+    """Asserts that the thm3 ``RCycle`` and thm4 ``PhiR`` cells equal
+    those built from ``reference_cycle``, cell by cell; returns how many
+    cycles are nonzero, so a caller can tell the check was not vacuous."""
+    ctx, indices = s.ctx, range(1, s.n + 1)
+    thm3 = check_multiplier_dissipative(s, g)
+    cycles = [reference_cycle(s, g, *idx) for idx in combinations(indices, 3)]
+    for (i, k, l), cycle in zip(combinations(indices, 3), cycles):
+        assert thm3.cell(f"RCycle[{i},{k},{l}]").residual == cycle
+    thm4 = check_multiplier_gyroscopic(s, g)
+    jac = jacobi(s)
+    for k, l in combinations(indices, 2):
+        skew = sum((g.entry(k, m) * jac.entry(m, l)
+                    - g.entry(l, m) * jac.entry(m, k) for m in indices),
+                   ctx.zero)
+        contraction = sum((reference_cycle(s, g, i, k, l) * ctx.var(ctx.v(i))
+                           for i in indices), ctx.zero)
+        assert thm4.cell(f"PhiR[{k},{l}]").residual == -skew - contraction
+    return sum(not cycle.is_zero() for cycle in cycles)
+
+
+def test_cycle_cells_match_per_triple_reference_on_symbolic_ansatz():
+    problem = load_problem("chain4_gyro", {})
+    family, _bound = ansatz_problem(problem)
+    names = [f"c{k}" for k in range(len(family.layout))]
+    ectx = problem.ctx.with_parameters(names)
+    g, _omega = _ansatz_tensors(family, ectx, [ectx.var(ectx.param(name))
+                                               for name in names])
+    assert cycle_cells_match_reference(problem.sode().extended(ectx), g)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cycle_cells_match_per_triple_reference_on_random_systems(n):
+    rng = random.Random(2718 + n)
+    ctx = ExprContext(n)
+    nonzero = sum(cycle_cells_match_reference(
+        random_sode(ctx, rng, degree=2), random_symmetric(ctx, rng))
+        for _ in range(3))
+    assert nonzero
 
 
 def test_smoothness_indicator_flags_velocity_pole():

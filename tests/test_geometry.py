@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invlag.exprcore import ExprContext
+from invlag.cli import load_problem
+from invlag.exprcore import ExprContext, convert
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, Sode,
                              TensorField, connection, curvature, d_basic,
@@ -220,6 +221,57 @@ def test_identities_on_random_systems():
             theta_tensor(s)
             R = curvature(s)
             assert dh_jacobi(s) == nabla_tensor12(s, R)
+
+
+GEOMETRY = {"connection": connection, "jacobi": jacobi,
+            "curvature": curvature, "theta": theta_tensor}
+
+
+def assert_extension_matches_recomputation(s, extra, order):
+    """The geometric objects of ``s.extended(ectx)``, read in ``order``,
+    equal those of the same system built in ``ectx`` from scratch,
+    declared symmetries included."""
+    ectx = s.ctx.with_parameters(extra)
+    extended = s.extended(ectx)
+    direct = Sode(ectx, [convert(f, ectx) for f in s.f])
+    assert extended.origin is s and extended.f == direct.f
+    for key in order:
+        got, want = GEOMETRY[key](extended), GEOMETRY[key](direct)
+        assert got == want, key
+        assert (got.sym, got.antisym) == (want.sym, want.antisym), key
+
+
+def random_rational_sode(ctx, rng):
+    """Polynomial right-hand sides over a nonconstant denominator in the
+    positions."""
+    f = []
+    for _ in range(ctx.n):
+        den = random_poly(ctx, rng, degree=1, terms=2, velocities=False)
+        if den.is_constant():
+            den = den + ctx.var(ctx.q(rng.randint(1, ctx.n)))
+        f.append(random_poly(ctx, rng, degree=2) / den)
+    return Sode(ctx, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       rational=st.booleans(), extra=st.integers(1, 6),
+       order=st.permutations(sorted(GEOMETRY)))
+def test_extended_geometry_equals_recomputation(seed, n, rational, extra, order):
+    ctx = ExprContext(n, parameters=("a",))
+    rng = random.Random(seed)
+    s = (random_rational_sode(ctx, rng) if rational
+         else random_sode(ctx, rng, degree=2))
+    assert_extension_matches_recomputation(
+        s, [f"c{k}" for k in range(extra)], order)
+
+
+@pytest.mark.parametrize("name", ["coupled3", "planar_drag", "chain4_gyro"])
+def test_extended_fixture_geometry_equals_recomputation(name):
+    s = load_problem(name, {}).sode()
+    assert_extension_matches_recomputation(
+        s, [f"c{k}" for k in range(50)], ["curvature", "theta", "jacobi",
+                                          "connection"])
 
 
 def test_matrix_det_and_solve():

@@ -9,15 +9,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlag import conditions
+from invlag import conditions, geometry
+from invlag.cli import load_problem
 from invlag.exprcore import ExprContext
-from invlag.geometry import Sode, matrix_det
+from invlag.geometry import (InternalInconsistencyError, Sode, TensorField,
+                             curvature, jacobi, matrix_det)
 from invlag.solver import (AnsatzProblem, LinearSystem, Representative,
                            SolverError, assemble,
                            constant_ansatz, diagonal_ansatz,
                            find_nonsingular, instantiate, polynomial_ansatz,
                            q_monomials, solve)
 from invlag.conditions import check_multiplier_dissipative
+
+from clirun import run_cli
 
 
 def planar_drag():
@@ -232,6 +236,39 @@ def test_joint_two_form_search():
     rep = find_nonsingular(space, s, 1)
     assert rep is not None
     assert rep.omega is not None
+
+
+@pytest.mark.parametrize("name", ["coupled3", "chain4_gyro"])
+def test_solve_builds_each_geometric_object_once(monkeypatch, name):
+    """Assembly reads the system's geometry through an extension, so a
+    whole ``solve`` builds each object at most once, and only in the
+    fixture's own context, never in the one that declares unknowns."""
+    builds = []
+    for builder in ("_connection", "_jacobi", "_curvature", "_theta"):
+        def counted(s, build=getattr(geometry, builder), builder=builder):
+            builds.append((builder, s.ctx))
+            return build(s)
+        monkeypatch.setattr(geometry, builder, counted)
+    result = run_cli("solve", name)
+    assert result.returncode in (0, 3), result.stderr
+    assert builds and len(set(builds)) == len(builds)
+    assert {ctx for _builder, ctx in builds} == {load_problem(name, {}).ctx}
+
+
+def test_extended_system_runs_the_curvature_check_on_its_origin():
+    """An extension of an extension still reads the first system's
+    objects, and a corrupt Jacobi entry there makes the extension's
+    curvature fail the two-formula check instead of skipping it."""
+    ctx, s = coupled_three()
+    twice = s.extended(ctx.with_parameters(["c0"])).extended(
+        ctx.with_parameters(["c0", "c1"]))
+    assert twice.origin is s
+    jac = jacobi(s)
+    entries = dict(jac.entries)
+    entries[(1, 2)] = jac.entry(1, 2) + ctx.parse("v1^2")
+    s._memo["jacobi"] = TensorField(ctx, (1, 1), entries)
+    with pytest.raises(InternalInconsistencyError):
+        curvature(twice)
 
 
 def test_problem_validation():
