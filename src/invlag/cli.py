@@ -619,10 +619,7 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
     except (ReconstructError, GeometryError, NotPolynomialError) as exc:
         raise CliError(f"{problem.path}: {type(exc).__name__}: {exc}") \
             from exc
-    if cert.omega is not None:
-        verify = verify_gyroscopic(s, cert.L, cert.omega)
-    else:
-        verify = verify_dissipative(s, cert.L, cert.D)
+    verify = cert.verification
     payload["certificate"] = _certificate_payload(cert)
     payload["verify"] = report_payload(verify)
     payload["numeric_crosscheck"] = numeric_payload([verify])

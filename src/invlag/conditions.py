@@ -290,18 +290,23 @@ def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
     return ConditionReport("thm3", tuple(cells), multiplier=g)
 
 
-def check_multiplier_gyroscopic(s: Sode, g: TensorField) -> ConditionReport:
+def check_multiplier_gyroscopic(s: Sode, g: TensorField,
+                                cycles: Optional[dict] = None
+                                ) -> ConditionReport:
     """Existence conditions for some gyroscopic two-form, in terms of
     the candidate alone: velocity symmetry, covariant constancy, and
     the lowered force endomorphism matching the velocity contraction of
     the curvature cycle. Additionally flags entries of the candidate or
     of the lowered force endomorphism whose denominator vanishes
-    identically at zero velocity (those would not restrict smoothly)."""
+    identically at zero velocity (those would not restrict smoothly).
+    A caller that needs the curvature cycles as well builds them with
+    ``_curvature_cycles(s, g)`` and passes them as ``cycles``."""
     _require_multiplier(s, g)
     ctx = s.ctx
     cells = _hd1_cells(s, g) + _nabla_cells(s, g)
     g_phi = _lowered_jacobi(s, g)
-    cycles = _curvature_cycles(s, g)
+    if cycles is None:
+        cycles = _curvature_cycles(s, g)
     for k, l in combinations(range(1, s.n + 1), 2):
         # sum_i cycle_ikl v^i = sum_i cycle_kli v^i: the cycle is cyclic
         contraction = _velocity_contraction(ctx, cycles, k, l)

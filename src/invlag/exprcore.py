@@ -37,9 +37,11 @@ step has one path:
 
 Only a polynomial from outside the base is factored with
 ``factor_list``, once per polynomial: a constructor's ``den``, a divisor
-(which is also how parsing builds quotients) or the product of the
-substituted factors. The result is the fraction a multivariate gcd
-would give, and no operation here calls one.
+or the product of the substituted factors. The parser reads polynomial
+text with ring arithmetic and builds an ``Expr`` only for a division by
+a non-constant (or a negative power of one), so reading a polynomial
+factors nothing. The result is the fraction a multivariate gcd would
+give, and no operation here calls one.
 
 The polynomial arithmetic itself is delegated to ``sympy.polys.rings``
 (dense-exponent sparse polynomials over QQ, in lex order); the grammar,
@@ -408,11 +410,6 @@ class ExprContext:
 
     def varid_of_gen(self, position: int) -> VarId:
         return self._varids[position]
-
-    def _resolve_name(self, name: str) -> Optional[VarId]:
-        """Map a generator name to its VarId, or None if unknown here."""
-        position = self._name_pos.get(name)
-        return None if position is None else self._varids[position]
 
     def all_varids(self):
         """Every variable legal in this context, in generator order."""
@@ -975,8 +972,8 @@ def _eval_poly(ctx, poly, values) -> Fraction:
 # parsing
 
 
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-*/^()])")
-_WS = re.compile(r"\s*")
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+                    r"|(?P<op>[+\-*/^()])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
 
 class _Parser:
@@ -986,139 +983,164 @@ class _Parser:
     minus, exponentiation. Exponents are integer literals only and may
     not chain; ``/`` is ordinary division, so both rational literals
     ``p/q`` and rational functions share one rule.
+
+    While the text is polynomial, values are ``QQ`` constants and
+    polynomials of the context's ring, combined by ring arithmetic (a
+    division by a constant is ``quo_ground``). A division by a
+    non-constant, or a negative power of one, makes an ``Expr``, and
+    from then on the operands meet through the ``Expr`` operators; the
+    result becomes an ``Expr`` once, at the end.
     """
 
     def __init__(self, text: str, ctx: ExprContext):
-        self.text = text
         self.ctx = ctx
+        self.ring = ctx._ring
         self.tokens = []
-        position = 0
-        while True:
-            position = _WS.match(text, position).end()
-            if position >= len(text):
-                break
-            m = _TOKEN.match(text, position)
-            if not m:
-                raise ExprSyntaxError(f"unexpected character {text[position]!r}",
-                                      position)
-            self.tokens.append((m.lastgroup, m.group(), position))
-            position = m.end()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {m.group()!r}",
+                                      m.start())
+            if kind != "space":
+                self.tokens.append((kind, m.group(), m.start()))
+        # The end of the text; no rule reads past it. An operator is
+        # recognised by its value alone: no number or name spells one.
+        self.tokens.append((None, None, len(text)))
         self.pos = 0
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None, len(self.text))
-
-    def advance(self):
-        token = self.peek()
-        self.pos += 1
-        return token
-
     def expect_op(self, op: str):
-        kind, value, position = self.peek()
-        if kind != "op" or value != op:
+        _kind, value, position = self.tokens[self.pos]
+        if value != op:
             raise ExprSyntaxError(f"expected {op!r}", position)
-        self.advance()
+        self.pos += 1
+
+    def as_expr(self, value) -> Expr:
+        if isinstance(value, Expr):
+            return value
+        if isinstance(value, QQ.dtype):
+            value = self.ring.ground_new(value)
+        return _factored(self.ctx, value, ())
+
+    def constant(self, value):
+        """The ``QQ`` value of a constant, or None for a non-constant."""
+        if isinstance(value, QQ.dtype):
+            return value
+        if isinstance(value, Expr) or not value.is_ground:
+            return None
+        return value.LC
+
+    def pair(self, a, b):
+        """Both operands as polynomials, or both as ``Expr`` if one is."""
+        if isinstance(a, Expr) or isinstance(b, Expr):
+            return self.as_expr(a), self.as_expr(b)
+        return a, b
 
     def parse(self) -> Expr:
         result = self.expression()
-        kind, value, position = self.peek()
+        kind, value, position = self.tokens[self.pos]
         if kind is not None:
             raise ExprSyntaxError(f"unexpected trailing input {value!r}", position)
-        return result
+        return self.as_expr(result)
 
-    def expression(self) -> Expr:
+    def expression(self):
         value = self.term()
         while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
-            else:
+            op = self.tokens[self.pos][1]
+            if op != "+" and op != "-":
                 return value
+            self.pos += 1
+            value, rhs = self.pair(value, self.term())
+            value = value + rhs if op == "+" else value - rhs
 
-    def term(self) -> Expr:
+    def term(self):
         value = self.unary()
         while True:
-            kind, op, position = self.peek()
-            if kind == "op" and op in "*/":
-                self.advance()
-                rhs = self.unary()
-                if op == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ZeroDenominatorError(
-                            f"division by zero (at position {position})")
-                    value = value / rhs
-            else:
+            _kind, op, position = self.tokens[self.pos]
+            if op != "*" and op != "/":
                 return value
+            self.pos += 1
+            rhs = self.unary()
+            if op == "*":
+                value, rhs = self.pair(value, rhs)
+                value = value * rhs
+            elif not rhs:
+                raise ZeroDenominatorError(
+                    f"division by zero (at position {position})")
+            elif isinstance(value, Expr) or self.constant(rhs) is None:
+                value = self.as_expr(value) / self.as_expr(rhs)
+            else:  # a polynomial divided by a QQ constant is quo_ground
+                value = value / self.constant(rhs)
 
-    def unary(self) -> Expr:
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "-":
-            self.advance()
+    def unary(self):
+        """Unary minus, or an atom with an optional exponent."""
+        if self.tokens[self.pos][1] == "-":
+            self.pos += 1
             return -self.unary()
-        return self.power()
-
-    def power(self) -> Expr:
         base = self.atom()
-        kind, op, position = self.peek()
-        if kind == "op" and op == "^":
-            self.advance()
-            exponent = self.exponent_literal()
-            if exponent < 0 and base.is_zero():
-                raise ExprSyntaxError("zero raised to a negative power", position)
+        _kind, op, position = self.tokens[self.pos]
+        if op != "^":
+            return base
+        self.pos += 1
+        exponent = self.exponent_literal()
+        if exponent == 0:  # 0^0 too, as for Expr
+            base = QQ.one
+        elif exponent > 0:
             base = base ** exponent
-            kind, op, position = self.peek()
-            if kind == "op" and op == "^":
-                raise ExprSyntaxError("chained '^' needs parentheses", position)
+        elif not base:
+            raise ExprSyntaxError("zero raised to a negative power", position)
+        elif self.constant(base) is None:
+            base = self.as_expr(base) ** exponent
+        else:
+            base = self.constant(base) ** exponent
+        _kind, op, position = self.tokens[self.pos]
+        if op == "^":
+            raise ExprSyntaxError("chained '^' needs parentheses", position)
         return base
 
     def exponent_literal(self) -> int:
-        kind, value, position = self.peek()
+        kind, value, position = self.tokens[self.pos]
         if kind == "int":
-            self.advance()
+            self.pos += 1
             return int(value)
-        if kind == "op" and value == "-":
-            self.advance()
-            kind, value, position = self.peek()
+        if value == "-":
+            self.pos += 1
+            kind, value, position = self.tokens[self.pos]
             if kind != "int":
                 raise ExprSyntaxError("exponent must be an integer literal", position)
-            self.advance()
+            self.pos += 1
             return -int(value)
-        if kind == "op" and value == "(":
-            self.advance()
+        if value == "(":
+            self.pos += 1
             inner = self.exponent_literal()
             self.expect_op(")")
             return inner
         raise ExprSyntaxError("exponent must be an integer literal", position)
 
-    def atom(self) -> Expr:
-        kind, value, position = self.advance()
-        if kind == "int":
-            return self.ctx.const(int(value))
+    def atom(self):
+        kind, value, position = self.tokens[self.pos]
+        self.pos += 1
         if kind == "name":
-            return self.resolve(value, position)
-        if kind == "op" and value == "(":
+            gen = self.ctx._name_pos.get(value)
+            if gen is None:
+                return self.resolve(value, position)
+            return self.ctx._gens[gen]
+        if kind == "int":
+            return QQ(int(value))
+        if value == "(":
             inner = self.expression()
             self.expect_op(")")
             return inner
         raise ExprSyntaxError("expected a number, a variable or '('", position)
 
-    def resolve(self, name: str, position: int) -> Expr:
+    def resolve(self, name: str, position: int):
+        """The generator of a jet spelled ``d1q<i>`` or with a zero-padded
+        order; otherwise the most specific error for an unknown name."""
         ctx = self.ctx
-        var = ctx._resolve_name(name)
-        if var is not None:
-            return ctx.var(var)
-        # jets also read as d1q<i> and with zero-padded orders; otherwise
-        # produce the most specific error we can
         m = re.match(r"^d([0-9]+)q([1-9][0-9]*)$", name)
         if m and int(m.group(2)) <= ctx.n:
             if 1 <= int(m.group(1)) <= ctx.max_jet_order:
-                return ctx.var(VarId.jet(int(m.group(2)), int(m.group(1))))
+                var = VarId.jet(int(m.group(2)), int(m.group(1)))
+                return ctx._gens[ctx.gen_index(var)]
             raise JetOrderError(
                 f"jet order {int(m.group(1))} exceeds context maximum "
                 f"{ctx.max_jet_order}", position)

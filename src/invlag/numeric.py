@@ -39,43 +39,45 @@ def sample_value(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
-def sample_point(ctx: ExprContext, rng: random.Random,
-                 avoid: Iterable[Expr] = (), max_tries: int = 500) -> dict:
-    """A random rational point assigning every variable of the context,
-    avoiding the poles of the given expressions."""
-    avoid = tuple(avoid)
+def _pole_free_draw(ctx: ExprContext, rng: random.Random,
+                    exprs: Sequence[Expr], max_tries: int = 500):
+    """A random rational point assigning every variable of the context
+    at which none of ``exprs`` has a pole, with their values there; a
+    point where one has a pole is drawn again."""
     variables = ctx.all_varids()
     for _ in range(max_tries):
         point = {var: sample_value(rng) for var in variables}
         try:
-            for expr in avoid:
-                expr.eval_num(point)
+            return point, [expr.eval_num(point) for expr in exprs]
         except PoleError:
             continue
-        return point
     raise RuntimeError("no pole-free sample point found")
+
+
+def sample_point(ctx: ExprContext, rng: random.Random,
+                 avoid: Iterable[Expr] = (), max_tries: int = 500) -> dict:
+    """A random rational point assigning every variable of the context,
+    avoiding the poles of the given expressions."""
+    return _pole_free_draw(ctx, rng, tuple(avoid), max_tries)[0]
 
 
 def zero_at_random_points(exprs: Sequence[Expr], rng: random.Random,
                           points: int = DEFAULT_POINTS) -> bool:
     """True when every expression evaluates to exactly 0 at ``points``
-    random pole-free points."""
+    random pole-free points; each is evaluated once per point."""
     if not exprs:
         return True
     ctx = exprs[0].ctx
     for _ in range(points):
-        point = sample_point(ctx, rng, avoid=exprs)
-        for expr in exprs:
-            if expr.eval_num(point) != 0:
-                return False
+        if any(_pole_free_draw(ctx, rng, exprs)[1]):
+            return False
     return True
 
 
 def nonzero_somewhere(expr: Expr, rng: random.Random, tries: int = 25) -> bool:
     """True when some random pole-free point gives a nonzero value."""
     for _ in range(tries):
-        point = sample_point(expr.ctx, rng, avoid=(expr,))
-        if expr.eval_num(point) != 0:
+        if _pole_free_draw(expr.ctx, rng, (expr,))[1][0] != 0:
             return True
     return False
 
@@ -103,12 +105,12 @@ def diff_spot_check(expr: Expr, var: VarId, rng: random.Random,
     """
     derivative = expr.diff(var)
     for _ in range(max_tries):
-        point = sample_point(expr.ctx, rng, avoid=(expr, derivative))
+        point, (_value, exact) = _pole_free_draw(expr.ctx, rng,
+                                                 (expr, derivative))
         try:
             approx = central_difference(expr, var, point, step)
         except PoleError:
             continue
-        exact = derivative.eval_num(point)
         gap = abs(approx - exact)
         bound = rel_tol * (1 + abs(exact))
         if gap > bound:

@@ -15,7 +15,7 @@ handed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Tuple
@@ -27,7 +27,7 @@ from .geometry import (DimensionMismatchError, GeometryError,
                        d_basic, gamma_apply, matrix_solve, nabla_tensor02)
 from .conditions import (ConditionReport, Cell, check_multiplier_dissipative,
                          check_multiplier_gyroscopic, _curvature_cycles,
-                         _require_two_form)
+                         _require_multiplier, _require_two_form)
 
 
 class ReconstructError(Exception):
@@ -77,13 +77,17 @@ class GaugeRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A verified variational representation of a system."""
+    """A verified variational representation of a system;
+    ``verification`` is the passing report of ``verify_dissipative`` or
+    ``verify_gyroscopic`` that verified it."""
 
     kind: str  # "dissipative" | "gyroscopic" | "classical"
     L: Expr
     D: Optional[Expr] = None
     omega: Optional[TensorField] = None
     gauge: Optional[GaugeRecord] = None
+    verification: Optional[ConditionReport] = field(default=None,
+                                                    compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +312,7 @@ def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
             "reconstructed Lagrangian has the wrong velocity Hessian")
     gauge = GaugeRecord(tuple(alpha), ctx.zero, tuple(base_terms))
     kind = "classical" if D.is_zero() else "dissipative"
-    return Certificate(kind, L, D=D, gauge=gauge)
+    return Certificate(kind, L, D=D, gauge=gauge, verification=outcome)
 
 
 def _full_two_form(ctx: ExprContext, upper: dict) -> dict:
@@ -330,13 +334,15 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
     basic and closed) — both verified symbolically. The velocity-free
     remainder must be exact and becomes a gauge potential.
     """
-    report = check_multiplier_gyroscopic(s, g)
+    _require_multiplier(s, g)  # before the cycles read g
+    cycles = _curvature_cycles(s, g)
+    report = check_multiplier_gyroscopic(s, g, cycles)
     if not report.passes:
         raise MultiplierCheckError(
             "multiplier fails the gyroscopic existence conditions", report)
     ctx = s.ctx
     n = s.n
-    rho = {idx: -cycle for idx, cycle in _curvature_cycles(s, g).items()}
+    rho = {idx: -cycle for idx, cycle in cycles.items()}
     for idx, value in rho.items():
         for k in range(1, n + 1):
             if value.depends_on(ctx.v(k)):
@@ -376,7 +382,8 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
             "reconstructed Lagrangian has the wrong velocity Hessian")
     gauge = GaugeRecord(tuple(ctx.zero for _ in range(n)), phi, ())
     kind = "classical" if omega.is_zero() else "gyroscopic"
-    return Certificate(kind, L, omega=omega, gauge=gauge)
+    return Certificate(kind, L, omega=omega, gauge=gauge,
+                       verification=outcome)
 
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,44 @@ def random_expr(ctx: ExprContext, rng, depth: int = 3, allow_div: bool = True) -
     return left / right
 
 
+def random_text(ctx: ExprContext, rng, depth: int = 3):
+    """A random expression tree as ``(text, expr)``: ``text`` renders the
+    tree structurally, every operand in parentheses, and ``expr`` is
+    built from the same leaves by the same ``Expr`` operations.
+
+    Leaves are ``p/q`` literals and variables; nodes are sums,
+    differences, products, quotients (a zero divisor gets ``+ 1``),
+    chains of one to three unary minuses, and powers with exponents in
+    -2..3, written ``^k`` or ``^(k)`` (so ``^-2`` or ``^(-2)``; a
+    negative exponent only on a nonzero base).
+    """
+    if depth <= 0 or rng.random() < 0.25:
+        if rng.random() < 0.35:
+            c = small_fraction(rng)
+            return f"{c.numerator}/{c.denominator}", ctx.const(c)
+        var = rng.choice(ctx.all_varids())
+        return ctx.display_name(var), ctx.var(var)
+    op = rng.choice("+-*/^~")
+    text, expr = random_text(ctx, rng, depth - 1)
+    if op == "~":
+        count = rng.randint(1, 3)
+        for _ in range(count):
+            expr = -expr
+        return "-" * count + f"({text})", expr
+    if op == "^":
+        k = rng.randint(-2, 3)
+        if k < 0 and expr.is_zero():
+            k = -k
+        written = rng.choice([f"{k}", f"({k})"])
+        return f"({text})^{written}", expr ** k
+    right_text, right = random_text(ctx, rng, depth - 1)
+    if op == "/" and right.is_zero():
+        right_text, right = f"({right_text}) + 1", right + ctx.one
+    value = {"+": expr.__add__, "-": expr.__sub__, "*": expr.__mul__,
+             "/": expr.__truediv__}[op](right)
+    return f"({text}) {op} ({right_text})", value
+
+
 def rearranged(e: Expr, ctx: ExprContext, rng) -> Expr:
     """An expression equal to ``e`` built along a different tree shape."""
     style = rng.randrange(3)

@@ -24,7 +24,7 @@ import pytest
 from sympy.polys.rings import PolyElement
 
 import invlag
-from invlag import cli, conditions, exprcore, geometry, solver
+from invlag import cli, conditions, exprcore, geometry, reconstruct, solver
 from invlag.exprcore import ExprContext
 from invlag.reconstruct import forward_accelerations
 
@@ -528,29 +528,86 @@ def test_readme_command_table_is_accurate():
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name, instantiate, code", [
-    ("planar_drag", None, 0),
-    ("coupled3", None, 0),
-    ("chain4", None, 3),
-    ("chain4_gyro", None, 3),
-    ("chain4_gyro", "b=1/2", 3),
-    ("chain4_gyro", "b=-1/3", 3),
-    ("chain4_gyro", "b=3/4", 3),
-])
+# The README rows, each with its exit code. The solve rows keep the ids
+# ``<fixture>-<binding>-<code>`` they had before the other rows joined.
+GOLDEN_ROWS = [
+    ("solve planar_drag", 0),
+    ("solve coupled3", 0),
+    ("solve chain4", 3),
+    ("solve chain4_gyro", 3),
+    ("solve chain4_gyro --instantiate b=1/2", 3),
+    ("solve chain4_gyro --instantiate b=-1/3", 3),
+    ("solve chain4_gyro --instantiate b=3/4", 3),
+    ("analyze planar_drag", 0),
+    ("analyze coupled3", 0),
+    ("check planar_drag_indefinite --suite dissipative", 0),
+    ("check planar_drag --suite dissipative", 0),
+    ("check planar_drag_euclidean --suite dissipative", 0),
+    ("check planar_drag --suite classical", 0),
+    ("check planar_drag_euclidean --suite classical", 1),
+    ("check planar_drag_gyro --suite gyroscopic", 0),
+    ("check planar_drag --suite thm4", 0),
+    ("check planar_drag_indefinite --suite thm4", 1),
+    ("check planar_drag_euclidean --suite thm4", 1),
+    ("check planar_drag_implicit --suite implicit", 0),
+    ("check coupled3 --suite thm3", 0),
+    ("check coupled3 --suite rayleigh", 1),
+    ("check coupled3 --suite classical", 1),
+    ("reconstruct planar_drag_gyro --suite gyroscopic", 0),
+    ("reconstruct coupled3", 0),
+    ("reconstruct free2", 0),
+    ("verify planar_drag_indefinite --forward", 0),
+]
+
+
+def _golden_id(command: str, code: int) -> str:
+    words = command.split()
+    if words[0] == "solve":
+        binding = words[3] if len(words) > 2 else None
+        return f"{words[1]}-{binding}-{code}"
+    return f"{'-'.join(words)}-{code}"
+
+
+@pytest.mark.parametrize("command, code", [
+    pytest.param(command, code, id=_golden_id(command, code))
+    for command, code in GOLDEN_ROWS])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_readme_solve_rows_print_the_golden_output(name, instantiate, code, fmt):
-    """The README's ``solve`` rows print, byte for byte, the stdout kept
-    in ``tests/golden`` (file ``solve_<fixture>[_<binding>].txt|json``,
-    with ``=`` and ``/`` in the binding written as ``_``); the only
-    normalisation is the fixture directory, written ``<fixtures>``."""
-    args = ["solve", name]
-    slug = "_".join(args)
-    if instantiate is not None:
-        args += ["--instantiate", instantiate]
-        slug += "_" + instantiate.replace("=", "_").replace("/", "_")
-    args += ["--format", fmt]
+def test_readme_solve_rows_print_the_golden_output(command, code, fmt):
+    """The README's rows, the ``solve`` rows first, print, byte for
+    byte, the stdout kept in ``tests/golden``: the file is named by the
+    command's words without ``--instantiate``, joined by ``_``, with
+    leading dashes dropped and ``=`` and ``/`` written as ``_`` (so
+    ``check_coupled3_suite_thm3.txt``, ``solve_chain4_gyro_b_1_2.json``).
+    The only normalisation is the fixture directory, written
+    ``<fixtures>``."""
+    args = command.split()
+    slug = "_".join(word.lstrip("-").replace("=", "_").replace("/", "_")
+                    for word in args if word != "--instantiate")
     expected = (GOLDEN / f"{slug}.{'txt' if fmt == 'text' else 'json'}").read_text()
-    result = run_cli(*args)
+    result = run_cli(*args, "--format", fmt)
     fixtures = str(resources.files("invlag") / "fixtures")
     assert (result.returncode, result.stderr) == (code, "")
     assert result.stdout.replace(fixtures, "<fixtures>") == expected
+
+
+@pytest.mark.parametrize("args, name", [
+    (("reconstruct", "coupled3"), "verify_dissipative"),
+    (("reconstruct", "planar_drag_gyro", "--suite", "gyroscopic"),
+     "verify_gyroscopic"),
+])
+def test_reconstruct_verifies_its_certificate_once(args, name, monkeypatch):
+    """``reconstruct`` renders the report that verified the certificate
+    instead of verifying it again."""
+    calls = []
+    original = getattr(reconstruct, name)
+
+    def counting(*call_args):
+        calls.append(name)
+        return original(*call_args)
+
+    for module in (reconstruct, cli):
+        monkeypatch.setattr(module, name, counting)
+    result, payload = run_json(*args)
+    assert result.returncode == 0
+    assert payload["verify"]["passed"]
+    assert calls == [name]

@@ -19,7 +19,7 @@ from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
 from invlag.numeric import (central_difference, sample_point, seeded_rng,
                             nonzero_somewhere)
 
-from exprgen import random_expr, rearranged, small_fraction
+from exprgen import random_expr, random_text, rearranged, small_fraction
 
 
 def test_parse_product_monomial():
@@ -269,6 +269,118 @@ def test_parser_roundtrip_random_trees():
     for _ in range(300):
         e = random_expr(ctx, rng, depth=3)
         assert ctx.parse(str(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_parse_equals_the_expr_built_by_the_same_operations(seed):
+    """A tree rendered with parentheses, chained unary minus, ``p/q``
+    literals, quotients and negative exponents parses to the ``Expr``
+    the same operations build."""
+    ctx = ExprContext(2, parameters=("a",))
+    text, expr = random_text(ctx, random.Random(seed))
+    assert ctx.parse(text) == expr
+
+
+# Type, message and position of each error, recorded before the parser
+# read polynomial text with ring arithmetic.
+_MALFORMED = [
+    ({}, "", ExprSyntaxError,
+     "expected a number, a variable or '(' (at position 0)", 0),
+    ({}, "q1 +", ExprSyntaxError,
+     "expected a number, a variable or '(' (at position 4)", 4),
+    ({}, "q1 +\t", ExprSyntaxError,
+     "expected a number, a variable or '(' (at position 5)", 5),
+    ({}, ")", ExprSyntaxError,
+     "expected a number, a variable or '(' (at position 0)", 0),
+    ({}, "q1 $ q2", ExprSyntaxError,
+     "unexpected character '$' (at position 3)", 3),
+    ({}, "2*q1 é", ExprSyntaxError,
+     "unexpected character 'é' (at position 5)", 5),
+    ({}, "q1/0 + é", ExprSyntaxError,
+     "unexpected character 'é' (at position 7)", 7),
+    ({}, "q1 q2", ExprSyntaxError,
+     "unexpected trailing input 'q2' (at position 3)", 3),
+    ({}, "(q1 + q2", ExprSyntaxError, "expected ')' (at position 8)", 8),
+    ({}, "q1^(2", ExprSyntaxError, "expected ')' (at position 5)", 5),
+    ({}, "q1^q2", ExprSyntaxError,
+     "exponent must be an integer literal (at position 3)", 3),
+    ({}, "q1^-q2", ExprSyntaxError,
+     "exponent must be an integer literal (at position 4)", 4),
+    ({}, "q1^", ExprSyntaxError,
+     "exponent must be an integer literal (at position 3)", 3),
+    ({}, "-(q1)^-(2)", ExprSyntaxError,
+     "exponent must be an integer literal (at position 7)", 7),
+    ({}, "q1^2^3", ExprSyntaxError,
+     "chained '^' needs parentheses (at position 4)", 4),
+    ({"parameters": ("a",)}, "a^-1^2", ExprSyntaxError,
+     "chained '^' needs parentheses (at position 4)", 4),
+    ({}, "0^-1", ExprSyntaxError,
+     "zero raised to a negative power (at position 1)", 1),
+    ({}, "(q1 - q1)^(-2)", ExprSyntaxError,
+     "zero raised to a negative power (at position 9)", 9),
+    ({}, "q1/0", ZeroDenominatorError, "division by zero (at position 2)",
+     None),
+    ({}, "q1/(q2 - q2)", ZeroDenominatorError,
+     "division by zero (at position 2)", None),
+    ({}, "1/q1/(2 - 2)", ZeroDenominatorError,
+     "division by zero (at position 4)", None),
+    ({}, "x + q1", UnknownIdentifierError,
+     "unknown identifier 'x' (at position 0)", 0),
+    ({}, "x/0", UnknownIdentifierError,
+     "unknown identifier 'x' (at position 0)", 0),
+    ({}, "q3", UnknownIdentifierError,
+     "coordinate index 3 outside 1..2 (at position 0)", 0),
+    ({}, "q0", UnknownIdentifierError,
+     "unknown identifier 'q0' (at position 0)", 0),
+    ({}, "v12", UnknownIdentifierError,
+     "coordinate index 12 outside 1..2 (at position 0)", 0),
+    ({}, "t*q1", UnknownIdentifierError,
+     "context has no time variable (at position 0)", 0),
+    ({}, "d3q9", UnknownIdentifierError,
+     "unknown identifier 'd3q9' (at position 0)", 0),
+    ({}, "d2q1", JetOrderError,
+     "jet order 2 exceeds context maximum 1 (at position 0)", 0),
+    ({"max_jet_order": 4}, "d5q1", JetOrderError,
+     "jet order 5 exceeds context maximum 4 (at position 0)", 0),
+]
+
+
+@pytest.mark.parametrize("options, text, error, message, position", _MALFORMED,
+                         ids=[repr(case[1]) for case in _MALFORMED])
+def test_malformed_text_raises_its_error(options, text, error, message,
+                                         position):
+    with pytest.raises(ExprError) as err:
+        ExprContext(2, **options).parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+def test_parsing_a_polynomial_builds_no_quotient(monkeypatch):
+    """A polynomial text (an ``f`` entry of a generated problem file) is
+    read with ring arithmetic alone: no ``Expr`` product and no
+    ``factor_list``."""
+    monkeypatch.setattr(exprcore, "_RING_CACHE", {})  # a fresh factor base
+    ctx = ExprContext(2)
+    text = ("2/11*q1^2 - 10/11*q1*q2 + 1/11*q1 - 12/11*q2^2 - 12/11*q2*v1^2"
+            " + 1/11*q2*v1 - 4/11*q2*v2 - 4/11*q2 - 6/11*v1*v2 + 12/11*v2^2")
+    calls = []
+
+    def counting(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(exprcore, "_product", counting(exprcore._product))
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        counting(PolyElement.factor_list))
+    e = ctx.parse(text)
+    assert calls == []
+    assert str(e) == text
+    ctx.parse("1/(q1^2 + 3)")
+    assert calls == ["factor_list", "_product"]
 
 
 def test_diff_commutes_on_random_trees():

@@ -375,3 +375,39 @@ def test_verify_reports_nonconstant_determinant():
     assert report.nonsingularity.determinant == ctx.parse("2*(1 + q1^2)")
     assert report.nonsingularity.nonsingular
     assert report.nonsingularity.note
+
+
+def test_gyroscopic_reconstruction_builds_the_curvature_cycles_once(
+        monkeypatch):
+    """The thm4 report and the curvature form ``rho`` share one set of
+    curvature cycles, on random n = 3 systems with gyroscopic forces."""
+    import random
+
+    from invlag import conditions, reconstruct
+    from invlag.reconstruct import forward_accelerations
+
+    calls = []
+    original = conditions._curvature_cycles
+
+    def counting(s, g):
+        calls.append(s)
+        return original(s, g)
+
+    for module in (conditions, reconstruct):
+        monkeypatch.setattr(module, "_curvature_cycles", counting)
+    rng = random.Random(31337)
+    ctx = ExprContext(3)
+    for _ in range(3):
+        L, _D = _random_regular_pair(ctx, rng)
+        upper = {pair: ctx.const(small_fraction(rng)) + ctx.const(
+                     small_fraction(rng)) * ctx.var(ctx.q(rng.randint(1, 3)))
+                 for pair in ((1, 2), (1, 3), (2, 3))}
+        entries = dict(upper)
+        entries.update({(j, i): -value for (i, j), value in upper.items()})
+        entries.update({(i, i): ctx.zero for i in range(1, 4)})
+        omega = TensorField(ctx, (0, 2), entries, antisym=((1, 2),))
+        s = Sode(ctx, forward_accelerations(L, omega=omega))
+        calls.clear()
+        cert = reconstruct_gyroscopic(s, hessian(L))
+        assert calls == [s]
+        assert verify_gyroscopic(s, cert.L, cert.omega).passes
