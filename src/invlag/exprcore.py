@@ -43,10 +43,11 @@ a non-constant (or a negative power of one), so reading a polynomial
 factors nothing. The result is the fraction a multivariate gcd would
 give, and no operation here calls one.
 
-The polynomial arithmetic itself is delegated to ``sympy.polys.rings``
-(dense-exponent sparse polynomials over QQ, in lex order); the grammar,
-printing, substitution, integration and evaluation layers are
-implemented here.
+The polynomials are :mod:`invlag.poly`'s: sparse, in lex order, with
+integer coefficients over one denominator. The grammar, printing,
+trial division, substitution, conversion, integration and evaluation
+layers are implemented here, and the last five work on those integers
+directly.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Optional, Union
 
-from sympy.polys.domains import QQ
-from sympy.polys.rings import ring as _make_ring
+from .poly import Poly, PolyRing
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +178,7 @@ _RESERVED_NAME = re.compile(r"^(?:t|(?:q|v|d[0-9]+q)[0-9]+)$")
 _IDENT = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 # Rings are interned so that equal-by-value contexts share one ring object
-# (sympy polynomial elements only cooperate within the same ring) and one
-# factor base.
+# and one factor base.
 _RING_CACHE: dict = {}
 
 
@@ -186,10 +187,13 @@ class _Factor:
 
     ``index`` orders factorisations, ``gens`` holds the generator
     positions the factor depends on, and ``lead`` (its leading exponent
-    vector) and ``tail`` (its other terms) are what trial division reads.
+    vector), ``lead_coeff`` and ``tail`` (its other terms) are what
+    trial division reads. A monic polynomial's integer coefficients are
+    primitive, with its denominator as leading coefficient, and those
+    are the ones kept here.
     """
 
-    __slots__ = ("poly", "index", "gens", "lead", "tail")
+    __slots__ = ("poly", "index", "gens", "lead", "lead_coeff", "tail")
 
     def __init__(self, poly, index: int):
         self.poly = poly
@@ -197,8 +201,11 @@ class _Factor:
         self.gens = frozenset(position for monom in poly
                               for position, exponent in enumerate(monom)
                               if exponent)
-        self.lead = max(poly)  # the rings use lex order
-        self.tail = tuple(item for item in poly.items() if item[0] != self.lead)
+        coeffs = poly.coeffs
+        self.lead = max(coeffs)  # the rings use lex order
+        self.lead_coeff = coeffs[self.lead]
+        self.tail = tuple(item for item in coeffs.items()
+                          if item[0] != self.lead)
 
 
 def _factorisation(exps: dict) -> tuple:
@@ -244,12 +251,12 @@ class _FactorBase:
         lc = poly.LC
         if poly.is_ground:
             return lc, ()
-        monic = poly if lc == QQ(1) else poly.quo_ground(lc)
+        monic = poly if lc == 1 else poly.quo_ground(lc)
         fac = self.factored.get(monic)
         if fac is None:
             exps = {}
             for part, exponent in monic.factor_list()[1]:
-                if part.LC != QQ(1):
+                if part.LC != 1:
                     part = part.quo_ground(part.LC)
                 factor = self.factors.get(part)
                 if factor is None:
@@ -279,7 +286,7 @@ def _ring_for(key):
                       for k, name in enumerate(parameters, 1))
     names = tuple(name for name, _var in generators)
     varids = tuple(var for _name, var in generators)
-    ring = _make_ring(names, QQ)[0]
+    ring = PolyRing(names)
     cached = (ring, names, varids,
               {name: position for position, name in enumerate(names)},
               {var: position for position, var in enumerate(varids)},
@@ -418,9 +425,7 @@ class ExprContext:
     # -- expression constructors --------------------------------------------
 
     def const(self, value: Union[int, Fraction]) -> "Expr":
-        value = Fraction(value)
-        num = self._ring.ground_new(QQ(value.numerator, value.denominator))
-        return _factored(self, num, ())
+        return _factored(self, self._ring.ground_new(Fraction(value)), ())
 
     def var(self, var: VarId) -> "Expr":
         return _factored(self, self._gens[self.gen_index(var)], ())
@@ -441,37 +446,46 @@ class ExprContext:
 def _exact_quotient(num, factor):
     """``num / factor.poly`` when the factor divides ``num``, else None.
 
-    Long division by the monic factor, taking the remainder's terms from
-    a heap in descending lex order. It stops at the first leading term
-    that the factor's leading term does not divide: with a single
-    divisor, that term would stay in the remainder.
+    Long division of ``num``'s integer coefficients by the factor's
+    primitive ones, taking the remainder's terms from a heap in
+    descending lex order. By Gauss's lemma a primitive divisor leaves an
+    integer quotient, so the division stops at the first leading term
+    that the factor's leading term does not divide, in its exponents or
+    in its coefficient: with a single divisor, that term would stay in
+    the remainder.
     """
-    remainder = dict(num)
-    heap = [tuple(-e for e in monom) for monom in remainder]
+    remainder = dict(num.coeffs)
+    heap = [tuple(map(neg, monom)) for monom in remainder]
     heapq.heapify(heap)
-    lead = factor.lead
+    lead, lead_coeff = factor.lead, factor.lead_coeff
     quotient = {}
     while heap:
-        top = tuple(-e for e in heapq.heappop(heap))
+        top = tuple(map(neg, heapq.heappop(heap)))
         coeff = remainder.pop(top, None)
         if coeff is None:  # cancelled since it was pushed
             continue
-        shift = tuple(a - b for a, b in zip(top, lead))
+        shift = tuple(map(sub, top, lead))
         if min(shift) < 0:
+            return None
+        coeff, rest = divmod(coeff, lead_coeff)
+        if rest:
             return None
         quotient[shift] = coeff
         for monom, c in factor.tail:
-            key = tuple(a + b for a, b in zip(monom, shift))
+            key = tuple(map(add, monom, shift))
             value = remainder.get(key)
             product = coeff * c
             if value is None:
                 remainder[key] = -product
-                heapq.heappush(heap, tuple(-e for e in key))
+                heapq.heappush(heap, tuple(map(neg, key)))
             elif value == product:
                 del remainder[key]
             else:
                 remainder[key] = value - product
-    return num.new(quotient)
+    # num / (P / lead_coeff) with P the primitive factor
+    if lead_coeff != 1:
+        quotient = {monom: c * lead_coeff for monom, c in quotient.items()}
+    return num.ring.from_ints(quotient, num.den)
 
 
 def _divide_out(num, exps: dict, factors):
@@ -584,8 +598,7 @@ class Expr:
             raise ExprError("expression is not constant")
         if self.is_zero():
             return Fraction(0)
-        c = self.num.LC / self.den.LC
-        return Fraction(int(c.numerator), int(c.denominator))
+        return self.num.LC / self.den.LC
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -595,9 +608,7 @@ class Expr:
         return self.ctx == other.ctx and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.ctx,
-                     tuple(self.num.terms()) if self.num else (),
-                     tuple(self.den.terms())))
+        return hash((self.ctx, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -685,7 +696,7 @@ class Expr:
         """Numerator and denominator factorisation of ``1 / self``; the
         numerator of ``self`` is factored into the base here."""
         lc, fac = self.ctx._base.factorise(self.num)
-        return (self.den if lc == QQ(1) else self.den.quo_ground(lc)), fac
+        return (self.den if lc == 1 else self.den.quo_ground(lc)), fac
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -762,12 +773,15 @@ class Expr:
                 var)
         if self.is_zero():
             return self.ctx.zero
-        accum = {}
-        for monom, coeff in self.num.terms():
-            lifted = list(monom)
-            lifted[gi] += 1
-            accum[tuple(lifted)] = coeff / QQ(lifted[gi])
-        return _factored(self.ctx, self.ctx._ring.from_dict(accum),
+        coeffs = self.num.coeffs
+        scale = lcm(*(monom[gi] + 1 for monom in coeffs))
+        lifted = {}
+        for monom, coeff in coeffs.items():
+            exponent = monom[gi] + 1
+            lifted[monom[:gi] + (exponent,) + monom[gi + 1:]] = \
+                coeff * (scale // exponent)
+        return _factored(self.ctx,
+                         self.ctx._ring.from_ints(lifted, self.num.den * scale),
                          self.den_factors)
 
     # -- substitution and evaluation ------------------------------------------
@@ -835,9 +849,7 @@ class Expr:
         """The set of variables this expression actually depends on."""
         used = set()
         for poly in (self.num, self.den):
-            if not poly:
-                continue
-            for monom, _coeff in poly.terms():
+            for monom in poly:
                 for position, exponent in enumerate(monom):
                     if exponent:
                         used.add(position)
@@ -869,10 +881,11 @@ class Expr:
         ctx = self.ctx
         positions = [ctx.gen_index(v) for v in variables]
         buckets: dict = {}
-        for monom, coeff in self.num.terms():
+        for monom, coeff in self.num.coeffs.items():
             degree = sum(monom[p] for p in positions)
             buckets.setdefault(degree, {})[monom] = coeff
-        return {degree: over_factors(ctx, ctx._ring.from_dict(monoms),
+        return {degree: over_factors(ctx, ctx._ring.from_ints(monoms,
+                                                             self.num.den),
                                      self.den_factors)
                 for degree, monoms in sorted(buckets.items())}
 
@@ -921,19 +934,27 @@ def _subst_poly(ctx, poly, sigma) -> Expr:
     value into the coefficient and groups the terms by their exponents
     of the other bound generators; each such group is then multiplied
     by its powers of the non-constant values with ``Expr`` arithmetic.
+    A constant bound to a generator stays in integers (``_powers``).
     """
-    constants = [(position, rep.num.LC / rep.den.LC)
-                 for position, rep in sigma.items() if rep.is_constant()]
-    others = [(position, rep) for position, rep in sigma.items()
-              if not rep.is_constant()]
+    den = poly.den
+    tables = []
+    others = []
+    for position, rep in sigma.items():
+        if not rep.is_constant():
+            others.append((position, rep))
+            continue
+        top = poly.degree(position)
+        if top > 0:
+            # a constant's denominator is 1
+            table, scale = _powers(rep.num.LC, top)
+            tables.append((position, table))
+            den *= scale
     groups = {}
-    for monom, coeff in poly.terms():
+    for monom, coeff in poly.coeffs.items():
         residue = list(monom)
-        for position, value in constants:
-            exponent = residue[position]
-            if exponent:
-                coeff = coeff * value ** exponent
-                residue[position] = 0
+        for position, table in tables:
+            coeff *= table[residue[position]]
+            residue[position] = 0
         if coeff:
             powers = tuple([residue[position] for position, _rep in others])
             for position, _rep in others:
@@ -943,7 +964,7 @@ def _subst_poly(ctx, poly, sigma) -> Expr:
             group[key] = group.get(key, 0) + coeff
     total = ctx.zero
     for powers, group in groups.items():
-        part = _factored(ctx, ctx._ring.from_dict(group), ())
+        part = _factored(ctx, ctx._ring.from_ints(group, den), ())
         for (_position, rep), exponent in zip(others, powers):
             if exponent:
                 part = part * rep ** exponent
@@ -951,21 +972,47 @@ def _subst_poly(ctx, poly, sigma) -> Expr:
     return total
 
 
+def _powers(value: Fraction, top: int):
+    """The integer weights of ``value = p/q`` at a generator of degree
+    ``top``: a term with exponent ``e`` is multiplied by
+    ``p**e * q**(top - e)`` (the table's entry ``e``) and the polynomial
+    divided by ``q**top``, so the terms stay integers."""
+    p, q = value.numerator, value.denominator
+    return [p ** e * q ** (top - e) for e in range(top + 1)], q ** top
+
+
 def _eval_poly(ctx, poly, values) -> Fraction:
-    if not poly:
+    """``poly`` at the point ``values`` (a value per generator position,
+    None where unassigned), in integers (``_powers``)."""
+    coeffs = poly.coeffs
+    if not coeffs:
         return Fraction(0)
-    total = Fraction(0)
-    for monom, coeff in poly.terms():
-        term = Fraction(int(coeff.numerator), int(coeff.denominator))
+    den = poly.den
+    tables = []
+    for position, top in enumerate(map(max, zip(*coeffs))):
+        if top:
+            value = values[position]
+            if value is None:
+                _unassigned(ctx, poly, values)
+            table, scale = _powers(value, top)
+            tables.append((position, table))
+            den *= scale
+    total = 0
+    for monom, coeff in coeffs.items():
+        for position, table in tables:
+            coeff *= table[monom[position]]
+        total += coeff
+    return Fraction(total, den)
+
+
+def _unassigned(ctx, poly, values):
+    """Raise for the first generator, in the terms' order, that ``poly``
+    uses and ``values`` leaves unassigned."""
+    for monom in poly.monoms():
         for position, exponent in enumerate(monom):
-            if exponent:
-                value = values[position]
-                if value is None:
-                    raise ExprError("evaluation point does not assign "
-                                    f"{ctx._names[position]}")
-                term *= value ** exponent
-        total += term
-    return total
+            if exponent and values[position] is None:
+                raise ExprError("evaluation point does not assign "
+                                f"{ctx._names[position]}")
 
 
 # --------------------------------------------------------------------------
@@ -984,7 +1031,7 @@ class _Parser:
     not chain; ``/`` is ordinary division, so both rational literals
     ``p/q`` and rational functions share one rule.
 
-    While the text is polynomial, values are ``QQ`` constants and
+    While the text is polynomial, values are ``Fraction`` constants and
     polynomials of the context's ring, combined by ring arithmetic (a
     division by a constant is ``quo_ground``). A division by a
     non-constant, or a negative power of one, makes an ``Expr``, and
@@ -1017,13 +1064,13 @@ class _Parser:
     def as_expr(self, value) -> Expr:
         if isinstance(value, Expr):
             return value
-        if isinstance(value, QQ.dtype):
+        if isinstance(value, Fraction):
             value = self.ring.ground_new(value)
         return _factored(self.ctx, value, ())
 
     def constant(self, value):
-        """The ``QQ`` value of a constant, or None for a non-constant."""
-        if isinstance(value, QQ.dtype):
+        """The ``Fraction`` value of a constant, or None for a non-constant."""
+        if isinstance(value, Fraction):
             return value
         if isinstance(value, Expr) or not value.is_ground:
             return None
@@ -1068,7 +1115,7 @@ class _Parser:
                     f"division by zero (at position {position})")
             elif isinstance(value, Expr) or self.constant(rhs) is None:
                 value = self.as_expr(value) / self.as_expr(rhs)
-            else:  # a polynomial divided by a QQ constant is quo_ground
+            else:  # a polynomial divided by a constant is quo_ground
                 value = value / self.constant(rhs)
 
     def unary(self):
@@ -1083,7 +1130,7 @@ class _Parser:
         self.pos += 1
         exponent = self.exponent_literal()
         if exponent == 0:  # 0^0 too, as for Expr
-            base = QQ.one
+            base = Fraction(1)
         elif exponent > 0:
             base = base ** exponent
         elif not base:
@@ -1125,7 +1172,7 @@ class _Parser:
                 return self.resolve(value, position)
             return self.ctx._gens[gen]
         if kind == "int":
-            return QQ(int(value))
+            return Fraction(int(value))
         if value == "(":
             inner = self.expression()
             self.expect_op(")")
@@ -1157,9 +1204,8 @@ class _Parser:
 # printing
 
 
-def _rational_text(value) -> str:
-    numerator = int(value.numerator)
-    denominator = int(value.denominator)
+def _rational_text(value: Fraction) -> str:
+    numerator, denominator = value.numerator, value.denominator
     return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
 
 
@@ -1179,7 +1225,7 @@ def _poly_text(ctx: ExprContext, poly) -> str:
         magnitude = -coeff if coeff < 0 else coeff
         if not factors:
             body = _rational_text(magnitude)
-        elif magnitude == QQ(1):
+        elif magnitude == 1:
             body = "*".join(factors)
         else:
             body = _rational_text(magnitude) + "*" + "*".join(factors)
@@ -1209,10 +1255,8 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
     source = expr.ctx
 
     def move(poly):
-        if not poly:
-            return target._ring.zero
         out = {}
-        for monom, coeff in poly.terms():
+        for monom, coeff in poly.coeffs.items():
             shifted = [0] * len(target._gens)
             for position, exponent in enumerate(monom):
                 if not exponent:
@@ -1224,7 +1268,7 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
                         f"target context does not declare {name!r}")
                 shifted[to] = exponent
             out[tuple(shifted)] = coeff
-        return target._ring.from_dict(out)
+        return Poly(target._ring, out, poly.den)
 
     # Each factor moves on its own: irreducible in the source, it stays
     # irreducible in the target (which declares at least its variables),

@@ -20,8 +20,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, List, Sequence, Tuple
 
-from sympy.polys.matrices import DomainMatrix
-
 from .exprcore import (Expr, ExprContext, common_denominator, convert,
                        over_factors)
 
@@ -136,31 +134,72 @@ def identity_matrix(ctx: ExprContext) -> TensorField:
     return TensorField(ctx, (0, 2), entries, sym=((1, 2),))
 
 
-def _domain_matrix(tensor: TensorField):
-    """The matrix of a rank-2 tensor over the context's polynomial ring,
-    each row multiplied by the lcm of its denominators, and the product
-    of those multipliers as ``(factor, exponent)`` pairs."""
+def _dot(xs, ys):
+    """``sum x*y`` over the pairs where neither is zero; None for none."""
+    total = None
+    for x, y in zip(xs, ys):
+        if x and y:
+            total = x * y if total is None else total + x * y
+    return total
+
+
+def _berkowitz_det(rows, zero):
+    """Determinant of a square matrix of ring polynomials by Berkowitz's
+    division-free algorithm; ``zero`` is the ring's zero.
+
+    ``q`` holds the characteristic polynomial coefficients of the
+    trailing principal submatrix, leading 1 first. Bordering it by row
+    and column ``k`` (corner ``a``, row ``R``, column ``C``, trailing
+    block ``A``) multiplies it by the Toeplitz matrix with first column
+    ``1, -a, -R C, -R A C, -R A^2 C, ...``; the determinant is
+    ``(-1)^n`` times the last coefficient, so the last bordering works
+    out that one alone. Zero entries and zero products are skipped
+    (None stands for a zero that was never built).
+    """
+    n = len(rows)
+    q = [None, -rows[-1][-1]]  # q[0] is the leading 1
+    for k in range(n - 2, -1, -1):
+        size = n - k
+        block = [row[k + 1:] for row in rows[k + 1:]]
+        column = [row[k] for row in rows[k + 1:]]
+        toeplitz = [None, -rows[k][k]]
+        for i in range(2, size + 1):
+            if i > 2:
+                column = [_dot(row, column) for row in block]
+            product = _dot(rows[k][k + 1:], column)
+            toeplitz.append(None if product is None else -product)
+        wanted = range(size, size + 1) if k == 0 else range(1, size + 1)
+        new = [None]
+        for i in wanted:
+            total = q[i] if i < size else None
+            for j in range(i):
+                t = toeplitz[i - j]
+                if not t or j and not q[j]:
+                    continue
+                term = t if j == 0 else t * q[j]
+                total = term if total is None else total + term
+            new.append(total)
+        q = new
+    det = q[-1]
+    if not det:
+        return zero
+    return -det if n % 2 else det
+
+
+def matrix_det(tensor: TensorField) -> Expr:
+    """Determinant of a rank-2 tensor: each row is brought over the lcm
+    of its denominators, the numerators' determinant is taken by
+    Berkowitz's algorithm, and divided by the product of those lcms."""
+    if tensor.rank != 2:
+        raise GeometryError("determinant needs a rank-2 tensor")
     rows = []
     scale = []
     for row in tensor.matrix():
         numerators, lcm = common_denominator(row)
         rows.append(numerators)
         scale.extend(lcm)
-    return (DomainMatrix(rows, (tensor.n, tensor.n),
-                         tensor.ctx._ring.to_domain()), scale)
-
-
-def matrix_det(tensor: TensorField) -> Expr:
-    """Determinant of a rank-2 tensor: ``(-1)^n`` times the constant
-    coefficient of the characteristic polynomial, which Berkowitz's
-    algorithm computes without division."""
-    if tensor.rank != 2:
-        raise GeometryError("determinant needs a rank-2 tensor")
-    matrix, scale = _domain_matrix(tensor)
-    det = matrix.charpoly()[-1]
-    if tensor.n % 2:
-        det = -det
-    return over_factors(tensor.ctx, det, scale)
+    return over_factors(tensor.ctx,
+                        _berkowitz_det(rows, tensor.ctx._ring.zero), scale)
 
 
 def matrix_solve(tensor: TensorField, rhs: Sequence[Expr]) -> List[Expr]:

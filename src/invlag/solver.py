@@ -5,8 +5,9 @@ in an optional two-form), so declaring every entry as an unknown
 rational combination of user-chosen basis functions turns "does a
 multiplier of this shape exist?" into an exact linear-algebra question.
 Assembly expands every condition cell into canonical polynomial form
-and emits one equation per monomial; solving is exact reduction to row
-echelon form over the rationals; the nonsingular-representative search
+and emits one equation per monomial; solving is exact reduction to
+reduced row echelon form over the rationals, eliminated fraction-free
+in integers on sparse rows; the nonsingular-representative search
 is a bounded integer enumeration over the solution space with a
 structural shortcut for spaces that force an identically-zero row; it
 returns the member it finds and leaves the space as it was.
@@ -19,9 +20,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
 
 from .exprcore import Expr, ExprContext, convert
 from .geometry import InternalInconsistencyError, Sode, TensorField
@@ -264,11 +262,10 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
                         for position, exponent in enumerate(monom))
             row, constant = groups.setdefault(
                 key, ([Fraction(0)] * len(names), Fraction(0)))
-            value = Fraction(int(coeff.numerator), int(coeff.denominator))
             if total_degree == 0:
-                groups[key] = (row, constant + value)
+                groups[key] = (row, constant + coeff)
             else:
-                row[unknown_positions[unknown_part[0][0]]] += value
+                row[unknown_positions[unknown_part[0][0]]] += coeff
         for key in sorted(groups):
             row, constant = groups[key]
             if all(a == 0 for a in row) and constant == 0:
@@ -312,39 +309,94 @@ def _monomial_text(ctx: ExprContext, key: tuple) -> str:
     if not any(key):
         return "1"
     ring = ctx._ring
-    return str(Expr(ctx, ring.from_dict({key: ring.domain.one}), ring.one))
+    return str(Expr(ctx, ring.from_ints({key: 1}), ring.one))
 
 
 # --------------------------------------------------------------------------
 # exact elimination
 
 
+def _integer_row(row) -> Dict[int, int]:
+    """A sparse row of nonzero Fractions (``{column: value}``) scaled to
+    coprime integers."""
+    scale = lcm(*(value.denominator for value in row.values()))
+    ints = {col: value.numerator * (scale // value.denominator)
+            for col, value in row.items()}
+    common = gcd(*ints.values())
+    return {col: value // common for col, value in ints.items()}
+
+
+def _eliminate(row: Dict[int, int], pivot: Dict[int, int],
+               col: int) -> Dict[int, int]:
+    """``row`` with column ``col`` cleared by a multiple of ``pivot``,
+    kept in integers and scaled back to coprime entries."""
+    a, b = pivot[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: value * a for c, value in row.items()}
+    for c, value in pivot.items():
+        total = out.get(c, 0) - value * b
+        if total:
+            out[c] = total
+        else:
+            out.pop(c, None)
+    if out:
+        common = gcd(*out.values())
+        if common != 1:
+            out = {c: value // common for c, value in out.items()}
+    return out
+
+
+def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
+    """Reduced row echelon form of sparse rows (``{column: Fraction}``):
+    the pivot columns in increasing order and, for each, its row with
+    the pivot entry 1.
+
+    Rows are eliminated in integers, fraction-free, one at a time: a new
+    row is reduced by the pivot rows so far, and if anything is left its
+    first column becomes a pivot, cleared from the earlier pivot rows.
+    Pivot entries are kept positive, so clearing never changes their
+    sign. The reduced form is unique, so the order of the rows does not
+    matter.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        if not row:
+            continue
+        current = _integer_row(row)
+        for col in [col for col in current if col in pivots]:
+            current = _eliminate(current, pivots[col], col)
+        if not current:
+            continue
+        lead = min(current)
+        if current[lead] < 0:
+            current = {c: -value for c, value in current.items()}
+        for col, pivot in pivots.items():
+            if lead in pivot:
+                pivots[col] = _eliminate(pivot, current, lead)
+        pivots[lead] = current
+    order = sorted(pivots)
+    return order, [{c: Fraction(value, pivots[col][col])
+                    for c, value in pivots[col].items()} for col in order]
+
+
 def solve(system: LinearSystem) -> SolutionSpace:
-    """Reduced row echelon form over exact rationals, computed by
-    sympy's sparse ``DomainMatrix`` over ``QQ`` on ``[rows | rhs]``;
-    the system is inconsistent exactly when the ``rhs`` column is a
-    pivot. Nullspace vectors are primitive-integer normalized, one per
-    free unknown in declaration order. Every solution is re-verified
-    symbolically against the assembled residuals."""
+    """Reduced row echelon form over exact rationals of ``[rows | rhs]``
+    (``_rref``); the system is inconsistent exactly when the ``rhs``
+    column is a pivot. Nullspace vectors are primitive-integer
+    normalized, one per free unknown in declaration order. Every
+    solution is re-verified symbolically against the assembled
+    residuals."""
     count = len(system.unknowns)
-    augmented = {}
-    for r, (row, value) in enumerate(zip(system.rows, system.rhs)):
-        entries = {col: QQ(a.numerator, a.denominator)
-                   for col, a in enumerate(row + (value,)) if a}
-        if entries:
-            augmented[r] = entries
-    reduced, pivots = DomainMatrix(augmented, (len(system.rows), count + 1),
-                                   QQ).rref()
+    pivots, pivot_rows = _rref(
+        {col: a for col, a in enumerate(row + (value,)) if a}
+        for row, value in zip(system.rows, system.rhs))
 
     if count in pivots:
         certificate = "0 = 1 after elimination: no solution in this ansatz"
         return SolutionSpace(system.unknowns, (), None, certificate,
                              system.problem, system.context.n)
 
-    nonzero = reduced.to_dod()
-    pivot_rows = [{col: Fraction(int(value.numerator), int(value.denominator))
-                   for col, value in nonzero.get(r, {}).items()}
-                  for r in range(len(pivots))]
     zero = Fraction(0)
 
     particular = [zero] * count

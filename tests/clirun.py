@@ -2,8 +2,7 @@
 
 ``run_cli`` calls ``invlag.cli.main`` with standard output and error
 captured, the way ``python -m invlag.cli`` would print them, so a test
-pays for one interpreter and one sympy import in total rather than one
-per call. ``INVLAG_SEED`` is set (or unset) for the call and restored
+pays for one interpreter start-up in total rather than one per call. ``INVLAG_SEED`` is set (or unset) for the call and restored
 afterwards; argparse's usage errors come back as their exit code.
 """
 

@@ -24,7 +24,8 @@ import pytest
 from sympy.polys.rings import PolyElement
 
 import invlag
-from invlag import cli, conditions, exprcore, geometry, reconstruct, solver
+from invlag import (cli, conditions, exprcore, geometry, poly, reconstruct,
+                    solver)
 from invlag.exprcore import ExprContext
 from invlag.reconstruct import forward_accelerations
 
@@ -42,6 +43,17 @@ def assert_valid_report(payload):
     assert not errors, errors[0].message
 
 
+def _child_env():
+    """The environment of a child interpreter that imports the same tree
+    as this process, without ``INVLAG_SEED``."""
+    env = dict(os.environ)
+    env.pop("INVLAG_SEED", None)
+    package_parent = os.path.dirname(os.path.dirname(invlag.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_parent, env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.mark.parametrize("args, code", [
     (("check", "planar_drag", "--suite", "dissipative"), 0),
     (("check", "planar_drag_euclidean", "--suite", "classical"), 1),
@@ -50,15 +62,9 @@ def assert_valid_report(payload):
     (("solve", "chain4", "--format", "json"), 3),
 ])
 def test_module_entry_point_matches_in_process_call(args, code):
-    env = dict(os.environ)
-    env.pop("INVLAG_SEED", None)
-    # the child imports the same tree as this process
-    package_parent = os.path.dirname(os.path.dirname(invlag.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (package_parent, env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-m", "invlag.cli", *args],
                           capture_output=True, text=True, check=False,
-                          timeout=120, env=env)
+                          timeout=120, env=_child_env())
     assert done.returncode == code
     assert (done.returncode, done.stdout, done.stderr) == tuple(run_cli(*args))
 
@@ -86,11 +92,10 @@ def test_analyze_json_free_particle_all_zero():
     assert all(v == "0" for m in objects["theta"] for row in m for v in row)
 
 
-def test_analyze_position_dependent_kinetic_energy_needs_no_gcd(
-        tmp_path, monkeypatch):
-    """Every denominator of the geometry is a power of the kinetic
-    determinant, which the factor base factors once: ``analyze`` calls
-    the multivariate gcd a handful of times at most, not hundreds."""
+def _moving_mass(tmp_path) -> pathlib.Path:
+    """An n = 3 problem file whose kinetic energy depends on q1 and q3,
+    so every denominator of its geometry is a power of the kinetic
+    determinant, a polynomial that is not a monomial."""
     ctx = ExprContext(3)
     L = ctx.parse("1/2*(6 + q1^2)*v1^2 + v1*v2 - v1*v3 + 1/2*(4 + q3^2)*v2^2"
                   " + 5/2*v3^2 - 2/3*q1^2 + q1^2*q3")
@@ -98,20 +103,76 @@ def test_analyze_position_dependent_kinetic_energy_needs_no_gcd(
     path = tmp_path / "moving_mass.json"
     path.write_text(json.dumps(
         {"n": 3, "f": [str(e) for e in forward_accelerations(L, D)]}))
-    calls = []
-    original = PolyElement.cancel
+    return path
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+
+# Runs in a fresh interpreter: which modules each step leaves loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import invlag.cli
+steps = [["import", None, "sympy" in sys.modules]]
+outputs = {}
+for args in (["analyze", "planar_drag"], ["solve", "coupled3"],
+             ["reconstruct", "coupled3"], ["analyze", sys.argv[1]],
+             ["analyze", sys.argv[1], "--format", "json"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = invlag.cli.main(args)
+    steps.append([" ".join(args[:2]), code, "sympy" in sys.modules])
+    outputs[" ".join(args)] = out.getvalue()
+print(json.dumps([steps, outputs]))
+"""
+
+
+def test_sympy_is_imported_only_to_factor_a_non_monomial(tmp_path):
+    """``import invlag.cli`` loads no sympy, and neither do calls whose
+    denominators are monomials; the first non-monomial denominator, the
+    kinetic determinant of a position-dependent kinetic energy, loads
+    it to be factored, and the output is the one kept in
+    ``tests/golden`` (the file's path written ``<file>``)."""
+    path = _moving_mass(tmp_path)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(path)],
+                          capture_output=True, text=True, check=True,
+                          timeout=120, env=_child_env())
+    steps, outputs = json.loads(done.stdout)
+    assert steps == [["import", None, False],
+                     ["analyze planar_drag", 0, False],
+                     ["solve coupled3", 0, False],
+                     ["reconstruct coupled3", 0, False],
+                     [f"analyze {path}", 0, True],
+                     [f"analyze {path}", 0, True]]
+    for fmt, suffix in (("", "txt"), (" --format json", "json")):
+        expected = (GOLDEN / f"analyze_moving_mass.{suffix}").read_text()
+        assert outputs[f"analyze {path}{fmt}"].replace(str(path), "<file>") \
+            == expected
+
+
+def test_analyze_position_dependent_kinetic_energy_needs_no_gcd(
+        tmp_path, monkeypatch):
+    """Every denominator of the geometry is a power of the kinetic
+    determinant, which the factor base factors once: ``analyze`` makes
+    one sympy factorisation, of that determinant, and no other sympy
+    call (every polynomial handed to sympy is converted first)."""
+    path = _moving_mass(tmp_path)
+    factored, converted = [], []
+
+    def counting(calls, original):
+        def wrapper(*args):
+            calls.append(args[0])
+            return original(*args)
+        return wrapper
 
     # a fresh factor base, as in a new process
     monkeypatch.setattr(exprcore, "_RING_CACHE", {})
-    monkeypatch.setattr(PolyElement, "cancel", counting)
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        counting(factored, PolyElement.factor_list))
+    monkeypatch.setattr(poly, "_to_sympy", counting(converted, poly._to_sympy))
     result = run_cli("analyze", str(path))
     assert result.returncode == 0
     assert ")/(q1^2*q3^2 + 4*q1^2 + 29/5*q3^2 + 111/5)" in result.stdout
-    assert len(calls) <= 3
+    assert [str(p) for p in factored] == [
+        "q1**2*q3**2 + 4*q1**2 + 29/5*q3**2 + 111/5"]
+    assert len(converted) == 1
 
 
 def test_analyze_requires_explicit_mode():

@@ -7,8 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyElement
 
 from invlag import exprcore
 from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
@@ -18,8 +16,10 @@ from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
                              ZeroDenominatorError, convert)
 from invlag.numeric import (central_difference, sample_point, seeded_rng,
                             nonzero_somewhere)
+from invlag.poly import Poly
 
 from exprgen import random_expr, random_text, rearranged, small_fraction
+from sympyref import sympy_ring, to_sympy
 
 
 def test_parse_product_monomial():
@@ -67,7 +67,7 @@ def test_constructor_returns_the_canonical_form():
     ctx = ExprContext(2)
     ring = ctx._ring
     q1, q2 = ring.gens[:2]
-    half = Expr(ctx, q1, ring(2))
+    half = Expr(ctx, q1, ring.ground_new(2))
     assert str(half) == "1/2*q1" and half == ctx.parse("q1/2")
     unreduced = Expr(ctx, q1 * q2, 2 * q2)
     assert unreduced == ctx.parse("q1/2") and unreduced.den == ring.one
@@ -133,13 +133,13 @@ def test_subst_away_from_the_denominator_factors_nothing(monkeypatch):
         "(v1^3/(q2 - 1)^2 + 1/2)/(q2^2 + 1)")]
     touching = ctx.parse("q1 + 2")
     calls = []
-    original = PolyElement.factor_list
+    original = Poly.factor_list
 
     def counting(poly):
         calls.append(poly)
         return original(poly)
 
-    monkeypatch.setattr(PolyElement, "factor_list", counting)
+    monkeypatch.setattr(Poly, "factor_list", counting)
     assert [e.subst(binding) for binding in bindings] == expected
     assert calls == []
     e.subst({ctx.q(2): touching})  # q2^2 + 1 becomes q1^2 + 4*q1 + 5
@@ -374,8 +374,7 @@ def test_parsing_a_polynomial_builds_no_quotient(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(exprcore, "_product", counting(exprcore._product))
-    monkeypatch.setattr(PolyElement, "factor_list",
-                        counting(PolyElement.factor_list))
+    monkeypatch.setattr(Poly, "factor_list", counting(Poly.factor_list))
     e = ctx.parse(text)
     assert calls == []
     assert str(e) == text
@@ -443,10 +442,15 @@ def test_diff_matches_central_differences():
 
 
 def _reference_reduction(num, den):
-    """sympy's own reduction followed by a monic denominator."""
+    """sympy's own reduction, of sympy ring elements, followed by a
+    monic denominator."""
     num, den = num.cancel(den)
     lc = den.LC
     return num.quo_ground(lc), den.quo_ground(lc)
+
+
+def _as_sympy(expr):
+    return to_sympy(expr.num), to_sympy(expr.den)
 
 
 _nonzero_fractions = st.fractions(min_value=-5, max_value=5,
@@ -460,7 +464,7 @@ def test_normalize_matches_reference_reduction(seed, scale, shape):
     ctx = ExprContext(2, parameters=("a",))
     ring = ctx._ring
     rng = random.Random(seed)
-    c = ring.ground_new(QQ(scale.numerator, scale.denominator))
+    c = ring.ground_new(scale)
     top = random_expr(ctx, rng, depth=3).num
     bottom = random_expr(ctx, rng, depth=2, allow_div=False).num
     common = random_expr(ctx, rng, depth=2, allow_div=False).num
@@ -472,7 +476,7 @@ def test_normalize_matches_reference_reduction(seed, scale, shape):
     else:
         num, den = top * common, bottom * common * c
     e = Expr(ctx, num, den)
-    assert (e.num, e.den) == _reference_reduction(num, den)
+    assert _as_sympy(e) == _reference_reduction(to_sympy(num), to_sympy(den))
 
 
 # Denominator factors that operands share. q1^2 - q2^2 is reducible and
@@ -514,7 +518,8 @@ def _shared_fraction(draw):
 
 def _reference_subst(poly, var, by_num, by_den):
     """``poly`` with ``var`` replaced by ``by_num/by_den``, as the whole
-    polynomial brought over ``by_den**degree``: (numerator, degree)."""
+    polynomial brought over ``by_den**degree``: (numerator, degree), in
+    sympy's ring."""
     ring = poly.ring
     position = _SHARED_CTX.gen_index(var)
     degree = max(monom[position] for monom in poly.monoms())
@@ -547,13 +552,14 @@ def _pair(num, den):
 def test_shared_factor_denominators_match_reference_reduction(x, y, op, var,
                                                               value):
     """Every operation on denominators built from shared (and one
-    reducible) factors gives sympy's reduction with a monic denominator."""
+    reducible) factors gives sympy's reduction with a monic denominator;
+    the reference works in sympy's ring from start to end."""
     ctx = _SHARED_CTX
     a = Expr(ctx, *x)
     b = Expr(ctx, *y)
-    assert (a.num, a.den) == _reference_reduction(*x)
-    (xn, xd), (yn, yd) = x, y
-    gen = ctx._gens[ctx.gen_index(var)]
+    (xn, xd), (yn, yd) = ([to_sympy(p) for p in pair] for pair in (x, y))
+    assert _as_sympy(a) == _reference_reduction(xn, xd)
+    gen = sympy_ring(ctx._ring).gens[ctx.gen_index(var)]
     if op == "+":
         result, expected = a + b, (xn * yd + yn * xd, xd * yd)
     elif op == "-":
@@ -563,24 +569,25 @@ def test_shared_factor_denominators_match_reference_reduction(x, y, op, var,
     elif op == "/":
         result, expected = a / b, (xn * yd, xd * yn)
     elif op == "+-":
-        result, expected = (a + b) - b, x
+        result, expected = (a + b) - b, (xn, xd)
     elif op == "diff":
         result = a.diff(var)
         expected = (xn.diff(gen) * xd - xn * xd.diff(gen), xd * xd)
     else:
         c = ctx.parse(value)
-        top, top_degree = _reference_subst(xn, var, c.num, c.den)
-        bottom, bottom_degree = _reference_subst(xd, var, c.num, c.den)
+        cn, cd = _as_sympy(c)
+        top, top_degree = _reference_subst(xn, var, cn, cd)
+        bottom, bottom_degree = _reference_subst(xd, var, cn, cd)
         if not bottom:
             with pytest.raises(ZeroDenominatorError):
                 a.subst({var: c})
             return
-        expected = (top * c.den ** bottom_degree, bottom * c.den ** top_degree)
+        expected = (top * cd ** bottom_degree, bottom * cd ** top_degree)
         result = a.subst({var: c})
     if not expected[0]:
         assert result.is_zero() and result.den == ctx._ring.one
     else:
-        assert (result.num, result.den) == _reference_reduction(*expected)
+        assert _as_sympy(result) == _reference_reduction(*expected)
     assert result.den == ctx._base.product(result.den_factors)
 
 

@@ -1,5 +1,7 @@
 """The numeric cross-check samplers against the sample-then-evaluate
-code they replace: the same verdicts from the same random draws."""
+code they replace: the same verdicts from the same random draws; and
+the cross-check of report cells, which draws no point for a zero
+residual."""
 
 import random
 from fractions import Fraction
@@ -9,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext, PoleError
-from invlag.numeric import (nonzero_somewhere, sample_value,
-                            zero_at_random_points)
+from invlag.numeric import (crosscheck_cells, nonzero_somewhere,
+                            sample_value, zero_at_random_points)
 
 from exprgen import random_expr
 
@@ -87,3 +89,20 @@ def test_samplers_match_sample_then_evaluate(seed, points):
         new, old = random.Random(seed), random.Random(seed)
         assert check(new) == reference(old)
         assert new.getstate() == old.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_crosscheck_draws_points_for_nonzero_residuals_only(seed):
+    """Zero residuals count as checked but leave the generator where
+    the nonzero ones alone would leave it."""
+    ctx = ExprContext(1)
+    residuals = _residuals(ctx, random.Random(seed))
+    cells = [(f"cell{k}", residual) for k, residual in enumerate(residuals)]
+    rng, reference = random.Random(seed), random.Random(seed)
+    summary = crosscheck_cells(cells, rng)
+    expected = [label for label, residual in cells if not residual.is_zero()
+                and not nonzero_somewhere(residual, reference)]
+    assert summary == {"points": 5, "cells_checked": len(cells),
+                       "consistent": not expected, "disagreements": expected}
+    assert rng.getstate() == reference.getstate()
