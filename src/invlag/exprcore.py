@@ -37,7 +37,10 @@ step has one path:
 
 Only a polynomial from outside the base is factored with
 ``factor_list``, once per polynomial: a constructor's ``den``, a divisor
-or the product of the substituted factors. The parser reads polynomial
+or the product of the substituted factors. :mod:`invlag.poly` factors
+monomials and certifies irreducible cofactors itself and hands only the
+rest to sympy, so a kinetic determinant such as ``q1^2*q3^2 + 4*q1^2 +
+29/5*q3^2 + 111/5`` loads no sympy. The parser reads polynomial
 text with ring arithmetic and builds an ``Expr`` only for a division by
 a non-constant (or a negative power of one), so reading a polynomial
 factors nothing. The result is the fraction a multivariate gcd would
@@ -300,7 +303,8 @@ class ExprContext:
 
     Contexts compare (and hash) by value, and equal contexts share the
     same underlying polynomial ring, so expressions built under two
-    equal contexts interoperate.
+    equal contexts interoperate. Rings are interned by exactly that
+    value, so equality is one identity test of the rings.
     """
 
     __slots__ = ("n", "max_jet_order", "parameters", "uses_time",
@@ -345,8 +349,7 @@ class ExprContext:
     def __eq__(self, other):
         if not isinstance(other, ExprContext):
             return NotImplemented
-        return (self.n, self.max_jet_order, self.parameters, self.uses_time) == \
-               (other.n, other.max_jet_order, other.parameters, other.uses_time)
+        return self._ring is other._ring
 
     def __hash__(self):
         return hash((self.n, self.max_jet_order, self.parameters, self.uses_time))

@@ -14,15 +14,19 @@ operands), division by a constant, ``diff``, ``degree``, ``LC``,
 ``is_ground``, ``quo_ground``, ``terms()`` (``Fraction`` coefficients)
 and ``monoms()`` in descending lex order, ``len``, ``==``, ``hash`` and
 ``factor_list``. A monomial is factored here (its factors are its
-variables); any other polynomial is handed to sympy's factoriser, which
-is imported on that first need only.
+variables), and so is a monomial times a cofactor that an exact
+irreducibility certificate accepts (restriction to lines and
+distinct-degree factorisation modulo primes, see ``_irreducible``); any
+other polynomial is handed to sympy's factoriser, which is imported on
+that first need only. A certified factorisation has sympy's content
+and factor order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 
 class PolyRing:
@@ -293,8 +297,12 @@ class Poly:
 
     def factor_list(self):
         """``(content, [(factor, exponent), ...])`` with irreducible
-        factors whose product times ``content`` is ``self``. A monomial
-        is factored into its variables; anything else goes to sympy."""
+        factors whose product times ``content`` is ``self``: primitive
+        integer factors with a positive leading coefficient. A monomial
+        is factored into its variables, in generator order; a monomial
+        times a cofactor that :func:`_irreducible` certifies, into those
+        variables and the cofactor, in the order sympy's
+        ``factor_list`` gives them; anything else goes to sympy."""
         coeffs = self.coeffs
         if len(coeffs) <= 1:
             if not coeffs:
@@ -303,9 +311,216 @@ class Poly:
             gens = self.ring.gens
             return (Fraction(c, self.den),
                     [(gens[i], e) for i, e in enumerate(m) if e])
+        shift = tuple(map(min, *coeffs))
+        cofactor = {tuple(map(sub, m, shift)): c for m, c in coeffs.items()}
+        if _irreducible(cofactor):
+            content = gcd(*coeffs.values())
+            if coeffs[max(coeffs)] < 0:
+                content = -content
+            ring = self.ring
+            factors = [(ring.gens[i], e) for i, e in enumerate(shift) if e]
+            factors.append((Poly(ring, {m: c // content
+                                        for m, c in cofactor.items()}, 1), 1))
+            factors.sort(key=_sympy_order)
+            return Fraction(content, self.den), factors
         content, factors = _to_sympy(self).factor_list()
         return (Fraction(int(content.numerator), int(content.denominator)),
                 [(_from_sympy(self.ring, f), e) for f, e in factors])
+
+
+# -- irreducibility certificate -----------------------------------------------
+#
+# A polynomial f of total degree d over QQ is restricted to lines
+# x = a + b*s with integer a, b at which its leading homogeneous form does
+# not vanish, so the image f(a + b*s) has degree d, and any factorisation
+# f = g*h restricts to one of the image with the degrees of g and h. The
+# image is factored by degree modulo primes that keep its degree and
+# leave it squarefree (distinct-degree factorisation; von zur Gathen and
+# Gerhard, Modern Computer Algebra, ch. 14): the degree of a factor over
+# QQ is a sum of degrees of factors mod p. When no proper sum survives
+# every line and prime tried, f is irreducible. The lines and primes are
+# fixed, so the answer never depends on anything but f.
+
+# Line k is tried with the primes _PRIMES[k*_PER_LINE:(k+1)*_PER_LINE]: a
+# univariate polynomial has images with one splitting field on every
+# line, so only fresh primes tell it more.
+_LINES = 4
+_PER_LINE = 6
+_PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157,
+           163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227)
+
+
+def _line(position: int, index: int):
+    """``(a, b)`` of generator ``position`` on the line ``index``; every
+    ``b`` is nonzero."""
+    return ((position + 1) * (2 * index + 3) * 37 % 23 - 11,
+            (position + 1) * (index + 2) * 19 % 13 + 1)
+
+
+def _irreducible(coeffs: dict) -> bool:
+    """Whether the non-constant integer polynomial ``coeffs`` is
+    certified irreducible over QQ; False means no certificate was found,
+    not that it is reducible."""
+    degree = max(map(sum, coeffs))
+    if degree == 1:
+        return True
+    active = [i for i in range(len(next(iter(coeffs))))
+              if any(m[i] for m in coeffs)]
+    possible = (1 << degree + 1) - 1  # every factor degree 0..d
+    certified = 1 | 1 << degree
+    for index in range(_LINES):
+        image = _restrict(coeffs, active, index, degree)
+        if image is None:
+            continue
+        lead = image[-1]
+        for p in _PRIMES[index * _PER_LINE:(index + 1) * _PER_LINE]:
+            if not lead % p:
+                continue
+            degrees = _factor_degrees([c % p for c in image], p)
+            if degrees is None:
+                continue
+            sums = 1
+            for k in degrees:
+                sums |= sums << k
+            possible &= sums
+            if possible == certified:
+                return True
+    return False
+
+
+def _restrict(coeffs: dict, active, index: int, degree: int):
+    """The integer coefficients, lowest first, of ``coeffs`` on the line
+    ``index``, or None when the line lowers its degree."""
+    powers = {}
+    for i in active:
+        a, b = _line(i, index)
+        top = max(m[i] for m in coeffs)
+        table = [[1]]
+        for _ in range(top):
+            prev = table[-1]
+            nxt = [a * c for c in prev] + [0]
+            for k, c in enumerate(prev):
+                nxt[k + 1] += b * c
+            table.append(nxt)
+        powers[i] = table
+    image = [0] * (degree + 1)
+    for m, c in coeffs.items():
+        term = [c]
+        for i in active:
+            if m[i]:
+                term = _mul_dense(term, powers[i][m[i]])
+        for k, v in enumerate(term):
+            image[k] += v
+    return image if image[degree] else None
+
+
+def _mul_dense(a: list, b: list, p: int = 0) -> list:
+    """The product of two coefficient lists, lowest first, reduced mod
+    ``p`` unless it is 0."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out] if p else out
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod(a: list, m: list, p: int):
+    """Quotient and trimmed remainder of ``a`` by a monic ``m`` over
+    GF(p), ``a``'s coefficients already reduced."""
+    a = a[:]
+    dm = len(m) - 1
+    q = [0] * max(len(a) - dm, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = a[shift + dm]
+        if c:
+            for k in range(dm + 1):
+                a[shift + k] = (a[shift + k] - c * m[k]) % p
+    return q, _trim(a[:dm])
+
+
+def _monic(a: list, p: int) -> list:
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
+
+
+def _gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over GF(p) of two trimmed lists, not both empty."""
+    while b:
+        a, b = b, _divmod(a, _monic(b, p), p)[1]
+    return _monic(a, p)
+
+
+def _factor_degrees(f: list, p: int):
+    """The degrees of the irreducible factors of ``f`` over GF(p), by
+    distinct-degree factorisation, or None when ``f`` is not squarefree
+    there; the leading coefficient of ``f`` is nonzero mod ``p``."""
+    f = _monic(f, p)
+    derivative = _trim([k * c % p for k, c in enumerate(f)][1:])
+    if len(_gcd(f, derivative, p)) > 1:
+        return None
+    degrees = []
+    h = [0, 1]  # x**(p**i) mod f
+    i = 0
+    while len(f) - 1 >= 2 * (i + 1):
+        i += 1
+        h = _power_p(h, f, p)
+        diff = h + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        g = _gcd(f, _trim(diff), p)
+        if len(g) > 1:
+            degrees.extend([i] * ((len(g) - 1) // i))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _power_p(a: list, m: list, p: int) -> list:
+    """``a ** p mod m`` over GF(p), ``m`` monic."""
+    exponent, result = p, [1]
+    while exponent:
+        if exponent & 1:
+            result = _divmod(_mul_dense(result, a, p), m, p)[1]
+        exponent >>= 1
+        if exponent:
+            a = _divmod(_mul_dense(a, a, p), m, p)[1]
+    return result
+
+
+def _sympy_order(pair):
+    """sympy's sort key of a ``(factor, exponent)`` pair: the degree in
+    the first generator, the exponent, then the dense recursive form."""
+    poly, exponent = pair
+    dense = _dense(list(poly.coeffs.items()), 0, poly.ring.ngens)
+    return len(dense), exponent, dense
+
+
+def _dense(terms: list, level: int, count: int) -> list:
+    """sympy's dense recursive form of ``terms`` from generator
+    ``level`` on: highest degree first, zero as nested empty lists."""
+    if not terms:
+        zero = []
+        for _ in range(count - 1 - level):
+            zero = [zero]
+        return zero
+    top = max(m[level] for m, _c in terms)
+    if level == count - 1:
+        out = [0] * (top + 1)
+        for m, c in terms:
+            out[top - m[level]] = c
+        return out
+    groups = [[] for _ in range(top + 1)]
+    for m, c in terms:
+        groups[top - m[level]].append((m, c))
+    return [_dense(group, level + 1, count) for group in groups]
 
 
 def _to_sympy(poly: Poly):

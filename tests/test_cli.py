@@ -126,9 +126,9 @@ print(json.dumps([steps, outputs]))
 
 def test_sympy_is_imported_only_to_factor_a_non_monomial(tmp_path):
     """``import invlag.cli`` loads no sympy, and neither do calls whose
-    denominators are monomials; the first non-monomial denominator, the
-    kinetic determinant of a position-dependent kinetic energy, loads
-    it to be factored, and the output is the one kept in
+    denominators are monomials nor ``analyze`` of a position-dependent
+    kinetic energy, whose kinetic determinant is not a monomial but is
+    certified irreducible in-house; the output is the one kept in
     ``tests/golden`` (the file's path written ``<file>``)."""
     path = _moving_mass(tmp_path)
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(path)],
@@ -139,8 +139,8 @@ def test_sympy_is_imported_only_to_factor_a_non_monomial(tmp_path):
                      ["analyze planar_drag", 0, False],
                      ["solve coupled3", 0, False],
                      ["reconstruct coupled3", 0, False],
-                     [f"analyze {path}", 0, True],
-                     [f"analyze {path}", 0, True]]
+                     [f"analyze {path}", 0, False],
+                     [f"analyze {path}", 0, False]]
     for fmt, suffix in (("", "txt"), (" --format json", "json")):
         expected = (GOLDEN / f"analyze_moving_mass.{suffix}").read_text()
         assert outputs[f"analyze {path}{fmt}"].replace(str(path), "<file>") \
@@ -150,9 +150,10 @@ def test_sympy_is_imported_only_to_factor_a_non_monomial(tmp_path):
 def test_analyze_position_dependent_kinetic_energy_needs_no_gcd(
         tmp_path, monkeypatch):
     """Every denominator of the geometry is a power of the kinetic
-    determinant, which the factor base factors once: ``analyze`` makes
-    one sympy factorisation, of that determinant, and no other sympy
-    call (every polynomial handed to sympy is converted first)."""
+    determinant, which the factor base factors once, in-house: its
+    irreducibility is certified without sympy, so ``analyze`` makes no
+    sympy factorisation and converts nothing into sympy (every
+    polynomial handed to sympy is converted first)."""
     path = _moving_mass(tmp_path)
     factored, converted = [], []
 
@@ -170,9 +171,8 @@ def test_analyze_position_dependent_kinetic_energy_needs_no_gcd(
     result = run_cli("analyze", str(path))
     assert result.returncode == 0
     assert ")/(q1^2*q3^2 + 4*q1^2 + 29/5*q3^2 + 111/5)" in result.stdout
-    assert [str(p) for p in factored] == [
-        "q1**2*q3**2 + 4*q1**2 + 29/5*q3**2 + 111/5"]
-    assert len(converted) == 1
+    assert factored == []
+    assert converted == []
 
 
 def test_analyze_requires_explicit_mode():

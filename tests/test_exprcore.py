@@ -253,6 +253,27 @@ def test_negative_exponent_builds_reciprocal():
     assert ctx.parse("q2^(-2)") == ctx.one / ctx.parse("q2^2")
 
 
+def test_contexts_compare_and_hash_by_value():
+    """Two contexts built apart with the same dimension, jet order,
+    parameters and time flag are equal, hash alike and mix; a context
+    that differs in any one of them is unequal and refuses to mix."""
+    a = ExprContext(2, parameters=("k",), max_jet_order=2)
+    b = ExprContext(2, parameters=["k"], max_jet_order=2)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a.parse("q1 + k") + b.parse("v2") == a.parse("q1 + k + v2")
+    for other in (ExprContext(3, parameters=("k",), max_jet_order=2),
+                  ExprContext(2, parameters=("m",), max_jet_order=2),
+                  ExprContext(2, parameters=("k",), max_jet_order=3),
+                  ExprContext(2, parameters=("k",), max_jet_order=2,
+                              uses_time=True),
+                  ExprContext(2, max_jet_order=2)):
+        assert a != other and not a == other
+        with pytest.raises(ContextMismatchError):
+            a.parse("q1") + other.parse("q1")
+    assert a != "ExprContext(n=2)"
+
+
 def test_convert_between_contexts():
     src = ExprContext(2)
     dst = ExprContext(3, parameters=("a",))

@@ -9,15 +9,29 @@ by a monic factor (``exprcore._exact_quotient``), checked against
 sympy's ``div`` on a product (a hit), on a product plus a remainder
 (a miss, unless the remainder happens to be divisible) and on a near
 miss whose leading coefficient the factor's does not divide.
+
+``factor_list`` certifies irreducible cofactors in-house
+(``poly._irreducible``): the certificate must never accept an explicit
+product or square, must agree with sympy whenever it accepts, and a
+non-monomial's factorisation must be sympy's, content and factor order
+included, whether certified or handed to sympy.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from operator import sub
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invlag.exprcore import _exact_quotient, _Factor
-from invlag.poly import PolyRing
+import invlag
+from invlag import poly as poly_module
+from invlag.exprcore import ExprContext, _exact_quotient, _Factor
+from invlag.poly import PolyRing, _irreducible
 
 from sympyref import from_sympy, to_sympy
 
@@ -166,3 +180,132 @@ def test_monomials_factor_into_their_variables(monom, c):
                                int(s_content.denominator))
     assert sorted((str(to_sympy(f)), e) for f, e in factors) == \
         sorted((str(f), e) for f, e in s_factors)
+
+
+def _cofactor(poly):
+    """``poly`` divided by its monomial content, as integer terms."""
+    shift = tuple(map(min, *poly.coeffs))
+    return {tuple(map(sub, m, shift)): c for m, c in poly.coeffs.items()}
+
+
+def _sympy_factor_list(poly):
+    content, factors = to_sympy(poly).factor_list()
+    return (Fraction(int(content.numerator), int(content.denominator)),
+            [(from_sympy(poly.ring, f), e) for f, e in factors])
+
+
+@st.composite
+def _non_monomials(draw, count, how_many):
+    """``how_many`` polynomials of ``RINGS[count]`` with two terms or
+    more, in up to four generators of degree at most two each."""
+    ring = RINGS[count]
+    monoms = st.tuples(*[st.integers(0, 2)] * min(count, 4),
+                       *[st.just(0)] * max(count - 4, 0))
+    return [ring.from_dict(draw(st.dictionaries(monoms, _nonzero, min_size=2,
+                                                max_size=4)))
+            for _ in range(how_many)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda count: _non_monomials(count, 2)),
+       st.booleans())
+def test_products_and_squares_are_never_certified(pair, square):
+    """An explicit product of two non-constant polynomials, or a square,
+    is never certified irreducible (so ``factor_list`` hands it to
+    sympy)."""
+    g, h = pair
+    assert not _irreducible(_cofactor(g * g if square else g * h))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda count: _non_monomials(count, 1)))
+def test_certified_polynomials_are_irreducible_for_sympy(case):
+    """Whenever the certificate accepts a cofactor, sympy factors it into
+    one factor with exponent 1; either way ``factor_list`` is sympy's,
+    content and factor order included."""
+    (poly,) = case
+    if _irreducible(_cofactor(poly)):
+        cofactor = poly.ring.from_ints(_cofactor(poly))
+        _content, factors = to_sympy(cofactor).factor_list()
+        assert [e for _f, e in factors] == [1]
+    assert poly.factor_list() == _sympy_factor_list(poly)
+
+
+# The kinetic determinants the rational_geometry benchmark workload
+# factors, in the generators of an n = 3 context.
+WORKLOAD_DETERMINANTS = ("q2^2 + 67/12", "q2^2 + 169/30", "q2^2 + 140/29",
+                         "(q1^2 + 29/5)*(q3^2 + 4) - 1")
+
+_CERTIFY_PROBE = """
+import json, sys
+from invlag.exprcore import ExprContext
+ctx = ExprContext(3)
+out = []
+for text in sys.argv[1:]:
+    content, factors = ctx.parse(text).num.factor_list()
+    out.append([str(content), [[f.terms(), e] for f, e in factors]])
+print(json.dumps([out, "sympy" in sys.modules], default=str))
+"""
+
+
+def test_workload_determinants_are_certified_without_sympy():
+    """The four workload determinants factor in a fresh interpreter
+    without loading sympy, into sympy's answer."""
+    env = dict(os.environ)
+    package_parent = os.path.dirname(os.path.dirname(invlag.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_parent, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_PROBE, *WORKLOAD_DETERMINANTS],
+        capture_output=True, text=True, check=True, timeout=120, env=env)
+    factored, sympy_loaded = json.loads(done.stdout)
+    assert not sympy_loaded
+    ctx = ExprContext(3)
+    for text, (content, factors) in zip(WORKLOAD_DETERMINANTS, factored):
+        poly = ctx.parse(text).num
+        assert _irreducible(_cofactor(poly))
+        expected_content, expected = _sympy_factor_list(poly)
+        assert content == str(expected_content)
+        assert factors == json.loads(json.dumps(
+            [[f.terms(), e] for f, e in expected], default=str))
+
+
+def _context_poly(text):
+    return ExprContext(2).parse(text).num
+
+
+def test_monomial_content_keeps_sympys_content_and_order(monkeypatch):
+    """``q1*(q2^2+3)`` (and a scaled variant) is certified in-house and
+    comes back as sympy returns it: content, then ``q2^2 + 3`` before
+    ``q1``."""
+    converted = []
+    monkeypatch.setattr(poly_module, "_to_sympy", converted.append)
+    for text in ("q1*(q2^2 + 3)", "-2/3*q1^2*v2*(q2^2 + 3*q1)"):
+        poly = _context_poly(text)
+        assert poly.factor_list() == _sympy_factor_list(poly)
+    assert converted == []
+    content, factors = _context_poly("q1*(q2^2 + 3)").factor_list()
+    assert content == 1
+    assert [(str(to_sympy(f)), e) for f, e in factors] == [
+        ("q2**2 + 3", 1), ("q1", 1)]
+
+
+@pytest.mark.parametrize("text", [
+    "q1^4 + 1", "(q1^2 + 2)*(q2^2 + 3)", "(q1^2 + 1)^2",
+    "(q1^2 + 5*q1*q2 + 1)^2"])
+def test_uncertified_polynomials_fall_back_to_sympy(text, monkeypatch):
+    """An irreducible polynomial no line and prime certifies (``x^4 + 1``
+    splits modulo every prime), a product and squares go to sympy, and
+    the answer is sympy's. The last square has a line whose image is a
+    fourth power modulo one of the primes: only the squarefree test
+    keeps that prime from excluding the factor degree 2."""
+    poly = _context_poly(text)
+    assert not _irreducible(_cofactor(poly))
+    converted = []
+
+    def counting(p):
+        converted.append(p)
+        return to_sympy(p)
+    monkeypatch.setattr(poly_module, "_to_sympy", counting)
+    assert poly.factor_list() == _sympy_factor_list(poly)
+    assert converted == [poly]
