@@ -91,7 +91,7 @@ class Problem:
                 self.ctx = implicit_context(self.n, self.parameters)
             else:
                 self.ctx = ExprContext(self.n, parameters=self.parameters)
-        except ExprError as exc:
+        except (ExprError, ValueError) as exc:
             raise CliError(f"{path}: {exc}") from exc
         self.options = _expect_options(data, path)
         self.substitution = self._bindings(overrides)
@@ -311,6 +311,9 @@ def _basis_entries(problem: Problem, section: dict, name: str,
             raise CliError(f"{problem.path}: ansatz.{name}: bad entry key "
                            f"{key!r} (write \"i,j\")")
         i, j = int(match.group(1)), int(match.group(2))
+        if any(pair == (i, j) for pair, _exprs in parsed):
+            raise CliError(f"{problem.path}: ansatz.{name}: entry {key!r} "
+                           f"repeats entry {i},{j}")
         if max(i, j) > problem.n:
             raise CliError(f"{problem.path}: ansatz.{name}: entry {key!r} "
                            f"is outside dimension {problem.n}")

@@ -4,13 +4,14 @@ Each supported condition suite is linear in the multiplier entries (and
 in an optional two-form), so declaring every entry as an unknown
 rational combination of user-chosen basis functions turns "does a
 multiplier of this shape exist?" into an exact linear-algebra question.
-Assembly expands every condition cell into canonical polynomial form
-and emits one equation per monomial; solving is exact reduction to
-reduced row echelon form over the rationals, eliminated fraction-free
-in integers on sparse rows; the nonsingular-representative search
-is a bounded integer enumeration over the solution space with a
-structural shortcut for spaces that force an identically-zero row; it
-returns the member it finds and leaves the space as it was.
+Assembly reads every condition cell's integer numerator coefficients
+and emits one sparse integer row per monomial in everything that is
+not an unknown; solving is exact reduction of those rows to reduced
+row echelon form, eliminated fraction-free in integers; the
+nonsingular-representative search is a bounded integer enumeration
+over the solution space with a structural shortcut for spaces that
+force an identically-zero row; it returns the member it finds and
+leaves the space as it was.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class AnsatzProblem:
             if i >= j:
                 raise SolverError(
                     "two-form entries must be declared with i < j")
+        for part, basis in (("multiplier", self.g_basis),
+                            ("two-form", self.omega_basis)):
+            pairs = [pair for pair, _basis in basis]
+            if len(set(pairs)) < len(pairs):
+                raise SolverError(f"a {part} entry is declared twice")
         if self.omega_basis and self.suite != "gyroscopic":
             raise SolverError(
                 "two-form unknowns only make sense for the gyroscopic suite")
@@ -81,13 +87,14 @@ class AnsatzProblem:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """An exact linear system ``rows · c = rhs`` with one labelled row
-    per (condition cell, monomial) pair."""
+    """An exact linear system in the unknowns ``c``, one sparse integer
+    row ``{column: value}`` per (condition cell, monomial) pair: columns
+    below ``len(unknowns)`` hold the coefficients of the unknowns and
+    column ``len(unknowns)`` the right-hand side, so a row reads
+    ``sum(row[k] * c[k]) = row[len(unknowns)]``."""
 
     unknowns: Tuple[str, ...]
-    rows: Tuple[Tuple[Fraction, ...], ...]
-    rhs: Tuple[Fraction, ...]
-    labels: Tuple[str, ...]
+    rows: Tuple[Dict[int, int], ...]
     residuals: Tuple[Tuple[str, Expr], ...]
     context: ExprContext
     problem: AnsatzProblem
@@ -215,9 +222,10 @@ def _unknown_names(ctx: ExprContext, count: int) -> Tuple[str, ...]:
 
 def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     """Expand the suite's condition cells over the ansatz into an exact
-    linear system, one equation per monomial in everything that is not
-    an unknown. The suite runs on ``s.extended(...)``, which reads the
-    geometry of ``s`` instead of building it again among the unknowns."""
+    linear system, one sparse integer row per monomial in everything
+    that is not an unknown. The suite runs on ``s.extended(...)``, which
+    reads the geometry of ``s`` instead of building it again among the
+    unknowns."""
     ctx = s.ctx
     layout = p.layout
     names = _unknown_names(ctx, len(layout))
@@ -232,11 +240,11 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     D = convert(p.D, ectx) if p.D is not None else None
     report = check_suite(p.suite, s_e, g, D=D, omega=omega)
 
-    unknown_positions = {ectx.gen_index(var): k
-                         for k, var in enumerate(unknown_vars)}
-    rows: List[Tuple[Fraction, ...]] = []
-    rhs: List[Fraction] = []
-    labels: List[str] = []
+    # with_parameters appends the unknowns: they are the last generators
+    count = len(names)
+    first = len(ectx.all_varids()) - count
+    unknown_positions = range(first, first + count)
+    rows: List[Dict[int, int]] = []
     residuals: List[Tuple[str, Expr]] = []
     for cell in report.cells:
         if cell.label.startswith("SmoothV0"):
@@ -245,36 +253,26 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
         if residual.is_zero():
             continue
         residuals.append((cell.label, residual))
-        for gen_position in unknown_positions:
-            if residual.den.degree(gen_position) > 0:
-                raise NonlinearCouplingError(
-                    f"unknowns in a denominator at cell {cell.label}")
-        groups: Dict[tuple, Tuple[List[Fraction], Fraction]] = {}
-        for monom, coeff in residual.num.terms():
-            unknown_part = [(position, monom[position])
-                            for position in unknown_positions
-                            if monom[position]]
-            total_degree = sum(e for _p, e in unknown_part)
-            if total_degree > 1:
+        if any(not factor.gens.isdisjoint(unknown_positions)
+               for factor, _exponent in residual.den_factors):
+            raise NonlinearCouplingError(
+                f"unknowns in a denominator at cell {cell.label}")
+        # the coefficients share one positive denominator, which leaves
+        # every row's direction as it is
+        groups: Dict[tuple, Dict[int, int]] = {}
+        for monom, coeff in residual.num.coeffs.items():
+            unknown_part = monom[first:]
+            degree = sum(unknown_part)
+            if degree == 0:
+                column, coeff = count, -coeff
+            elif degree == 1:
+                column = unknown_part.index(1)
+            else:
                 raise NonlinearCouplingError(
                     f"nonlinear unknown coupling at cell {cell.label}")
-            key = tuple(0 if position in unknown_positions else exponent
-                        for position, exponent in enumerate(monom))
-            row, constant = groups.setdefault(
-                key, ([Fraction(0)] * len(names), Fraction(0)))
-            if total_degree == 0:
-                groups[key] = (row, constant + coeff)
-            else:
-                row[unknown_positions[unknown_part[0][0]]] += coeff
-        for key in sorted(groups):
-            row, constant = groups[key]
-            if all(a == 0 for a in row) and constant == 0:
-                continue
-            rows.append(tuple(row))
-            rhs.append(-constant)
-            labels.append(f"{cell.label} @ {_monomial_text(ectx, key)}")
-    return LinearSystem(tuple(names), tuple(rows), tuple(rhs), tuple(labels),
-                        tuple(residuals), ectx, p)
+            groups.setdefault(monom[:first], {})[column] = coeff
+        rows.extend(groups.values())
+    return LinearSystem(names, tuple(rows), tuple(residuals), ectx, p)
 
 
 def _ansatz_tensors(problem: AnsatzProblem, ctx: ExprContext,
@@ -305,25 +303,8 @@ def _ansatz_tensors(problem: AnsatzProblem, ctx: ExprContext,
     return g, omega
 
 
-def _monomial_text(ctx: ExprContext, key: tuple) -> str:
-    if not any(key):
-        return "1"
-    ring = ctx._ring
-    return str(Expr(ctx, ring.from_ints({key: 1}), ring.one))
-
-
 # --------------------------------------------------------------------------
 # exact elimination
-
-
-def _integer_row(row) -> Dict[int, int]:
-    """A sparse row of nonzero Fractions (``{column: value}``) scaled to
-    coprime integers."""
-    scale = lcm(*(value.denominator for value in row.values()))
-    ints = {col: value.numerator * (scale // value.denominator)
-            for col, value in row.items()}
-    common = gcd(*ints.values())
-    return {col: value // common for col, value in ints.items()}
 
 
 def _eliminate(row: Dict[int, int], pivot: Dict[int, int],
@@ -348,9 +329,9 @@ def _eliminate(row: Dict[int, int], pivot: Dict[int, int],
 
 
 def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
-    """Reduced row echelon form of sparse rows (``{column: Fraction}``):
-    the pivot columns in increasing order and, for each, its row with
-    the pivot entry 1.
+    """Reduced row echelon form of sparse rows of nonzero integers
+    (``{column: int}``): the pivot columns in increasing order and, for
+    each, its row with the pivot entry 1.
 
     Rows are eliminated in integers, fraction-free, one at a time: a new
     row is reduced by the pivot rows so far, and if anything is left its
@@ -363,7 +344,8 @@ def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
     for row in rows:
         if not row:
             continue
-        current = _integer_row(row)
+        common = gcd(*row.values())
+        current = {col: value // common for col, value in row.items()}
         for col in [col for col in current if col in pivots]:
             current = _eliminate(current, pivots[col], col)
         if not current:
@@ -381,16 +363,14 @@ def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
 
 
 def solve(system: LinearSystem) -> SolutionSpace:
-    """Reduced row echelon form over exact rationals of ``[rows | rhs]``
-    (``_rref``); the system is inconsistent exactly when the ``rhs``
-    column is a pivot. Nullspace vectors are primitive-integer
-    normalized, one per free unknown in declaration order. Every
-    solution is re-verified symbolically against the assembled
-    residuals."""
+    """Reduced row echelon form over exact rationals of the augmented
+    rows (``_rref``); the system is inconsistent exactly when the
+    right-hand-side column is a pivot. Nullspace vectors are
+    primitive-integer normalized, one per free unknown in declaration
+    order. Every solution is re-verified symbolically against the
+    assembled residuals."""
     count = len(system.unknowns)
-    pivots, pivot_rows = _rref(
-        {col: a for col, a in enumerate(row + (value,)) if a}
-        for row, value in zip(system.rows, system.rhs))
+    pivots, pivot_rows = _rref(system.rows)
 
     if count in pivots:
         certificate = "0 = 1 after elimination: no solution in this ansatz"

@@ -503,6 +503,40 @@ def test_parse_errors_exit_with_usage_code(tmp_path):
     assert result.returncode == 2  # --suite is mandatory
 
 
+@pytest.mark.parametrize("mode", ["explicit", "implicit"])
+@pytest.mark.parametrize("parameters, message", [
+    (["a", "a"], "duplicate parameter name 'a'"),
+    (["q1"], "parameter name 'q1' collides with a variable"),
+    (["1x"], "invalid parameter name '1x'"),
+], ids=["duplicate", "variable", "syntax"])
+def test_bad_parameter_names_exit_with_usage_code(tmp_path, mode,
+                                                  parameters, message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"n": 1, "mode": mode,
+                                "parameters": parameters, "f": ["0"]}))
+    result = run_cli("analyze", str(path))
+    assert result == (2, "", f"invlag: error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("part, key, ansatz", [
+    ("g", " 3,3", {"suite": "thm3", "g": {"entries": {
+        "1,1": ["1"], "2,2": ["1"], "3,3": ["1", "q2"], " 3,3": ["q2"]}}}),
+    ("omega", "1, 2", {"suite": "gyroscopic", "g": {"preset": "constant"},
+                       "omega": {"entries": {"1,2": ["1"], "1, 2": ["q1"]}}}),
+], ids=["g", "omega"])
+def test_solve_rejects_a_repeated_ansatz_entry(tmp_path, part, key, ansatz):
+    """Two keys naming one entry would declare unknowns for a basis the
+    ansatz then drops."""
+    problem = {"n": 3, "f": ["q2*v1*v3", "v3^2", "v1^2 - (1/q2)*v2*v3"],
+               "ansatz": ansatz}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(problem))
+    i, j = key.replace(" ", "").split(",")
+    result = run_cli("solve", str(path))
+    assert result == (2, "", f"invlag: error: {path}: ansatz.{part}: entry "
+                             f"{key!r} repeats entry {i},{j}\n")
+
+
 def test_seed_environment_variable_is_recorded():
     _, payload = run_json("check", "free2", "--suite", "classical", seed=7)
     assert payload["seed"] == 7
@@ -649,6 +683,22 @@ def test_readme_solve_rows_print_the_golden_output(command, code, fmt):
     fixtures = str(resources.files("invlag") / "fixtures")
     assert (result.returncode, result.stderr) == (code, "")
     assert result.stdout.replace(fixtures, "<fixtures>") == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fifty_unknown_search_prints_the_golden_output(fmt):
+    """An n = 4 system drawn like the benchmark's ``search`` problems,
+    under a degree-1 ``thm3`` ansatz in every position (50 unknowns,
+    1291 equations), finds a representative and prints, byte for byte,
+    the stdout kept in ``tests/golden`` (the file's path written
+    ``<file>``)."""
+    path = pathlib.Path(__file__).resolve().parent / "problems" \
+        / "search_n4_thm3.json"
+    suffix = "txt" if fmt == "text" else "json"
+    expected = (GOLDEN / f"solve_search_n4_thm3.{suffix}").read_text()
+    result = run_cli("solve", str(path), "--format", fmt)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.replace(str(path), "<file>") == expected
 
 
 @pytest.mark.parametrize("args, name", [

@@ -2,24 +2,27 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlag import conditions, geometry
-from invlag.cli import load_problem
+from invlag import conditions, geometry, solver
+from invlag.cli import ansatz_problem, load_problem
 from invlag.exprcore import ExprContext
 from invlag.geometry import (InternalInconsistencyError, Sode, TensorField,
                              curvature, jacobi, matrix_det)
-from invlag.solver import (AnsatzProblem, LinearSystem, Representative,
+from invlag.reconstruct import forward_sode
+from invlag.solver import (AnsatzProblem, LinearSystem,
+                           NonlinearCouplingError, Representative,
                            SolverError, assemble,
                            constant_ansatz, diagonal_ansatz,
                            find_nonsingular, instantiate, polynomial_ansatz,
                            q_monomials, solve)
-from invlag.conditions import check_multiplier_dissipative
+from invlag.conditions import (Cell, ConditionReport,
+                               check_multiplier_dissipative)
 
 from clirun import run_cli
 
@@ -50,13 +53,27 @@ def chain_four(b="b"):
     return ctx, Sode(ctx, f)
 
 
-def inconsistent_space():
+def fixed_cubic_dissipation():
     """A cubic dissipation function cannot pair with any constant
     multiplier on a trivial system."""
     ctx = ExprContext(1)
     s = Sode(ctx, [ctx.zero])
-    problem = AnsatzProblem("dissipative", (((1, 1), (ctx.one,)),),
+    return s, AnsatzProblem("dissipative", (((1, 1), (ctx.one,)),),
                             D=ctx.parse("v1^3"))
+
+
+def fixed_linear_drag():
+    """Linear drag with its dissipation function fixed: the only
+    multiplier of degree at most one is ``g = 1``, so the system is
+    inhomogeneous and its solution unique."""
+    ctx = ExprContext(1)
+    s = Sode(ctx, [ctx.parse("-v1")])
+    return s, polynomial_ansatz(ctx, "dissipative", 1,
+                                D=ctx.parse("-1/2*v1^2"))
+
+
+def inconsistent_space():
+    s, problem = fixed_cubic_dissipation()
     return s, solve(assemble(s, problem))
 
 
@@ -282,6 +299,40 @@ def test_problem_validation():
     with pytest.raises(SolverError):
         instantiate(AnsatzProblem("thm3", (((1, 1), (ctx.one,)),)), ctx,
                     (Fraction(1), Fraction(2)))
+    with pytest.raises(SolverError, match="multiplier entry"):
+        AnsatzProblem("thm3", (((1, 1), (ctx.one,)), ((1, 2), (ctx.one,)),
+                               ((1, 1), (ctx.parse("q1"),))))
+    with pytest.raises(SolverError, match="two-form entry"):
+        AnsatzProblem("gyroscopic", (((1, 1), (ctx.one,)),),
+                      omega_basis=(((1, 2), (ctx.one,)),
+                                   ((1, 2), (ctx.parse("q2"),))))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("c0*c1 + q1", "nonlinear unknown coupling"),
+    ("c1^2 - c0", "nonlinear unknown coupling"),
+    ("1/c0", "unknowns in a denominator"),
+    ("q1/(q1 + c1) + 1/q1", "unknowns in a denominator"),
+])
+def test_residuals_nonlinear_in_the_unknowns_are_refused(monkeypatch, text,
+                                                         message):
+    """Assembly refuses a cell that is not linear in the unknowns and
+    names it; no supported suite makes one, so the suite is replaced."""
+    ctx = ExprContext(1)
+    s = Sode(ctx, [ctx.zero])
+    problem = AnsatzProblem("classical",
+                            (((1, 1), (ctx.one, ctx.parse("q1"))),))
+
+    def report(suite, s_e, g, D=None, omega=None):
+        assert s_e.ctx.parameters == ("c0", "c1")
+        return ConditionReport(suite, (
+            Cell("HD1[1,1,1]", s_e.ctx.parse("c0 - q1*c1 + 2")),
+            Cell("DHSym[1,1]", s_e.ctx.parse(text))))
+
+    monkeypatch.setattr(solver, "check_suite", report)
+    with pytest.raises(NonlinearCouplingError,
+                       match=rf"^{message} at cell DHSym\[1,1\]$"):
+        assemble(s, problem)
 
 
 def test_unknown_names_avoid_declared_parameters():
@@ -342,11 +393,115 @@ def test_search_reads_the_space_and_returns_its_result(build, negative,
     assert len(calls) == 3
 
 
+def assert_matches_sympy_rref(space, dense):
+    """``space`` is the solution set of the augmented rows ``dense``
+    (Fractions, the right-hand side last) as sympy's ``rref`` and
+    ``nullspace`` read them: the same consistency and particular
+    solution, and nullspace vectors in primitive integers, first nonzero
+    entry positive, along the reference directions."""
+    count = len(space.unknowns)
+    augmented = sympy.Matrix(
+        len(dense), count + 1,
+        [sympy.Rational(x.numerator, x.denominator)
+         for row in dense for x in row])
+    reduced, pivots = augmented.rref()
+    assert space.consistent == (count not in pivots)
+    if not space.consistent:
+        assert space.nullspace == ()
+        return
+    expected = [Fraction(0)] * count
+    for r, col in enumerate(pivots):
+        expected[col] = Fraction(int(reduced[r, count].p),
+                                 int(reduced[r, count].q))
+    assert list(space.particular) == expected
+    free = [c for c in range(count) if c not in pivots]
+    reference = augmented[:, :count].nullspace()
+    assert len(space.nullspace) == len(reference) == len(free)
+    for vector, ref, column in zip(space.nullspace, reference, free):
+        assert all(x.denominator == 1 for x in vector)
+        assert gcd(*(int(x) for x in vector)) == 1
+        assert next(x for x in vector if x) > 0
+        assert [x / vector[column] for x in vector] == \
+            [Fraction(int(y.p), int(y.q)) for y in ref]
+
+
+def dense_fraction_rows(system):
+    """The augmented rows of ``system`` rebuilt from ``num.terms()``, as
+    dense Fractions: the residuals' terms grouped by the monomial in
+    everything but the unknowns, the constant negated into the last
+    column, all-zero rows dropped."""
+    ectx = system.context
+    count = len(system.unknowns)
+    columns = {ectx.gen_index(ectx.param(name)): k
+               for k, name in enumerate(system.unknowns)}
+    dense = []
+    for _label, residual in system.residuals:
+        groups = {}
+        for monom, coeff in residual.num.terms():
+            key = tuple(0 if position in columns else exponent
+                        for position, exponent in enumerate(monom))
+            row = groups.setdefault(key, [Fraction(0)] * (count + 1))
+            hits = [k for position, k in columns.items() if monom[position]]
+            if hits:
+                row[hits[0]] += coeff
+            else:
+                row[count] -= coeff
+        dense.extend(row for row in groups.values() if any(row))
+    return dense
+
+
+def readme_solve(name):
+    problem = load_problem(name, {})
+    return problem.sode(), ansatz_problem(problem)[0]
+
+
+FORWARD = {
+    2: ("1/2*(3*v1^2 + 2*v1*v2 + 2*v2^2) - q1^2 - q1*q2^2",
+        "q1*v1^2 + v2^3 + q2*v1*v2"),
+    3: ("1/2*(4*v1^2 + 2*v1*v2 + 3*v2^2 - 2*v2*v3 + 5*v3^2)"
+        " - q1^2*q3 - q2^3",
+        "q2*v1^2 + v1^3 + v2^3 + v3^3 + v1*v2*v3"),
+}
+
+
+def forward_search(n, degree):
+    ctx = ExprContext(n)
+    L, D = FORWARD[n]
+    s = forward_sode(ctx.parse(L), ctx.parse(D), n)
+    problem = (constant_ansatz(ctx, "thm3") if degree == 0
+               else polynomial_ansatz(ctx, "thm3", degree))
+    return s, problem
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda name=name: readme_solve(name), id=name)
+    for name in ("planar_drag", "coupled3", "chain4", "chain4_gyro")
+] + [
+    pytest.param(lambda n=n, degree=degree: forward_search(n, degree),
+                 id=f"forward{n}-degree{degree}")
+    for n in (2, 3) for degree in (0, 1)
+] + [pytest.param(fixed_cubic_dissipation, id="cubic-dissipation"),
+      pytest.param(fixed_linear_drag, id="linear-drag")])
+def test_assembly_matches_the_dense_fraction_reference(build):
+    """The sparse integer rows solve to what sympy makes of the dense
+    Fraction matrix of the same residuals, with as many rows."""
+    s, problem = build()
+    system = assemble(s, problem)
+    dense = dense_fraction_rows(system)
+    assert len(system.rows) == len(dense)
+    assert all(value and isinstance(value, int)
+               for row in system.rows for value in row.values())
+    assert_matches_sympy_rref(solve(system), dense)
+
+
 def random_system(rng, kind):
     """A small rational system ``rows · c = rhs`` whose residuals
-    ``rows · c - rhs`` carry the unknowns as parameters. ``kind`` adds
-    all-zero rows, dependent rows, or a dependent row with a shifted
-    right-hand side (inconsistent); ``empty`` has no rows at all."""
+    ``rows · c - rhs`` carry the unknowns as parameters, and its dense
+    augmented rows. The system's sparse rows are the dense ones in
+    integers, each times a nonzero multiple of its denominators' lcm.
+    ``kind`` adds all-zero rows, dependent rows, or a dependent row with
+    a shifted right-hand side (inconsistent); ``empty`` has no rows at
+    all."""
     count = rng.randint(1, 5)
 
     def value():
@@ -370,6 +525,11 @@ def random_system(rng, kind):
         if kind == "inconsistent":
             rows[-1] = [a + b for a, b in zip(rows[-1], rows[0])]
             rhs[-1] += rhs[0] + 1
+    dense = [row + [b] for row, b in zip(rows, rhs)]
+    sparse = []
+    for row in dense:
+        scale = lcm(*(x.denominator for x in row)) * rng.choice((1, -1, 6))
+        sparse.append({col: int(x * scale) for col, x in enumerate(row) if x})
     names = tuple(f"c{k}" for k in range(count))
     ctx = ExprContext(1, names)
     unknowns = [ctx.var(ctx.param(name)) for name in names]
@@ -381,9 +541,8 @@ def random_system(rng, kind):
         residuals.append((f"row {r}", total))
     problem = AnsatzProblem("classical",
                             (((1, 1), (ctx.one,) * count),))
-    return LinearSystem(names, tuple(map(tuple, rows)), tuple(rhs),
-                        tuple(label for label, _ in residuals),
-                        tuple(residuals), ctx, problem)
+    return (LinearSystem(names, tuple(sparse), tuple(residuals), ctx,
+                         problem), dense)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,33 +550,8 @@ def random_system(rng, kind):
        kind=st.sampled_from(("random", "empty", "zero_rows",
                              "rank_deficient", "inconsistent")))
 def test_solve_matches_sympy_rref(seed, kind):
-    system = random_system(random.Random(seed), kind)
-    count = len(system.unknowns)
-    augmented = sympy.Matrix(
-        len(system.rows), count + 1,
-        [sympy.Rational(x.numerator, x.denominator)
-         for row, b in zip(system.rows, system.rhs) for x in row + (b,)])
-    reduced, pivots = augmented.rref()
+    system, dense = random_system(random.Random(seed), kind)
     space = solve(system)
     if kind == "inconsistent":
-        assert count in pivots
-    assert space.consistent == (count not in pivots)
-    if not space.consistent:
-        assert space.nullspace == ()
-        return
-    expected = [Fraction(0)] * count
-    for r, col in enumerate(pivots):
-        expected[col] = Fraction(int(reduced[r, count].p),
-                                 int(reduced[r, count].q))
-    assert list(space.particular) == expected
-    free = [c for c in range(count) if c not in pivots]
-    reference = augmented[:, :count].nullspace()
-    assert len(space.nullspace) == len(reference) == len(free)
-    for vector, ref, column in zip(space.nullspace, reference, free):
-        # primitive integers, first nonzero entry positive, and the
-        # reference direction once the free unknown is scaled to 1
-        assert all(x.denominator == 1 for x in vector)
-        assert gcd(*(int(x) for x in vector)) == 1
-        assert next(x for x in vector if x) > 0
-        assert [x / vector[column] for x in vector] == \
-            [Fraction(int(y.p), int(y.q)) for y in ref]
+        assert not space.consistent
+    assert_matches_sympy_rref(space, dense)
