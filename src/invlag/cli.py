@@ -43,7 +43,7 @@ from functools import partial
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conditions import (SUITES, ConditionReport, ImplicitOrderError,
+from .conditions import (SUITES, Cell, ConditionReport, ImplicitOrderError,
                          ImplicitSystem, TwoFormError, check_implicit,
                          check_suite, implicit_context)
 from .exprcore import Expr, ExprContext, ExprError, NotPolynomialError
@@ -270,6 +270,17 @@ def resolve_input(path: str) -> str:
     raise CliError(f"{path}: no such file or bundled fixture")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refused when it names a key twice: plain
+    ``json.loads`` would keep the last value and drop the others."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _value in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise CliError(f"repeated JSON key {repeated!r}")
+    return data
+
+
 def load_problem(path: str, overrides: Dict[str, Fraction]) -> Problem:
     resolved = resolve_input(path)
     try:
@@ -278,10 +289,12 @@ def load_problem(path: str, overrides: Dict[str, Fraction]) -> Problem:
     except OSError as exc:
         raise CliError(f"{resolved}: {exc.strerror or exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"{resolved}: line {exc.lineno} column {exc.colno}: "
                        f"{exc.msg}") from exc
+    except CliError as exc:
+        raise CliError(f"{resolved}: {exc}") from None
     if not isinstance(data, dict):
         raise CliError(f"{resolved}: the top level must be a JSON object")
     unknown = set(data) - set(PROBLEM_FIELDS)
@@ -468,11 +481,9 @@ def _seed() -> int:
             from exc
 
 
-def numeric_payload(reports: Sequence[ConditionReport],
-                    extra_cells=()) -> dict:
+def numeric_payload(reports: Sequence[ConditionReport]) -> dict:
     cells = [(cell.label, cell.residual)
              for report in reports for cell in report.cells]
-    cells.extend(extra_cells)
     return crosscheck_cells(cells, seeded_rng(_seed()))
 
 
@@ -665,24 +676,22 @@ def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
         report = verify_dissipative(s, L, D)
     payload["report"] = report_payload(report)
     code = 0 if report.passes else 1
-    extra_cells = []
+    reports = [report]
     if args.forward:
         try:
             rebuilt = forward_accelerations(L, D, omega)
         except SingularHessianError as exc:
             raise CliError(f"{problem.path}: {exc}; cannot rebuild the "
                            "accelerations") from exc
-        cells = []
-        for i, (ours, theirs) in enumerate(zip(rebuilt, s.f), start=1):
-            difference = ours - theirs
-            cells.append({"label": f"f[{i}]", "residual": str(difference),
-                          "passes": difference.is_zero()})
-            extra_cells.append((f"f[{i}]", difference))
+        forward = ConditionReport("forward", tuple(
+            Cell(f"f[{i}]", ours - theirs)
+            for i, (ours, theirs) in enumerate(zip(rebuilt, s.f), start=1)))
         payload["forward"] = {"rebuilt_f": [str(e) for e in rebuilt],
-                              "cells": cells}
-        if any(not cell["passes"] for cell in cells):
+                              "cells": report_payload(forward)["cells"]}
+        reports.append(forward)
+        if not forward.passes:
             code = 1
-    payload["numeric_crosscheck"] = numeric_payload([report], extra_cells)
+    payload["numeric_crosscheck"] = numeric_payload(reports)
     return payload, code
 
 
@@ -1019,10 +1028,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     payload["exit_code"] = code
     fmt = args.format or problem.options.get("format") or "text"
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_text(payload))
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            print(render_text(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at the null device, so that
+        # the interpreter's final flush does not fail once more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -14,9 +14,11 @@ parameters. An :class:`ExprContext` pins down the dimension ``n``, the
 highest jet order, the parameter names and whether time occurs; all
 expressions carry their context and refuse to mix with another one.
 
-Every expression also keeps its denominator factored, as exponents over
-monic factors irreducible over QQ that are interned per ring (the ring's
-factor base). Reduced forms with a monic denominator are unique, and
+Every expression keeps its denominator only as its factorisation:
+exponents over monic factors irreducible over QQ, interned per ring
+(the ring's factor base, where ``intern`` is the one way a factor is
+made). ``den`` multiplies the factorisation out through the base's
+product cache. Reduced forms with a monic denominator are unique, and
 with irreducible factors no operation needs a gcd to reach them. Each
 step has one path:
 
@@ -33,7 +35,11 @@ step has one path:
   the exponent of each factor that depends on the variable.
 * ``subst`` substitutes the numerator and only the denominator factors
   the bindings touch, which may split or vanish; the untouched factors
-  are kept as they are.
+  are kept as they are. Substitution and evaluation fold constant
+  values in through one set of integer power tables
+  (``_power_tables``).
+* ``convert`` moves each factor to a context with more generators as
+  it is: a factor irreducible over QQ stays irreducible there.
 
 Only a polynomial from outside the base is factored with
 ``factor_list``, once per polynomial: a constructor's ``den``, a divisor
@@ -225,7 +231,7 @@ class _FactorBase:
     a factorisation (a tuple of ``(factor, exponent)`` pairs) to its
     expanded product, and ``factored`` maps every monic polynomial
     factored or multiplied out so far back to its factorisation. Only
-    ``factorise`` adds factors, and only irreducible ones: trial
+    ``intern`` makes factors, and only of irreducible polynomials: trial
     division by a reducible factor would miss a proper divisor of it.
     """
 
@@ -248,6 +254,14 @@ class _FactorBase:
             self.factored.setdefault(poly, fac)
         return poly
 
+    def intern(self, monic):
+        """The factor of the monic irreducible polynomial ``monic``."""
+        factor = self.factors.get(monic)
+        if factor is None:
+            factor = self.factors[monic] = _Factor(monic, len(self.factors))
+            self.factored[monic] = ((factor, 1),)
+        return factor
+
     def factorise(self, poly):
         """``(lc, fac)`` with ``poly == lc * product(fac)``, for nonzero
         ``poly``; ``factor_list`` runs once per monic polynomial."""
@@ -259,16 +273,9 @@ class _FactorBase:
         if fac is None:
             exps = {}
             for part, exponent in monic.factor_list()[1]:
-                if part.LC != 1:
-                    part = part.quo_ground(part.LC)
-                factor = self.factors.get(part)
-                if factor is None:
-                    factor = _Factor(part, len(self.factors))
-                    self.factors[part] = factor
-                    self.factored[part] = ((factor, 1),)
+                factor = self.intern(part.quo_ground(part.LC))
                 exps[factor] = exps.get(factor, 0) + exponent
-            fac = _factorisation(exps)
-            self.factored[monic] = fac
+            fac = self.factored[monic] = _factorisation(exps)
         return lc, fac
 
 
@@ -518,7 +525,6 @@ def _factored(ctx: "ExprContext", num, fac: tuple) -> "Expr":
     expr = object.__new__(Expr)
     object.__setattr__(expr, "ctx", ctx)
     object.__setattr__(expr, "num", num)
-    object.__setattr__(expr, "den", ctx._base.product(fac))
     object.__setattr__(expr, "den_factors", fac)
     return expr
 
@@ -550,17 +556,18 @@ def _product(ctx, a, fa, b, fb) -> "Expr":
 class Expr:
     """An immutable rational expression in canonical form.
 
-    ``num``/``den`` are coprime expanded polynomials and ``den`` is
-    monic in the ring's term order, so structural equality of the pair
-    is semantic equality of the value. ``den_factors`` is ``den`` once
-    more, factored: a tuple of ``(factor, exponent)`` pairs over the
-    context's factor base, empty when ``den`` is 1. Equality, hashing
-    and printing read ``num`` and ``den`` only.
+    ``num`` is an expanded polynomial and ``den_factors`` its monic
+    denominator, kept only as its factorisation: a tuple of ``(factor,
+    exponent)`` pairs over the context's factor base, sorted by
+    interning index, empty for 1. The two are coprime, and factors are
+    interned, so equal values have equal numerators and identical
+    tuples; equality and hashing compare exactly those. ``den``
+    multiplies the factorisation out.
     """
 
-    __slots__ = ("ctx", "num", "den", "den_factors")
+    __slots__ = ("ctx", "num", "den_factors")
 
-    def __init__(self, ctx: ExprContext, num, den):
+    def __new__(cls, ctx: ExprContext, num, den):
         """The canonical form of ``num / den`` for polynomials ``num``
         and ``den`` of ``ctx``'s ring.
 
@@ -573,9 +580,7 @@ class Expr:
         if not den:
             raise ZeroDenominatorError("denominator is identically zero")
         lc, fac = ctx._base.factorise(den)
-        reduced = over_factors(ctx, num.quo_ground(lc), fac)
-        for slot in Expr.__slots__:
-            object.__setattr__(self, slot, getattr(reduced, slot))
+        return over_factors(ctx, num.quo_ground(lc), fac)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -585,8 +590,13 @@ class Expr:
     def is_zero(self) -> bool:
         return not self.num
 
+    @property
+    def den(self):
+        """The monic denominator polynomial."""
+        return self.ctx._base.product(self.den_factors)
+
     def is_constant(self) -> bool:
-        return self.num.is_ground and self.den.is_ground
+        return self.num.is_ground and not self.den_factors
 
     def numerator_expr(self) -> "Expr":
         """The numerator polynomial as an expression of its own."""
@@ -599,19 +609,18 @@ class Expr:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ExprError("expression is not constant")
-        if self.is_zero():
-            return Fraction(0)
-        return self.num.LC / self.den.LC
+        return self.num.LC
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.const(other)
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.ctx == other.ctx and self.num == other.num and self.den == other.den
+        return (self.ctx == other.ctx and self.num == other.num
+                and self.den_factors == other.den_factors)
 
     def __hash__(self):
-        return hash((self.ctx, self.num, self.den))
+        return hash((self.ctx, self.num, self.den_factors))
 
     def __bool__(self):
         return not self.is_zero()
@@ -770,7 +779,7 @@ class Expr:
         its factors can divide the new numerator (it would divide the
         numerator's derivative, the old numerator)."""
         gi = self.ctx.gen_index(var)
-        if self.den.degree(gi) > 0:
+        if self._den_uses(gi):
             raise NotPolynomialError(
                 f"expression is not polynomial in {self.ctx.display_name(var)}",
                 var)
@@ -802,7 +811,7 @@ class Expr:
         if not bindings:
             return self
         ctx = self.ctx
-        sigma = {}
+        constants, others = {}, []
         for var, replacement in bindings.items():
             if isinstance(replacement, (int, Fraction)):
                 replacement = ctx.const(replacement)
@@ -811,18 +820,24 @@ class Expr:
             elif replacement.ctx != ctx:
                 raise ContextMismatchError(
                     "substituted expression belongs to another context")
-            sigma[ctx.gen_index(var)] = replacement
-        numerator = _subst_poly(ctx, self.num, sigma)
+            position = ctx.gen_index(var)
+            if replacement.is_constant():
+                constants[position] = replacement.num.LC
+            else:
+                others.append((position, replacement))
+        numerator = _subst_poly(ctx, self.num, constants, others)
+        bound = set(constants).union(position for position, _rep in others)
         kept, touched = [], []
         for pair in self.den_factors:
-            (kept if pair[0].gens.isdisjoint(sigma) else touched).append(pair)
+            (kept if pair[0].gens.isdisjoint(bound) else touched).append(pair)
         result = over_factors(ctx, numerator.num,
                               numerator.den_factors + tuple(kept))
         if not touched:
             return result
         denominator = ctx.one
         for factor, exponent in touched:
-            denominator = denominator * _subst_poly(ctx, factor.poly, sigma) ** exponent
+            denominator = denominator * _subst_poly(
+                ctx, factor.poly, constants, others) ** exponent
         if denominator.is_zero():
             raise ZeroDenominatorError(
                 "substitution produced an identically-zero denominator")
@@ -830,9 +845,8 @@ class Expr:
 
     def eval_num(self, point: Mapping[VarId, Union[int, Fraction]]) -> Fraction:
         ctx = self.ctx
-        values = [None] * len(ctx._gens)
-        for var, value in point.items():
-            values[ctx.gen_index(var)] = Fraction(value)
+        values = {ctx.gen_index(var): Fraction(value)
+                  for var, value in point.items()}
         den_value = _eval_poly(ctx, self.den, values)
         if den_value == 0:
             raise PoleError("denominator vanishes at the evaluation point")
@@ -842,20 +856,21 @@ class Expr:
 
     # -- structure inspection --------------------------------------------------
 
+    def _den_uses(self, position: int) -> bool:
+        return any(position in factor.gens for factor, _k in self.den_factors)
+
     def depends_on(self, var: VarId) -> bool:
         position = self.ctx.gen_index(var)
         if self.num and self.num.degree(position) > 0:
             return True
-        return self.den.degree(position) > 0
+        return self._den_uses(position)
 
     def free_varids(self):
         """The set of variables this expression actually depends on."""
-        used = set()
-        for poly in (self.num, self.den):
-            for monom in poly:
-                for position, exponent in enumerate(monom):
-                    if exponent:
-                        used.add(position)
+        used = {position for monom in self.num
+                for position, exponent in enumerate(monom) if exponent}
+        for factor, _k in self.den_factors:
+            used |= factor.gens
         return {self.ctx.varid_of_gen(p) for p in used}
 
     def is_polynomial_in(self, variables) -> bool:
@@ -863,10 +878,8 @@ class Expr:
         (a single VarId is accepted as well)."""
         if isinstance(variables, VarId):
             variables = (variables,)
-        for var in variables:
-            if self.den.degree(self.ctx.gen_index(var)) > 0:
-                return False
-        return True
+        return not any(self._den_uses(self.ctx.gen_index(var))
+                       for var in variables)
 
     def homogeneous_parts(self, variables: Iterable[VarId]) -> dict:
         """Split into parts of homogeneous total degree in ``variables``.
@@ -929,29 +942,18 @@ def over_factors(ctx: ExprContext, num, fac: Iterable) -> Expr:
                      _factorisation(exps))
 
 
-def _subst_poly(ctx, poly, sigma) -> Expr:
-    """The polynomial ``poly`` under ``sigma``, a map from generator
-    positions to expressions.
+def _subst_poly(ctx, poly, constants: dict, others: list) -> Expr:
+    """The polynomial ``poly`` with the generator positions of
+    ``constants`` bound to those ``Fraction`` values and those of
+    ``others`` to those non-constant expressions.
 
-    One pass over the terms folds ``value**exponent`` of every constant
-    value into the coefficient and groups the terms by their exponents
-    of the other bound generators; each such group is then multiplied
-    by its powers of the non-constant values with ``Expr`` arithmetic.
-    A constant bound to a generator stays in integers (``_powers``).
+    One pass over the terms folds the constants into the coefficients,
+    in integers (``_power_tables``), and groups the terms by their
+    exponents of the other bound generators; each such group is then
+    multiplied by its powers of the non-constant values with ``Expr``
+    arithmetic.
     """
-    den = poly.den
-    tables = []
-    others = []
-    for position, rep in sigma.items():
-        if not rep.is_constant():
-            others.append((position, rep))
-            continue
-        top = poly.degree(position)
-        if top > 0:
-            # a constant's denominator is 1
-            table, scale = _powers(rep.num.LC, top)
-            tables.append((position, table))
-            den *= scale
+    tables, den, _complete = _power_tables(poly, constants)
     groups = {}
     for monom, coeff in poly.coeffs.items():
         residue = list(monom)
@@ -975,31 +977,42 @@ def _subst_poly(ctx, poly, sigma) -> Expr:
     return total
 
 
-def _powers(value: Fraction, top: int):
-    """The integer weights of ``value = p/q`` at a generator of degree
-    ``top``: a term with exponent ``e`` is multiplied by
-    ``p**e * q**(top - e)`` (the table's entry ``e``) and the polynomial
-    divided by ``q**top``, so the terms stay integers."""
-    p, q = value.numerator, value.denominator
-    return [p ** e * q ** (top - e) for e in range(top + 1)], q ** top
+def _power_tables(poly, values: dict):
+    """The integer power tables of ``values`` (``Fraction`` values by
+    generator position) at the generators ``poly`` uses, ``poly``'s
+    denominator scaled to match, and whether ``values`` binds them all.
+
+    A value ``p/q`` at a generator of degree ``top`` multiplies a term
+    with exponent ``e`` by ``p**e * q**(top - e)`` (entry ``e``) and the
+    denominator by ``q**top``, so the terms stay integers. One
+    transposition of the exponent tuples gives every degree.
+    """
+    den = poly.den
+    tables = []
+    complete = True
+    for position, top in enumerate(map(max, zip(*poly.coeffs))):
+        if not top:
+            continue
+        value = values.get(position)
+        if value is None:
+            complete = False
+            continue
+        p, q = value.numerator, value.denominator
+        tables.append((position,
+                       [p ** e * q ** (top - e) for e in range(top + 1)]))
+        den *= q ** top
+    return tables, den, complete
 
 
-def _eval_poly(ctx, poly, values) -> Fraction:
-    """``poly`` at the point ``values`` (a value per generator position,
-    None where unassigned), in integers (``_powers``)."""
+def _eval_poly(ctx, poly, values: dict) -> Fraction:
+    """``poly`` at the point ``values`` (``Fraction`` values by
+    generator position), in integers (``_power_tables``)."""
     coeffs = poly.coeffs
     if not coeffs:
         return Fraction(0)
-    den = poly.den
-    tables = []
-    for position, top in enumerate(map(max, zip(*coeffs))):
-        if top:
-            value = values[position]
-            if value is None:
-                _unassigned(ctx, poly, values)
-            table, scale = _powers(value, top)
-            tables.append((position, table))
-            den *= scale
+    tables, den, complete = _power_tables(poly, values)
+    if not complete:
+        _unassigned(ctx, poly, values)
     total = 0
     for monom, coeff in coeffs.items():
         for position, table in tables:
@@ -1013,7 +1026,7 @@ def _unassigned(ctx, poly, values):
     uses and ``values`` leaves unassigned."""
     for monom in poly.monoms():
         for position, exponent in enumerate(monom):
-            if exponent and values[position] is None:
+            if exponent and position not in values:
                 raise ExprError("evaluation point does not assign "
                                 f"{ctx._names[position]}")
 
@@ -1242,7 +1255,7 @@ def _poly_text(ctx: ExprContext, poly) -> str:
 
 def to_text(expr: Expr) -> str:
     """Canonical text form; feeding it back to ``parse`` reproduces ``expr``."""
-    if expr.den.is_ground:  # monic ground denominator is exactly 1
+    if not expr.den_factors:
         return _poly_text(expr.ctx, expr.num)
     return f"({_poly_text(expr.ctx, expr.num)})/({_poly_text(expr.ctx, expr.den)})"
 
@@ -1273,16 +1286,19 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
             out[tuple(shifted)] = coeff
         return Poly(target._ring, out, poly.den)
 
-    # Each factor moves on its own: irreducible in the source, it stays
-    # irreducible in the target (which declares at least its variables),
-    # so the moved numerator stays coprime to it and needs no division.
+    # Each factor moves on its own: irreducible over QQ, it stays
+    # irreducible with generators added, so it is interned as it is and
+    # the moved numerator stays coprime to it. Only a generator order
+    # that changes its leading term rescales it.
     num = move(expr.num)
     exps = {}
     for factor, exponent in expr.den_factors:
-        lc, fac = target._base.factorise(move(factor.poly))
-        num = num.quo_ground(lc ** exponent)
-        for moved, k in fac:
-            exps[moved] = exps.get(moved, 0) + k * exponent
+        moved = move(factor.poly)
+        lc = moved.LC
+        if lc != 1:
+            moved = moved.quo_ground(lc)
+            num = num.quo_ground(lc ** exponent)
+        exps[target._base.intern(moved)] = exponent
     return _factored(target, num, _factorisation(exps))
 
 

@@ -18,8 +18,8 @@ variables), and so is a monomial times a cofactor that an exact
 irreducibility certificate accepts (restriction to lines and
 distinct-degree factorisation modulo primes, see ``_irreducible``); any
 other polynomial is handed to sympy's factoriser, which is imported on
-that first need only. A certified factorisation has sympy's content
-and factor order.
+that first need only. Either way the content and the factors are
+sympy's; their order is not, and no caller reads it.
 """
 
 from __future__ import annotations
@@ -301,8 +301,7 @@ class Poly:
         integer factors with a positive leading coefficient. A monomial
         is factored into its variables, in generator order; a monomial
         times a cofactor that :func:`_irreducible` certifies, into those
-        variables and the cofactor, in the order sympy's
-        ``factor_list`` gives them; anything else goes to sympy."""
+        variables and then the cofactor; anything else goes to sympy."""
         coeffs = self.coeffs
         if len(coeffs) <= 1:
             if not coeffs:
@@ -321,7 +320,6 @@ class Poly:
             factors = [(ring.gens[i], e) for i, e in enumerate(shift) if e]
             factors.append((Poly(ring, {m: c // content
                                         for m, c in cofactor.items()}, 1), 1))
-            factors.sort(key=_sympy_order)
             return Fraction(content, self.den), factors
         content, factors = _to_sympy(self).factor_list()
         return (Fraction(int(content.numerator), int(content.denominator)),
@@ -493,34 +491,6 @@ def _power_p(a: list, m: list, p: int) -> list:
         if exponent:
             a = _divmod(_mul_dense(a, a, p), m, p)[1]
     return result
-
-
-def _sympy_order(pair):
-    """sympy's sort key of a ``(factor, exponent)`` pair: the degree in
-    the first generator, the exponent, then the dense recursive form."""
-    poly, exponent = pair
-    dense = _dense(list(poly.coeffs.items()), 0, poly.ring.ngens)
-    return len(dense), exponent, dense
-
-
-def _dense(terms: list, level: int, count: int) -> list:
-    """sympy's dense recursive form of ``terms`` from generator
-    ``level`` on: highest degree first, zero as nested empty lists."""
-    if not terms:
-        zero = []
-        for _ in range(count - 1 - level):
-            zero = [zero]
-        return zero
-    top = max(m[level] for m, _c in terms)
-    if level == count - 1:
-        out = [0] * (top + 1)
-        for m, c in terms:
-            out[top - m[level]] = c
-        return out
-    groups = [[] for _ in range(top + 1)]
-    for m, c in terms:
-        groups[top - m[level]].append((m, c))
-    return [_dense(group, level + 1, count) for group in groups]
 
 
 def _to_sympy(poly: Poly):

@@ -1,0 +1,136 @@
+"""Compare what two source trees of invlag print on a fixed corpus of calls.
+
+Usage::
+
+    python tests/identity_corpus.py OLD_TREE NEW_TREE [--workdir DIR]
+
+Each tree is a checkout of this repository, for example a ``git
+worktree`` of the parent commit and the working tree. The corpus is:
+
+* every row of the README command table, and ``solve chain4_gyro``
+  under ``b=1/2``, ``b=-1/3`` and ``b=3/4``;
+* the op lists of seeds 301-303 of the three benchmark workloads, as
+  ``perfbench/workloads.calls(workload, seed, workdir, 22)`` builds them
+  (this script only imports that module).
+
+Every call runs in text and in JSON, in process (``invlag.cli.main``
+with ``INVLAG_SEED`` unset), once per tree, in a fresh interpreter that
+imports the tree's ``src``. Both trees write their problem files to the
+same work directory, so the paths they print agree; each tree's own
+root is written ``<tree>`` in the output, since the bundled fixtures
+live under it. The script lists every call whose stdout, stderr or
+exit code differs and exits 1 if any does, else 0. pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SEEDS = (301, 302, 303)
+WORKLOADS = ("certify", "search", "rational_geometry")
+RUN_SECONDS = 22
+INSTANTIATIONS = ("b=1/2", "b=-1/3", "b=3/4")
+
+
+def _readme_calls():
+    rows = [line for line in (REPO / "README.md").read_text().splitlines()
+            if line.startswith("| `invlag ")]
+    calls = [("readme", row.split("`")[1].split()[1:]) for row in rows]
+    calls += [("readme", ["solve", "chain4_gyro", "--instantiate", value])
+              for value in INSTANTIATIONS]
+    return calls
+
+
+def _corpus(workdir: str):
+    """``(label, argv)`` of every call; writes the problem files."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+
+    calls = _readme_calls()
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            directory = os.path.join(workdir, f"{workload}-{seed}")
+            os.makedirs(directory, exist_ok=True)
+            calls += [(op.label, list(op.argv)) for op in
+                      workloads.calls(workload, seed, directory, RUN_SECONDS)]
+    return [(f"{label} [{fmt}]", argv + ["--format", fmt])
+            for label, argv in calls for fmt in ("text", "json")]
+
+
+def _run(tree: str, workdir: str, out: str):
+    """Run the corpus on the ``invlag`` importable here; write the
+    results to ``out``."""
+    from invlag import cli
+
+    os.environ.pop("INVLAG_SEED", None)
+    os.chdir(workdir)
+    results = []
+    for label, argv in _corpus(workdir):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        results.append([label, " ".join(argv), code,
+                        stdout.getvalue().replace(tree, "<tree>"),
+                        stderr.getvalue().replace(tree, "<tree>")])
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(results, handle)
+
+
+def _results(tree: pathlib.Path, workdir: str, out: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(tree / "src")
+    subprocess.run([sys.executable, __file__, "--run", str(tree), workdir,
+                    out], env=env, check=True)
+    with open(out, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old", type=pathlib.Path)
+    parser.add_argument("new", type=pathlib.Path)
+    parser.add_argument("--workdir", default=None,
+                        help="where both trees write their problem files "
+                             "(default: a new temporary directory)")
+    args = parser.parse_args(argv)
+    workdir = os.path.abspath(args.workdir or tempfile.mkdtemp(
+        prefix="identity-corpus-"))
+    os.makedirs(workdir, exist_ok=True)
+    old = _results(args.old.resolve(), workdir,
+                   os.path.join(workdir, "old.json"))
+    new = _results(args.new.resolve(), workdir,
+                   os.path.join(workdir, "new.json"))
+    if [row[:2] for row in old] != [row[:2] for row in new]:
+        print("the two trees ran different call lists")
+        return 1
+    differ = 0
+    for (label, command, *before), (_label, _command, *after) in zip(old, new):
+        changed = [name for name, a, b in zip(("exit code", "stdout",
+                                               "stderr"), before, after)
+                   if a != b]
+        if changed:
+            differ += 1
+            print(f"DIFFERS ({', '.join(changed)}): {label}: invlag {command}")
+    print(f"{len(old)} calls, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run"]:
+        _run(*sys.argv[2:5])
+    else:
+        sys.exit(main())

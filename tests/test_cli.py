@@ -537,6 +537,38 @@ def test_solve_rejects_a_repeated_ansatz_entry(tmp_path, part, key, ansatz):
                              f"{key!r} repeats entry {i},{j}\n")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"n": 2, "f": ["0", "0"], "ansatz": {"suite": "classical", "g": '
+     '{"entries": {"1,1": ["1"], "1,1": ["q1"], "2,2": ["1"]}}}}', "1,1"),
+    ('{"n": 2, "f": ["0", "0"], "f": ["v1", "0"], "ansatz": '
+     '{"suite": "classical", "g": {"preset": "constant"}}}', "f"),
+], ids=["ansatz-entry", "top-level"])
+def test_a_repeated_json_key_is_refused(tmp_path, text, key):
+    """Plain JSON keeps the last of two equal keys; a problem file that
+    repeats one, at any level, is refused instead of losing a value."""
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    result = run_cli("solve", str(path))
+    assert result == (2, "", f"invlag: error: {path}: repeated JSON key "
+                             f"{key!r}\n")
+
+
+def test_a_closed_pipe_keeps_the_commands_exit_code():
+    """A reader that has gone before the report is written (a pipe into
+    ``head`` that closed early) leaves no traceback on stderr, and the
+    exit code stays the command's own (3 here), not 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "invlag.cli", "solve", "chain4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            check=False, timeout=120, env=_child_env())
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (3, "")
+
+
 def test_seed_environment_variable_is_recorded():
     _, payload = run_json("check", "free2", "--suite", "classical", seed=7)
     assert payload["seed"] == 7

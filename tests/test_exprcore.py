@@ -168,6 +168,18 @@ def test_eval_num_exact():
     assert value == 30
 
 
+def test_eval_num_names_an_unassigned_variable():
+    """A variable of the numerator or of the denominator that the point
+    leaves out is named."""
+    ctx = ExprContext(2)
+    point = {ctx.q(1): Fraction(1), ctx.q(2): Fraction(0),
+             ctx.v(1): Fraction(2)}
+    for text in ("q1 + v2", "q1/(v2 + 1)"):
+        with pytest.raises(ExprError,
+                           match="evaluation point does not assign v2"):
+            ctx.parse(text).eval_num(point)
+
+
 def test_eval_num_pole():
     ctx = ExprContext(1)
     e = ctx.parse("1/q1")
@@ -282,6 +294,25 @@ def test_convert_between_contexts():
     assert moved == dst.parse("q1*v2 + 2")
     with pytest.raises(ContextMismatchError):
         convert(dst.parse("a*q3"), src)
+
+
+def test_convert_rescales_a_factor_whose_leading_term_moves(monkeypatch):
+    """``2*a + b^2`` is monic as ``a + 1/2*b^2`` over ``(a, b)`` and as
+    ``b^2 + 2*a`` over ``(b, a)``: the moved factor is rescaled, and is
+    the factor the target interns for the same text, without
+    ``factor_list``."""
+    src = ExprContext(1, parameters=("a", "b"))
+    dst = ExprContext(1, parameters=("b", "a"))
+    e = src.parse("1/(2*a + b^2)")
+    calls = []
+    original = Poly.factor_list
+    monkeypatch.setattr(Poly, "factor_list",
+                        lambda poly: calls.append(poly) or original(poly))
+    moved = convert(e, dst)
+    assert calls == []
+    expected = dst.parse("1/(2*a + b^2)")
+    assert moved == expected
+    assert str(moved) == str(expected) == "(1)/(b^2 + 2*a)"
 
 
 def test_parser_roundtrip_random_trees():

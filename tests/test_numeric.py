@@ -1,5 +1,5 @@
-"""The numeric cross-check samplers against the sample-then-evaluate
-code they replace: the same verdicts from the same random draws; and
+"""The numeric cross-check sampler against the sample-then-evaluate
+code it replaces: the same verdicts from the same random draws; and
 the cross-check of report cells, which draws no point for a zero
 residual."""
 
@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext, PoleError
-from invlag.numeric import (crosscheck_cells, nonzero_somewhere,
-                            sample_value, zero_at_random_points)
+from invlag.numeric import crosscheck_cells, nonzero_somewhere, sample_value
 
 from exprgen import random_expr
 
@@ -28,18 +27,6 @@ def _reference_sample_point(ctx, rng, avoid, max_tries=500):
             continue
         return point
     raise RuntimeError("no pole-free sample point found")
-
-
-def _reference_zero_at_random_points(exprs, rng, points):
-    if not exprs:
-        return True
-    ctx = exprs[0].ctx
-    for _ in range(points):
-        point = _reference_sample_point(ctx, rng, exprs)
-        for expr in exprs:
-            if expr.eval_num(point) != 0:
-                return False
-    return True
 
 
 def _reference_nonzero_somewhere(expr, rng, tries=25):
@@ -75,16 +62,13 @@ def _residuals(ctx, rng):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 6))
-def test_samplers_match_sample_then_evaluate(seed, points):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_samplers_match_sample_then_evaluate(seed):
     ctx = ExprContext(1)
     residuals = _residuals(ctx, random.Random(seed))
-    checks = [(partial(zero_at_random_points, residuals, points=points),
-               partial(_reference_zero_at_random_points, residuals,
-                       points=points))]
-    checks += [(partial(nonzero_somewhere, expr),
-                partial(_reference_nonzero_somewhere, expr))
-               for expr in residuals]
+    checks = [(partial(nonzero_somewhere, expr),
+               partial(_reference_nonzero_somewhere, expr))
+              for expr in residuals]
     for check, reference in checks:
         new, old = random.Random(seed), random.Random(seed)
         assert check(new) == reference(old)

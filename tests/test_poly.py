@@ -13,14 +13,16 @@ miss whose leading coefficient the factor's does not divide.
 ``factor_list`` certifies irreducible cofactors in-house
 (``poly._irreducible``): the certificate must never accept an explicit
 product or square, must agree with sympy whenever it accepts, and a
-non-monomial's factorisation must be sympy's, content and factor order
-included, whether certified or handed to sympy.
+non-monomial's factorisation must be sympy's content and factors,
+whether certified or handed to sympy; the order of the factors is not
+compared, since no caller reads it.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from operator import sub
 
@@ -194,6 +196,12 @@ def _sympy_factor_list(poly):
             [(from_sympy(poly.ring, f), e) for f, e in factors])
 
 
+def _unordered(factorisation):
+    """A ``factor_list`` result with its factors as a multiset."""
+    content, factors = factorisation
+    return content, Counter(factors)
+
+
 @st.composite
 def _non_monomials(draw, count, how_many):
     """``how_many`` polynomials of ``RINGS[count]`` with two terms or
@@ -221,14 +229,15 @@ def test_products_and_squares_are_never_certified(pair, square):
 @given(st.integers(2, 6).flatmap(lambda count: _non_monomials(count, 1)))
 def test_certified_polynomials_are_irreducible_for_sympy(case):
     """Whenever the certificate accepts a cofactor, sympy factors it into
-    one factor with exponent 1; either way ``factor_list`` is sympy's,
-    content and factor order included."""
+    one factor with exponent 1; either way ``factor_list`` gives sympy's
+    content and factors."""
     (poly,) = case
     if _irreducible(_cofactor(poly)):
         cofactor = poly.ring.from_ints(_cofactor(poly))
         _content, factors = to_sympy(cofactor).factor_list()
         assert [e for _f, e in factors] == [1]
-    assert poly.factor_list() == _sympy_factor_list(poly)
+    assert _unordered(poly.factor_list()) == \
+        _unordered(_sympy_factor_list(poly))
 
 
 # The kinetic determinants the rational_geometry benchmark workload
@@ -276,18 +285,19 @@ def _context_poly(text):
 
 def test_monomial_content_keeps_sympys_content_and_order(monkeypatch):
     """``q1*(q2^2+3)`` (and a scaled variant) is certified in-house and
-    comes back as sympy returns it: content, then ``q2^2 + 3`` before
-    ``q1``."""
+    comes back with sympy's content and factors, ``q2^2 + 3`` and
+    ``q1``, in any order."""
     converted = []
     monkeypatch.setattr(poly_module, "_to_sympy", converted.append)
     for text in ("q1*(q2^2 + 3)", "-2/3*q1^2*v2*(q2^2 + 3*q1)"):
         poly = _context_poly(text)
-        assert poly.factor_list() == _sympy_factor_list(poly)
+        assert _unordered(poly.factor_list()) == \
+            _unordered(_sympy_factor_list(poly))
     assert converted == []
     content, factors = _context_poly("q1*(q2^2 + 3)").factor_list()
     assert content == 1
-    assert [(str(to_sympy(f)), e) for f, e in factors] == [
-        ("q2**2 + 3", 1), ("q1", 1)]
+    assert sorted((str(to_sympy(f)), e) for f, e in factors) == [
+        ("q1", 1), ("q2**2 + 3", 1)]
 
 
 @pytest.mark.parametrize("text", [

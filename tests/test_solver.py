@@ -9,12 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlag import conditions, geometry, solver
+from invlag import conditions, geometry, poly, solver
 from invlag.cli import ansatz_problem, load_problem
 from invlag.exprcore import ExprContext
 from invlag.geometry import (InternalInconsistencyError, Sode, TensorField,
                              curvature, jacobi, matrix_det)
-from invlag.reconstruct import forward_sode
+from invlag.reconstruct import forward_accelerations, forward_sode
 from invlag.solver import (AnsatzProblem, LinearSystem,
                            NonlinearCouplingError, Representative,
                            SolverError, assemble,
@@ -555,3 +555,21 @@ def test_solve_matches_sympy_rref(seed, kind):
     if kind == "inconsistent":
         assert not space.consistent
     assert_matches_sympy_rref(space, dense)
+
+
+def test_assembly_factors_no_denominator_again(monkeypatch):
+    """The kinetic determinant ``q1^4 - q1^2 + 1`` of ``L = 1/2*(q1^4 +
+    1)*v1^2 + 1/2*v2^2 + q1*v1*v2`` splits modulo every prime, so sympy
+    factors it once, in the system's ring; assembly moves it into the
+    ring of the unknowns without factoring it again."""
+    ctx = ExprContext(2)
+    L = ctx.parse("1/2*(q1^4 + 1)*v1^2 + 1/2*v2^2 + q1*v1*v2")
+    s = Sode(ctx, forward_accelerations(L, ctx.zero))
+    assert str(s.f[0]) == "(-2*q1^3*v1^2 + q1*v1^2)/(q1^4 - q1^2 + 1)"
+    calls = []
+    original = poly.Poly.factor_list
+    monkeypatch.setattr(poly.Poly, "factor_list",
+                        lambda p: calls.append(p) or original(p))
+    system = assemble(s, polynomial_ansatz(ctx, "thm3", 1))
+    assert len(system.unknowns) == 9
+    assert calls == []
