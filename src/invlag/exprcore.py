@@ -46,8 +46,11 @@ Only a polynomial from outside the base is factored with
 or the product of the substituted factors. :mod:`invlag.poly` factors
 monomials and certifies irreducible cofactors itself and hands only the
 rest to sympy, so a kinetic determinant such as ``q1^2*q3^2 + 4*q1^2 +
-29/5*q3^2 + 111/5`` loads no sympy. The parser reads polynomial
-text with ring arithmetic and builds an ``Expr`` only for a division by
+29/5*q3^2 + 111/5`` loads no sympy. The parser reads each term made of
+integer literals, literals such as ``(2/3)``, generators with integer
+exponents and divisions by integer literals as integers and gathers
+such terms into one coefficient map, so a polynomial entry is built
+without a single product. It builds an ``Expr`` only for a division by
 a non-constant (or a negative power of one), so reading a polynomial
 factors nothing. The result is the fraction a multivariate gcd would
 give, and no operation here calls one.
@@ -55,8 +58,9 @@ give, and no operation here calls one.
 The polynomials are :mod:`invlag.poly`'s: sparse, in lex order, with
 integer coefficients over one denominator. The grammar, printing,
 trial division, substitution, conversion, integration and evaluation
-layers are implemented here, and the last five work on those integers
-directly.
+layers are implemented here, all on those integers: the printer, for
+one, reads each coefficient off its integer and the one denominator
+with one gcd.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Optional, Union
 
@@ -371,13 +375,15 @@ class ExprContext:
 
     # -- VarId constructors -------------------------------------------------
 
+    # ``q`` and ``v`` return the ring's own VarIds, in generator order:
+    # time (if used), then q1..qn, then v1..vn.
     def q(self, index: int) -> VarId:
         self._check_index(index)
-        return VarId.position(index)
+        return self._varids[self.uses_time + index - 1]
 
     def v(self, index: int) -> VarId:
         self._check_index(index)
-        return VarId.jet(index, 1)
+        return self._varids[self.uses_time + self.n + index - 1]
 
     def jet(self, index: int, order: int) -> VarId:
         self._check_index(index)
@@ -523,9 +529,9 @@ def _factored(ctx: "ExprContext", num, fac: tuple) -> "Expr":
     if not num:
         fac = ()
     expr = object.__new__(Expr)
-    object.__setattr__(expr, "ctx", ctx)
-    object.__setattr__(expr, "num", num)
-    object.__setattr__(expr, "den_factors", fac)
+    _set_ctx(expr, ctx)
+    _set_num(expr, num)
+    _set_den_factors(expr, fac)
     return expr
 
 
@@ -906,6 +912,13 @@ class Expr:
                 for degree, monoms in sorted(buckets.items())}
 
 
+# ``_factored`` fills the slots of the immutable ``Expr`` through their
+# member descriptors, past ``Expr.__setattr__``.
+_set_ctx = Expr.ctx.__set__
+_set_num = Expr.num.__set__
+_set_den_factors = Expr.den_factors.__set__
+
+
 def common_denominator(exprs):
     """The numerators of ``exprs`` over the lcm of their denominators,
     and that lcm as a factorisation. The lcm takes the largest exponent
@@ -1035,8 +1048,24 @@ def _unassigned(ctx, poly, values):
 # parsing
 
 
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<op>[+\-*/^()])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
+# One token per match, after optional whitespace: an integer literal, a
+# name, an operator, or any other character (a bad one).
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|[+\-*/^()]|\S)")
+# The characters no good token starts with ("_" is one: it may only
+# follow the first character of a name).
+_BAD = re.compile(r"[^0-9A-Za-z+\-*/^()\s]")
+
+
+def _offset(text: str, index: int) -> int:
+    """The character offset of token ``index`` of ``text``; the length of
+    the text for the end, past the last token."""
+    end = 0
+    for _ in range(index + 1):
+        m = _TOKEN.match(text, end)
+        if m is None:
+            return len(text)
+        end = m.end()
+    return m.start(1)
 
 
 class _Parser:
@@ -1047,34 +1076,47 @@ class _Parser:
     not chain; ``/`` is ordinary division, so both rational literals
     ``p/q`` and rational functions share one rule.
 
-    While the text is polynomial, values are ``Fraction`` constants and
-    polynomials of the context's ring, combined by ring arithmetic (a
-    division by a constant is ``quo_ground``). A division by a
-    non-constant, or a negative power of one, makes an ``Expr``, and
-    from then on the operands meet through the ``Expr`` operators; the
-    result becomes an ``Expr`` once, at the end.
+    The text is split into tokens by one ``re.findall``; a token's
+    character offset is worked out (``_offset``) only for an error. A
+    term made only of integer literals, parenthesised literals such as
+    ``(2/3)`` or ``(-1/1)``, generators (each with an optional
+    non-negative integer exponent) and divisions by integer literals is
+    read as an integer triple ``(exponents, numerator, denominator)``,
+    and ``expression`` gathers such terms into one coefficient map and
+    builds one polynomial from it.
+
+    Any other term goes on from its longest such prefix with ring
+    arithmetic: values are ``Fraction`` constants and polynomials of the
+    context's ring, and a division by a constant is ``quo_ground``. A
+    division by a non-constant, or a negative power of one, makes an
+    ``Expr``, and from then on the operands meet through the ``Expr``
+    operators; the result becomes an ``Expr`` once, at the end.
     """
 
     def __init__(self, text: str, ctx: ExprContext):
+        self.text = text
         self.ctx = ctx
         self.ring = ctx._ring
-        self.tokens = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ExprSyntaxError(f"unexpected character {m.group()!r}",
-                                      m.start())
-            if kind != "space":
-                self.tokens.append((kind, m.group(), m.start()))
+        self.names = ctx._name_pos
+        tokens = _TOKEN.findall(text)
+        if _BAD.search(text):
+            for index, token in enumerate(tokens):
+                if _BAD.match(token):
+                    raise self.error(f"unexpected character {token!r}", index)
         # The end of the text; no rule reads past it. An operator is
         # recognised by its value alone: no number or name spells one.
-        self.tokens.append((None, None, len(text)))
+        tokens.append("")
+        self.tokens = tokens
         self.pos = 0
 
+    def error(self, message: str, index: int,
+              kind=ExprSyntaxError) -> ExprSyntaxError:
+        """A ``kind`` error at token ``index``."""
+        return kind(message, _offset(self.text, index))
+
     def expect_op(self, op: str):
-        _kind, value, position = self.tokens[self.pos]
-        if value != op:
-            raise ExprSyntaxError(f"expected {op!r}", position)
+        if self.tokens[self.pos] != op:
+            raise self.error(f"expected {op!r}", self.pos)
         self.pos += 1
 
     def as_expr(self, value) -> Expr:
@@ -1100,25 +1142,139 @@ class _Parser:
 
     def parse(self) -> Expr:
         result = self.expression()
-        kind, value, position = self.tokens[self.pos]
-        if kind is not None:
-            raise ExprSyntaxError(f"unexpected trailing input {value!r}", position)
+        token = self.tokens[self.pos]
+        if token:
+            raise self.error(f"unexpected trailing input {token!r}", self.pos)
         return self.as_expr(result)
 
     def expression(self):
-        value = self.term()
+        """A sum of terms. The triples of the simple terms go into one
+        coefficient map over the lcm of their denominators; the other
+        terms are added to the polynomial it makes."""
+        tokens = self.tokens
+        simple, rest = [], None
+        sign = 1
         while True:
-            op = self.tokens[self.pos][1]
+            value = self.term(sign)
+            if type(value) is tuple:
+                simple.append(value)
+            elif rest is None:
+                rest = value
+            else:
+                rest, value = self.pair(rest, value)
+                rest = rest + value
+            op = tokens[self.pos]
             if op != "+" and op != "-":
-                return value
+                break
             self.pos += 1
-            value, rhs = self.pair(value, self.term())
-            value = value + rhs if op == "+" else value - rhs
+            sign = 1 if op == "+" else -1
+        if not simple:
+            return rest
+        den = simple[0][2]
+        for _monom, _num, d in simple:
+            if d != den:
+                den = lcm(den, d)
+        coeffs = {}
+        get = coeffs.get
+        for monom, num, d in simple:
+            if d != den:
+                num *= den // d
+            old = get(monom)
+            coeffs[monom] = num if old is None else old + num
+        value = self.ring.from_ints(coeffs, den)
+        if rest is None:
+            return value
+        value, rest = self.pair(value, rest)
+        return value + rest
 
-    def term(self):
-        value = self.unary()
+    def term(self, sign: int):
+        """``sign`` times the term at the cursor: an integer triple
+        ``(exponents, numerator, denominator)`` for a simple term, else
+        a ``Fraction``, a polynomial or an ``Expr``."""
+        tokens, names = self.tokens, self.names
+        start = commit = pos = self.pos
+        num, den, exps = sign, 1, None
+        while True:  # one factor, and the divisions by literals after it
+            token = tokens[pos]
+            negative = False
+            while token == "-":
+                negative = not negative
+                pos += 1
+                token = tokens[pos]
+            gen = names.get(token)
+            if gen is not None:
+                if tokens[pos + 1] == "^":
+                    power = tokens[pos + 2]
+                    if not power.isdigit() or tokens[pos + 3] == "^":
+                        break
+                    pos += 3
+                    power = int(power)
+                else:
+                    pos += 1
+                    power = 1
+                if exps is None:
+                    exps = [0] * self.ring.ngens
+                exps[gen] += power
+            elif token.isdigit():
+                if tokens[pos + 1] == "^":
+                    break
+                num *= int(token)
+                pos += 1
+            elif token == "(":  # (p), (-p), (p/q) or (-p/q)
+                k = pos + 1
+                if tokens[k] == "-":
+                    negative = not negative
+                    k += 1
+                literal = tokens[k]
+                if not literal.isdigit():
+                    break
+                p, q = int(literal), 1
+                if tokens[k + 1] == "/":
+                    literal = tokens[k + 2]
+                    if not literal.isdigit() or not int(literal):
+                        break
+                    q = int(literal)
+                    k += 2
+                if tokens[k + 1] != ")" or tokens[k + 2] == "^":
+                    break
+                num *= p
+                den *= q
+                pos = k + 2
+            else:
+                break
+            if negative:
+                num = -num
+            while tokens[pos] == "/":
+                literal = tokens[pos + 1]
+                if (not literal.isdigit() or tokens[pos + 2] == "^"
+                        or not int(literal)):
+                    break
+                den *= int(literal)
+                pos += 2
+            commit = pos
+            token = tokens[pos]
+            if token != "*":
+                if token == "/":
+                    break
+                self.pos = pos
+                return (tuple(exps) if exps else (0,) * self.ring.ngens,
+                        num, den)
+            pos += 1
+        # A factor or a division the triple cannot take: ring or Expr
+        # arithmetic goes on from the last whole factor.
+        self.pos = commit
+        if commit == start:
+            value = self.product(self.unary())
+            return -value if sign < 0 else value
+        monom = tuple(exps) if exps else (0,) * self.ring.ngens
+        return self.product(self.ring.from_ints({monom: num}, den))
+
+    def product(self, value):
+        """``value`` times and over the operands that follow it."""
+        tokens = self.tokens
         while True:
-            _kind, op, position = self.tokens[self.pos]
+            index = self.pos
+            op = tokens[index]
             if op != "*" and op != "/":
                 return value
             self.pos += 1
@@ -1128,7 +1284,7 @@ class _Parser:
                 value = value * rhs
             elif not rhs:
                 raise ZeroDenominatorError(
-                    f"division by zero (at position {position})")
+                    f"division by zero (at position {_offset(self.text, index)})")
             elif isinstance(value, Expr) or self.constant(rhs) is None:
                 value = self.as_expr(value) / self.as_expr(rhs)
             else:  # a polynomial divided by a constant is quo_ground
@@ -1136,12 +1292,13 @@ class _Parser:
 
     def unary(self):
         """Unary minus, or an atom with an optional exponent."""
-        if self.tokens[self.pos][1] == "-":
+        tokens = self.tokens
+        if tokens[self.pos] == "-":
             self.pos += 1
             return -self.unary()
         base = self.atom()
-        _kind, op, position = self.tokens[self.pos]
-        if op != "^":
+        index = self.pos
+        if tokens[index] != "^":
             return base
         self.pos += 1
         exponent = self.exponent_literal()
@@ -1150,52 +1307,52 @@ class _Parser:
         elif exponent > 0:
             base = base ** exponent
         elif not base:
-            raise ExprSyntaxError("zero raised to a negative power", position)
+            raise self.error("zero raised to a negative power", index)
         elif self.constant(base) is None:
             base = self.as_expr(base) ** exponent
         else:
             base = self.constant(base) ** exponent
-        _kind, op, position = self.tokens[self.pos]
-        if op == "^":
-            raise ExprSyntaxError("chained '^' needs parentheses", position)
+        if tokens[self.pos] == "^":
+            raise self.error("chained '^' needs parentheses", self.pos)
         return base
 
     def exponent_literal(self) -> int:
-        kind, value, position = self.tokens[self.pos]
-        if kind == "int":
+        token = self.tokens[self.pos]
+        if token.isdigit():
             self.pos += 1
-            return int(value)
-        if value == "-":
+            return int(token)
+        if token == "-":
             self.pos += 1
-            kind, value, position = self.tokens[self.pos]
-            if kind != "int":
-                raise ExprSyntaxError("exponent must be an integer literal", position)
+            token = self.tokens[self.pos]
+            if not token.isdigit():
+                raise self.error("exponent must be an integer literal", self.pos)
             self.pos += 1
-            return -int(value)
-        if value == "(":
+            return -int(token)
+        if token == "(":
             self.pos += 1
             inner = self.exponent_literal()
             self.expect_op(")")
             return inner
-        raise ExprSyntaxError("exponent must be an integer literal", position)
+        raise self.error("exponent must be an integer literal", self.pos)
 
     def atom(self):
-        kind, value, position = self.tokens[self.pos]
+        index = self.pos
+        token = self.tokens[index]
         self.pos += 1
-        if kind == "name":
-            gen = self.ctx._name_pos.get(value)
-            if gen is None:
-                return self.resolve(value, position)
+        gen = self.names.get(token)
+        if gen is not None:
             return self.ctx._gens[gen]
-        if kind == "int":
-            return Fraction(int(value))
-        if value == "(":
+        if token.isdigit():
+            return Fraction(int(token))
+        if token == "(":
             inner = self.expression()
             self.expect_op(")")
             return inner
-        raise ExprSyntaxError("expected a number, a variable or '('", position)
+        if token[:1].isalpha():
+            return self.resolve(token, index)
+        raise self.error("expected a number, a variable or '('", index)
 
-    def resolve(self, name: str, position: int):
+    def resolve(self, name: str, index: int):
         """The generator of a jet spelled ``d1q<i>`` or with a zero-padded
         order; otherwise the most specific error for an unknown name."""
         ctx = self.ctx
@@ -1204,53 +1361,53 @@ class _Parser:
             if 1 <= int(m.group(1)) <= ctx.max_jet_order:
                 var = VarId.jet(int(m.group(2)), int(m.group(1)))
                 return ctx._gens[ctx.gen_index(var)]
-            raise JetOrderError(
+            raise self.error(
                 f"jet order {int(m.group(1))} exceeds context maximum "
-                f"{ctx.max_jet_order}", position)
+                f"{ctx.max_jet_order}", index, JetOrderError)
         m = re.match(r"^(?:q|v)([1-9][0-9]*)$", name)
         if m:
-            raise UnknownIdentifierError(
-                f"coordinate index {int(m.group(1))} outside 1..{ctx.n}", position)
+            raise self.error(
+                f"coordinate index {int(m.group(1))} outside 1..{ctx.n}",
+                index, UnknownIdentifierError)
         if name == "t":
-            raise UnknownIdentifierError("context has no time variable", position)
-        raise UnknownIdentifierError(f"unknown identifier {name!r}", position)
+            raise self.error("context has no time variable", index,
+                             UnknownIdentifierError)
+        raise self.error(f"unknown identifier {name!r}", index,
+                         UnknownIdentifierError)
 
 
 # --------------------------------------------------------------------------
 # printing
 
 
-def _rational_text(value: Fraction) -> str:
-    numerator, denominator = value.numerator, value.denominator
-    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
-
-
 def _poly_text(ctx: ExprContext, poly) -> str:
-    if not poly:
+    """The terms of ``poly`` in descending lex order, each coefficient
+    read off its integer over ``poly.den`` with one gcd."""
+    coeffs = poly.coeffs
+    if not coeffs:
         return "0"
     names = ctx._names
+    den = poly.den
     chunks = []
-    for monom, coeff in poly.terms():
-        factors = []
-        for position, exponent in enumerate(monom):
-            if exponent == 1:
-                factors.append(names[position])
-            elif exponent:
-                factors.append(f"{names[position]}^{exponent}")
-        sign = "-" if coeff < 0 else "+"
-        magnitude = -coeff if coeff < 0 else coeff
-        if not factors:
-            body = _rational_text(magnitude)
-        elif magnitude == 1:
-            body = "*".join(factors)
-        else:
-            body = _rational_text(magnitude) + "*" + "*".join(factors)
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    text = first_body if first_sign == "+" else "-" + first_body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+    for monom in sorted(coeffs, reverse=True):
+        coeff = coeffs[monom]
+        if coeff < 0:
+            coeff = -coeff
+            chunks.append(" - " if chunks else "-")
+        elif chunks:
+            chunks.append(" + ")
+        factors = "*".join([names[position] if exponent == 1
+                            else f"{names[position]}^{exponent}"
+                            for position, exponent in enumerate(monom)
+                            if exponent])
+        if coeff == den and factors:  # the coefficient 1
+            chunks.append(factors)
+            continue
+        g = gcd(coeff, den)
+        coefficient = (str(coeff // g) if g == den
+                       else f"{coeff // g}/{den // g}")
+        chunks.append(f"{coefficient}*{factors}" if factors else coefficient)
+    return "".join(chunks)
 
 
 def to_text(expr: Expr) -> str:

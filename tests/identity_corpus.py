@@ -11,7 +11,11 @@ worktree`` of the parent commit and the working tree. The corpus is:
   under ``b=1/2``, ``b=-1/3`` and ``b=3/4``;
 * the op lists of seeds 301-303 of the three benchmark workloads, as
   ``perfbench/workloads.calls(workload, seed, workdir, 22)`` builds them
-  (this script only imports that module).
+  (this script only imports that module);
+* ``analyze`` of copies of the ``planar_drag`` fixture whose first
+  ``f`` entry is each malformed text of ``_MALFORMED`` in
+  ``test_exprcore.py`` (read from its source, not imported), so the
+  parser's exit code and error message are compared too.
 
 Every call runs in text and in JSON, in process (``invlag.cli.main``
 with ``INVLAG_SEED`` unset), once per tree, in a fresh interpreter that
@@ -26,6 +30,7 @@ collect it.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -51,12 +56,39 @@ def _readme_calls():
     return calls
 
 
+def _malformed_texts():
+    """The texts of ``_MALFORMED`` in tests/test_exprcore.py, in order."""
+    module = ast.parse((REPO / "tests" / "test_exprcore.py").read_text(
+        encoding="utf-8"))
+    for node in module.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "_MALFORMED"):
+            return [ast.literal_eval(case.elts[1]) for case in node.value.elts]
+    raise LookupError("tests/test_exprcore.py defines no _MALFORMED")
+
+
+def _malformed_calls(workdir: str):
+    """``analyze`` of a copy of ``planar_drag`` per malformed text, as
+    its first ``f`` entry; writes the problem files."""
+    fixture = json.loads((REPO / "src" / "invlag" / "fixtures" /
+                          "planar_drag.json").read_text(encoding="utf-8"))
+    directory = os.path.join(workdir, "malformed")
+    os.makedirs(directory, exist_ok=True)
+    calls = []
+    for index, text in enumerate(_malformed_texts()):
+        path = os.path.join(directory, f"planar_drag-{index:02d}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(dict(fixture, f=[text, fixture["f"][1]]), handle)
+        calls.append(("malformed", ["analyze", path]))
+    return calls
+
+
 def _corpus(workdir: str):
     """``(label, argv)`` of every call; writes the problem files."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import workloads
 
-    calls = _readme_calls()
+    calls = _readme_calls() + _malformed_calls(workdir)
     for workload in WORKLOADS:
         for seed in SEEDS:
             directory = os.path.join(workdir, f"{workload}-{seed}")

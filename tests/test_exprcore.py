@@ -2,6 +2,7 @@
 operations, canonicalization, and the error taxonomy."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -395,6 +396,24 @@ _MALFORMED = [
      "jet order 2 exceeds context maximum 1 (at position 0)", 0),
     ({"max_jet_order": 4}, "d5q1", JetOrderError,
      "jet order 5 exceeds context maximum 4 (at position 0)", 0),
+    # Texts that fail inside a term first read as an integer triple.
+    ({}, "3/0*q1", ZeroDenominatorError, "division by zero (at position 1)",
+     None),
+    ({}, "(2/0)*q1", ZeroDenominatorError,
+     "division by zero (at position 2)", None),
+    ({}, "2*q1^q2", ExprSyntaxError,
+     "exponent must be an integer literal (at position 5)", 5),
+    ({}, "2*q1^2^3", ExprSyntaxError,
+     "chained '^' needs parentheses (at position 6)", 6),
+    ({}, "(2/3)^", ExprSyntaxError,
+     "exponent must be an integer literal (at position 6)", 6),
+    ({}, "q1\u00b2", ExprSyntaxError,
+     "unexpected character '\u00b2' (at position 2)", 2),
+    ({}, "_q1", ExprSyntaxError, "unexpected character '_' (at position 0)",
+     0),
+    ({}, "(-3/4", ExprSyntaxError, "expected ')' (at position 5)", 5),
+    ({}, "q1^2 - 3/4*q1*q2 +\u00a0", ExprSyntaxError,
+     "expected a number, a variable or '(' (at position 19)", 19),
 ]
 
 
@@ -432,6 +451,157 @@ def test_parsing_a_polynomial_builds_no_quotient(monkeypatch):
     assert str(e) == text
     ctx.parse("1/(q1^2 + 3)")
     assert calls == ["factor_list", "_product"]
+
+
+def test_parsing_a_canonical_entry_multiplies_no_polynomials(monkeypatch):
+    """Each term of a canonical ``f`` entry, or of one with its
+    coefficients written ``(p/q)``, is read as an integer triple: the
+    entry becomes one polynomial without a single ``Poly`` product or
+    power."""
+    ctx = ExprContext(3, parameters=("a", "b"))
+    texts = ("2/11*q1^2 - 10/11*q1*q2 + 1/11*q1 - 12/11*q2^2 - 12/11*q2*v1^2"
+             " + 1/11*q2*v1 - 4/11*q2*v2 - 4/11*q2 - 6/11*v1*v2 + 12/11*v2^2",
+             "-a*q1 - b*q2 - 3/4*a^2*v1",
+             "(1/1)*v2*v1*q2 + (-3/1)*v2*v2*v1 + (2/3)*v3*v2 - (5)")
+    expected = [ctx.parse(text) for text in texts]
+    calls = []
+
+    def counting(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(Poly, name, counting(getattr(Poly, name)))
+    assert [ctx.parse(text) for text in texts] == expected
+    assert calls == []
+
+
+def test_a_term_leaves_the_integer_path_with_the_value_read_so_far():
+    """A term that starts simple and then meets a factor or a division
+    the integer triple cannot take goes on from the factors read so far,
+    each counted once."""
+    ctx = ExprContext(2)
+    q1, q2 = ctx.var(ctx.q(1)), ctx.var(ctx.q(2))
+    cases = {
+        "2*(3)^2*q1": 18 * q1,
+        "-2*(-3/4)^3": ctx.const(Fraction(27, 32)),
+        "q1*(1/2)^2/q2": q1 / (4 * q2),
+        "3/4*q1^2*q1^(2)": Fraction(3, 4) * q1 ** 4,
+        "2*-q1^(-1)": ctx.const(-2) / q1,
+        "5/2^2*q1": Fraction(5, 4) * q1,
+        "-(2)*q2 - --3*q1": -2 * q2 - 3 * q1,
+        "(-1/3)*q2/(2/5)*q1": Fraction(-5, 6) * q2 * q1,
+        "7*q1/(q1*q2)": 7 / q2,
+    }
+    assert {text: ctx.parse(text) for text in cases} == cases
+
+
+def test_printing_reads_the_integer_coefficients(monkeypatch):
+    """``to_text`` prints from a polynomial's integer coefficients and
+    its one denominator; ``Poly.terms()``, a ``Fraction`` per term, is
+    never called."""
+    ctx = ExprContext(2, parameters=("a",))
+    cases = {"-3/4*a*q1^2 + 1/6*q2 - 1": "-3/4*q1^2*a + 1/6*q2 - 1",
+             "(2/3*q1 - 1)/(q2^2 + 1/2*a)": "(2/3*q1 - 1)/(q2^2 + 1/2*a)",
+             "q1*v2^3/(6*a - 4*q2) - 5/2":
+                 "(-1/4*q1*v2^3 - 5/2*q2 + 15/4*a)/(q2 - 3/2*a)",
+             "0": "0", "-7/3": "-7/3", "12*q1 - q2": "12*q1 - q2"}
+    exprs = {text: ctx.parse(text) for text in cases}
+
+    def refuse(poly):
+        raise AssertionError("Poly.terms() called")
+
+    monkeypatch.setattr(Poly, "terms", refuse)
+    assert {text: exprcore.to_text(e) for text, e in exprs.items()} == cases
+
+
+def test_expressions_and_contexts_stay_immutable():
+    ctx = ExprContext(2)
+    e = ctx.parse("1/(q1 + 1)")
+    for name in ("ctx", "num", "den_factors", "other"):
+        with pytest.raises(AttributeError, match="Expr is immutable"):
+            setattr(e, name, None)
+    with pytest.raises(AttributeError, match="ExprContext is immutable"):
+        ctx.n = 3
+    assert e == ctx.parse("1/(q1 + 1)")
+
+
+def test_coordinate_varids_are_the_rings_own():
+    """``q`` and ``v`` return the VarIds the ring already holds (the same
+    object on every call) and still refuse an index outside 1..n."""
+    for ctx in (ExprContext(3),
+                ExprContext(2, parameters=("a",), max_jet_order=3,
+                            uses_time=True)):
+        assert ctx.v(1) is ctx.v(1) and ctx.q(2) is ctx.q(2)
+        for i in range(1, ctx.n + 1):
+            assert ctx.q(i) == VarId.position(i)
+            assert ctx.v(i) == VarId.jet(i, 1)
+            for var in (ctx.q(i), ctx.v(i)):
+                assert ctx.varid_of_gen(ctx.gen_index(var)) is var
+        for index in (0, -1, ctx.n + 1):
+            for method in (ctx.q, ctx.v):
+                with pytest.raises(ExprError) as err:
+                    method(index)
+                assert type(err.value) is ExprError
+                assert str(err.value) == \
+                    f"coordinate index {index} outside 1..{ctx.n}"
+
+
+_EDIT_CTX = ExprContext(2, parameters=("a",))
+_edit_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * _EDIT_CTX._ring.ngens),
+    st.fractions(-30, 30, max_denominator=12), min_size=1, max_size=5,
+).map(_EDIT_CTX._ring.from_dict)
+# ASCII and Unicode whitespace, and none.
+_WHITESPACE = ("", "", " ", "  ", "\t", "\n", "\x0b", "\u00a0", "\u2003",
+               "\u3000")
+_TEXT_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
+
+
+def _wrapped_coefficients(text: str, rng) -> list:
+    """The tokens of canonical ``text`` with some coefficients ``p/q``
+    or ``p`` written ``(p/q)``; a minus sign before one may move inside,
+    as ``(-p/q)``, leaving a ``+`` behind where it was binary."""
+    tokens = _TEXT_TOKEN.findall(text)
+    out = []
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        # In canonical text an integer is a coefficient unless it follows
+        # "^" (an exponent) or "/" (the denominator of one).
+        if not token.isdigit() or out[-1:] not in ([], ["("], ["+"], ["-"]) \
+                or rng.random() < 0.3:
+            out.append(token)
+            continue
+        den = "1"
+        if tokens[i:i + 1] == ["/"] and tokens[i + 1].isdigit():
+            den = tokens[i + 1]
+            i += 2
+        sign = ""
+        if out[-1:] == ["-"] and rng.random() < 0.5:
+            sign = "-"
+            out.pop()
+            if out and out[-1] != "(":
+                out.append("+")
+        out += ["(", sign + token, "/", den, ")"]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=_edit_polys, den=st.one_of(st.none(), _edit_polys.filter(bool)),
+       rng=st.randoms(use_true_random=False))
+def test_edited_canonical_text_parses_to_the_same_expr(num, den, rng):
+    """Canonical text still parses to its expression after two edits:
+    coefficients written ``(p/q)``, and whitespace, ASCII or Unicode,
+    between the tokens."""
+    e = Expr(_EDIT_CTX, num, den or _EDIT_CTX._ring.one)
+    tokens = _wrapped_coefficients(str(e), rng)
+    edited = "".join(rng.choice(_WHITESPACE) + token for token in tokens)
+    edited += rng.choice(_WHITESPACE)
+    assert _EDIT_CTX.parse(edited) == e
 
 
 def test_diff_commutes_on_random_trees():
