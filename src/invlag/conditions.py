@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .exprcore import Expr, ExprContext
+from .exprcore import Expr, ExprContext, lincomb
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
-                       TensorField, curvature, d_basic, horizontal_apply,
+                       TensorField, _horizontal_terms, curvature, d_basic,
                        jacobi, matrix_det, nabla_tensor02, theta_tensor)
 
 
@@ -173,18 +173,14 @@ def _lowered_jacobi(s: Sode, g: TensorField) -> TensorField:
     jac = jacobi(s)
     indices = range(1, s.n + 1)
     return TensorField(s.ctx, (0, 2), {
-        (i, j): sum((g.entry(i, k) * jac.entry(k, j) for k in indices),
-                    s.ctx.zero)
+        (i, j): lincomb(s.ctx, [(g.entry(i, k), jac.entry(k, j))
+                                for k in indices])
         for i in indices for j in indices})
-
-
-def _phi_skew(g_phi: TensorField, i: int, j: int) -> Expr:
-    return g_phi.entry(i, j) - g_phi.entry(j, i)
 
 
 def _phi_cells(s: Sode, g: TensorField):
     g_phi = _lowered_jacobi(s, g)
-    return [Cell(_label("PhiSym", i, j), _phi_skew(g_phi, i, j))
+    return [Cell(_label("PhiSym", i, j), g_phi.entry(i, j) - g_phi.entry(j, i))
             for i, j in combinations(range(1, s.n + 1), 2)]
 
 
@@ -196,10 +192,11 @@ def _curvature_cycles(s: Sode, g: TensorField) -> dict:
         return {}
     R = curvature(s)
     indices = range(1, s.n + 1)
-    return {(i, k, l): sum((g.entry(i, j) * R.entry(j, k, l)
-                            + g.entry(l, j) * R.entry(j, i, k)
-                            + g.entry(k, j) * R.entry(j, l, i)
-                            for j in indices), s.ctx.zero)
+    return {(i, k, l): lincomb(s.ctx, [
+                term for j in indices for term in (
+                    (g.entry(i, j), R.entry(j, k, l)),
+                    (g.entry(l, j), R.entry(j, i, k)),
+                    (g.entry(k, j), R.entry(j, l, i)))])
             for i, k, l in combinations(indices, 3)}
 
 
@@ -208,12 +205,9 @@ def _velocity_contraction(ctx: ExprContext, form: dict, i: int, j: int) -> Expr:
     three-form stored on ascending index tuples: a repeated index reads
     as zero, and ``(i, j, k)`` is an odd permutation of its ascending
     order exactly when ``k`` lies between ``i`` and ``j``."""
-    total = ctx.zero
-    for k in range(1, ctx.n + 1):
-        if k not in (i, j):
-            term = form[tuple(sorted((i, j, k)))] * ctx.var(ctx.v(k))
-            total = total - term if i < k < j else total + term
-    return total
+    return lincomb(ctx, [(form[tuple(sorted((i, j, k)))], -ctx.var(ctx.v(k))
+                          if i < k < j else ctx.var(ctx.v(k)))
+                         for k in range(1, ctx.n + 1) if k not in (i, j)])
 
 
 # --------------------------------------------------------------------------
@@ -245,9 +239,10 @@ def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
             cells.append(Cell(_label("HD2", i, j), residual))
     g_phi = _lowered_jacobi(s, g)
     for i, j in combinations(range(1, s.n + 1), 2):
-        correction = (horizontal_apply(s, i, D.diff(ctx.v(j)))
-                      - horizontal_apply(s, j, D.diff(ctx.v(i))))
-        cells.append(Cell(_label("HD3", i, j), _phi_skew(g_phi, i, j) - correction))
+        residual = lincomb(ctx, [g_phi.entry(i, j), -g_phi.entry(j, i)]
+                           + _horizontal_terms(s, i, -D.diff(ctx.v(j)))
+                           + _horizontal_terms(s, j, D.diff(ctx.v(i))))
+        cells.append(Cell(_label("HD3", i, j), residual))
     return ConditionReport("dissipative", tuple(cells), multiplier=g)
 
 
@@ -264,8 +259,9 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
     d_omega = d_basic(ctx, {pair: omega.entry(*pair) for pair in pairs}, 2)
     g_phi = _lowered_jacobi(s, g)
     for i, j in pairs:
-        contraction = _velocity_contraction(ctx, d_omega, i, j)
-        cells.append(Cell(_label("Hg3", i, j), _phi_skew(g_phi, i, j) - contraction))
+        residual = lincomb(ctx, [g_phi.entry(i, j), -g_phi.entry(j, i),
+                                 -_velocity_contraction(ctx, d_omega, i, j)])
+        cells.append(Cell(_label("Hg3", i, j), residual))
     return ConditionReport("gyroscopic", tuple(cells), multiplier=g)
 
 
@@ -274,16 +270,15 @@ def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
     the candidate alone: velocity symmetry, symmetry of the horizontal
     covariant differential, and vanishing of the curvature cycle."""
     _require_multiplier(s, g)
-    ctx = s.ctx
-    theta = theta_tensor(s)
+    theta, indices = theta_tensor(s), range(1, s.n + 1)
     cells = _hd1_cells(s, g)
-    for k in range(1, s.n + 1):
-        for i, j in combinations(range(1, s.n + 1), 2):
-            residual = (horizontal_apply(s, i, g.entry(j, k))
-                        - horizontal_apply(s, j, g.entry(i, k)))
-            for l in range(1, s.n + 1):
-                residual = residual + g.entry(i, l) * theta.entry(l, j, k)
-                residual = residual - g.entry(j, l) * theta.entry(l, i, k)
+    for k in indices:
+        for i, j in combinations(indices, 2):
+            residual = lincomb(s.ctx, _horizontal_terms(s, i, g.entry(j, k))
+                               + _horizontal_terms(s, j, -g.entry(i, k)) + [
+                term for l in indices for term in (
+                    (g.entry(i, l), theta.entry(l, j, k)),
+                    (-g.entry(j, l), theta.entry(l, i, k)))])
             cells.append(Cell(_label("DHSym", i, j, k), residual))
     cells.extend(Cell(_label("RCycle", *idx), cycle)
                  for idx, cycle in _curvature_cycles(s, g).items())
@@ -309,9 +304,9 @@ def check_multiplier_gyroscopic(s: Sode, g: TensorField,
         cycles = _curvature_cycles(s, g)
     for k, l in combinations(range(1, s.n + 1), 2):
         # sum_i cycle_ikl v^i = sum_i cycle_kli v^i: the cycle is cyclic
-        contraction = _velocity_contraction(ctx, cycles, k, l)
-        cells.append(Cell(_label("PhiR", k, l),
-                          -_phi_skew(g_phi, k, l) - contraction))
+        residual = lincomb(ctx, [g_phi.entry(l, k), -g_phi.entry(k, l),
+                                 -_velocity_contraction(ctx, cycles, k, l)])
+        cells.append(Cell(_label("PhiR", k, l), residual))
     cells.extend(_smooth_at_rest_cells(s, g, g_phi))
     return ConditionReport("thm4", tuple(cells), multiplier=g)
 
@@ -446,13 +441,12 @@ def total_derivative(ctx: ExprContext, e: Expr) -> Expr:
         if var.kind == "jet" and var.order >= ctx.max_jet_order:
             raise ImplicitOrderError(
                 f"total derivative would need a jet of order {var.order + 1}")
-    total = e.diff(ctx.time_var()) if ctx.uses_time else ctx.zero
+    terms = [e.diff(ctx.time_var())] if ctx.uses_time else []
     for i in range(1, ctx.n + 1):
-        total = total + ctx.var(ctx.jet(i, 1)) * e.diff(ctx.q(i))
-        for order in range(1, ctx.max_jet_order):
-            total = total + (ctx.var(ctx.jet(i, order + 1))
-                             * e.diff(ctx.jet(i, order)))
-    return total
+        terms.append((ctx.var(ctx.jet(i, 1)), e.diff(ctx.q(i))))
+        terms.extend((ctx.var(ctx.jet(i, order + 1)), e.diff(ctx.jet(i, order)))
+                     for order in range(1, ctx.max_jet_order))
+    return lincomb(ctx, terms)
 
 
 def _first_order_residual(ctx: ExprContext, e: Expr) -> Expr:
@@ -473,8 +467,7 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
     ctx = sys.ctx
     n = sys.n
     f = sys.f
-    half = ctx.const(Fraction(1, 2))
-    two = ctx.const(2)
+    half, minus_half = ctx.const(Fraction(1, 2)), ctx.const(Fraction(-1, 2))
 
     d2 = [ctx.jet(i, 2) for i in range(1, n + 1)]
     dq = [ctx.q(i) for i in range(1, n + 1)]
@@ -482,13 +475,15 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
 
     t_coeff = [[f[i].diff(d2[j]) - f[j].diff(d2[i]) for j in range(n)]
                for i in range(n)]
-    s_coeff = [[f[i].diff(dv[j]) + f[j].diff(dv[i])
-                - two * total_derivative(ctx, f[j].diff(d2[i]))
+    s_coeff = [[lincomb(ctx, [f[i].diff(dv[j]), f[j].diff(dv[i]), (
+                    ctx.const(-2), total_derivative(ctx, f[j].diff(d2[i])))])
                 for j in range(n)] for i in range(n)]
-    r_coeff = [[f[i].diff(dq[j]) - f[j].diff(dq[i])
-                - half * total_derivative(ctx, f[i].diff(dv[j]) - f[j].diff(dv[i]))
-                + half * total_derivative(
-                    ctx, total_derivative(ctx, f[i].diff(d2[j]) - f[j].diff(d2[i])))
+    r_coeff = [[lincomb(ctx, [
+                    f[i].diff(dq[j]), -f[j].diff(dq[i]),
+                    (minus_half, total_derivative(
+                        ctx, f[i].diff(dv[j]) - f[j].diff(dv[i]))),
+                    (half, total_derivative(ctx, total_derivative(
+                        ctx, f[i].diff(d2[j]) - f[j].diff(d2[i]))))])
                 for j in range(n)] for i in range(n)]
 
     cells = []
@@ -507,9 +502,10 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
         cells.append(Cell(_label("C1", *idx), residual))
     for i, j in combinations(range(1, n + 1), 2):
         for k in range(1, n + 1):
-            residual = (r_coeff[i - 1][j - 1].diff(ctx.jet(k, 1))
-                        - half * (s_coeff[i - 1][k - 1].diff(ctx.q(j))
-                                  - s_coeff[j - 1][k - 1].diff(ctx.q(i))))
+            residual = lincomb(ctx, [
+                r_coeff[i - 1][j - 1].diff(ctx.jet(k, 1)),
+                (minus_half, s_coeff[i - 1][k - 1].diff(ctx.q(j))),
+                (half, s_coeff[j - 1][k - 1].diff(ctx.q(i)))])
             cells.append(Cell(_label("C2", i, j, k), residual))
     for i in range(1, n + 1):
         for j, k in combinations(range(1, n + 1), 2):
@@ -530,7 +526,7 @@ def _reduced_route_cells(sys: ImplicitSystem):
     an independent cross-check of the closure route."""
     ctx = sys.ctx
     n = sys.n
-    half = ctx.const(Fraction(1, 2))
+    half, minus_half = ctx.const(Fraction(1, 2)), ctx.const(Fraction(-1, 2))
     rest = {ctx.jet(i, 2): ctx.zero for i in range(1, n + 1)}
     block = [[sys.f[i].diff(ctx.jet(j + 1, 2)) for j in range(n)]
              for i in range(n)]
@@ -541,9 +537,8 @@ def _reduced_route_cells(sys: ImplicitSystem):
         cells.append(Cell(_label("XGSym", i, j),
                           block[i - 1][j - 1] - block[j - 1][i - 1]))
     for i in range(1, n + 1):
-        residual = sys.f[i - 1] - tail[i - 1]
-        for j in range(1, n + 1):
-            residual = residual - block[i - 1][j - 1] * ctx.var(ctx.jet(j, 2))
+        residual = lincomb(ctx, [sys.f[i - 1], -tail[i - 1]] + [
+            (-block[i - 1][j - 1], ctx.var(ctx.jet(j, 2))) for j in range(1, n + 1)])
         cells.append(Cell(_label("XAffine", i), residual))
     for i in range(1, n + 1):
         for j, k in combinations(range(1, n + 1), 2):
@@ -552,15 +547,16 @@ def _reduced_route_cells(sys: ImplicitSystem):
                               - block[i - 1][k - 1].diff(ctx.jet(j, 1))))
     for i, j in combinations(range(1, n + 1), 2):
         for k in range(1, n + 1):
-            residual = (block[i - 1][k - 1].diff(ctx.q(j))
-                        - half * tail[i - 1].diff(ctx.jet(j, 1)).diff(ctx.jet(k, 1))
-                        - block[j - 1][k - 1].diff(ctx.q(i))
-                        + half * tail[j - 1].diff(ctx.jet(i, 1)).diff(ctx.jet(k, 1)))
+            residual = lincomb(ctx, [
+                block[i - 1][k - 1].diff(ctx.q(j)),
+                (minus_half, tail[i - 1].diff(ctx.jet(j, 1)).diff(ctx.jet(k, 1))),
+                -block[j - 1][k - 1].diff(ctx.q(i)),
+                (half, tail[j - 1].diff(ctx.jet(i, 1)).diff(ctx.jet(k, 1)))])
             cells.append(Cell(_label("XB", i, j, k), residual))
     for i, j, k in combinations(range(1, n + 1), 3):
-        residual = ctx.zero
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            residual = residual + (tail[a - 1].diff(ctx.q(b)).diff(ctx.jet(c, 1))
-                                   - tail[a - 1].diff(ctx.q(c)).diff(ctx.jet(b, 1)))
+        residual = lincomb(ctx, [
+            term for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) for term in (
+                tail[a - 1].diff(ctx.q(b)).diff(ctx.jet(c, 1)),
+                -tail[a - 1].diff(ctx.q(c)).diff(ctx.jet(b, 1)))])
         cells.append(Cell(_label("XC", i, j, k), residual))
     return cells

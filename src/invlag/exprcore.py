@@ -30,9 +30,11 @@ step has one path:
 * ``over_factors`` is the one reduction: a numerator over a
   factorisation, reduced by exact trial division by those factors.
   Operations that know which factors can still divide their numerator
-  try only those: a sum takes the larger exponent of each factor
-  (Henrici's method), a product adds exponents, a derivative raises
-  the exponent of each factor that depends on the variable.
+  try only those: a product adds exponents, a derivative raises the
+  exponent of each factor that depends on the variable.
+* ``lincomb`` is the one sum (``+`` and ``-`` are its two-term case):
+  one integer pass over the lcm of the denominators, trial-dividing by
+  the factors two or more terms reach at their top exponent only.
 * ``subst`` substitutes the numerator and only the denominator factors
   the bindings touch, which may split or vanish; the untouched factors
   are kept as they are. Substitution and evaluation fold constant
@@ -535,11 +537,6 @@ def _factored(ctx: "ExprContext", num, fac: tuple) -> "Expr":
     return expr
 
 
-def _lifted(base, num, lift: dict):
-    """``num`` times the product of a ``{factor: exponent}`` map."""
-    return num * base.product(_factorisation(lift)) if lift else num
-
-
 def _product(ctx, a, fa, b, fb) -> "Expr":
     """``(a / product(fa)) * (b / product(fb))`` for reduced operands.
 
@@ -650,39 +647,12 @@ class Expr:
         return None
 
     def __add__(self, other):
-        """Henrici's sum: the denominator takes the larger exponent of
-        each factor, and only a factor with equal exponents in both
-        operands can divide the new numerator."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        ctx = self.ctx
-        fa, fb = self.den_factors, other.den_factors
-        if fa == fb:
-            return over_factors(ctx, self.num + other.num, fa)
-        exps = dict(fa)
-        lift_a, lift_b, equal = {}, {}, []
-        for factor, exponent in fb:
-            own = exps.get(factor, 0)
-            if exponent > own:
-                lift_a[factor] = exponent - own
-                exps[factor] = exponent
-            elif exponent < own:
-                lift_b[factor] = own - exponent
-            else:
-                equal.append(factor)
-        shared = dict(fb)
-        for factor, exponent in fa:
-            if factor not in shared:
-                lift_b[factor] = exponent
-        base = ctx._base
-        num = _lifted(base, self.num, lift_a) + _lifted(base, other.num, lift_b)
-        return _factored(ctx, _divide_out(num, exps, equal),
-                         _factorisation(exps))
+        """The two-term case of ``lincomb``."""
+        if type(other) is not Expr:  # lincomb checks the context
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return lincomb(self.ctx, (self, other))
 
     __radd__ = __add__
 
@@ -693,7 +663,7 @@ class Expr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.__add__(-other)
+        return lincomb(self.ctx, (self, -other))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -765,17 +735,16 @@ class Expr:
             return _factored(ctx, dnum, ())
         moving = [(factor, k) for factor, k in fac if position in factor.gens]
         exps = dict(fac)
-        if moving:
+        if moving:  # one fused pass, the small factors multiplied first
             base = ctx._base
-            dnum = dnum * base.product(tuple((factor, 1) for factor, _k in moving))
+            pairs = [(dnum, base.product(tuple((p, 1) for p, _k in moving)))]
             for factor, k in moving:
-                term = self.num * factor.poly.diff(position)
                 others = tuple((other, 1) for other, _k in moving
                                if other is not factor)
-                if others:
-                    term = term * base.product(others)
-                dnum = dnum - (term if k == 1 else term * k)
+                pairs.append((self.num, factor.poly.diff(position)
+                              * base.product(others) * -k))
                 exps[factor] = k + 1
+            dnum = ctx._ring.sum_of_products((), pairs)
         still = [factor for factor, _k in fac if position not in factor.gens]
         return _factored(ctx, _divide_out(dnum, exps, still),
                          _factorisation(exps))
@@ -920,27 +889,70 @@ _set_den_factors = Expr.den_factors.__set__
 
 
 def common_denominator(exprs):
-    """The numerators of ``exprs`` over the lcm of their denominators,
-    and that lcm as a factorisation. The lcm takes the largest exponent
-    of each factor, so it needs no gcd."""
-    exprs = list(exprs)
-    lcm = {}
+    """The lcm of the denominators of ``exprs`` (the largest exponent of
+    each factor: no gcd), the factors two or more of them reach at that
+    exponent (dict keys), and each one's lift to the lcm."""
+    top, ties = {}, {}
     for expr in exprs:
         for factor, exponent in expr.den_factors:
-            if exponent > lcm.get(factor, 0):
-                lcm[factor] = exponent
-    fac = _factorisation(lcm)
-    numerators = []
-    for expr in exprs:
-        if expr.den_factors == fac:
-            numerators.append(expr.num)
-            continue
-        own = dict(expr.den_factors)
-        lift = {factor: exponent - own.get(factor, 0)
-                for factor, exponent in lcm.items()
-                if exponent > own.get(factor, 0)}
-        numerators.append(_lifted(expr.ctx._base, expr.num, lift))
-    return numerators, fac
+            own = top.get(factor, 0)
+            if exponent > own:
+                top[factor] = exponent
+                ties.pop(factor, None)
+            elif exponent == own:
+                ties[factor] = None
+    fac = _factorisation(top)
+    owns = [dict(expr.den_factors) for expr in exprs]
+    return fac, ties, [tuple((factor, exponent - own.get(factor, 0))
+                             for factor, exponent in fac
+                             if exponent > own.get(factor, 0)) for own in owns]
+
+
+def lincomb(ctx: ExprContext, terms) -> Expr:
+    """The sum of ``terms``, each an ``Expr`` of ``ctx`` or a pair ``(a,
+    b)`` of them standing for ``a * b``, in one exact pass.
+
+    Pairs with a denominator are reduced first. Every term is lifted to
+    the lcm of the denominators, the denominator-free pairs through
+    their sum, into one integer map (``PolyRing.sum_of_products``).
+    Trial division tries only the factors whose top exponent two or
+    more terms reach (Henrici's criterion, n-ary): if one term alone
+    reaches it for ``p``, every other lift carries ``p``, so modulo
+    ``p`` the sum is that term's numerator times its lift. ``p``, prime,
+    divides neither (the term is reduced; the lift is a product of
+    other monic irreducibles), so it does not divide the sum.
+    """
+    ring = ctx._ring
+    reduced, pairs = [], []
+    for term in terms:
+        a, b = term if type(term) is tuple else (term, None)
+        if a.ctx._ring is not ring or b is not None and b.ctx._ring is not ring:
+            raise ContextMismatchError(
+                "cannot combine expressions from different contexts")
+        if b is None:
+            if a.num.coeffs:
+                reduced.append(a)
+        elif a.num.coeffs and b.num.coeffs:
+            if a.den_factors or b.den_factors:
+                reduced.append(_product(ctx, a.num, a.den_factors,
+                                        b.num, b.den_factors))
+            else:
+                pairs.append((a.num, b.num))
+    if not pairs and len(reduced) < 2:
+        return reduced[0] if reduced else ctx.zero
+    fac, ties, lifts = common_denominator(reduced)
+    product = ctx._base.product
+    if pairs and fac:
+        pairs = [(ring.sum_of_products((), pairs), product(fac))]
+    pairs += [(expr.num, product(lift))
+              for expr, lift in zip(reduced, lifts) if lift]
+    num = ring.sum_of_products(
+        [expr.num for expr, lift in zip(reduced, lifts) if not lift], pairs)
+    if ties:
+        exps = dict(fac)
+        num = _divide_out(num, exps, ties)
+        fac = _factorisation(exps)
+    return _factored(ctx, num, fac)
 
 
 def over_factors(ctx: ExprContext, num, fac: Iterable) -> Expr:
@@ -980,14 +992,14 @@ def _subst_poly(ctx, poly, constants: dict, others: list) -> Expr:
             group = groups.setdefault(powers, {})
             key = tuple(residue)
             group[key] = group.get(key, 0) + coeff
-    total = ctx.zero
+    parts = []
     for powers, group in groups.items():
         part = _factored(ctx, ctx._ring.from_ints(group, den), ())
         for (_position, rep), exponent in zip(others, powers):
             if exponent:
                 part = part * rep ** exponent
-        total = total + part
-    return total
+        parts.append(part)
+    return lincomb(ctx, parts)
 
 
 def _power_tables(poly, values: dict):

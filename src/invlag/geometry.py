@@ -6,9 +6,13 @@ Jacobi endomorphism, a curvature tensor, the vertical derivative of the
 connection (``theta``), and a covariant derivative along the flow
 acting on tensor fields. Those objects are what every condition suite
 in :mod:`invlag.conditions` is written in terms of, so they are built
-here once, exactly, and cached per system. A system extended to a
-context with more parameters (:meth:`Sode.extended`) converts them from
-the system it came from instead of building them again.
+here once, exactly, and cached per system, with the position
+derivatives of the connection beside theta: each connection entry is
+differentiated once per variable, and every entry of the Jacobi
+endomorphism and the curvature is one ``lincomb`` over those tables. A
+system extended to a context with more parameters
+(:meth:`Sode.extended`) converts them from the system it came from
+instead of building them again.
 
 Index convention: all public indices are 1-based, matching the
 ``q1..qn`` naming of the expression layer.
@@ -21,7 +25,7 @@ from itertools import combinations, product
 from typing import Iterable, List, Sequence, Tuple
 
 from .exprcore import (Expr, ExprContext, common_denominator, convert,
-                       over_factors)
+                       lincomb, over_factors)
 
 
 class GeometryError(Exception):
@@ -81,15 +85,19 @@ class TensorField:
         return self.entries.get(tuple(idx), self.ctx.zero)
 
     def _validate_symmetries(self):
-        for slots, wanted_sign in ((self.sym, 1), (self.antisym, -1)):
+        """Each pair a swap exchanges is compared once, in entry order."""
+        for slots, kind in ((self.sym, "symmetric"),
+                            (self.antisym, "antisymmetric")):
             for s1, s2 in slots:
-                for idx in self.entries:
+                done = set()
+                for idx, value in self.entries.items():
+                    if idx in done:
+                        continue
                     swapped = list(idx)
-                    swapped[s1 - 1], swapped[s2 - 1] = swapped[s2 - 1], swapped[s1 - 1]
+                    swapped[s1 - 1], swapped[s2 - 1] = idx[s2 - 1], idx[s1 - 1]
+                    done.add(tuple(swapped))
                     other = self.entry(*swapped)
-                    expected = other if wanted_sign == 1 else -other
-                    if self.entry(*idx) != expected:
-                        kind = "symmetric" if wanted_sign == 1 else "antisymmetric"
+                    if value != (other if kind == "symmetric" else -other):
                         raise GeometryError(
                             f"declared {kind} slots {(s1, s2)} violated at {idx}")
 
@@ -134,13 +142,12 @@ def identity_matrix(ctx: ExprContext) -> TensorField:
     return TensorField(ctx, (0, 2), entries, sym=((1, 2),))
 
 
-def _dot(xs, ys):
-    """``sum x*y`` over the pairs where neither is zero; None for none."""
-    total = None
-    for x, y in zip(xs, ys):
-        if x and y:
-            total = x * y if total is None else total + x * y
-    return total
+def _dot(ring, singles, pairs):
+    """``sum(singles) + sum(x * y for x, y in pairs)`` over the terms
+    where none is zero (None is one), in one pass; None for none."""
+    singles = [x for x in singles if x]
+    pairs = [(x, y) for x, y in pairs if x and y]
+    return ring.sum_of_products(singles, pairs) if singles or pairs else None
 
 
 def _berkowitz_det(rows, zero):
@@ -156,7 +163,7 @@ def _berkowitz_det(rows, zero):
     out that one alone. Zero entries and zero products are skipped
     (None stands for a zero that was never built).
     """
-    n = len(rows)
+    n, ring = len(rows), zero.ring
     q = [None, -rows[-1][-1]]  # q[0] is the leading 1
     for k in range(n - 2, -1, -1):
         size = n - k
@@ -165,20 +172,14 @@ def _berkowitz_det(rows, zero):
         toeplitz = [None, -rows[k][k]]
         for i in range(2, size + 1):
             if i > 2:
-                column = [_dot(row, column) for row in block]
-            product = _dot(rows[k][k + 1:], column)
+                column = [_dot(ring, (), zip(row, column)) for row in block]
+            product = _dot(ring, (), zip(rows[k][k + 1:], column))
             toeplitz.append(None if product is None else -product)
         wanted = range(size, size + 1) if k == 0 else range(1, size + 1)
         new = [None]
         for i in wanted:
-            total = q[i] if i < size else None
-            for j in range(i):
-                t = toeplitz[i - j]
-                if not t or j and not q[j]:
-                    continue
-                term = t if j == 0 else t * q[j]
-                total = term if total is None else total + term
-            new.append(total)
+            new.append(_dot(ring, [q[i] if i < size else None, toeplitz[i]],
+                            [(toeplitz[i - j], q[j]) for j in range(1, i)]))
         q = new
     det = q[-1]
     if not det:
@@ -192,11 +193,11 @@ def matrix_det(tensor: TensorField) -> Expr:
     Berkowitz's algorithm, and divided by the product of those lcms."""
     if tensor.rank != 2:
         raise GeometryError("determinant needs a rank-2 tensor")
-    rows = []
-    scale = []
+    rows, scale, expand = [], [], tensor.ctx._base.product
     for row in tensor.matrix():
-        numerators, lcm = common_denominator(row)
-        rows.append(numerators)
+        lcm, _ties, lifts = common_denominator(row)
+        rows.append([e.num * expand(lift) if lift else e.num
+                     for e, lift in zip(row, lifts)])
         scale.extend(lcm)
     return over_factors(tensor.ctx,
                         _berkowitz_det(rows, tensor.ctx._ring.zero), scale)
@@ -222,17 +223,11 @@ def d_basic(ctx: ExprContext, form: dict, degree: int) -> dict:
     ``sum_a (-1)^a d/dq^(i_a) form[i_0 .. (i_a left out) .. i_degree]``.
     Only positions are differentiated, so on components that also depend
     on velocities this is the exterior derivative at fixed velocity."""
-    result = {}
-    for idx in combinations(range(1, ctx.n + 1), degree + 1):
-        total = ctx.zero
-        for a, i in enumerate(idx):
-            component = form.get(idx[:a] + idx[a + 1:], ctx.zero)
-            if component.is_zero():
-                continue
-            term = component.diff(ctx.q(i))
-            total = total - term if a % 2 else total + term
-        result[idx] = total
-    return result
+    sign, zero = (ctx.one, -ctx.one), ctx.zero
+    return {idx: lincomb(ctx, [
+                (sign[a % 2], form.get(idx[:a] + idx[a + 1:], zero).diff(ctx.q(i)))
+                for a, i in enumerate(idx)])
+            for idx in combinations(range(1, ctx.n + 1), degree + 1)}
 
 
 # --------------------------------------------------------------------------
@@ -307,29 +302,34 @@ def _connection(s: Sode) -> TensorField:
     return TensorField(ctx, (1, 1), entries)
 
 
-def gamma_apply(s: Sode, F: Expr) -> Expr:
-    """Derivative of ``F`` along the flow: ``v^k dF/dq^k + f^k dF/dv^k``."""
+def gamma_apply(s: Sode, F: Expr, extra: Sequence = ()) -> Expr:
+    """Derivative of ``F`` along the flow: ``v^k dF/dq^k + f^k dF/dv^k``,
+    plus the ``lincomb`` terms ``extra`` in the same pass."""
     ctx = s.ctx
     if F.ctx != ctx:
         raise DimensionMismatchError("function from another context")
-    total = ctx.zero
+    terms = list(extra)
     for k in range(1, s.n + 1):
-        total = total + ctx.var(ctx.v(k)) * F.diff(ctx.q(k))
+        terms.append((ctx.var(ctx.v(k)), F.diff(ctx.q(k))))
         if not s.f[k - 1].is_zero():
-            total = total + s.f[k - 1] * F.diff(ctx.v(k))
-    return total
+            terms.append((s.f[k - 1], F.diff(ctx.v(k))))
+    return lincomb(ctx, terms)
 
 
 def horizontal_apply(s: Sode, i: int, F: Expr) -> Expr:
     """Horizontal derivative: ``dF/dq^i - Gamma^j_i dF/dv^j``."""
+    return lincomb(s.ctx, _horizontal_terms(s, i, F))
+
+
+def _horizontal_terms(s: Sode, i: int, F: Expr) -> list:
+    """The terms of ``horizontal_apply(s, i, F)``, for a longer ``lincomb``."""
     ctx = s.ctx
     if F.ctx != ctx:
         raise DimensionMismatchError("function from another context")
     conn = connection(s)
-    total = F.diff(ctx.q(i))
-    for j in range(1, s.n + 1):
-        total = total - conn.entry(j, i) * F.diff(ctx.v(j))
-    return total
+    return [F.diff(ctx.q(i))] + [
+        (-conn.entry(j, i), F.diff(ctx.v(j))) for j in range(1, s.n + 1)
+        if not conn.entry(j, i).is_zero()]
 
 
 def jacobi(s: Sode) -> TensorField:
@@ -338,39 +338,55 @@ def jacobi(s: Sode) -> TensorField:
 
 
 def _jacobi(s: Sode) -> TensorField:
+    """``-(df^i/dq^j + v^k dGamma^i_j/dq^k + f^k theta^i_jk + Gamma^k_j
+    Gamma^i_k)``, from the tables of the connection's derivatives."""
     ctx, conn, indices = s.ctx, connection(s), range(1, s.n + 1)
+    theta, dq = theta_tensor(s), _memoised(s, "connection_q", _connection_q)
     return TensorField(ctx, (1, 1), {
-        (i, j): (-s.f[i - 1].diff(ctx.q(j)) - gamma_apply(s, conn.entry(i, j))
-                 - sum((conn.entry(k, j) * conn.entry(i, k) for k in indices),
-                       ctx.zero))
+        (i, j): -lincomb(ctx, [s.f[i - 1].diff(ctx.q(j))] + [
+            term for k in indices for term in (
+                (ctx.var(ctx.v(k)), dq.entry(i, j, k)),
+                (s.f[k - 1], theta.entry(i, j, k)),
+                (conn.entry(k, j), conn.entry(i, k)))])
         for i in indices for j in indices})
+
+
+def _connection_q(s: Sode) -> TensorField:
+    """``d Gamma^l_j / d q^k`` (slot order (l, j, k)), built beside theta."""
+    conn, indices = connection(s), range(1, s.n + 1)
+    return TensorField(s.ctx, (1, 2), {
+        (l, j, k): conn.entry(l, j).diff(s.ctx.q(k))
+        for l in indices for j in indices for k in indices})
 
 
 def curvature(s: Sode) -> TensorField:
     """Curvature of the connection, slot order (k, i, j), antisymmetric
     in (i, j).
 
-    Computed from the horizontal derivatives of the connection and
-    cross-checked against one third of the vertical antisymmetrised
-    derivative of the Jacobi endomorphism; a mismatch would mean the
-    expression kernel itself is broken, and raises.
+    Computed from the tables of the connection's position and velocity
+    derivatives and cross-checked against one third of the vertical
+    antisymmetrised derivative of the Jacobi endomorphism; a mismatch
+    would mean the expression kernel itself is broken, and raises.
     """
     return _memoised(s, "curvature", _curvature)
 
 
 def _curvature(s: Sode) -> TensorField:
-    ctx = s.ctx
-    conn = connection(s)
+    ctx, conn, indices = s.ctx, connection(s), range(1, s.n + 1)
     jac = jacobi(s)
+    theta, dq = theta_tensor(s), _memoised(s, "connection_q", _connection_q)
     third = ctx.const(Fraction(1, 3))
     entries = {}
     # Both formulas are antisymmetric in (i, j) by construction: a
     # comparison with i > j is one with i < j negated, and both vanish
     # on the diagonal.
-    for k in range(1, s.n + 1):
-        for i, j in combinations(range(1, s.n + 1), 2):
-            from_connection = (horizontal_apply(s, j, conn.entry(k, i))
-                               - horizontal_apply(s, i, conn.entry(k, j)))
+    for k in indices:
+        for i, j in combinations(indices, 2):
+            from_connection = lincomb(ctx, [
+                dq.entry(k, i, j), -dq.entry(k, j, i)] + [
+                term for l in indices for term in (
+                    (-conn.entry(l, j), theta.entry(k, i, l)),
+                    (conn.entry(l, i), theta.entry(k, j, l)))])
             from_jacobi = (jac.entry(k, j).diff(ctx.v(i))
                            - jac.entry(k, i).diff(ctx.v(j))) * third
             if from_connection != from_jacobi:
@@ -407,9 +423,10 @@ def nabla_tensor02(s: Sode, g: TensorField) -> TensorField:
     _expect_02(s, g)
     conn, indices = connection(s), range(1, s.n + 1)
     return TensorField(s.ctx, (0, 2), {
-        (i, j): gamma_apply(s, g.entry(i, j))
-        - sum((g.entry(i, k) * conn.entry(k, j) + g.entry(j, k) * conn.entry(k, i)
-               for k in indices), s.ctx.zero)
+        (i, j): gamma_apply(s, g.entry(i, j), [
+            term for k in indices for term in (
+                (-g.entry(i, k), conn.entry(k, j)),
+                (-g.entry(j, k), conn.entry(k, i)))])
         for i in indices for j in indices})
 
 
@@ -420,10 +437,11 @@ def nabla_tensor12(s: Sode, T: TensorField) -> TensorField:
         raise DimensionMismatchError("expected a (1,2) tensor over the system")
     conn, indices = connection(s), range(1, s.n + 1)
     return TensorField(s.ctx, (1, 2), {
-        (k, i, j): gamma_apply(s, T.entry(k, i, j))
-        + sum((conn.entry(k, l) * T.entry(l, i, j)
-               - conn.entry(l, i) * T.entry(k, l, j)
-               - conn.entry(l, j) * T.entry(k, i, l) for l in indices), s.ctx.zero)
+        (k, i, j): gamma_apply(s, T.entry(k, i, j), [
+            term for l in indices for term in (
+                (conn.entry(k, l), T.entry(l, i, j)),
+                (-conn.entry(l, i), T.entry(k, l, j)),
+                (-conn.entry(l, j), T.entry(k, i, l)))])
         for k in indices for i in indices for j in indices})
 
 
@@ -433,10 +451,11 @@ def dh_jacobi(s: Sode) -> TensorField:
     curvature along the flow (tested property)."""
     jac, theta, indices = jacobi(s), theta_tensor(s), range(1, s.n + 1)
     return TensorField(s.ctx, (1, 2), {
-        (k, i, j): horizontal_apply(s, i, jac.entry(k, j))
-        - horizontal_apply(s, j, jac.entry(k, i))
-        + sum((jac.entry(l, j) * theta.entry(k, l, i)
-               - jac.entry(l, i) * theta.entry(k, l, j) for l in indices), s.ctx.zero)
+        (k, i, j): lincomb(s.ctx, _horizontal_terms(s, i, jac.entry(k, j))
+                           + _horizontal_terms(s, j, -jac.entry(k, i)) + [
+            term for l in indices for term in (
+                (jac.entry(l, j), theta.entry(k, l, i)),
+                (-jac.entry(l, i), theta.entry(k, l, j)))])
         for k in indices for i in indices for j in indices})
 
 

@@ -8,18 +8,19 @@ runs on Python integers with one gcd per result to restore it.
 
 The surface is the part of a polynomial-ring interface the expression
 kernel needs: a :class:`PolyRing` with its generators, ``zero``,
-``one``, ``ground_new``, ``from_dict`` and ``from_ints``; and for a
-:class:`Poly` ``+ - * **`` (also with ``int`` and ``Fraction``
-operands), division by a constant, ``diff``, ``degree``, ``LC``,
-``is_ground``, ``quo_ground``, ``terms()`` (``Fraction`` coefficients)
-and ``monoms()`` in descending lex order, ``len``, ``==``, ``hash`` and
-``factor_list``. A monomial is factored here (its factors are its
-variables), and so is a monomial times a cofactor that an exact
-irreducibility certificate accepts (restriction to lines and
-distinct-degree factorisation modulo primes, see ``_irreducible``); any
-other polynomial is handed to sympy's factoriser, which is imported on
-that first need only. Either way the content and the factors are
-sympy's; their order is not, and no caller reads it.
+``one``, ``ground_new``, ``from_dict``, ``from_ints`` and
+``sum_of_products``; and for a :class:`Poly` ``+ - * **`` (also with
+``int`` and ``Fraction`` operands), division by a constant, ``diff``,
+``degree``, ``LC``, ``is_ground``, ``quo_ground``, ``terms()``
+(``Fraction`` coefficients) and ``monoms()`` in descending lex order,
+``len``, ``==``, ``hash`` and ``factor_list``. A monomial is factored
+here (its factors are its variables), and so is a monomial times a
+cofactor that an exact irreducibility certificate accepts (restriction
+to lines and distinct-degree factorisation modulo primes, see
+``_irreducible``); any other polynomial is handed to sympy's
+factoriser, which is imported on that first need only. Either way the
+content and the factors are sympy's; their order is not, and no caller
+reads it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,24 @@ class PolyRing:
         positive ``den``, in lowest terms; zero terms are dropped."""
         return _reduced(self, {m: c for m, c in coeffs.items() if c}, den)
 
+    def sum_of_products(self, singles, pairs) -> "Poly":
+        """``sum(singles) + sum(a * b for a, b in pairs)`` in one pass:
+        every term goes into one integer map over the lcm of the
+        denominators, with no intermediate polynomial and one gcd."""
+        den = lcm(*[poly.den for poly in singles],
+                  *[a.den * b.den for a, b in pairs])
+        coeffs = {}
+        for poly in singles:
+            if coeffs or poly.den != den:
+                _accumulate(coeffs, poly.coeffs, den // poly.den)
+            else:
+                coeffs = dict(poly.coeffs)
+        for a, b in pairs:
+            _mul_terms(a.coeffs, b.coeffs, coeffs, den // (a.den * b.den))
+        if pairs:  # _mul_terms leaves the terms that cancel as zeros
+            coeffs = {m: c for m, c in coeffs.items() if c}
+        return _reduced(self, coeffs, den)
+
 
 def _reduced(ring: PolyRing, coeffs: dict, den: int) -> "Poly":
     """``coeffs / den`` for a positive ``den``, in lowest terms."""
@@ -93,21 +112,24 @@ def _accumulate(coeffs: dict, other: dict, scale: int = 1) -> dict:
     return coeffs
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """The integer product of two coefficient maps."""
+def _mul_terms(a: dict, b: dict, into: dict = None, scale: int = 1) -> dict:
+    """The integer product of two coefficient maps; with ``into``, that
+    map plus ``scale`` times the product, in place, where terms that
+    cancel are left as zeros."""
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
+    if into is None and len(b) == 1:
         ((m2, c2),) = b.items()
         return {tuple(map(add, m1, m2)): c1 * c2 for m1, c1 in a.items()}
-    product = {}
+    product = {} if into is None else into
     get = product.get
     for m2, c2 in b.items():
+        c2 *= scale
         for m1, c1 in a.items():
             m = tuple(map(add, m1, m2))
             v = get(m)
             product[m] = c1 * c2 if v is None else v + c1 * c2
-    if len(product) < len(a) * len(b):  # terms met: some may cancel
+    if into is None and len(product) < len(a) * len(b):  # terms met
         return {m: c for m, c in product.items() if c}
     return product
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .exprcore import (Expr, ExprContext, NotPolynomialError,
-                       ZeroDenominatorError)
+                       ZeroDenominatorError, lincomb)
 from .geometry import (DimensionMismatchError, GeometryError,
                        InternalInconsistencyError, Sode, TensorField,
                        d_basic, gamma_apply, matrix_solve, nabla_tensor02)
@@ -128,17 +128,11 @@ def vertical_homotopy2(M: TensorField) -> Expr:
             if M.entry(i, j).diff(ctx.v(k)) != M.entry(i, k).diff(ctx.v(j)):
                 raise GeometryError(
                     f"vertical derivative is not totally symmetric at {(i, j, k)}")
-    total = ctx.zero
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            entry = M.entry(i, j)
-            if entry.is_zero():
-                continue
-            for degree, part in entry.homogeneous_parts(v_vars).items():
-                weight = Fraction(1, (degree + 1) * (degree + 2))
-                total = total + (part * ctx.var(ctx.v(i)) * ctx.var(ctx.v(j))
-                                 * ctx.const(weight))
-    return total
+    return lincomb(ctx, [
+        (part, ctx.var(v_vars[i - 1]) * ctx.var(v_vars[j - 1])
+         * ctx.const(Fraction(1, (degree + 1) * (degree + 2))))
+        for (i, j), entry in M.entries.items()
+        for degree, part in entry.homogeneous_parts(v_vars).items()])
 
 
 def _base_parts(ctx: ExprContext, e: Expr):
@@ -167,15 +161,10 @@ def base_homotopy(ctx: ExprContext, form: dict, degree: int) -> dict:
     n = ctx.n
     result = {}
     for tail in combinations(range(1, n + 1), degree - 1):
-        total = ctx.zero
-        for i in range(1, n + 1):
-            component = form.get((i, *tail), ctx.zero)
-            if component.is_zero():
-                continue
-            for m, part in _base_parts(ctx, component).items():
-                total = total + (ctx.var(ctx.q(i)) * part
-                                 * ctx.const(Fraction(1, m + degree)))
-        result[tail] = total
+        result[tail] = lincomb(ctx, [
+            (part, ctx.var(ctx.q(i)) * ctx.const(Fraction(1, m + degree)))
+            for i in range(1, n + 1) if not form.get((i, *tail), ctx.zero).is_zero()
+            for m, part in _base_parts(ctx, form[(i, *tail)]).items()])
     return result
 
 
@@ -195,13 +184,13 @@ def lagrange_residuals(s: Sode, L: Expr, D: Optional[Expr] = None,
     ctx = s.ctx
     residuals = []
     for i in range(1, s.n + 1):
-        r = gamma_apply(s, L.diff(ctx.v(i))) - L.diff(ctx.q(i))
+        terms = [-L.diff(ctx.q(i))]
         if D is not None:
-            r = r - D.diff(ctx.v(i))
+            terms.append(-D.diff(ctx.v(i)))
         if omega is not None:
-            for k in range(1, s.n + 1):
-                r = r - omega.entry(i, k) * ctx.var(ctx.v(k))
-        residuals.append(r)
+            terms.extend((-omega.entry(i, k), ctx.var(ctx.v(k)))
+                         for k in range(1, s.n + 1))
+        residuals.append(gamma_apply(s, L.diff(ctx.v(i)), terms))
     return residuals
 
 
@@ -298,11 +287,9 @@ def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
     alpha = [alpha_map[(j,)] for j in range(1, n + 1)]
     if d_basic(ctx, alpha_map, 1) != c:
         raise InternalInconsistencyError("base homotopy failed to invert")
-    L = L0
-    D = D0
-    for j in range(1, n + 1):
-        L = L + alpha[j - 1] * ctx.var(ctx.v(j))
-        D = D + base_terms[j - 1] * ctx.var(ctx.v(j))
+    velocities = [ctx.var(ctx.v(j)) for j in range(1, n + 1)]
+    L = lincomb(ctx, [L0, *zip(alpha, velocities)])
+    D = lincomb(ctx, [D0, *zip(base_terms, velocities)])
     outcome = verify_dissipative(s, L, D)
     if not outcome.passes:
         raise InternalInconsistencyError(

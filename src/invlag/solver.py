@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exprcore import Expr, ExprContext, convert
+from .exprcore import Expr, ExprContext, convert, lincomb
 from .geometry import InternalInconsistencyError, Sode, TensorField
 from .conditions import SUITES as SUITE_TABLE, ConditionReport, check_suite
 
@@ -283,10 +283,7 @@ def _ansatz_tensors(problem: AnsatzProblem, ctx: ExprContext,
     slots = iter(coefficients)
 
     def combine(basis):
-        entry = ctx.zero
-        for b in basis:
-            entry = entry + next(slots) * convert(b, ctx)
-        return entry
+        return lincomb(ctx, [(next(slots), convert(b, ctx)) for b in basis])
 
     g_entries: Dict[Tuple[int, int], Expr] = {}
     for (i, j), basis in problem.g_basis:

@@ -15,7 +15,9 @@ worktree`` of the parent commit and the working tree. The corpus is:
 * ``analyze`` of copies of the ``planar_drag`` fixture whose first
   ``f`` entry is each malformed text of ``_MALFORMED`` in
   ``test_exprcore.py`` (read from its source, not imported), so the
-  parser's exit code and error message are compared too.
+  parser's exit code and error message are compared too;
+* ``check --suite thm3`` of a copy of ``tests/problems/dense4.json``,
+  the dense n = 4 system with a position-dependent kinetic energy.
 
 Every call runs in text and in JSON, in process (``invlag.cli.main``
 with ``INVLAG_SEED`` unset), once per tree, in a fresh interpreter that
@@ -36,6 +38,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -83,12 +86,21 @@ def _malformed_calls(workdir: str):
     return calls
 
 
+def _dense_calls(workdir: str):
+    """``check --suite thm3`` of the dense n = 4 problem, copied into the
+    work directory so that both trees read the same file."""
+    path = os.path.join(workdir, "dense4.json")
+    shutil.copyfile(REPO / "tests" / "problems" / "dense4.json", path)
+    return [("dense", ["check", path, "--suite", "thm3"])]
+
+
 def _corpus(workdir: str):
     """``(label, argv)`` of every call; writes the problem files."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import workloads
 
-    calls = _readme_calls() + _malformed_calls(workdir)
+    calls = (_readme_calls() + _malformed_calls(workdir)
+             + _dense_calls(workdir))
     for workload in WORKLOADS:
         for seed in SEEDS:
             directory = os.path.join(workdir, f"{workload}-{seed}")

@@ -733,6 +733,40 @@ def test_fifty_unknown_search_prints_the_golden_output(fmt):
     assert result.stdout.replace(str(path), "<file>") == expected
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dense_position_dependent_check_prints_the_golden_output(fmt):
+    """``check --suite thm3`` on a dense n = 4 system whose kinetic
+    energy depends on the positions, ``L = sum_k 1/2*(k + 3 +
+    q_(k mod 4 + 1)^2)*v_k^2 + sum_k q_k*v_k*v_(k+1) - 2/3*q1^2 +
+    q1^2*q4`` and ``D = 1/2*q4*v1*v4 - 1/3*q1*v1^2*v2`` (``f`` from the
+    forward problem, ``g`` the Hessian of ``L``), prints, byte for byte,
+    the stdout kept in ``tests/golden`` (the file's path written
+    ``<file>``). Its sums meet shared denominator factors, some reached
+    by one term and some by several."""
+    path = pathlib.Path(__file__).resolve().parent / "problems" / "dense4.json"
+    suffix = "txt" if fmt == "text" else "json"
+    expected = (GOLDEN / f"check_dense4_suite_thm3.{suffix}").read_text()
+    result = run_cli("check", str(path), "--suite", "thm3", "--format", fmt)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.replace(str(path), "<file>") == expected
+
+
+def test_an_asymmetric_multiplier_names_the_first_violated_pair(tmp_path):
+    """A ``g`` that breaks its declared symmetry is a usage error (exit
+    2) naming the slots and the first entry, in the entries' order, whose
+    swapped partner differs."""
+    fixture = json.loads((resources.files("invlag") / "fixtures"
+                          / "coupled3.json").read_text())
+    fixture["g"][0][1] = "q1"
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(fixture))
+    result = run_cli("check", str(path), "--suite", "thm3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"invlag: error: {path}: 'g': declared symmetric "
+                             "slots (1, 2) violated at (1, 2)\n")
+
+
 @pytest.mark.parametrize("args, name", [
     (("reconstruct", "coupled3"), "verify_dissipative"),
     (("reconstruct", "planar_drag_gyro", "--suite", "gyroscopic"),

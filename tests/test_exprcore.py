@@ -14,7 +14,7 @@ from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
                              ExprError, ExprSyntaxError, JetOrderError,
                              NotPolynomialError, PoleError,
                              UnknownIdentifierError, VarId,
-                             ZeroDenominatorError, convert)
+                             ZeroDenominatorError, convert, lincomb, to_text)
 from invlag.numeric import (central_difference, sample_point, seeded_rng,
                             nonzero_somewhere)
 from invlag.poly import Poly
@@ -811,6 +811,100 @@ def test_shared_factor_denominators_match_reference_reduction(x, y, op, var,
     else:
         assert _as_sympy(result) == _reference_reduction(*expected)
     assert result.den == ctx._base.product(result.den_factors)
+
+
+@st.composite
+def _lincomb_operand(draw):
+    """A polynomial, a random tree with divisions, or a fraction over
+    powers of the shared factors."""
+    kind = draw(st.sampled_from(("polynomial", "tree", "shared")))
+    if kind == "shared":
+        return Expr(_SHARED_CTX, *draw(_shared_fraction()))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_expr(_SHARED_CTX, rng, depth=2,
+                       allow_div=kind == "tree")
+
+
+_lincomb_term = st.one_of(_lincomb_operand(),
+                          st.tuples(_lincomb_operand(), _lincomb_operand()))
+
+
+@settings(max_examples=150, deadline=None)
+@example(terms=[(_SHARED_CTX.parse("q1"), _SHARED_CTX.parse("1/(q1 - q2)^2")),
+                _SHARED_CTX.parse("-q2/(q1 - q2)^2")],
+         ending="none", order=random.Random(0))
+@given(terms=st.lists(_lincomb_term, max_size=8),
+       ending=st.sampled_from(("none", "cancel", "polynomial")),
+       order=st.randoms(use_true_random=False))
+def test_lincomb_equals_the_left_fold(terms, ending, order):
+    """``lincomb`` of up to eight terms and pairs, with and without
+    denominators over shared factors at equal and unequal exponents,
+    equals the left fold with ``+`` and ``*``, as an expression and as
+    text. The terms may be followed by their negations, shuffled, so
+    the sum is zero, or by a polynomial minus their sum, so every
+    factor of their denominators divides out. ``+`` is the kernel's
+    two-term case, so the result is also checked on its own: reducing
+    it by every factor of its denominator changes nothing, and at a
+    point where no term has a pole it takes the sum of the terms'
+    values."""
+    ctx = _SHARED_CTX
+    total = ctx.zero
+    for term in terms:
+        total = total + (term[0] * term[1] if type(term) is tuple else term)
+    if ending == "cancel":
+        negated = [(-term[0], term[1]) if type(term) is tuple else -term
+                   for term in terms]
+        order.shuffle(negated)
+        terms, total = terms + negated, ctx.zero
+    elif ending == "polynomial":
+        terms, total = terms + [ctx.parse("q1 + a") - total], ctx.parse("q1 + a")
+    result = lincomb(ctx, terms)
+    assert result == total and to_text(result) == to_text(total)
+    assert Expr(ctx, result.num, result.den) == result
+    point = {var: Fraction(k + 3, 7)
+             for k, var in enumerate(ctx.all_varids())}
+    try:
+        expected = sum(term[0].eval_num(point) * term[1].eval_num(point)
+                       if type(term) is tuple else term.eval_num(point)
+                       for term in terms)
+    except PoleError:
+        return
+    assert result.eval_num(point) == expected
+
+
+def test_lincomb_reduces_a_shared_denominator():
+    ctx = ExprContext(1)
+    terms = [ctx.parse("1/(q1 + 1)"), ctx.parse("q1/(q1 + 1)")]
+    assert lincomb(ctx, terms) == ctx.one
+
+
+def test_lincomb_tries_no_factor_that_one_term_alone_reaches(monkeypatch):
+    """``(q1 + 1)^2`` and ``q2 - 1`` are each reached by one term alone at
+    their top exponent, so neither can divide the numerator of the sum
+    and no trial division is tried."""
+    ctx = ExprContext(2)
+    terms = [ctx.parse("q2/(q1 + 1)^2"), ctx.parse("1/((q1 + 1)*(q2 - 1))"),
+             (ctx.parse("v1"), ctx.parse("q1 + v2")), ctx.parse("q2^2")]
+    expected = ctx.parse("q2/(q1 + 1)^2 + 1/((q1 + 1)*(q2 - 1)) "
+                         "+ v1*(q1 + v2) + q2^2")
+    calls = []
+    original = exprcore._exact_quotient
+
+    def counting(num, factor):
+        calls.append(factor)
+        return original(num, factor)
+
+    monkeypatch.setattr(exprcore, "_exact_quotient", counting)
+    assert lincomb(ctx, terms) == expected
+    assert calls == []
+
+
+def test_lincomb_rejects_a_foreign_context():
+    ctx, other = ExprContext(2), ExprContext(2, parameters=("a",))
+    with pytest.raises(ContextMismatchError):
+        lincomb(ctx, [ctx.one, other.one])
+    with pytest.raises(ContextMismatchError):
+        lincomb(ctx, [(ctx.one, other.one)])
 
 
 def test_factor_base_history_does_not_change_results(monkeypatch):
