@@ -46,7 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .conditions import (SUITES, Cell, ConditionReport, ImplicitOrderError,
                          ImplicitSystem, TwoFormError, check_implicit,
                          check_suite, implicit_context)
-from .exprcore import Expr, ExprContext, ExprError, NotPolynomialError
+from .exprcore import (Expr, ExprContext, ExprError, LimitError,
+                       NotPolynomialError)
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
                        TensorField, connection, curvature, jacobi,
                        theta_tensor)
@@ -1023,7 +1024,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         problem = load_problem(args.file,
                                _parse_overrides(args.instantiate))
         payload, code = _COMMANDS[args.command](problem, args)
-    except CliError as exc:
+    except (CliError, LimitError) as exc:
         print(f"invlag: error: {exc}", file=sys.stderr)
         return 2
     payload["exit_code"] = code

@@ -72,10 +72,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg, sub
 from typing import Iterable, Mapping, Optional, Union
 
-from .poly import Poly, PolyRing
+from .poly import FIELD_MASK, MAX_EXPONENT, Poly, PolyRing, limit_error
 
 
 # --------------------------------------------------------------------------
@@ -112,6 +111,10 @@ class PoleError(ExprError):
 
 class ZeroDenominatorError(ExprError):
     """An operation produced an identically-zero denominator."""
+
+
+class LimitError(ExprError):
+    """An input or a result past a stated limit, such as ``MAX_EXPONENT``."""
 
 
 class NotPolynomialError(ExprError):
@@ -201,8 +204,8 @@ class _Factor:
     """A monic irreducible polynomial interned in a factor base.
 
     ``index`` orders factorisations, ``gens`` holds the generator
-    positions the factor depends on, and ``lead`` (its leading exponent
-    vector), ``lead_coeff`` and ``tail`` (its other terms) are what
+    positions the factor depends on, and ``lead`` (its leading packed
+    monomial), ``lead_coeff`` and ``tail`` (its other terms) are what
     trial division reads. A monic polynomial's integer coefficients are
     primitive, with its denominator as leading coefficient, and those
     are the ones kept here.
@@ -213,11 +216,9 @@ class _Factor:
     def __init__(self, poly, index: int):
         self.poly = poly
         self.index = index
-        self.gens = frozenset(position for monom in poly
-                              for position, exponent in enumerate(monom)
-                              if exponent)
+        self.gens = frozenset(poly.support())
         coeffs = poly.coeffs
-        self.lead = max(coeffs)  # the rings use lex order
+        self.lead = max(coeffs)  # lex order is the order of the keys
         self.lead_coeff = coeffs[self.lead]
         self.tail = tuple(item for item in coeffs.items()
                           if item[0] != self.lead)
@@ -465,37 +466,45 @@ def _exact_quotient(num, factor):
     """``num / factor.poly`` when the factor divides ``num``, else None.
 
     Long division of ``num``'s integer coefficients by the factor's
-    primitive ones, taking the remainder's terms from a heap in
-    descending lex order. By Gauss's lemma a primitive divisor leaves an
-    integer quotient, so the division stops at the first leading term
-    that the factor's leading term does not divide, in its exponents or
-    in its coefficient: with a single divisor, that term would stay in
-    the remainder.
+    primitive ones, taking the remainder's terms from a heap of negated
+    keys in descending lex order. By Gauss's lemma a primitive divisor
+    leaves an integer quotient, so the division stops at the first
+    leading term that the factor's leading term does not divide, in its
+    exponents or in its coefficient: with a single divisor, that term
+    would stay in the remainder. With the guard bits set on ``top``,
+    ``top - lead`` borrows a field's guard bit, and no more, exactly
+    where ``lead`` has the larger exponent. A new remainder term past
+    the exponent limit (a guard bit set) is a miss too: were the factor
+    a divisor, no term would pass ``num``'s degree in any variable.
     """
     remainder = dict(num.coeffs)
-    heap = [tuple(map(neg, monom)) for monom in remainder]
+    heap = [-monom for monom in remainder]
     heapq.heapify(heap)
     lead, lead_coeff = factor.lead, factor.lead_coeff
+    guard = num.ring.guard
     quotient = {}
     while heap:
-        top = tuple(map(neg, heapq.heappop(heap)))
+        top = -heapq.heappop(heap)
         coeff = remainder.pop(top, None)
         if coeff is None:  # cancelled since it was pushed
             continue
-        shift = tuple(map(sub, top, lead))
-        if min(shift) < 0:
+        shift = (top | guard) - lead
+        if shift & guard != guard:
             return None
+        shift ^= guard
         coeff, rest = divmod(coeff, lead_coeff)
         if rest:
             return None
         quotient[shift] = coeff
         for monom, c in factor.tail:
-            key = tuple(map(add, monom, shift))
+            key = monom + shift
             value = remainder.get(key)
             product = coeff * c
             if value is None:
+                if key & guard:
+                    return None
                 remainder[key] = -product
-                heapq.heappush(heap, tuple(map(neg, key)))
+                heapq.heappush(heap, -key)
             elif value == product:
                 del remainder[key]
             else:
@@ -761,12 +770,13 @@ class Expr:
         if self.is_zero():
             return self.ctx.zero
         coeffs = self.num.coeffs
-        scale = lcm(*(monom[gi] + 1 for monom in coeffs))
-        lifted = {}
-        for monom, coeff in coeffs.items():
-            exponent = monom[gi] + 1
-            lifted[monom[:gi] + (exponent,) + monom[gi + 1:]] = \
-                coeff * (scale // exponent)
+        shift = self.ctx._ring.shifts[gi]
+        raised = [(monom >> shift & FIELD_MASK) + 1 for monom in coeffs]
+        if max(raised) > MAX_EXPONENT:
+            raise limit_error()
+        scale = lcm(*raised)
+        lifted = {monom + (1 << shift): coeff * (scale // exponent)
+                  for (monom, coeff), exponent in zip(coeffs.items(), raised)}
         return _factored(self.ctx,
                          self.ctx._ring.from_ints(lifted, self.num.den * scale),
                          self.den_factors)
@@ -842,8 +852,7 @@ class Expr:
 
     def free_varids(self):
         """The set of variables this expression actually depends on."""
-        used = {position for monom in self.num
-                for position, exponent in enumerate(monom) if exponent}
+        used = set(self.num.support())
         for factor, _k in self.den_factors:
             used |= factor.gens
         return {self.ctx.varid_of_gen(p) for p in used}
@@ -870,10 +879,10 @@ class Expr:
         if self.is_zero():
             return {}
         ctx = self.ctx
-        positions = [ctx.gen_index(v) for v in variables]
+        shifts = [ctx._ring.shifts[ctx.gen_index(v)] for v in variables]
         buckets: dict = {}
         for monom, coeff in self.num.coeffs.items():
-            degree = sum(monom[p] for p in positions)
+            degree = sum([monom >> shift & FIELD_MASK for shift in shifts])
             buckets.setdefault(degree, {})[monom] = coeff
         return {degree: over_factors(ctx, ctx._ring.from_ints(monoms,
                                                              self.num.den),
@@ -978,19 +987,18 @@ def _subst_poly(ctx, poly, constants: dict, others: list) -> Expr:
     multiplied by its powers of the non-constant values with ``Expr``
     arithmetic.
     """
-    tables, den, _complete = _power_tables(poly, constants)
+    monoms, tables, den, _complete = _power_tables(poly, constants)
+    shifts = poly.ring.shifts
+    free = ~sum(FIELD_MASK << shifts[position]
+                for position in [*constants, *(p for p, _rep in others)])
     groups = {}
-    for monom, coeff in poly.coeffs.items():
-        residue = list(monom)
+    for monom, (key, coeff) in zip(monoms, poly.coeffs.items()):
         for position, table in tables:
-            coeff *= table[residue[position]]
-            residue[position] = 0
+            coeff *= table[monom[position]]
         if coeff:
-            powers = tuple([residue[position] for position, _rep in others])
-            for position, _rep in others:
-                residue[position] = 0
+            powers = tuple([monom[position] for position, _rep in others])
             group = groups.setdefault(powers, {})
-            key = tuple(residue)
+            key &= free
             group[key] = group.get(key, 0) + coeff
     parts = []
     for powers, group in groups.items():
@@ -1003,19 +1011,21 @@ def _subst_poly(ctx, poly, constants: dict, others: list) -> Expr:
 
 
 def _power_tables(poly, values: dict):
-    """The integer power tables of ``values`` (``Fraction`` values by
-    generator position) at the generators ``poly`` uses, ``poly``'s
-    denominator scaled to match, and whether ``values`` binds them all.
+    """The exponent tuples of ``poly``'s terms, in its order, the integer
+    power tables of ``values`` (``Fraction`` values by generator
+    position) at the generators ``poly`` uses, ``poly``'s denominator
+    scaled to match, and whether ``values`` binds them all.
 
     A value ``p/q`` at a generator of degree ``top`` multiplies a term
     with exponent ``e`` by ``p**e * q**(top - e)`` (entry ``e``) and the
     denominator by ``q**top``, so the terms stay integers. One
     transposition of the exponent tuples gives every degree.
     """
+    monoms = list(poly.ring.unpack(poly.coeffs))
     den = poly.den
     tables = []
     complete = True
-    for position, top in enumerate(map(max, zip(*poly.coeffs))):
+    for position, top in enumerate(map(max, zip(*monoms))):
         if not top:
             continue
         value = values.get(position)
@@ -1026,7 +1036,7 @@ def _power_tables(poly, values: dict):
         tables.append((position,
                        [p ** e * q ** (top - e) for e in range(top + 1)]))
         den *= q ** top
-    return tables, den, complete
+    return monoms, tables, den, complete
 
 
 def _eval_poly(ctx, poly, values: dict) -> Fraction:
@@ -1035,11 +1045,11 @@ def _eval_poly(ctx, poly, values: dict) -> Fraction:
     coeffs = poly.coeffs
     if not coeffs:
         return Fraction(0)
-    tables, den, complete = _power_tables(poly, values)
+    monoms, tables, den, complete = _power_tables(poly, values)
     if not complete:
         _unassigned(ctx, poly, values)
     total = 0
-    for monom, coeff in coeffs.items():
+    for monom, coeff in zip(monoms, coeffs.values()):
         for position, table in tables:
             coeff *= table[monom[position]]
         total += coeff
@@ -1093,9 +1103,11 @@ class _Parser:
     term made only of integer literals, parenthesised literals such as
     ``(2/3)`` or ``(-1/1)``, generators (each with an optional
     non-negative integer exponent) and divisions by integer literals is
-    read as an integer triple ``(exponents, numerator, denominator)``,
-    and ``expression`` gathers such terms into one coefficient map and
-    builds one polynomial from it.
+    read as an integer triple ``(key, numerator, denominator)``, its
+    monomial packed as it is read, and ``expression`` gathers such terms
+    into one coefficient map and builds one polynomial from it. An
+    exponent literal, or a term's exponent, above ``MAX_EXPONENT`` raises
+    :class:`LimitError` before anything is built from it.
 
     Any other term goes on from its longest such prefix with ring
     arithmetic: values are ``Fraction`` constants and polynomials of the
@@ -1125,6 +1137,18 @@ class _Parser:
               kind=ExprSyntaxError) -> ExprSyntaxError:
         """A ``kind`` error at token ``index``."""
         return kind(message, _offset(self.text, index))
+
+    def limit(self, index: int) -> LimitError:
+        return LimitError(f"exponent above the limit {MAX_EXPONENT} "
+                          f"(at position {_offset(self.text, index)})")
+
+    def power(self, index: int) -> int:
+        """The exponent literal at token ``index``, refused above the
+        limit before a long one is converted."""
+        token = self.tokens[index]
+        if len(token) > len(str(MAX_EXPONENT)) or int(token) > MAX_EXPONENT:
+            raise self.limit(index)
+        return int(token)
 
     def expect_op(self, op: str):
         if self.tokens[self.pos] != op:
@@ -1201,11 +1225,12 @@ class _Parser:
 
     def term(self, sign: int):
         """``sign`` times the term at the cursor: an integer triple
-        ``(exponents, numerator, denominator)`` for a simple term, else
-        a ``Fraction``, a polynomial or an ``Expr``."""
+        ``(key, numerator, denominator)`` for a simple term, else a
+        ``Fraction``, a polynomial or an ``Expr``."""
         tokens, names = self.tokens, self.names
+        shifts, guard = self.ring.shifts, self.ring.guard
         start = commit = pos = self.pos
-        num, den, exps = sign, 1, None
+        num, den, key = sign, 1, 0
         while True:  # one factor, and the divisions by literals after it
             token = tokens[pos]
             negative = False
@@ -1219,14 +1244,15 @@ class _Parser:
                     power = tokens[pos + 2]
                     if not power.isdigit() or tokens[pos + 3] == "^":
                         break
+                    power = self.power(pos + 2)
                     pos += 3
-                    power = int(power)
                 else:
                     pos += 1
                     power = 1
-                if exps is None:
-                    exps = [0] * self.ring.ngens
-                exps[gen] += power
+                # a field plus a power, each within the limit, cannot carry
+                key += power << shifts[gen]
+                if key & guard:
+                    raise self.limit(pos - 1)
             elif token.isdigit():
                 if tokens[pos + 1] == "^":
                     break
@@ -1269,8 +1295,7 @@ class _Parser:
                 if token == "/":
                     break
                 self.pos = pos
-                return (tuple(exps) if exps else (0,) * self.ring.ngens,
-                        num, den)
+                return key, num, den
             pos += 1
         # A factor or a division the triple cannot take: ring or Expr
         # arithmetic goes on from the last whole factor.
@@ -1278,8 +1303,7 @@ class _Parser:
         if commit == start:
             value = self.product(self.unary())
             return -value if sign < 0 else value
-        monom = tuple(exps) if exps else (0,) * self.ring.ngens
-        return self.product(self.ring.from_ints({monom: num}, den))
+        return self.product(self.ring.from_ints({key: num}, den))
 
     def product(self, value):
         """``value`` times and over the operands that follow it."""
@@ -1332,14 +1356,14 @@ class _Parser:
         token = self.tokens[self.pos]
         if token.isdigit():
             self.pos += 1
-            return int(token)
+            return self.power(self.pos - 1)
         if token == "-":
             self.pos += 1
             token = self.tokens[self.pos]
             if not token.isdigit():
                 raise self.error("exponent must be an integer literal", self.pos)
             self.pos += 1
-            return -int(token)
+            return -self.power(self.pos - 1)
         if token == "(":
             self.pos += 1
             inner = self.exponent_literal()
@@ -1401,8 +1425,9 @@ def _poly_text(ctx: ExprContext, poly) -> str:
     names = ctx._names
     den = poly.den
     chunks = []
-    for monom in sorted(coeffs, reverse=True):
-        coeff = coeffs[monom]
+    keys = sorted(coeffs, reverse=True)
+    for key, monom in zip(keys, poly.ring.unpack(keys)):
+        coeff = coeffs[key]
         if coeff < 0:
             coeff = -coeff
             chunks.append(" - " if chunks else "-")
@@ -1437,23 +1462,29 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
     """Re-express ``expr`` in a context that declares at least its variables."""
     if expr.ctx == target:
         return expr
-    source = expr.ctx
+    names, ring = expr.ctx._names, target._ring
 
     def move(poly):
+        if target._names[:len(names)] == names:  # generators appended
+            lift = ring.shifts[len(names) - 1]
+            return Poly(ring, {monom << lift: coeff
+                               for monom, coeff in poly.coeffs.items()},
+                        poly.den)
         out = {}
-        for monom, coeff in poly.coeffs.items():
-            shifted = [0] * len(target._gens)
+        for monom, coeff in zip(poly.ring.unpack(poly.coeffs),
+                                poly.coeffs.values()):
+            key = 0
             for position, exponent in enumerate(monom):
                 if not exponent:
                     continue
-                name = source._names[position]
+                name = names[position]
                 to = target._name_pos.get(name)
                 if to is None:
                     raise ContextMismatchError(
                         f"target context does not declare {name!r}")
-                shifted[to] = exponent
-            out[tuple(shifted)] = coeff
-        return Poly(target._ring, out, poly.den)
+                key += exponent << ring.shifts[to]
+            out[key] = coeff
+        return Poly(ring, out, poly.den)
 
     # Each factor moves on its own: irreducible over QQ, it stays
     # irreducible with generators added, so it is interned as it is and

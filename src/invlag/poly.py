@@ -1,19 +1,33 @@
 """Sparse multivariate polynomials over QQ, stored with integer coefficients.
 
-A polynomial is a map from exponent tuples to nonzero ``int``
+A polynomial is a map from packed monomials to nonzero ``int``
 coefficients over one positive ``int`` denominator that is coprime to
 their content (the gcd of the coefficients). That representation is
 unique, so equality and hashing compare it directly, and arithmetic
 runs on Python integers with one gcd per result to restore it.
 
+A monomial's exponent vector is packed into one ``int`` key (Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", 2007): a field of ``WIDTH`` bits per
+generator, the first generator most significant, whose top bit is a
+guard bit no key sets, so an exponent is at most ``MAX_EXPONENT``. Lex
+order is integer order, the monomial of a product is the sum of the
+keys, and a field is read with a shift (``PolyRing.shifts``) and
+``FIELD_MASK``. A product or a power past the limit raises
+:class:`invlag.exprcore.LimitError`. Exponent tuples appear only at
+the boundary: ``from_dict`` and ``pack`` take them, ``terms()``,
+``monoms()`` and ``unpack`` return them, and the factoriser and the
+sympy hand-off unpack to them.
+
 The surface is the part of a polynomial-ring interface the expression
 kernel needs: a :class:`PolyRing` with its generators, ``zero``,
-``one``, ``ground_new``, ``from_dict``, ``from_ints`` and
-``sum_of_products``; and for a :class:`Poly` ``+ - * **`` (also with
-``int`` and ``Fraction`` operands), division by a constant, ``diff``,
-``degree``, ``LC``, ``is_ground``, ``quo_ground``, ``terms()``
-(``Fraction`` coefficients) and ``monoms()`` in descending lex order,
-``len``, ``==``, ``hash`` and ``factor_list``. A monomial is factored
+``one``, ``ground_new``, ``from_dict``, ``from_ints`` (packed keys),
+``sum_of_products``, ``pack`` and ``unpack``; and for a :class:`Poly`
+``+ - * **`` (also with ``int`` and ``Fraction`` operands), division by
+a constant, ``diff``, ``degree``, ``support``, ``LC``, ``is_ground``,
+``quo_ground``, ``terms()`` (``Fraction`` coefficients) and
+``monoms()`` in descending lex order, ``len``, ``==``, ``hash`` and
+``factor_list``. A monomial is factored
 here (its factors are its variables), and so is a monomial times a
 cofactor that an exact irreducibility certificate accepts (restriction
 to lines and distinct-degree factorisation modulo primes, see
@@ -26,45 +40,81 @@ reads it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add, sub
+from operator import or_
+from struct import Struct
+
+WIDTH = 16  # bits per field, the guard bit included: one struct "H"
+FIELD_MASK = (1 << WIDTH) - 1
+MAX_EXPONENT = (1 << WIDTH - 1) - 1  # the largest exponent below the guard bit
+
+
+def limit_error():
+    """The error for an exponent above ``MAX_EXPONENT``."""
+    from .exprcore import LimitError  # exprcore imports this module first
+    return LimitError(f"an exponent would exceed the limit {MAX_EXPONENT}")
+
+
+def _checked(coeffs: dict, guard: int) -> dict:
+    """``coeffs``, a product of two maps within the limit, unless an
+    exponent passed it: that sets a guard bit and carries no further."""
+    if reduce(or_, coeffs, 0) & guard:
+        raise limit_error()
+    return coeffs
 
 
 class PolyRing:
     """The polynomials over QQ in the generators ``symbols``, in that
-    order; exponent tuples compare lexicographically."""
+    order, in lex order; ``shifts[k]`` is the bit offset of generator
+    ``k``'s field and ``guard`` the mask of every guard bit."""
 
-    __slots__ = ("symbols", "ngens", "gens", "zero", "one")
+    __slots__ = ("symbols", "ngens", "shifts", "guard", "_fields", "gens",
+                 "zero", "one")
 
     def __init__(self, symbols):
         self.symbols = tuple(symbols)
-        self.ngens = count = len(self.symbols)
+        self.ngens = len(self.symbols)
+        self.shifts = tuple(range(WIDTH * (self.ngens - 1), -1, -WIDTH))
+        self.guard = sum((1 << WIDTH - 1) << shift for shift in self.shifts)
+        self._fields = Struct(f">{self.ngens}H")  # a key's big-endian bytes
         self.zero = Poly(self, {}, 1)
-        self.one = Poly(self, {(0,) * count: 1}, 1)
-        self.gens = tuple(
-            Poly(self, {tuple(int(i == k) for i in range(count)): 1}, 1)
-            for k in range(count))
+        self.one = Poly(self, {0: 1}, 1)
+        self.gens = tuple(Poly(self, {1 << shift: 1}, 1)
+                          for shift in self.shifts)
 
     def __repr__(self):
         return f"PolyRing({', '.join(self.symbols)})"
+
+    def pack(self, monom) -> int:
+        """The key of an exponent tuple."""
+        if max(monom, default=0) > MAX_EXPONENT:
+            raise limit_error()
+        return int.from_bytes(self._fields.pack(*monom), "big")
+
+    def unpack(self, keys):
+        """An iterator over the exponent tuples of ``keys``, in order."""
+        size = self._fields.size
+        return self._fields.iter_unpack(
+            b"".join([key.to_bytes(size, "big") for key in keys]))
 
     def ground_new(self, value) -> "Poly":
         """The constant polynomial ``value`` (an ``int`` or ``Fraction``)."""
         if not value:
             return self.zero
-        return Poly(self, {(0,) * self.ngens: value.numerator},
-                    value.denominator)
+        return Poly(self, {0: value.numerator}, value.denominator)
 
     def from_dict(self, mapping) -> "Poly":
         """The polynomial with ``{exponent tuple: coefficient}`` terms,
         coefficients ``int`` or ``Fraction``; zero ones are dropped."""
         den = lcm(*(c.denominator for c in mapping.values()))
-        return _reduced(self, {m: c.numerator * (den // c.denominator)
+        return _reduced(self, {self.pack(m): c.numerator
+                               * (den // c.denominator)
                                for m, c in mapping.items() if c}, den)
 
     def from_ints(self, coeffs: dict, den: int = 1) -> "Poly":
-        """``coeffs / den`` for ``{exponent tuple: int}`` terms and a
-        positive ``den``, in lowest terms; zero terms are dropped."""
+        """``coeffs / den`` for ``{key: int}`` terms and a positive
+        ``den``, in lowest terms; zero terms are dropped."""
         return _reduced(self, {m: c for m, c in coeffs.items() if c}, den)
 
     def sum_of_products(self, singles, pairs) -> "Poly":
@@ -82,7 +132,8 @@ class PolyRing:
         for a, b in pairs:
             _mul_terms(a.coeffs, b.coeffs, coeffs, den // (a.den * b.den))
         if pairs:  # _mul_terms leaves the terms that cancel as zeros
-            coeffs = {m: c for m, c in coeffs.items() if c}
+            coeffs = {m: c for m, c in _checked(coeffs, self.guard).items()
+                      if c}
         return _reduced(self, coeffs, den)
 
 
@@ -120,13 +171,13 @@ def _mul_terms(a: dict, b: dict, into: dict = None, scale: int = 1) -> dict:
         a, b = b, a
     if into is None and len(b) == 1:
         ((m2, c2),) = b.items()
-        return {tuple(map(add, m1, m2)): c1 * c2 for m1, c1 in a.items()}
+        return {m1 + m2: c1 * c2 for m1, c1 in a.items()}
     product = {} if into is None else into
     get = product.get
     for m2, c2 in b.items():
         c2 *= scale
         for m1, c1 in a.items():
-            m = tuple(map(add, m1, m2))
+            m = m1 + m2
             v = get(m)
             product[m] = c1 * c2 if v is None else v + c1 * c2
     if into is None and len(product) < len(a) * len(b):  # terms met
@@ -136,7 +187,7 @@ def _mul_terms(a: dict, b: dict, into: dict = None, scale: int = 1) -> dict:
 
 class Poly:
     """An immutable polynomial of a :class:`PolyRing`: ``coeffs`` maps
-    exponent tuples to nonzero ints, ``den`` is a positive int coprime
+    packed monomials to nonzero ints, ``den`` is a positive int coprime
     to their content, and the value is ``coeffs / den``."""
 
     __slots__ = ("ring", "coeffs", "den", "_hash")
@@ -162,9 +213,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __iter__(self):
-        return iter(self.coeffs)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -182,7 +230,7 @@ class Poly:
     @property
     def is_ground(self) -> bool:
         coeffs = self.coeffs
-        return not coeffs or (len(coeffs) == 1 and not any(next(iter(coeffs))))
+        return not coeffs or (len(coeffs) == 1 and 0 in coeffs)
 
     @property
     def LC(self) -> Fraction:
@@ -193,16 +241,24 @@ class Poly:
 
     def degree(self, position: int):
         """The degree in one generator; ``-inf`` for zero, as in sympy."""
-        return max((m[position] for m in self.coeffs), default=float("-inf"))
+        shift = self.ring.shifts[position]
+        return max((m >> shift & FIELD_MASK for m in self.coeffs),
+                   default=float("-inf"))
+
+    def support(self) -> list:
+        """The generator positions some term uses, in order."""
+        union = reduce(or_, self.coeffs, 0)
+        return [p for p, e in enumerate(next(self.ring.unpack([union]))) if e]
 
     def terms(self):
-        """``(exponents, Fraction)`` pairs in descending lex order."""
-        den = self.den
-        return [(m, Fraction(c, den))
-                for m, c in sorted(self.coeffs.items(), reverse=True)]
+        """``(exponent tuple, Fraction)`` pairs in descending lex order."""
+        keys, den = sorted(self.coeffs, reverse=True), self.den
+        return [(monom, Fraction(self.coeffs[m], den))
+                for m, monom in zip(keys, self.ring.unpack(keys))]
 
     def monoms(self):
-        return sorted(self.coeffs, reverse=True)
+        """The exponent tuples in descending lex order."""
+        return list(self.ring.unpack(sorted(self.coeffs, reverse=True)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -256,7 +312,8 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return self.ring.zero
-        return _reduced(self.ring, _mul_terms(self.coeffs, other.coeffs),
+        product = _mul_terms(self.coeffs, other.coeffs)
+        return _reduced(self.ring, _checked(product, self.ring.guard),
                         self.den * other.den)
 
     __rmul__ = __mul__
@@ -268,12 +325,16 @@ class Poly:
             return self.ring.one
         if exponent == 1 or not self.coeffs:
             return self
+        # The OR of the keys bounds every exponent, checked up front: a
+        # power past the limit would be built before it showed
+        union = reduce(or_, self.coeffs, 0)
+        if max(next(self.ring.unpack([union]))) * exponent > MAX_EXPONENT:
+            raise limit_error()
         # Gauss's lemma: content(p**k) = content(p)**k, still coprime to
         # den**k, so the integer power needs no reduction.
         if len(self.coeffs) == 1:
             ((m, c),) = self.coeffs.items()
-            return Poly(self.ring,
-                        {tuple(e * exponent for e in m): c ** exponent},
+            return Poly(self.ring, {m * exponent: c ** exponent},
                         self.den ** exponent)
         den, result, square = self.den ** exponent, None, self.coeffs
         while True:
@@ -308,11 +369,12 @@ class Poly:
 
     def diff(self, position: int) -> "Poly":
         """The partial derivative in the generator at ``position``."""
-        coeffs = {}
+        shift = self.ring.shifts[position]
+        one, coeffs = 1 << shift, {}
         for m, c in self.coeffs.items():
-            e = m[position]
+            e = m >> shift & FIELD_MASK
             if e:
-                coeffs[m[:position] + (e - 1,) + m[position + 1:]] = c * e
+                coeffs[m - one] = c * e
         return _reduced(self.ring, coeffs, self.den)
 
     # -- factorisation -----------------------------------------------------
@@ -324,21 +386,21 @@ class Poly:
         is factored into its variables, in generator order; a monomial
         times a cofactor that :func:`_irreducible` certifies, into those
         variables and then the cofactor; anything else goes to sympy."""
-        coeffs = self.coeffs
+        coeffs, ring = self.coeffs, self.ring
         if len(coeffs) <= 1:
             if not coeffs:
                 return Fraction(0), []
             ((m, c),) = coeffs.items()
-            gens = self.ring.gens
+            monom = next(ring.unpack([m]))
             return (Fraction(c, self.den),
-                    [(gens[i], e) for i, e in enumerate(m) if e])
-        shift = tuple(map(min, *coeffs))
-        cofactor = {tuple(map(sub, m, shift)): c for m, c in coeffs.items()}
-        if _irreducible(cofactor):
+                    [(ring.gens[i], e) for i, e in enumerate(monom) if e])
+        shift = tuple(map(min, *ring.unpack(coeffs)))
+        low = ring.pack(shift)
+        cofactor = {m - low: c for m, c in coeffs.items()}
+        if _irreducible(dict(zip(ring.unpack(cofactor), cofactor.values()))):
             content = gcd(*coeffs.values())
             if coeffs[max(coeffs)] < 0:
                 content = -content
-            ring = self.ring
             factors = [(ring.gens[i], e) for i, e in enumerate(shift) if e]
             factors.append((Poly(ring, {m: c // content
                                         for m, c in cofactor.items()}, 1), 1))
@@ -522,7 +584,8 @@ def _to_sympy(poly: Poly):
     from sympy.polys.rings import ring
 
     return ring(poly.ring.symbols, QQ)[0].from_dict(
-        {m: QQ(c, poly.den) for m, c in poly.coeffs.items()})
+        {monom: QQ(c, poly.den) for monom, c
+         in zip(poly.ring.unpack(poly.coeffs), poly.coeffs.values())})
 
 
 def _from_sympy(ring: PolyRing, element) -> Poly:

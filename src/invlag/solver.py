@@ -240,10 +240,15 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     D = convert(p.D, ectx) if p.D is not None else None
     report = check_suite(p.suite, s_e, g, D=D, omega=omega)
 
-    # with_parameters appends the unknowns: they are the last generators
+    # with_parameters appends the unknowns: they are the last generators,
+    # so their exponents are the low fields of a packed monomial
     count = len(names)
     first = len(ectx.all_varids()) - count
     unknown_positions = range(first, first + count)
+    shifts = ectx._ring.shifts
+    cut = shifts[first - 1]
+    low = (1 << cut) - 1
+    columns = {1 << shifts[first + column]: column for column in range(count)}
     rows: List[Dict[int, int]] = []
     residuals: List[Tuple[str, Expr]] = []
     for cell in report.cells:
@@ -259,18 +264,17 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
                 f"unknowns in a denominator at cell {cell.label}")
         # the coefficients share one positive denominator, which leaves
         # every row's direction as it is
-        groups: Dict[tuple, Dict[int, int]] = {}
+        groups: Dict[int, Dict[int, int]] = {}
         for monom, coeff in residual.num.coeffs.items():
-            unknown_part = monom[first:]
-            degree = sum(unknown_part)
-            if degree == 0:
+            unknowns = monom & low
+            if not unknowns:
                 column, coeff = count, -coeff
-            elif degree == 1:
-                column = unknown_part.index(1)
             else:
-                raise NonlinearCouplingError(
-                    f"nonlinear unknown coupling at cell {cell.label}")
-            groups.setdefault(monom[:first], {})[column] = coeff
+                column = columns.get(unknowns)
+                if column is None:
+                    raise NonlinearCouplingError(
+                        f"nonlinear unknown coupling at cell {cell.label}")
+            groups.setdefault(monom >> cut, {})[column] = coeff
         rows.extend(groups.values())
     return LinearSystem(names, tuple(rows), tuple(residuals), ectx, p)
 

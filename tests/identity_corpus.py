@@ -16,8 +16,11 @@ worktree`` of the parent commit and the working tree. The corpus is:
   ``f`` entry is each malformed text of ``_MALFORMED`` in
   ``test_exprcore.py`` (read from its source, not imported), so the
   parser's exit code and error message are compared too;
-* ``check --suite thm3`` of a copy of ``tests/problems/dense4.json``,
-  the dense n = 4 system with a position-dependent kinetic energy.
+* ``check --suite thm3`` and ``analyze`` (the largest printed output)
+  of a copy of ``tests/problems/dense4.json``, the dense n = 4 system
+  with a position-dependent kinetic energy, and ``solve`` of a copy of
+  ``tests/problems/search_n4_thm3.json``, whose ring has 50 unknowns
+  among 59 generators.
 
 Every call runs in text and in JSON, in process (``invlag.cli.main``
 with ``INVLAG_SEED`` unset), once per tree, in a fresh interpreter that
@@ -86,12 +89,18 @@ def _malformed_calls(workdir: str):
     return calls
 
 
-def _dense_calls(workdir: str):
-    """``check --suite thm3`` of the dense n = 4 problem, copied into the
-    work directory so that both trees read the same file."""
-    path = os.path.join(workdir, "dense4.json")
-    shutil.copyfile(REPO / "tests" / "problems" / "dense4.json", path)
-    return [("dense", ["check", path, "--suite", "thm3"])]
+def _wide_calls(workdir: str):
+    """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem
+    and ``solve`` of the 50-unknown search problem, copied into the work
+    directory so that both trees read the same files."""
+    paths = {}
+    for name in ("dense4", "search_n4_thm3"):
+        paths[name] = os.path.join(workdir, f"{name}.json")
+        shutil.copyfile(REPO / "tests" / "problems" / f"{name}.json",
+                        paths[name])
+    return [("dense", ["check", paths["dense4"], "--suite", "thm3"]),
+            ("dense", ["analyze", paths["dense4"]]),
+            ("wide", ["solve", paths["search_n4_thm3"]])]
 
 
 def _corpus(workdir: str):
@@ -100,7 +109,7 @@ def _corpus(workdir: str):
     import workloads
 
     calls = (_readme_calls() + _malformed_calls(workdir)
-             + _dense_calls(workdir))
+             + _wide_calls(workdir))
     for workload in WORKLOADS:
         for seed in SEEDS:
             directory = os.path.join(workdir, f"{workload}-{seed}")

@@ -466,6 +466,26 @@ def test_verify_demands_disambiguation_when_both_forcings_present(tmp_path):
     assert result.returncode == 0
 
 
+def test_an_exponent_above_the_limit_exits_with_usage_code(tmp_path):
+    """An exponent literal above the limit in a problem file, and a
+    product whose exponent would pass it during the computation, exit 2
+    with the limit named, never with a traceback."""
+    limit = poly.MAX_EXPONENT
+    literal = tmp_path / "literal.json"
+    literal.write_text(json.dumps({"n": 2, "f": [f"q1^{limit + 1}", "0"]}))
+    result = run_cli("analyze", str(literal))
+    assert result.returncode == 2
+    assert result.stderr == (f"invlag: error: {literal}: f[1]: exponent "
+                             f"above the limit {limit} (at position 3)\n")
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps(
+        {"n": 2, "f": [f"q1^{(limit + 1) // 2}*v1^2", "0"]}))
+    result = run_cli("analyze", str(product))
+    assert result.returncode == 2
+    assert result.stderr == (f"invlag: error: an exponent would exceed the "
+                             f"limit {limit}\n")
+
+
 def test_parse_errors_exit_with_usage_code(tmp_path):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text('{"n": 2, "f": ["0" "0"]}')

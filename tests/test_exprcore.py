@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from invlag import exprcore
 from invlag.exprcore import (ContextMismatchError, Expr, ExprContext,
                              ExprError, ExprSyntaxError, JetOrderError,
-                             NotPolynomialError, PoleError,
+                             LimitError, NotPolynomialError, PoleError,
                              UnknownIdentifierError, VarId,
                              ZeroDenominatorError, convert, lincomb, to_text)
 from invlag.numeric import (central_difference, sample_point, seeded_rng,
                             nonzero_somewhere)
-from invlag.poly import Poly
+from invlag.poly import MAX_EXPONENT, Poly
 
 from exprgen import random_expr, random_text, rearranged, small_fraction
 from sympyref import sympy_ring, to_sympy
@@ -426,6 +426,44 @@ def test_malformed_text_raises_its_error(options, text, error, message,
     assert type(err.value) is error
     assert str(err.value) == message
     assert getattr(err.value, "position", None) == position
+
+
+_HALF = (MAX_EXPONENT + 1) // 2
+
+
+@pytest.mark.parametrize("text, position", [
+    (f"q1^{MAX_EXPONENT + 1}", 3),
+    (f"2*q1^{MAX_EXPONENT + 1}*v1", 5),
+    (f"(q1 + 1)^{MAX_EXPONENT + 1}", 9),
+    (f"q1^-{MAX_EXPONENT + 1}", 4),
+    ("v1^" + "9" * 5000, 3),
+    (f"q1^{_HALF}*v2*q1^{_HALF}", 3 + len(str(_HALF)) + 7),
+])
+def test_an_exponent_above_the_limit_is_refused_unbuilt(text, position):
+    """An exponent literal above the limit, or a term whose exponents of
+    one variable add up past it, raises ``LimitError`` naming the limit
+    and the token, before any value is built from it; the 5000-digit
+    literal is not even converted to an integer."""
+    with pytest.raises(LimitError) as err:
+        ExprContext(2).parse(text)
+    assert str(err.value) == (f"exponent above the limit {MAX_EXPONENT} "
+                              f"(at position {position})")
+
+
+def test_the_exponent_limit_holds_and_products_past_it_are_refused():
+    """``q1^MAX_EXPONENT`` parses and prints; a product or a power whose
+    exponent would pass the limit raises ``LimitError`` instead of
+    carrying into the next variable's field."""
+    ctx = ExprContext(2)
+    assert to_text(ctx.parse(f"q1^{MAX_EXPONENT}")) == f"q1^{MAX_EXPONENT}"
+    assert to_text(ctx.parse(f"q1^{_HALF - 1}*q1^{_HALF}")) == \
+        f"q1^{MAX_EXPONENT}"
+    half = ctx.parse(f"q1^{_HALF}*v1")
+    for make in (lambda: half * half, lambda: half ** 2,
+                 lambda: ctx.parse(f"(q1^{_HALF} + v2)*q1^{_HALF}"),
+                 lambda: (half + 1) * half):
+        with pytest.raises(LimitError, match=f"limit {MAX_EXPONENT}"):
+            make()
 
 
 def test_parsing_a_polynomial_builds_no_quotient(monkeypatch):

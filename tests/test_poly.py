@@ -16,6 +16,12 @@ product or square, must agree with sympy whenever it accepts, and a
 non-monomial's factorisation must be sympy's content and factors,
 whether certified or handed to sympy; the order of the factors is not
 compared, since no caller reads it.
+
+The packed monomial keys are checked on their own, on rings of one to
+sixty generators with exponents up to the limit: packing is undone by
+unpacking, keeps lex order and turns addition of exponent tuples into
+addition of keys, and trial division refuses a shift with a negative
+exponent.
 """
 
 import json
@@ -24,7 +30,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +39,7 @@ from hypothesis import strategies as st
 import invlag
 from invlag import poly as poly_module
 from invlag.exprcore import ExprContext, _exact_quotient, _Factor
-from invlag.poly import PolyRing, _irreducible
+from invlag.poly import MAX_EXPONENT, PolyRing, _irreducible
 
 from sympyref import from_sympy, to_sympy
 
@@ -73,6 +79,64 @@ def _polys(draw, count, how_many=1):
 def _ring_polys(draw, how_many=2):
     count = draw(st.integers(2, 8))
     return count, draw(_polys(count, how_many))
+
+
+_WIDE_RINGS = {count: PolyRing([f"y{k}" for k in range(1, count + 1)])
+               for count in range(1, 61)}
+_exponent = st.integers(0, MAX_EXPONENT)
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """A ring of one to sixty generators and two exponent tuples of it
+    that agree up to a drawn position, so lex order is decided anywhere,
+    not only by the first exponent."""
+    ring = _WIDE_RINGS[draw(st.integers(1, 60))]
+    a = draw(st.tuples(*[_exponent] * ring.ngens))
+    cut = draw(st.integers(0, ring.ngens))
+    b = a[:cut] + draw(st.tuples(*[_exponent] * (ring.ngens - cut)))
+    return ring, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_pairs(), st.data())
+def test_packing_keeps_exponents_order_and_addition(case, data):
+    ring, a, b = case
+    pa, pb = ring.pack(a), ring.pack(b)
+    assert list(ring.unpack([pa, pb])) == [a, b]
+    assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+    c = data.draw(st.tuples(*[st.integers(0, MAX_EXPONENT - e) for e in a]))
+    assert pa + ring.pack(c) == ring.pack(tuple(map(add, a, c)))
+    assert ring.from_dict({a: 1}).support() == [k for k, e in enumerate(a)
+                                               if e]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_pairs(), st.booleans())
+def test_trial_division_refuses_a_shift_with_a_negative_exponent(case, below):
+    """Dividing the monomial ``a`` by the monomial ``b`` gives ``a - b``
+    when no exponent of ``b`` is larger, else None; ``below`` lowers
+    ``b`` to at most ``a`` in every exponent so both outcomes occur."""
+    ring, a, b = case
+    if below:
+        b = tuple(map(min, a, b))
+    factor = _Factor(ring.from_dict({b: 1}), 0)
+    quotient = _exact_quotient(ring.from_dict({a: 1}), factor)
+    if any(map(lambda x, y: x < y, a, b)):
+        assert quotient is None
+    else:
+        assert quotient.terms() == [(tuple(map(sub, a, b)), 1)]
+
+
+def test_trial_division_past_the_exponent_limit_is_a_miss():
+    """Dividing ``x1 * x2^MAX_EXPONENT`` by ``x1 - x2`` leaves the
+    remainder ``x2^(MAX_EXPONENT + 1)``, past the limit: a term no
+    multiple of a divisor of the numerator reaches, so the division
+    misses, as sympy's does, and builds no such term."""
+    ring = RINGS[2]
+    factor = _Factor(ring.from_dict({(1, 0): 1, (0, 1): -1}), 0)
+    assert _exact_quotient(ring.from_dict({(1, MAX_EXPONENT): 1}),
+                           factor) is None
 
 
 def _same(poly, element):
@@ -158,7 +222,8 @@ def test_exact_division_matches_sympy(case):
     factor = _Factor(divisor, 0)
     product = divisor * quotient
     assert _same(_exact_quotient(product, factor), to_sympy(quotient))
-    near = ((divisor * factor.lead_coeff + ring.from_dict({factor.lead: 1}))
+    near = ((divisor * factor.lead_coeff
+             + ring.from_dict({divisor.monoms()[0]: 1}))
             * ring.from_dict({shift: 1}))
     for num in (product + remainder, near):
         expected_q, expected_r = to_sympy(num).div(to_sympy(divisor))
@@ -185,9 +250,11 @@ def test_monomials_factor_into_their_variables(monom, c):
 
 
 def _cofactor(poly):
-    """``poly`` divided by its monomial content, as integer terms."""
-    shift = tuple(map(min, *poly.coeffs))
-    return {tuple(map(sub, m, shift)): c for m, c in poly.coeffs.items()}
+    """``poly`` divided by its monomial content, as integer terms keyed
+    by exponent tuples."""
+    shift = tuple(map(min, *poly.monoms()))
+    return {tuple(map(sub, m, shift)): int(c * poly.den)
+            for m, c in poly.terms()}
 
 
 def _sympy_factor_list(poly):
@@ -233,7 +300,7 @@ def test_certified_polynomials_are_irreducible_for_sympy(case):
     content and factors."""
     (poly,) = case
     if _irreducible(_cofactor(poly)):
-        cofactor = poly.ring.from_ints(_cofactor(poly))
+        cofactor = poly.ring.from_dict(_cofactor(poly))
         _content, factors = to_sympy(cofactor).factor_list()
         assert [e for _f, e in factors] == [1]
     assert _unordered(poly.factor_list()) == \
