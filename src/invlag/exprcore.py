@@ -1017,15 +1017,17 @@ def _power_tables(poly, values: dict):
     scaled to match, and whether ``values`` binds them all.
 
     A value ``p/q`` at a generator of degree ``top`` multiplies a term
-    with exponent ``e`` by ``p**e * q**(top - e)`` (entry ``e``) and the
-    denominator by ``q**top``, so the terms stay integers. One
-    transposition of the exponent tuples gives every degree.
+    with exponent ``e`` by ``p**e * q**(top - e)`` (entry ``e``, built
+    only for the exponents the terms use) and the denominator by
+    ``q**top``, so the terms stay integers. One transposition of the
+    exponent tuples gives every column of exponents.
     """
     monoms = list(poly.ring.unpack(poly.coeffs))
     den = poly.den
     tables = []
     complete = True
-    for position, top in enumerate(map(max, zip(*monoms))):
+    for position, column in enumerate(zip(*monoms)):
+        top = max(column)
         if not top:
             continue
         value = values.get(position)
@@ -1033,8 +1035,10 @@ def _power_tables(poly, values: dict):
             complete = False
             continue
         p, q = value.numerator, value.denominator
-        tables.append((position,
-                       [p ** e * q ** (top - e) for e in range(top + 1)]))
+        table = [0] * (top + 1)
+        for e in set(column):
+            table[e] = p ** e * q ** (top - e)
+        tables.append((position, table))
         den *= q ** top
     return monoms, tables, den, complete
 

@@ -7,7 +7,8 @@ multiplier of this shape exist?" into an exact linear-algebra question.
 Assembly reads every condition cell's integer numerator coefficients
 and emits one sparse integer row per monomial in everything that is
 not an unknown; solving is exact reduction of those rows to reduced
-row echelon form, eliminated fraction-free in integers; the
+row echelon form, eliminated fraction-free in integers, whose points
+are re-verified in one integer pass over the packed residuals; the
 nonsingular-representative search is a bounded integer enumeration
 over the solution space with a structural shortcut for spaces that
 force an identically-zero row; it returns the member it finds and
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, convert, lincomb
@@ -240,15 +242,8 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     D = convert(p.D, ectx) if p.D is not None else None
     report = check_suite(p.suite, s_e, g, D=D, omega=omega)
 
-    # with_parameters appends the unknowns: they are the last generators,
-    # so their exponents are the low fields of a packed monomial
     count = len(names)
-    first = len(ectx.all_varids()) - count
-    unknown_positions = range(first, first + count)
-    shifts = ectx._ring.shifts
-    cut = shifts[first - 1]
-    low = (1 << cut) - 1
-    columns = {1 << shifts[first + column]: column for column in range(count)}
+    unknown_positions, cut, low, columns = _packed_layout(ectx, names)
     rows: List[Dict[int, int]] = []
     residuals: List[Tuple[str, Expr]] = []
     for cell in report.cells:
@@ -277,6 +272,20 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
             groups.setdefault(monom >> cut, {})[column] = coeff
         rows.extend(groups.values())
     return LinearSystem(names, tuple(rows), tuple(residuals), ectx, p)
+
+
+def _packed_layout(ectx: ExprContext, names: Sequence[str]):
+    """``(positions, cut, low, columns)`` of the unknowns ``names``, the
+    last generators (``with_parameters`` appends them): ``key >> cut`` is
+    the rest of a packed monomial, ``key & low`` its unknown part."""
+    total = len(ectx.all_varids())
+    positions = range(total - len(names), total)
+    assert [ectx.gen_index(ectx.param(name)) for name in names] == \
+        list(positions), "the unknowns must be the last generators"
+    shifts = ectx._ring.shifts
+    cut = shifts[positions.start - 1]
+    columns = {1 << shifts[at]: column for column, at in enumerate(positions)}
+    return positions, cut, (1 << cut) - 1, columns
 
 
 def _ansatz_tensors(problem: AnsatzProblem, ctx: ExprContext,
@@ -368,8 +377,12 @@ def solve(system: LinearSystem) -> SolutionSpace:
     rows (``_rref``); the system is inconsistent exactly when the
     right-hand-side column is a pivot. Nullspace vectors are
     primitive-integer normalized, one per free unknown in declaration
-    order. Every solution is re-verified symbolically against the
-    assembled residuals."""
+    order. The particular solution and its shift by every basis vector
+    are re-verified against the residuals in one integer pass over their
+    packed numerators (``_reverify``). Assembly keeps unknowns out of the
+    denominators, so the numerators decide, as substitution would. Over
+    the lcm ``L`` of a point's denominators the unknown-free part of a
+    monomial is worth ``L`` and unknown ``k`` ``L*c_k``, all integers."""
     count = len(system.unknowns)
     pivots, pivot_rows = _rref(system.rows)
 
@@ -419,22 +432,32 @@ def _primitive(vector: List[Fraction]) -> List[Fraction]:
 
 
 def _reverify(system: LinearSystem, space: SolutionSpace):
-    """Substitute the particular solution, and the particular solution
-    shifted by every basis vector, into the assembled residuals and
-    insist they vanish identically."""
-    ectx = system.context
-    unknown_vars = [ectx.param(name) for name in system.unknowns]
-    points = [space.particular]
-    for direction in space.nullspace:
-        points.append(tuple(p + d for p, d in
-                            zip(space.particular, direction)))
-    for point in points:
-        bindings = {var: ectx.const(value)
-                    for var, value in zip(unknown_vars, point)}
-        for label, residual in system.residuals:
-            if not residual.subst(bindings).is_zero():
-                raise InternalInconsistencyError(
-                    f"solution fails re-verification at {label}")
+    """Insist the residuals vanish at every point ``solve`` names, and
+    name the first failing cell at the first failing point."""
+    _, cut, low, columns = _packed_layout(system.context, system.unknowns)
+    points = [space.particular] + [tuple(map(add, space.particular, shift))
+                                   for shift in space.nullspace]
+    scales = [lcm(*(value.denominator for value in p)) for p in points]
+    table = {field: [int(point[k] * scale) for point, scale in
+                     zip(points, scales)] for field, k in columns.items()}
+    table[0] = scales
+    failures: Dict[int, str] = {}
+    for label, residual in system.residuals:
+        sums: Dict[int, List[int]] = {}
+        for monom, coeff in residual.num.coeffs.items():
+            values = table.get(monom & low)
+            if values is None:
+                raise NonlinearCouplingError(
+                    f"nonlinear unknown coupling at cell {label}")
+            row = sums.setdefault(monom >> cut, [0] * len(points))
+            for index, value in enumerate(values):
+                row[index] += coeff * value
+        for row in sums.values():
+            for index in filter(row.__getitem__, range(len(row))):
+                failures.setdefault(index, label)
+    if failures:
+        raise InternalInconsistencyError(
+            f"solution fails re-verification at {failures[min(failures)]}")
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,10 @@ worktree`` of the parent commit and the working tree. The corpus is:
   of a copy of ``tests/problems/dense4.json``, the dense n = 4 system
   with a position-dependent kinetic energy, and ``solve`` of a copy of
   ``tests/problems/search_n4_thm3.json``, whose ring has 50 unknowns
-  among 59 generators.
+  among 59 generators, and of a copy of
+  ``tests/problems/fixed_drag_n4.json``, a ``dissipative`` search with
+  ``D`` fixed whose space of dimension 2 has a non-integer particular
+  solution.
 
 Every call runs in text and in JSON, in process (``invlag.cli.main``
 with ``INVLAG_SEED`` unset), once per tree, in a fresh interpreter that
@@ -91,16 +94,17 @@ def _malformed_calls(workdir: str):
 
 def _wide_calls(workdir: str):
     """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem
-    and ``solve`` of the 50-unknown search problem, copied into the work
-    directory so that both trees read the same files."""
+    and ``solve`` of the 50-unknown search problems, copied into the
+    work directory so that both trees read the same files."""
     paths = {}
-    for name in ("dense4", "search_n4_thm3"):
+    for name in ("dense4", "search_n4_thm3", "fixed_drag_n4"):
         paths[name] = os.path.join(workdir, f"{name}.json")
         shutil.copyfile(REPO / "tests" / "problems" / f"{name}.json",
                         paths[name])
     return [("dense", ["check", paths["dense4"], "--suite", "thm3"]),
             ("dense", ["analyze", paths["dense4"]]),
-            ("wide", ["solve", paths["search_n4_thm3"]])]
+            ("wide", ["solve", paths["search_n4_thm3"]]),
+            ("wide", ["solve", paths["fixed_drag_n4"]])]
 
 
 def _corpus(workdir: str):

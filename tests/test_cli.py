@@ -737,6 +737,19 @@ def test_readme_solve_rows_print_the_golden_output(command, code, fmt):
     assert result.stdout.replace(fixtures, "<fixtures>") == expected
 
 
+def assert_solve_prints_the_golden_output(name, fmt):
+    """``solve`` of ``tests/problems/<name>.json`` exits 0 and prints the
+    stdout kept in ``tests/golden/solve_<name>``, its path written
+    ``<file>``."""
+    path = pathlib.Path(__file__).resolve().parent / "problems" \
+        / f"{name}.json"
+    suffix = "txt" if fmt == "text" else "json"
+    expected = (GOLDEN / f"solve_{name}.{suffix}").read_text()
+    result = run_cli("solve", str(path), "--format", fmt)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.replace(str(path), "<file>") == expected
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_fifty_unknown_search_prints_the_golden_output(fmt):
     """An n = 4 system drawn like the benchmark's ``search`` problems,
@@ -744,13 +757,18 @@ def test_fifty_unknown_search_prints_the_golden_output(fmt):
     1291 equations), finds a representative and prints, byte for byte,
     the stdout kept in ``tests/golden`` (the file's path written
     ``<file>``)."""
-    path = pathlib.Path(__file__).resolve().parent / "problems" \
-        / "search_n4_thm3.json"
-    suffix = "txt" if fmt == "text" else "json"
-    expected = (GOLDEN / f"solve_search_n4_thm3.{suffix}").read_text()
-    result = run_cli("solve", str(path), "--format", fmt)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout.replace(str(path), "<file>") == expected
+    assert_solve_prints_the_golden_output("search_n4_thm3", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fixed_dissipation_search_prints_the_golden_output(fmt):
+    """A ``dissipative`` search with ``D`` fixed, n = 4 with a degree-1
+    ansatz (50 unknowns): the right-hand-side column is not zero, so the
+    space of dimension 2 has the particular solution ``g[1,1] = g[2,2] =
+    -2/3``, and its points are re-verified at rational values. It prints,
+    byte for byte, the stdout kept in ``tests/golden`` (the file's path
+    written ``<file>``)."""
+    assert_solve_prints_the_golden_output("fixed_drag_n4", fmt)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

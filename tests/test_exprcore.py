@@ -3,6 +3,7 @@ operations, canonicalization, and the error taxonomy."""
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,23 @@ def test_eval_num_pole():
     e = ctx.parse("1/q1")
     with pytest.raises(PoleError):
         e.eval_num({ctx.q(1): Fraction(0), ctx.v(1): Fraction(1)})
+
+
+def test_a_term_at_the_exponent_limit_evaluates_in_its_term_count():
+    """Evaluation and substitution build the powers of a value only for
+    the exponents the terms use: ``q1^32767 + v1`` at ``q1 = 97/89``
+    takes a few powers, not 32768 of them, and agrees with the
+    ``Fraction`` reference."""
+    ctx = ExprContext(1)
+    e = ctx.parse("q1^32767 + v1")
+    value = Fraction(97, 89)
+    start = time.perf_counter()
+    evaluated = e.eval_num({ctx.q(1): value, ctx.v(1): Fraction(1, 3)})
+    substituted = e.subst({ctx.q(1): value})
+    seconds = time.perf_counter() - start
+    assert evaluated == value ** 32767 + Fraction(1, 3)
+    assert substituted == ctx.const(value ** 32767) + ctx.var(ctx.v(1))
+    assert seconds < 1.0
 
 
 def test_integrate_power():

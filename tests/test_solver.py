@@ -1,12 +1,14 @@
 """Tests for the ansatz-family multiplier search."""
 
+import dataclasses
+import pathlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invlag import conditions, geometry, poly, solver
@@ -573,3 +575,156 @@ def test_assembly_factors_no_denominator_again(monkeypatch):
     system = assemble(s, polynomial_ansatz(ctx, "thm3", 1))
     assert len(system.unknowns) == 9
     assert calls == []
+
+
+# --------------------------------------------------------------------------
+# re-verification against substitution
+
+
+def subst_reverify(system, space):
+    """Reference for ``solver._reverify``: substitute the particular
+    solution, and the particular solution shifted by every basis vector,
+    into the assembled residuals and insist they vanish identically."""
+    ectx = system.context
+    unknown_vars = [ectx.param(name) for name in system.unknowns]
+    points = [space.particular]
+    for direction in space.nullspace:
+        points.append(tuple(p + d for p, d in
+                            zip(space.particular, direction)))
+    for point in points:
+        bindings = {var: ectx.const(value)
+                    for var, value in zip(unknown_vars, point)}
+        for label, residual in system.residuals:
+            if not residual.subst(bindings).is_zero():
+                raise InternalInconsistencyError(
+                    f"solution fails re-verification at {label}")
+
+
+def reverify_outcome(check, system, space):
+    """The message ``check`` raises on ``space``, or None."""
+    try:
+        check(system, space)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def spread(system, rng):
+    """``system`` with residual ``k`` multiplied by ``a + b*q1^(k+1)*v1``
+    for random nonzero integers ``a`` and ``b``: each residual vanishes
+    where it did, and its unknowns now sit in monomials of ``q1`` and
+    ``v1`` too."""
+    ctx = system.context
+    q1, v1 = ctx.var(ctx.q(1)), ctx.var(ctx.v(1))
+    residuals = tuple(
+        (label, residual * (ctx.const(rng.choice((-3, -1, 1, 2)))
+                            + rng.choice((-2, 1, 5)) * q1 ** (k + 1) * v1))
+        for k, (label, residual) in enumerate(system.residuals))
+    return dataclasses.replace(system, residuals=residuals)
+
+
+def perturbed(space, rng):
+    """``space`` with one or two entries of its particular solution or
+    of its basis vectors moved by small nonzero rationals, so that the
+    points may fail at different cells."""
+    vectors = [list(space.particular)] + [list(v) for v in space.nullspace]
+    for _ in range(rng.randint(1, 2)):
+        delta = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+        vectors[rng.randint(0, space.dimension)][
+            rng.randrange(len(space.unknowns))] += delta
+    return dataclasses.replace(space, particular=tuple(vectors[0]),
+                               nullspace=tuple(map(tuple, vectors[1:])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("random", "zero_rows", "rank_deficient")))
+def test_reverification_agrees_with_substitution(seed, kind):
+    """On the random systems of ``test_solve_matches_sympy_rref``, also
+    with their residuals spread over monomials of ``q1`` and ``v1``, the
+    integer pass and substitution reach the same decision, with the same
+    cell, at the true points (both pass) and at perturbed ones."""
+    rng = random.Random(seed)
+    system, _dense = random_system(rng, kind)
+    space = solve(system)
+    assume(space.consistent)
+    for candidate in (system, spread(system, rng)):
+        assert reverify_outcome(solver._reverify, candidate, space) is None
+        assert reverify_outcome(subst_reverify, candidate, space) is None
+        for _ in range(3):
+            wrong = perturbed(space, rng)
+            assert reverify_outcome(solver._reverify, candidate, wrong) == \
+                reverify_outcome(subst_reverify, candidate, wrong)
+
+
+def fixed_drag_system():
+    """``tests/problems/fixed_drag_n4.json``: ``D`` fixed, so the system
+    is inhomogeneous; its space has dimension 2 and the particular
+    solution ``g[1,1] = g[2,2] = -2/3``."""
+    problem = load_problem(str(pathlib.Path(__file__).resolve().parent
+                               / "problems" / "fixed_drag_n4.json"), {})
+    return assemble(problem.sode(), ansatz_problem(problem)[0])
+
+
+def shifted_rref(column):
+    """``solver._rref`` with ``1/2`` added to entry ``column`` of its
+    first pivot row: the right-hand side shifts the particular solution,
+    a free column one basis vector."""
+    original = solver._rref
+
+    def shifted(rows):
+        pivots, pivot_rows = original(rows)
+        row = dict(pivot_rows[0])
+        row[column] = row.get(column, 0) + Fraction(1, 2)
+        return pivots, [row] + pivot_rows[1:]
+    return shifted
+
+
+@pytest.mark.parametrize("target", ["particular", "direction"])
+def test_a_shifted_solution_fails_reverification_at_the_reference_cell(
+        monkeypatch, target):
+    """The fixed-dissipation system re-verifies as it is; a wrong
+    particular solution, or a wrong basis vector, fails re-verification
+    at the cell that substitution names, and only the shifted points
+    fail."""
+    system = fixed_drag_system()
+    assert solve(system).dimension == 2
+    pivots, _rows = solver._rref(system.rows)
+    count = len(system.unknowns)
+    free = [c for c in range(count) if c not in pivots]
+    monkeypatch.setattr(solver, "_rref", shifted_rref(
+        count if target == "particular" else free[0]))
+    original, seen = solver._reverify, []
+
+    def recording(system, space):
+        seen.append(space)
+        original(system, space)
+
+    monkeypatch.setattr(solver, "_reverify", recording)
+    with pytest.raises(InternalInconsistencyError) as caught:
+        solve(system)
+    (space,) = seen
+    expected = reverify_outcome(subst_reverify, system, space)
+    assert expected is not None and str(caught.value) == expected
+    label = expected.rsplit(" ", 1)[1]
+    assert label in dict(system.residuals)
+    points = [space.particular] + [tuple(p + d for p, d in zip(
+        space.particular, direction)) for direction in space.nullspace]
+    failing = [k for k, point in enumerate(points)
+               if reverify_outcome(subst_reverify, system, dataclasses.replace(
+                   space, particular=point, nullspace=()))]
+    assert failing == ([0, 1, 2] if target == "particular" else [1])
+
+
+@pytest.mark.parametrize("text", ["c0^2 - q1*c1", "c0*c1 + v1"])
+def test_reverification_refuses_a_residual_nonlinear_in_the_unknowns(text):
+    """A hand-built system whose residual is not linear in the unknowns
+    is refused by name, as assembly would refuse it."""
+    ctx = ExprContext(1, ("c0", "c1"))
+    problem = AnsatzProblem("classical", (((1, 1), (ctx.one, ctx.one)),))
+    system = LinearSystem(("c0", "c1"), (), (
+        ("HD1[1,1,1]", ctx.parse("c0 - c1")),
+        ("HD2[1,1]", ctx.parse(text))), ctx, problem)
+    with pytest.raises(NonlinearCouplingError, match=r"^nonlinear unknown "
+                       r"coupling at cell HD2\[1,1\]$"):
+        solve(system)
