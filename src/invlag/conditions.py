@@ -154,9 +154,9 @@ def _require_function(s: Sode, D: Expr):
 
 def _hd1_cells(s: Sode, g: TensorField):
     """Velocity symmetry of the candidate: V_k(g_ij) - V_j(g_ik)."""
-    v, indices = s.ctx.v, range(1, s.n + 1)
+    v, indices = s.v_pos, range(1, s.n + 1)
     return [Cell(_label("HD1", i, j, k),
-                 g.entry(i, j).diff(v(k)) - g.entry(i, k).diff(v(j)))
+                 g.entry(i, j).diff(v[k - 1]) - g.entry(i, k).diff(v[j - 1]))
             for i in indices for j, k in combinations(indices, 2)]
 
 
@@ -271,14 +271,16 @@ def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
     covariant differential, and vanishing of the curvature cycle."""
     _require_multiplier(s, g)
     theta, indices = theta_tensor(s), range(1, s.n + 1)
+    minus_g = TensorField(s.ctx, (0, 2), {
+        idx: -value for idx, value in g.entries.items()})
     cells = _hd1_cells(s, g)
     for k in indices:
         for i, j in combinations(indices, 2):
             residual = lincomb(s.ctx, _horizontal_terms(s, i, g.entry(j, k))
-                               + _horizontal_terms(s, j, -g.entry(i, k)) + [
+                               + _horizontal_terms(s, j, minus_g.entry(i, k)) + [
                 term for l in indices for term in (
                     (g.entry(i, l), theta.entry(l, j, k)),
-                    (-g.entry(j, l), theta.entry(l, i, k)))])
+                    (minus_g.entry(j, l), theta.entry(l, i, k)))])
             cells.append(Cell(_label("DHSym", i, j, k), residual))
     cells.extend(Cell(_label("RCycle", *idx), cycle)
                  for idx, cycle in _curvature_cycles(s, g).items())

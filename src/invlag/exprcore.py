@@ -727,9 +727,10 @@ class Expr:
 
     # -- calculus ------------------------------------------------------------
 
-    def diff(self, var: VarId) -> "Expr":
+    def diff(self, var: Union[VarId, int]) -> "Expr":
         """Quotient rule over the factored denominator.
 
+        ``var`` is a variable or its generator position (an ``int``).
         With ``P`` the product of the factors ``p`` (exponent ``k``)
         that depend on the variable, ``(N/D)' = (N' P - N sum_p k p'
         P/p) / (D P)``. A moving factor cannot divide that numerator (it
@@ -737,7 +738,12 @@ class Expr:
         that do not depend on the variable are tried.
         """
         ctx = self.ctx
-        position = ctx.gen_index(var)
+        if type(var) is int:
+            if not 0 <= var < len(ctx._gens):
+                raise ExprError(f"generator position {var} out of range")
+            position = var
+        else:
+            position = ctx.gen_index(var)
         dnum = self.num.diff(position)
         fac = self.den_factors
         if not fac:

@@ -7,12 +7,14 @@ connection (``theta``), and a covariant derivative along the flow
 acting on tensor fields. Those objects are what every condition suite
 in :mod:`invlag.conditions` is written in terms of, so they are built
 here once, exactly, and cached per system, with the position
-derivatives of the connection beside theta: each connection entry is
-differentiated once per variable, and every entry of the Jacobi
-endomorphism and the curvature is one ``lincomb`` over those tables. A
-system extended to a context with more parameters
-(:meth:`Sode.extended`) converts them from the system it came from
-instead of building them again.
+derivatives of the connection beside theta and ``-Gamma`` beside the
+connection: each connection entry is differentiated once per variable,
+by generator position, and every entry of the Jacobi endomorphism and
+the curvature is one ``lincomb`` over those tables. The flow derivative
+of a symmetric (0,2) tensor is built on ``i <= j`` only. A system
+extended to a context with more parameters (:meth:`Sode.extended`)
+converts the tables from the system it came from instead of building
+them again.
 
 Index convention: all public indices are 1-based, matching the
 ``q1..qn`` naming of the expression layer.
@@ -21,6 +23,7 @@ Index convention: all public indices are 1-based, matching the
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, List, Sequence, Tuple
 
@@ -44,14 +47,31 @@ class InternalInconsistencyError(Exception):
 # tensor fields
 
 
+@lru_cache(maxsize=16)
+def _layout(n: int, rank: int) -> frozenset:
+    """Every valid index tuple of a rank-``rank`` tensor over dimension ``n``."""
+    return frozenset(product(range(1, n + 1), repeat=rank))
+
+
+def _agree(a: Expr, b: Expr, negated: bool) -> bool:
+    """``a == b``, or ``a == -b`` when ``negated``, for two expressions
+    of one context, without building ``-b``."""
+    x, y = a.num.coeffs, b.num.coeffs
+    return (a.den_factors == b.den_factors and a.num.den == b.num.den
+            and (len(x) == len(y) and all(y.get(m) == -c for m, c in x.items())
+                 if negated else x == y))
+
+
 class TensorField:
     """A dense tensor of expressions with declared index symmetries.
 
     ``shape`` is the (contravariant, covariant) signature, e.g. (1, 1)
     for the Jacobi endomorphism or (0, 2) for a metric candidate.
     Entries are addressed by full 1-based index tuples; missing entries
-    read as zero. Declared symmetries (``sym``/``antisym`` are pairs of
-    1-based slot positions) are verified entry-wise on construction.
+    read as zero, and indices are checked against a cached layout of
+    the valid ones. Declared symmetries (``sym``/``antisym`` are pairs
+    of 1-based slot positions) are verified entry-wise on construction,
+    on numerators and denominators directly.
     """
 
     __slots__ = ("ctx", "n", "shape", "entries", "sym", "antisym")
@@ -63,14 +83,14 @@ class TensorField:
         self.n = ctx.n
         self.shape = (int(shape[0]), int(shape[1]))
         rank = self.rank
+        layout = _layout(self.n, rank)
         clean = {}
         for idx, value in entries.items():
-            idx = tuple(idx)
-            if len(idx) != rank or not all(1 <= i <= self.n for i in idx):
+            if idx not in layout:
                 raise GeometryError(f"bad index {idx} for rank-{rank} tensor")
-            if value.ctx != ctx:
+            if value.ctx is not ctx and value.ctx != ctx:
                 raise DimensionMismatchError("entry from a different context")
-            if not value.is_zero():
+            if value.num.coeffs:
                 clean[idx] = value
         self.entries = clean
         self.sym = tuple(tuple(p) for p in sym)
@@ -85,19 +105,19 @@ class TensorField:
         return self.entries.get(tuple(idx), self.ctx.zero)
 
     def _validate_symmetries(self):
-        """Each pair a swap exchanges is compared once, in entry order."""
-        for slots, kind in ((self.sym, "symmetric"),
-                            (self.antisym, "antisymmetric")):
+        """Every entry is compared with its swapped partner, and the
+        first entry, in the entries' order, that differs is named: the
+        relation is symmetric, so that is the first of its pair."""
+        entries, zero = self.entries, self.ctx.zero
+        for slots, negated in ((self.sym, False), (self.antisym, True)):
             for s1, s2 in slots:
-                done = set()
-                for idx, value in self.entries.items():
-                    if idx in done:
-                        continue
+                a, b = s1 - 1, s2 - 1
+                for idx, value in entries.items():
                     swapped = list(idx)
-                    swapped[s1 - 1], swapped[s2 - 1] = idx[s2 - 1], idx[s1 - 1]
-                    done.add(tuple(swapped))
-                    other = self.entry(*swapped)
-                    if value != (other if kind == "symmetric" else -other):
+                    swapped[a], swapped[b] = idx[b], idx[a]
+                    if not _agree(value, entries.get(tuple(swapped), zero),
+                                  negated):
+                        kind = "antisymmetric" if negated else "symmetric"
                         raise GeometryError(
                             f"declared {kind} slots {(s1, s2)} violated at {idx}")
 
@@ -240,7 +260,8 @@ class Sode:
     The context must be first-order (jets up to order 1) and time-free,
     which also guarantees the right-hand sides depend on positions,
     velocities and parameters only. Derived geometric objects are
-    memoised on the instance.
+    memoised on the instance. ``q_pos`` and ``v_pos`` are the generator
+    positions of ``q1..qn`` and ``v1..vn``, for ``Expr.diff``.
     """
 
     def __init__(self, ctx: ExprContext, f: Sequence[Expr]):
@@ -258,6 +279,9 @@ class Sode:
         self.ctx = ctx
         self.n = ctx.n
         self.f = f
+        self.q_pos = tuple(ctx.gen_index(ctx.q(k)) for k in range(1, ctx.n + 1))
+        self.v_pos = tuple(ctx.gen_index(ctx.v(k)) for k in range(1, ctx.n + 1))
+        self.velocities = tuple(ctx.var(ctx.v(k)) for k in range(1, ctx.n + 1))
         self.origin = None
         self._memo = {}
 
@@ -295,41 +319,45 @@ def connection(s: Sode) -> TensorField:
 
 
 def _connection(s: Sode) -> TensorField:
-    ctx = s.ctx
-    half = ctx.const(Fraction(-1, 2))
-    entries = {(i, j): s.f[i - 1].diff(ctx.v(j)) * half
-               for i in range(1, s.n + 1) for j in range(1, s.n + 1)}
-    return TensorField(ctx, (1, 1), entries)
+    half, indices = s.ctx.const(Fraction(-1, 2)), range(1, s.n + 1)
+    return TensorField(s.ctx, (1, 1), {
+        (i, j): s.f[i - 1].diff(s.v_pos[j - 1]) * half
+        for i in indices for j in indices})
+
+
+def _neg_connection(s: Sode) -> TensorField:
+    """``-Gamma``, negated once per system."""
+    return TensorField(s.ctx, (1, 1), {
+        idx: -value for idx, value in connection(s).entries.items()})
 
 
 def gamma_apply(s: Sode, F: Expr, extra: Sequence = ()) -> Expr:
     """Derivative of ``F`` along the flow: ``v^k dF/dq^k + f^k dF/dv^k``,
     plus the ``lincomb`` terms ``extra`` in the same pass."""
-    ctx = s.ctx
-    if F.ctx != ctx:
+    if F.ctx != s.ctx:
         raise DimensionMismatchError("function from another context")
     terms = list(extra)
-    for k in range(1, s.n + 1):
-        terms.append((ctx.var(ctx.v(k)), F.diff(ctx.q(k))))
-        if not s.f[k - 1].is_zero():
-            terms.append((s.f[k - 1], F.diff(ctx.v(k))))
-    return lincomb(ctx, terms)
+    for k, velocity in enumerate(s.velocities):
+        terms.append((velocity, F.diff(s.q_pos[k])))
+        if s.f[k].num.coeffs:
+            terms.append((s.f[k], F.diff(s.v_pos[k])))
+    return lincomb(s.ctx, terms)
 
 
 def horizontal_apply(s: Sode, i: int, F: Expr) -> Expr:
     """Horizontal derivative: ``dF/dq^i - Gamma^j_i dF/dv^j``."""
+    s.ctx._check_index(i)
     return lincomb(s.ctx, _horizontal_terms(s, i, F))
 
 
 def _horizontal_terms(s: Sode, i: int, F: Expr) -> list:
     """The terms of ``horizontal_apply(s, i, F)``, for a longer ``lincomb``."""
-    ctx = s.ctx
-    if F.ctx != ctx:
+    if F.ctx != s.ctx:
         raise DimensionMismatchError("function from another context")
-    conn = connection(s)
-    return [F.diff(ctx.q(i))] + [
-        (-conn.entry(j, i), F.diff(ctx.v(j))) for j in range(1, s.n + 1)
-        if not conn.entry(j, i).is_zero()]
+    neg = _memoised(s, "neg_connection", _neg_connection).entries
+    return [F.diff(s.q_pos[i - 1])] + [
+        (neg[(j, i)], F.diff(s.v_pos[j - 1])) for j in range(1, s.n + 1)
+        if (j, i) in neg]
 
 
 def jacobi(s: Sode) -> TensorField:
@@ -340,23 +368,30 @@ def jacobi(s: Sode) -> TensorField:
 def _jacobi(s: Sode) -> TensorField:
     """``-(df^i/dq^j + v^k dGamma^i_j/dq^k + f^k theta^i_jk + Gamma^k_j
     Gamma^i_k)``, from the tables of the connection's derivatives."""
-    ctx, conn, indices = s.ctx, connection(s), range(1, s.n + 1)
-    theta, dq = theta_tensor(s), _memoised(s, "connection_q", _connection_q)
+    ctx, zero, indices = s.ctx, s.ctx.zero, range(1, s.n + 1)
+    conn, theta = connection(s).entries, theta_tensor(s).entries
+    dq = _memoised(s, "connection_q", _connection_q).entries
     return TensorField(ctx, (1, 1), {
-        (i, j): -lincomb(ctx, [s.f[i - 1].diff(ctx.q(j))] + [
+        (i, j): -lincomb(ctx, [s.f[i - 1].diff(s.q_pos[j - 1])] + [
             term for k in indices for term in (
-                (ctx.var(ctx.v(k)), dq.entry(i, j, k)),
-                (s.f[k - 1], theta.entry(i, j, k)),
-                (conn.entry(k, j), conn.entry(i, k)))])
+                (s.velocities[k - 1], dq.get((i, j, k), zero)),
+                (s.f[k - 1], theta.get((i, j, k), zero)),
+                (conn.get((k, j), zero), conn.get((i, k), zero)))])
         for i in indices for j in indices})
+
+
+def _derivative_table(s: Sode, positions: Sequence[int]) -> dict:
+    """``d Gamma^l_j`` by the generator at ``positions[k - 1]``, slot
+    order (l, j, k)."""
+    return {(l, j, k): entry.diff(at)
+            for l, row in enumerate(connection(s).matrix(), start=1)
+            for j, entry in enumerate(row, start=1)
+            for k, at in enumerate(positions, start=1)}
 
 
 def _connection_q(s: Sode) -> TensorField:
     """``d Gamma^l_j / d q^k`` (slot order (l, j, k)), built beside theta."""
-    conn, indices = connection(s), range(1, s.n + 1)
-    return TensorField(s.ctx, (1, 2), {
-        (l, j, k): conn.entry(l, j).diff(s.ctx.q(k))
-        for l in indices for j in indices for k in indices})
+    return TensorField(s.ctx, (1, 2), _derivative_table(s, s.q_pos))
 
 
 def curvature(s: Sode) -> TensorField:
@@ -372,10 +407,12 @@ def curvature(s: Sode) -> TensorField:
 
 
 def _curvature(s: Sode) -> TensorField:
-    ctx, conn, indices = s.ctx, connection(s), range(1, s.n + 1)
-    jac = jacobi(s)
-    theta, dq = theta_tensor(s), _memoised(s, "connection_q", _connection_q)
-    third = ctx.const(Fraction(1, 3))
+    ctx, zero, indices = s.ctx, s.ctx.zero, range(1, s.n + 1)
+    jac, conn = jacobi(s).entries, connection(s).entries
+    theta = theta_tensor(s).entries
+    neg = _memoised(s, "neg_connection", _neg_connection).entries
+    dq = _memoised(s, "connection_q", _connection_q).entries
+    third, minus_third = ctx.const(Fraction(1, 3)), ctx.const(Fraction(-1, 3))
     entries = {}
     # Both formulas are antisymmetric in (i, j) by construction: a
     # comparison with i > j is one with i < j negated, and both vanish
@@ -383,12 +420,13 @@ def _curvature(s: Sode) -> TensorField:
     for k in indices:
         for i, j in combinations(indices, 2):
             from_connection = lincomb(ctx, [
-                dq.entry(k, i, j), -dq.entry(k, j, i)] + [
+                dq.get((k, i, j), zero), -dq.get((k, j, i), zero)] + [
                 term for l in indices for term in (
-                    (-conn.entry(l, j), theta.entry(k, i, l)),
-                    (conn.entry(l, i), theta.entry(k, j, l)))])
-            from_jacobi = (jac.entry(k, j).diff(ctx.v(i))
-                           - jac.entry(k, i).diff(ctx.v(j))) * third
+                    (neg.get((l, j), zero), theta.get((k, i, l), zero)),
+                    (conn.get((l, i), zero), theta.get((k, j, l), zero)))])
+            from_jacobi = lincomb(ctx, [
+                (third, jac.get((k, j), zero).diff(s.v_pos[i - 1])),
+                (minus_third, jac.get((k, i), zero).diff(s.v_pos[j - 1]))])
             if from_connection != from_jacobi:
                 raise InternalInconsistencyError(
                     f"curvature formulas disagree at {(k, i, j)}: "
@@ -406,12 +444,9 @@ def theta_tensor(s: Sode) -> TensorField:
 
 
 def _theta(s: Sode) -> TensorField:
-    conn = connection(s)
-    indices = range(1, s.n + 1)
-    entries = {(l, j, k): conn.entry(l, j).diff(s.ctx.v(k))
-               for l in indices for j in indices for k in indices}
     try:
-        return TensorField(s.ctx, (1, 2), entries, sym=((2, 3),))
+        return TensorField(s.ctx, (1, 2), _derivative_table(s, s.v_pos),
+                           sym=((2, 3),))
     except GeometryError as exc:
         raise InternalInconsistencyError(
             f"connection acquired torsion: {exc}") from exc
@@ -419,15 +454,21 @@ def _theta(s: Sode) -> TensorField:
 
 def nabla_tensor02(s: Sode, g: TensorField) -> TensorField:
     """Covariant derivative along the flow of a (0,2) tensor:
-    ``Gamma(g_ij) - g_ik Gamma^k_j - g_jk Gamma^k_i``."""
+    ``Gamma(g_ij) - g_ik Gamma^k_j - g_jk Gamma^k_i``. For a ``g``
+    declared symmetric the result is too: only ``i <= j`` is built."""
     _expect_02(s, g)
-    conn, indices = connection(s), range(1, s.n + 1)
-    return TensorField(s.ctx, (0, 2), {
-        (i, j): gamma_apply(s, g.entry(i, j), [
-            term for k in indices for term in (
-                (-g.entry(i, k), conn.entry(k, j)),
-                (-g.entry(j, k), conn.entry(k, i)))])
-        for i in indices for j in indices})
+    neg = _memoised(s, "neg_connection", _neg_connection).entries
+    gv, zero, indices = g.entries, s.ctx.zero, range(1, s.n + 1)
+    symmetric = (1, 2) in g.sym
+    entries = {}
+    for i in indices:
+        for j in indices:
+            entries[(i, j)] = entries[(j, i)] if symmetric and j < i else \
+                gamma_apply(s, gv.get((i, j), zero), [
+                    term for k in indices for term in (
+                        (gv.get((i, k), zero), neg.get((k, j), zero)),
+                        (gv.get((j, k), zero), neg.get((k, i), zero)))])
+    return TensorField(s.ctx, (0, 2), entries)
 
 
 def nabla_tensor12(s: Sode, T: TensorField) -> TensorField:

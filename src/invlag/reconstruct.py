@@ -97,11 +97,12 @@ class Certificate:
 def hessian(L: Expr) -> TensorField:
     """Velocity Hessian of a function, as a symmetric (0,2) tensor."""
     ctx = L.ctx
+    v_pos = [ctx.gen_index(ctx.v(k)) for k in range(1, ctx.n + 1)]
     entries = {}
-    for i in range(1, ctx.n + 1):
-        row = L.diff(ctx.v(i))
-        for j in range(1, ctx.n + 1):
-            entries[(i, j)] = row.diff(ctx.v(j))
+    for i, at in enumerate(v_pos, start=1):
+        row = L.diff(at)
+        for j, other in enumerate(v_pos, start=1):
+            entries[(i, j)] = row.diff(other)
     return TensorField(ctx, (0, 2), entries, sym=((1, 2),))
 
 
@@ -181,16 +182,15 @@ def lagrange_residuals(s: Sode, L: Expr, D: Optional[Expr] = None,
                        omega: Optional[TensorField] = None):
     """The residuals of the governing equations for ``L`` with either a
     dissipation function or a gyroscopic two-form (or neither)."""
-    ctx = s.ctx
     residuals = []
     for i in range(1, s.n + 1):
-        terms = [-L.diff(ctx.q(i))]
+        terms = [-L.diff(s.q_pos[i - 1])]
         if D is not None:
-            terms.append(-D.diff(ctx.v(i)))
+            terms.append(-D.diff(s.v_pos[i - 1]))
         if omega is not None:
-            terms.extend((-omega.entry(i, k), ctx.var(ctx.v(k)))
-                         for k in range(1, s.n + 1))
-        residuals.append(gamma_apply(s, L.diff(ctx.v(i)), terms))
+            terms.extend((-omega.entry(i, k), velocity)
+                         for k, velocity in enumerate(s.velocities, start=1))
+        residuals.append(gamma_apply(s, L.diff(s.v_pos[i - 1]), terms))
     return residuals
 
 
@@ -294,7 +294,7 @@ def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
     if not outcome.passes:
         raise InternalInconsistencyError(
             "reconstructed pair fails verification")
-    if hessian(L) != g:
+    if outcome.multiplier != g:
         raise InternalInconsistencyError(
             "reconstructed Lagrangian has the wrong velocity Hessian")
     gauge = GaugeRecord(tuple(alpha), ctx.zero, tuple(base_terms))
@@ -364,7 +364,7 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
     if not outcome.passes:
         raise InternalInconsistencyError(
             "reconstructed pair fails verification")
-    if hessian(L) != g:
+    if outcome.multiplier != g:
         raise InternalInconsistencyError(
             "reconstructed Lagrangian has the wrong velocity Hessian")
     gauge = GaugeRecord(tuple(ctx.zero for _ in range(n)), phi, ())

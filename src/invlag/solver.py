@@ -280,8 +280,8 @@ def _packed_layout(ectx: ExprContext, names: Sequence[str]):
     the rest of a packed monomial, ``key & low`` its unknown part."""
     total = len(ectx.all_varids())
     positions = range(total - len(names), total)
-    assert [ectx.gen_index(ectx.param(name)) for name in names] == \
-        list(positions), "the unknowns must be the last generators"
+    assert ectx.parameters[len(ectx.parameters) - len(names):] == \
+        tuple(names), "the unknowns must be the last generators"
     shifts = ectx._ring.shifts
     cut = shifts[positions.start - 1]
     columns = {1 << shifts[at]: column for column, at in enumerate(positions)}
@@ -348,10 +348,10 @@ def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
     first column becomes a pivot, cleared from the earlier pivot rows.
     Pivot entries are kept positive, so clearing never changes their
     sign. The reduced form is unique, so the order of the rows does not
-    matter.
+    matter: they are taken sparsest first.
     """
     pivots: Dict[int, Dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         if not row:
             continue
         common = gcd(*row.values())

@@ -670,6 +670,20 @@ def test_diff_commutes_on_random_trees():
         assert e.diff(x).diff(y) == e.diff(y).diff(x)
 
 
+def test_diff_by_generator_position_matches_diff_by_variable():
+    """``Expr.diff`` takes a generator position as well as a variable;
+    a position outside the ring raises."""
+    ctx = ExprContext(2, parameters=("a",))
+    rng = random.Random(41)
+    for _ in range(60):
+        e = random_expr(ctx, rng, depth=3)
+        var = rng.choice(ctx.all_varids())
+        assert e.diff(ctx.gen_index(var)) == e.diff(var)
+    for position in (-1, len(ctx.all_varids())):
+        with pytest.raises(ExprError):
+            ctx.one.diff(position)
+
+
 def test_canonical_soundness_thousand_pairs():
     """Structural equality of canonical forms must agree with exact
     evaluation at sample points, for a thousand seeded random pairs."""

@@ -4,14 +4,14 @@ derivatives, against hand-computed values for two reference systems and
 against structural identities on random systems."""
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invlag.cli import load_problem
-from invlag.exprcore import Expr, ExprContext, convert
+from invlag.exprcore import Expr, ExprContext, ExprError, convert
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, Sode,
                              TensorField, connection, curvature, d_basic,
@@ -167,6 +167,18 @@ def test_curvature_cross_check_catches_a_corrupt_derivative_table(entry,
         values[idx] = values.get(idx, ctx.zero) + ctx.parse("v2")
     with pytest.raises(InternalInconsistencyError):
         curvature(s)
+
+
+def test_theta_torsion_check_catches_a_corrupt_connection():
+    """A connection entry whose velocity derivative breaks the symmetry
+    of theta in its lower slots is reported as torsion."""
+    ctx, s = coupled_three()
+    entries = dict(connection(s).entries)
+    entries[(1, 2)] = entries.get((1, 2), ctx.zero) + ctx.parse("q1*v3")
+    s._memo["connection"] = TensorField(ctx, (1, 1), entries)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"torsion: declared symmetric slots \(2, 3\)"):
+        theta_tensor(s)
 
 
 @pytest.mark.parametrize("name, calls", [("coupled3", 90), ("chain4", 208)])
@@ -474,3 +486,125 @@ def test_tensor_rejects_foreign_entries():
     other = ExprContext(2, parameters=("a",))
     with pytest.raises(DimensionMismatchError):
         TensorField(ctx, (0, 2), {(1, 1): other.one})
+
+
+def reference_symmetry_error(ctx, entries, sym, antisym):
+    """The declared-symmetry check in its plain form, kept as a
+    reference for ``TensorField``: after zero entries are dropped, each
+    pair a swap exchanges is compared once, in entry order, by ``Expr``
+    equality against the partner (negated for an antisymmetric pair).
+    Returns the message the constructor should raise, or None."""
+    entries = {idx: value for idx, value in entries.items()
+               if not value.is_zero()}
+    for slots, kind in ((sym, "symmetric"), (antisym, "antisymmetric")):
+        for s1, s2 in slots:
+            done = set()
+            for idx, value in entries.items():
+                if idx in done:
+                    continue
+                swapped = list(idx)
+                swapped[s1 - 1], swapped[s2 - 1] = idx[s2 - 1], idx[s1 - 1]
+                done.add(tuple(swapped))
+                other = entries.get(tuple(swapped), ctx.zero)
+                if value != (other if kind == "symmetric" else -other):
+                    return f"declared {kind} slots {(s1, s2)} violated at {idx}"
+    return None
+
+
+def random_declared_tensor(rng):
+    """A small tensor (n <= 3, rank 2 or 3) with random symmetry
+    declarations, whose entries mostly honour them: each entry's partner
+    across a declared pair is drawn as agreeing, missing, sign-flipped
+    or unrelated, and some entries are zero, most of those on an
+    antisymmetric diagonal."""
+    n, rank = rng.randint(1, 3), rng.randint(2, 3)
+    ctx = ExprContext(n, parameters=("a",))
+    pairs = list(combinations(range(1, rank + 1), 2))
+    rng.shuffle(pairs)
+    cut = rng.randint(0, len(pairs))
+    sym = pairs[:cut][:rng.randint(0, 2)]
+    antisym = pairs[cut:][:rng.randint(0, 2)]
+    indices = list(product(range(1, n + 1), repeat=rank))
+    rng.shuffle(indices)
+    entries, seen = {}, set()
+    for idx in indices:
+        if idx in seen:
+            continue
+        seen.add(idx)
+        diagonal = any(idx[s1 - 1] == idx[s2 - 1] for s1, s2 in antisym)
+        value = (ctx.zero if rng.random() < (0.8 if diagonal else 0.15)
+                 else random_expr(ctx, rng, depth=2))
+        entries[idx] = value
+        for (s1, s2), sign in [(p, 1) for p in sym] + [(p, -1) for p in antisym]:
+            swapped = list(idx)
+            swapped[s1 - 1], swapped[s2 - 1] = idx[s2 - 1], idx[s1 - 1]
+            swapped = tuple(swapped)
+            if swapped in seen:
+                continue
+            seen.add(swapped)
+            how = rng.choice(("agree", "agree", "agree", "missing",
+                              "flipped", "unrelated"))
+            if how == "agree":
+                entries[swapped] = value * sign
+            elif how == "flipped":
+                entries[swapped] = value * -sign
+            elif how == "unrelated":
+                entries[swapped] = random_expr(ctx, rng, depth=2)
+    items = list(entries.items())
+    rng.shuffle(items)
+    shape = rng.randint(0, rank)
+    return ctx, (shape, rank - shape), dict(items), sym, antisym
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_declared_symmetries_raise_exactly_as_the_reference(seed):
+    """The constructor's symmetry validation raises exactly when the
+    plain reference check finds a violation, with the same message."""
+    ctx, shape, entries, sym, antisym = random_declared_tensor(
+        random.Random(seed))
+    expected = reference_symmetry_error(ctx, entries, sym, antisym)
+    if expected is None:
+        tensor = TensorField(ctx, shape, entries, sym=sym, antisym=antisym)
+        assert tensor.entries == {idx: value for idx, value in entries.items()
+                                  if not value.is_zero()}
+    else:
+        with pytest.raises(GeometryError) as raised:
+            TensorField(ctx, shape, entries, sym=sym, antisym=antisym)
+        assert str(raised.value) == expected
+
+
+def test_tensor_index_checks():
+    """Indices are checked against the layout of the tensor's size."""
+    ctx = ExprContext(2)
+    for idx in [(1,), (1, 2, 1), (0, 1), (1, 3)]:
+        with pytest.raises(GeometryError, match="bad index"):
+            TensorField(ctx, (0, 2), {idx: ctx.one})
+    assert TensorField(ctx, (1, 2), {(2, 1, 2): ctx.one}).entry(2, 1, 2) == ctx.one
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_flow_derivative_of_declared_symmetric_tensor(seed, n):
+    """Built on ``i <= j`` and mirrored for a ``g`` declared symmetric,
+    the flow derivative equals the one built entry by entry for the
+    same ``g`` without the declaration."""
+    ctx = ExprContext(n)
+    rng = random.Random(seed)
+    s = random_rational_sode(ctx, rng)
+    upper = {(i, j): random_poly(ctx, rng, degree=2)
+             for i in range(1, n + 1) for j in range(i, n + 1)}
+    entries = {(i, j): upper[(min(i, j), max(i, j))]
+               for i in range(1, n + 1) for j in range(1, n + 1)}
+    symmetric = nabla_tensor02(s, TensorField(ctx, (0, 2), entries,
+                                              sym=((1, 2),)))
+    plain = nabla_tensor02(s, TensorField(ctx, (0, 2), entries))
+    assert symmetric == plain
+    assert list(symmetric.entries) == list(plain.entries)
+
+
+def test_horizontal_apply_checks_its_index():
+    ctx, s = coupled_three()
+    for i in (0, 4):
+        with pytest.raises(ExprError):
+            horizontal_apply(s, i, ctx.parse("q1*v2"))
