@@ -29,6 +29,14 @@ symbolic output uses the same grammar the parser accepts. Exit codes:
 error, 3 a search proved no nonsingular member exists, 4 a search was
 exhausted inconclusively. The environment variable ``INVLAG_SEED``
 seeds the random points used by the numeric cross-checks.
+
+Importing this module loads only what every command needs: the parser,
+``exprcore``, ``geometry`` and ``conditions``. Each command imports the
+rest on first use, when it runs: ``analyze`` nothing more, ``check``
+``numeric``, ``solve`` ``solver`` and ``numeric``, ``reconstruct`` and
+``verify`` ``reconstruct`` and ``numeric``. The names are read from
+their modules at call time, so a patch of a module attribute reaches
+the command.
 """
 
 from __future__ import annotations
@@ -40,8 +48,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
-from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .conditions import (SUITES, Cell, ConditionReport, ImplicitOrderError,
                          ImplicitSystem, TwoFormError, check_implicit,
@@ -51,15 +58,9 @@ from .exprcore import (Expr, ExprContext, ExprError, LimitError,
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
                        TensorField, connection, curvature, jacobi,
                        theta_tensor)
-from .numeric import DEFAULT_SEED, crosscheck_cells, seeded_rng
-from .reconstruct import (MultiplierCheckError, ReconstructError,
-                          SingularHessianError, forward_accelerations,
-                          reconstruct_dissipative, reconstruct_gyroscopic,
-                          verify_dissipative, verify_gyroscopic)
-from .solver import (AnsatzProblem, SolverError, assemble, constant_ansatz,
-                     diagonal_ansatz, find_nonsingular, instantiate,
-                     polynomial_ansatz)
-from .solver import solve as solve_space
+
+if TYPE_CHECKING:
+    from .solver import AnsatzProblem
 
 PROBLEM_FIELDS = ("n", "parameters", "mode", "f", "g", "D", "L", "omega",
                   "ansatz", "options")
@@ -67,6 +68,8 @@ CHECK_SUITES = tuple(SUITES) + ("implicit",)
 RECONSTRUCT_ROUTES = {"dissipative": "dissipative", "thm3": "dissipative",
                       "gyroscopic": "gyroscopic", "thm4": "gyroscopic"}
 RESIDUAL_PREVIEW = 64
+#: the seed of the numeric cross-checks when ``INVLAG_SEED`` is unset
+DEFAULT_SEED = 1729
 
 
 class CliError(Exception):
@@ -265,6 +268,7 @@ def resolve_input(path: str) -> str:
         return path
     name = path if path.endswith(".json") else path + ".json"
     if os.sep not in name:
+        from importlib import resources
         candidate = resources.files("invlag") / "fixtures" / name
         if candidate.is_file():
             return str(candidate)
@@ -348,6 +352,7 @@ def _basis_entries(problem: Problem, section: dict, name: str,
 def _preset_family(problem: Problem, section: dict, name: str):
     """The builder of the preset family declared in ``section``, waiting
     for the suite and the rest of the family."""
+    from .solver import constant_ansatz, diagonal_ansatz, polynomial_ansatz
     preset = section["preset"]
     if preset == "constant":
         build = partial(constant_ansatz, problem.ctx)
@@ -381,6 +386,7 @@ def _preset_family(problem: Problem, section: dict, name: str):
 
 def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     """Build the search family declared in the file's ansatz section."""
+    from .solver import AnsatzProblem, SolverError
     section = problem.ansatz
     if section is None:
         raise CliError(f"{problem.path}: an 'ansatz' section is required "
@@ -483,6 +489,7 @@ def _seed() -> int:
 
 
 def numeric_payload(reports: Sequence[ConditionReport]) -> dict:
+    from .numeric import crosscheck_cells, seeded_rng
     cells = [(cell.label, cell.residual)
              for report in reports for cell in report.cells]
     return crosscheck_cells(cells, seeded_rng(_seed()))
@@ -537,6 +544,8 @@ def cmd_check(problem: Problem, args) -> Tuple[dict, int]:
 
 
 def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
+    from .solver import (SolverError, assemble, find_nonsingular, instantiate,
+                         solve as solve_space)
     problem.require_mode("explicit", "solve")
     s = problem.sode()
     family, bound = ansatz_problem(problem)
@@ -617,6 +626,8 @@ def _certificate_payload(cert) -> dict:
 
 
 def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
+    from .reconstruct import (MultiplierCheckError, ReconstructError,
+                              reconstruct_dissipative, reconstruct_gyroscopic)
     problem.require_mode("explicit", "reconstruct")
     s = problem.sode()
     g = problem.require("g")
@@ -653,6 +664,8 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
 
 
 def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
+    from .reconstruct import (SingularHessianError, forward_accelerations,
+                              verify_dissipative, verify_gyroscopic)
     problem.require_mode("explicit", "verify")
     s = problem.sode()
     L = problem.require("L")

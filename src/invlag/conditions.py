@@ -11,8 +11,6 @@ implicit systems get their own wrapper type and checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -35,8 +33,7 @@ class ImplicitOrderError(Exception):
 # report containers
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One named residual; the cell passes when the residual vanishes."""
 
     label: str
@@ -47,8 +44,7 @@ class Cell:
         return self.residual.is_zero()
 
 
-@dataclass(frozen=True)
-class NonsingularityRecord:
+class NonsingularityRecord(NamedTuple):
     """Symbolic determinant of the candidate multiplier, with a verdict.
 
     ``nonsingular`` means the determinant is not identically zero; a
@@ -61,22 +57,48 @@ class NonsingularityRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
 class ConditionReport:
     """The cells of one suite run. The nonsingularity record of the
     multiplier is computed on first read of ``nonsingularity``, so
-    callers that only want the verdict never pay for the determinant."""
+    callers that only want the verdict never pay for the determinant.
+    Reports are frozen, and equal when their suite, cells and notes
+    are: the multiplier takes no part."""
 
-    suite: str
-    cells: Tuple[Cell, ...]
-    multiplier: Optional[TensorField] = field(default=None, compare=False)
-    notes: Tuple[str, ...] = ()
+    __slots__ = ("suite", "cells", "multiplier", "notes", "_nonsingularity")
 
-    @cached_property
+    def __init__(self, suite: str, cells: Tuple[Cell, ...],
+                 multiplier: Optional[TensorField] = None,
+                 notes: Tuple[str, ...] = ()):
+        for name, value in zip(self.__slots__,
+                               (suite, cells, multiplier, notes)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self):
+        return (self.suite, self.cells, self.notes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    @property
     def nonsingularity(self) -> Optional[NonsingularityRecord]:
-        if self.multiplier is None:
-            return None
-        return nonsingularity_record(self.multiplier)
+        try:
+            return self._nonsingularity
+        except AttributeError:
+            record = (None if self.multiplier is None
+                      else nonsingularity_record(self.multiplier))
+            object.__setattr__(self, "_nonsingularity", record)
+            return record
 
     @property
     def passes(self) -> bool:
@@ -233,15 +255,16 @@ def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
     ctx = s.ctx
     cells = _hd1_cells(s, g)
     grad = nabla_tensor02(s, g)
+    dD = [D.diff(at) for at in s.v_pos]  # the velocity gradient of D
     for i in range(1, s.n + 1):
         for j in range(i, s.n + 1):
-            residual = grad.entry(i, j) - D.diff(ctx.v(i)).diff(ctx.v(j))
+            residual = grad.entry(i, j) - dD[i - 1].diff(s.v_pos[j - 1])
             cells.append(Cell(_label("HD2", i, j), residual))
     g_phi = _lowered_jacobi(s, g)
     for i, j in combinations(range(1, s.n + 1), 2):
         residual = lincomb(ctx, [g_phi.entry(i, j), -g_phi.entry(j, i)]
-                           + _horizontal_terms(s, i, -D.diff(ctx.v(j)))
-                           + _horizontal_terms(s, j, D.diff(ctx.v(i))))
+                           + _horizontal_terms(s, i, -dD[j - 1])
+                           + _horizontal_terms(s, j, dD[i - 1]))
         cells.append(Cell(_label("HD3", i, j), residual))
     return ConditionReport("dissipative", tuple(cells), multiplier=g)
 
@@ -396,32 +419,35 @@ def check_suite(suite: str, s: Sode, g: TensorField, D: Optional[Expr] = None,
 # implicit systems
 
 
-@dataclass(frozen=True)
-class ImplicitSystem:
+class _ImplicitFields(NamedTuple):
+    ctx: ExprContext
+    f: Tuple[Expr, ...]
+
+
+class ImplicitSystem(_ImplicitFields):
     """A time-dependent implicit second-order system ``f_i = 0`` whose
     left-hand sides may involve positions, velocities and accelerations.
     The context must carry time and jets up to order four, because the
     closure coefficients involve two total time derivatives."""
 
-    ctx: ExprContext
-    f: Tuple[Expr, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ctx = self.ctx
+    def __new__(cls, ctx: ExprContext, f: Sequence[Expr]):
         if not ctx.uses_time or ctx.max_jet_order < 4:
             raise GeometryError(
                 "implicit systems need a context with time and jets up to order 4")
-        object.__setattr__(self, "f", tuple(self.f))
-        if len(self.f) != ctx.n:
+        f = tuple(f)
+        if len(f) != ctx.n:
             raise DimensionMismatchError(
-                f"expected {ctx.n} expressions, got {len(self.f)}")
-        for position, entry in enumerate(self.f, start=1):
+                f"expected {ctx.n} expressions, got {len(f)}")
+        for position, entry in enumerate(f, start=1):
             if entry.ctx != ctx:
                 raise DimensionMismatchError("expression from another context")
             for var in entry.free_varids():
                 if var.kind == "jet" and var.order > 2:
                     raise ImplicitOrderError(
                         f"f_{position} depends on a jet of order {var.order}")
+        return super().__new__(cls, ctx, f)
 
     @property
     def n(self) -> int:

@@ -69,10 +69,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .poly import FIELD_MASK, MAX_EXPONENT, Poly, PolyRing, limit_error
 
@@ -132,8 +131,13 @@ class NotPolynomialError(ExprError):
 _KINDS = frozenset({"time", "position", "jet", "parameter"})
 
 
-@dataclass(frozen=True)
-class VarId:
+class _VarIdFields(NamedTuple):
+    kind: str
+    index: int = 0
+    order: int = 0
+
+
+class VarId(_VarIdFields):
     """Identity of a single scalar variable.
 
     kind is one of ``time``, ``position``, ``jet``, ``parameter``;
@@ -143,31 +147,30 @@ class VarId:
     1-based positions in the owning context's parameter list.
     """
 
-    kind: str
-    index: int = 0
-    order: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown VarId kind {self.kind!r}")
-        if self.kind == "time":
-            if self.index != 0 or self.order != 0:
+    def __new__(cls, kind: str, index: int = 0, order: int = 0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown VarId kind {kind!r}")
+        if kind == "time":
+            if index != 0 or order != 0:
                 raise ValueError("time carries no index or order")
-        elif self.kind == "position":
-            if self.index < 1:
+        elif kind == "position":
+            if index < 1:
                 raise ValueError("position index must be >= 1")
-            if self.order != 0:
+            if order != 0:
                 raise ValueError("positions have order 0")
-        elif self.kind == "jet":
-            if self.index < 1:
+        elif kind == "jet":
+            if index < 1:
                 raise ValueError("jet index must be >= 1")
-            if not 1 <= self.order <= 4:
+            if not 1 <= order <= 4:
                 raise ValueError("jet order must lie in 1..4")
         else:  # parameter
-            if self.index < 1:
+            if index < 1:
                 raise ValueError("parameter index must be >= 1")
-            if self.order != 0:
+            if order != 0:
                 raise ValueError("parameters have order 0")
+        return super().__new__(cls, kind, index, order)
 
     @staticmethod
     def time() -> "VarId":
@@ -747,8 +750,10 @@ class Expr:
         dnum = self.num.diff(position)
         fac = self.den_factors
         if not fac:
-            return _factored(ctx, dnum, ())
+            return _factored(ctx, dnum, ()) if dnum else ctx.zero
         moving = [(factor, k) for factor, k in fac if position in factor.gens]
+        if not (moving or dnum):  # a zero derivative allocates nothing
+            return ctx.zero
         exps = dict(fac)
         if moving:  # one fused pass, the small factors multiplied first
             base = ctx._base

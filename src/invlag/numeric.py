@@ -10,8 +10,8 @@ only the seeded choice of sample points.
 
 Every sampler takes its generator from the caller, and ``seeded_rng``
 builds one from an explicit seed, so a report is reproducible from the
-seed it records. ``DEFAULT_SEED`` is the seed the command line uses when
-``INVLAG_SEED`` is unset; this module reads no environment variable.
+seed it records. The command line picks the seed (``INVLAG_SEED``, or
+``cli.DEFAULT_SEED``); this module reads no environment variable.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, PoleError, VarId
 
-DEFAULT_SEED = 1729
 #: the ``points`` figure of the cross-check summary
 DEFAULT_POINTS = 5
 

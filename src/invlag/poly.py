@@ -375,6 +375,8 @@ class Poly:
             e = m >> shift & FIELD_MASK
             if e:
                 coeffs[m - one] = c * e
+        if not coeffs:
+            return self.ring.zero
         return _reduced(self.ring, coeffs, self.den)
 
     # -- factorisation -----------------------------------------------------

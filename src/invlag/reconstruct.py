@@ -15,10 +15,9 @@ handed back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .exprcore import (Expr, ExprContext, NotPolynomialError,
                        ZeroDenominatorError, lincomb)
@@ -63,8 +62,7 @@ class NotClosedError(ReconstructError):
     """A form that must be closed for the homotopy to apply is not."""
 
 
-@dataclass(frozen=True)
-class GaugeRecord:
+class GaugeRecord(NamedTuple):
     """What the reconstruction added on top of the fibre homotopies:
     a velocity-linear term and a velocity-free term in the Lagrangian,
     and a velocity-linear term in the dissipation function."""
@@ -75,19 +73,44 @@ class GaugeRecord:
     base_point: str = "origin"
 
 
-@dataclass(frozen=True)
 class Certificate:
-    """A verified variational representation of a system;
-    ``verification`` is the passing report of ``verify_dissipative`` or
-    ``verify_gyroscopic`` that verified it."""
+    """A verified variational representation of a system of ``kind``
+    ``dissipative``, ``gyroscopic`` or ``classical``; ``verification``
+    is the passing report of ``verify_dissipative`` or
+    ``verify_gyroscopic`` that verified it. Certificates are frozen, and
+    equal when all but their ``verification`` is."""
 
-    kind: str  # "dissipative" | "gyroscopic" | "classical"
-    L: Expr
-    D: Optional[Expr] = None
-    omega: Optional[TensorField] = None
-    gauge: Optional[GaugeRecord] = None
-    verification: Optional[ConditionReport] = field(default=None,
-                                                    compare=False)
+    __slots__ = ("kind", "L", "D", "omega", "gauge", "verification")
+
+    def __init__(self, kind: str, L: Expr, D: Optional[Expr] = None,
+                 omega: Optional[TensorField] = None,
+                 gauge: Optional[GaugeRecord] = None,
+                 verification: Optional[ConditionReport] = None):
+        for name, value in zip(self.__slots__, (kind, L, D, omega, gauge,
+                                                verification)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self):
+        return (self.kind, self.L, self.D, self.omega, self.gauge)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"Certificate({fields})"
 
 
 # --------------------------------------------------------------------------

@@ -17,12 +17,11 @@ leaves the space as it was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, convert, lincomb
 from .geometry import InternalInconsistencyError, Sode, TensorField
@@ -40,38 +39,47 @@ class NonlinearCouplingError(SolverError):
     the supported suites never trigger this)."""
 
 
-@dataclass(frozen=True)
-class AnsatzProblem:
+_Basis = Tuple[Tuple[Tuple[int, int], Tuple[Expr, ...]], ...]
+
+
+class _AnsatzFields(NamedTuple):
+    suite: str
+    g_basis: _Basis
+    omega_basis: _Basis = ()
+    D: Optional[Expr] = None
+    omega: Optional[TensorField] = None
+
+
+class AnsatzProblem(_AnsatzFields):
     """A finite-dimensional search family: every multiplier entry (and
     optionally every two-form entry) is an unknown rational combination
     of fixed basis expressions. Symmetry is built in by declaring only
     entries with i <= j (respectively i < j)."""
 
-    suite: str
-    g_basis: Tuple[Tuple[Tuple[int, int], Tuple[Expr, ...]], ...]
-    omega_basis: Tuple[Tuple[Tuple[int, int], Tuple[Expr, ...]], ...] = ()
-    D: Optional[Expr] = None
-    omega: Optional[TensorField] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.suite not in SUITES:
-            raise SolverError(f"unknown suite {self.suite!r}")
-        for (i, j), _basis in self.g_basis:
+    def __new__(cls, suite: str, g_basis: _Basis, omega_basis: _Basis = (),
+                D: Optional[Expr] = None,
+                omega: Optional[TensorField] = None):
+        if suite not in SUITES:
+            raise SolverError(f"unknown suite {suite!r}")
+        for (i, j), _basis in g_basis:
             if i > j:
                 raise SolverError(
                     "multiplier entries must be declared with i <= j")
-        for (i, j), _basis in self.omega_basis:
+        for (i, j), _basis in omega_basis:
             if i >= j:
                 raise SolverError(
                     "two-form entries must be declared with i < j")
-        for part, basis in (("multiplier", self.g_basis),
-                            ("two-form", self.omega_basis)):
+        for part, basis in (("multiplier", g_basis),
+                            ("two-form", omega_basis)):
             pairs = [pair for pair, _basis in basis]
             if len(set(pairs)) < len(pairs):
                 raise SolverError(f"a {part} entry is declared twice")
-        if self.omega_basis and self.suite != "gyroscopic":
+        if omega_basis and suite != "gyroscopic":
             raise SolverError(
                 "two-form unknowns only make sense for the gyroscopic suite")
+        return super().__new__(cls, suite, g_basis, omega_basis, D, omega)
 
     @property
     def layout(self) -> Tuple[Tuple[str, int, int, int], ...]:
@@ -87,8 +95,7 @@ class AnsatzProblem:
         return tuple(slots)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """An exact linear system in the unknowns ``c``, one sparse integer
     row ``{column: value}`` per (condition cell, monomial) pair: columns
     below ``len(unknowns)`` hold the coefficients of the unknowns and
@@ -102,8 +109,7 @@ class LinearSystem:
     problem: AnsatzProblem
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
+class SolutionSpace(NamedTuple):
     """Affine solution set of an assembled system over ``n`` positions,
     in the coordinates fixed by the layout of ``problem``."""
 
@@ -149,8 +155,7 @@ class SolutionSpace:
         return tuple(sorted(key for key, gone in dead.items() if gone))
 
 
-@dataclass(frozen=True)
-class Representative:
+class Representative(NamedTuple):
     """A nonsingular member of a solution space: its coefficient vector,
     its two-form when the ansatz declares one, and the report of its
     suite re-check, which holds the multiplier and its determinant."""

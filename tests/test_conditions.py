@@ -138,6 +138,25 @@ def test_nonsingularity_record_is_computed_on_first_read(monkeypatch):
     assert len(calls) == 1
 
 
+def test_reports_compare_without_their_multiplier():
+    """Reports of the same suite, cells and notes are equal and hash
+    alike whatever multiplier they carry; a report is frozen."""
+    ctx, s = coupled_three()
+    g = coupled_metric(ctx)
+    report = check_dissipative(s, g, ctx.parse("2*q2*v1^2*v3"))
+    bare = ConditionReport(report.suite, report.cells, notes=report.notes)
+    assert bare.multiplier is None and bare.nonsingularity is None
+    assert bare == report and hash(bare) == hash(report)
+    assert bare != ConditionReport(report.suite, report.cells[1:])
+    assert bare != ConditionReport("classical", report.cells)
+    assert report.cells[0] == Cell(report.cells[0].label,
+                                   report.cells[0].residual)
+    for name in ("suite", "multiplier", "nonsingularity"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    assert report.nonsingularity.determinant == ctx.parse("8*q2")
+
+
 def test_dissipative_with_zero_matches_classical():
     rng = random.Random(555)
     for n in (2, 3):

@@ -31,6 +31,33 @@ def test_parse_product_monomial():
     assert e == ctx.var(ctx.q(2)) * ctx.var(ctx.v(1)) * ctx.var(ctx.v(3))
 
 
+@pytest.mark.parametrize("args, message", [
+    (("velocity", 1), "unknown VarId kind 'velocity'"),
+    (("time", 1), "time carries no index or order"),
+    (("position", 0), "position index must be >= 1"),
+    (("position", 1, 1), "positions have order 0"),
+    (("jet", 0, 1), "jet index must be >= 1"),
+    (("jet", 1, 5), "jet order must lie in 1..4"),
+    (("parameter", 0), "parameter index must be >= 1"),
+    (("parameter", 1, 1), "parameters have order 0"),
+])
+def test_varid_validates_its_fields(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VarId(*args)
+
+
+def test_varid_is_a_frozen_value():
+    v = VarId("jet", 2, 1)
+    assert v == VarId.jet(2, 1) and v != VarId.jet(2, 2)
+    assert v != VarId.position(2) and VarId.jet(2, 0) == VarId.position(2)
+    assert hash(v) == hash(("jet", 2, 1))
+    assert len({v, VarId("jet", 2, 1), VarId.time()}) == 2
+    assert repr(v) == "VarId(kind='jet', index=2, order=1)"
+    assert (v.kind, v.index, v.order) == ("jet", 2, 1)
+    with pytest.raises(AttributeError):
+        v.order = 2
+
+
 def test_parse_zero_literal():
     ctx = ExprContext(3)
     assert ctx.parse("0").is_zero()

@@ -8,7 +8,8 @@ import pytest
 from invlag.exprcore import ExprContext, NotPolynomialError
 from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
                              TensorField, identity_matrix, matrix_det)
-from invlag.reconstruct import (BasePointError, MultiplierCheckError,
+from invlag.reconstruct import (BasePointError, Certificate,
+                                MultiplierCheckError,
                                 SingularHessianError,
                                 forward_sode, hessian, reconstruct_dissipative,
                                 reconstruct_gyroscopic, verify_dissipative,
@@ -55,6 +56,25 @@ def test_euclidean_multiplier_recovers_drag_pair():
         "-a*(q1*v1 + q2*v2) + b*(q1*v2 - q2*v1) + 1/2*omega*(v2^2 - v1^2)")
     assert cert.D.diff(ctx.v(1)) == ctx.parse("-a*q1 - b*q2 - omega*v1")
     assert verify_dissipative(s, cert.L, cert.D).passes
+
+
+def test_certificates_compare_without_their_verification():
+    """Two certificates of the same data are equal and hash alike
+    whatever report verified them; a certificate is frozen."""
+    ctx, s = planar_drag()
+    cert = reconstruct_dissipative(s, identity_matrix(ctx))
+    fields = (cert.kind, cert.L, cert.D, cert.omega, cert.gauge)
+    bare = Certificate(*fields)
+    assert bare.verification is None and cert.verification.passes
+    assert bare == cert and hash(bare) == hash(cert)
+    assert bare != Certificate(cert.kind, cert.L, ctx.zero, gauge=cert.gauge)
+    assert bare != fields
+    assert repr(bare) == (f"Certificate(kind='dissipative', L={cert.L!r}, "
+                          f"D={cert.D!r}, omega=None, gauge={cert.gauge!r}, "
+                          "verification=None)")
+    for name in ("kind", "verification"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, None)
 
 
 def test_antidiagonal_multiplier_certificate():

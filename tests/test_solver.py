@@ -1,6 +1,5 @@
 """Tests for the ansatz-family multiplier search."""
 
-import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -620,7 +619,7 @@ def spread(system, rng):
         (label, residual * (ctx.const(rng.choice((-3, -1, 1, 2)))
                             + rng.choice((-2, 1, 5)) * q1 ** (k + 1) * v1))
         for k, (label, residual) in enumerate(system.residuals))
-    return dataclasses.replace(system, residuals=residuals)
+    return system._replace(residuals=residuals)
 
 
 def perturbed(space, rng):
@@ -632,8 +631,8 @@ def perturbed(space, rng):
         delta = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
         vectors[rng.randint(0, space.dimension)][
             rng.randrange(len(space.unknowns))] += delta
-    return dataclasses.replace(space, particular=tuple(vectors[0]),
-                               nullspace=tuple(map(tuple, vectors[1:])))
+    return space._replace(particular=tuple(vectors[0]),
+                          nullspace=tuple(map(tuple, vectors[1:])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -711,8 +710,8 @@ def test_a_shifted_solution_fails_reverification_at_the_reference_cell(
     points = [space.particular] + [tuple(p + d for p, d in zip(
         space.particular, direction)) for direction in space.nullspace]
     failing = [k for k, point in enumerate(points)
-               if reverify_outcome(subst_reverify, system, dataclasses.replace(
-                   space, particular=point, nullspace=()))]
+               if reverify_outcome(subst_reverify, system, space._replace(
+                   particular=point, nullspace=()))]
     assert failing == ([0, 1, 2] if target == "particular" else [1])
 
 
