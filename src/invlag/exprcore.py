@@ -480,11 +480,16 @@ def _exact_quotient(num, factor):
     the exponent limit (a guard bit set) is a miss too: were the factor
     a divisor, no term would pass ``num``'s degree in any variable.
     """
-    remainder = dict(num.coeffs)
-    heap = [-monom for monom in remainder]
-    heapq.heapify(heap)
     lead, lead_coeff = factor.lead, factor.lead_coeff
     guard = num.ring.guard
+    coeffs = num.coeffs
+    if coeffs:  # the first step's test, made before any copy
+        top = max(coeffs)
+        if (top | guard) - lead & guard != guard or coeffs[top] % lead_coeff:
+            return None
+    remainder = dict(coeffs)
+    heap = [-monom for monom in remainder]
+    heapq.heapify(heap)
     quotient = {}
     while heap:
         top = -heapq.heappop(heap)
@@ -540,7 +545,7 @@ def _divide_out(num, exps: dict, factors):
 def _factored(ctx: "ExprContext", num, fac: tuple) -> "Expr":
     """The expression ``num / product(fac)``, already reduced; a zero
     ``num`` stands over 1."""
-    if not num:
+    if fac and not num.coeffs:
         fac = ()
     expr = object.__new__(Expr)
     _set_ctx(expr, ctx)
@@ -556,7 +561,7 @@ def _product(ctx, a, fa, b, fb) -> "Expr":
     operand's denominator has; a factor both denominators carry divides
     neither numerator, so it cannot divide their product.
     """
-    if not fa and not fb or not a or not b:
+    if not (fa or fb) or not (a.coeffs and b.coeffs):
         return _factored(ctx, a * b, ())
     ea, eb = dict(fa), dict(fb)
     only_b = [factor for factor in eb if factor not in ea]
@@ -603,7 +608,7 @@ class Expr:
     # -- basics --------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.num.coeffs
 
     @property
     def den(self):
@@ -684,9 +689,10 @@ class Expr:
         return other.__add__(-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Expr or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return _product(self.ctx, self.num, self.den_factors,
                         other.num, other.den_factors)
 
@@ -747,12 +753,14 @@ class Expr:
             position = var
         else:
             position = ctx.gen_index(var)
+        fac, coeffs = self.den_factors, self.num.coeffs
+        if not fac and (not coeffs or len(coeffs) == 1 and 0 in coeffs):
+            return ctx.zero  # a constant allocates nothing
         dnum = self.num.diff(position)
-        fac = self.den_factors
         if not fac:
-            return _factored(ctx, dnum, ()) if dnum else ctx.zero
+            return _factored(ctx, dnum, ()) if dnum.coeffs else ctx.zero
         moving = [(factor, k) for factor, k in fac if position in factor.gens]
-        if not (moving or dnum):  # a zero derivative allocates nothing
+        if not (moving or dnum.coeffs):  # a zero derivative allocates nothing
             return ctx.zero
         exps = dict(fac)
         if moving:  # one fused pass, the small factors multiplied first
@@ -857,7 +865,7 @@ class Expr:
 
     def depends_on(self, var: VarId) -> bool:
         position = self.ctx.gen_index(var)
-        if self.num and self.num.degree(position) > 0:
+        if self.num.coeffs and self.num.degree(position) > 0:
             return True
         return self._den_uses(position)
 
@@ -932,9 +940,12 @@ def lincomb(ctx: ExprContext, terms) -> Expr:
     """The sum of ``terms``, each an ``Expr`` of ``ctx`` or a pair ``(a,
     b)`` of them standing for ``a * b``, in one exact pass.
 
-    Pairs with a denominator are reduced first. Every term is lifted to
-    the lcm of the denominators, the denominator-free pairs through
-    their sum, into one integer map (``PolyRing.sum_of_products``).
+    One branch per kind sorts the terms: a pair with a denominator is
+    reduced first, a denominator-free pair is kept as it is. A sum with
+    no denominator left goes straight to the one accumulation loop of
+    ``PolyRing.sum_of_products``. Otherwise every term is lifted to the
+    lcm of the denominators, the denominator-free pairs through their
+    sum, into one integer map the same way.
     Trial division tries only the factors whose top exponent two or
     more terms reach (Henrici's criterion, n-ary): if one term alone
     reaches it for ``p``, every other lift carries ``p``, so modulo
@@ -943,23 +954,32 @@ def lincomb(ctx: ExprContext, terms) -> Expr:
     other monic irreducibles), so it does not divide the sum.
     """
     ring = ctx._ring
-    reduced, pairs = [], []
+    reduced, pairs, fractional = [], [], False
     for term in terms:
-        a, b = term if type(term) is tuple else (term, None)
-        if a.ctx._ring is not ring or b is not None and b.ctx._ring is not ring:
+        if type(term) is tuple:
+            a, b = term
+            if a.ctx._ring is not ring or b.ctx._ring is not ring:
+                raise ContextMismatchError(
+                    "cannot combine expressions from different contexts")
+            if not (a.num.coeffs and b.num.coeffs):
+                continue
+            if not (a.den_factors or b.den_factors):
+                pairs.append((a.num, b.num))
+                continue
+            term = _product(ctx, a.num, a.den_factors, b.num, b.den_factors)
+        elif term.ctx._ring is not ring:
             raise ContextMismatchError(
                 "cannot combine expressions from different contexts")
-        if b is None:
-            if a.num.coeffs:
-                reduced.append(a)
-        elif a.num.coeffs and b.num.coeffs:
-            if a.den_factors or b.den_factors:
-                reduced.append(_product(ctx, a.num, a.den_factors,
-                                        b.num, b.den_factors))
-            else:
-                pairs.append((a.num, b.num))
+        elif not term.num.coeffs:
+            continue
+        reduced.append(term)
+        if term.den_factors:
+            fractional = True
     if not pairs and len(reduced) < 2:
         return reduced[0] if reduced else ctx.zero
+    if not fractional:
+        return _factored(ctx, ring.sum_of_products(
+            [expr.num for expr in reduced], pairs), ())
     fac, ties, lifts = common_denominator(reduced)
     product = ctx._base.product
     if pairs and fac:

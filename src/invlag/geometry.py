@@ -382,10 +382,11 @@ def _jacobi(s: Sode) -> TensorField:
 
 def _derivative_table(s: Sode, positions: Sequence[int]) -> dict:
     """``d Gamma^l_j`` by the generator at ``positions[k - 1]``, slot
-    order (l, j, k)."""
+    order (l, j, k); a zero entry of the connection is not
+    differentiated."""
     return {(l, j, k): entry.diff(at)
             for l, row in enumerate(connection(s).matrix(), start=1)
-            for j, entry in enumerate(row, start=1)
+            for j, entry in enumerate(row, start=1) if entry.num.coeffs
             for k, at in enumerate(positions, start=1)}
 
 

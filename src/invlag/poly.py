@@ -4,7 +4,10 @@ A polynomial is a map from packed monomials to nonzero ``int``
 coefficients over one positive ``int`` denominator that is coprime to
 their content (the gcd of the coefficients). That representation is
 unique, so equality and hashing compare it directly, and arithmetic
-runs on Python integers with one gcd per result to restore it.
+runs on Python integers with one gcd per result to restore it. A sum
+of products (``sum_of_products``, the kernel of every n-ary sum) runs
+one accumulation loop over all its pairs into one integer map, so its
+bookkeeping is paid once per sum, not once per product.
 
 A monomial's exponent vector is packed into one ``int`` key (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -54,14 +57,6 @@ def limit_error():
     """The error for an exponent above ``MAX_EXPONENT``."""
     from .exprcore import LimitError  # exprcore imports this module first
     return LimitError(f"an exponent would exceed the limit {MAX_EXPONENT}")
-
-
-def _checked(coeffs: dict, guard: int) -> dict:
-    """``coeffs``, a product of two maps within the limit, unless an
-    exponent passed it: that sets a guard bit and carries no further."""
-    if reduce(or_, coeffs, 0) & guard:
-        raise limit_error()
-    return coeffs
 
 
 class PolyRing:
@@ -119,21 +114,43 @@ class PolyRing:
 
     def sum_of_products(self, singles, pairs) -> "Poly":
         """``sum(singles) + sum(a * b for a, b in pairs)`` in one pass:
-        every term goes into one integer map over the lcm of the
-        denominators, with no intermediate polynomial and one gcd."""
-        den = lcm(*[poly.den for poly in singles],
-                  *[a.den * b.den for a, b in pairs])
-        coeffs = {}
+        each term of a single and each product of a term of ``a`` by one
+        of ``b`` is scaled to the lcm of the denominators other than 1
+        and added into one integer map, the pairs in one loop with no
+        call per pair. The exponent limit is checked, cancelled terms
+        are dropped (if terms met) and one gcd is taken once, at the
+        end."""
+        den = lcm(*[poly.den for poly in singles if poly.den != 1],
+                  *[a.den * b.den for a, b in pairs
+                    if a.den != 1 or b.den != 1])
+        coeffs, met = {}, 0
+        get = coeffs.get
         for poly in singles:
-            if coeffs or poly.den != den:
-                _accumulate(coeffs, poly.coeffs, den // poly.den)
-            else:
-                coeffs = dict(poly.coeffs)
+            scale = den // poly.den
+            met += len(poly.coeffs)
+            if not coeffs and scale == 1:
+                coeffs.update(poly.coeffs)
+                continue
+            for m, c in poly.coeffs.items():
+                c *= scale
+                v = get(m)
+                coeffs[m] = c if v is None else v + c
         for a, b in pairs:
-            _mul_terms(a.coeffs, b.coeffs, coeffs, den // (a.den * b.den))
-        if pairs:  # _mul_terms leaves the terms that cancel as zeros
-            coeffs = {m: c for m, c in _checked(coeffs, self.guard).items()
-                      if c}
+            scale = den // (a.den * b.den)
+            a, b = a.coeffs, b.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            met += len(a) * len(b)
+            for m2, c2 in b.items():
+                c2 *= scale
+                for m1, c1 in a.items():
+                    m = m1 + m2
+                    v = get(m)
+                    coeffs[m] = c1 * c2 if v is None else v + c1 * c2
+        if reduce(or_, coeffs, 0) & self.guard:
+            raise limit_error()
+        if met != len(coeffs):  # terms met, and some may have cancelled
+            coeffs = {m: c for m, c in coeffs.items() if c}
         return _reduced(self, coeffs, den)
 
 
@@ -163,24 +180,22 @@ def _accumulate(coeffs: dict, other: dict, scale: int = 1) -> dict:
     return coeffs
 
 
-def _mul_terms(a: dict, b: dict, into: dict = None, scale: int = 1) -> dict:
-    """The integer product of two coefficient maps; with ``into``, that
-    map plus ``scale`` times the product, in place, where terms that
-    cancel are left as zeros."""
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The integer product of two nonempty coefficient maps, without the
+    terms that cancel; a one-term operand takes one comprehension."""
     if len(a) < len(b):
         a, b = b, a
-    if into is None and len(b) == 1:
+    if len(b) == 1:
         ((m2, c2),) = b.items()
         return {m1 + m2: c1 * c2 for m1, c1 in a.items()}
-    product = {} if into is None else into
+    product = {}
     get = product.get
     for m2, c2 in b.items():
-        c2 *= scale
         for m1, c1 in a.items():
             m = m1 + m2
             v = get(m)
             product[m] = c1 * c2 if v is None else v + c1 * c2
-    if into is None and len(product) < len(a) * len(b):  # terms met
+    if len(product) < len(a) * len(b):  # terms met
         return {m: c for m, c in product.items() if c}
     return product
 
@@ -299,22 +314,25 @@ class Poly:
         return (-self)._sum(other, 1)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self.ring.zero
-            g = gcd(other, self.den)
-            scale = other // g
-            return Poly(self.ring,
-                        {m: c * scale for m, c in self.coeffs.items()},
-                        self.den // g)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, int):
+                if not other:
+                    return self.ring.zero
+                g = gcd(other, self.den)
+                scale = other // g
+                return Poly(self.ring,
+                            {m: c * scale for m, c in self.coeffs.items()},
+                            self.den // g)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        ring = self.ring
         if not self.coeffs or not other.coeffs:
-            return self.ring.zero
+            return ring.zero
         product = _mul_terms(self.coeffs, other.coeffs)
-        return _reduced(self.ring, _checked(product, self.ring.guard),
-                        self.den * other.den)
+        if reduce(or_, product, 0) & ring.guard:  # past the exponent limit
+            raise limit_error()
+        return _reduced(ring, product, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -377,6 +395,8 @@ class Poly:
                 coeffs[m - one] = c * e
         if not coeffs:
             return self.ring.zero
+        if self.den == 1:
+            return Poly(self.ring, coeffs, 1)
         return _reduced(self.ring, coeffs, self.den)
 
     # -- factorisation -----------------------------------------------------

@@ -371,6 +371,15 @@ def test_parser_roundtrip_random_trees():
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+def test_printed_random_trees_parse_back(seed):
+    """``ctx.parse(to_text(e)) == e`` for random trees with divisions."""
+    ctx = ExprContext(2, parameters=("a",))
+    e = random_expr(ctx, random.Random(seed), depth=3)
+    assert ctx.parse(to_text(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
 def test_parse_equals_the_expr_built_by_the_same_operations(seed):
     """A tree rendered with parentheses, chained unary minus, ``p/q``
     literals, quotients and negative exponents parses to the ``Expr``
@@ -507,6 +516,25 @@ def test_the_exponent_limit_holds_and_products_past_it_are_refused():
     for make in (lambda: half * half, lambda: half ** 2,
                  lambda: ctx.parse(f"(q1^{_HALF} + v2)*q1^{_HALF}"),
                  lambda: (half + 1) * half):
+        with pytest.raises(LimitError, match=f"limit {MAX_EXPONENT}"):
+            make()
+
+
+def test_products_past_the_exponent_limit_raise_on_every_path():
+    """``LimitError`` names the limit for a product made as a pair of a
+    ``lincomb`` (also when the terms past the limit cancel in the sum),
+    as ``Expr * Expr`` with no denominators (a one-term operand too)
+    and in ``sum_of_products`` with a one-term operand."""
+    ctx = ExprContext(2)
+    ring = ctx._ring
+    mono, half = ctx.parse(f"q1^{_HALF}"), ctx.parse(f"q1^{_HALF}*v1 + q2")
+    for make in (lambda: lincomb(ctx, [(half, half)]),
+                 lambda: lincomb(ctx, [ctx.one, (mono, half)]),
+                 lambda: lincomb(ctx, [(mono, mono), (-mono, mono)]),
+                 lambda: mono * half, lambda: half * mono,
+                 lambda: ring.sum_of_products((), [(mono.num, half.num)]),
+                 lambda: ring.sum_of_products([half.num],
+                                              [(half.num, mono.num)])):
         with pytest.raises(LimitError, match=f"limit {MAX_EXPONENT}"):
             make()
 
@@ -967,6 +995,52 @@ def test_lincomb_equals_the_left_fold(terms, ending, order):
     except PoleError:
         return
     assert result.eval_num(point) == expected
+
+
+@st.composite
+def _polynomial_operand(draw):
+    """A constant, a variable or a random tree without division."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_expr(_SHARED_CTX, rng, depth=draw(st.integers(0, 2)),
+                       allow_div=False)
+
+
+@settings(max_examples=150, deadline=None)
+@example(terms=[_SHARED_CTX.parse("1/2*q1")], cancel=False,
+         order=random.Random(0))
+@example(terms=[(_SHARED_CTX.parse("a"), _SHARED_CTX.parse("v1 - 1/3"))],
+         cancel=True, order=random.Random(0))
+@given(terms=st.lists(st.one_of(_polynomial_operand(),
+                                st.tuples(_polynomial_operand(),
+                                          _polynomial_operand())),
+                      min_size=1, max_size=8),
+       cancel=st.booleans(), order=st.randoms(use_true_random=False))
+def test_lincomb_without_denominators_equals_the_left_fold(terms, cancel,
+                                                           order):
+    """A sum with no denominator, the path straight to
+    ``sum_of_products``, equals the left fold with ``+`` and ``*`` and
+    the sum of the numerators by ``Poly`` arithmetic. With ``cancel``
+    the terms are followed by their negations, shuffled, so the sum is
+    zero, and a zero sum stands over 1."""
+    ctx = _SHARED_CTX
+    if cancel:
+        terms = terms + [(-term[0], term[1]) if type(term) is tuple
+                         else -term for term in terms]
+        order.shuffle(terms)
+    total, num = ctx.zero, ctx._ring.zero
+    for term in terms:
+        if type(term) is tuple:
+            total, num = (total + term[0] * term[1],
+                          num + term[0].num * term[1].num)
+        else:
+            total, num = total + term, num + term.num
+    result = lincomb(ctx, terms)
+    assert result == total and to_text(result) == to_text(total)
+    assert result.num == num and result.den_factors == ()
+    if cancel:
+        assert result.is_zero()
+    if result.is_zero():
+        assert result.num.den == 1 and result.den == ctx._ring.one
 
 
 def test_lincomb_reduces_a_shared_denominator():

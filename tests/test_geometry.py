@@ -181,16 +181,17 @@ def test_theta_torsion_check_catches_a_corrupt_connection():
         theta_tensor(s)
 
 
-@pytest.mark.parametrize("name, calls", [("coupled3", 90), ("chain4", 208)])
+@pytest.mark.parametrize("name, calls", [("coupled3", 72), ("chain4", 144)])
 def test_geometry_differentiates_each_connection_entry_once(name, calls,
                                                             monkeypatch):
     """Building the connection, the Jacobi endomorphism, theta and the
     curvature takes ``n^2`` derivatives for the connection, ``n^2`` for
-    ``df/dq``, ``n^3`` each for the tables of the connection's position
-    and velocity derivatives and ``n^2 (n - 1)`` for the Jacobi route of
-    the curvature: 90 for n = 3 and 208 for n = 4. A system extended to
-    more parameters converts these objects and never builds the
-    position table."""
+    ``df/dq``, ``n`` each for the tables of the connection's position
+    and velocity derivatives per nonzero connection entry and ``n^2 (n
+    - 1)`` for the Jacobi route of the curvature: 72 for ``coupled3``
+    (6 nonzero entries of 9) and 144 for ``chain4`` (8 of 16). A system
+    extended to more parameters converts these objects and never
+    builds the position table."""
     s = load_problem(name, {}).sode()
     extended = s.extended(s.ctx.with_parameters(["c"]))
     counted = []

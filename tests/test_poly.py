@@ -24,6 +24,7 @@ addition of keys, and trial division refuses a shift with a negative
 exponent.
 """
 
+import heapq
 import json
 import os
 import subprocess
@@ -210,7 +211,8 @@ def test_equality_and_hash_follow_sympy(case, rng):
                             st.tuples(*[st.integers(0, 2)] * count))))
 def test_exact_division_matches_sympy(case):
     """``_exact_quotient`` by a monic non-constant factor returns the
-    quotient of a product (a hit), and for a product plus a remainder
+    quotient of a product (a hit: the leading-term test made before any
+    copy never rejects a true divisor), and for a product plus a remainder
     and for ``m * (P + lead)`` (``P`` the factor's primitive integer
     form, ``lead`` its leading monomial, ``m`` a monomial) it agrees
     with sympy's ``div``: None when the remainder is nonzero."""
@@ -232,6 +234,49 @@ def test_exact_division_matches_sympy(case):
             assert result is None
         else:
             assert _same(result, expected_q)
+
+
+def test_a_first_step_miss_builds_no_heap(monkeypatch):
+    """The leading monomial and coefficient are tested before the
+    numerator is copied or heapified: ``x1 + 1/3`` (primitive form
+    ``3*x1 + 1``) cannot divide ``x2^2 + 1`` (``x1`` does not divide
+    ``x2^2``) nor ``x1 + 5`` (3 does not divide 1), and neither miss
+    builds a heap; the hit ``3*x1*x2 + x2`` builds one."""
+    ring, heaps = RINGS[2], []
+    heapify = heapq.heapify
+
+    def counting(heap):
+        heaps.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(heapq, "heapify", counting)
+    factor = _Factor(ring.from_dict({(1, 0): 1, (0, 0): Fraction(1, 3)}), 0)
+    assert factor.lead_coeff == 3
+    for num in ({(0, 2): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 5}):
+        assert _exact_quotient(ring.from_dict(num), factor) is None
+    assert heaps == []
+    assert _exact_quotient(ring.from_dict({(1, 1): 3, (0, 1): 1}),
+                           factor) == ring.from_dict({(0, 1): 3})
+    assert heaps == [2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_polys(how_many=1), st.booleans())
+def test_diff_agrees_with_the_terms(case, integral):
+    """``Poly.diff`` equals differentiating ``terms()`` term by term,
+    over the denominator 1 (the path without a gcd) and over others."""
+    count, (a,) = case
+    if integral:
+        a = a * a.den
+        assert a.den == 1
+    for position in range(count):
+        expected = {}
+        for monom, c in a.terms():
+            e = monom[position]
+            if e:
+                expected[monom[:position] + (e - 1,)
+                         + monom[position + 1:]] = c * e
+        assert a.diff(position) == a.ring.from_dict(expected)
 
 
 @settings(max_examples=100, deadline=None)
