@@ -65,8 +65,6 @@ if TYPE_CHECKING:
 PROBLEM_FIELDS = ("n", "parameters", "mode", "f", "g", "D", "L", "omega",
                   "ansatz", "options")
 CHECK_SUITES = tuple(SUITES) + ("implicit",)
-RECONSTRUCT_ROUTES = {"dissipative": "dissipative", "thm3": "dissipative",
-                      "gyroscopic": "gyroscopic", "thm4": "gyroscopic"}
 RESIDUAL_PREVIEW = 64
 #: the seed of the numeric cross-checks when ``INVLAG_SEED`` is unset
 DEFAULT_SEED = 1729
@@ -300,6 +298,9 @@ def load_problem(path: str, overrides: Dict[str, Fraction]) -> Problem:
                        f"{exc.msg}") from exc
     except CliError as exc:
         raise CliError(f"{resolved}: {exc}") from None
+    except ValueError:  # an integer past Python's limit for str to int
+        raise CliError(f"{resolved}: an integer above the limit of "
+                       f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise CliError(f"{resolved}: the top level must be a JSON object")
     unknown = set(data) - set(PROBLEM_FIELDS)
@@ -386,7 +387,7 @@ def _preset_family(problem: Problem, section: dict, name: str):
 
 def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     """Build the search family declared in the file's ansatz section."""
-    from .solver import AnsatzProblem, SolverError
+    from .solver import SUITES as SEARCHABLE, AnsatzProblem, SolverError
     section = problem.ansatz
     if section is None:
         raise CliError(f"{problem.path}: an 'ansatz' section is required "
@@ -417,9 +418,10 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise CliError(f"{problem.path}: ansatz.bound must be a nonnegative "
                        "integer")
-    fixed_D = problem.D if suite == "dissipative" else None
+    takes = SUITES[suite].takes if suite in SEARCHABLE else ()
+    fixed_D = problem.D if "D" in takes else None
     fixed_omega = None
-    if suite == "gyroscopic" and not omega_basis:
+    if "omega" in takes and not omega_basis:
         fixed_omega = problem.omega
     try:
         family = build(suite, omega_basis=omega_basis, D=fixed_D,
@@ -631,7 +633,7 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
     problem.require_mode("explicit", "reconstruct")
     s = problem.sode()
     g = problem.require("g")
-    route = RECONSTRUCT_ROUTES[args.suite]
+    route = SUITES[args.suite].route
     payload = _base_payload("reconstruct", problem)
     payload["route"] = route
     builder = (reconstruct_dissipative if route == "dissipative"
@@ -1001,7 +1003,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "certified Lagrangian representation")
     common(reconstruct)
     reconstruct.add_argument("--suite", default="dissipative",
-                             choices=sorted(RECONSTRUCT_ROUTES),
+                             choices=sorted(name for name, suite in
+                                            SUITES.items() if suite.route),
                              help="which representation to build "
                                   "(default: dissipative)")
     reconstruct.add_argument("--out", default=None, metavar="FILE",

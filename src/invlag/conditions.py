@@ -347,7 +347,7 @@ def _smooth_at_rest_cells(s: Sode, g: TensorField, g_phi: TensorField):
             for j in range(i, s.n + 1):
                 den = matrix.entry(i, j).denominator_expr()
                 bad = den.subst(rest).is_zero()
-                cells.append(Cell(_label(f"SmoothV0.{name}", i, j),
+                cells.append(Cell(_label(f"{SMOOTH_AT_REST}.{name}", i, j),
                                   ctx.one if bad else ctx.zero))
     return cells
 
@@ -382,20 +382,24 @@ def check_rayleigh(s: Sode, g: TensorField) -> ConditionReport:
 
 class Suite(NamedTuple):
     """One explicit suite: the name of its checker in this module, the
-    candidate data it takes after ``g``, and whether the ansatz search
-    supports it."""
+    candidate data it takes after ``g``, whether the ansatz search
+    supports it, and the reconstruction route that integrates its
+    multiplier, if there is one."""
 
     checker: str
     takes: Tuple[str, ...] = ()
     searchable: bool = True
+    route: Optional[str] = None
 
 
+#: the label prefix of the smooth-at-rest cells, which the assembly skips
+SMOOTH_AT_REST = "SmoothV0"
 SUITES = {
     "classical": Suite("check_classical"),
-    "dissipative": Suite("check_dissipative", ("D",)),
-    "gyroscopic": Suite("check_gyroscopic", ("omega",)),
-    "thm3": Suite("check_multiplier_dissipative"),
-    "thm4": Suite("check_multiplier_gyroscopic"),
+    "dissipative": Suite("check_dissipative", ("D",), route="dissipative"),
+    "gyroscopic": Suite("check_gyroscopic", ("omega",), route="gyroscopic"),
+    "thm3": Suite("check_multiplier_dissipative", route="dissipative"),
+    "thm4": Suite("check_multiplier_gyroscopic", route="gyroscopic"),
     "prop2a": Suite("check_prop2a"),
     "rayleigh": Suite("check_rayleigh", searchable=False),
 }

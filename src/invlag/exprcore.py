@@ -52,10 +52,10 @@ rest to sympy, so a kinetic determinant such as ``q1^2*q3^2 + 4*q1^2 +
 integer literals, literals such as ``(2/3)``, generators with integer
 exponents and divisions by integer literals as integers and gathers
 such terms into one coefficient map, so a polynomial entry is built
-without a single product. It builds an ``Expr`` only for a division by
-a non-constant (or a negative power of one), so reading a polynomial
-factors nothing. The result is the fraction a multivariate gcd would
-give, and no operation here calls one.
+without a single product. It reads any other term with the ``Expr``
+operators, which factor only a non-constant divisor, so reading a
+polynomial factors nothing. The result is the fraction a multivariate
+gcd would give, and no operation here calls one.
 
 The polynomials are :mod:`invlag.poly`'s: sparse, in lex order, with
 integer coefficients over one denominator. The grammar, printing,
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -1141,15 +1142,12 @@ class _Parser:
     read as an integer triple ``(key, numerator, denominator)``, its
     monomial packed as it is read, and ``expression`` gathers such terms
     into one coefficient map and builds one polynomial from it. An
-    exponent literal, or a term's exponent, above ``MAX_EXPONENT`` raises
-    :class:`LimitError` before anything is built from it.
+    exponent literal or a term's exponent above ``MAX_EXPONENT``, and
+    any other literal longer than ``int`` reads, raise
+    :class:`LimitError` before anything is built from them.
 
-    Any other term goes on from its longest such prefix with ring
-    arithmetic: values are ``Fraction`` constants and polynomials of the
-    context's ring, and a division by a constant is ``quo_ground``. A
-    division by a non-constant, or a negative power of one, makes an
-    ``Expr``, and from then on the operands meet through the ``Expr``
-    operators; the result becomes an ``Expr`` once, at the end.
+    Any other term goes on from its longest such prefix as an ``Expr``,
+    with the ``Expr`` operators alone.
     """
 
     def __init__(self, text: str, ctx: ExprContext):
@@ -1158,10 +1156,15 @@ class _Parser:
         self.ring = ctx._ring
         self.names = ctx._name_pos
         tokens = _TOKEN.findall(text)
-        if _BAD.search(text):
+        digits = sys.get_int_max_str_digits() or len(text)  # 0: no limit
+        if _BAD.search(text) or len(text) > digits:
             for index, token in enumerate(tokens):
                 if _BAD.match(token):
                     raise self.error(f"unexpected character {token!r}", index)
+                if len(token) > digits and token.isdigit() and not "".join(
+                        tokens[:index]).rstrip("(-").endswith("^"):
+                    raise self.limit(index, "integer literal above the limit "
+                                            f"of {digits} digits")
         # The end of the text; no rule reads past it. An operator is
         # recognised by its value alone: no number or name spells one.
         tokens.append("")
@@ -1173,9 +1176,9 @@ class _Parser:
         """A ``kind`` error at token ``index``."""
         return kind(message, _offset(self.text, index))
 
-    def limit(self, index: int) -> LimitError:
-        return LimitError(f"exponent above the limit {MAX_EXPONENT} "
-                          f"(at position {_offset(self.text, index)})")
+    def limit(self, index: int, what: str = "exponent above the limit "
+              f"{MAX_EXPONENT}") -> LimitError:
+        return LimitError(f"{what} (at position {_offset(self.text, index)})")
 
     def power(self, index: int) -> int:
         """The exponent literal at token ``index``, refused above the
@@ -1190,78 +1193,51 @@ class _Parser:
             raise self.error(f"expected {op!r}", self.pos)
         self.pos += 1
 
-    def as_expr(self, value) -> Expr:
-        if isinstance(value, Expr):
-            return value
-        if isinstance(value, Fraction):
-            value = self.ring.ground_new(value)
-        return _factored(self.ctx, value, ())
-
-    def constant(self, value):
-        """The ``Fraction`` value of a constant, or None for a non-constant."""
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, Expr) or not value.is_ground:
-            return None
-        return value.LC
-
-    def pair(self, a, b):
-        """Both operands as polynomials, or both as ``Expr`` if one is."""
-        if isinstance(a, Expr) or isinstance(b, Expr):
-            return self.as_expr(a), self.as_expr(b)
-        return a, b
+    def as_expr(self, poly) -> Expr:
+        """The triple reader's polynomial as an expression."""
+        return _factored(self.ctx, poly, ())
 
     def parse(self) -> Expr:
         result = self.expression()
         token = self.tokens[self.pos]
         if token:
             raise self.error(f"unexpected trailing input {token!r}", self.pos)
-        return self.as_expr(result)
+        return result
 
-    def expression(self):
+    def expression(self) -> Expr:
         """A sum of terms. The triples of the simple terms go into one
-        coefficient map over the lcm of their denominators; the other
-        terms are added to the polynomial it makes."""
+        coefficient map over the lcm of their denominators, and the
+        polynomial it makes is summed with the other terms."""
         tokens = self.tokens
-        simple, rest = [], None
+        simple, terms = [], []
         sign = 1
         while True:
             value = self.term(sign)
-            if type(value) is tuple:
-                simple.append(value)
-            elif rest is None:
-                rest = value
-            else:
-                rest, value = self.pair(rest, value)
-                rest = rest + value
+            (simple if type(value) is tuple else terms).append(value)
             op = tokens[self.pos]
             if op != "+" and op != "-":
                 break
             self.pos += 1
             sign = 1 if op == "+" else -1
-        if not simple:
-            return rest
-        den = simple[0][2]
-        for _monom, _num, d in simple:
-            if d != den:
-                den = lcm(den, d)
-        coeffs = {}
-        get = coeffs.get
-        for monom, num, d in simple:
-            if d != den:
-                num *= den // d
-            old = get(monom)
-            coeffs[monom] = num if old is None else old + num
-        value = self.ring.from_ints(coeffs, den)
-        if rest is None:
-            return value
-        value, rest = self.pair(value, rest)
-        return value + rest
+        if simple:
+            den = simple[0][2]
+            for _monom, _num, d in simple:
+                if d != den:
+                    den = lcm(den, d)
+            coeffs = {}
+            get = coeffs.get
+            for monom, num, d in simple:
+                if d != den:
+                    num *= den // d
+                old = get(monom)
+                coeffs[monom] = num if old is None else old + num
+            terms.append(self.as_expr(self.ring.from_ints(coeffs, den)))
+        return lincomb(self.ctx, terms)
 
     def term(self, sign: int):
         """``sign`` times the term at the cursor: an integer triple
-        ``(key, numerator, denominator)`` for a simple term, else a
-        ``Fraction``, a polynomial or an ``Expr``."""
+        ``(key, numerator, denominator)`` for a simple term, else an
+        ``Expr``."""
         tokens, names = self.tokens, self.names
         shifts, guard = self.ring.shifts, self.ring.guard
         start = commit = pos = self.pos
@@ -1332,15 +1308,15 @@ class _Parser:
                 self.pos = pos
                 return key, num, den
             pos += 1
-        # A factor or a division the triple cannot take: ring or Expr
-        # arithmetic goes on from the last whole factor.
+        # A factor or a division the triple cannot take: Expr arithmetic
+        # goes on from the last whole factor.
         self.pos = commit
         if commit == start:
             value = self.product(self.unary())
             return -value if sign < 0 else value
-        return self.product(self.ring.from_ints({key: num}, den))
+        return self.product(self.as_expr(self.ring.from_ints({key: num}, den)))
 
-    def product(self, value):
+    def product(self, value: Expr) -> Expr:
         """``value`` times and over the operands that follow it."""
         tokens = self.tokens
         while True:
@@ -1351,17 +1327,14 @@ class _Parser:
             self.pos += 1
             rhs = self.unary()
             if op == "*":
-                value, rhs = self.pair(value, rhs)
                 value = value * rhs
             elif not rhs:
                 raise ZeroDenominatorError(
                     f"division by zero (at position {_offset(self.text, index)})")
-            elif isinstance(value, Expr) or self.constant(rhs) is None:
-                value = self.as_expr(value) / self.as_expr(rhs)
-            else:  # a polynomial divided by a constant is quo_ground
-                value = value / self.constant(rhs)
+            else:
+                value = value / rhs
 
-    def unary(self):
+    def unary(self) -> Expr:
         """Unary minus, or an atom with an optional exponent."""
         tokens = self.tokens
         if tokens[self.pos] == "-":
@@ -1373,16 +1346,9 @@ class _Parser:
             return base
         self.pos += 1
         exponent = self.exponent_literal()
-        if exponent == 0:  # 0^0 too, as for Expr
-            base = Fraction(1)
-        elif exponent > 0:
-            base = base ** exponent
-        elif not base:
+        if exponent < 0 and not base:
             raise self.error("zero raised to a negative power", index)
-        elif self.constant(base) is None:
-            base = self.as_expr(base) ** exponent
-        else:
-            base = self.constant(base) ** exponent
+        base = base ** exponent  # 0^0 is 1, as for Expr
         if tokens[self.pos] == "^":
             raise self.error("chained '^' needs parentheses", self.pos)
         return base
@@ -1406,15 +1372,15 @@ class _Parser:
             return inner
         raise self.error("exponent must be an integer literal", self.pos)
 
-    def atom(self):
+    def atom(self) -> Expr:
         index = self.pos
         token = self.tokens[index]
         self.pos += 1
         gen = self.names.get(token)
         if gen is not None:
-            return self.ctx._gens[gen]
+            return self.as_expr(self.ctx._gens[gen])
         if token.isdigit():
-            return Fraction(int(token))
+            return self.ctx.const(int(token))
         if token == "(":
             inner = self.expression()
             self.expect_op(")")
@@ -1423,15 +1389,14 @@ class _Parser:
             return self.resolve(token, index)
         raise self.error("expected a number, a variable or '('", index)
 
-    def resolve(self, name: str, index: int):
-        """The generator of a jet spelled ``d1q<i>`` or with a zero-padded
-        order; otherwise the most specific error for an unknown name."""
+    def resolve(self, name: str, index: int) -> Expr:
+        """The jet spelled ``d1q<i>`` or with a zero-padded order;
+        otherwise the most specific error for an unknown name."""
         ctx = self.ctx
         m = re.match(r"^d([0-9]+)q([1-9][0-9]*)$", name)
         if m and int(m.group(2)) <= ctx.n:
             if 1 <= int(m.group(1)) <= ctx.max_jet_order:
-                var = VarId.jet(int(m.group(2)), int(m.group(1)))
-                return ctx._gens[ctx.gen_index(var)]
+                return ctx.var(VarId.jet(int(m.group(2)), int(m.group(1))))
             raise self.error(
                 f"jet order {int(m.group(1))} exceeds context maximum "
                 f"{ctx.max_jet_order}", index, JetOrderError)
@@ -1476,8 +1441,12 @@ def _poly_text(ctx: ExprContext, poly) -> str:
             chunks.append(factors)
             continue
         g = gcd(coeff, den)
-        coefficient = (str(coeff // g) if g == den
-                       else f"{coeff // g}/{den // g}")
+        try:
+            coefficient = (str(coeff // g) if g == den
+                           else f"{coeff // g}/{den // g}")
+        except ValueError:  # past Python's limit for int to str
+            raise LimitError("cannot print a coefficient of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
         chunks.append(f"{coefficient}*{factors}" if factors else coefficient)
     return "".join(chunks)
 

@@ -4,10 +4,11 @@ A polynomial is a map from packed monomials to nonzero ``int``
 coefficients over one positive ``int`` denominator that is coprime to
 their content (the gcd of the coefficients). That representation is
 unique, so equality and hashing compare it directly, and arithmetic
-runs on Python integers with one gcd per result to restore it. A sum
-of products (``sum_of_products``, the kernel of every n-ary sum) runs
-one accumulation loop over all its pairs into one integer map, so its
-bookkeeping is paid once per sum, not once per product.
+runs on Python integers with one gcd per result to restore it. Every
+sum, ``+`` and ``-`` included, is a sum of products
+(``sum_of_products``): one accumulation loop over all its terms and
+pairs into one integer map, so its bookkeeping is paid once per sum,
+not once per product. A product is ``_mul_terms``.
 
 A monomial's exponent vector is packed into one ``int`` key (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -164,22 +165,6 @@ def _reduced(ring: PolyRing, coeffs: dict, den: int) -> "Poly":
     return Poly(ring, coeffs, den if coeffs else 1)
 
 
-def _accumulate(coeffs: dict, other: dict, scale: int = 1) -> dict:
-    """``coeffs + scale * other`` in place, dropping cancelled terms."""
-    get = coeffs.get
-    for m, c in other.items():
-        if scale != 1:
-            c *= scale
-        v = get(m)
-        if v is None:
-            coeffs[m] = c
-        elif v == -c:
-            del coeffs[m]
-        else:
-            coeffs[m] = v + c
-    return coeffs
-
-
 def _mul_terms(a: dict, b: dict) -> dict:
     """The integer product of two nonempty coefficient maps, without the
     terms that cancel; a one-term operand takes one comprehension."""
@@ -281,37 +266,25 @@ class Poly:
         return Poly(self.ring, {m: -c for m, c in self.coeffs.items()},
                     self.den)
 
-    def _sum(self, other, sign: int):
+    def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.coeffs:
-            return self
-        a, b = self.den, other.den
-        if a == b:
-            if sign == 1 and len(self.coeffs) < len(other.coeffs):
-                coeffs = _accumulate(dict(other.coeffs), self.coeffs)
-            else:
-                coeffs = _accumulate(dict(self.coeffs), other.coeffs, sign)
-            return _reduced(self.ring, coeffs, a)
-        den = lcm(a, b)
-        scale = den // a
-        coeffs = ({m: c * scale for m, c in self.coeffs.items()} if scale != 1
-                  else dict(self.coeffs))
-        return _reduced(self.ring,
-                        _accumulate(coeffs, other.coeffs, sign * (den // b)),
-                        den)
-
-    def __add__(self, other):
-        return self._sum(other, 1)
+        return self.ring.sum_of_products((self, other), ())
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._sum(other, -1)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.ring.sum_of_products((self, -other), ())
 
     def __rsub__(self, other):
-        return (-self)._sum(other, 1)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.ring.sum_of_products((-self, other), ())
 
     def __mul__(self, other):
         if type(other) is not Poly:

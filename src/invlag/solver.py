@@ -25,7 +25,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, convert, lincomb
 from .geometry import InternalInconsistencyError, Sode, TensorField
-from .conditions import SUITES as SUITE_TABLE, ConditionReport, check_suite
+from .conditions import (SMOOTH_AT_REST, SUITES as SUITE_TABLE,
+                         ConditionReport, check_suite)
 
 SUITES = tuple(name for name, suite in SUITE_TABLE.items() if suite.searchable)
 
@@ -76,7 +77,7 @@ class AnsatzProblem(_AnsatzFields):
             pairs = [pair for pair, _basis in basis]
             if len(set(pairs)) < len(pairs):
                 raise SolverError(f"a {part} entry is declared twice")
-        if omega_basis and suite != "gyroscopic":
+        if omega_basis and "omega" not in SUITE_TABLE[suite].takes:
             raise SolverError(
                 "two-form unknowns only make sense for the gyroscopic suite")
         return super().__new__(cls, suite, g_basis, omega_basis, D, omega)
@@ -252,7 +253,7 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     rows: List[Dict[int, int]] = []
     residuals: List[Tuple[str, Expr]] = []
     for cell in report.cells:
-        if cell.label.startswith("SmoothV0"):
+        if cell.label.startswith(SMOOTH_AT_REST):
             continue
         residual = cell.residual
         if residual.is_zero():

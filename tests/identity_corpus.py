@@ -16,6 +16,12 @@ worktree`` of the parent commit and the working tree. The corpus is:
   ``f`` entry is each malformed text of ``_MALFORMED`` in
   ``test_exprcore.py`` (read from its source, not imported), so the
   parser's exit code and error message are compared too;
+* ``analyze`` of such copies whose first ``f`` entry is a well-formed
+  non-canonical text: each text of the ``cases`` of
+  ``test_a_term_leaves_the_integer_path_with_the_value_read_so_far``
+  (read the same way) and ``exprgen.random_text`` of depth 4 in the
+  fixture's context for seeds 1-12, so the parser's general path is
+  compared byte for byte too;
 * ``check --suite thm3`` and ``analyze`` (the largest printed output)
   of a copy of ``tests/problems/dense4.json``, the dense n = 4 system
   with a position-dependent kinetic energy, and ``solve`` of a copy of
@@ -51,6 +57,7 @@ import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SEEDS = (301, 302, 303)
+TEXT_SEEDS = range(1, 13)
 WORKLOADS = ("certify", "search", "rational_geometry")
 RUN_SECONDS = 22
 INSTANTIATIONS = ("b=1/2", "b=-1/3", "b=3/4")
@@ -65,30 +72,57 @@ def _readme_calls():
     return calls
 
 
+def _assigned(scope, name: str):
+    """The value of the first assignment to ``name`` in ``scope``."""
+    for node in scope.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == name):
+            return node.value
+    raise LookupError(f"tests/test_exprcore.py assigns no {name}")
+
+
 def _malformed_texts():
     """The texts of ``_MALFORMED`` in tests/test_exprcore.py, in order."""
     module = ast.parse((REPO / "tests" / "test_exprcore.py").read_text(
         encoding="utf-8"))
-    for node in module.body:
-        if (isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "_MALFORMED"):
-            return [ast.literal_eval(case.elts[1]) for case in node.value.elts]
-    raise LookupError("tests/test_exprcore.py defines no _MALFORMED")
+    return [ast.literal_eval(case.elts[1])
+            for case in _assigned(module, "_MALFORMED").elts]
 
 
-def _malformed_calls(workdir: str):
-    """``analyze`` of a copy of ``planar_drag`` per malformed text, as
-    its first ``f`` entry; writes the problem files."""
+def _noncanonical_texts():
+    """Well-formed texts off the integer path: the ``cases`` keys of the
+    test of a term leaving it, in order, then ``random_text`` of the
+    ``planar_drag`` context for each of ``TEXT_SEEDS``."""
+    import random
+
+    sys.path.insert(0, str(REPO / "tests"))
+    from exprgen import random_text
+    from invlag.exprcore import ExprContext
+
+    module = ast.parse((REPO / "tests" / "test_exprcore.py").read_text(
+        encoding="utf-8"))
+    test = next(node for node in module.body
+                if getattr(node, "name", None) == "test_a_term_leaves_the_"
+                "integer_path_with_the_value_read_so_far")
+    texts = [ast.literal_eval(key) for key in _assigned(test, "cases").keys]
+    ctx = ExprContext(2, parameters=("a", "b", "omega"))
+    return texts + [random_text(ctx, random.Random(seed), 4)[0]
+                    for seed in TEXT_SEEDS]
+
+
+def _first_entry_calls(workdir: str, label: str, texts):
+    """``analyze`` of a copy of ``planar_drag`` per text, as its first
+    ``f`` entry; writes the problem files."""
     fixture = json.loads((REPO / "src" / "invlag" / "fixtures" /
                           "planar_drag.json").read_text(encoding="utf-8"))
-    directory = os.path.join(workdir, "malformed")
+    directory = os.path.join(workdir, label)
     os.makedirs(directory, exist_ok=True)
     calls = []
-    for index, text in enumerate(_malformed_texts()):
+    for index, text in enumerate(texts):
         path = os.path.join(directory, f"planar_drag-{index:02d}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(dict(fixture, f=[text, fixture["f"][1]]), handle)
-        calls.append(("malformed", ["analyze", path]))
+        calls.append((label, ["analyze", path]))
     return calls
 
 
@@ -112,7 +146,10 @@ def _corpus(workdir: str):
     sys.path.insert(0, str(REPO / "perfbench"))
     import workloads
 
-    calls = (_readme_calls() + _malformed_calls(workdir)
+    calls = (_readme_calls()
+             + _first_entry_calls(workdir, "malformed", _malformed_texts())
+             + _first_entry_calls(workdir, "noncanonical",
+                                  _noncanonical_texts())
              + _wide_calls(workdir))
     for workload in WORKLOADS:
         for seed in SEEDS:

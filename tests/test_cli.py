@@ -550,6 +550,33 @@ def test_an_exponent_above_the_limit_exits_with_usage_code(tmp_path):
                              f"limit {limit}\n")
 
 
+_DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": ' + "9" * 5000 + ', "f": ["0"]}',
+     "{path}: an integer above the limit of {digits} digits"),
+    (json.dumps({"n": 2, "f": ["0", "9" * 5000 + "*q1"]}),
+     "{path}: f[2]: integer literal above the limit of {digits} digits "
+     "(at position 0)"),
+    (json.dumps({"n": 2, "f": ["2^30000*q1", "0"]}),
+     "cannot print a coefficient of more than {digits} digits"),
+    (json.dumps({"n": 2, "f": ["77^-21173*q1", "0"]}),
+     "cannot print a coefficient of more than {digits} digits"),
+], ids=["json-integer", "literal", "coefficient", "denominator"])
+def test_an_integer_past_the_digit_limit_exits_with_usage_code(
+        tmp_path, text, message):
+    """An integer of more digits than Python converts to or from text (a
+    JSON number, an expression literal, or a coefficient the output
+    would print) exits 2 with the limit named, never with a traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 2
+    assert result.stderr == ("invlag: error: " + message.format(
+        path=path, digits=_DIGITS) + "\n")
+
+
 def test_parse_errors_exit_with_usage_code(tmp_path):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text('{"n": 2, "f": ["0" "0"]}')

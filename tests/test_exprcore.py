@@ -541,7 +541,7 @@ def test_products_past_the_exponent_limit_raise_on_every_path():
 
 def test_parsing_a_polynomial_builds_no_quotient(monkeypatch):
     """A polynomial text (an ``f`` entry of a generated problem file) is
-    read with ring arithmetic alone: no ``Expr`` product and no
+    read as integer triples alone: no ``Expr`` product and no
     ``factor_list``."""
     monkeypatch.setattr(exprcore, "_RING_CACHE", {})  # a fresh factor base
     ctx = ExprContext(2)
@@ -562,6 +562,36 @@ def test_parsing_a_polynomial_builds_no_quotient(monkeypatch):
     assert str(e) == text
     ctx.parse("1/(q1^2 + 3)")
     assert calls == ["factor_list", "_product"]
+
+
+def test_the_general_path_factors_nothing(monkeypatch):
+    """A polynomial text that leaves the integer triples (parenthesised
+    sums, a power of a sum, a division by a constant, a generated ``L``)
+    is read with the ``Expr`` operators without a single
+    ``factor_list``, to the expression of its expanded canonical text."""
+    monkeypatch.setattr(exprcore, "_RING_CACHE", {})  # a fresh factor base
+    ctx = ExprContext(3)
+    cases = {
+        "(q1 + q2)*(q1 - 2*v3) - (q2)": "q1^2 + q1*q2 - 2*q1*v3 - 2*q2*v3 - q2",
+        "(q1 - 2*v1)^3 + 8*v1^3": "q1^3 - 6*q1^2*v1 + 12*q1*v1^2",
+        "(3*q1^2 - q2)/(6/5) - q3/2": "5/2*q1^2 - 5/6*q2 - 1/2*q3",
+        "-(q1 + 1)/-4*(2)^-1": "1/8*q1 + 1/8",
+        "1/2*(6 + q2^2)*v2*v2 - ((3/1)*q3*q2)":
+            "1/2*q2^2*v2^2 - 3*q2*q3 + 3*v2^2",
+    }
+    calls = []
+    factor_list = Poly.factor_list
+
+    def counting(poly):
+        calls.append(poly)
+        return factor_list(poly)
+
+    monkeypatch.setattr(Poly, "factor_list", counting)
+    parsed = {text: ctx.parse(text) for text in cases}
+    assert calls == []
+    assert {text: str(e) for text, e in parsed.items()} == cases
+    assert parsed == {text: ctx.parse(expanded)
+                      for text, expanded in cases.items()}
 
 
 def test_parsing_a_canonical_entry_multiplies_no_polynomials(monkeypatch):
