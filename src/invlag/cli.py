@@ -301,6 +301,9 @@ def load_problem(path: str, overrides: Dict[str, Fraction]) -> Problem:
     except ValueError:  # an integer past Python's limit for str to int
         raise CliError(f"{resolved}: an integer above the limit of "
                        f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise CliError(f"{resolved}: JSON nested past Python's recursion "
+                       f"limit of {sys.getrecursionlimit()}") from None
     if not isinstance(data, dict):
         raise CliError(f"{resolved}: the top level must be a JSON object")
     unknown = set(data) - set(PROBLEM_FIELDS)

@@ -114,7 +114,8 @@ class ZeroDenominatorError(ExprError):
 
 
 class LimitError(ExprError):
-    """An input or a result past a stated limit, such as ``MAX_EXPONENT``."""
+    """An input or a result past a stated limit, such as ``MAX_EXPONENT``
+    or ``MAX_NESTING``."""
 
 
 class NotPolynomialError(ExprError):
@@ -1112,6 +1113,9 @@ _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|[+\-*/^()]|\S)")
 # The characters no good token starts with ("_" is one: it may only
 # follow the first character of a name).
 _BAD = re.compile(r"[^0-9A-Za-z+\-*/^()\s]")
+# The deepest nesting of parentheses and unary minuses the parser reads,
+# well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def _offset(text: str, index: int) -> int:
@@ -1144,7 +1148,9 @@ class _Parser:
     into one coefficient map and builds one polynomial from it. An
     exponent literal or a term's exponent above ``MAX_EXPONENT``, and
     any other literal longer than ``int`` reads, raise
-    :class:`LimitError` before anything is built from them.
+    :class:`LimitError` before anything is built from them. So does
+    nesting past ``MAX_NESTING``: each parenthesis and each unary minus
+    is one level, counted before the parser recurses into it.
 
     Any other term goes on from its longest such prefix as an ``Expr``,
     with the ``Expr`` operators alone.
@@ -1170,6 +1176,7 @@ class _Parser:
         tokens.append("")
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, index: int,
               kind=ExprSyntaxError) -> ExprSyntaxError:
@@ -1179,6 +1186,13 @@ class _Parser:
     def limit(self, index: int, what: str = "exponent above the limit "
               f"{MAX_EXPONENT}") -> LimitError:
         return LimitError(f"{what} (at position {_offset(self.text, index)})")
+
+    def nest(self, index: int):
+        """Enter one level of nesting at token ``index``; the caller
+        leaves it (``depth -= 1``) when the nested part is read."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.limit(index, f"nesting above the limit {MAX_NESTING}")
 
     def power(self, index: int) -> int:
         """The exponent literal at token ``index``, refused above the
@@ -1243,12 +1257,15 @@ class _Parser:
         start = commit = pos = self.pos
         num, den, key = sign, 1, 0
         while True:  # one factor, and the divisions by literals after it
-            token = tokens[pos]
-            negative = False
+            token, minus = tokens[pos], pos
             while token == "-":
-                negative = not negative
                 pos += 1
                 token = tokens[pos]
+            negative = (pos - minus) & 1
+            # Near the nesting limit the general path counts the levels
+            # of these minuses and of a parenthesised literal
+            if self.depth + pos - minus + 2 > MAX_NESTING:
+                break
             gen = names.get(token)
             if gen is not None:
                 if tokens[pos + 1] == "^":
@@ -1338,8 +1355,11 @@ class _Parser:
         """Unary minus, or an atom with an optional exponent."""
         tokens = self.tokens
         if tokens[self.pos] == "-":
+            self.nest(self.pos)
             self.pos += 1
-            return -self.unary()
+            value = -self.unary()
+            self.depth -= 1
+            return value
         base = self.atom()
         index = self.pos
         if tokens[index] != "^":
@@ -1366,9 +1386,11 @@ class _Parser:
             self.pos += 1
             return -self.power(self.pos - 1)
         if token == "(":
+            self.nest(self.pos)
             self.pos += 1
             inner = self.exponent_literal()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise self.error("exponent must be an integer literal", self.pos)
 
@@ -1382,8 +1404,10 @@ class _Parser:
         if token.isdigit():
             return self.ctx.const(int(token))
         if token == "(":
+            self.nest(index)
             inner = self.expression()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if token[:1].isalpha():
             return self.resolve(token, index)

@@ -5,10 +5,11 @@ coefficients over one positive ``int`` denominator that is coprime to
 their content (the gcd of the coefficients). That representation is
 unique, so equality and hashing compare it directly, and arithmetic
 runs on Python integers with one gcd per result to restore it. Every
-sum, ``+`` and ``-`` included, is a sum of products
+sum and every product of two polynomials, ``+``, ``-``, ``*`` and the
+squarings of ``**`` included, is a sum of products
 (``sum_of_products``): one accumulation loop over all its terms and
 pairs into one integer map, so its bookkeeping is paid once per sum,
-not once per product. A product is ``_mul_terms``.
+not once per product.
 
 A monomial's exponent vector is packed into one ``int`` key (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -121,9 +122,13 @@ class PolyRing:
         call per pair. The exponent limit is checked, cancelled terms
         are dropped (if terms met) and one gcd is taken once, at the
         end."""
-        den = lcm(*[poly.den for poly in singles if poly.den != 1],
-                  *[a.den * b.den for a, b in pairs
-                    if a.den != 1 or b.den != 1])
+        den = 1  # by a loop: lcm(*lists) cost a product a fifth of its time
+        for poly in singles:
+            if poly.den != 1:
+                den = lcm(den, poly.den)
+        for a, b in pairs:
+            if a.den != 1 or b.den != 1:
+                den = lcm(den, a.den * b.den)
         coeffs, met = {}, 0
         get = coeffs.get
         for poly in singles:
@@ -163,26 +168,6 @@ def _reduced(ring: PolyRing, coeffs: dict, den: int) -> "Poly":
             den //= g
             coeffs = {m: c // g for m, c in coeffs.items()}
     return Poly(ring, coeffs, den if coeffs else 1)
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    """The integer product of two nonempty coefficient maps, without the
-    terms that cancel; a one-term operand takes one comprehension."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        ((m2, c2),) = b.items()
-        return {m1 + m2: c1 * c2 for m1, c1 in a.items()}
-    product = {}
-    get = product.get
-    for m2, c2 in b.items():
-        for m1, c1 in a.items():
-            m = m1 + m2
-            v = get(m)
-            product[m] = c1 * c2 if v is None else v + c1 * c2
-    if len(product) < len(a) * len(b):  # terms met
-        return {m: c for m, c in product.items() if c}
-    return product
 
 
 class Poly:
@@ -299,13 +284,7 @@ class Poly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        ring = self.ring
-        if not self.coeffs or not other.coeffs:
-            return ring.zero
-        product = _mul_terms(self.coeffs, other.coeffs)
-        if reduce(or_, product, 0) & ring.guard:  # past the exponent limit
-            raise limit_error()
-        return _reduced(ring, product, self.den * other.den)
+        return self.ring.sum_of_products((), ((self, other),))
 
     __rmul__ = __mul__
 
@@ -321,22 +300,18 @@ class Poly:
         union = reduce(or_, self.coeffs, 0)
         if max(next(self.ring.unpack([union]))) * exponent > MAX_EXPONENT:
             raise limit_error()
-        # Gauss's lemma: content(p**k) = content(p)**k, still coprime to
-        # den**k, so the integer power needs no reduction.
         if len(self.coeffs) == 1:
             ((m, c),) = self.coeffs.items()
             return Poly(self.ring, {m * exponent: c ** exponent},
                         self.den ** exponent)
-        den, result, square = self.den ** exponent, None, self.coeffs
+        result, square = None, self
         while True:
             if exponent & 1:
-                result = (square if result is None
-                          else _mul_terms(result, square))
+                result = square if result is None else result * square
             exponent >>= 1
             if not exponent:
-                break
-            square = _mul_terms(square, square)
-        return Poly(self.ring, result, den)
+                return result
+            square = square * square
 
     def quo_ground(self, value) -> "Poly":
         """``self / value`` for a nonzero ``int`` or ``Fraction``."""

@@ -22,6 +22,10 @@ worktree`` of the parent commit and the working tree. The corpus is:
   (read the same way) and ``exprgen.random_text`` of depth 4 in the
   fixture's context for seeds 1-12, so the parser's general path is
   compared byte for byte too;
+* ``analyze`` of such copies whose first ``f`` entry is each text of
+  ``POWERS``: powers of multi-term sums with rational coefficients and
+  a parameter, above the exponents ``random_text`` draws (-2..3), so
+  the multiply-and-square loop of ``Poly.__pow__`` is compared too;
 * ``check --suite thm3`` and ``analyze`` (the largest printed output)
   of a copy of ``tests/problems/dense4.json``, the dense n = 4 system
   with a position-dependent kinetic energy, and ``solve`` of a copy of
@@ -61,6 +65,10 @@ TEXT_SEEDS = range(1, 13)
 WORKLOADS = ("certify", "search", "rational_geometry")
 RUN_SECONDS = 22
 INSTANTIATIONS = ("b=1/2", "b=-1/3", "b=3/4")
+POWERS = ("(1/2*q1 - 3*v2 + 2/3)^7", "(q1*v1 - 1/3*q2 + a)^9",
+          "(v1 + 2*b)^(-3)", "(q1 - 2/5*v1)^12*(omega + 1/7)",
+          "(2/3*q1^2 - q2*v1 + omega)^6/(q1 - 1)^2",
+          "(a*q1 + b*v2 - 1)^5*(q2 + v1)^-2")
 
 
 def _readme_calls():
@@ -150,6 +158,7 @@ def _corpus(workdir: str):
              + _first_entry_calls(workdir, "malformed", _malformed_texts())
              + _first_entry_calls(workdir, "noncanonical",
                                   _noncanonical_texts())
+             + _first_entry_calls(workdir, "powers", POWERS)
              + _wide_calls(workdir))
     for workload in WORKLOADS:
         for seed in SEEDS:

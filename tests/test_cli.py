@@ -577,6 +577,36 @@ def test_an_integer_past_the_digit_limit_exits_with_usage_code(
         path=path, digits=_DIGITS) + "\n")
 
 
+def _deep_planar_drag(first: str) -> str:
+    fixture = json.loads((resources.files("invlag") / "fixtures"
+                          / "planar_drag.json").read_text(encoding="utf-8"))
+    return json.dumps(dict(fixture, f=[first, fixture["f"][1]]))
+
+
+@pytest.mark.parametrize("text, message", [
+    (_deep_planar_drag("(" * 3000 + "q1" + ")" * 3000),
+     "{path}: f[1]: nesting above the limit {nesting} (at position "
+     "{nesting})"),
+    (_deep_planar_drag("-" * 3000 + "(q1)"),
+     "{path}: f[1]: nesting above the limit {nesting} (at position "
+     "{nesting})"),
+    ('{"n": 2, "f": ["0", "0"], "options": ' + "[" * 100000 + "]" * 100000
+     + "}", "{path}: JSON nested past Python's recursion limit of "
+     "{recursion}"),
+], ids=["parentheses", "unary-minus", "json-arrays"])
+def test_deep_nesting_exits_with_usage_code(tmp_path, text, message):
+    """Nesting past the parser's limit in an expression, or past what
+    the JSON reader recurses through in a problem file, exits 2 with the
+    limit named, never with a ``RecursionError`` traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 2
+    assert result.stderr == ("invlag: error: " + message.format(
+        path=path, nesting=exprcore.MAX_NESTING,
+        recursion=sys.getrecursionlimit()) + "\n")
+
+
 def test_parse_errors_exit_with_usage_code(tmp_path):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text('{"n": 2, "f": ["0" "0"]}')

@@ -539,6 +539,48 @@ def test_products_past_the_exponent_limit_raise_on_every_path():
             make()
 
 
+_DEEP = exprcore.MAX_NESTING
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(" * _DEEP + "q1" + ")" * _DEEP, "q1"),
+    ("-" * _DEEP + "q1", "q1"),
+    ("-" * (_DEEP - 1) + "(q1)", "-q1"),
+    ("(-" * (_DEEP // 2) + "v1" + ")" * (_DEEP // 2), "v1"),
+    ("(" * (_DEEP - 1) + "(2/3)" + ")" * (_DEEP - 1), "2/3"),
+    ("q1*" + "-" * _DEEP + "v2 - 1", "q1*v2 - 1"),
+    ("q1^" + "(" * _DEEP + "2" + ")" * _DEEP, "q1^2"),
+], ids=["parentheses", "minuses", "minuses-parenthesis", "alternating",
+        "literal", "factor", "exponent"])
+def test_nesting_at_the_limit_parses(text, value):
+    """Parentheses and unary minuses nested ``MAX_NESTING`` deep parse,
+    on the integer path and on the general path alike."""
+    assert to_text(ExprContext(2).parse(text)) == value
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * (_DEEP + 1) + "q1" + ")" * (_DEEP + 1), _DEEP),
+    ("(" * 3000 + "q1" + ")" * 3000, _DEEP),
+    ("-" * (_DEEP + 1) + "q1", _DEEP),
+    ("-" * _DEEP + "(q1)", _DEEP),
+    ("-" * 3000 + "(q1)", _DEEP),
+    ("(-" * (_DEEP // 2 + 1) + "v1" + ")" * (_DEEP // 2 + 1), _DEEP),
+    ("(" * (_DEEP - 1) + "(-2/3)" + ")" * (_DEEP - 1), _DEEP),
+    ("q1*" + "-" * (_DEEP + 1) + "v2 - 1", _DEEP + 3),
+    ("q1^" + "(" * (_DEEP + 1) + "2" + ")" * (_DEEP + 1), _DEEP + 3),
+], ids=["parentheses", "parentheses-3000", "minuses", "minuses-parenthesis",
+        "minuses-3000-parenthesis", "alternating", "literal", "factor",
+        "exponent"])
+def test_nesting_past_the_limit_is_refused(text, position):
+    """One level of parentheses or unary minus past ``MAX_NESTING``
+    raises ``LimitError`` naming the limit and the token that passes it,
+    never a ``RecursionError``."""
+    with pytest.raises(LimitError) as err:
+        ExprContext(2).parse(text)
+    assert str(err.value) == (f"nesting above the limit {_DEEP} "
+                              f"(at position {position})")
+
+
 def test_parsing_a_polynomial_builds_no_quotient(monkeypatch):
     """A polynomial text (an ``f`` entry of a generated problem file) is
     read as integer triples alone: no ``Expr`` product and no
