@@ -105,7 +105,6 @@ class Problem:
         self.ansatz = data.get("ansatz")
         if self.ansatz is not None and not isinstance(self.ansatz, dict):
             raise CliError(f"{path}: 'ansatz' must be an object")
-        self._data = data
 
     # -- construction helpers ------------------------------------------------
 
@@ -254,10 +253,27 @@ def _as_fraction(raw, where: str, path: str) -> Fraction:
         if isinstance(raw, int):
             return Fraction(raw)
         if isinstance(raw, str):
-            return Fraction(raw)
+            return _rational(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{path}: {where}: {exc}") from exc
     raise CliError(f"{path}: {where}: expected a rational like \"2/3\"")
+
+
+_EXPONENT = re.compile(r"\A\s*[-+]?[\d_.]*[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, with a decimal exponent above
+    ``sys.get_int_max_str_digits()`` in magnitude refused first:
+    ``Fraction`` would build ten to that power, for seconds at an
+    exponent of ten million and for minutes past it."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    exponent = _EXPONENT.match(text)
+    if limit and exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"exponent above the limit of {limit}")
+    return Fraction(text)
 
 
 def resolve_input(path: str) -> str:
@@ -962,7 +978,7 @@ def _parse_overrides(pairs: Optional[Sequence[str]]) -> Dict[str, Fraction]:
         if not equals or not name:
             raise CliError(f"--instantiate expects NAME=P/Q, got {pair!r}")
         try:
-            overrides[name] = Fraction(value)
+            overrides[name] = _rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"--instantiate {pair!r}: {exc}") from exc
     return overrides

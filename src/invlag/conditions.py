@@ -585,10 +585,10 @@ def _reduced_route_cells(sys: ImplicitSystem):
                 -block[j - 1][k - 1].diff(ctx.q(i)),
                 (half, tail[j - 1].diff(ctx.jet(i, 1)).diff(ctx.jet(k, 1)))])
             cells.append(Cell(_label("XB", i, j, k), residual))
-    for i, j, k in combinations(range(1, n + 1), 3):
-        residual = lincomb(ctx, [
-            term for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) for term in (
-                tail[a - 1].diff(ctx.q(b)).diff(ctx.jet(c, 1)),
-                -tail[a - 1].diff(ctx.q(c)).diff(ctx.jet(b, 1)))])
-        cells.append(Cell(_label("XC", i, j, k), residual))
+    # XC is d of the 2-form d tail_b/dv_a - d tail_a/dv_b
+    sigma = {(a, b): tail[b - 1].diff(ctx.jet(a, 1))
+             - tail[a - 1].diff(ctx.jet(b, 1))
+             for a, b in combinations(range(1, n + 1), 2)}
+    for idx, residual in d_basic(ctx, sigma, 2).items():
+        cells.append(Cell(_label("XC", *idx), residual))
     return cells

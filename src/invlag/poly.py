@@ -5,11 +5,10 @@ coefficients over one positive ``int`` denominator that is coprime to
 their content (the gcd of the coefficients). That representation is
 unique, so equality and hashing compare it directly, and arithmetic
 runs on Python integers with one gcd per result to restore it. Every
-sum and every product of two polynomials, ``+``, ``-``, ``*`` and the
-squarings of ``**`` included, is a sum of products
-(``sum_of_products``): one accumulation loop over all its terms and
-pairs into one integer map, so its bookkeeping is paid once per sum,
-not once per product.
+sum of polynomials and every product of two, the squarings of ``**``
+included, is a sum of products (``sum_of_products``): one accumulation
+loop over all its terms and pairs into one integer map, so its
+bookkeeping is paid once per sum, not once per product.
 
 A monomial's exponent vector is packed into one ``int`` key (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -20,26 +19,25 @@ order is integer order, the monomial of a product is the sum of the
 keys, and a field is read with a shift (``PolyRing.shifts``) and
 ``FIELD_MASK``. A product or a power past the limit raises
 :class:`invlag.exprcore.LimitError`. Exponent tuples appear only at
-the boundary: ``from_dict`` and ``pack`` take them, ``terms()``,
-``monoms()`` and ``unpack`` return them, and the factoriser and the
-sympy hand-off unpack to them.
+the boundary: ``from_dict`` and ``pack`` take them, ``monoms()`` and
+``unpack`` return them, and the factoriser and the sympy hand-off
+unpack to them.
 
-The surface is the part of a polynomial-ring interface the expression
-kernel needs: a :class:`PolyRing` with its generators, ``zero``,
-``one``, ``ground_new``, ``from_dict``, ``from_ints`` (packed keys),
-``sum_of_products``, ``pack`` and ``unpack``; and for a :class:`Poly`
-``+ - * **`` (also with ``int`` and ``Fraction`` operands), division by
-a constant, ``diff``, ``degree``, ``support``, ``LC``, ``is_ground``,
-``quo_ground``, ``terms()`` (``Fraction`` coefficients) and
-``monoms()`` in descending lex order, ``len``, ``==``, ``hash`` and
-``factor_list``. A monomial is factored
-here (its factors are its variables), and so is a monomial times a
-cofactor that an exact irreducibility certificate accepts (restriction
-to lines and distinct-degree factorisation modulo primes, see
-``_irreducible``); any other polynomial is handed to sympy's
-factoriser, which is imported on that first need only. Either way the
-content and the factors are sympy's; their order is not, and no caller
-reads it.
+The surface is what the expression kernel calls: a :class:`PolyRing`
+with its generators, ``zero``, ``one``, ``ground_new``, ``from_dict``,
+``from_ints`` (packed keys), ``sum_of_products`` (the one sum),
+``pack`` and ``unpack``; and for a :class:`Poly` ``*`` (by a
+polynomial or an ``int``), unary ``-``, ``**``, ``quo_ground``
+(division by a constant), ``diff``, ``degree``, ``support``, ``LC``,
+``is_ground``, ``monoms()`` in descending lex order, ``==``, ``hash``
+and ``factor_list``; ``len`` (the term count) is for the benchmark's
+tracer. A monomial is factored here (its factors are its
+variables), and so is a monomial times a cofactor that an exact
+irreducibility certificate accepts (restriction to lines and
+distinct-degree factorisation modulo primes, see ``_irreducible``);
+any other polynomial is handed to sympy's factoriser, which is
+imported on that first need only. Either way the content and the
+factors are sympy's; their order is not, and no caller reads it.
 """
 
 from __future__ import annotations
@@ -183,24 +181,16 @@ class Poly:
         self.den = den
         self._hash = None
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.ground_new(other)
-        return None
-
     # -- structure ---------------------------------------------------------
 
-    def __len__(self):
+    def __len__(self):  # the term count perfbench/tracing.py reads
         return len(self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Poly):
             return NotImplemented
         return self.den == other.den and self.coeffs == other.coeffs
 
@@ -210,7 +200,7 @@ class Poly:
         return self._hash
 
     def __repr__(self):
-        return f"Poly({self.terms()!r})"
+        return f"Poly({self.coeffs!r}, {self.den})"
 
     @property
     def is_ground(self) -> bool:
@@ -235,12 +225,6 @@ class Poly:
         union = reduce(or_, self.coeffs, 0)
         return [p for p, e in enumerate(next(self.ring.unpack([union]))) if e]
 
-    def terms(self):
-        """``(exponent tuple, Fraction)`` pairs in descending lex order."""
-        keys, den = sorted(self.coeffs, reverse=True), self.den
-        return [(monom, Fraction(self.coeffs[m], den))
-                for m, monom in zip(keys, self.ring.unpack(keys))]
-
     def monoms(self):
         """The exponent tuples in descending lex order."""
         return list(self.ring.unpack(sorted(self.coeffs, reverse=True)))
@@ -251,39 +235,17 @@ class Poly:
         return Poly(self.ring, {m: -c for m, c in self.coeffs.items()},
                     self.den)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.sum_of_products((self, other), ())
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.sum_of_products((self, -other), ())
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.ring.sum_of_products((-self, other), ())
-
     def __mul__(self, other):
         if type(other) is not Poly:
-            if isinstance(other, int):
-                if not other:
-                    return self.ring.zero
-                g = gcd(other, self.den)
-                scale = other // g
-                return Poly(self.ring,
-                            {m: c * scale for m, c in self.coeffs.items()},
-                            self.den // g)
-            other = self._coerce(other)
-            if other is None:
+            if not isinstance(other, int):
                 return NotImplemented
+            if not other:
+                return self.ring.zero
+            g = gcd(other, self.den)
+            scale = other // g
+            return Poly(self.ring,
+                        {m: c * scale for m, c in self.coeffs.items()},
+                        self.den // g)
         return self.ring.sum_of_products((), ((self, other),))
 
     __rmul__ = __mul__
@@ -322,14 +284,6 @@ class Poly:
             return self
         return _reduced(self.ring, {m: c * q for m, c in self.coeffs.items()},
                         self.den * p)
-
-    def __truediv__(self, other):
-        """Division by a nonzero ``int`` or ``Fraction`` only."""
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        return self.quo_ground(other)
 
     # -- calculus ----------------------------------------------------------
 

@@ -187,9 +187,7 @@ def q_monomials(ctx: ExprContext, degree: int,
 
 def constant_ansatz(ctx: ExprContext, suite: str, **extra) -> AnsatzProblem:
     """Full symmetric multiplier with constant entries."""
-    entries = tuple((pair, (ctx.one,)) for pair in
-                    _symmetric_pairs(ctx.n))
-    return AnsatzProblem(suite, entries, **extra)
+    return polynomial_ansatz(ctx, suite, 0, **extra)
 
 
 def polynomial_ansatz(ctx: ExprContext, suite: str, degree: int,

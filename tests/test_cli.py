@@ -16,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -775,6 +776,45 @@ def test_rational_instantiation_rejects_garbage():
     assert result.returncode == 2
     result = run_cli("solve", "chain4", "--instantiate", "b")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("value", [
+    "1e10000000", " -2.5E-1_0000_000 ", "1e" + "9" * 5000,
+    f"1e{_DIGITS + 1}", "3e0" + str(_DIGITS + 1)])
+def test_a_decimal_exponent_past_the_digit_limit_is_refused_unbuilt(
+        tmp_path, monkeypatch, value):
+    """A rational whose decimal exponent exceeds Python's digit limit,
+    on the command line or in ``options.instantiate``, exits 2 naming
+    the limit before ``Fraction`` sees it: ``Fraction`` would build ten
+    to that power, which takes seconds at ten million."""
+    def fraction(*args):
+        assert args != (value,), "Fraction built the huge value"
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", fraction)
+    message = f"exponent above the limit of {_DIGITS}\n"
+    result = run_cli("analyze", "planar_drag", "--instantiate", f"a={value}")
+    assert result.returncode == 2
+    assert result.stderr == (f"invlag: error: --instantiate "
+                             f"{'a=' + value!r}: {message}")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "parameters": ["a"], "f": ["a*q1"],
+                                "options": {"instantiate": {"a": value}}}))
+    result = run_cli("analyze", str(path))
+    assert result.returncode == 2
+    assert result.stderr == (f"invlag: error: {path}: "
+                             f"options.instantiate.a: {message}")
+
+
+def test_a_decimal_exponent_at_the_digit_limit_is_read():
+    """The limit itself, and every decimal form ``Fraction`` reads, pass
+    through unchanged."""
+    assert cli._rational(f"1e{_DIGITS}") == 10 ** _DIGITS
+    assert cli._rational(f"-1E-{_DIGITS}") == Fraction(-1, 10 ** _DIGITS)
+    for text, value in [(" 1_0e1_0 ", 10 ** 11), ("2.5e-1", Fraction(1, 4)),
+                        ("1e\u0663", 1000), ("3/4", Fraction(3, 4)),
+                        ("7", 7)]:
+        assert cli._rational(text) == value
 
 
 def test_readme_command_table_is_accurate():

@@ -3,7 +3,7 @@ reference systems, reduction properties between suites, and the
 implicit-system checker with its independent cross-check route."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -423,6 +423,38 @@ def test_implicit_velocity_square_coupling_fails():
     assert report.cell("OrderR[1,2]").residual == ctx.parse("-d2q2")
     assert report.cell("C3[2,1,2]").residual == ctx.parse("2")
     assert "XB[1,2,2]" in labels  # independent route agrees
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_implicit_xc_cells_are_the_cyclic_sum(n):
+    """Each ``XC[i,j,k]`` cell of the reduced route is the cyclic sum
+    over ``(a, b, c)`` of ``d/dq_b d/dv_c tail_a - d/dq_c d/dv_b tail_a``,
+    ``tail`` the system at zero acceleration. Every term ``q_b*v_c`` of
+    ``tail_a`` has its own power of two as coefficient, so each cell is
+    nonzero and a flipped sign or a swapped index changes it."""
+    ctx = implicit_context(n)
+    weights = {abc: 2 ** k for k, abc in
+               enumerate(permutations(range(1, n + 1), 3))}
+    f = [ctx.parse(f"d2q{a} + v{a}^2*q{a} + " + " + ".join(
+        f"{w}*q{b}*v{c}" for (a_, b, c), w in weights.items() if a_ == a))
+         for a in range(1, n + 1)]
+    report = check_implicit(ImplicitSystem(ctx, f))
+    tail = [entry.subst({ctx.jet(i, 2): ctx.zero for i in range(1, n + 1)})
+            for entry in f]
+
+    def mixed(a, b, c):
+        return tail[a - 1].diff(ctx.q(b)).diff(ctx.jet(c, 1))
+
+    triples = list(combinations(range(1, n + 1), 3))
+    for i, j, k in triples:
+        expected = sum((mixed(a, b, c) - mixed(a, c, b)
+                        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))),
+                       ctx.zero)
+        cell = report.cell(f"XC[{i},{j},{k}]")
+        assert cell.residual == expected and not cell.passes
+    assert [cell.label for cell in report.cells
+            if cell.label.startswith("XC")] == \
+        [f"XC[{i},{j},{k}]" for i, j, k in triples]
 
 
 def test_implicit_time_dependent_coefficient():

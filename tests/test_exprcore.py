@@ -100,8 +100,9 @@ def test_constructor_returns_the_canonical_form():
     assert str(half) == "1/2*q1" and half == ctx.parse("q1/2")
     unreduced = Expr(ctx, q1 * q2, 2 * q2)
     assert unreduced == ctx.parse("q1/2") and unreduced.den == ring.one
-    scaled = Expr(ctx, 3 * q1 * (q1 + q2), -6 * (q1 + q2) ** 2)
-    assert (scaled.num, scaled.den) == (-q1 / 2, q1 + q2)
+    both = ring.sum_of_products((q1, q2), ())
+    scaled = Expr(ctx, 3 * q1 * both, -6 * both ** 2)
+    assert (scaled.num, scaled.den) == ((-q1).quo_ground(2), both)
     assert scaled.den_factors == ctx.parse("1/(q1 + q2)").den_factors
 
 
@@ -681,10 +682,9 @@ def test_a_term_leaves_the_integer_path_with_the_value_read_so_far():
     assert {text: ctx.parse(text) for text in cases} == cases
 
 
-def test_printing_reads_the_integer_coefficients(monkeypatch):
+def test_printing_reads_the_integer_coefficients():
     """``to_text`` prints from a polynomial's integer coefficients and
-    its one denominator; ``Poly.terms()``, a ``Fraction`` per term, is
-    never called."""
+    its one denominator."""
     ctx = ExprContext(2, parameters=("a",))
     cases = {"-3/4*a*q1^2 + 1/6*q2 - 1": "-3/4*q1^2*a + 1/6*q2 - 1",
              "(2/3*q1 - 1)/(q2^2 + 1/2*a)": "(2/3*q1 - 1)/(q2^2 + 1/2*a)",
@@ -692,11 +692,6 @@ def test_printing_reads_the_integer_coefficients(monkeypatch):
                  "(-1/4*q1*v2^3 - 5/2*q2 + 15/4*a)/(q2 - 3/2*a)",
              "0": "0", "-7/3": "-7/3", "12*q1 - q2": "12*q1 - q2"}
     exprs = {text: ctx.parse(text) for text in cases}
-
-    def refuse(poly):
-        raise AssertionError("Poly.terms() called")
-
-    monkeypatch.setattr(Poly, "terms", refuse)
     assert {text: exprcore.to_text(e) for text, e in exprs.items()} == cases
 
 
@@ -1091,7 +1086,7 @@ def test_lincomb_without_denominators_equals_the_left_fold(terms, cancel,
                                                            order):
     """A sum with no denominator, the path straight to
     ``sum_of_products``, equals the left fold with ``+`` and ``*`` and
-    the sum of the numerators by ``Poly`` arithmetic. With ``cancel``
+    the sum of the numerators in sympy's ring. With ``cancel``
     the terms are followed by their negations, shuffled, so the sum is
     zero, and a zero sum stands over 1."""
     ctx = _SHARED_CTX
@@ -1099,16 +1094,16 @@ def test_lincomb_without_denominators_equals_the_left_fold(terms, cancel,
         terms = terms + [(-term[0], term[1]) if type(term) is tuple
                          else -term for term in terms]
         order.shuffle(terms)
-    total, num = ctx.zero, ctx._ring.zero
+    total, num = ctx.zero, sympy_ring(ctx._ring).zero
     for term in terms:
         if type(term) is tuple:
-            total, num = (total + term[0] * term[1],
-                          num + term[0].num * term[1].num)
+            total = total + term[0] * term[1]
+            num += to_sympy(term[0].num) * to_sympy(term[1].num)
         else:
-            total, num = total + term, num + term.num
+            total, num = total + term, num + to_sympy(term.num)
     result = lincomb(ctx, terms)
     assert result == total and to_text(result) == to_text(total)
-    assert result.num == num and result.den_factors == ()
+    assert to_sympy(result.num) == num and result.den_factors == ()
     if cancel:
         assert result.is_zero()
     if result.is_zero():

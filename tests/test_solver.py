@@ -26,6 +26,7 @@ from invlag.conditions import (Cell, ConditionReport,
                                check_multiplier_dissipative)
 
 from clirun import run_cli
+from sympyref import terms
 
 
 def planar_drag():
@@ -427,10 +428,10 @@ def assert_matches_sympy_rref(space, dense):
 
 
 def dense_fraction_rows(system):
-    """The augmented rows of ``system`` rebuilt from ``num.terms()``, as
-    dense Fractions: the residuals' terms grouped by the monomial in
-    everything but the unknowns, the constant negated into the last
-    column, all-zero rows dropped."""
+    """The augmented rows of ``system`` rebuilt from the terms of its
+    residuals' numerators, as dense Fractions: the terms grouped by the
+    monomial in everything but the unknowns, the constant negated into
+    the last column, all-zero rows dropped."""
     ectx = system.context
     count = len(system.unknowns)
     columns = {ectx.gen_index(ectx.param(name)): k
@@ -438,7 +439,7 @@ def dense_fraction_rows(system):
     dense = []
     for _label, residual in system.residuals:
         groups = {}
-        for monom, coeff in residual.num.terms():
+        for monom, coeff in terms(residual.num):
             key = tuple(0 if position in columns else exponent
                         for position, exponent in enumerate(monom))
             row = groups.setdefault(key, [Fraction(0)] * (count + 1))
