@@ -196,8 +196,8 @@ class Problem:
                            "for this command")
         return value
 
-    def sode(self) -> Sode:
-        self.require_mode("explicit", "this command")
+    def sode(self, why: str = "this command") -> Sode:
+        self.require_mode("explicit", why)
         return Sode(self.ctx, self.require("f"))
 
     def implicit_system(self) -> ImplicitSystem:
@@ -236,14 +236,19 @@ def _expect_options(data: dict, path: str) -> dict:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise CliError(f"{path}: 'options' must be an object")
-    unknown = set(options) - {"instantiate", "format"}
-    if unknown:
-        raise CliError(f"{path}: unknown options: "
-                       + ", ".join(sorted(unknown)))
+    _refuse_unknown(options, ("instantiate", "format"), path, "options")
     if options.get("format") not in (None, "text", "json"):
         raise CliError(f"{path}: options.format must be \"text\" or "
                        "\"json\"")
     return options
+
+
+def _refuse_unknown(section: dict, allowed, where: str, what: str = "keys"):
+    """Refuse the keys of ``section`` outside ``allowed``, naming them."""
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise CliError(f"{where}: unknown {what}: "
+                       + ", ".join(sorted(unknown)))
 
 
 def _as_fraction(raw, where: str, path: str) -> Fraction:
@@ -322,10 +327,7 @@ def load_problem(path: str, overrides: Dict[str, Fraction]) -> Problem:
                        f"limit of {sys.getrecursionlimit()}") from None
     if not isinstance(data, dict):
         raise CliError(f"{resolved}: the top level must be a JSON object")
-    unknown = set(data) - set(PROBLEM_FIELDS)
-    if unknown:
-        raise CliError(f"{resolved}: unknown fields: "
-                       + ", ".join(sorted(unknown)))
+    _refuse_unknown(data, PROBLEM_FIELDS, resolved, "fields")
     return Problem(resolved, data, overrides)
 
 
@@ -342,6 +344,7 @@ def _basis_entries(problem: Problem, section: dict, name: str,
     if not isinstance(entries, dict):
         raise CliError(f"{problem.path}: ansatz.{name}.entries must map "
                        "\"i,j\" keys to lists of basis expressions")
+    _refuse_unknown(section, ("entries",), f"{problem.path}: ansatz.{name}")
     parsed = []
     for key in entries:
         match = _ENTRY_KEY.match(key)
@@ -374,6 +377,7 @@ def _preset_family(problem: Problem, section: dict, name: str):
     for the suite and the rest of the family."""
     from .solver import constant_ansatz, diagonal_ansatz, polynomial_ansatz
     preset = section["preset"]
+    allowed = ("preset",)
     if preset == "constant":
         build = partial(constant_ansatz, problem.ctx)
     elif preset in ("polynomial", "diagonal"):
@@ -393,14 +397,11 @@ def _preset_family(problem: Problem, section: dict, name: str):
                    else diagonal_ansatz)
         build = partial(builder, problem.ctx, degree=degree,
                         variables=variables)
+        allowed = ("preset", "degree", "variables")
     else:
         raise CliError(f"{problem.path}: ansatz.{name}: unknown preset "
                        f"{preset!r} (constant, polynomial, diagonal)")
-    allowed = {"preset", "degree", "variables"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise CliError(f"{problem.path}: ansatz.{name}: unknown keys: "
-                       + ", ".join(sorted(unknown)))
+    _refuse_unknown(section, allowed, f"{problem.path}: ansatz.{name}")
     return build
 
 
@@ -411,10 +412,8 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     if section is None:
         raise CliError(f"{problem.path}: an 'ansatz' section is required "
                        "for solve")
-    unknown = set(section) - {"suite", "g", "omega", "bound"}
-    if unknown:
-        raise CliError(f"{problem.path}: ansatz: unknown keys: "
-                       + ", ".join(sorted(unknown)))
+    _refuse_unknown(section, ("suite", "g", "omega", "bound"),
+                    f"{problem.path}: ansatz")
     suite = section.get("suite")
     gspec = section.get("g")
     if not isinstance(gspec, dict):
@@ -532,8 +531,7 @@ def _base_payload(command: str, problem: Problem) -> dict:
 
 
 def cmd_analyze(problem: Problem, args) -> Tuple[dict, int]:
-    problem.require_mode("explicit", "analyze")
-    s = problem.sode()
+    s = problem.sode("analyze")
     payload = _base_payload("analyze", problem)
     payload["objects"] = {
         "Gamma": _matrix_strings(connection(s)),
@@ -551,8 +549,7 @@ def cmd_check(problem: Problem, args) -> Tuple[dict, int]:
     if suite == "implicit":
         report = check_implicit(problem.implicit_system())
     else:
-        problem.require_mode("explicit", f"suite {suite!r}")
-        s = problem.sode()
+        s = problem.sode(f"suite {suite!r}")
         g = problem.require("g")
         try:
             report = check_suite(suite, s, g, D=problem.D,
@@ -567,8 +564,7 @@ def cmd_check(problem: Problem, args) -> Tuple[dict, int]:
 def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
     from .solver import (SolverError, assemble, find_nonsingular, instantiate,
                          solve as solve_space)
-    problem.require_mode("explicit", "solve")
-    s = problem.sode()
+    s = problem.sode("solve")
     family, bound = ansatz_problem(problem)
     if args.bound is not None:
         if args.bound < 0:
@@ -649,8 +645,7 @@ def _certificate_payload(cert) -> dict:
 def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
     from .reconstruct import (MultiplierCheckError, ReconstructError,
                               reconstruct_dissipative, reconstruct_gyroscopic)
-    problem.require_mode("explicit", "reconstruct")
-    s = problem.sode()
+    s = problem.sode("reconstruct")
     g = problem.require("g")
     route = SUITES[args.suite].route
     payload = _base_payload("reconstruct", problem)
@@ -687,8 +682,7 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
 def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
     from .reconstruct import (SingularHessianError, forward_accelerations,
                               verify_dissipative, verify_gyroscopic)
-    problem.require_mode("explicit", "verify")
-    s = problem.sode()
+    s = problem.sode("verify")
     L = problem.require("L")
     route = args.suite
     if route is None:
@@ -779,14 +773,15 @@ def _render_numeric(payload: dict) -> List[str]:
             f"cells): {status}"]
 
 
+def _entry_lines(label: str, entries, indent: str = "  ") -> List[str]:
+    """One ``label[idx] = value`` line per ``(idx, value)`` pair."""
+    return [f"{indent}{label}[{idx}] = {value}" for idx, value in entries]
+
+
 def _tensor_block(title: str, label: str, entries: List[Tuple[str, str]])\
         -> List[str]:
-    lines = [title + ":"]
-    if not entries:
-        lines.append(f"  (all {label} entries are zero)")
-    for idx, value in entries:
-        lines.append(f"  {label}[{idx}] = {value}")
-    return lines
+    return [title + ":"] + (_entry_lines(label, entries)
+                            or [f"  (all {label} entries are zero)"])
 
 
 def _nonzero_matrix(matrix: List[List[str]]) -> List[Tuple[str, str]]:
@@ -824,20 +819,14 @@ def _render_analyze(payload: dict) -> List[str]:
     return lines
 
 
-def _render_check(payload: dict) -> List[str]:
-    lines = _render_header(payload)
-    lines += _render_report("report", payload["report"])
-    lines += _render_numeric(payload)
-    verdict = "pass" if payload["report"]["passed"] else "FAIL"
-    lines.append(f"verdict: {verdict}")
-    return lines
+def _verdict(payload: dict) -> str:
+    """The verdict line: the exit code ``main`` stored from the command."""
+    return f"verdict: {'pass' if payload['exit_code'] == 0 else 'FAIL'}"
 
 
 def _render_entry_map(prefix: str, mapping: dict) -> List[str]:
-    if not mapping:
-        return [f"    {prefix}: zero"]
-    return [f"    {prefix}[{key}] = {value}"
-            for key, value in mapping.items()]
+    return (_entry_lines(prefix, mapping.items(), indent="    ")
+            or [f"    {prefix}: zero"])
 
 
 def _render_solve(payload: dict) -> List[str]:
@@ -867,11 +856,9 @@ def _render_solve(payload: dict) -> List[str]:
     if rep is not None:
         lines.append(f"nonsingular representative "
                      f"(coefficient bound {solution['bound']}):")
-        for idx, value in _nonzero_matrix(rep["g"]):
-            lines.append(f"  g[{idx}] = {value}")
+        lines += _entry_lines("g", _nonzero_matrix(rep["g"]))
         if rep.get("omega"):
-            for idx, value in _nonzero_matrix(rep["omega"]):
-                lines.append(f"  omega[{idx}] = {value}")
+            lines += _entry_lines("omega", _nonzero_matrix(rep["omega"]))
         lines.append(f"  det = {rep['det']}")
         lines += _render_report("representative re-check",
                                 payload["representative_report"])
@@ -891,12 +878,8 @@ def _render_certificate(cert: dict) -> List[str]:
     if cert["D"] is not None:
         lines.append(f"  D = {cert['D']}")
     if cert["omega"] is not None:
-        entries = _nonzero_matrix(cert["omega"])
-        if entries:
-            for idx, value in entries:
-                lines.append(f"  omega[{idx}] = {value}")
-        else:
-            lines.append("  omega = 0")
+        lines += (_entry_lines("omega", _nonzero_matrix(cert["omega"]))
+                  or ["  omega = 0"])
     gauge = cert.get("gauge")
     if gauge is not None:
         pieces = []
@@ -930,41 +913,32 @@ def _render_reconstruct(payload: dict) -> List[str]:
     lines += _render_numeric(payload)
     if "out" in payload:
         lines.append(f"certificate written to {payload['out']}")
-    verdict = "pass" if payload["verify"]["passed"] else "FAIL"
-    lines.append(f"verdict: {verdict}")
+    lines.append(_verdict(payload))
     return lines
 
 
-def _render_verify(payload: dict) -> List[str]:
+def _render_checked(payload: dict) -> List[str]:
+    """``check`` and ``verify``: one report, and ``verify --forward``'s
+    rebuilt accelerations and their cells."""
     lines = _render_header(payload)
     lines += _render_report("report", payload["report"])
     forward = payload.get("forward")
-    clean = payload["report"]["passed"]
     if forward is not None:
         lines.append("rebuilt accelerations:")
-        for i, expr in enumerate(forward["rebuilt_f"], start=1):
-            lines.append(f"  f[{i}] = {_short(expr)}")
+        lines += _entry_lines("f", ((i, _short(expr)) for i, expr in
+                                    enumerate(forward["rebuilt_f"], start=1)))
         lines += _render_report("forward diff",
                                 {"suite": payload["suite"],
                                  "cells": forward["cells"],
                                  "notes": ()})
-        clean = clean and all(c["passes"] for c in forward["cells"])
     lines += _render_numeric(payload)
-    lines.append(f"verdict: {'pass' if clean else 'FAIL'}")
+    lines.append(_verdict(payload))
     return lines
 
 
-_RENDERERS = {
-    "analyze": _render_analyze,
-    "check": _render_check,
-    "solve": _render_solve,
-    "reconstruct": _render_reconstruct,
-    "verify": _render_verify,
-}
-
-
 def render_text(payload: dict) -> str:
-    return "\n".join(_RENDERERS[payload["command"]](payload))
+    _run, render = _COMMANDS[payload["command"]]
+    return "\n".join(render(payload))
 
 
 # --------------------------------------------------------------------------
@@ -1044,12 +1018,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()
 
+#: each command's name -> the function that runs it, its text renderer
 _COMMANDS = {
-    "analyze": cmd_analyze,
-    "check": cmd_check,
-    "solve": cmd_solve,
-    "reconstruct": cmd_reconstruct,
-    "verify": cmd_verify,
+    "analyze": (cmd_analyze, _render_analyze),
+    "check": (cmd_check, _render_checked),
+    "solve": (cmd_solve, _render_solve),
+    "reconstruct": (cmd_reconstruct, _render_reconstruct),
+    "verify": (cmd_verify, _render_checked),
 }
 
 
@@ -1058,7 +1033,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         problem = load_problem(args.file,
                                _parse_overrides(args.instantiate))
-        payload, code = _COMMANDS[args.command](problem, args)
+        run, _render = _COMMANDS[args.command]
+        payload, code = run(problem, args)
     except (CliError, LimitError) as exc:
         print(f"invlag: error: {exc}", file=sys.stderr)
         return 2

@@ -57,7 +57,32 @@ class NonsingularityRecord(NamedTuple):
     note: str = ""
 
 
-class ConditionReport:
+class _Frozen:
+    """A record of ``__slots__`` filled in order by ``__init__``, then
+    frozen; two of one class are equal when their ``_compared()`` are."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+
+class ConditionReport(_Frozen):
     """The cells of one suite run. The nonsingularity record of the
     multiplier is computed on first read of ``nonsingularity``, so
     callers that only want the verdict never pay for the determinant.
@@ -69,26 +94,10 @@ class ConditionReport:
     def __init__(self, suite: str, cells: Tuple[Cell, ...],
                  multiplier: Optional[TensorField] = None,
                  notes: Tuple[str, ...] = ()):
-        for name, value in zip(self.__slots__,
-                               (suite, cells, multiplier, notes)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        super().__init__(suite, cells, multiplier, notes)
 
     def _compared(self):
         return (self.suite, self.cells, self.notes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
 
     @property
     def nonsingularity(self) -> Optional[NonsingularityRecord]:
@@ -497,60 +506,51 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
     a cross-check — the reduced formulation for systems affine in the
     acceleration must agree."""
     ctx = sys.ctx
-    n = sys.n
     f = sys.f
     half, minus_half = ctx.const(Fraction(1, 2)), ctx.const(Fraction(-1, 2))
+    indices = range(1, sys.n + 1)
+    pairs = list(combinations(indices, 2))
 
-    d2 = [ctx.jet(i, 2) for i in range(1, n + 1)]
-    dq = [ctx.q(i) for i in range(1, n + 1)]
-    dv = [ctx.jet(i, 1) for i in range(1, n + 1)]
+    # the derivatives of f_i by the position, the velocity and the
+    # acceleration of coordinate j, each keyed (i, j) and computed once
+    by_q, by_v, by_a = ({(i, j): f[i - 1].diff(ctx.jet(j, order))
+                         for i in indices for j in indices}
+                        for order in (0, 1, 2))
+    t_coeff = {(i, j): by_a[i, j] - by_a[j, i] for i, j in pairs}
+    s_coeff = {(i, j): lincomb(ctx, [by_v[i, j], by_v[j, i], (
+                   ctx.const(-2), total_derivative(ctx, by_a[j, i]))])
+               for i in indices for j in indices}
+    r_coeff = {(i, j): lincomb(ctx, [
+                   by_q[i, j], -by_q[j, i],
+                   (minus_half, total_derivative(ctx, by_v[i, j] - by_v[j, i])),
+                   (half, total_derivative(ctx, total_derivative(
+                       ctx, t_coeff[i, j])))])
+               for i, j in pairs}
 
-    t_coeff = [[f[i].diff(d2[j]) - f[j].diff(d2[i]) for j in range(n)]
-               for i in range(n)]
-    s_coeff = [[lincomb(ctx, [f[i].diff(dv[j]), f[j].diff(dv[i]), (
-                    ctx.const(-2), total_derivative(ctx, f[j].diff(d2[i])))])
-                for j in range(n)] for i in range(n)]
-    r_coeff = [[lincomb(ctx, [
-                    f[i].diff(dq[j]), -f[j].diff(dq[i]),
-                    (minus_half, total_derivative(
-                        ctx, f[i].diff(dv[j]) - f[j].diff(dv[i]))),
-                    (half, total_derivative(ctx, total_derivative(
-                        ctx, f[i].diff(d2[j]) - f[j].diff(d2[i]))))])
-                for j in range(n)] for i in range(n)]
-
-    cells = []
-    for i, j in combinations(range(1, n + 1), 2):
-        cells.append(Cell(_label("T", i, j), t_coeff[i - 1][j - 1]))
-    for i, j in combinations(range(1, n + 1), 2):
-        cells.append(Cell(_label("OrderR", i, j),
-                          _first_order_residual(ctx, r_coeff[i - 1][j - 1])))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cells.append(Cell(_label("OrderS", i, j),
-                              _first_order_residual(ctx, s_coeff[i - 1][j - 1])))
-    r_form = {(i, j): r_coeff[i - 1][j - 1]
-              for i, j in combinations(range(1, n + 1), 2)}
-    for idx, residual in d_basic(ctx, r_form, 2).items():
-        cells.append(Cell(_label("C1", *idx), residual))
-    for i, j in combinations(range(1, n + 1), 2):
-        for k in range(1, n + 1):
+    cells = [Cell(_label("T", *pair), t_coeff[pair]) for pair in pairs]
+    cells += [Cell(_label("OrderR", *pair),
+                   _first_order_residual(ctx, r_coeff[pair])) for pair in pairs]
+    cells += [Cell(_label("OrderS", *idx), _first_order_residual(ctx, value))
+              for idx, value in s_coeff.items()]
+    cells += [Cell(_label("C1", *idx), residual)
+              for idx, residual in d_basic(ctx, r_coeff, 2).items()]
+    for i, j in pairs:
+        for k in indices:
             residual = lincomb(ctx, [
-                r_coeff[i - 1][j - 1].diff(ctx.jet(k, 1)),
-                (minus_half, s_coeff[i - 1][k - 1].diff(ctx.q(j))),
-                (half, s_coeff[j - 1][k - 1].diff(ctx.q(i)))])
+                r_coeff[i, j].diff(ctx.jet(k, 1)),
+                (minus_half, s_coeff[i, k].diff(ctx.q(j))),
+                (half, s_coeff[j, k].diff(ctx.q(i)))])
             cells.append(Cell(_label("C2", i, j, k), residual))
-    for i in range(1, n + 1):
-        for j, k in combinations(range(1, n + 1), 2):
-            residual = (s_coeff[i - 1][j - 1].diff(ctx.jet(k, 1))
-                        - s_coeff[i - 1][k - 1].diff(ctx.jet(j, 1)))
+    for i in indices:
+        for j, k in pairs:
+            residual = (s_coeff[i, j].diff(ctx.jet(k, 1))
+                        - s_coeff[i, k].diff(ctx.jet(j, 1)))
             cells.append(Cell(_label("C3", i, j, k), residual))
 
     cells.extend(_reduced_route_cells(sys))
 
-    block = TensorField(ctx, (0, 2),
-                        {(i, j): f[i - 1].diff(d2[j - 1])
-                         for i in range(1, n + 1) for j in range(1, n + 1)})
-    return ConditionReport("implicit", tuple(cells), multiplier=block)
+    return ConditionReport("implicit", tuple(cells),
+                           multiplier=TensorField(ctx, (0, 2), by_a))
 
 
 def _reduced_route_cells(sys: ImplicitSystem):

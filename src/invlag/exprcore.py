@@ -114,8 +114,8 @@ class ZeroDenominatorError(ExprError):
 
 
 class LimitError(ExprError):
-    """An input or a result past a stated limit, such as ``MAX_EXPONENT``
-    or ``MAX_NESTING``."""
+    """An input or a result past a stated limit, such as ``MAX_EXPONENT``,
+    ``MAX_NESTING`` or ``MAX_GENERATORS``."""
 
 
 class NotPolynomialError(ExprError):
@@ -317,6 +317,11 @@ def _ring_for(key):
     return cached
 
 
+# The most generators a context may have: each one's packed generator
+# is as wide as the whole ring, so memory grows with the count squared.
+MAX_GENERATORS = 4096
+
+
 class ExprContext:
     """Declares which variables exist: dimension, jets, parameters, time.
 
@@ -337,6 +342,10 @@ class ExprContext:
         if not 1 <= max_jet_order <= 4:
             raise ValueError("max_jet_order must lie in 1..4")
         parameters = tuple(parameters)
+        count = bool(uses_time) + n * (max_jet_order + 1) + len(parameters)
+        if count > MAX_GENERATORS:
+            raise LimitError(f"a context of {count} generators is above "
+                             f"the limit {MAX_GENERATORS}")
         seen = set()
         for name in parameters:
             if not _IDENT.match(name):

@@ -26,7 +26,7 @@ from .geometry import (DimensionMismatchError, GeometryError,
                        d_basic, gamma_apply, matrix_solve, nabla_tensor02)
 from .conditions import (ConditionReport, Cell, check_multiplier_dissipative,
                          check_multiplier_gyroscopic, _curvature_cycles,
-                         _require_multiplier, _require_two_form)
+                         _Frozen, _require_multiplier, _require_two_form)
 
 
 class ReconstructError(Exception):
@@ -73,7 +73,7 @@ class GaugeRecord(NamedTuple):
     base_point: str = "origin"
 
 
-class Certificate:
+class Certificate(_Frozen):
     """A verified variational representation of a system of ``kind``
     ``dissipative``, ``gyroscopic`` or ``classical``; ``verification``
     is the passing report of ``verify_dissipative`` or
@@ -86,26 +86,10 @@ class Certificate:
                  omega: Optional[TensorField] = None,
                  gauge: Optional[GaugeRecord] = None,
                  verification: Optional[ConditionReport] = None):
-        for name, value in zip(self.__slots__, (kind, L, D, omega, gauge,
-                                                verification)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        super().__init__(kind, L, D, omega, gauge, verification)
 
     def _compared(self):
         return (self.kind, self.L, self.D, self.omega, self.gauge)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

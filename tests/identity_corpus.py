@@ -33,7 +33,17 @@ worktree`` of the parent commit and the working tree. The corpus is:
   among 59 generators, and of a copy of
   ``tests/problems/fixed_drag_n4.json``, a ``dissipative`` search with
   ``D`` fixed whose space of dimension 2 has a non-integer particular
-  solution.
+  solution;
+* each refusal of an unknown key that the command line had before it
+  refused stray ansatz keys (a top-level field, an option, an ansatz
+  key, a preset key), on copies of ``planar_drag``;
+* the refusal of each command on a problem in the other mode:
+  ``analyze``, ``check``, ``solve``, ``reconstruct`` and ``verify`` of
+  ``planar_drag_implicit``, and ``check --suite implicit`` of
+  ``planar_drag``;
+* ``check --suite implicit`` of ``IMPLICIT``: one n = 3 implicit system
+  that passes (the Euler-Lagrange equations of a position-dependent
+  kinetic energy with a Rayleigh dissipation) and one that fails.
 
 Every call runs in text and in JSON, in process (``invlag.cli.main``
 with ``INVLAG_SEED`` unset), once per tree, in a fresh interpreter that
@@ -69,6 +79,12 @@ POWERS = ("(1/2*q1 - 3*v2 + 2/3)^7", "(q1*v1 - 1/3*q2 + a)^9",
           "(v1 + 2*b)^(-3)", "(q1 - 2/5*v1)^12*(omega + 1/7)",
           "(2/3*q1^2 - q2*v1 + omega)^6/(q1 - 1)^2",
           "(a*q1 + b*v2 - 1)^5*(q2 + v1)^-2")
+IMPLICIT = {
+    "pass": ["d2q1 - q1*v3^2 + q2*q3 + q1*v1", "d2q2 + q1*q3 + v2",
+             "(1 + q1^2)*d2q3 + 2*q1*v1*v3 + q1*q2 + q3*v3"],
+    "fail": ["d2q1 + q2 + v1*v2", "d2q2 + 2*q1 - q3*v2",
+             "d2q3 + q1*d2q2 + v3"],
+}
 
 
 def _readme_calls():
@@ -149,6 +165,41 @@ def _wide_calls(workdir: str):
             ("wide", ["solve", paths["fixed_drag_n4"]])]
 
 
+def _refusal_calls(workdir: str):
+    """The unknown-key and wrong-mode refusals, and the implicit suite
+    on ``IMPLICIT``; writes the problem files."""
+    fixture = json.loads((REPO / "src" / "invlag" / "fixtures" /
+                          "planar_drag.json").read_text(encoding="utf-8"))
+    ansatz = fixture["ansatz"]
+    keys = {
+        "field": dict(fixture, colour="red", size=1),
+        "option": dict(fixture, options={"format": "text", "colour": 1}),
+        "ansatz-key": dict(fixture, ansatz=dict(ansatz, typo=1)),
+        "preset-key": dict(fixture, ansatz=dict(ansatz, g={
+            "preset": "polynomial", "degree": 1, "extra": 1})),
+    }
+    keys.update((f"implicit-{name}", {"n": 3, "mode": "implicit", "f": f})
+                for name, f in IMPLICIT.items())
+    paths = {}
+    for name, problem in keys.items():
+        paths[name] = os.path.join(workdir, f"keys-{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(problem, handle)
+    calls = [("keys", ["analyze", paths["field"]]),
+             ("keys", ["analyze", paths["option"]]),
+             ("keys", ["solve", paths["ansatz-key"]]),
+             ("keys", ["solve", paths["preset-key"]])]
+    calls += [("mode", [command, "planar_drag_implicit"] + extra)
+              for command, extra in (("analyze", []),
+                                     ("check", ["--suite", "thm3"]),
+                                     ("solve", []), ("reconstruct", []),
+                                     ("verify", []))]
+    calls.append(("mode", ["check", "planar_drag", "--suite", "implicit"]))
+    calls += [("implicit", ["check", paths[f"implicit-{name}"],
+                            "--suite", "implicit"]) for name in IMPLICIT]
+    return calls
+
+
 def _corpus(workdir: str):
     """``(label, argv)`` of every call; writes the problem files."""
     sys.path.insert(0, str(REPO / "perfbench"))
@@ -159,7 +210,8 @@ def _corpus(workdir: str):
              + _first_entry_calls(workdir, "noncanonical",
                                   _noncanonical_texts())
              + _first_entry_calls(workdir, "powers", POWERS)
-             + _wide_calls(workdir))
+             + _wide_calls(workdir)
+             + _refusal_calls(workdir))
     for workload in WORKLOADS:
         for seed in SEEDS:
             directory = os.path.join(workdir, f"{workload}-{seed}")

@@ -679,6 +679,62 @@ def test_solve_rejects_a_repeated_ansatz_entry(tmp_path, part, key, ansatz):
                              f"{key!r} repeats entry {i},{j}\n")
 
 
+@pytest.mark.parametrize("ansatz, part, keys", [
+    ({"g": {"preset": "constant", "degree": 3, "variables": [9]}},
+     "g", "degree, variables"),
+    ({"g": {"entries": {"1,1": ["1"], "2,2": ["1"], "3,3": ["q2"]},
+            "preset_typo": "x"}}, "g", "preset_typo"),
+    ({"suite": "gyroscopic", "g": {"preset": "constant"},
+      "omega": {"entries": {"1,2": ["1"]}, "degree": 1}}, "omega", "degree"),
+], ids=["constant-preset", "g-entries", "omega-entries"])
+def test_solve_refuses_ansatz_keys_it_would_not_read(tmp_path, ansatz, part,
+                                                     keys):
+    """A key that a family section accepted and then ignored (even an
+    out-of-range ``variables``) is refused with its name, not solved
+    without it."""
+    fixture = json.loads((resources.files("invlag") / "fixtures"
+                          / "coupled3.json").read_text(encoding="utf-8"))
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(dict(fixture,
+                                    ansatz=dict(fixture["ansatz"], **ansatz))))
+    result = run_cli("solve", str(path))
+    assert result == (2, "", f"invlag: error: {path}: ansatz.{part}: "
+                             f"unknown keys: {keys}\n")
+
+
+_LIMIT = exprcore.MAX_GENERATORS
+
+
+@pytest.mark.parametrize("problem, count, in_file", [
+    ({"n": 10 ** 9}, 2 * 10 ** 9, True),
+    ({"n": 1, "parameters": [f"p{k}" for k in range(_LIMIT)], "f": ["0"]},
+     _LIMIT + 2, True),
+    ({"n": 3, "f": ["0", "0", "0"], "ansatz": {
+        "suite": "classical", "g": {"entries": {"1,1": ["1"] * _LIMIT}}}},
+     _LIMIT + 6, False),
+], ids=["dimension", "parameters", "ansatz"])
+def test_a_context_past_the_generator_limit_is_refused_unbuilt(
+        tmp_path, monkeypatch, problem, count, in_file):
+    """A dimension, a parameter list or an ansatz whose context would
+    have more than ``MAX_GENERATORS`` generators exits 2 naming the
+    limit before any generator is built: memory grows with the square
+    of their count."""
+    ring_for = exprcore._ring_for
+
+    def small_ring_for(key):
+        _uses_time, n, _max_jet, parameters = key
+        assert n <= 3 and not parameters, "an oversized ring was built"
+        return ring_for(key)
+
+    monkeypatch.setattr(exprcore, "_ring_for", small_ring_for)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(problem))
+    result = run_cli("solve", str(path))
+    prefix = f"{path}: " if in_file else ""
+    assert result == (2, "", f"invlag: error: {prefix}a context of {count} "
+                             f"generators is above the limit {_LIMIT}\n")
+
+
 @pytest.mark.parametrize("text, key", [
     ('{"n": 2, "f": ["0", "0"], "ansatz": {"suite": "classical", "g": '
      '{"entries": {"1,1": ["1"], "1,1": ["q1"], "2,2": ["1"]}}}}', "1,1"),

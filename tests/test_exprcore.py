@@ -370,6 +370,36 @@ def test_parser_roundtrip_random_trees():
         assert ctx.parse(str(e)) == e
 
 
+def test_module_functions_and_rarely_called_methods_on_random_trees():
+    """``diff``, ``subst``, ``is_zero``, ``eval_num`` and
+    ``integrate_poly`` of the module equal the methods they name;
+    ``numerator_expr`` over ``denominator_expr`` gives the expression
+    back, ``as_fraction`` reads a constant and refuses anything else,
+    and ``3 - e`` is the reflected difference."""
+    ctx = ExprContext(2, parameters=("a",))
+    rng = random.Random(20261019)
+    point = {var: small_fraction(rng) for var in ctx.all_varids()}
+    for _ in range(60):
+        e = random_expr(ctx, rng, depth=3)
+        p = random_expr(ctx, rng, depth=3, allow_div=False)
+        var = rng.choice(ctx.all_varids())
+        bindings = {rng.choice(ctx.all_varids()): p}
+        assert exprcore.diff(e, var) == e.diff(var)
+        assert exprcore.subst(p, bindings) == p.subst(bindings)
+        assert exprcore.is_zero(e - e) and exprcore.is_zero(e) == e.is_zero()
+        assert exprcore.eval_num(p, point) == p.eval_num(point)
+        assert exprcore.integrate_poly(p, var) == p.integrate_poly(var)
+        assert e.numerator_expr() / e.denominator_expr() == e
+        assert 3 - p == ctx.const(3) - p
+        assert (3 - p).eval_num(point) == 3 - p.eval_num(point)
+        if e.is_constant():
+            assert ctx.const(e.as_fraction()) == e
+        else:
+            with pytest.raises(ExprError, match="not constant"):
+                e.as_fraction()
+    assert ctx.parse("-7/3").as_fraction() == Fraction(-7, 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_printed_random_trees_parse_back(seed):
