@@ -50,14 +50,12 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .conditions import (SUITES, Cell, ConditionReport, ImplicitOrderError,
-                         ImplicitSystem, TwoFormError, check_implicit,
-                         check_suite, implicit_context)
+from .conditions import (SUITES, Cell, ConditionReport, ImplicitSystem,
+                         check_implicit, check_suite, implicit_context)
 from .exprcore import (Expr, ExprContext, ExprError, LimitError,
                        NotPolynomialError)
-from .geometry import (DimensionMismatchError, GeometryError, Sode,
-                       TensorField, connection, curvature, jacobi,
-                       theta_tensor)
+from .geometry import (GeometryError, Sode, TensorField, connection,
+                       curvature, jacobi, theta_tensor)
 
 if TYPE_CHECKING:
     from .solver import AnsatzProblem
@@ -85,17 +83,17 @@ class Problem:
     def __init__(self, path: str, data: dict,
                  overrides: Dict[str, Fraction]):
         self.path = path
-        self.n = _expect_dimension(data, path)
-        self.parameters = _expect_parameters(data, path)
-        self.mode = _expect_mode(data, path)
+        self.n = _expect_dimension(data)
+        self.parameters = _expect_parameters(data)
+        self.mode = _expect_mode(data)
         try:
             if self.mode == "implicit":
                 self.ctx = implicit_context(self.n, self.parameters)
             else:
                 self.ctx = ExprContext(self.n, parameters=self.parameters)
-        except (ExprError, ValueError) as exc:
-            raise CliError(f"{path}: {exc}") from exc
-        self.options = _expect_options(data, path)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        self.options = _expect_options(data)
         self.substitution = self._bindings(overrides)
         self.f = self._field_vector(data, "f")
         self.g = self._field_matrix(data, "g", symmetric=True)
@@ -104,7 +102,7 @@ class Problem:
         self.omega = self._field_matrix(data, "omega", symmetric=False)
         self.ansatz = data.get("ansatz")
         if self.ansatz is not None and not isinstance(self.ansatz, dict):
-            raise CliError(f"{path}: 'ansatz' must be an object")
+            raise CliError("'ansatz' must be an object")
 
     # -- construction helpers ------------------------------------------------
 
@@ -112,35 +110,33 @@ class Problem:
         values: Dict[str, Fraction] = {}
         declared = self.options.get("instantiate", {})
         if not isinstance(declared, dict):
-            raise CliError(f"{self.path}: options.instantiate must map "
-                           "parameter names to rationals")
+            raise CliError("options.instantiate must map parameter names "
+                           "to rationals")
         for name, raw in declared.items():
-            values[name] = _as_fraction(raw, f"options.instantiate.{name}",
-                                        self.path)
+            values[name] = _as_fraction(raw, f"options.instantiate.{name}")
         values.update(overrides)
         bindings = {}
         for name, value in values.items():
             if name not in self.parameters:
-                raise CliError(f"{self.path}: cannot instantiate {name!r}: "
-                               "not a declared parameter")
+                raise CliError(f"cannot instantiate {name!r}: not a declared "
+                               "parameter")
             bindings[self.ctx.param(name)] = value
         return bindings
 
     def parse(self, text, where: str) -> Expr:
         if isinstance(text, (int, float)) and not isinstance(text, bool):
             if isinstance(text, float) and not text.is_integer():
-                raise CliError(f"{self.path}: {where}: write non-integer "
-                               "rationals as strings like \"1/2\"")
+                raise CliError(f"{where}: write non-integer rationals as "
+                               "strings like \"1/2\"")
             text = str(int(text))
         if not isinstance(text, str):
-            raise CliError(f"{self.path}: {where}: expected an expression "
-                           "string")
+            raise CliError(f"{where}: expected an expression string")
         try:
             parsed = self.ctx.parse(text)
             if self.substitution:
                 parsed = parsed.subst(self.substitution)
         except ExprError as exc:
-            raise CliError(f"{self.path}: {where}: {exc}") from exc
+            raise CliError(f"{where}: {exc}") from exc
         return parsed
 
     def _field_vector(self, data: dict, name: str) -> Optional[List[Expr]]:
@@ -148,8 +144,8 @@ class Problem:
         if raw is None:
             return None
         if not isinstance(raw, list) or len(raw) != self.n:
-            raise CliError(f"{self.path}: {name!r} must be a list of "
-                           f"{self.n} expression strings")
+            raise CliError(f"{name!r} must be a list of {self.n} expression "
+                           "strings")
         return [self.parse(entry, f"{name}[{k}]")
                 for k, entry in enumerate(raw, start=1)]
 
@@ -168,8 +164,8 @@ class Problem:
         if (not isinstance(raw, list) or len(raw) != n
                 or any(not isinstance(row, list) or len(row) != n
                        for row in raw)):
-            raise CliError(f"{self.path}: {name!r} must be an "
-                           f"{n}x{n} matrix of expression strings")
+            raise CliError(f"{name!r} must be an {n}x{n} matrix of "
+                           "expression strings")
         entries = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -180,20 +176,19 @@ class Problem:
             return TensorField(self.ctx, (0, 2), entries,
                                **{kind: ((1, 2),)})
         except GeometryError as exc:
-            raise CliError(f"{self.path}: {name!r}: {exc}") from exc
+            raise CliError(f"{name!r}: {exc}") from exc
 
     # -- requirements ----------------------------------------------------
 
     def require_mode(self, mode: str, why: str):
         if self.mode != mode:
-            raise CliError(f"{self.path}: {why} needs a problem in "
-                           f"{mode} mode, not {self.mode}")
+            raise CliError(f"{why} needs a problem in {mode} mode, not "
+                           f"{self.mode}")
 
     def require(self, name: str):
         value = getattr(self, name)
         if value is None:
-            raise CliError(f"{self.path}: section {name!r} is required "
-                           "for this command")
+            raise CliError(f"section {name!r} is required for this command")
         return value
 
     def sode(self, why: str = "this command") -> Sode:
@@ -202,56 +197,50 @@ class Problem:
 
     def implicit_system(self) -> ImplicitSystem:
         self.require_mode("implicit", "the implicit suite")
-        try:
-            return ImplicitSystem(self.ctx, self.require("f"))
-        except (ImplicitOrderError, GeometryError,
-                DimensionMismatchError) as exc:
-            raise CliError(f"{self.path}: {exc}") from exc
+        return ImplicitSystem(self.ctx, self.require("f"))
 
 
-def _expect_dimension(data: dict, path: str) -> int:
+def _expect_dimension(data: dict) -> int:
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise CliError(f"{path}: 'n' must be a positive integer")
+        raise CliError("'n' must be a positive integer")
     return n
 
 
-def _expect_parameters(data: dict, path: str) -> Tuple[str, ...]:
+def _expect_parameters(data: dict) -> Tuple[str, ...]:
     raw = data.get("parameters", [])
     if (not isinstance(raw, list)
             or any(not isinstance(name, str) for name in raw)):
-        raise CliError(f"{path}: 'parameters' must be a list of names")
+        raise CliError("'parameters' must be a list of names")
     return tuple(raw)
 
 
-def _expect_mode(data: dict, path: str) -> str:
+def _expect_mode(data: dict) -> str:
     mode = data.get("mode", "explicit")
     if mode not in ("explicit", "implicit"):
-        raise CliError(f"{path}: 'mode' must be \"explicit\" or "
-                       "\"implicit\"")
+        raise CliError("'mode' must be \"explicit\" or \"implicit\"")
     return mode
 
 
-def _expect_options(data: dict, path: str) -> dict:
+def _expect_options(data: dict) -> dict:
     options = data.get("options", {})
     if not isinstance(options, dict):
-        raise CliError(f"{path}: 'options' must be an object")
-    _refuse_unknown(options, ("instantiate", "format"), path, "options")
+        raise CliError("'options' must be an object")
+    _refuse_unknown(options, ("instantiate", "format"), "unknown options")
     if options.get("format") not in (None, "text", "json"):
-        raise CliError(f"{path}: options.format must be \"text\" or "
-                       "\"json\"")
+        raise CliError("options.format must be \"text\" or \"json\"")
     return options
 
 
-def _refuse_unknown(section: dict, allowed, where: str, what: str = "keys"):
-    """Refuse the keys of ``section`` outside ``allowed``, naming them."""
+def _refuse_unknown(section: dict, allowed, what: str):
+    """Refuse the keys of ``section`` outside ``allowed``, listing them
+    after ``what``."""
     unknown = set(section) - set(allowed)
     if unknown:
-        raise CliError(f"{where}: unknown {what}: "
-                       + ", ".join(sorted(unknown)))
+        raise CliError(f"{what}: " + ", ".join(sorted(unknown)))
 
 
-def _as_fraction(raw, where: str, path: str) -> Fraction:
+def _as_fraction(raw, where: str) -> Fraction:
     try:
         if isinstance(raw, bool):
             raise ValueError("booleans are not rationals")
@@ -260,8 +249,8 @@ def _as_fraction(raw, where: str, path: str) -> Fraction:
         if isinstance(raw, str):
             return _rational(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{path}: {where}: {exc}") from exc
-    raise CliError(f"{path}: {where}: expected a rational like \"2/3\"")
+        raise CliError(f"{where}: {exc}") from exc
+    raise CliError(f"{where}: expected a rational like \"2/3\"")
 
 
 _EXPONENT = re.compile(r"\A\s*[-+]?[\d_.]*[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
@@ -306,28 +295,25 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_problem(path: str, overrides: Dict[str, Fraction]) -> Problem:
+    """The problem in the file at ``path`` or the bundled fixture of that
+    name. Its errors do not name the file: ``main`` adds it."""
     resolved = resolve_input(path)
-    try:
-        with open(resolved, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise CliError(f"{resolved}: {exc.strerror or exc}") from exc
+    with open(resolved, encoding="utf-8") as handle:
+        text = handle.read()
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{resolved}: line {exc.lineno} column {exc.colno}: "
-                       f"{exc.msg}") from exc
-    except CliError as exc:
-        raise CliError(f"{resolved}: {exc}") from None
+        raise CliError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") \
+            from exc
     except ValueError:  # an integer past Python's limit for str to int
-        raise CliError(f"{resolved}: an integer above the limit of "
+        raise CliError("an integer above the limit of "
                        f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
-        raise CliError(f"{resolved}: JSON nested past Python's recursion "
-                       f"limit of {sys.getrecursionlimit()}") from None
+        raise CliError("JSON nested past Python's recursion limit of "
+                       f"{sys.getrecursionlimit()}") from None
     if not isinstance(data, dict):
-        raise CliError(f"{resolved}: the top level must be a JSON object")
-    _refuse_unknown(data, PROBLEM_FIELDS, resolved, "fields")
+        raise CliError("the top level must be a JSON object")
+    _refuse_unknown(data, PROBLEM_FIELDS, "unknown fields")
     return Problem(resolved, data, overrides)
 
 
@@ -342,29 +328,29 @@ def _basis_entries(problem: Problem, section: dict, name: str,
                    strict_upper: bool):
     entries = section.get("entries")
     if not isinstance(entries, dict):
-        raise CliError(f"{problem.path}: ansatz.{name}.entries must map "
-                       "\"i,j\" keys to lists of basis expressions")
-    _refuse_unknown(section, ("entries",), f"{problem.path}: ansatz.{name}")
+        raise CliError(f"ansatz.{name}.entries must map \"i,j\" keys to "
+                       "lists of basis expressions")
+    _refuse_unknown(section, ("entries",), f"ansatz.{name}: unknown keys")
     parsed = []
     for key in entries:
         match = _ENTRY_KEY.match(key)
         if not match:
-            raise CliError(f"{problem.path}: ansatz.{name}: bad entry key "
-                           f"{key!r} (write \"i,j\")")
+            raise CliError(f"ansatz.{name}: bad entry key {key!r} (write "
+                           "\"i,j\")")
         i, j = int(match.group(1)), int(match.group(2))
         if any(pair == (i, j) for pair, _exprs in parsed):
-            raise CliError(f"{problem.path}: ansatz.{name}: entry {key!r} "
-                           f"repeats entry {i},{j}")
+            raise CliError(f"ansatz.{name}: entry {key!r} repeats entry "
+                           f"{i},{j}")
         if max(i, j) > problem.n:
-            raise CliError(f"{problem.path}: ansatz.{name}: entry {key!r} "
-                           f"is outside dimension {problem.n}")
+            raise CliError(f"ansatz.{name}: entry {key!r} is outside "
+                           f"dimension {problem.n}")
         if (strict_upper and i >= j) or (not strict_upper and i > j):
-            raise CliError(f"{problem.path}: ansatz.{name}: declare entry "
-                           f"{key!r} with i {'<' if strict_upper else '<='} j")
+            raise CliError(f"ansatz.{name}: declare entry {key!r} with i "
+                           f"{'<' if strict_upper else '<='} j")
         basis = entries[key]
         if not isinstance(basis, list):
-            raise CliError(f"{problem.path}: ansatz.{name}: entry {key!r} "
-                           "must list basis expressions")
+            raise CliError(f"ansatz.{name}: entry {key!r} must list basis "
+                           "expressions")
         exprs = tuple(problem.parse(b, f"ansatz.{name}[{key}][{k}]")
                       for k, b in enumerate(basis, start=1))
         parsed.append(((i, j), exprs))
@@ -384,24 +370,24 @@ def _preset_family(problem: Problem, section: dict, name: str):
         degree = section.get("degree")
         if not isinstance(degree, int) or isinstance(degree, bool) \
                 or degree < 0:
-            raise CliError(f"{problem.path}: ansatz.{name}: preset "
-                           f"{preset!r} needs a nonnegative 'degree'")
+            raise CliError(f"ansatz.{name}: preset {preset!r} needs a "
+                           "nonnegative 'degree'")
         variables = section.get("variables")
         if variables is not None:
             if (not isinstance(variables, list)
                     or any(not isinstance(v, int) or isinstance(v, bool)
                            or not 1 <= v <= problem.n for v in variables)):
-                raise CliError(f"{problem.path}: ansatz.{name}: 'variables' "
-                               f"must list position indices in 1..{problem.n}")
+                raise CliError(f"ansatz.{name}: 'variables' must list "
+                               f"position indices in 1..{problem.n}")
         builder = (polynomial_ansatz if preset == "polynomial"
                    else diagonal_ansatz)
         build = partial(builder, problem.ctx, degree=degree,
                         variables=variables)
         allowed = ("preset", "degree", "variables")
     else:
-        raise CliError(f"{problem.path}: ansatz.{name}: unknown preset "
-                       f"{preset!r} (constant, polynomial, diagonal)")
-    _refuse_unknown(section, allowed, f"{problem.path}: ansatz.{name}")
+        raise CliError(f"ansatz.{name}: unknown preset {preset!r} "
+                       "(constant, polynomial, diagonal)")
+    _refuse_unknown(section, allowed, f"ansatz.{name}: unknown keys")
     return build
 
 
@@ -410,15 +396,14 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     from .solver import SUITES as SEARCHABLE, AnsatzProblem, SolverError
     section = problem.ansatz
     if section is None:
-        raise CliError(f"{problem.path}: an 'ansatz' section is required "
-                       "for solve")
+        raise CliError("an 'ansatz' section is required for solve")
     _refuse_unknown(section, ("suite", "g", "omega", "bound"),
-                    f"{problem.path}: ansatz")
+                    "ansatz: unknown keys")
     suite = section.get("suite")
     gspec = section.get("g")
     if not isinstance(gspec, dict):
-        raise CliError(f"{problem.path}: ansatz.g must describe the "
-                       "multiplier family (preset or entries)")
+        raise CliError("ansatz.g must describe the multiplier family "
+                       "(preset or entries)")
     if "preset" in gspec:
         build = _preset_family(problem, gspec, "g")
     else:
@@ -428,14 +413,12 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     wspec = section.get("omega")
     if wspec is not None:
         if not isinstance(wspec, dict) or "entries" not in wspec:
-            raise CliError(f"{problem.path}: ansatz.omega must carry an "
-                           "'entries' map")
+            raise CliError("ansatz.omega must carry an 'entries' map")
         omega_basis = _basis_entries(problem, wspec, "omega",
                                      strict_upper=True)
     bound = section.get("bound", 2)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
-        raise CliError(f"{problem.path}: ansatz.bound must be a nonnegative "
-                       "integer")
+        raise CliError("ansatz.bound must be a nonnegative integer")
     takes = SUITES[suite].takes if suite in SEARCHABLE else ()
     fixed_D = problem.D if "D" in takes else None
     fixed_omega = None
@@ -445,7 +428,7 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
         family = build(suite, omega_basis=omega_basis, D=fixed_D,
                        omega=fixed_omega)
     except SolverError as exc:
-        raise CliError(f"{problem.path}: ansatz: {exc}") from exc
+        raise CliError(f"ansatz: {exc}") from exc
     return family, bound
 
 
@@ -466,14 +449,12 @@ def _cube_strings(t: TensorField) -> List[List[List[str]]]:
             for a in range(1, n + 1)]
 
 
-def _entry_map(t: Optional[TensorField], upper_only: bool) -> dict:
-    if t is None:
-        return {}
+def _entry_map(t: TensorField) -> dict:
+    """The nonzero entries of ``t`` on and above the diagonal."""
     n = t.ctx.n
     out = {}
     for i in range(1, n + 1):
-        start = i if upper_only else 1
-        for j in range(start, n + 1):
+        for j in range(i, n + 1):
             value = t.entry(i, j)
             if not value.is_zero():
                 out[f"{i},{j}"] = str(value)
@@ -550,12 +531,8 @@ def cmd_check(problem: Problem, args) -> Tuple[dict, int]:
         report = check_implicit(problem.implicit_system())
     else:
         s = problem.sode(f"suite {suite!r}")
-        g = problem.require("g")
-        try:
-            report = check_suite(suite, s, g, D=problem.D,
-                                 omega=problem.omega)
-        except (TwoFormError, GeometryError) as exc:
-            raise CliError(f"{problem.path}: {exc}") from exc
+        report = check_suite(suite, s, problem.require("g"), D=problem.D,
+                             omega=problem.omega)
     payload["report"] = report_payload(report)
     payload["numeric_crosscheck"] = numeric_payload([report])
     return payload, 0 if report.passes else 1
@@ -567,14 +544,11 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
     s = problem.sode("solve")
     family, bound = ansatz_problem(problem)
     if args.bound is not None:
-        if args.bound < 0:
-            raise CliError(f"--bound must be a nonnegative integer, "
-                           f"got {args.bound}")
         bound = args.bound
     try:
         system = assemble(s, family)
-    except (SolverError, TwoFormError) as exc:
-        raise CliError(f"{problem.path}: {exc}") from exc
+    except SolverError as exc:
+        raise CliError(str(exc)) from exc
     space = solve_space(system)
     rep = find_nonsingular(space, s, bound)
 
@@ -583,11 +557,9 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
     vectors = []
     for vector in space.nullspace:
         g, omega = instantiate(family, problem.ctx, vector)
-        entry = {"vector": [str(value) for value in vector],
-                 "g": _entry_map(g, upper_only=True)}
-        entry["omega"] = (_entry_map(omega, upper_only=True)
-                          if omega is not None else None)
-        vectors.append(entry)
+        vectors.append({
+            "vector": [str(value) for value in vector], "g": _entry_map(g),
+            "omega": _entry_map(omega) if omega is not None else None})
     solution = {
         "unknowns": len(system.unknowns),
         "equations": len(system.rows),
@@ -659,8 +631,7 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
         payload["numeric_crosscheck"] = numeric_payload([exc.report])
         return payload, 1
     except (ReconstructError, GeometryError, NotPolynomialError) as exc:
-        raise CliError(f"{problem.path}: {type(exc).__name__}: {exc}") \
-            from exc
+        raise CliError(f"{type(exc).__name__}: {exc}") from exc
     verify = cert.verification
     payload["certificate"] = _certificate_payload(cert)
     payload["verify"] = report_payload(verify)
@@ -669,12 +640,9 @@ def cmd_reconstruct(problem: Problem, args) -> Tuple[dict, int]:
         document = {"file": problem.path, "route": route,
                     "verified": verify.passes}
         document.update(payload["certificate"])
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            raise CliError(f"{args.out}: {exc.strerror or exc}") from exc
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2)
+            handle.write("\n")
         payload["out"] = args.out
     return payload, 0 if verify.passes else 1
 
@@ -687,8 +655,8 @@ def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
     route = args.suite
     if route is None:
         if problem.omega is not None and problem.D is not None:
-            raise CliError(f"{problem.path}: both 'D' and 'omega' present; "
-                           "pick one with --suite")
+            raise CliError("both 'D' and 'omega' present; pick one with "
+                           "--suite")
         route = "gyroscopic" if problem.omega is not None else "dissipative"
     payload = _base_payload("verify", problem)
     payload["suite"] = route
@@ -696,10 +664,7 @@ def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
     omega = None
     if route == "gyroscopic":
         omega = problem.require("omega")
-        try:
-            report = verify_gyroscopic(s, L, omega)
-        except TwoFormError as exc:
-            raise CliError(f"{problem.path}: {exc}") from exc
+        report = verify_gyroscopic(s, L, omega)
     else:
         D = problem.D if problem.D is not None else problem.ctx.zero
         report = verify_dissipative(s, L, D)
@@ -710,8 +675,8 @@ def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
         try:
             rebuilt = forward_accelerations(L, D, omega)
         except SingularHessianError as exc:
-            raise CliError(f"{problem.path}: {exc}; cannot rebuild the "
-                           "accelerations") from exc
+            raise CliError(f"{exc}; cannot rebuild the accelerations") \
+                from exc
         forward = ConditionReport("forward", tuple(
             Cell(f"f[{i}]", ours - theirs)
             for i, (ours, theirs) in enumerate(zip(rebuilt, s.f), start=1)))
@@ -1030,13 +995,24 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
+    where = ""  # the problem file, once the flags and INVLAG_SEED pass
     try:
-        problem = load_problem(args.file,
-                               _parse_overrides(args.instantiate))
+        overrides = _parse_overrides(args.instantiate)
+        if (getattr(args, "bound", None) or 0) < 0:
+            raise CliError("--bound must be a nonnegative integer, got "
+                           f"{args.bound}")
+        _seed()
+        path = resolve_input(args.file)
+        where = f"{path}: "
+        problem = load_problem(path, overrides)
         run, _render = _COMMANDS[args.command]
         payload, code = run(problem, args)
-    except (CliError, LimitError) as exc:
-        print(f"invlag: error: {exc}", file=sys.stderr)
+    except (CliError, GeometryError, LimitError) as exc:
+        print(f"invlag: error: {where}{exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the problem file unreadable, --out unwritable
+        print(f"invlag: error: {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     payload["exit_code"] = code
     fmt = args.format or problem.options.get("format") or "text"

@@ -21,11 +21,11 @@ from .geometry import (DimensionMismatchError, GeometryError, Sode,
                        jacobi, matrix_det, nabla_tensor02, theta_tensor)
 
 
-class TwoFormError(Exception):
+class TwoFormError(GeometryError):
     """The gyroscopic two-form is not antisymmetric or not basic."""
 
 
-class ImplicitOrderError(Exception):
+class ImplicitOrderError(GeometryError):
     """An implicit right-hand side uses jets deeper than acceleration."""
 
 

@@ -418,12 +418,9 @@ def solve(system: LinearSystem) -> SolutionSpace:
 
 
 def _primitive(vector: List[Fraction]) -> List[Fraction]:
-    """Scale to coprime integers, keeping the first nonzero entry
-    positive."""
-    denominators = [value.denominator for value in vector if value != 0]
-    if not denominators:
-        return vector
-    scale = lcm(*denominators)
+    """Scale a nonzero vector to coprime integers, keeping the first
+    nonzero entry positive."""
+    scale = lcm(*(value.denominator for value in vector if value != 0))
     integers = [value * scale for value in vector]
     common = gcd(*(int(value) for value in integers))
     integers = [value / common for value in integers]

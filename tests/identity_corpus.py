@@ -43,16 +43,21 @@ worktree`` of the parent commit and the working tree. The corpus is:
   ``planar_drag``;
 * ``check --suite implicit`` of ``IMPLICIT``: one n = 3 implicit system
   that passes (the Euler-Lagrange equations of a position-dependent
-  kinetic energy with a Rayleigh dissipation) and one that fails.
+  kinetic energy with a Rayleigh dissipation) and one that fails;
+* every call of ``cli_cases.REFUSALS`` (each refusal of a problem file,
+  a flag or ``INVLAG_SEED``) and of ``cli_cases.RARE_VERDICTS`` (exit
+  codes 1, 3 and 4 that the README table does not reach).
 
 Every call runs in text and in JSON, in process (``invlag.cli.main``
-with ``INVLAG_SEED`` unset), once per tree, in a fresh interpreter that
-imports the tree's ``src``. Both trees write their problem files to the
-same work directory, so the paths they print agree; each tree's own
-root is written ``<tree>`` in the output, since the bundled fixtures
-live under it. The script lists every call whose stdout, stderr or
-exit code differs and exits 1 if any does, else 0. pytest does not
-collect it.
+with ``INVLAG_SEED`` unset unless the call sets it), once per tree, in a
+fresh interpreter that imports the tree's ``src``. Both trees write
+their problem files to the same work directory, so the paths they print
+agree; each tree's own root is written ``<tree>`` in the output, since
+the bundled fixtures live under it. A call that raises is recorded as
+such, with the traceback as its stderr, and the corpus goes on.
+The script lists every call whose stdout, stderr or exit code differs,
+and every call that raises or exits outside 0-4 on either tree; it
+exits 1 if there is any, else 0. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import traceback
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SEEDS = (301, 302, 303)
@@ -166,8 +172,11 @@ def _wide_calls(workdir: str):
 
 
 def _refusal_calls(workdir: str):
-    """The unknown-key and wrong-mode refusals, and the implicit suite
-    on ``IMPLICIT``; writes the problem files."""
+    """The unknown-key and wrong-mode refusals, the implicit suite on
+    ``IMPLICIT``, and the calls of ``cli_cases``; writes the problem
+    files."""
+    from cli_cases import RARE_VERDICTS, REFUSALS, prepare
+
     fixture = json.loads((REPO / "src" / "invlag" / "fixtures" /
                           "planar_drag.json").read_text(encoding="utf-8"))
     ansatz = fixture["ansatz"]
@@ -197,12 +206,26 @@ def _refusal_calls(workdir: str):
     calls.append(("mode", ["check", "planar_drag", "--suite", "implicit"]))
     calls += [("implicit", ["check", paths[f"implicit-{name}"],
                             "--suite", "implicit"]) for name in IMPLICIT]
+
+    def case(label, name, argv, document, seed=None):
+        directory = pathlib.Path(workdir, label, name)
+        directory.mkdir(parents=True, exist_ok=True)
+        argv = prepare(directory, argv, document)[0]
+        return label, ([f"INVLAG_SEED={seed}"] if seed else []) + argv
+
+    calls += [case("refusal", name, argv, document, seed) for name, (
+        argv, document, _message, seed) in REFUSALS.items()]
+    calls += [case("verdict", name, argv, document) for name, (
+        argv, document, _code, _tail) in RARE_VERDICTS.items()]
     return calls
 
 
 def _corpus(workdir: str):
-    """``(label, argv)`` of every call; writes the problem files."""
+    """``(label, argv)`` of every call, ``argv`` led by
+    ``INVLAG_SEED=value`` where the call sets it; writes the problem
+    files."""
     sys.path.insert(0, str(REPO / "perfbench"))
+    sys.path.insert(0, str(REPO / "tests"))
     import workloads
 
     calls = (_readme_calls()
@@ -231,13 +254,20 @@ def _run(tree: str, workdir: str, out: str):
     os.chdir(workdir)
     results = []
     for label, argv in _corpus(workdir):
+        seed = argv[0].partition("INVLAG_SEED=")[2]
+        if seed:
+            os.environ["INVLAG_SEED"] = seed
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             try:
-                code = cli.main(argv)
+                code = cli.main(argv[1:] if seed else argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:  # a fault: recorded; the corpus goes on
+                code = f"raised {type(exc).__name__}"
+                traceback.print_exc()
+        os.environ.pop("INVLAG_SEED", None)
         results.append([label, " ".join(argv), code,
                         stdout.getvalue().replace(tree, "<tree>"),
                         stderr.getvalue().replace(tree, "<tree>")])
@@ -280,8 +310,16 @@ def main(argv=None) -> int:
         if changed:
             differ += 1
             print(f"DIFFERS ({', '.join(changed)}): {label}: invlag {command}")
-    print(f"{len(old)} calls, {differ} differ")
-    return 1 if differ else 0
+    faults = 0
+    for tree, rows in (("old", old), ("new", new)):
+        for label, command, code, *_output in rows:
+            if code not in range(5):
+                faults += 1
+                print(f"FAULT on the {tree} tree ({code}): {label}: "
+                      f"invlag {command}")
+    print(f"{len(old)} calls, {differ} differ, {faults} raise or exit "
+          "outside 0-4")
+    return 1 if differ or faults else 0
 
 
 if __name__ == "__main__":

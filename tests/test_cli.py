@@ -30,6 +30,7 @@ from invlag import (cli, conditions, exprcore, geometry, poly, reconstruct,
 from invlag.exprcore import ExprContext
 from invlag.reconstruct import forward_accelerations
 
+from cli_cases import RARE_VERDICTS, REFUSALS, prepare
 from clirun import run_cli, run_json
 
 
@@ -547,8 +548,8 @@ def test_an_exponent_above_the_limit_exits_with_usage_code(tmp_path):
         {"n": 2, "f": [f"q1^{(limit + 1) // 2}*v1^2", "0"]}))
     result = run_cli("analyze", str(product))
     assert result.returncode == 2
-    assert result.stderr == (f"invlag: error: an exponent would exceed the "
-                             f"limit {limit}\n")
+    assert result.stderr == (f"invlag: error: {product}: an exponent would "
+                             f"exceed the limit {limit}\n")
 
 
 _DIGITS = sys.get_int_max_str_digits()
@@ -561,9 +562,9 @@ _DIGITS = sys.get_int_max_str_digits()
      "{path}: f[2]: integer literal above the limit of {digits} digits "
      "(at position 0)"),
     (json.dumps({"n": 2, "f": ["2^30000*q1", "0"]}),
-     "cannot print a coefficient of more than {digits} digits"),
+     "{path}: cannot print a coefficient of more than {digits} digits"),
     (json.dumps({"n": 2, "f": ["77^-21173*q1", "0"]}),
-     "cannot print a coefficient of more than {digits} digits"),
+     "{path}: cannot print a coefficient of more than {digits} digits"),
 ], ids=["json-integer", "literal", "coefficient", "denominator"])
 def test_an_integer_past_the_digit_limit_exits_with_usage_code(
         tmp_path, text, message):
@@ -705,16 +706,16 @@ def test_solve_refuses_ansatz_keys_it_would_not_read(tmp_path, ansatz, part,
 _LIMIT = exprcore.MAX_GENERATORS
 
 
-@pytest.mark.parametrize("problem, count, in_file", [
-    ({"n": 10 ** 9}, 2 * 10 ** 9, True),
+@pytest.mark.parametrize("problem, count", [
+    ({"n": 10 ** 9}, 2 * 10 ** 9),
     ({"n": 1, "parameters": [f"p{k}" for k in range(_LIMIT)], "f": ["0"]},
-     _LIMIT + 2, True),
+     _LIMIT + 2),
     ({"n": 3, "f": ["0", "0", "0"], "ansatz": {
         "suite": "classical", "g": {"entries": {"1,1": ["1"] * _LIMIT}}}},
-     _LIMIT + 6, False),
+     _LIMIT + 6),
 ], ids=["dimension", "parameters", "ansatz"])
 def test_a_context_past_the_generator_limit_is_refused_unbuilt(
-        tmp_path, monkeypatch, problem, count, in_file):
+        tmp_path, monkeypatch, problem, count):
     """A dimension, a parameter list or an ansatz whose context would
     have more than ``MAX_GENERATORS`` generators exits 2 naming the
     limit before any generator is built: memory grows with the square
@@ -730,8 +731,7 @@ def test_a_context_past_the_generator_limit_is_refused_unbuilt(
     path = tmp_path / "large.json"
     path.write_text(json.dumps(problem))
     result = run_cli("solve", str(path))
-    prefix = f"{path}: " if in_file else ""
-    assert result == (2, "", f"invlag: error: {prefix}a context of {count} "
+    assert result == (2, "", f"invlag: error: {path}: a context of {count} "
                              f"generators is above the limit {_LIMIT}\n")
 
 
@@ -749,6 +749,35 @@ def test_a_repeated_json_key_is_refused(tmp_path, text, key):
     result = run_cli("solve", str(path))
     assert result == (2, "", f"invlag: error: {path}: repeated JSON key "
                              f"{key!r}\n")
+
+
+@pytest.mark.parametrize("argv, document, message, seed",
+                         list(REFUSALS.values()), ids=list(REFUSALS))
+def test_each_refusal_exits_2_naming_what_is_broken(tmp_path, argv, document,
+                                                     message, seed):
+    """Every refusal of a problem file exits 2 with one line naming the
+    file and what is broken in it; a refusal of a flag or of
+    ``INVLAG_SEED`` names no file."""
+    argv, names = prepare(tmp_path, argv, document)
+    result = run_cli(*argv, seed=seed)
+    assert result == (2, "", f"invlag: error: {message.format(**names)}\n")
+
+
+@pytest.mark.parametrize("argv, document, code, tail",
+                         list(RARE_VERDICTS.values()), ids=list(RARE_VERDICTS))
+def test_rare_verdicts_render_as_text(tmp_path, argv, document, code, tail):
+    """The verdicts the README table does not reach: an inconsistent
+    ansatz (3), an exhausted search (4), a multiplier that fails before
+    reconstruction (1) and accelerations rebuilt unlike the file's (1)."""
+    argv, names = prepare(tmp_path, argv, document)
+    result = run_cli(*argv)
+    assert result.returncode == code and result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert lines[:2] == [f"{argv[0]}: {names['path']}",
+                         "n = 2; mode = explicit; parameters: "
+                         + (", ".join(document.get("parameters", ()))
+                            or "none")]
+    assert lines[-len(tail):] == tail
 
 
 def test_a_closed_pipe_keeps_the_commands_exit_code():
@@ -887,6 +916,30 @@ def test_readme_command_table_is_accurate():
         expected = int(match.group(1)) if match else 0
         result = run_cli(*command.split()[1:])
         assert result.returncode == expected, (command, result.stderr)
+
+
+def test_readme_quick_start_is_accurate():
+    """The README's library quick start runs, and the comment after each
+    bare expression, up to a ``;``, is the ``str`` of its value."""
+    import ast
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library quick start", 1)[1]
+    source = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = source.splitlines()
+    namespace = {}
+    claims = []
+    for node in ast.parse(source).body:
+        comment = lines[node.end_lineno - 1].partition("#")[2]
+        if isinstance(node, ast.Expr) and comment:
+            value = eval(compile(ast.Expression(node.value), "README", "eval"),
+                         namespace)
+            claims.append((str(value), comment.split(";")[0].strip()))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert len(claims) == 6
+    assert [value for value, _claim in claims] == [claim for _value, claim
+                                                   in claims]
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
