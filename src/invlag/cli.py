@@ -337,6 +337,10 @@ def _basis_entries(problem: Problem, section: dict, name: str,
         if not match:
             raise CliError(f"ansatz.{name}: bad entry key {key!r} (write "
                            "\"i,j\")")
+        digits = sys.get_int_max_str_digits()  # 0: no limit
+        if digits and max(map(len, match.groups())) > digits:
+            raise CliError(f"ansatz.{name}: an entry key index above the "
+                           f"limit of {digits} digits")
         i, j = int(match.group(1)), int(match.group(2))
         if any(pair == (i, j) for pair, _exprs in parsed):
             raise CliError(f"ansatz.{name}: entry {key!r} repeats entry "

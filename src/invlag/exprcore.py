@@ -48,14 +48,15 @@ Only a polynomial from outside the base is factored with
 or the product of the substituted factors. :mod:`invlag.poly` factors
 monomials and certifies irreducible cofactors itself and hands only the
 rest to sympy, so a kinetic determinant such as ``q1^2*q3^2 + 4*q1^2 +
-29/5*q3^2 + 111/5`` loads no sympy. The parser reads each term made of
-integer literals, literals such as ``(2/3)``, generators with integer
-exponents and divisions by integer literals as integers and gathers
-such terms into one coefficient map, so a polynomial entry is built
-without a single product. It reads any other term with the ``Expr``
-operators, which factor only a non-constant divisor, so reading a
-polynomial factors nothing. The result is the fraction a multivariate
-gcd would give, and no operation here calls one.
+29/5*q3^2 + 111/5`` loads no sympy. The parser is one recursive
+descent whose values are integer triples while every factor is a
+generator or a constant; it gathers the triples of a sum into one
+coefficient map, so a polynomial entry is built without a single
+product. A factor that needs more turns its product into an ``Expr``,
+read on with the ``Expr`` operators, which factor only a non-constant
+divisor, so reading a polynomial factors nothing. The result is the
+fraction a multivariate gcd would give, and no operation here calls
+one.
 
 The polynomials are :mod:`invlag.poly`'s: sparse, in lex order, with
 integer coefficients over one denominator. The grammar, printing,
@@ -293,8 +294,9 @@ class _FactorBase:
 
 def _ring_for(key):
     """The interned ring of a context key, with its generator names, the
-    VarId of each generator, the maps from name and from VarId to
-    generator position and the ring's factor base."""
+    VarId of each generator, the map from name to generator key (its
+    exponent field set to 1), the map from VarId to generator position
+    and the ring's factor base."""
     cached = _RING_CACHE.get(key)
     if cached is not None:
         return cached
@@ -310,7 +312,7 @@ def _ring_for(key):
     varids = tuple(var for _name, var in generators)
     ring = PolyRing(names)
     cached = (ring, names, varids,
-              {name: position for position, name in enumerate(names)},
+              dict(zip(names, (1 << shift for shift in ring.shifts))),
               {var: position for position, var in enumerate(varids)},
               _FactorBase(ring))
     _RING_CACHE[key] = cached
@@ -332,7 +334,7 @@ class ExprContext:
     """
 
     __slots__ = ("n", "max_jet_order", "parameters", "uses_time",
-                 "_ring", "_gens", "_names", "_varids", "_name_pos",
+                 "_ring", "_gens", "_names", "_varids", "_name_key",
                  "_var_pos", "_base", "zero", "one")
 
     def __init__(self, n: int, parameters: Iterable[str] = (),
@@ -359,13 +361,13 @@ class ExprContext:
         object.__setattr__(self, "max_jet_order", max_jet_order)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "uses_time", bool(uses_time))
-        ring, names, varids, name_pos, var_pos, base = _ring_for(
+        ring, names, varids, name_key, var_pos, base = _ring_for(
             (self.uses_time, n, max_jet_order, parameters))
         object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_gens", ring.gens)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_varids", varids)
-        object.__setattr__(self, "_name_pos", name_pos)
+        object.__setattr__(self, "_name_key", name_key)
         object.__setattr__(self, "_var_pos", var_pos)
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "zero", _factored(self, ring.zero, ()))
@@ -1148,28 +1150,28 @@ class _Parser:
     ``p/q`` and rational functions share one rule.
 
     The text is split into tokens by one ``re.findall``; a token's
-    character offset is worked out (``_offset``) only for an error. A
-    term made only of integer literals, parenthesised literals such as
-    ``(2/3)`` or ``(-1/1)``, generators (each with an optional
-    non-negative integer exponent) and divisions by integer literals is
-    read as an integer triple ``(key, numerator, denominator)``, its
-    monomial packed as it is read, and ``expression`` gathers such terms
-    into one coefficient map and builds one polynomial from it. An
-    exponent literal or a term's exponent above ``MAX_EXPONENT``, and
-    any other literal longer than ``int`` reads, raise
-    :class:`LimitError` before anything is built from them. So does
-    nesting past ``MAX_NESTING``: each parenthesis and each unary minus
-    is one level, counted before the parser recurses into it.
-
-    Any other term goes on from its longest such prefix as an ``Expr``,
-    with the ``Expr`` operators alone.
+    character offset is worked out (``_offset``) only for an error.
+    Each construct is read in one place. Its value is an integer triple
+    ``(key, numerator, denominator)``, the monomial packed as it is read,
+    while every factor is a generator or a constant, and ``expression``
+    gathers the triples of a sum into one coefficient map. A factor that
+    needs more (a group that is not constant, a negative power of a
+    generator, a division by a non-constant) turns its product into an
+    ``Expr``. An exponent literal above ``MAX_EXPONENT``, a product of
+    triples whose exponent of one generator passes it, and any other
+    literal longer than ``int`` reads raise :class:`LimitError` naming
+    the token before anything is built from them. So does nesting past
+    ``MAX_NESTING``: each parenthesis and each unary minus is one level,
+    counted before the parser recurses into it.
     """
+
+    __slots__ = ("text", "ctx", "ring", "keys", "tokens", "pos", "depth")
 
     def __init__(self, text: str, ctx: ExprContext):
         self.text = text
         self.ctx = ctx
         self.ring = ctx._ring
-        self.names = ctx._name_pos
+        self.keys = ctx._name_key
         tokens = _TOKEN.findall(text)
         digits = sys.get_int_max_str_digits() or len(text)  # 0: no limit
         if _BAD.search(text) or len(text) > digits:
@@ -1203,50 +1205,52 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.limit(index, f"nesting above the limit {MAX_NESTING}")
 
-    def power(self, index: int) -> int:
-        """The exponent literal at token ``index``, refused above the
-        limit before a long one is converted."""
-        token = self.tokens[index]
-        if len(token) > len(str(MAX_EXPONENT)) or int(token) > MAX_EXPONENT:
-            raise self.limit(index)
-        return int(token)
-
     def expect_op(self, op: str):
         if self.tokens[self.pos] != op:
             raise self.error(f"expected {op!r}", self.pos)
         self.pos += 1
 
-    def as_expr(self, poly) -> Expr:
-        """The triple reader's polynomial as an expression."""
-        return _factored(self.ctx, poly, ())
+    def as_expr(self, value) -> Expr:
+        """``value`` as an expression: a triple becomes its monomial."""
+        if type(value) is not tuple:
+            return value
+        key, num, den = value
+        return _factored(self.ctx, self.ring.from_ints({key: num}, den), ())
 
     def parse(self) -> Expr:
         result = self.expression()
         token = self.tokens[self.pos]
         if token:
             raise self.error(f"unexpected trailing input {token!r}", self.pos)
-        return result
+        return self.as_expr(result)
 
-    def expression(self) -> Expr:
-        """A sum of terms. The triples of the simple terms go into one
-        coefficient map over the lcm of their denominators, and the
-        polynomial it makes is summed with the other terms."""
+    def expression(self):
+        """A sum of products: a lone product as it is, else an ``Expr``.
+        The triples go into one coefficient map over the lcm of their
+        denominators, and the polynomial it makes is summed with the
+        other terms."""
         tokens = self.tokens
+        value = self.product()
+        op = tokens[self.pos]
+        if op != "+" and op != "-":
+            return value
         simple, terms = [], []
-        sign = 1
+        negative = False
         while True:
-            value = self.term(sign)
-            (simple if type(value) is tuple else terms).append(value)
+            if type(value) is tuple:
+                if negative:
+                    value = value[0], -value[1], value[2]
+                simple.append(value)
+            else:
+                terms.append(-value if negative else value)
             op = tokens[self.pos]
             if op != "+" and op != "-":
                 break
             self.pos += 1
-            sign = 1 if op == "+" else -1
+            negative = op == "-"
+            value = self.product()
         if simple:
-            den = simple[0][2]
-            for _monom, _num, d in simple:
-                if d != den:
-                    den = lcm(den, d)
+            den = lcm(*[d for _monom, _num, d in simple])
             coeffs = {}
             get = coeffs.get
             for monom, num, d in simple:
@@ -1254,195 +1258,160 @@ class _Parser:
                     num *= den // d
                 old = get(monom)
                 coeffs[monom] = num if old is None else old + num
-            terms.append(self.as_expr(self.ring.from_ints(coeffs, den)))
+            terms.append(_factored(self.ctx, self.ring.from_ints(coeffs, den),
+                                   ()))
         return lincomb(self.ctx, terms)
 
-    def term(self, sign: int):
-        """``sign`` times the term at the cursor: an integer triple
-        ``(key, numerator, denominator)`` for a simple term, else an
-        ``Expr``."""
-        tokens, names = self.tokens, self.names
-        shifts, guard = self.ring.shifts, self.ring.guard
-        start = commit = pos = self.pos
-        num, den, key = sign, 1, 0
-        while True:  # one factor, and the divisions by literals after it
-            token, minus = tokens[pos], pos
-            while token == "-":
-                pos += 1
-                token = tokens[pos]
-            negative = (pos - minus) & 1
-            # Near the nesting limit the general path counts the levels
-            # of these minuses and of a parenthesised literal
-            if self.depth + pos - minus + 2 > MAX_NESTING:
-                break
-            gen = names.get(token)
-            if gen is not None:
-                if tokens[pos + 1] == "^":
-                    power = tokens[pos + 2]
-                    if not power.isdigit() or tokens[pos + 3] == "^":
-                        break
-                    power = self.power(pos + 2)
-                    pos += 3
-                else:
-                    pos += 1
-                    power = 1
-                # a field plus a power, each within the limit, cannot carry
-                key += power << shifts[gen]
-                if key & guard:
-                    raise self.limit(pos - 1)
-            elif token.isdigit():
-                if tokens[pos + 1] == "^":
-                    break
-                num *= int(token)
-                pos += 1
-            elif token == "(":  # (p), (-p), (p/q) or (-p/q)
-                k = pos + 1
-                if tokens[k] == "-":
-                    negative = not negative
-                    k += 1
-                literal = tokens[k]
-                if not literal.isdigit():
-                    break
-                p, q = int(literal), 1
-                if tokens[k + 1] == "/":
-                    literal = tokens[k + 2]
-                    if not literal.isdigit() or not int(literal):
-                        break
-                    q = int(literal)
-                    k += 2
-                if tokens[k + 1] != ")" or tokens[k + 2] == "^":
-                    break
-                num *= p
-                den *= q
-                pos = k + 2
-            else:
-                break
-            if negative:
-                num = -num
-            while tokens[pos] == "/":
-                literal = tokens[pos + 1]
-                if (not literal.isdigit() or tokens[pos + 2] == "^"
-                        or not int(literal)):
-                    break
-                den *= int(literal)
-                pos += 2
-            commit = pos
-            token = tokens[pos]
-            if token != "*":
-                if token == "/":
-                    break
-                self.pos = pos
-                return key, num, den
-            pos += 1
-        # A factor or a division the triple cannot take: Expr arithmetic
-        # goes on from the last whole factor.
-        self.pos = commit
-        if commit == start:
-            value = self.product(self.unary())
-            return -value if sign < 0 else value
-        return self.product(self.as_expr(self.ring.from_ints({key: num}, den)))
-
-    def product(self, value: Expr) -> Expr:
-        """``value`` times and over the operands that follow it."""
-        tokens = self.tokens
+    def product(self):
+        """The factor at the cursor times and over the factors after it:
+        a triple while both operands are triples and each divisor is a
+        constant, else an ``Expr``."""
+        tokens, guard = self.tokens, self.ring.guard
+        value = self.factor()
         while True:
             index = self.pos
             op = tokens[index]
             if op != "*" and op != "/":
                 return value
             self.pos += 1
-            rhs = self.unary()
+            rhs = self.factor()
+            if type(value) is tuple and type(rhs) is tuple:
+                key, num, den = value
+                if op == "*":
+                    # two keys within the limit add without a carry
+                    key += rhs[0]
+                    if key & guard:
+                        raise self.limit(self.pos - 1)
+                    value = key, num * rhs[1], den * rhs[2]
+                    continue
+                if not rhs[0] and rhs[1]:  # a nonzero constant divisor
+                    _key, p, q = rhs
+                    if p < 0:
+                        p, num = -p, -num
+                    value = key, num * q, den * p
+                    continue
+            rhs = self.as_expr(rhs)
             if op == "*":
-                value = value * rhs
+                value = self.as_expr(value) * rhs
             elif not rhs:
                 raise ZeroDenominatorError(
                     f"division by zero (at position {_offset(self.text, index)})")
             else:
-                value = value / rhs
+                value = self.as_expr(value) / rhs
 
-    def unary(self) -> Expr:
-        """Unary minus, or an atom with an optional exponent."""
+    def factor(self):
+        """Unary minus, or an atom with an optional exponent: a triple
+        for a generator or a constant, else an ``Expr``."""
         tokens = self.tokens
-        if tokens[self.pos] == "-":
-            self.nest(self.pos)
-            self.pos += 1
-            value = -self.unary()
+        index = self.pos
+        token = tokens[index]
+        self.pos = index + 1
+        key = self.keys.get(token)
+        if key is not None:
+            value = key, 1, 1
+        elif token.isdigit():
+            value = 0, int(token), 1
+        elif token == "-":
+            self.nest(index)
+            value = self.factor()
             self.depth -= 1
-            return value
-        base = self.atom()
+            if type(value) is tuple:
+                return value[0], -value[1], value[2]
+            return -value
+        elif token == "(":
+            self.nest(index)
+            value = self.expression()
+            self.expect_op(")")
+            self.depth -= 1
+            # a group is a triple exactly when it is constant
+            if type(value) is tuple and value[0]:
+                value = self.as_expr(value)
+            if type(value) is not tuple and value.is_constant():
+                value = 0, value.num.coeffs.get(0, 0), value.num.den
+        elif token[:1].isalpha():
+            value = self.keys[self.resolve(token, index)], 1, 1
+        else:
+            raise self.error("expected a number, a variable or '('", index)
         index = self.pos
         if tokens[index] != "^":
-            return base
+            return value
         self.pos += 1
         exponent = self.exponent_literal()
-        if exponent < 0 and not base:
+        if type(value) is not tuple or value[0] and exponent < 0:
+            value = self.as_expr(value)
+            if exponent < 0 and not value:
+                raise self.error("zero raised to a negative power", index)
+            value = value ** exponent  # 0^0 is 1, as for Expr
+        elif value[0]:  # a generator: its field becomes the exponent
+            value = value[0] * exponent, 1, 1
+        elif exponent >= 0:
+            value = 0, value[1] ** exponent, value[2] ** exponent
+        elif not value[1]:
             raise self.error("zero raised to a negative power", index)
-        base = base ** exponent  # 0^0 is 1, as for Expr
+        else:
+            power = Fraction(value[2], value[1]) ** -exponent
+            value = 0, power.numerator, power.denominator
         if tokens[self.pos] == "^":
             raise self.error("chained '^' needs parentheses", self.pos)
-        return base
+        return value
 
     def exponent_literal(self) -> int:
-        token = self.tokens[self.pos]
-        if token.isdigit():
-            self.pos += 1
-            return self.power(self.pos - 1)
-        if token == "-":
-            self.pos += 1
-            token = self.tokens[self.pos]
-            if not token.isdigit():
-                raise self.error("exponent must be an integer literal", self.pos)
-            self.pos += 1
-            return -self.power(self.pos - 1)
+        """An integer literal, its negation, or either in parentheses; a
+        literal above the limit is refused before a long one is
+        converted."""
+        index = self.pos
+        token = self.tokens[index]
         if token == "(":
-            self.nest(self.pos)
+            self.nest(index)
             self.pos += 1
             inner = self.exponent_literal()
             self.expect_op(")")
             self.depth -= 1
             return inner
-        raise self.error("exponent must be an integer literal", self.pos)
+        sign = 1
+        if token == "-":
+            index += 1
+            token = self.tokens[index]
+            sign = -1
+        if not token.isdigit():
+            raise self.error("exponent must be an integer literal", index)
+        if len(token) > len(str(MAX_EXPONENT)) or int(token) > MAX_EXPONENT:
+            raise self.limit(index)
+        self.pos = index + 1
+        return sign * int(token)
 
-    def atom(self) -> Expr:
-        index = self.pos
-        token = self.tokens[index]
-        self.pos += 1
-        gen = self.names.get(token)
-        if gen is not None:
-            return self.as_expr(self.ctx._gens[gen])
-        if token.isdigit():
-            return self.ctx.const(int(token))
-        if token == "(":
-            self.nest(index)
-            inner = self.expression()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
-        if token[:1].isalpha():
-            return self.resolve(token, index)
-        raise self.error("expected a number, a variable or '('", index)
-
-    def resolve(self, name: str, index: int) -> Expr:
-        """The jet spelled ``d1q<i>`` or with a zero-padded order;
-        otherwise the most specific error for an unknown name."""
+    def resolve(self, name: str, index: int) -> str:
+        """The generator name of the jet spelled ``d1q<i>`` or with a
+        zero-padded order; otherwise the most specific error for an
+        unknown name."""
         ctx = self.ctx
         m = re.match(r"^d([0-9]+)q([1-9][0-9]*)$", name)
-        if m and int(m.group(2)) <= ctx.n:
-            if 1 <= int(m.group(1)) <= ctx.max_jet_order:
-                return ctx.var(VarId.jet(int(m.group(2)), int(m.group(1))))
+        if m and self.number(m.group(2), index) <= ctx.n:
+            order = self.number(m.group(1), index)
+            if 1 <= order <= ctx.max_jet_order:
+                return ctx.display_name(VarId.jet(int(m.group(2)), order))
             raise self.error(
-                f"jet order {int(m.group(1))} exceeds context maximum "
+                f"jet order {order} exceeds context maximum "
                 f"{ctx.max_jet_order}", index, JetOrderError)
         m = re.match(r"^(?:q|v)([1-9][0-9]*)$", name)
         if m:
             raise self.error(
-                f"coordinate index {int(m.group(1))} outside 1..{ctx.n}",
-                index, UnknownIdentifierError)
+                f"coordinate index {self.number(m.group(1), index)} outside "
+                f"1..{ctx.n}", index, UnknownIdentifierError)
         if name == "t":
             raise self.error("context has no time variable", index,
                              UnknownIdentifierError)
         raise self.error(f"unknown identifier {name!r}", index,
                          UnknownIdentifierError)
+
+    def number(self, digits: str, index: int) -> int:
+        """The ``digits`` of the name at token ``index`` as an ``int``,
+        refused first past Python's limit for text to ``int``."""
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if limit and len(digits) > limit:
+            raise self.limit(index, "number in a name above the limit of "
+                                    f"{limit} digits")
+        return int(digits)
 
 
 # --------------------------------------------------------------------------
@@ -1515,11 +1484,11 @@ def convert(expr: Expr, target: ExprContext) -> Expr:
                 if not exponent:
                     continue
                 name = names[position]
-                to = target._name_pos.get(name)
-                if to is None:
+                unit = target._name_key.get(name)
+                if unit is None:
                     raise ContextMismatchError(
                         f"target context does not declare {name!r}")
-                key += exponent << ring.shifts[to]
+                key += exponent * unit
             out[key] = coeff
         return Poly(ring, out, poly.den)
 

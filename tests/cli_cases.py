@@ -12,10 +12,12 @@ last lines of the text report.
 
 import json
 import pathlib
+import sys
 
 _DRAG = json.loads((pathlib.Path(__file__).resolve().parents[1] / "src"
                     / "invlag" / "fixtures" / "planar_drag.json")
                    .read_text(encoding="utf-8"))
+_DIGITS = sys.get_int_max_str_digits()
 _VELOCITY_OMEGA = [["0", "v1"], ["-v1", "0"]]
 
 
@@ -63,6 +65,10 @@ REFUSALS = dict([
              "\"1/2\""),
     _refusal("non-string", ["analyze"], dict(_DRAG, f=[1, True]),
              "{path}: f[2]: expected an expression string"),
+    _refusal("name-digits", ["analyze"],
+             dict(_DRAG, f=["q" + "9" * 5000, "0"]),
+             f"{{path}}: f[1]: number in a name above the limit of {_DIGITS} "
+             "digits (at position 0)"),
     _refusal("implicit-order", ["check", "--suite", "implicit"],
              {"n": 1, "mode": "implicit", "f": ["d3q1"]},
              "{path}: f_1 depends on a jet of order 3"),
@@ -72,6 +78,10 @@ REFUSALS = dict([
     _refusal("entry-key", ["solve"],
              _drag_ansatz(g={"entries": {"x": ["1"]}}),
              "{path}: ansatz.g: bad entry key 'x' (write \"i,j\")"),
+    _refusal("entry-key-digits", ["solve"],
+             _drag_ansatz(g={"entries": {"1," + "9" * 5000: ["1"]}}),
+             f"{{path}}: ansatz.g: an entry key index above the limit of "
+             f"{_DIGITS} digits"),
     _refusal("entry-range", ["solve"],
              _drag_ansatz(g={"entries": {"3,3": ["1"]}}),
              "{path}: ansatz.g: entry '3,3' is outside dimension 2"),

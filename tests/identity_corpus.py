@@ -20,8 +20,8 @@ worktree`` of the parent commit and the working tree. The corpus is:
   non-canonical text: each text of the ``cases`` of
   ``test_a_term_leaves_the_integer_path_with_the_value_read_so_far``
   (read the same way) and ``exprgen.random_text`` of depth 4 in the
-  fixture's context for seeds 1-12, so the parser's general path is
-  compared byte for byte too;
+  fixture's context for seeds 1-12, so texts the parser reads with the
+  ``Expr`` operators are compared byte for byte too;
 * ``analyze`` of such copies whose first ``f`` entry is each text of
   ``POWERS``: powers of multi-term sums with rational coefficients and
   a parameter, above the exponents ``random_text`` draws (-2..3), so
@@ -120,9 +120,10 @@ def _malformed_texts():
 
 
 def _noncanonical_texts():
-    """Well-formed texts off the integer path: the ``cases`` keys of the
-    test of a term leaving it, in order, then ``random_text`` of the
-    ``planar_drag`` context for each of ``TEXT_SEEDS``."""
+    """Well-formed texts that leave the integer triples: the ``cases``
+    keys of the test of a product leaving them, in order, then
+    ``random_text`` of the ``planar_drag`` context for each of
+    ``TEXT_SEEDS``."""
     import random
 
     sys.path.insert(0, str(REPO / "tests"))

@@ -420,6 +420,35 @@ def test_parse_equals_the_expr_built_by_the_same_operations(seed):
     assert ctx.parse(text) == expr
 
 
+# Names, digit runs past Python's limit for str to int, exponents at and
+# past the limit, rational literals, exponents in parentheses and runs of
+# unary minuses and parentheses deep enough to pass the nesting limit.
+_TOKENS = ["q1", "v2", "a", "d1q1", "d2q1", "q3", "x", "q" + "9" * 5000,
+           "d" + "9" * 5000 + "q1", "v" + "0" * 5000 + "1", "0", "3", "12",
+           "9" * 5000, "q1^16384", "q1^(16384)", "v1^32767", "q1^32768",
+           "(2/3)", "(-1/4)", "(0/5)", "^2", "^-1", "^(-1)", "^(2)", "+", "-",
+           "*", "/", "(", ")", "-" * 60, "(" * 60]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.sampled_from(_TOKENS), max_size=12),
+       separator=st.sampled_from(["", " "]))
+@example(tokens=["q" + "9" * 5000], separator="")
+@example(tokens=["2", "*", "d" + "9" * 5000 + "q1"], separator="")
+def test_random_token_strings_parse_back_or_raise_expr_errors(tokens,
+                                                              separator):
+    """Any string of these tokens either parses to an expression whose
+    canonical text parses back to it, or raises an ``ExprError``; no
+    other exception escapes the parser or the printer."""
+    ctx = ExprContext(2, parameters=("a",))
+    try:
+        expr = ctx.parse(separator.join(tokens))
+        text = to_text(expr)
+    except ExprError:
+        return
+    assert ctx.parse(text) == expr
+
+
 # Type, message and position of each error, recorded before the parser
 # read polynomial text with ring arithmetic.
 _MALFORMED = [
@@ -481,7 +510,7 @@ _MALFORMED = [
      "jet order 2 exceeds context maximum 1 (at position 0)", 0),
     ({"max_jet_order": 4}, "d5q1", JetOrderError,
      "jet order 5 exceeds context maximum 4 (at position 0)", 0),
-    # Texts that fail inside a term first read as an integer triple.
+    # Texts that fail inside a product of integer triples.
     ({}, "3/0*q1", ZeroDenominatorError, "division by zero (at position 1)",
      None),
     ({}, "(2/0)*q1", ZeroDenominatorError,
@@ -523,12 +552,15 @@ _HALF = (MAX_EXPONENT + 1) // 2
     (f"q1^-{MAX_EXPONENT + 1}", 4),
     ("v1^" + "9" * 5000, 3),
     (f"q1^{_HALF}*v2*q1^{_HALF}", 3 + len(str(_HALF)) + 7),
+    (f"q1^(20000)*q1^{_HALF}", 14),
+    (f"0^(2)*q1^{_HALF}*q1^{_HALF}", 18),
 ])
 def test_an_exponent_above_the_limit_is_refused_unbuilt(text, position):
-    """An exponent literal above the limit, or a term whose exponents of
-    one variable add up past it, raises ``LimitError`` naming the limit
-    and the token, before any value is built from it; the 5000-digit
-    literal is not even converted to an integer."""
+    """An exponent literal above the limit, or a product of generators
+    and constants whose exponents of one variable add up past it, however
+    its factors are spelled, raises ``LimitError`` naming the limit and
+    the token, before any value is built from it; the 5000-digit literal
+    is not even converted to an integer."""
     with pytest.raises(LimitError) as err:
         ExprContext(2).parse(text)
     assert str(err.value) == (f"exponent above the limit {MAX_EXPONENT} "
@@ -538,7 +570,8 @@ def test_an_exponent_above_the_limit_is_refused_unbuilt(text, position):
 def test_the_exponent_limit_holds_and_products_past_it_are_refused():
     """``q1^MAX_EXPONENT`` parses and prints; a product or a power whose
     exponent would pass the limit raises ``LimitError`` instead of
-    carrying into the next variable's field."""
+    carrying into the next variable's field. A product with a sum (read
+    with the ``Expr`` operators) names no position."""
     ctx = ExprContext(2)
     assert to_text(ctx.parse(f"q1^{MAX_EXPONENT}")) == f"q1^{MAX_EXPONENT}"
     assert to_text(ctx.parse(f"q1^{_HALF - 1}*q1^{_HALF}")) == \
@@ -547,7 +580,7 @@ def test_the_exponent_limit_holds_and_products_past_it_are_refused():
     for make in (lambda: half * half, lambda: half ** 2,
                  lambda: ctx.parse(f"(q1^{_HALF} + v2)*q1^{_HALF}"),
                  lambda: (half + 1) * half):
-        with pytest.raises(LimitError, match=f"limit {MAX_EXPONENT}"):
+        with pytest.raises(LimitError, match=f"limit {MAX_EXPONENT}$"):
             make()
 
 
@@ -585,7 +618,7 @@ _DEEP = exprcore.MAX_NESTING
         "literal", "factor", "exponent"])
 def test_nesting_at_the_limit_parses(text, value):
     """Parentheses and unary minuses nested ``MAX_NESTING`` deep parse,
-    on the integer path and on the general path alike."""
+    around integer triples and around ``Expr`` values alike."""
     assert to_text(ExprContext(2).parse(text)) == value
 
 
@@ -693,9 +726,9 @@ def test_parsing_a_canonical_entry_multiplies_no_polynomials(monkeypatch):
 
 
 def test_a_term_leaves_the_integer_path_with_the_value_read_so_far():
-    """A term that starts simple and then meets a factor or a division
-    the integer triple cannot take goes on from the factors read so far,
-    each counted once."""
+    """A product that starts with integer triples and then meets a
+    factor or a division a triple cannot take goes on as an ``Expr``
+    from the factors read so far, each counted once."""
     ctx = ExprContext(2)
     q1, q2 = ctx.var(ctx.q(1)), ctx.var(ctx.q(2))
     cases = {
