@@ -48,6 +48,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .conditions import (SUITES, Cell, ConditionReport, ImplicitSystem,
@@ -440,29 +441,22 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
 # payload serialization
 
 
-def _matrix_strings(t: TensorField) -> List[List[str]]:
-    n = t.ctx.n
-    return [[str(t.entry(i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)]
-
-
-def _cube_strings(t: TensorField) -> List[List[List[str]]]:
-    n = t.ctx.n
-    return [[[str(t.entry(a, b, c)) for c in range(1, n + 1)]
-             for b in range(1, n + 1)]
-            for a in range(1, n + 1)]
+def _strings(t: TensorField) -> list:
+    """The entries of ``t`` as text, in lists nested one per index; a
+    zero entry, which ``t.entries`` leaves out, reads ``0``."""
+    texts = {idx: str(value) for idx, value in t.entries.items()}
+    n = t.n
+    nested = [texts.get(idx, "0")
+              for idx in product(range(1, n + 1), repeat=t.rank)]
+    for _ in range(t.rank - 1):
+        nested = [nested[k:k + n] for k in range(0, len(nested), n)]
+    return nested
 
 
 def _entry_map(t: TensorField) -> dict:
     """The nonzero entries of ``t`` on and above the diagonal."""
-    n = t.ctx.n
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            value = t.entry(i, j)
-            if not value.is_zero():
-                out[f"{i},{j}"] = str(value)
-    return out
+    return {f"{i},{j}": str(value)
+            for (i, j), value in sorted(t.entries.items()) if i <= j}
 
 
 def report_payload(report: ConditionReport) -> dict:
@@ -519,10 +513,10 @@ def cmd_analyze(problem: Problem, args) -> Tuple[dict, int]:
     s = problem.sode("analyze")
     payload = _base_payload("analyze", problem)
     payload["objects"] = {
-        "Gamma": _matrix_strings(connection(s)),
-        "Phi": _matrix_strings(jacobi(s)),
-        "R": _cube_strings(curvature(s)),
-        "theta": _cube_strings(theta_tensor(s)),
+        "Gamma": _strings(connection(s)),
+        "Phi": _strings(jacobi(s)),
+        "R": _strings(curvature(s)),
+        "theta": _strings(theta_tensor(s)),
     }
     return payload, 0
 
@@ -583,8 +577,8 @@ def cmd_solve(problem: Problem, args) -> Tuple[dict, int]:
     payload["solution"] = solution
     if rep is not None:
         solution["representative"] = {
-            "g": _matrix_strings(rep.g),
-            "omega": (_matrix_strings(rep.omega)
+            "g": _strings(rep.g),
+            "omega": (_strings(rep.omega)
                       if rep.omega is not None else None),
             "det": str(rep.report.nonsingularity.determinant),
             "vector": [str(value) for value in rep.vector],
@@ -612,7 +606,7 @@ def _certificate_payload(cert) -> dict:
         "kind": cert.kind,
         "L": str(cert.L),
         "D": str(cert.D) if cert.D is not None else None,
-        "omega": (_matrix_strings(cert.omega)
+        "omega": (_strings(cert.omega)
                   if cert.omega is not None else None),
         "gauge": gauge,
     }
@@ -753,38 +747,30 @@ def _tensor_block(title: str, label: str, entries: List[Tuple[str, str]])\
                             or [f"  (all {label} entries are zero)"])
 
 
-def _nonzero_matrix(matrix: List[List[str]]) -> List[Tuple[str, str]]:
-    out = []
-    for i, row in enumerate(matrix, start=1):
-        for j, value in enumerate(row, start=1):
-            if value != "0":
-                out.append((f"{i},{j}", value))
-    return out
-
-
-def _nonzero_cube(cube, upper: bool) -> List[Tuple[str, str]]:
-    out = []
-    for a, matrix in enumerate(cube, start=1):
-        for b, row in enumerate(matrix, start=1):
-            for c, value in enumerate(row, start=1):
-                if upper and b >= c:
-                    continue
-                if value != "0":
-                    out.append((f"{a},{b},{c}", value))
-    return out
+def _nonzero(nested, keep=lambda idx: True) -> List[Tuple[str, str]]:
+    """The ``("i,j[,k]", text)`` pairs of the nonzero entries of text
+    lists nested one per index, in index order, for the indices that
+    ``keep`` accepts."""
+    texts, rank = nested, 1
+    while isinstance(texts[0], list):
+        texts, rank = [text for row in texts for text in row], rank + 1
+    label = ",".join(["{}"] * rank).format
+    return [(label(*idx), text) for idx, text in
+            zip(product(range(1, len(nested) + 1), repeat=rank), texts)
+            if text != "0" and keep(idx)]
 
 
 def _render_analyze(payload: dict) -> List[str]:
     objects = payload["objects"]
     lines = _render_header(payload)
     lines += _tensor_block("connection coefficients", "Gamma",
-                           _nonzero_matrix(objects["Gamma"]))
+                           _nonzero(objects["Gamma"]))
     lines += _tensor_block("Jacobi endomorphism", "Phi",
-                           _nonzero_matrix(objects["Phi"]))
-    lines += _tensor_block("curvature (entries with i < j)", "R",
-                           _nonzero_cube(objects["R"], upper=True))
+                           _nonzero(objects["Phi"]))
+    lines += _tensor_block("curvature (entries with i < j)", "R", _nonzero(
+        objects["R"], lambda idx: idx[1] < idx[2]))
     lines += _tensor_block("vertical connection derivative", "theta",
-                           _nonzero_cube(objects["theta"], upper=False))
+                           _nonzero(objects["theta"]))
     return lines
 
 
@@ -825,9 +811,9 @@ def _render_solve(payload: dict) -> List[str]:
     if rep is not None:
         lines.append(f"nonsingular representative "
                      f"(coefficient bound {solution['bound']}):")
-        lines += _entry_lines("g", _nonzero_matrix(rep["g"]))
+        lines += _entry_lines("g", _nonzero(rep["g"]))
         if rep.get("omega"):
-            lines += _entry_lines("omega", _nonzero_matrix(rep["omega"]))
+            lines += _entry_lines("omega", _nonzero(rep["omega"]))
         lines.append(f"  det = {rep['det']}")
         lines += _render_report("representative re-check",
                                 payload["representative_report"])
@@ -847,7 +833,7 @@ def _render_certificate(cert: dict) -> List[str]:
     if cert["D"] is not None:
         lines.append(f"  D = {cert['D']}")
     if cert["omega"] is not None:
-        lines += (_entry_lines("omega", _nonzero_matrix(cert["omega"]))
+        lines += (_entry_lines("omega", _nonzero(cert["omega"]))
                   or ["  omega = 0"])
     gauge = cert.get("gauge")
     if gauge is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, PoleError, VarId
@@ -44,21 +45,29 @@ def _pole_free_draw(ctx: ExprContext, rng: random.Random,
                     exprs: Sequence[Expr], max_tries: int = 500):
     """A random rational point assigning every variable of the context
     at which none of ``exprs`` has a pole, with their values there; a
-    point where one has a pole is drawn again."""
+    point where one has a pole is drawn again. The first ``max_tries``
+    draws take ``sample_value``, which has 51 values; later ones take
+    numerators and denominators from a range that widens by one with
+    each draw, so a denominator vanishing at all 51 is still avoided."""
     variables = ctx.all_varids()
-    for _ in range(max_tries):
-        point = {var: sample_value(rng) for var in variables}
+    for tries in count():
+        if tries < max_tries:
+            point = {var: sample_value(rng) for var in variables}
+        else:
+            width = 10 + tries - max_tries
+            point = {var: Fraction(rng.randint(-width, width),
+                                   rng.randint(1, width)) for var in variables}
         try:
             return point, [expr.eval_num(point) for expr in exprs]
         except PoleError:
             continue
-    raise RuntimeError("no pole-free sample point found")
 
 
 def sample_point(ctx: ExprContext, rng: random.Random,
                  avoid: Iterable[Expr] = (), max_tries: int = 500) -> dict:
     """A random rational point assigning every variable of the context,
-    avoiding the poles of the given expressions."""
+    avoiding the poles of the given expressions; ``max_tries`` is the
+    number of draws before the range widens."""
     return _pole_free_draw(ctx, rng, tuple(avoid), max_tries)[0]
 
 

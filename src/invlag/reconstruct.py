@@ -176,9 +176,24 @@ def base_homotopy(ctx: ExprContext, form: dict, degree: int) -> dict:
     return result
 
 
-def _closed(ctx: ExprContext, form: dict, degree: int) -> bool:
-    """Is a basic form stored on ascending tuples closed?"""
-    return all(value.is_zero() for value in d_basic(ctx, form, degree).values())
+def _potential(ctx: ExprContext, form: dict, degree: int, part: str) -> dict:
+    """The base homotopy of the closed basic ``degree``-form ``form``
+    (all components), the ``part`` of a Lagrange residual: closedness is
+    checked first and the potential is differentiated back to ``form``."""
+    if any(not value.is_zero() for value in d_basic(ctx, form, degree).values()):
+        raise InternalInconsistencyError(f"{part} is not closed")
+    potential = base_homotopy(ctx, form, degree)
+    if any(value != form[idx] for idx, value in
+           d_basic(ctx, potential, degree - 1).items()):
+        raise InternalInconsistencyError("base homotopy failed to invert")
+    return potential
+
+
+def _require_basic(s: Sode, form: dict, name: str):
+    """Refuse a form with a component that depends on a velocity."""
+    for idx, value in form.items():
+        if any(value.depends_on(s.ctx.v(k)) for k in range(1, s.n + 1)):
+            raise NotBasicError(f"{name} depends on velocity at {idx}")
 
 
 # --------------------------------------------------------------------------
@@ -201,16 +216,23 @@ def lagrange_residuals(s: Sode, L: Expr, D: Optional[Expr] = None,
     return residuals
 
 
+def _lagrange_report(s: Sode, L: Expr, D: Optional[Expr] = None,
+                     omega: Optional[TensorField] = None) -> ConditionReport:
+    """One ``EL[i]`` cell per Lagrange residual, with the velocity
+    Hessian of ``L`` as the multiplier."""
+    suite = "lagrange-dissipative" if omega is None else "lagrange-gyroscopic"
+    cells = tuple(Cell(f"EL[{i}]", r) for i, r in
+                  enumerate(lagrange_residuals(s, L, D, omega), start=1))
+    return ConditionReport(suite, cells, multiplier=hessian(L))
+
+
 def verify_dissipative(s: Sode, L: Expr, D: Expr) -> ConditionReport:
     """Does the flow of the system satisfy the Lagrange equations of
     ``L`` with velocity-gradient forcing from ``D``? One residual cell
     per equation; the velocity Hessian's determinant is reported."""
     if L.ctx != s.ctx or D.ctx != s.ctx:
         raise DimensionMismatchError("data from another context")
-    cells = tuple(Cell(f"EL[{i}]", r) for i, r in
-                  enumerate(lagrange_residuals(s, L, D=D), start=1))
-    return ConditionReport("lagrange-dissipative", cells,
-                           multiplier=hessian(L))
+    return _lagrange_report(s, L, D=D)
 
 
 def verify_gyroscopic(s: Sode, L: Expr, omega: TensorField) -> ConditionReport:
@@ -219,9 +241,7 @@ def verify_gyroscopic(s: Sode, L: Expr, omega: TensorField) -> ConditionReport:
     if L.ctx != s.ctx:
         raise DimensionMismatchError("data from another context")
     _require_two_form(s, omega)
-    cells = tuple(Cell(f"EL[{i}]", r) for i, r in
-                  enumerate(lagrange_residuals(s, L, omega=omega), start=1))
-    return ConditionReport("lagrange-gyroscopic", cells, multiplier=hessian(L))
+    return _lagrange_report(s, L, omega=omega)
 
 
 # --------------------------------------------------------------------------
@@ -247,24 +267,44 @@ def _affine_split(ctx: ExprContext, residual: Expr):
 
 def _split_residuals(ctx: ExprContext, residuals):
     """Split Lagrange residuals affine in the velocities into their
-    velocity-free parts and the two-form (on ascending pairs) of their
-    linear parts, which must be antisymmetric."""
-    base_terms = []
-    rows = []
-    for r in residuals:
-        constant, linear = _affine_split(ctx, r)
-        base_terms.append(constant)
-        rows.append(linear)
-    upper = {}
-    for i, j in combinations(range(1, ctx.n + 1), 2):
-        if rows[i - 1][j - 1] != -rows[j - 1][i - 1]:
-            raise InternalInconsistencyError(
-                "velocity-linear residual part is not antisymmetric")
-        upper[(i, j)] = rows[i - 1][j - 1]
+    velocity-free parts and the two-form of their linear parts, which
+    must be antisymmetric: all its components, the ascending pairs
+    first."""
+    base_terms, rows = zip(*(_affine_split(ctx, r) for r in residuals))
+    pairs = list(combinations(range(1, ctx.n + 1), 2))
+    if any(rows[i - 1][j - 1] != -rows[j - 1][i - 1] for i, j in pairs):
+        raise InternalInconsistencyError(
+            "velocity-linear residual part is not antisymmetric")
     if any(not rows[i][i].is_zero() for i in range(ctx.n)):
         raise InternalInconsistencyError(
             "velocity-linear residual part has a diagonal term")
-    return base_terms, upper
+    return base_terms, {(i, j): rows[i - 1][j - 1] for i, j in
+                        pairs + [(j, i) for i, j in pairs]}
+
+
+def _certify(s: Sode, g: TensorField, kind: str, report: ConditionReport,
+             build) -> Certificate:
+    """The finish both routes share: refuse a multiplier whose existence
+    ``report`` fails; else verify the Lagrangian and force that
+    ``build()`` returns with their gauge, check that the Lagrangian's
+    velocity Hessian is ``g``, and certify them."""
+    if not report.passes:
+        raise MultiplierCheckError(
+            f"multiplier fails the {kind} existence conditions", report)
+    L, force, gauge = build()
+    gyroscopic = kind == "gyroscopic"
+    outcome = (verify_gyroscopic if gyroscopic else verify_dissipative)(
+        s, L, force)
+    if not outcome.passes:
+        raise InternalInconsistencyError(
+            "reconstructed pair fails verification")
+    if outcome.multiplier != g:
+        raise InternalInconsistencyError(
+            "reconstructed Lagrangian has the wrong velocity Hessian")
+    return Certificate("classical" if force.is_zero() else kind, L,
+                       D=None if gyroscopic else force,
+                       omega=force if gyroscopic else None,
+                       gauge=gauge, verification=outcome)
 
 
 def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
@@ -278,43 +318,19 @@ def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
     base absorbed into the Lagrangian through a base homotopy, and its
     constant part moves into the dissipation function.
     """
-    report = check_multiplier_dissipative(s, g)
-    if not report.passes:
-        raise MultiplierCheckError(
-            "multiplier fails the dissipative existence conditions", report)
-    ctx = s.ctx
-    n = s.n
-    L0 = vertical_homotopy2(g)
-    D0 = vertical_homotopy2(nabla_tensor02(s, g))
-    base_terms, c = _split_residuals(ctx, lagrange_residuals(s, L0, D=D0))
-    if not _closed(ctx, c, 2):
-        raise InternalInconsistencyError(
-            "velocity-linear residual part is not closed")
-    alpha_map = base_homotopy(ctx, _full_two_form(ctx, c), 2)
-    alpha = [alpha_map[(j,)] for j in range(1, n + 1)]
-    if d_basic(ctx, alpha_map, 1) != c:
-        raise InternalInconsistencyError("base homotopy failed to invert")
-    velocities = [ctx.var(ctx.v(j)) for j in range(1, n + 1)]
-    L = lincomb(ctx, [L0, *zip(alpha, velocities)])
-    D = lincomb(ctx, [D0, *zip(base_terms, velocities)])
-    outcome = verify_dissipative(s, L, D)
-    if not outcome.passes:
-        raise InternalInconsistencyError(
-            "reconstructed pair fails verification")
-    if outcome.multiplier != g:
-        raise InternalInconsistencyError(
-            "reconstructed Lagrangian has the wrong velocity Hessian")
-    gauge = GaugeRecord(tuple(alpha), ctx.zero, tuple(base_terms))
-    kind = "classical" if D.is_zero() else "dissipative"
-    return Certificate(kind, L, D=D, gauge=gauge, verification=outcome)
+    def build():
+        ctx = s.ctx
+        L0 = vertical_homotopy2(g)
+        D0 = vertical_homotopy2(nabla_tensor02(s, g))
+        base_terms, c = _split_residuals(ctx, lagrange_residuals(s, L0, D=D0))
+        alpha_map = _potential(ctx, c, 2, "velocity-linear residual part")
+        alpha = [alpha_map[(j,)] for j in range(1, s.n + 1)]
+        return (lincomb(ctx, [L0, *zip(alpha, s.velocities)]),
+                lincomb(ctx, [D0, *zip(base_terms, s.velocities)]),
+                GaugeRecord(tuple(alpha), ctx.zero, tuple(base_terms)))
 
-
-def _full_two_form(ctx: ExprContext, upper: dict) -> dict:
-    """Extend a two-form given on ascending pairs to all ordered pairs."""
-    form = dict(upper)
-    for (i, j), value in upper.items():
-        form[(j, i)] = -value
-    return form
+    return _certify(s, g, "dissipative", check_multiplier_dissipative(s, g),
+                    build)
 
 
 def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
@@ -330,54 +346,27 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
     """
     _require_multiplier(s, g)  # before the cycles read g
     cycles = _curvature_cycles(s, g)
-    report = check_multiplier_gyroscopic(s, g, cycles)
-    if not report.passes:
-        raise MultiplierCheckError(
-            "multiplier fails the gyroscopic existence conditions", report)
-    ctx = s.ctx
-    n = s.n
-    rho = {idx: -cycle for idx, cycle in cycles.items()}
-    for idx, value in rho.items():
-        for k in range(1, n + 1):
-            if value.depends_on(ctx.v(k)):
-                raise NotBasicError(
-                    f"curvature form depends on velocity at {idx}")
-    if not _closed(ctx, rho, 3):
-        raise NotClosedError("curvature form is not closed")
 
-    L0 = vertical_homotopy2(g)
-    base_terms, upper = _split_residuals(ctx, lagrange_residuals(s, L0))
-    omega = TensorField(ctx, (0, 2), _full_two_form(ctx, upper),
-                        antisym=((1, 2),))
-    for k in range(1, n + 1):
-        for idx, value in upper.items():
-            if value.depends_on(ctx.v(k)):
-                raise NotBasicError(
-                    f"recovered two-form depends on velocity at {idx}")
-    if d_basic(ctx, upper, 2) != rho:
-        raise InternalInconsistencyError(
-            "two-form derivative does not match the curvature form")
+    def build():
+        ctx = s.ctx
+        rho = {idx: -cycle for idx, cycle in cycles.items()}
+        _require_basic(s, rho, "curvature form")
+        if any(not value.is_zero() for value in d_basic(ctx, rho, 3).values()):
+            raise NotClosedError("curvature form is not closed")
+        L0 = vertical_homotopy2(g)
+        base_terms, two_form = _split_residuals(ctx, lagrange_residuals(s, L0))
+        omega = TensorField(ctx, (0, 2), two_form, antisym=((1, 2),))
+        _require_basic(s, two_form, "recovered two-form")
+        if d_basic(ctx, two_form, 2) != rho:
+            raise InternalInconsistencyError(
+                "two-form derivative does not match the curvature form")
+        phi = _potential(ctx, {(i,): term for i, term in
+                               enumerate(base_terms, start=1)},
+                         1, "velocity-free residual part")[()]
+        return L0 + phi, omega, GaugeRecord((ctx.zero,) * s.n, phi, ())
 
-    base_form = {(i,): base_terms[i - 1] for i in range(1, n + 1)}
-    if not _closed(ctx, base_form, 1):
-        raise InternalInconsistencyError(
-            "velocity-free residual part is not closed")
-    phi_map = base_homotopy(ctx, base_form, 1)
-    phi = phi_map[()]
-    if d_basic(ctx, phi_map, 0) != base_form:
-        raise InternalInconsistencyError("base homotopy failed to invert")
-    L = L0 + phi
-    outcome = verify_gyroscopic(s, L, omega)
-    if not outcome.passes:
-        raise InternalInconsistencyError(
-            "reconstructed pair fails verification")
-    if outcome.multiplier != g:
-        raise InternalInconsistencyError(
-            "reconstructed Lagrangian has the wrong velocity Hessian")
-    gauge = GaugeRecord(tuple(ctx.zero for _ in range(n)), phi, ())
-    kind = "classical" if omega.is_zero() else "gyroscopic"
-    return Certificate(kind, L, omega=omega, gauge=gauge,
-                       verification=outcome)
+    return _certify(s, g, "gyroscopic",
+                    check_multiplier_gyroscopic(s, g, cycles), build)
 
 
 # --------------------------------------------------------------------------

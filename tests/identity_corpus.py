@@ -56,8 +56,10 @@ agree; each tree's own root is written ``<tree>`` in the output, since
 the bundled fixtures live under it. A call that raises is recorded as
 such, with the traceback as its stderr, and the corpus goes on.
 The script lists every call whose stdout, stderr or exit code differs,
-and every call that raises or exits outside 0-4 on either tree; it
-exits 1 if there is any, else 0. pytest does not collect it.
+and every call that raises or exits outside 0-4 on either tree, marked
+"raises on OLD only", "raises on NEW only" or "raises on both" so that
+a mended fault reads apart from a new one; it exits 1 if there is any,
+else 0. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
     if [row[:2] for row in old] != [row[:2] for row in new]:
         print("the two trees ran different call lists")
         return 1
-    differ = 0
+    differ = faults = 0
     for (label, command, *before), (_label, _command, *after) in zip(old, new):
         changed = [name for name, a, b in zip(("exit code", "stdout",
                                                "stderr"), before, after)
@@ -311,13 +313,14 @@ def main(argv=None) -> int:
         if changed:
             differ += 1
             print(f"DIFFERS ({', '.join(changed)}): {label}: invlag {command}")
-    faults = 0
-    for tree, rows in (("old", old), ("new", new)):
-        for label, command, code, *_output in rows:
-            if code not in range(5):
-                faults += 1
-                print(f"FAULT on the {tree} tree ({code}): {label}: "
-                      f"invlag {command}")
+        trees = [tree for tree, (code, *_output) in (("OLD", before),
+                                                     ("NEW", after))
+                 if code not in range(5)]
+        if trees:
+            faults += 1
+            where = "both" if len(trees) == 2 else f"{trees[0]} only"
+            print(f"FAULT, raises on {where} (old {before[0]}, new "
+                  f"{after[0]}): {label}: invlag {command}")
     print(f"{len(old)} calls, {differ} differ, {faults} raise or exit "
           "outside 0-4")
     return 1 if differ or faults else 0

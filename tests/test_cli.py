@@ -259,6 +259,57 @@ def test_check_classical_flags_phi_symmetry():
     assert cells["PhiSym[1,2]"]["residual"] == "2*b"
 
 
+def test_a_multiplier_with_a_pole_at_every_sample_value_is_cross_checked(
+        tmp_path):
+    """``g[1,1] = 1/P``, where ``P`` vanishes at each of the 51 values the
+    sampler draws first: the cross-check widens its range and agrees."""
+    values = sorted({Fraction(a, b) for a in range(-9, 10)
+                     for b in range(1, 5)})
+    poles = "*".join(f"(q1 - ({value}))" for value in values)
+    path = tmp_path / "poles.json"
+    path.write_text(json.dumps({"n": 2, "f": ["0", "0"],
+                                "g": [[f"1/({poles})", "0"], ["0", "1"]]}))
+    result = run_cli("check", str(path), "--suite", "classical")
+    assert result.returncode == 1
+    assert result.stdout.endswith(
+        "cells): agrees with the symbolic verdicts\nverdict: FAIL\n")
+
+
+def test_tensor_walks_follow_an_explicit_index_loop():
+    """At n = 11, so that two-digit indices occur: the nested texts, the
+    nonzero pairs and the entry map come in the order of an explicit
+    i-major loop, and ``keep`` drops exactly the entries it refuses."""
+    n = 11
+    ctx = ExprContext(n)
+    matrix = geometry.TensorField(ctx, (0, 2), {  # stored last row first
+        (i, j): ctx.const(Fraction(i * j, 7)) for i in range(n, 0, -1)
+        for j in range(1, n + 1) if (i + j) % 3}, sym=((1, 2),))
+    cube = geometry.TensorField(ctx, (1, 2), {
+        (a, b, c): ctx.var(ctx.q(a)) * (b - c) for a in range(1, n + 1)
+        for b in range(1, n + 1) for c in range(1, n + 1) if (a + b * c) % 4})
+    indices = range(1, n + 1)
+    rows = [[str(matrix.entry(i, j)) for j in indices] for i in indices]
+    assert cli._strings(matrix) == rows
+    assert cli._nonzero(rows) == [(f"{i},{j}", rows[i - 1][j - 1])
+                                  for i in indices for j in indices
+                                  if rows[i - 1][j - 1] != "0"]
+    assert list(cli._entry_map(matrix).items()) == [
+        (f"{i},{j}", rows[i - 1][j - 1]) for i in indices
+        for j in range(i, n + 1) if rows[i - 1][j - 1] != "0"]
+    texts = cli._strings(cube)
+    assert texts == [[[str(cube.entry(a, b, c)) for c in indices]
+                      for b in indices] for a in indices]
+    every = [(f"{a},{b},{c}", texts[a - 1][b - 1][c - 1]) for a in indices
+             for b in indices for c in indices
+             if texts[a - 1][b - 1][c - 1] != "0"]
+    assert cli._nonzero(texts) == every
+    for keep in (lambda idx: idx[1] < idx[2], lambda idx: sum(idx) % 2):
+        assert cli._nonzero(texts, keep) == [
+            (label, text) for label, text in every
+            if keep(tuple(map(int, label.split(","))))]
+    assert len(cli._nonzero(texts, lambda idx: idx[1] < idx[2])) < len(every)
+
+
 def test_check_text_and_json_agree_cell_by_cell():
     text = run_cli("check", "coupled3", "--suite", "rayleigh")
     result, payload = run_json("check", "coupled3", "--suite", "rayleigh")

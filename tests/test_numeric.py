@@ -1,7 +1,7 @@
 """The numeric cross-check sampler against the sample-then-evaluate
-code it replaces: the same verdicts from the same random draws; and
-the cross-check of report cells, which draws no point for a zero
-residual."""
+code it replaces: the same verdicts from the same random draws; the
+cross-check of report cells, which draws no point for a zero residual;
+and a denominator vanishing at every value ``sample_value`` draws."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext, PoleError
-from invlag.numeric import crosscheck_cells, nonzero_somewhere, sample_value
+from invlag.numeric import (crosscheck_cells, nonzero_somewhere, sample_point,
+                            sample_value)
 
 from exprgen import random_expr
 
@@ -90,3 +91,26 @@ def test_crosscheck_draws_points_for_nonzero_residuals_only(seed):
     assert summary == {"points": 5, "cells_checked": len(cells),
                        "consistent": not expected, "disagreements": expected}
     assert rng.getstate() == reference.getstate()
+
+
+#: the 51 values ``sample_value`` draws
+SAMPLE_VALUES = sorted({Fraction(a, b) for a in range(-9, 10)
+                        for b in range(1, 5)})
+
+
+def test_a_pole_at_every_sample_value_is_left_by_widening_the_range():
+    """``1/P`` with ``P`` vanishing at all 51 values of ``sample_value``:
+    after its 500 draws every point is a pole, and the widened range
+    finds a nonzero value and a pole-free point."""
+    ctx = ExprContext(1)
+    q1 = ctx.var(ctx.q(1))
+    den = ctx.one
+    for value in SAMPLE_VALUES:
+        den = den * (q1 - ctx.const(value))
+    expr = ctx.one / den
+    rng = random.Random(5)
+    assert nonzero_somewhere(expr, rng)
+    point = sample_point(ctx, rng, avoid=(expr,))
+    assert point[ctx.q(1)] not in SAMPLE_VALUES
+    assert den.eval_num(point) != 0
+    assert crosscheck_cells([("cell", expr)], rng)["consistent"]

@@ -1,22 +1,26 @@
 """Tests for certificate reconstruction, verification, and the forward
 problem."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlag.exprcore import ExprContext, NotPolynomialError
 from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
                              TensorField, identity_matrix, matrix_det)
 from invlag.reconstruct import (BasePointError, Certificate,
                                 MultiplierCheckError,
-                                SingularHessianError,
+                                SingularHessianError, forward_accelerations,
                                 forward_sode, hessian, reconstruct_dissipative,
                                 reconstruct_gyroscopic, verify_dissipative,
                                 verify_gyroscopic, vertical_homotopy2)
 from invlag.conditions import TwoFormError
 
-from exprgen import small_fraction
+from exprgen import random_poly, small_fraction
 
 
 def planar_drag():
@@ -347,6 +351,43 @@ def test_forward_backward_round_trip():
             cert = reconstruct_dissipative(s, g)
             assert verify_dissipative(s, cert.L, cert.D).passes
             assert hessian(cert.L) == g
+
+
+def _random_two_form(ctx, rng):
+    """A basic two-form whose entries are random polynomials of degree
+    up to two in the positions."""
+    entries = {}
+    for i, j in combinations(range(1, ctx.n + 1), 2):
+        value = random_poly(ctx, rng, terms=2, velocities=False)
+        entries[(i, j)], entries[(j, i)] = value, -value
+    return TensorField(ctx, (0, 2), entries, antisym=((1, 2),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       gyroscopic=st.booleans())
+def test_forward_then_reconstruct_returns_the_system(seed, n, gyroscopic):
+    """The accelerations of ``L`` with a constant invertible kinetic
+    matrix, driven by a random polynomial ``D`` or a random basic
+    ``omega``, reconstructed from the Hessian of ``L`` along the
+    matching route: the certificate verifies, has that Hessian, and its
+    own forward problem gives the same accelerations back."""
+    rng = random.Random(seed)
+    ctx = ExprContext(n)
+    L, D = _random_regular_pair(ctx, rng)
+    g = hessian(L)
+    if gyroscopic:
+        omega = _random_two_form(ctx, rng)
+        s = Sode(ctx, forward_accelerations(L, omega=omega))
+        cert = reconstruct_gyroscopic(s, g)
+        assert verify_gyroscopic(s, cert.L, cert.omega).passes
+        assert forward_accelerations(cert.L, omega=cert.omega) == list(s.f)
+    else:
+        s = Sode(ctx, forward_accelerations(L, D))
+        cert = reconstruct_dissipative(s, g)
+        assert verify_dissipative(s, cert.L, cert.D).passes
+        assert forward_accelerations(cert.L, cert.D) == list(s.f)
+    assert hessian(cert.L) == g
 
 
 def test_gauge_freedom_two_verifying_pairs():
