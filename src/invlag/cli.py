@@ -667,7 +667,7 @@ def cmd_verify(problem: Problem, args) -> Tuple[dict, int]:
         D = problem.D if problem.D is not None else problem.ctx.zero
         report = verify_dissipative(s, L, D)
     payload["report"] = report_payload(report)
-    code = 0 if report.passes else 1
+    code = 0 if report.passes and report.nonsingularity.nonsingular else 1
     reports = [report]
     if args.forward:
         try:

@@ -147,29 +147,29 @@ def nonsingularity_record(g: TensorField) -> NonsingularityRecord:
 # input validation
 
 
+def _require_tensor02(s: Sode, t: TensorField, name: str):
+    if t.ctx != s.ctx:
+        raise DimensionMismatchError(f"{name} lives in a different context")
+    if t.shape != (0, 2):
+        raise DimensionMismatchError(f"{name} must be a (0,2) tensor")
+
+
 def _require_multiplier(s: Sode, g: TensorField):
-    if g.ctx != s.ctx:
-        raise DimensionMismatchError("multiplier lives in a different context")
-    if g.shape != (0, 2):
-        raise DimensionMismatchError("multiplier must be a (0,2) tensor")
+    _require_tensor02(s, g, "multiplier")
     for i, j in combinations(range(1, s.n + 1), 2):
         if g.entry(i, j) != g.entry(j, i):
             raise GeometryError(f"multiplier is not symmetric at {(i, j)}")
 
 
 def _require_two_form(s: Sode, omega: TensorField):
-    if omega.ctx != s.ctx:
-        raise DimensionMismatchError("two-form lives in a different context")
-    if omega.shape != (0, 2):
-        raise DimensionMismatchError("two-form must be a (0,2) tensor")
-    ctx = s.ctx
+    _require_tensor02(s, omega, "two-form")
     for i in range(1, s.n + 1):
         for j in range(1, s.n + 1):
             entry = omega.entry(i, j)
             if entry != -omega.entry(j, i):
                 raise TwoFormError(f"two-form is not antisymmetric at {(i, j)}")
             for k in range(1, s.n + 1):
-                if entry.depends_on(ctx.v(k)):
+                if entry.depends_on(s.ctx.v(k)):
                     raise TwoFormError(
                         f"two-form entry {(i, j)} depends on velocities")
 
@@ -183,17 +183,36 @@ def _require_function(s: Sode, D: Expr):
 # shared cell families
 
 
-def _hd1_cells(s: Sode, g: TensorField):
-    """Velocity symmetry of the candidate: V_k(g_ij) - V_j(g_ik)."""
-    v, indices = s.v_pos, range(1, s.n + 1)
-    return [Cell(_label("HD1", i, j, k),
-                 g.entry(i, j).diff(v[k - 1]) - g.entry(i, k).diff(v[j - 1]))
+def _symmetry_cells(family: str, n: int, entry, velocity):
+    """Velocity symmetry of a matrix ``M``: ``V_k(M_ij) - V_j(M_ik)`` on
+    every ``i`` and every ``j < k``, where ``entry(i, j)`` is ``M_ij``
+    and ``velocity(k)`` the variable ``V_k`` differentiates by."""
+    indices = range(1, n + 1)
+    return [Cell(_label(family, i, j, k), entry(i, j).diff(velocity(k))
+                 - entry(i, k).diff(velocity(j)))
             for i in indices for j, k in combinations(indices, 2)]
 
 
-def _nabla_cells(s: Sode, g: TensorField, family: str = "NablaG"):
+def _skew_cells(family: str, ctx: ExprContext, entry, extra=None):
+    """Skew part of a matrix ``M``: ``M_ij - M_ji`` on every ``i < j``,
+    where ``entry(i, j)`` is ``M_ij``, plus the correction terms
+    ``extra(i, j)`` (``lincomb`` terms) when they are given."""
+    return [Cell(_label(family, i, j), entry(i, j) - entry(j, i)
+                 if extra is None else
+                 lincomb(ctx, [entry(i, j), -entry(j, i), *extra(i, j)]))
+            for i, j in combinations(range(1, ctx.n + 1), 2)]
+
+
+def _hd1_cells(s: Sode, g: TensorField):
+    return _symmetry_cells("HD1", s.n, g.entry, lambda k: s.v_pos[k - 1])
+
+
+def _nabla_cells(s: Sode, g: TensorField, family: str = "NablaG", dD=None):
+    """The flow derivative ``(nabla g)_ij`` on ``i <= j``, less the velocity
+    Hessian of ``D`` when its velocity gradient ``dD`` is given."""
     grad = nabla_tensor02(s, g)
-    return [Cell(_label(family, i, j), grad.entry(i, j))
+    return [Cell(_label(family, i, j), grad.entry(i, j) if dD is None else
+                 grad.entry(i, j) - dD[i - 1].diff(s.v_pos[j - 1]))
             for i in range(1, s.n + 1) for j in range(i, s.n + 1)]
 
 
@@ -207,12 +226,6 @@ def _lowered_jacobi(s: Sode, g: TensorField) -> TensorField:
         (i, j): lincomb(s.ctx, [(g.entry(i, k), jac.entry(k, j))
                                 for k in indices])
         for i in indices for j in indices})
-
-
-def _phi_cells(s: Sode, g: TensorField):
-    g_phi = _lowered_jacobi(s, g)
-    return [Cell(_label("PhiSym", i, j), g_phi.entry(i, j) - g_phi.entry(j, i))
-            for i, j in combinations(range(1, s.n + 1), 2)]
 
 
 def _curvature_cycles(s: Sode, g: TensorField) -> dict:
@@ -250,7 +263,8 @@ def check_classical(s: Sode, g: TensorField) -> ConditionReport:
     velocity symmetry, covariant constancy along the flow, and symmetry
     of the force endomorphism lowered with the candidate."""
     _require_multiplier(s, g)
-    cells = _hd1_cells(s, g) + _nabla_cells(s, g) + _phi_cells(s, g)
+    cells = (_hd1_cells(s, g) + _nabla_cells(s, g)
+             + _skew_cells("PhiSym", s.ctx, _lowered_jacobi(s, g).entry))
     return ConditionReport("classical", tuple(cells), multiplier=g)
 
 
@@ -261,20 +275,11 @@ def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
     being symmetric up to horizontal derivatives of ``D``."""
     _require_multiplier(s, g)
     _require_function(s, D)
-    ctx = s.ctx
-    cells = _hd1_cells(s, g)
-    grad = nabla_tensor02(s, g)
     dD = [D.diff(at) for at in s.v_pos]  # the velocity gradient of D
-    for i in range(1, s.n + 1):
-        for j in range(i, s.n + 1):
-            residual = grad.entry(i, j) - dD[i - 1].diff(s.v_pos[j - 1])
-            cells.append(Cell(_label("HD2", i, j), residual))
-    g_phi = _lowered_jacobi(s, g)
-    for i, j in combinations(range(1, s.n + 1), 2):
-        residual = lincomb(ctx, [g_phi.entry(i, j), -g_phi.entry(j, i)]
-                           + _horizontal_terms(s, i, -dD[j - 1])
-                           + _horizontal_terms(s, j, dD[i - 1]))
-        cells.append(Cell(_label("HD3", i, j), residual))
+    cells = (_hd1_cells(s, g) + _nabla_cells(s, g, "HD2", dD)
+             + _skew_cells("HD3", s.ctx, _lowered_jacobi(s, g).entry,
+                           lambda i, j: _horizontal_terms(s, i, -dD[j - 1])
+                           + _horizontal_terms(s, j, dD[i - 1])))
     return ConditionReport("dissipative", tuple(cells), multiplier=g)
 
 
@@ -285,15 +290,11 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
     the exterior derivative of the two-form with the velocity."""
     _require_multiplier(s, g)
     _require_two_form(s, omega)
-    ctx = s.ctx
-    cells = _hd1_cells(s, g) + _nabla_cells(s, g, family="Hg2")
-    pairs = list(combinations(range(1, s.n + 1), 2))
-    d_omega = d_basic(ctx, {pair: omega.entry(*pair) for pair in pairs}, 2)
-    g_phi = _lowered_jacobi(s, g)
-    for i, j in pairs:
-        residual = lincomb(ctx, [g_phi.entry(i, j), -g_phi.entry(j, i),
-                                 -_velocity_contraction(ctx, d_omega, i, j)])
-        cells.append(Cell(_label("Hg3", i, j), residual))
+    d_omega = d_basic(s.ctx, omega.entries, 2)  # reads i < j only
+    cells = (_hd1_cells(s, g) + _nabla_cells(s, g, "Hg2")
+             + _skew_cells("Hg3", s.ctx, _lowered_jacobi(s, g).entry,
+                           lambda i, j: [-_velocity_contraction(
+                               s.ctx, d_omega, i, j)]))
     return ConditionReport("gyroscopic", tuple(cells), multiplier=g)
 
 
@@ -331,17 +332,15 @@ def check_multiplier_gyroscopic(s: Sode, g: TensorField,
     A caller that needs the curvature cycles as well builds them with
     ``_curvature_cycles(s, g)`` and passes them as ``cycles``."""
     _require_multiplier(s, g)
-    ctx = s.ctx
-    cells = _hd1_cells(s, g) + _nabla_cells(s, g)
     g_phi = _lowered_jacobi(s, g)
     if cycles is None:
         cycles = _curvature_cycles(s, g)
-    for k, l in combinations(range(1, s.n + 1), 2):
-        # sum_i cycle_ikl v^i = sum_i cycle_kli v^i: the cycle is cyclic
-        residual = lincomb(ctx, [g_phi.entry(l, k), -g_phi.entry(k, l),
-                                 -_velocity_contraction(ctx, cycles, k, l)])
-        cells.append(Cell(_label("PhiR", k, l), residual))
-    cells.extend(_smooth_at_rest_cells(s, g, g_phi))
+    # sum_i cycle_ikl v^i = sum_i cycle_kli v^i: the cycle is cyclic
+    cells = (_hd1_cells(s, g) + _nabla_cells(s, g)
+             + _skew_cells("PhiR", s.ctx, lambda k, l: g_phi.entry(l, k),
+                           lambda k, l: [-_velocity_contraction(
+                               s.ctx, cycles, k, l)])
+             + _smooth_at_rest_cells(s, g, g_phi))
     return ConditionReport("thm4", tuple(cells), multiplier=g)
 
 
@@ -506,14 +505,13 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
     a cross-check — the reduced formulation for systems affine in the
     acceleration must agree."""
     ctx = sys.ctx
-    f = sys.f
     half, minus_half = ctx.const(Fraction(1, 2)), ctx.const(Fraction(-1, 2))
     indices = range(1, sys.n + 1)
     pairs = list(combinations(indices, 2))
 
     # the derivatives of f_i by the position, the velocity and the
     # acceleration of coordinate j, each keyed (i, j) and computed once
-    by_q, by_v, by_a = ({(i, j): f[i - 1].diff(ctx.jet(j, order))
+    by_q, by_v, by_a = ({(i, j): sys.f[i - 1].diff(ctx.jet(j, order))
                          for i in indices for j in indices}
                         for order in (0, 1, 2))
     t_coeff = {(i, j): by_a[i, j] - by_a[j, i] for i, j in pairs}
@@ -541,11 +539,8 @@ def check_implicit(sys: ImplicitSystem) -> ConditionReport:
                 (minus_half, s_coeff[i, k].diff(ctx.q(j))),
                 (half, s_coeff[j, k].diff(ctx.q(i)))])
             cells.append(Cell(_label("C2", i, j, k), residual))
-    for i in indices:
-        for j, k in pairs:
-            residual = (s_coeff[i, j].diff(ctx.jet(k, 1))
-                        - s_coeff[i, k].diff(ctx.jet(j, 1)))
-            cells.append(Cell(_label("C3", i, j, k), residual))
+    cells += _symmetry_cells("C3", sys.n, lambda i, j: s_coeff[i, j],
+                             lambda k: ctx.jet(k, 1))
 
     cells.extend(_reduced_route_cells(sys))
 
@@ -557,38 +552,31 @@ def _reduced_route_cells(sys: ImplicitSystem):
     """The reduced test for systems affine in the acceleration, used as
     an independent cross-check of the closure route."""
     ctx = sys.ctx
-    n = sys.n
     half, minus_half = ctx.const(Fraction(1, 2)), ctx.const(Fraction(-1, 2))
-    rest = {ctx.jet(i, 2): ctx.zero for i in range(1, n + 1)}
-    block = [[sys.f[i].diff(ctx.jet(j + 1, 2)) for j in range(n)]
-             for i in range(n)]
-    tail = [sys.f[i].subst(rest) for i in range(n)]
+    indices = range(1, sys.n + 1)
+    rest = {ctx.jet(i, 2): ctx.zero for i in indices}
+    block = {(i, j): sys.f[i - 1].diff(ctx.jet(j, 2))
+             for i in indices for j in indices}
+    tail = {i: sys.f[i - 1].subst(rest) for i in indices}
 
-    cells = []
-    for i, j in combinations(range(1, n + 1), 2):
-        cells.append(Cell(_label("XGSym", i, j),
-                          block[i - 1][j - 1] - block[j - 1][i - 1]))
-    for i in range(1, n + 1):
-        residual = lincomb(ctx, [sys.f[i - 1], -tail[i - 1]] + [
-            (-block[i - 1][j - 1], ctx.var(ctx.jet(j, 2))) for j in range(1, n + 1)])
+    cells = _skew_cells("XGSym", ctx, lambda i, j: block[i, j])
+    for i in indices:
+        residual = lincomb(ctx, [sys.f[i - 1], -tail[i]] + [
+            (-block[i, j], ctx.var(ctx.jet(j, 2))) for j in indices])
         cells.append(Cell(_label("XAffine", i), residual))
-    for i in range(1, n + 1):
-        for j, k in combinations(range(1, n + 1), 2):
-            cells.append(Cell(_label("XA", i, j, k),
-                              block[i - 1][j - 1].diff(ctx.jet(k, 1))
-                              - block[i - 1][k - 1].diff(ctx.jet(j, 1))))
-    for i, j in combinations(range(1, n + 1), 2):
-        for k in range(1, n + 1):
+    cells += _symmetry_cells("XA", sys.n, lambda i, j: block[i, j],
+                             lambda k: ctx.jet(k, 1))
+    for i, j in combinations(indices, 2):
+        for k in indices:
             residual = lincomb(ctx, [
-                block[i - 1][k - 1].diff(ctx.q(j)),
-                (minus_half, tail[i - 1].diff(ctx.jet(j, 1)).diff(ctx.jet(k, 1))),
-                -block[j - 1][k - 1].diff(ctx.q(i)),
-                (half, tail[j - 1].diff(ctx.jet(i, 1)).diff(ctx.jet(k, 1)))])
+                block[i, k].diff(ctx.q(j)),
+                (minus_half, tail[i].diff(ctx.jet(j, 1)).diff(ctx.jet(k, 1))),
+                -block[j, k].diff(ctx.q(i)),
+                (half, tail[j].diff(ctx.jet(i, 1)).diff(ctx.jet(k, 1)))])
             cells.append(Cell(_label("XB", i, j, k), residual))
     # XC is d of the 2-form d tail_b/dv_a - d tail_a/dv_b
-    sigma = {(a, b): tail[b - 1].diff(ctx.jet(a, 1))
-             - tail[a - 1].diff(ctx.jet(b, 1))
-             for a, b in combinations(range(1, n + 1), 2)}
+    sigma = {(a, b): tail[b].diff(ctx.jet(a, 1)) - tail[a].diff(ctx.jet(b, 1))
+             for a, b in combinations(indices, 2)}
     for idx, residual in d_basic(ctx, sigma, 2).items():
         cells.append(Cell(_label("XC", *idx), residual))
     return cells

@@ -34,8 +34,8 @@ class ReconstructError(Exception):
 
 
 class MultiplierCheckError(ReconstructError):
-    """The input multiplier fails its existence conditions; the failing
-    report is attached."""
+    """The input multiplier fails its existence conditions or is
+    singular; its existence report is attached."""
 
     def __init__(self, message: str, report: ConditionReport):
         super().__init__(message)
@@ -287,7 +287,8 @@ def _certify(s: Sode, g: TensorField, kind: str, report: ConditionReport,
     """The finish both routes share: refuse a multiplier whose existence
     ``report`` fails; else verify the Lagrangian and force that
     ``build()`` returns with their gauge, check that the Lagrangian's
-    velocity Hessian is ``g``, and certify them."""
+    velocity Hessian is ``g``, refuse it if ``g`` is singular (the
+    Lagrangian is then degenerate), and certify them."""
     if not report.passes:
         raise MultiplierCheckError(
             f"multiplier fails the {kind} existence conditions", report)
@@ -301,6 +302,9 @@ def _certify(s: Sode, g: TensorField, kind: str, report: ConditionReport,
     if outcome.multiplier != g:
         raise InternalInconsistencyError(
             "reconstructed Lagrangian has the wrong velocity Hessian")
+    if not outcome.nonsingularity.nonsingular:
+        raise MultiplierCheckError(f"multiplier is singular: "
+                                   f"{outcome.nonsingularity.note}", report)
     return Certificate("classical" if force.is_zero() else kind, L,
                        D=None if gyroscopic else force,
                        omega=force if gyroscopic else None,

@@ -19,8 +19,12 @@ prints both sides' medians and quartiles, the number of pairs the new
 tree won (its value better than the old one's in the same pair) and
 the gap between the medians over the old side's quartile spread,
 positive when the new tree is better. A gain is shown when the new tree
-wins nearly every pair and that gap is above 1. The script exits 1 when
-a run fails or reports a wrong answer, else 0. pytest does not collect
+wins nearly every pair and that gap is above 1. Each metric's ``bound``
+is a relative regression limit: the line ends ``WORSE than bound`` when
+the new median is worse than the old one, in the metric's ``better``
+direction, by more than ``bound`` times the old median, else ``within
+bound``. The script exits 1 when a run fails or reports a wrong answer
+or a metric is worse than its bound, else 0. pytest does not collect
 it.
 """
 
@@ -32,6 +36,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+from typing import Tuple
 
 
 def _seeds(text: str) -> range:
@@ -56,9 +61,12 @@ def run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def summary(name: str, old: list, new: list, lower_is_better: bool) -> str:
-    """One line: both sides' median and quartiles, pairs won, and the
-    gap between the medians over the old side's quartile spread."""
+def summary(name: str, old: list, new: list, lower_is_better: bool,
+            bound: float) -> Tuple[str, bool]:
+    """One line: both sides' median and quartiles, pairs won, the gap
+    between the medians over the old side's quartile spread and the
+    verdict on ``bound``; and whether the new median is worse than the
+    old one by more than ``bound`` times the old median."""
     def quartiles(values):
         low, median, high = statistics.quantiles(values, n=4)
         return low, statistics.median(values), high
@@ -70,9 +78,12 @@ def summary(name: str, old: list, new: list, lower_is_better: bool) -> str:
     gap = sign * (new_q[1] - old_q[1])
     ratio = f"{gap / spread:+.2f}" if spread else "n/a"
     change = (new_q[1] - old_q[1]) / old_q[1] * 100 if old_q[1] else 0.0
+    worse = gap < -bound * abs(old_q[1])
+    verdict = "WORSE than" if worse else "within"
     return (f"{name:16s} old {old_q[1]:.6g} [{old_q[0]:.6g}, {old_q[2]:.6g}]"
             f"  new {new_q[1]:.6g} [{new_q[0]:.6g}, {new_q[2]:.6g}]"
-            f"  {change:+.1f} %  won {won}/{len(old)}  gap/spread {ratio}")
+            f"  {change:+.1f} %  won {won}/{len(old)}  gap/spread {ratio}"
+            f"  {verdict} bound {bound * 100:g} %"), worse
 
 
 def main(argv=None) -> int:
@@ -99,10 +110,14 @@ def main(argv=None) -> int:
               flush=True)
     print(f"workload {args.workload}, seeds {args.seeds.start}-"
           f"{args.seeds.stop - 1}, {len(old)} pairs, median [quartiles]:")
+    failed = False
     for m in metrics:
-        print(summary(m["name"], [r[m["name"]] for r in old],
-                      [r[m["name"]] for r in new], m["better"] == "lower"))
-    return 0
+        line, worse = summary(m["name"], [r[m["name"]] for r in old],
+                              [r[m["name"]] for r in new],
+                              m["better"] == "lower", m["bound"])
+        print(line)
+        failed = failed or worse
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -509,6 +509,61 @@ def test_reconstruct_rejects_failing_multiplier(tmp_path):
     assert "certificate" not in payload
 
 
+@pytest.mark.parametrize("diagonal, suite", [
+    (("0", "0"), "thm3"), (("1", "0"), "thm3"), (("1", "0"), "gyroscopic")])
+def test_reconstruct_refuses_a_singular_multiplier(tmp_path, diagonal, suite):
+    """A multiplier that passes its existence conditions but whose
+    determinant is identically zero would give a degenerate Lagrangian:
+    nothing is certified, and the existence report is printed."""
+    problem = {"n": 2, "f": ["0", "0"],
+               "g": [[diagonal[0], "0"], ["0", diagonal[1]]]}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(problem))
+    result = run_cli("reconstruct", str(path), "--suite", suite)
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1] == (
+        "verdict: multiplier fails its conditions; nothing to reconstruct")
+    result, payload = run_json("reconstruct", str(path), "--suite", suite)
+    assert result.returncode == 1
+    assert_valid_report(payload)
+    assert payload["multiplier_report"]["passed"]
+    assert not payload["multiplier_report"]["nonsingularity"]["nonsingular"]
+    assert "certificate" not in payload
+
+
+def test_verify_fails_a_lagrangian_with_a_singular_hessian(tmp_path):
+    problem = {"n": 2, "f": ["0", "0"], "L": "1/2*v1^2"}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(problem))
+    result = run_cli("verify", str(path))
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1] == "verdict: FAIL"
+    result, payload = run_json("verify", str(path))
+    assert result.returncode == 1
+    assert payload["report"]["passed"]
+    assert not payload["report"]["nonsingularity"]["nonsingular"]
+
+
+@pytest.mark.parametrize("args", [
+    ("reconstruct", "coupled3"),
+    ("reconstruct", "planar_drag_gyro", "--suite", "gyroscopic"),
+    ("verify", "planar_drag_gyro")])
+def test_a_passing_certificate_builds_one_determinant(args, monkeypatch):
+    """The nonsingularity verdict and the printed record are one lazy
+    record of the verification report, so one determinant is built."""
+    calls = []
+    original = geometry.matrix_det
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for module in (geometry, conditions):
+        monkeypatch.setattr(module, "matrix_det", counting)
+    assert run_cli(*args).returncode == 0
+    assert len(calls) == 1
+
+
 def test_reconstruct_reports_non_polynomial_base_form(tmp_path):
     # the forward system of 1/2*v1^2 + 1/2*v2^2 - 1/(1+q1^2): the
     # gyroscopic route's base homotopy needs polynomial position dependence

@@ -18,7 +18,7 @@ from invlag.reconstruct import (BasePointError, Certificate,
                                 forward_sode, hessian, reconstruct_dissipative,
                                 reconstruct_gyroscopic, verify_dissipative,
                                 verify_gyroscopic, vertical_homotopy2)
-from invlag.conditions import TwoFormError
+from invlag.conditions import TwoFormError, check_suite
 
 from exprgen import random_poly, small_fraction
 
@@ -231,6 +231,25 @@ def test_failing_multiplier_raises_with_report():
     assert info.value.report.suite == "thm4"
 
 
+@pytest.mark.parametrize("diagonal", [(0, 0), (1, 0)])
+def test_a_singular_multiplier_is_refused_on_both_routes(diagonal):
+    """On the free particle a constant singular multiplier passes both
+    existence tests, but its Lagrangian would be degenerate: both routes
+    refuse it with the passing existence report attached."""
+    ctx = ExprContext(2)
+    s = Sode(ctx, [ctx.zero, ctx.zero])
+    g = TensorField.from_matrix(
+        ctx, [[ctx.const(diagonal[0]), ctx.zero],
+              [ctx.zero, ctx.const(diagonal[1])]], sym=((1, 2),))
+    for builder, suite in ((reconstruct_dissipative, "thm3"),
+                           (reconstruct_gyroscopic, "thm4")):
+        with pytest.raises(MultiplierCheckError) as info:
+            builder(s, g)
+        report = info.value.report
+        assert report.suite == suite and report.passes
+        assert not report.nonsingularity.nonsingular
+
+
 def test_vertical_homotopy_weights():
     ctx, _ = planar_drag()
     constant = TensorField.from_matrix(
@@ -388,6 +407,64 @@ def test_forward_then_reconstruct_returns_the_system(seed, n, gyroscopic):
         assert verify_dissipative(s, cert.L, cert.D).passes
         assert forward_accelerations(cert.L, cert.D) == list(s.f)
     assert hessian(cert.L) == g
+
+
+def _failing_families(report):
+    return {cell.label.split("[")[0] for cell in report.failing()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_every_explicit_suite_passes_on_the_system_its_data_generates(
+        seed, n):
+    """``L`` with a constant invertible kinetic matrix, alone, with a
+    random polynomial ``D`` or with a random basic ``omega``, gives
+    three systems by the forward problem. On each, the suites of its
+    force pass on the Hessian of ``L``; ``rayleigh`` passes exactly when
+    ``D`` is at most quadratic in the velocities. A velocity-quadratic
+    change of ``D`` fails at an HD2 cell, and at n = 3 a change of
+    ``omega`` that changes ``d omega`` fails at an Hg3 cell; at n <= 2
+    ``d omega`` vanishes, so ``gyroscopic`` passes with any two-form."""
+    rng = random.Random(seed)
+    ctx = ExprContext(n)
+    L, D = _random_regular_pair(ctx, rng)
+    omega = _random_two_form(ctx, rng)
+    g = hessian(L)
+    c = ctx.const(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                           rng.randint(1, 4)))
+    a, b = rng.randint(1, n), rng.randint(1, n)
+
+    s = Sode(ctx, forward_accelerations(L))
+    for suite in ("classical", "prop2a"):
+        assert check_suite(suite, s, g).passes, suite
+
+    s = Sode(ctx, forward_accelerations(L, D))
+    assert check_suite("dissipative", s, g, D=D).passes
+    assert check_suite("thm3", s, g).passes
+    velocities = [ctx.v(k) for k in range(1, n + 1)]
+    quadratic = max(D.homogeneous_parts(velocities), default=0) <= 2
+    rayleigh = check_suite("rayleigh", s, g)
+    assert rayleigh.passes == quadratic
+    assert rayleigh.notes[0].endswith(": pass")
+    changed = D + c * ctx.var(ctx.v(a)) * ctx.var(ctx.v(b))
+    assert "HD2" in _failing_families(
+        check_suite("dissipative", s, g, D=changed))
+
+    s = Sode(ctx, forward_accelerations(L, omega=omega))
+    assert check_suite("gyroscopic", s, g, omega=omega).passes
+    assert check_suite("thm4", s, g).passes
+    if n < 3:
+        assert check_suite("gyroscopic", s, g).passes
+    else:
+        i, j = sorted(rng.sample(range(1, 4), 2))
+        k = 6 - i - j
+        bump = c * ctx.var(ctx.q(k))
+        entries = dict(omega.entries)
+        entries[i, j] = omega.entry(i, j) + bump
+        entries[j, i] = omega.entry(j, i) - bump
+        changed = TensorField(ctx, (0, 2), entries, antisym=((1, 2),))
+        assert _failing_families(
+            check_suite("gyroscopic", s, g, omega=changed)) == {"Hg3"}
 
 
 def test_gauge_freedom_two_verifying_pairs():
