@@ -109,6 +109,14 @@ class ConditionReport(_Frozen):
             object.__setattr__(self, "_nonsingularity", record)
             return record
 
+    def sharing_record(self, other: "ConditionReport") -> "ConditionReport":
+        """This report with the nonsingularity record of ``other``, a
+        report on an equal multiplier: one determinant serves both."""
+        report = ConditionReport(self.suite, self.cells, self.multiplier,
+                                 self.notes)
+        object.__setattr__(report, "_nonsingularity", other.nonsingularity)
+        return report
+
     @property
     def passes(self) -> bool:
         return all(cell.passes for cell in self.cells)

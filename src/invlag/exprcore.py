@@ -903,23 +903,49 @@ class Expr:
         Requires the denominator to be free of those variables; returns
         a map ``degree -> Expr`` omitting zero parts.
         """
-        variables = list(variables)
-        if not self.is_polynomial_in(variables):
-            raise NotPolynomialError(
-                "expression is rational in the splitting variables",
-                variables[0])
-        if self.is_zero():
-            return {}
         ctx = self.ctx
-        shifts = [ctx._ring.shifts[ctx.gen_index(v)] for v in variables]
         buckets: dict = {}
-        for monom, coeff in self.num.coeffs.items():
-            degree = sum([monom >> shift & FIELD_MASK for shift in shifts])
-            buckets.setdefault(degree, {})[monom] = coeff
+        for monom, degree in self._degrees(variables).items():
+            buckets.setdefault(degree, {})[monom] = self.num.coeffs[monom]
         return {degree: over_factors(ctx, ctx._ring.from_ints(monoms,
                                                              self.num.den),
                                      self.den_factors)
                 for degree, monoms in sorted(buckets.items())}
+
+    def degree_weighted(self, variables: Iterable[VarId], weight) -> "Expr":
+        """``sum(weight(d) * part)`` over the ``d -> part`` map that
+        ``homogeneous_parts`` returns, in one pass over the numerator's
+        terms; ``weight`` maps a degree to a nonzero ``int`` or
+        ``Fraction``.
+
+        Requires the denominator to be free of ``variables``. Its
+        factors are then free of them too, and such a factor divides the
+        numerator exactly when it divides every homogeneous part, so
+        the weighted numerator stays coprime to the denominator and the
+        result is canonical without trial division.
+        """
+        degrees = self._degrees(variables)
+        weights = {d: Fraction(weight(d)) for d in set(degrees.values())}
+        scale = lcm(*(w.denominator for w in weights.values()))
+        factors = {d: w.numerator * (scale // w.denominator)
+                   for d, w in weights.items()}
+        return _factored(self.ctx, self.ctx._ring.from_ints(
+            {monom: coeff * factors[degrees[monom]]
+             for monom, coeff in self.num.coeffs.items()},
+            self.num.den * scale), self.den_factors)
+
+    def _degrees(self, variables) -> dict:
+        """The total degree in ``variables`` of each numerator term, by
+        packed monomial; the denominator must be free of them."""
+        variables = list(variables)
+        if self.den_factors and not self.is_polynomial_in(variables):
+            raise NotPolynomialError(
+                "expression is rational in the splitting variables",
+                variables[0])
+        ctx = self.ctx
+        shifts = [ctx._ring.shifts[ctx.gen_index(v)] for v in variables]
+        return {monom: sum([monom >> shift & FIELD_MASK for shift in shifts])
+                for monom in self.num.coeffs}
 
 
 # ``_factored`` fills the slots of the immutable ``Expr`` through their

@@ -170,21 +170,22 @@ def _dot(ring, singles, pairs):
     return ring.sum_of_products(singles, pairs) if singles or pairs else None
 
 
-def _berkowitz_det(rows, zero):
-    """Determinant of a square matrix of ring polynomials by Berkowitz's
-    division-free algorithm; ``zero`` is the ring's zero.
+def _charpoly(rows, whole: bool):
+    """Characteristic polynomial ``det(x I - A) = x^n + q_1 x^(n-1) +
+    ... + q_n`` of a square matrix of ring polynomials by Berkowitz's
+    division-free algorithm, as the list ``[None, q_1, ..., q_n]``: None
+    stands for the leading 1 and for a zero that was never built, and
+    without ``whole`` only ``q_n`` is worked out, the rest left None.
 
-    ``q`` holds the characteristic polynomial coefficients of the
-    trailing principal submatrix, leading 1 first. Bordering it by row
-    and column ``k`` (corner ``a``, row ``R``, column ``C``, trailing
-    block ``A``) multiplies it by the Toeplitz matrix with first column
-    ``1, -a, -R C, -R A C, -R A^2 C, ...``; the determinant is
-    ``(-1)^n`` times the last coefficient, so the last bordering works
-    out that one alone. Zero entries and zero products are skipped
-    (None stands for a zero that was never built).
+    ``q`` holds the coefficients of the trailing principal submatrix.
+    Bordering it by row and column ``k`` (corner ``a``, row ``R``,
+    column ``C``, trailing block ``A``) multiplies it by the Toeplitz
+    matrix with first column ``1, -a, -R C, -R A C, -R A^2 C, ...``;
+    the last bordering works out the wanted coefficients alone. Zero
+    entries and zero products are skipped.
     """
-    n, ring = len(rows), zero.ring
-    q = [None, -rows[-1][-1]]  # q[0] is the leading 1
+    n, ring = len(rows), rows[0][0].ring
+    q = [None, -rows[-1][-1]]
     for k in range(n - 2, -1, -1):
         size = n - k
         block = [row[k + 1:] for row in rows[k + 1:]]
@@ -195,45 +196,77 @@ def _berkowitz_det(rows, zero):
                 column = [_dot(ring, (), zip(row, column)) for row in block]
             product = _dot(ring, (), zip(rows[k][k + 1:], column))
             toeplitz.append(None if product is None else -product)
-        wanted = range(size, size + 1) if k == 0 else range(1, size + 1)
-        new = [None]
+        wanted = range(1, size + 1) if k or whole else range(size, size + 1)
+        new = [None] * (size + 1)
         for i in wanted:
-            new.append(_dot(ring, [q[i] if i < size else None, toeplitz[i]],
-                            [(toeplitz[i - j], q[j]) for j in range(1, i)]))
+            new[i] = _dot(ring, [q[i] if i < size else None, toeplitz[i]],
+                          [(toeplitz[i - j], q[j]) for j in range(1, i)])
         q = new
-    det = q[-1]
-    if not det:
-        return zero
-    return -det if n % 2 else det
+    return q
+
+
+def _numerator_rows(tensor: TensorField, rhs=None):
+    """The rows of a rank-2 tensor, each followed by its entry of
+    ``rhs`` when given, brought over the lcm of their denominators:
+    the numerator rows and the factors of the product of those lcms."""
+    if tensor.rank != 2:
+        raise GeometryError("determinant needs a rank-2 tensor")
+    rows, scale, expand = [], [], tensor.ctx._base.product
+    matrix = tensor.matrix()
+    if rhs is not None:
+        matrix = [row + [value] for row, value in zip(matrix, rhs)]
+    for row in matrix:
+        lcm, _ties, lifts = common_denominator(row)
+        rows.append([e.num * expand(lift) if lift else e.num
+                     for e, lift in zip(row, lifts)])
+        scale.extend(lcm)
+    return rows, scale
 
 
 def matrix_det(tensor: TensorField) -> Expr:
     """Determinant of a rank-2 tensor: each row is brought over the lcm
     of its denominators, the numerators' determinant is taken by
     Berkowitz's algorithm, and divided by the product of those lcms."""
-    if tensor.rank != 2:
-        raise GeometryError("determinant needs a rank-2 tensor")
-    rows, scale, expand = [], [], tensor.ctx._base.product
-    for row in tensor.matrix():
-        lcm, _ties, lifts = common_denominator(row)
-        rows.append([e.num * expand(lift) if lift else e.num
-                     for e, lift in zip(row, lifts)])
-        scale.extend(lcm)
-    return over_factors(tensor.ctx,
-                        _berkowitz_det(rows, tensor.ctx._ring.zero), scale)
+    rows, scale = _numerator_rows(tensor)
+    det = _charpoly(rows, whole=False)[-1]
+    if not det:
+        return tensor.ctx.zero
+    return over_factors(tensor.ctx, -det if tensor.n % 2 else det, scale)
 
 
 def matrix_solve(tensor: TensorField, rhs: Sequence[Expr]) -> List[Expr]:
-    """Solve ``tensor * x = rhs`` by Cramer's rule; the determinant must
-    not be the zero expression."""
-    det = matrix_det(tensor)
-    if det.is_zero():
+    """Solve ``tensor * x = rhs``; the determinant must not be the zero
+    expression.
+
+    Each row of ``[tensor | rhs]`` is brought over the lcm of its
+    denominators, giving ``N x = b`` over the ring. With ``x^n + q_1
+    x^(n-1) + ... + q_n`` the characteristic polynomial of ``N``
+    (Berkowitz's, once), Cayley-Hamilton gives ``x = -y_(n-1) / q_n``
+    for ``y_0 = b`` and ``y_k = N y_(k-1) + q_k b``: n - 1
+    matrix-vector products and no further determinant.
+    """
+    ctx = tensor.ctx
+    if len(rhs) != tensor.n:
+        raise DimensionMismatchError("right-hand side does not match the "
+                                     "dimension")
+    if any(value.ctx != ctx for value in rhs):
+        raise DimensionMismatchError("entry from a different context")
+    rows, scale = _numerator_rows(tensor, rhs)
+    matrix = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
+    q = _charpoly(matrix, whole=True)
+    if not q[-1]:
         raise GeometryError("matrix is singular as an expression")
-    indices = range(1, tensor.n + 1)
-    return [matrix_det(TensorField(tensor.ctx, (0, 2), {
-                (i, j): rhs[i - 1] if j == column else tensor.entry(i, j)
-                for i in indices for j in indices})) / det
-            for column in indices]
+    y = b
+    for k in range(1, tensor.n):
+        y = [_dot(ctx._ring, (), [*zip(row, y), (q[k], b_i)])
+             for row, b_i in zip(matrix, b)]
+    # -y / q_n as (-y / S) / (q_n / S) for S the product of the row
+    # lcms: q_n / S is (-1)^n times the determinant, so its inverse
+    # factors the determinant's numerator, as Cramer's rule did
+    inverse = ctx.one / over_factors(ctx, q[-1], scale)
+    return [over_factors(ctx, -y_i, scale) * inverse if y_i else ctx.zero
+            for y_i in y]
 
 
 def d_basic(ctx: ExprContext, form: dict, degree: int) -> dict:

@@ -117,10 +117,13 @@ def vertical_homotopy2(M: TensorField) -> Expr:
     """A function whose velocity Hessian is ``M``, vanishing to second
     order at zero velocity.
 
-    Realized degree by degree: a part of ``M`` homogeneous of degree
-    ``k`` in the velocities contributes ``M_ij v^i v^j / ((k+1)(k+2))``.
+    A part of ``M`` homogeneous of degree ``k`` in the velocities
+    contributes ``M_ij v^i v^j / ((k+1)(k+2))``, so the function is one
+    sum of ``M_ij v^i v^j`` over ``i <= j`` (each pair off the diagonal
+    listed twice), each of its terms of velocity degree ``d`` divided by
+    ``(d-1) d``.
     Requires ``M`` symmetric with totally symmetric vertical derivative,
-    and polynomial in the velocities.
+    and each entry polynomial in the velocities.
     """
     ctx = M.ctx
     n = M.n
@@ -136,43 +139,59 @@ def vertical_homotopy2(M: TensorField) -> Expr:
             if M.entry(i, j).diff(ctx.v(k)) != M.entry(i, k).diff(ctx.v(j)):
                 raise GeometryError(
                     f"vertical derivative is not totally symmetric at {(i, j, k)}")
-    return lincomb(ctx, [
-        (part, ctx.var(v_vars[i - 1]) * ctx.var(v_vars[j - 1])
-         * ctx.const(Fraction(1, (degree + 1) * (degree + 2))))
-        for (i, j), entry in M.entries.items()
-        for degree, part in entry.homogeneous_parts(v_vars).items()])
+    if any(entry.den_factors and not entry.is_polynomial_in(v_vars)
+           for entry in M.entries.values()):
+        raise NotPolynomialError(
+            "expression is rational in the splitting variables", v_vars[0])
+    velocity = [ctx.var(var) for var in v_vars]
+    terms = []
+    for (i, j), entry in M.entries.items():
+        if i <= j:
+            pair = (entry, velocity[i - 1] * velocity[j - 1])
+            terms += [pair] if i == j else [pair, pair]
+    return lincomb(ctx, terms).degree_weighted(
+        v_vars, lambda d: Fraction(1, (d - 1) * d))
 
 
-def _base_parts(ctx: ExprContext, e: Expr):
-    """Homogeneous parts in the position variables, with typed errors
-    for data the base homotopy cannot handle."""
-    q_vars = [ctx.q(k) for k in range(1, ctx.n + 1)]
-    origin = {var: ctx.zero for var in q_vars}
+def _require_base_polynomial(e: Expr, q_vars):
+    """Refuse data the base homotopy cannot handle: a pole at the
+    origin, then any other dependence of the denominator on the
+    positions."""
+    if e.is_polynomial_in(q_vars):
+        return
     try:
-        e.subst(origin)
+        e.subst({var: e.ctx.zero for var in q_vars})
     except ZeroDenominatorError as exc:
         raise BasePointError(
             "input has a pole at the origin, the homotopy base point") from exc
-    try:
-        return e.homogeneous_parts(q_vars)
-    except NotPolynomialError as exc:
-        raise NotPolynomialError(
-            "base homotopy needs polynomial dependence on the positions",
-            getattr(exc, "var", None)) from exc
+    raise NotPolynomialError(
+        "base homotopy needs polynomial dependence on the positions",
+        q_vars[0])
 
 
 def base_homotopy(ctx: ExprContext, form: dict, degree: int) -> dict:
     """Poincaré homotopy on the base for a closed ``degree``-form given
     as a map from index tuples to expressions (all components, fully
     antisymmetric). Returns the potential ``degree-1``-form as the same
-    kind of map over ascending index tuples."""
+    kind of map over ascending index tuples.
+
+    A part of ``form`` homogeneous of degree ``m`` in the positions
+    contributes ``q^i form[i, tail] / (m + degree)``, so each component
+    is one sum of ``q^i form[i, tail]``, each of its terms of position
+    degree ``d`` divided by ``d - 1 + degree``.
+    """
     n = ctx.n
+    q_vars = [ctx.q(k) for k in range(1, n + 1)]
     result = {}
     for tail in combinations(range(1, n + 1), degree - 1):
-        result[tail] = lincomb(ctx, [
-            (part, ctx.var(ctx.q(i)) * ctx.const(Fraction(1, m + degree)))
-            for i in range(1, n + 1) if not form.get((i, *tail), ctx.zero).is_zero()
-            for m, part in _base_parts(ctx, form[(i, *tail)]).items()])
+        terms = []
+        for i in range(1, n + 1):
+            value = form.get((i, *tail), ctx.zero)
+            if not value.is_zero():
+                _require_base_polynomial(value, q_vars)
+                terms.append((value, ctx.var(q_vars[i - 1])))
+        result[tail] = lincomb(ctx, terms).degree_weighted(
+            q_vars, lambda d: Fraction(1, d - 1 + degree))
     return result
 
 
@@ -288,7 +307,9 @@ def _certify(s: Sode, g: TensorField, kind: str, report: ConditionReport,
     ``report`` fails; else verify the Lagrangian and force that
     ``build()`` returns with their gauge, check that the Lagrangian's
     velocity Hessian is ``g``, refuse it if ``g`` is singular (the
-    Lagrangian is then degenerate), and certify them."""
+    Lagrangian is then degenerate; the existence report attached to the
+    refusal shares the verification report's determinant), and certify
+    them."""
     if not report.passes:
         raise MultiplierCheckError(
             f"multiplier fails the {kind} existence conditions", report)
@@ -304,7 +325,8 @@ def _certify(s: Sode, g: TensorField, kind: str, report: ConditionReport,
             "reconstructed Lagrangian has the wrong velocity Hessian")
     if not outcome.nonsingularity.nonsingular:
         raise MultiplierCheckError(f"multiplier is singular: "
-                                   f"{outcome.nonsingularity.note}", report)
+                                   f"{outcome.nonsingularity.note}",
+                                   report.sharing_record(outcome))
     return Certificate("classical" if force.is_zero() else kind, L,
                        D=None if gyroscopic else force,
                        omega=force if gyroscopic else None,

@@ -56,10 +56,12 @@ agree; each tree's own root is written ``<tree>`` in the output, since
 the bundled fixtures live under it. A call that raises is recorded as
 such, with the traceback as its stderr, and the corpus goes on.
 The script lists every call whose stdout, stderr or exit code differs,
-and every call that raises or exits outside 0-4 on either tree, marked
-"raises on OLD only", "raises on NEW only" or "raises on both" so that
-a mended fault reads apart from a new one; it exits 1 if there is any,
-else 0. pytest does not collect it.
+and every call that raises or exits outside 0-4 on either tree. A call
+that does so on OLD only and exits within 0-4 on NEW is listed as
+MENDED and does not fail the comparison: a change that mends a crash
+also changes that call's output. Every other difference, and every
+call that raises on NEW ("raises on NEW only" or "raises on both"),
+makes the script exit 1; else it exits 0. pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -305,26 +307,46 @@ def main(argv=None) -> int:
     if [row[:2] for row in old] != [row[:2] for row in new]:
         print("the two trees ran different call lists")
         return 1
-    differ = faults = 0
+    lines, status = summary(old, new)
+    print("\n".join(lines))
+    return status
+
+
+def summary(old, new):
+    """The report lines and the exit status of two trees' results, rows
+    ``[label, command, exit code, stdout, stderr]`` of one call list.
+
+    A call that raises or exits outside 0-4 on OLD only is MENDED and
+    sets no status, whatever else of it differs. Every other call whose
+    exit code, stdout or stderr differs is listed as DIFFERS, and every
+    call that raises or exits outside 0-4 on NEW as a FAULT, each
+    setting the status to 1.
+    """
+    lines, differ, faults, mended = [], 0, 0, 0
     for (label, command, *before), (_label, _command, *after) in zip(old, new):
+        where = f"(old {before[0]}, new {after[0]}): {label}: invlag {command}"
+        broken = [tree for tree, (code, *_output) in (("OLD", before),
+                                                      ("NEW", after))
+                  if code not in range(5)]
+        if broken == ["OLD"]:
+            mended += 1
+            lines.append(f"MENDED, raises on OLD only {where}")
+            continue
         changed = [name for name, a, b in zip(("exit code", "stdout",
                                                "stderr"), before, after)
                    if a != b]
         if changed:
             differ += 1
-            print(f"DIFFERS ({', '.join(changed)}): {label}: invlag {command}")
-        trees = [tree for tree, (code, *_output) in (("OLD", before),
-                                                     ("NEW", after))
-                 if code not in range(5)]
-        if trees:
+            lines.append(f"DIFFERS ({', '.join(changed)}): {label}: "
+                         f"invlag {command}")
+        if broken:
             faults += 1
-            where = "both" if len(trees) == 2 else f"{trees[0]} only"
-            print(f"FAULT, raises on {where} (old {before[0]}, new "
-                  f"{after[0]}): {label}: invlag {command}")
-    print(f"{len(old)} calls, {differ} differ, {faults} raise or exit "
-          "outside 0-4")
-    return 1 if differ or faults else 0
-
+            lines.append(f"FAULT, raises on "
+                         f"{'both' if len(broken) == 2 else 'NEW only'} "
+                         f"{where}")
+    lines.append(f"{len(old)} calls, {differ} differ, {faults} raise or "
+                 f"exit outside 0-4 on NEW, {mended} mended")
+    return lines, 1 if differ or faults else 0
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--run"]:

@@ -544,13 +544,10 @@ def test_verify_fails_a_lagrangian_with_a_singular_hessian(tmp_path):
     assert not payload["report"]["nonsingularity"]["nonsingular"]
 
 
-@pytest.mark.parametrize("args", [
-    ("reconstruct", "coupled3"),
-    ("reconstruct", "planar_drag_gyro", "--suite", "gyroscopic"),
-    ("verify", "planar_drag_gyro")])
-def test_a_passing_certificate_builds_one_determinant(args, monkeypatch):
-    """The nonsingularity verdict and the printed record are one lazy
-    record of the verification report, so one determinant is built."""
+def _determinants(monkeypatch, *args):
+    """The exit code of ``invlag *args`` and the number of ``matrix_det``
+    calls it makes, counted through the bindings of ``geometry`` and
+    ``conditions``."""
     calls = []
     original = geometry.matrix_det
 
@@ -560,8 +557,39 @@ def test_a_passing_certificate_builds_one_determinant(args, monkeypatch):
 
     for module in (geometry, conditions):
         monkeypatch.setattr(module, "matrix_det", counting)
-    assert run_cli(*args).returncode == 0
-    assert len(calls) == 1
+    return run_cli(*args).returncode, len(calls)
+
+
+@pytest.mark.parametrize("args", [
+    ("reconstruct", "coupled3"),
+    ("reconstruct", "planar_drag_gyro", "--suite", "gyroscopic"),
+    ("verify", "planar_drag_gyro")])
+def test_a_passing_certificate_builds_one_determinant(args, monkeypatch):
+    """The nonsingularity verdict and the printed record are one lazy
+    record of the verification report, so one determinant is built."""
+    assert _determinants(monkeypatch, *args) == (0, 1)
+
+
+@pytest.mark.parametrize("diagonal, suite", [
+    (("0", "0"), "thm3"), (("1", "0"), "gyroscopic")])
+def test_a_refused_singular_multiplier_builds_one_determinant(
+        tmp_path, monkeypatch, diagonal, suite):
+    """The existence report printed with the refusal shares the
+    verification report's record, which decided the refusal."""
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"n": 2, "f": ["0", "0"], "g": [
+        [diagonal[0], "0"], ["0", diagonal[1]]]}))
+    assert _determinants(monkeypatch, "reconstruct", str(path),
+                         "--suite", suite) == (1, 1)
+
+
+@pytest.mark.parametrize("fixture", ["planar_drag", "coupled3"])
+def test_the_forward_solve_builds_no_determinant(fixture, monkeypatch):
+    """``verify --forward`` at n = 2 and n = 3 builds the one determinant
+    of the nonsingularity record: the solve for the accelerations takes
+    a characteristic polynomial, not n + 1 determinants."""
+    assert _determinants(monkeypatch, "verify", fixture,
+                         "--forward") == (0, 1)
 
 
 def test_reconstruct_reports_non_polynomial_base_form(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invlag.cli import load_problem
-from invlag.exprcore import Expr, ExprContext, ExprError, convert
+from invlag.exprcore import Expr, ExprContext, ExprError, convert, lincomb
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, Sode,
                              TensorField, connection, curvature, d_basic,
@@ -21,6 +21,7 @@ from invlag.geometry import (DimensionMismatchError, GeometryError,
                              theta_tensor)
 
 from exprgen import random_expr, random_poly, random_sode
+from oracles import cramer_solve, outcome
 
 
 def planar_drag():
@@ -411,6 +412,53 @@ def test_matrix_solve_inverts_the_product(seed, n, kind):
     assert matrix_solve(g, rhs) == x
 
 
+def small_matrix(ctx, rng, kind):
+    """A random n x n tensor of linear polynomials, about a third of
+    them zero; with ``kind`` ``rational`` about half the others are
+    divided by a denominator drawn from four, in the positions or the
+    parameters."""
+    n = ctx.n
+    pool = [ctx.parse(text) for text in
+            ("q1 + 1", f"a - q{n}", f"q1*q{n} + 2", "b + 1/2")]
+
+    def entry():
+        if rng.random() < 0.3:
+            return ctx.zero
+        value = random_poly(ctx, rng, degree=1, terms=2)
+        if kind == "rational" and rng.random() < 0.5:
+            value = value / rng.choice(pool)
+        return value
+    return TensorField.from_matrix(
+        ctx, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       kind=st.sampled_from(("polynomial", "rational")),
+       singular=st.booleans())
+def test_matrix_solve_equals_cramers_rule(seed, n, kind, singular):
+    """The characteristic-polynomial solve returns what Cramer's rule
+    does, for any right-hand side, and refuses a singular matrix with
+    the same error. A singular matrix has a zero row (n = 1) or a last
+    row that is a combination of the others with polynomial weights."""
+    ctx = ExprContext(n, parameters=("a", "b"))
+    rng = random.Random(seed)
+    g = small_matrix(ctx, rng, kind)
+    if singular:
+        rows = g.matrix()
+        weights = [random_poly(ctx, rng, degree=1, terms=2)
+                   for _ in range(n - 1)]
+        rows[-1] = [lincomb(ctx, list(zip(weights, [row[j] for row in rows])))
+                    for j in range(n)]
+        g = TensorField.from_matrix(ctx, rows)
+    rhs = [random_expr(ctx, rng, depth=2) for _ in range(n)]
+    expected = outcome(cramer_solve, g, rhs)
+    assert outcome(matrix_solve, g, rhs) == expected
+    if singular:
+        assert expected == (GeometryError,
+                            "matrix is singular as an expression", None)
+
+
 def test_matrix_det_of_dense_symbolic_six_by_six():
     n = 6
     ctx = ExprContext(n, parameters=[f"a{i}{j}" for i in range(1, n + 1)
@@ -453,6 +501,16 @@ def test_matrix_solve_rejects_singular():
     g = TensorField.from_matrix(ctx, [[ctx.one, ctx.one], [ctx.one, ctx.one]])
     with pytest.raises(GeometryError):
         matrix_solve(g, [ctx.one, ctx.one])
+
+
+def test_matrix_solve_rejects_a_mismatched_right_hand_side():
+    ctx = ExprContext(2)
+    g = identity_matrix(ctx)
+    with pytest.raises(DimensionMismatchError, match="dimension"):
+        matrix_solve(g, [ctx.one])
+    other = ExprContext(2, parameters=("a",))
+    with pytest.raises(DimensionMismatchError, match="different context"):
+        matrix_solve(g, [ctx.one, other.one])
 
 
 def test_tensor_symmetry_validation():

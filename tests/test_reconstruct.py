@@ -3,7 +3,7 @@ problem."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +14,16 @@ from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
                              TensorField, identity_matrix, matrix_det)
 from invlag.reconstruct import (BasePointError, Certificate,
                                 MultiplierCheckError,
-                                SingularHessianError, forward_accelerations,
+                                SingularHessianError, base_homotopy,
+                                forward_accelerations,
                                 forward_sode, hessian, reconstruct_dissipative,
                                 reconstruct_gyroscopic, verify_dissipative,
                                 verify_gyroscopic, vertical_homotopy2)
 from invlag.conditions import TwoFormError, check_suite
 
 from exprgen import random_poly, small_fraction
+from oracles import (base_homotopy_by_parts, outcome,
+                     vertical_homotopy2_by_parts)
 
 
 def planar_drag():
@@ -296,6 +299,98 @@ def test_vertical_homotopy_rejections():
         sym=((1, 2),))
     with pytest.raises(GeometryError):
         vertical_homotopy2(uneven)
+
+
+def _homotopy_tensor(ctx, rng, v_rational, uneven, lopsided):
+    """The velocity Hessian of a random function polynomial in the
+    velocities, its coefficients rational in the positions about half
+    the time, with up to three defects added: the Hessian of a function
+    rational in the velocities, a symmetric ``c*v_k`` that breaks the
+    vertical symmetry, and a constant on one side of the diagonal."""
+    n = ctx.n
+    velocities = [ctx.var(ctx.v(k)) for k in range(1, n + 1)]
+    positions = [ctx.var(ctx.q(k)) for k in range(1, n + 1)]
+    total = ctx.zero
+    for _ in range(4):
+        term = ctx.const(small_fraction(rng))
+        for _ in range(rng.randint(2, 4)):
+            term = term * rng.choice(velocities)
+        for _ in range(rng.randint(0, 2)):
+            term = term * rng.choice(positions)
+        total = total + term
+    if rng.random() < 0.5:
+        total = total / ctx.parse(rng.choice(("q1 + 1", f"a - q{n}")))
+    if v_rational:
+        total = total + ctx.parse(rng.choice(
+            ("1/(1 + v1 + q1)", "v1^2/v2" if n > 1 else "v1^3/(v1 + q1)")))
+    entries = dict(hessian(total).entries)
+    if uneven:
+        i, j, k = (rng.randint(1, n) for _ in range(3))
+        for idx in {(i, j), (j, i)}:
+            entries[idx] = entries.get(idx, ctx.zero) + velocities[k - 1]
+    if lopsided and n > 1:
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        entries[(i, j)] = entries.get((i, j), ctx.zero) + ctx.one
+    return TensorField(ctx, (0, 2), entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       v_rational=st.booleans(), uneven=st.booleans(),
+       lopsided=st.booleans())
+def test_vertical_homotopy2_equals_the_sum_of_its_parts(
+        seed, n, v_rational, uneven, lopsided):
+    """One degree-weighted sum returns what the part-by-part homotopy
+    does, and a lopsided, uneven or velocity-rational tensor raises the
+    same error, the first of its defects in the same order."""
+    ctx = ExprContext(n, parameters=("a",))
+    M = _homotopy_tensor(ctx, random.Random(seed), v_rational, uneven,
+                         lopsided)
+    assert (outcome(vertical_homotopy2, M)
+            == outcome(vertical_homotopy2_by_parts, M))
+
+
+def _homotopy_form(ctx, rng, degree, pole, rational):
+    """A random ``degree``-form on the base, all its components: each
+    independent one polynomial in the positions (sometimes in the
+    velocities too, sometimes over a parameter denominator), plus, when
+    asked, components with a pole at the origin or rational in the
+    positions without one."""
+    n = ctx.n
+    kinds = ["plain", "parameter"] + ["pole"] * pole + ["rational"] * rational
+    form = {}
+    for idx in combinations(range(1, n + 1), degree):
+        value = random_poly(ctx, rng, degree=3,
+                            velocities=rng.random() < 0.3)
+        kind = rng.choice(kinds)
+        if kind == "parameter":
+            value = value / ctx.parse("a + 2")
+        elif kind == "pole":
+            value = value + ctx.const(small_fraction(rng, 1, 6)) / ctx.parse(
+                rng.choice((f"q{idx[0]}", f"q1 + q{n}", f"q1^2 + q{n}")))
+        elif kind == "rational":
+            value = value / ctx.parse(rng.choice(("q1 + 1", f"a - q{n}")))
+        for perm in permutations(range(degree)):
+            inversions = sum(perm[a] > perm[b]
+                             for a, b in combinations(range(degree), 2))
+            form[tuple(idx[p] for p in perm)] = (-value if inversions % 2
+                                                 else value)
+    return form
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       degree=st.integers(1, 3), pole=st.booleans(), rational=st.booleans())
+def test_base_homotopy_equals_the_sum_of_its_parts(seed, n, degree, pole,
+                                                   rational):
+    """One degree-weighted sum per component returns what the
+    part-by-part homotopy does, and a form with a pole at the origin or
+    rational in the positions raises the same error, at the first such
+    component in the same order."""
+    ctx = ExprContext(n, parameters=("a",))
+    form = _homotopy_form(ctx, random.Random(seed), degree, pole, rational)
+    assert (outcome(base_homotopy, ctx, form, degree)
+            == outcome(base_homotopy_by_parts, ctx, form, degree))
 
 
 def test_forward_sode_drag_pair():
