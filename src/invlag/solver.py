@@ -7,8 +7,11 @@ multiplier of this shape exist?" into an exact linear-algebra question.
 Assembly reads every condition cell's integer numerator coefficients
 and emits one sparse integer row per monomial in everything that is
 not an unknown; solving is exact reduction of those rows to reduced
-row echelon form, eliminated fraction-free in integers, whose points
-are re-verified in one integer pass over the packed residuals; the
+row echelon form in integers, which reduces each row by all its pivot
+rows in one combination and, once few columns are free, skips the rows
+a kernel test shows to lie in the row space already; the points of the
+solution are re-verified against every residual in one integer pass,
+all points packed into one integer per unknown; the
 nonsingular-representative search is a bounded integer enumeration
 over the solution space with a structural shortcut for spaces that
 force an identically-zero row; it returns the member it finds and
@@ -54,8 +57,8 @@ class _AnsatzFields(NamedTuple):
 class AnsatzProblem(_AnsatzFields):
     """A finite-dimensional search family: every multiplier entry (and
     optionally every two-form entry) is an unknown rational combination
-    of fixed basis expressions. Symmetry is built in by declaring only
-    entries with i <= j (respectively i < j)."""
+    of fixed basis expressions, none of them zero. Symmetry is built in
+    by declaring only entries with i <= j (respectively i < j)."""
 
     __slots__ = ()
 
@@ -77,6 +80,12 @@ class AnsatzProblem(_AnsatzFields):
             pairs = [pair for pair, _basis in basis]
             if len(set(pairs)) < len(pairs):
                 raise SolverError(f"a {part} entry is declared twice")
+            for (i, j), functions in basis:
+                for k, function in enumerate(functions, start=1):
+                    if function.is_zero():
+                        raise SolverError(
+                            f"{part} entry {i},{j}: basis function {k} is "
+                            "zero, so its coefficient is undetermined")
         if omega_basis and "omega" not in SUITE_TABLE[suite].takes:
             raise SolverError(
                 "two-form unknowns only make sense for the gyroscopic suite")
@@ -321,25 +330,53 @@ def _ansatz_tensors(problem: AnsatzProblem, ctx: ExprContext,
 # exact elimination
 
 
-def _eliminate(row: Dict[int, int], pivot: Dict[int, int],
-               col: int) -> Dict[int, int]:
-    """``row`` with column ``col`` cleared by a multiple of ``pivot``,
-    kept in integers and scaled back to coprime entries."""
-    a, b = pivot[col], row[col]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    out = {c: value * a for c, value in row.items()}
-    for c, value in pivot.items():
-        total = out.get(c, 0) - value * b
-        if total:
-            out[c] = total
-        else:
-            out.pop(c, None)
-    if out:
-        common = gcd(*out.values())
-        if common != 1:
-            out = {c: value // common for c, value in out.items()}
-    return out
+# ``_rref`` tests rows against the kernel once at most this many of the
+# columns its rows use are free: each further free column adds a kernel
+# vector to every test and a refresh of the kernel. On the rows of the
+# ``search`` workload's solves, 3 and 4 were fastest and 8 and 16 took
+# 10-40 % longer; at lin n = 5 and 6 (``tests/shapes.py``) 4 to 16 did
+# equally well.
+KERNEL_FREE_COLUMNS = 4
+
+
+def _reduce(row, pivots):
+    """``row`` less the multiple of each pivot row whose pivot column it
+    touches, as one integer combination scaled back to coprime entries:
+    a positive multiple of ``row - sum(row[c] / pivot[c] * pivot)``.
+    The pivot rows must be fully reduced (no pivot row touches another
+    pivot column), so the combination clears every touched pivot column
+    and touches no other one."""
+    touched = [col for col in row if col in pivots]
+    if touched:
+        scale = lcm(*(pivots[col][col] for col in touched))
+        out = {col: value * scale for col, value in row.items()}
+        for col in touched:
+            pivot = pivots[col]
+            factor = row[col] * scale // pivot[col]
+            for c, value in pivot.items():
+                out[c] = out.get(c, 0) - factor * value
+        row = {col: value for col, value in out.items() if value}
+    common = gcd(*row.values())
+    if common > 1:
+        row = {col: value // common for col, value in row.items()}
+    return row
+
+
+def _kernel(pivots, columns):
+    """A basis of the kernel of the fully reduced pivot rows over
+    ``columns``, in integers: for each free column ``f``, the vector
+    with ``L`` at ``f`` and ``-L * pivot[f] / pivot[c]`` at each pivot
+    column ``c`` whose row touches ``f``, ``L`` the lcm of those pivot
+    entries."""
+    kernel = []
+    for free in columns.difference(pivots):
+        hits = [(col, pivot) for col, pivot in pivots.items() if free in pivot]
+        scale = lcm(*(pivot[col] for col, pivot in hits))
+        vector = {free: scale}
+        for col, pivot in hits:
+            vector[col] = -pivot[free] * scale // pivot[col]
+        kernel.append(vector)
+    return kernel
 
 
 def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
@@ -347,30 +384,39 @@ def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
     (``{column: int}``): the pivot columns in increasing order and, for
     each, its row with the pivot entry 1.
 
-    Rows are eliminated in integers, fraction-free, one at a time: a new
-    row is reduced by the pivot rows so far, and if anything is left its
-    first column becomes a pivot, cleared from the earlier pivot rows.
-    Pivot entries are kept positive, so clearing never changes their
-    sign. The reduced form is unique, so the order of the rows does not
-    matter: they are taken sparsest first.
-    """
-    pivots: Dict[int, Dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        if not row:
+    Rows are taken one at a time, sparsest first, and pivot rows are
+    kept fully reduced, in coprime integers with a positive pivot entry.
+    Once at most ``KERNEL_FREE_COLUMNS`` of the columns the rows use are
+    free, a row is first tested against an integer basis of the kernel
+    of the pivot rows (``_kernel``): a row orthogonal to all of it lies
+    in their row space and adds nothing, so it is skipped. Any other row
+    is reduced by every pivot row it touches in one combination
+    (``_reduce``); if anything is left, its first column becomes a pivot
+    and is cleared from the earlier pivot rows the same way, and the
+    kernel is read off the pivot rows again. The reduced form is unique,
+    so neither the order of the rows nor the skipping changes it."""
+    rows = sorted(filter(None, rows), key=len)
+    columns = set().union(*rows)
+    pivots = {}
+    kernel = None
+    for row in rows:
+        if kernel is not None and not any(
+                sum(value * vector.get(col, 0) for col, value in row.items())
+                for vector in kernel):
             continue
-        common = gcd(*row.values())
-        current = {col: value // common for col, value in row.items()}
-        for col in [col for col in current if col in pivots]:
-            current = _eliminate(current, pivots[col], col)
+        current = _reduce(row, pivots)
         if not current:
             continue
         lead = min(current)
         if current[lead] < 0:
             current = {c: -value for c, value in current.items()}
+        clear = {lead: current}
         for col, pivot in pivots.items():
             if lead in pivot:
-                pivots[col] = _eliminate(pivot, current, lead)
+                pivots[col] = _reduce(pivot, clear)
         pivots[lead] = current
+        if len(columns) - len(pivots) <= KERNEL_FREE_COLUMNS:
+            kernel = _kernel(pivots, columns)
     order = sorted(pivots)
     return order, [{c: Fraction(value, pivots[col][col])
                     for c, value in pivots[col].items()} for col in order]
@@ -434,28 +480,47 @@ def _primitive(vector: List[Fraction]) -> List[Fraction]:
 
 def _reverify(system: LinearSystem, space: SolutionSpace):
     """Insist the residuals vanish at every point ``solve`` names, and
-    name the first failing cell at the first failing point."""
+    name the first failing cell at the first failing point.
+
+    Over the lcm of its denominators each point is integral, and the
+    values of one unknown (or of the unknown-free part) at the ``d + 1``
+    points are packed into one integer with a signed field of ``width``
+    bits per point, point ``p`` at bit ``p * width``. Each term of a
+    residual then adds one product to its monomial's sum, whose field
+    ``p`` is the numerator's coefficient at point ``p``. Every field is
+    at most ``B`` in size, the largest sum of a residual's absolute
+    coefficients times the largest absolute value, and ``width`` is the
+    bit length of ``B``, so a nonzero field is not divisible by
+    ``2**width``: a sum is zero exactly when every field is, and the
+    lowest set bit of a nonzero sum lies in its first nonzero field."""
     _, cut, low, columns = _packed_layout(system.context, system.unknowns)
     points = [space.particular] + [tuple(map(add, space.particular, shift))
                                    for shift in space.nullspace]
     scales = [lcm(*(value.denominator for value in p)) for p in points]
-    table = {field: [int(point[k] * scale) for point, scale in
-                     zip(points, scales)] for field, k in columns.items()}
+    table = {field: [point[k].numerator * (scale // point[k].denominator)
+                     for point, scale in zip(points, scales)]
+             for field, k in columns.items()}
     table[0] = scales
-    failures: Dict[int, str] = {}
+    largest = max(abs(value) for values in table.values() for value in values)
+    weight = max((sum(map(abs, residual.num.coeffs.values()))
+                  for _label, residual in system.residuals), default=0)
+    width = (weight * largest).bit_length()
+    packed = {field: sum(value << (index * width)
+                         for index, value in enumerate(values))
+              for field, values in table.items()}
+    failures = {}
     for label, residual in system.residuals:
-        sums: Dict[int, List[int]] = {}
-        for monom, coeff in residual.num.coeffs.items():
-            values = table.get(monom & low)
-            if values is None:
-                raise NonlinearCouplingError(
-                    f"nonlinear unknown coupling at cell {label}")
-            row = sums.setdefault(monom >> cut, [0] * len(points))
-            for index, value in enumerate(values):
-                row[index] += coeff * value
-        for row in sums.values():
-            for index in filter(row.__getitem__, range(len(row))):
-                failures.setdefault(index, label)
+        sums = {}
+        try:
+            for monom, coeff in residual.num.coeffs.items():
+                rest = monom >> cut
+                sums[rest] = sums.get(rest, 0) + coeff * packed[monom & low]
+        except KeyError:
+            raise NonlinearCouplingError(
+                f"nonlinear unknown coupling at cell {label}") from None
+        for total in filter(None, sums.values()):
+            failures.setdefault(((total & -total).bit_length() - 1) // width,
+                                label)
     if failures:
         raise InternalInconsistencyError(
             f"solution fails re-verification at {failures[min(failures)]}")

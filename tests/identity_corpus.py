@@ -33,7 +33,9 @@ worktree`` of the parent commit and the working tree. The corpus is:
   among 59 generators, and of a copy of
   ``tests/problems/fixed_drag_n4.json``, a ``dissipative`` search with
   ``D`` fixed whose space of dimension 2 has a non-integer particular
-  solution;
+  solution, and of a copy of ``tests/problems/lin5.json``, the lin
+  n = 5 search of ``tests/shapes.py``, whose elimination reads 27,947
+  rows in 90 unknowns;
 * each refusal of an unknown key that the command line had before it
   refused stray ansatz keys (a top-level field, an option, an ansatz
   key, a preset key), on copies of ``planar_drag``;
@@ -163,17 +165,19 @@ def _first_entry_calls(workdir: str, label: str, texts):
 
 def _wide_calls(workdir: str):
     """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem
-    and ``solve`` of the 50-unknown search problems, copied into the
-    work directory so that both trees read the same files."""
+    and ``solve`` of the 50-unknown search problems and of lin n = 5,
+    copied into the work directory so that both trees read the same
+    files."""
     paths = {}
-    for name in ("dense4", "search_n4_thm3", "fixed_drag_n4"):
+    for name in ("dense4", "search_n4_thm3", "fixed_drag_n4", "lin5"):
         paths[name] = os.path.join(workdir, f"{name}.json")
         shutil.copyfile(REPO / "tests" / "problems" / f"{name}.json",
                         paths[name])
     return [("dense", ["check", paths["dense4"], "--suite", "thm3"]),
             ("dense", ["analyze", paths["dense4"]]),
             ("wide", ["solve", paths["search_n4_thm3"]]),
-            ("wide", ["solve", paths["fixed_drag_n4"]])]
+            ("wide", ["solve", paths["fixed_drag_n4"]]),
+            ("wide", ["solve", paths["lin5"]])]
 
 
 def _refusal_calls(workdir: str):

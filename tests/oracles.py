@@ -10,7 +10,14 @@ one pass:
   fibre and base homotopies built part by part from
   ``Expr.homogeneous_parts``, each part times its variable and its
   weight, where ``reconstruct`` forms one sum and weights its terms by
-  degree.
+  degree;
+* ``rref``: reduced row echelon form reducing every row by one pivot
+  row at a time (``eliminate``), where ``solver._rref`` reduces a row
+  by all its pivot rows in one combination and skips the rows a kernel
+  test shows to lie in the row space;
+* ``reverify``: the solution re-check summing each monomial at each
+  point separately, where ``solver._reverify`` packs the points into
+  one integer.
 
 They check their input in the same order and raise the same errors with
 the same messages, so a test can compare outcomes, errors included.
@@ -18,11 +25,15 @@ the same messages, so a test can compare outcomes, errors included.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import add
 
 from invlag.exprcore import NotPolynomialError, ZeroDenominatorError, lincomb
 from invlag.geometry import (DimensionMismatchError, GeometryError,
-                             TensorField, matrix_det)
+                             InternalInconsistencyError, TensorField,
+                             matrix_det)
 from invlag.reconstruct import BasePointError
+from invlag.solver import NonlinearCouplingError, _packed_layout
 
 
 def cramer_solve(tensor, rhs):
@@ -90,6 +101,83 @@ def base_homotopy_by_parts(ctx, form, degree):
             if not form.get((i, *tail), ctx.zero).is_zero()
             for m, part in _base_parts(ctx, form[(i, *tail)]).items()])
     return result
+
+
+def eliminate(row, pivot, col):
+    """``row`` with column ``col`` cleared by a multiple of ``pivot``,
+    kept in integers and scaled back to coprime entries."""
+    a, b = pivot[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: value * a for c, value in row.items()}
+    for c, value in pivot.items():
+        total = out.get(c, 0) - value * b
+        if total:
+            out[c] = total
+        else:
+            out.pop(c, None)
+    if out:
+        common = gcd(*out.values())
+        if common != 1:
+            out = {c: value // common for c, value in out.items()}
+    return out
+
+
+def rref(rows):
+    """The pivot columns, increasing, and each pivot's row with the
+    pivot entry 1: every row is reduced by the pivot rows so far, one
+    column at a time; what is left becomes a pivot row and is cleared
+    from the earlier ones."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        if not row:
+            continue
+        common = gcd(*row.values())
+        current = {col: value // common for col, value in row.items()}
+        for col in [col for col in current if col in pivots]:
+            current = eliminate(current, pivots[col], col)
+        if not current:
+            continue
+        lead = min(current)
+        if current[lead] < 0:
+            current = {c: -value for c, value in current.items()}
+        for col, pivot in pivots.items():
+            if lead in pivot:
+                pivots[col] = eliminate(pivot, current, lead)
+        pivots[lead] = current
+    order = sorted(pivots)
+    return order, [{c: Fraction(value, pivots[col][col])
+                    for c, value in pivots[col].items()} for col in order]
+
+
+def reverify(system, space):
+    """Raise ``InternalInconsistencyError`` naming the first failing
+    cell at the first failing point of ``space``, summing every
+    monomial of every residual at every point."""
+    _, cut, low, columns = _packed_layout(system.context, system.unknowns)
+    points = [space.particular] + [tuple(map(add, space.particular, shift))
+                                   for shift in space.nullspace]
+    scales = [lcm(*(value.denominator for value in p)) for p in points]
+    table = {field: [int(point[k] * scale) for point, scale in
+                     zip(points, scales)] for field, k in columns.items()}
+    table[0] = scales
+    failures = {}
+    for label, residual in system.residuals:
+        sums = {}
+        for monom, coeff in residual.num.coeffs.items():
+            values = table.get(monom & low)
+            if values is None:
+                raise NonlinearCouplingError(
+                    f"nonlinear unknown coupling at cell {label}")
+            row = sums.setdefault(monom >> cut, [0] * len(points))
+            for index, value in enumerate(values):
+                row[index] += coeff * value
+        for row in sums.values():
+            for index in filter(row.__getitem__, range(len(row))):
+                failures.setdefault(index, label)
+    if failures:
+        raise InternalInconsistencyError(
+            f"solution fails re-verification at {failures[min(failures)]}")
 
 
 def outcome(function, *args):

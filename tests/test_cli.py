@@ -412,6 +412,31 @@ def test_solve_empty_family_is_definitively_negative(tmp_path):
     assert result.returncode == 3
 
 
+@pytest.mark.parametrize("entries, override, message", [
+    ({"1,1": ["0"], "2,2": ["1"]}, [],
+     "multiplier entry 1,1: basis function 1"),
+    ({"1,1": ["1", "b*q1"], "2,2": ["1"]}, ["--instantiate", "b=0"],
+     "multiplier entry 1,1: basis function 2"),
+])
+def test_solve_refuses_a_zero_basis_function(tmp_path, entries, override,
+                                             message):
+    """A basis function that is zero, as written or once a parameter is
+    instantiated, is refused with the usage code instead of ending in a
+    search over a space whose direction has a zero multiplier."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "n": 2, "parameters": ["b"], "f": ["0", "0"],
+        "ansatz": {"suite": "thm3", "g": {"entries": entries}}}))
+    result = run_cli("solve", str(path), *override)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"invlag: error: {path}: ansatz: {message} is "
+                             "zero, so its coefficient is undetermined\n")
+    if override:
+        assert run_cli("solve", str(path), "--instantiate",
+                       "b=1").returncode == 0
+
+
 def test_solve_bound_zero_exhausts_inconclusively():
     result, payload = run_json("solve", "planar_drag", "--bound", "0")
     assert result.returncode == 4

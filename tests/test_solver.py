@@ -25,6 +25,7 @@ from invlag.solver import (AnsatzProblem, LinearSystem,
 from invlag.conditions import (Cell, ConditionReport,
                                check_multiplier_dissipative)
 
+import oracles
 from clirun import run_cli
 from sympyref import terms
 
@@ -308,6 +309,19 @@ def test_problem_validation():
         AnsatzProblem("gyroscopic", (((1, 1), (ctx.one,)),),
                       omega_basis=(((1, 2), (ctx.one,)),
                                    ((1, 2), (ctx.parse("q2"),))))
+    # a zero basis function would make a direction whose multiplier is 0
+    undetermined = "zero, so its coefficient is undetermined$"
+    with pytest.raises(SolverError, match="^multiplier entry 1,1: basis "
+                       f"function 1 is {undetermined}"):
+        AnsatzProblem("thm3", (((1, 1), (ctx.zero,)), ((2, 2), (ctx.one,))))
+    with pytest.raises(SolverError, match="^multiplier entry 1,2: basis "
+                       f"function 2 is {undetermined}"):
+        AnsatzProblem("thm3", (((1, 1), (ctx.one,)), ((1, 2), (
+            ctx.parse("q1"), ctx.parse("q1*v2 - v2*q1")))))
+    with pytest.raises(SolverError, match="^two-form entry 1,2: basis "
+                       f"function 2 is {undetermined}"):
+        AnsatzProblem("gyroscopic", (((1, 1), (ctx.one,)),),
+                      omega_basis=(((1, 2), (ctx.parse("q2"), ctx.zero)),))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -728,3 +742,214 @@ def test_reverification_refuses_a_residual_nonlinear_in_the_unknowns(text):
     with pytest.raises(NonlinearCouplingError, match=r"^nonlinear unknown "
                        r"coupling at cell HD2\[1,1\]$"):
         solve(system)
+
+
+# --------------------------------------------------------------------------
+# elimination and re-verification against the straightforward oracles
+
+
+def sparse_system(rng):
+    """Sparse integer rows over up to 40 columns, the last of them the
+    right-hand side, in random order: random independent-looking rows,
+    then duplicated, scaled and dependent ones, rows in the
+    right-hand-side column only, and dependent rows with a shifted
+    right-hand side, which make the system inconsistent; a third of the
+    systems have neither and fewer base rows than columns. Values are
+    small or past ``2**64``."""
+    width = rng.randint(1, 40)
+    rhs = width - 1
+    consistent = rng.random() < 1 / 3
+    kinds = ("duplicate", "scaled", "dependent")
+    if not consistent:
+        kinds += ("rhs", "shifted")
+
+    def value():
+        size = rng.choice((9, 9, 2**70))
+        return rng.choice((-1, 1)) * rng.randint(1, size)
+
+    def combination(rows):
+        total = {}
+        for row in rows:
+            weight = value()
+            for col, entry in row.items():
+                total[col] = total.get(col, 0) + weight * entry
+        return total
+
+    base = [{col: value() for col in rng.sample(range(width),
+                                                rng.randint(1, min(width, 8)))}
+            for _ in range(rng.randint(0, width - 1 if consistent
+                                       else width + 2))]
+    rows = list(base)
+    for _ in range(rng.randint(0, 2 * width)):
+        kind = rng.choice(kinds)
+        if kind == "rhs":
+            rows.append({rhs: value()})
+        elif not base:
+            continue
+        elif kind == "duplicate":
+            rows.append(dict(rng.choice(base)))
+        elif kind == "scaled":
+            weight = value()
+            rows.append({col: weight * entry
+                         for col, entry in rng.choice(base).items()})
+        else:
+            row = combination(rng.sample(base, rng.randint(1,
+                                                           min(3, len(base)))))
+            if kind == "shifted":
+                row[rhs] = row.get(rhs, 0) + value()
+            rows.append({col: entry for col, entry in row.items() if entry})
+    rows.extend({} for _ in range(rng.randint(0, 1)))
+    rng.shuffle(rows)
+    return rows
+
+
+def traced_rref(rows):
+    """``solver._rref(rows)``, and whether some row passed the kernel
+    test and still reduced to nothing: a row the test lets through must
+    be new to the row space."""
+    state = {"kernel": False, "wasted": False}
+    reduce, kernel = solver._reduce, solver._kernel
+
+    def reducing(row, pivots):
+        out = reduce(row, pivots)
+        state["wasted"] |= state["kernel"] and not out
+        return out
+
+    def reading(pivots, columns):
+        state["kernel"] = True
+        return kernel(pivots, columns)
+
+    solver._reduce, solver._kernel = reducing, reading
+    try:
+        return solver._rref(rows), state["wasted"]
+    finally:
+        solver._reduce, solver._kernel = reduce, kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rref_equals_the_one_pivot_at_a_time_oracle(seed):
+    """On random sparse systems, the one-combination reduction with its
+    kernel test gives exactly the pivots and rows of reducing by one
+    pivot row at a time, and once the kernel is read, every row it does
+    not skip adds a pivot."""
+    rows = sparse_system(random.Random(seed))
+    result, wasted = traced_rref(rows)
+    assert result == oracles.rref(rows)
+    assert not wasted
+
+
+def test_rref_skips_the_rows_of_a_wide_search_by_kernel():
+    """On the 50-unknown search of ``tests/problems/search_n4_thm3.json``
+    more than ``KERNEL_FREE_COLUMNS`` columns start free, the kernel
+    test skips most rows, and the result is the oracle's."""
+    problem = load_problem(str(pathlib.Path(__file__).resolve().parent
+                               / "problems" / "search_n4_thm3.json"), {})
+    rows = assemble(problem.sode(), ansatz_problem(problem)[0]).rows
+    calls = []
+    reduce = solver._reduce
+    solver._reduce = lambda row, pivots: calls.append(row) or reduce(
+        row, pivots)
+    try:
+        result = solver._rref(rows)
+    finally:
+        solver._reduce = reduce
+    assert result == oracles.rref(rows)
+    assert len(set().union(*rows)) > solver.KERNEL_FREE_COLUMNS
+    assert len(calls) < len(rows) // 2
+
+
+def reverify_case(rng, big, points, cells, perturb):
+    """A hand-built system of ``cells`` residuals over ``points`` (the
+    particular solution and its shifts) in which residual ``r`` vanishes
+    at every point except those listed in ``perturb[r]``. Each shift moves its own unknown by a huge
+    integer and leaves the others alone; a residual is a huge linear
+    form in the other unknowns, less its value at the particular
+    solution, plus, when perturbed at point ``p > 0``, a multiple of
+    the unknown of shift ``p``, or a constant when ``p == 0``."""
+    others = rng.randint(1, 3)
+    count = points - 1 + others
+    names = tuple(f"c{k}" for k in range(count))
+    ctx = ExprContext(1, names)
+    unknowns = [ctx.var(ctx.param(name)) for name in names]
+    particular = [Fraction(rng.randint(-big, big), rng.randint(1, big))
+                  for _ in range(count)]
+    shifts = []
+    for k in range(points - 1):
+        shift = [Fraction(0)] * count
+        shift[k] = Fraction(rng.choice((-1, 1)) * rng.randint(1, big))
+        shifts.append(tuple(shift))
+    residuals = []
+    for r in range(cells):
+        weights = [rng.randint(-big, big) for _ in range(others)]
+        total = ctx.const(-sum(w * particular[points - 1 + k]
+                               for k, w in enumerate(weights)))
+        for k, w in enumerate(weights):
+            total = total + ctx.const(w) * unknowns[points - 1 + k]
+        for p in perturb.get(r, ()):
+            nudge = ctx.const(rng.choice((-1, 1)) * rng.randint(1, big))
+            total = total + (nudge * (unknowns[p - 1] - ctx.const(
+                particular[p - 1])) if p else nudge)
+        residuals.append((f"cell {r}", total))
+    problem = AnsatzProblem("classical", (((1, 1), (ctx.one,) * count),))
+    system = LinearSystem(names, (), tuple(residuals), ctx, problem)
+    space = solver.SolutionSpace(names, tuple(shifts), tuple(particular),
+                                 None, problem, 1)
+    return system, space
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 4),
+       big=st.sampled_from((2**64 + 1, 2**80, 3**50)),
+       last_only=st.booleans(), spread_out=st.booleans())
+def test_reverification_equals_the_point_by_point_oracle(
+        seed, points, big, last_only, spread_out):
+    """With coefficients and point values past ``2**64``, the packed
+    re-check names the same cell as summing point by point: when only
+    the last point is perturbed, in one or more cells, and when any
+    points are, also with the residuals spread over monomials of ``q1``
+    and ``v1``."""
+    rng = random.Random(seed)
+    cells = rng.randint(1, 3)
+    perturb = {}
+    for _ in range(rng.randint(1, 3)):
+        cell = rng.randrange(cells)
+        point = points - 1 if last_only else rng.randrange(points)
+        perturb.setdefault(cell, set()).add(point)
+    system, space = reverify_case(rng, big, points, cells, perturb)
+    if spread_out:
+        system = spread(system, rng)
+    expected = reverify_outcome(oracles.reverify, system, space)
+    assert expected is not None
+    assert reverify_outcome(solver._reverify, system, space) == expected
+    clean = reverify_case(rng, big, points, cells, {})
+    assert reverify_outcome(solver._reverify, *clean) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 200), sign=st.sampled_from((-1, 1)),
+       case=st.sampled_from(("cancel", "carry")))
+def test_reverification_at_the_field_boundary(k, sign, case):
+    """Point fields whose value reaches ``2**(width - 1)``, the most the
+    bound allows: ``cancel`` fails at the first point with ``±2**k`` and
+    at the second with ``∓1``, which one bit less per field would sum to
+    zero; ``carry`` fails in its first cell with ``±2**k`` and in its
+    second with ``1``, both at the last point, which one bit less would
+    read as the first cell failing past the last point."""
+    ctx = ExprContext(1, ("c0", "c1"))
+    c0, c1 = (ctx.var(ctx.param(name)) for name in ("c0", "c1"))
+    problem = AnsatzProblem("classical", (((1, 1), (ctx.one, ctx.one)),))
+    top = Fraction(sign * 2**k)
+    if case == "cancel":
+        residuals = (("cell 0", c0),)
+        particular, shifts = (top, Fraction(0)), ((-sign - top, 0),)
+    else:
+        residuals = (("cell 0", c0), ("cell 1", c1))
+        particular, shifts = (Fraction(0), Fraction(0)), ((top, 1),)
+    system = LinearSystem(("c0", "c1"), (), residuals, ctx, problem)
+    space = solver.SolutionSpace(("c0", "c1"), tuple(
+        tuple(map(Fraction, shift)) for shift in shifts), particular, None,
+        problem, 1)
+    expected = reverify_outcome(oracles.reverify, system, space)
+    assert expected == "solution fails re-verification at cell 0"
+    assert reverify_outcome(solver._reverify, system, space) == expected
