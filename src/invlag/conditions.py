@@ -12,6 +12,7 @@ implicit systems get their own wrapper type and checker.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -212,7 +213,7 @@ def _skew_cells(family: str, ctx: ExprContext, entry, extra=None):
 
 
 def _hd1_cells(s: Sode, g: TensorField):
-    return _symmetry_cells("HD1", s.n, g.entry, lambda k: s.v_pos[k - 1])
+    return _cells(s, g, None, _family(s, "HD1"))
 
 
 def _nabla_cells(s: Sode, g: TensorField, family: str = "NablaG", dD=None):
@@ -237,19 +238,11 @@ def _lowered_jacobi(s: Sode, g: TensorField) -> TensorField:
 
 
 def _curvature_cycles(s: Sode, g: TensorField) -> dict:
-    """The curvature cycle ``sum_j g_ij R^j_kl + g_lj R^j_ik + g_kj R^j_li``
-    on every ascending triple ``(i, k, l)``, built once per report; it is
+    """The curvature cycle ``RCycle`` of ``multiplier_terms`` on every
+    ascending triple ``(i, k, l)``, built once per report; it is
     totally antisymmetric, so these triples determine it."""
-    if s.n < 3:  # no triples: R is not needed, so not built
-        return {}
-    R = curvature(s)
-    indices = range(1, s.n + 1)
-    return {(i, k, l): lincomb(s.ctx, [
-                term for j in indices for term in (
-                    (g.entry(i, j), R.entry(j, k, l)),
-                    (g.entry(l, j), R.entry(j, i, k)),
-                    (g.entry(k, j), R.entry(j, l, i)))])
-            for i, k, l in combinations(indices, 3)}
+    return {indices: _evaluated(s, g, None, terms)
+            for _name, indices, terms in _family(s, "RCycle")}
 
 
 def _velocity_contraction(ctx: ExprContext, form: dict, i: int, j: int) -> Expr:
@@ -260,6 +253,104 @@ def _velocity_contraction(ctx: ExprContext, form: dict, i: int, j: int) -> Expr:
     return lincomb(ctx, [(form[tuple(sorted((i, j, k)))], -ctx.var(ctx.v(k))
                           if i < k < j else ctx.var(ctx.v(k)))
                          for k in range(1, ctx.n + 1) if k not in (i, j)])
+
+
+# --------------------------------------------------------------------------
+# cells as terms linear in the multiplier
+
+#: the kinds of a term: ``g_ab`` times an expression, and ``g_ab``
+#: differentiated by a velocity and horizontally
+WEIGHT, VELOCITY, HORIZONTAL = range(3)
+
+
+def _pair(i: int, j: int) -> Tuple[int, int]:
+    return (i, j) if i <= j else (j, i)
+
+
+@lru_cache(maxsize=16)
+def _skeleton(n: int) -> dict:
+    """The ``thm3`` cells over dimension ``n`` by family, each ``(family,
+    indices, terms, slots)``: ``terms`` the derivative terms and
+    ``slots`` the weights, ``(sign, pair, key)`` for ``g_pair`` times
+    the entry ``key`` of theta (``DHSym``) or R (``RCycle``), a term
+    only where that entry is nonzero:
+
+    * ``HD1[i,j,k] = V_k g_ij - V_j g_ik`` on every ``i`` and ``j < k``;
+    * ``DHSym[i,j,k] = H_i g_jk - H_j g_ik + sum_l (g_il theta^l_jk -
+      g_jl theta^l_ik)`` on every ``k`` and ``i < j``;
+    * ``RCycle[i,k,l] = sum_j (g_ij R^j_kl + g_lj R^j_ik + g_kj
+      R^j_li)`` on every ascending triple."""
+    indices = range(1, n + 1)
+    pairs = list(combinations(indices, 2))
+    return {
+        "HD1": [("HD1", (i, j, k), ((1, _pair(i, j), VELOCITY, k),
+                                    (-1, _pair(i, k), VELOCITY, j)), ())
+                for i in indices for j, k in pairs],
+        "DHSym": [("DHSym", (i, j, k), ((1, _pair(j, k), HORIZONTAL, i),
+                                        (-1, _pair(i, k), HORIZONTAL, j)),
+                   tuple((sign, _pair(a, l), (l, b, k)) for l in indices
+                         for sign, a, b in ((1, i, j), (-1, j, i))))
+                  for k in indices for i, j in pairs],
+        "RCycle": [("RCycle", (i, k, l), (), tuple(
+            (1, _pair(a, j), (j,) + rest) for j in indices
+            for a, rest in ((i, (k, l)), (l, (i, k)), (k, (l, i)))))
+            for i, k, l in combinations(indices, 3)],
+    }
+
+
+def _family(s: Sode, family: str) -> tuple:
+    """The cells of one family of ``multiplier_terms``, made once per
+    system; the curvature is built only when some cell reads it."""
+    key = f"{family} terms"
+    if key not in s._memo:
+        cells = _skeleton(s.n)[family]
+        weights = (theta_tensor(s).entries if family == "DHSym" else
+                   curvature(s).entries if cells and family == "RCycle"
+                   else {})
+        s._memo[key] = tuple(
+            (family, indices, terms + tuple(
+                (sign, pair, WEIGHT, weights[at])
+                for sign, pair, at in slots if at in weights))
+            for family, indices, terms, slots in cells)
+    return s._memo[key]
+
+
+def multiplier_terms(s: Sode) -> tuple:
+    """The cells of the ``thm3`` suite as terms linear in the multiplier,
+    in report order, built once per system: ``(family, indices, terms)``
+    per cell (``_skeleton`` has the formulas), each term ``(sign, pair,
+    kind, operand)`` standing for ``sign`` times ``g_pair`` (``pair``
+    ascending) times the expression ``operand`` (``WEIGHT``: an entry of
+    theta or R), differentiated by the velocity ``v_operand``
+    (``VELOCITY``) or horizontally along ``operand`` (``HORIZONTAL``).
+    Zero weights are left out. The suite evaluates these terms on a
+    candidate; the ansatz search reads them as weights of its unknowns
+    (``weights.ansatz_rows``)."""
+    return _family(s, "HD1") + _family(s, "DHSym") + _family(s, "RCycle")
+
+
+def _evaluated(s: Sode, g: TensorField, minus_g, terms) -> Expr:
+    """The sum of ``terms`` on ``g``; ``minus_g`` is ``-g``, which a
+    term of sign -1 other than a velocity derivative reads."""
+    parts = []
+    for sign, pair, kind, operand in terms:
+        entry = (g if sign > 0 or kind == VELOCITY
+                 else minus_g).entries.get(pair)
+        if entry is None:  # a zero entry adds nothing
+            continue
+        if kind == WEIGHT:
+            parts.append((entry, operand))
+        elif kind == VELOCITY:
+            part = entry.diff(s.v_pos[operand - 1])
+            parts.append(part if sign > 0 else -part)
+        else:
+            parts += _horizontal_terms(s, operand, entry)
+    return lincomb(s.ctx, parts)
+
+
+def _cells(s: Sode, g: TensorField, minus_g, table) -> list:
+    return [Cell(_label(family, *indices), _evaluated(s, g, minus_g, terms))
+            for family, indices, terms in table]
 
 
 # --------------------------------------------------------------------------
@@ -311,20 +402,9 @@ def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
     the candidate alone: velocity symmetry, symmetry of the horizontal
     covariant differential, and vanishing of the curvature cycle."""
     _require_multiplier(s, g)
-    theta, indices = theta_tensor(s), range(1, s.n + 1)
     minus_g = TensorField(s.ctx, (0, 2), {
         idx: -value for idx, value in g.entries.items()})
-    cells = _hd1_cells(s, g)
-    for k in indices:
-        for i, j in combinations(indices, 2):
-            residual = lincomb(s.ctx, _horizontal_terms(s, i, g.entry(j, k))
-                               + _horizontal_terms(s, j, minus_g.entry(i, k)) + [
-                term for l in indices for term in (
-                    (g.entry(i, l), theta.entry(l, j, k)),
-                    (minus_g.entry(j, l), theta.entry(l, i, k)))])
-            cells.append(Cell(_label("DHSym", i, j, k), residual))
-    cells.extend(Cell(_label("RCycle", *idx), cycle)
-                 for idx, cycle in _curvature_cycles(s, g).items())
+    cells = _cells(s, g, minus_g, multiplier_terms(s))
     return ConditionReport("thm3", tuple(cells), multiplier=g)
 
 

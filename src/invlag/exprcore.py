@@ -324,6 +324,14 @@ def _ring_for(key):
 MAX_GENERATORS = 4096
 
 
+def check_generators(count: int):
+    """Refuse a context of ``count`` generators, past ``MAX_GENERATORS``,
+    before its ring is built."""
+    if count > MAX_GENERATORS:
+        raise LimitError(f"a context of {count} generators is above "
+                         f"the limit {MAX_GENERATORS}")
+
+
 class ExprContext:
     """Declares which variables exist: dimension, jets, parameters, time.
 
@@ -344,10 +352,8 @@ class ExprContext:
         if not 1 <= max_jet_order <= 4:
             raise ValueError("max_jet_order must lie in 1..4")
         parameters = tuple(parameters)
-        count = bool(uses_time) + n * (max_jet_order + 1) + len(parameters)
-        if count > MAX_GENERATORS:
-            raise LimitError(f"a context of {count} generators is above "
-                             f"the limit {MAX_GENERATORS}")
+        check_generators(bool(uses_time) + n * (max_jet_order + 1)
+                         + len(parameters))
         seen = set()
         for name in parameters:
             if not _IDENT.match(name):

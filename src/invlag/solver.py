@@ -4,14 +4,16 @@ Each supported condition suite is linear in the multiplier entries (and
 in an optional two-form), so declaring every entry as an unknown
 rational combination of user-chosen basis functions turns "does a
 multiplier of this shape exist?" into an exact linear-algebra question.
-Assembly reads every condition cell's integer numerator coefficients
-and emits one sparse integer row per monomial in everything that is
-not an unknown; solving is exact reduction of those rows to reduced
-row echelon form in integers, which reduces each row by all its pivot
-rows in one combination and, once few columns are free, skips the rows
-a kernel test shows to lie in the row space already; the points of the
-solution are re-verified against every residual in one integer pass,
-all points packed into one integer per unknown; the
+Assembly emits one sparse integer row per monomial, in everything that
+is not an unknown, of each condition cell's numerator, labelled with
+its cell: for ``thm3`` straight from the system's base-ring weight
+tables (``weights.ansatz_rows``), for the other suites from the suite
+run in a ring that holds the unknowns. Solving is exact reduction of
+those rows to reduced row echelon form in integers, which reduces each
+row by all its pivot rows in one combination and, once few columns are
+free, skips the rows a kernel test shows to lie in the row space
+already; the points of the solution are re-verified against every row
+in one integer pass, all points packed into one integer per column; the
 nonsingular-representative search is a bounded integer enumeration
 over the solution space with a structural shortcut for spaces that
 force an identically-zero row; it returns the member it finds and
@@ -26,10 +28,11 @@ from math import gcd, lcm, prod
 from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exprcore import Expr, ExprContext, convert, lincomb
+from .exprcore import Expr, ExprContext, check_generators, convert, lincomb
 from .geometry import InternalInconsistencyError, Sode, TensorField
 from .conditions import (SMOOTH_AT_REST, SUITES as SUITE_TABLE,
-                         ConditionReport, check_suite)
+                         ConditionReport, check_suite, multiplier_terms)
+from .weights import ansatz_rows
 
 SUITES = tuple(name for name, suite in SUITE_TABLE.items() if suite.searchable)
 
@@ -95,14 +98,9 @@ class AnsatzProblem(_AnsatzFields):
     def layout(self) -> Tuple[Tuple[str, int, int, int], ...]:
         """Unknown index -> (part, i, j, basis position), in declaration
         order; this fixes the meaning of every coefficient vector."""
-        slots = []
-        for (i, j), basis in self.g_basis:
-            for k in range(len(basis)):
-                slots.append(("g", i, j, k))
-        for (i, j), basis in self.omega_basis:
-            for k in range(len(basis)):
-                slots.append(("omega", i, j, k))
-        return tuple(slots)
+        return tuple((part, i, j, k) for part, entries in (
+            ("g", self.g_basis), ("omega", self.omega_basis))
+            for (i, j), basis in entries for k in range(len(basis)))
 
 
 class LinearSystem(NamedTuple):
@@ -110,13 +108,16 @@ class LinearSystem(NamedTuple):
     row ``{column: value}`` per (condition cell, monomial) pair: columns
     below ``len(unknowns)`` hold the coefficients of the unknowns and
     column ``len(unknowns)`` the right-hand side, so a row reads
-    ``sum(row[k] * c[k]) = row[len(unknowns)]``."""
+    ``sum(row[k] * c[k]) = row[len(unknowns)]``. ``labels`` names the
+    cell of each row; ``residuals`` are the cells of the extended-ring
+    assembly, over the unknowns of ``context``."""
 
     unknowns: Tuple[str, ...]
     rows: Tuple[Dict[int, int], ...]
     residuals: Tuple[Tuple[str, Expr], ...]
     context: ExprContext
     problem: AnsatzProblem
+    labels: Tuple[str, ...] = ()
 
 
 class SolutionSpace(NamedTuple):
@@ -238,16 +239,25 @@ def _unknown_names(ctx: ExprContext, count: int) -> Tuple[str, ...]:
 def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     """Expand the suite's condition cells over the ansatz into an exact
     linear system, one sparse integer row per monomial in everything
-    that is not an unknown. The suite runs on ``s.extended(...)``, which
-    reads the geometry of ``s`` instead of building it again among the
-    unknowns."""
-    ctx = s.ctx
-    layout = p.layout
-    names = _unknown_names(ctx, len(layout))
-    ectx = ctx.with_parameters(names)
+    that is not an unknown. For ``thm3`` the rows come from the
+    system's own weight tables (``weights.ansatz_rows``); any other
+    suite runs on ``s.extended(...)``, whose ring holds the unknowns and
+    which reads the geometry of ``s`` instead of building it again."""
+    names = _unknown_names(s.ctx, len(p.layout))
+    if p.suite != "thm3":
+        return _extended(s, p, names)
+    check_generators(len(s.ctx.all_varids()) + len(names))
+    rows, labels = ansatz_rows(s, p.g_basis, multiplier_terms(s))
+    return LinearSystem(names, tuple(rows), (), s.ctx, p, tuple(labels))
+
+
+def _extended(s: Sode, p: AnsatzProblem, names) -> LinearSystem:
+    """``assemble`` by running the suite on ``s.extended(...)``, in a
+    context whose parameters end with the unknowns ``names``."""
+    ectx = s.ctx.with_parameters(names)
     s_e = s.extended(ectx)
-    unknown_vars = [ectx.param(name) for name in names]
-    g, omega = _ansatz_tensors(p, ectx, [ectx.var(var) for var in unknown_vars])
+    g, omega = _ansatz_tensors(p, ectx, [ectx.var(ectx.param(name))
+                                         for name in names])
     if omega is None and p.omega is not None:
         w_entries = {idx: convert(p.omega.entry(*idx), ectx)
                      for idx in p.omega.all_indices()}
@@ -255,36 +265,42 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     D = convert(p.D, ectx) if p.D is not None else None
     report = check_suite(p.suite, s_e, g, D=D, omega=omega)
 
-    count = len(names)
-    unknown_positions, cut, low, columns = _packed_layout(ectx, names)
-    rows: List[Dict[int, int]] = []
-    residuals: List[Tuple[str, Expr]] = []
-    for cell in report.cells:
-        if cell.label.startswith(SMOOTH_AT_REST):
-            continue
-        residual = cell.residual
-        if residual.is_zero():
-            continue
-        residuals.append((cell.label, residual))
-        if any(not factor.gens.isdisjoint(unknown_positions)
+    residuals = tuple((cell.label, cell.residual) for cell in report.cells
+                      if not (cell.label.startswith(SMOOTH_AT_REST)
+                              or cell.residual.is_zero()))
+    labelled = _labelled(residuals, ectx, names)
+    return LinearSystem(names, tuple(row for _label, row in labelled),
+                        residuals, ectx, p,
+                        tuple(label for label, _row in labelled))
+
+
+def _labelled(residuals, ectx: ExprContext, names) -> list:
+    """``(label, row)`` for each row of the residuals, over the unknowns
+    ``names`` of ``ectx``: a residual's numerator coefficients grouped
+    by the monomial in everything else, the unknown-free part negated
+    into the right-hand-side column. The coefficients share one
+    positive denominator, which leaves every row's direction as it
+    is."""
+    labelled, layout = [], residuals and _packed_layout(ectx, names)
+    for label, residual in residuals:
+        positions, cut, low, columns = layout
+        if any(not factor.gens.isdisjoint(positions)
                for factor, _exponent in residual.den_factors):
             raise NonlinearCouplingError(
-                f"unknowns in a denominator at cell {cell.label}")
-        # the coefficients share one positive denominator, which leaves
-        # every row's direction as it is
+                f"unknowns in a denominator at cell {label}")
         groups: Dict[int, Dict[int, int]] = {}
         for monom, coeff in residual.num.coeffs.items():
             unknowns = monom & low
             if not unknowns:
-                column, coeff = count, -coeff
+                column, coeff = len(columns), -coeff
             else:
                 column = columns.get(unknowns)
                 if column is None:
                     raise NonlinearCouplingError(
-                        f"nonlinear unknown coupling at cell {cell.label}")
+                        f"nonlinear unknown coupling at cell {label}")
             groups.setdefault(monom >> cut, {})[column] = coeff
-        rows.extend(groups.values())
-    return LinearSystem(names, tuple(rows), tuple(residuals), ectx, p)
+        labelled += [(label, row) for row in groups.values()]
+    return labelled
 
 
 def _packed_layout(ectx: ExprContext, names: Sequence[str]):
@@ -466,59 +482,48 @@ def solve(system: LinearSystem) -> SolutionSpace:
 def _primitive(vector: List[Fraction]) -> List[Fraction]:
     """Scale a nonzero vector to coprime integers, keeping the first
     nonzero entry positive."""
-    scale = lcm(*(value.denominator for value in vector if value != 0))
+    scale = lcm(*(value.denominator for value in vector))
     integers = [value * scale for value in vector]
-    common = gcd(*(int(value) for value in integers))
-    integers = [value / common for value in integers]
-    for value in integers:
-        if value != 0:
-            if value < 0:
-                integers = [-v for v in integers]
-            break
-    return integers
+    common = gcd(*map(int, integers))
+    if next(filter(None, integers)) < 0:
+        common = -common
+    return [value / common for value in integers]
 
 
 def _reverify(system: LinearSystem, space: SolutionSpace):
-    """Insist the residuals vanish at every point ``solve`` names, and
-    name the first failing cell at the first failing point.
+    """Insist the rows hold at every point ``solve`` names, and name the
+    cell of the first failing row at the first failing point; a system
+    without labels is checked on its residuals' rows (``_labelled``).
 
-    Over the lcm of its denominators each point is integral, and the
-    values of one unknown (or of the unknown-free part) at the ``d + 1``
-    points are packed into one integer with a signed field of ``width``
-    bits per point, point ``p`` at bit ``p * width``. Each term of a
-    residual then adds one product to its monomial's sum, whose field
-    ``p`` is the numerator's coefficient at point ``p``. Every field is
-    at most ``B`` in size, the largest sum of a residual's absolute
-    coefficients times the largest absolute value, and ``width`` is the
-    bit length of ``B``, so a nonzero field is not divisible by
-    ``2**width``: a sum is zero exactly when every field is, and the
-    lowest set bit of a nonzero sum lies in its first nonzero field."""
-    _, cut, low, columns = _packed_layout(system.context, system.unknowns)
+    Over the lcm ``L`` of its denominators each point is integral, and
+    the values of one column at the ``d + 1`` points, ``L*c_k`` or
+    ``-L`` for the right-hand side, are packed into one integer with a
+    signed field of ``width`` bits per point, point ``p`` at bit ``p *
+    width``. Each entry of a row then adds one product to its sum, whose
+    field ``p`` is the row's value at point ``p``. Every field is at
+    most ``B`` in size, the largest sum of a row's absolute entries
+    times the largest absolute value, and ``width`` is the bit length of
+    ``B``, so a nonzero field is not divisible by ``2**width``: a sum is
+    zero exactly when every field is, and the lowest set bit of a
+    nonzero sum lies in its first nonzero field."""
+    labelled = list(zip(system.labels, system.rows)) or _labelled(
+        system.residuals, system.context, system.unknowns)
     points = [space.particular] + [tuple(map(add, space.particular, shift))
                                    for shift in space.nullspace]
     scales = [lcm(*(value.denominator for value in p)) for p in points]
-    table = {field: [point[k].numerator * (scale // point[k].denominator)
-                     for point, scale in zip(points, scales)]
-             for field, k in columns.items()}
-    table[0] = scales
-    largest = max(abs(value) for values in table.values() for value in values)
-    weight = max((sum(map(abs, residual.num.coeffs.values()))
-                  for _label, residual in system.residuals), default=0)
+    table = [[point[k].numerator * (scale // point[k].denominator)
+              for point, scale in zip(points, scales)]
+             for k in range(len(system.unknowns))] + [[-L for L in scales]]
+    largest = max(abs(value) for values in table for value in values)
+    weight = max((sum(map(abs, row.values())) for _label, row in labelled),
+                 default=0)
     width = (weight * largest).bit_length()
-    packed = {field: sum(value << (index * width)
-                         for index, value in enumerate(values))
-              for field, values in table.items()}
+    packed = [sum(value << (index * width) for index, value in
+                  enumerate(values)) for values in table]
     failures = {}
-    for label, residual in system.residuals:
-        sums = {}
-        try:
-            for monom, coeff in residual.num.coeffs.items():
-                rest = monom >> cut
-                sums[rest] = sums.get(rest, 0) + coeff * packed[monom & low]
-        except KeyError:
-            raise NonlinearCouplingError(
-                f"nonlinear unknown coupling at cell {label}") from None
-        for total in filter(None, sums.values()):
+    for label, row in labelled:
+        total = sum(coeff * packed[col] for col, coeff in row.items())
+        if total:
             failures.setdefault(((total & -total).bit_length() - 1) // width,
                                 label)
     if failures:

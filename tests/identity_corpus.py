@@ -91,6 +91,19 @@ POWERS = ("(1/2*q1 - 3*v2 + 2/3)^7", "(q1*v1 - 1/3*q2 + a)^9",
           "(v1 + 2*b)^(-3)", "(q1 - 2/5*v1)^12*(omega + 1/7)",
           "(2/3*q1^2 - q2*v1 + omega)^6/(q1 - 1)^2",
           "(a*q1 + b*v2 - 1)^5*(q2 + v1)^-2")
+# thm3 ansatze with explicit bases that the generated problems never
+# use: velocity-dependent, rational and parametric basis functions
+EXPLICIT = {
+    "velocity": ("coupled3", {"1,1": ["1", "v1", "q2*v3"],
+                              "2,2": ["1", "v2"], "1,3": ["v2"],
+                              "3,3": ["q2", "q2*v1", "1"]}),
+    "rational": ("coupled3", {"1,1": ["1", "1/q2"], "2,2": ["1", "q1/q2"],
+                              "2,3": ["1/q2"], "3,3": ["q2", "1/q2", "q1"]}),
+    "parametric": ("chain4", {"1,1": ["1", "q1 + b"], "1,2": ["v1 - b*q2"],
+                              "2,2": ["1", "1 + b*q2"], "3,3": ["1"],
+                              "4,4": ["1", "q2 - b*q1"]}),
+}
+INSTANTIATE_EXPLICIT = ("b=2/3", "b=0")
 IMPLICIT = {
     "pass": ["d2q1 - q1*v3^2 + q2*q3 + q1*v1", "d2q2 + q1*q3 + v2",
              "(1 + q1^2)*d2q3 + 2*q1*v1*v3 + q1*q2 + q3*v3"],
@@ -164,20 +177,34 @@ def _first_entry_calls(workdir: str, label: str, texts):
 
 
 def _wide_calls(workdir: str):
-    """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem
-    and ``solve`` of the 50-unknown search problems and of lin n = 5,
+    """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem,
+    ``solve`` of the 50-unknown search problems and of lin n = 5,
     copied into the work directory so that both trees read the same
-    files."""
+    files, and ``solve`` of each ``EXPLICIT`` ansatz, the parametric
+    one also under ``INSTANTIATE_EXPLICIT``."""
     paths = {}
     for name in ("dense4", "search_n4_thm3", "fixed_drag_n4", "lin5"):
         paths[name] = os.path.join(workdir, f"{name}.json")
         shutil.copyfile(REPO / "tests" / "problems" / f"{name}.json",
                         paths[name])
-    return [("dense", ["check", paths["dense4"], "--suite", "thm3"]),
-            ("dense", ["analyze", paths["dense4"]]),
-            ("wide", ["solve", paths["search_n4_thm3"]]),
-            ("wide", ["solve", paths["fixed_drag_n4"]]),
-            ("wide", ["solve", paths["lin5"]])]
+    calls = [("dense", ["check", paths["dense4"], "--suite", "thm3"]),
+             ("dense", ["analyze", paths["dense4"]]),
+             ("wide", ["solve", paths["search_n4_thm3"]]),
+             ("wide", ["solve", paths["fixed_drag_n4"]]),
+             ("wide", ["solve", paths["lin5"]])]
+    for name, (fixture, entries) in EXPLICIT.items():
+        problem = json.loads((REPO / "src" / "invlag" / "fixtures" /
+                              f"{fixture}.json").read_text(encoding="utf-8"))
+        problem["ansatz"] = {"suite": "thm3", "g": {"entries": entries},
+                             "bound": 1}
+        path = os.path.join(workdir, f"explicit-{name}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(problem, handle)
+        calls.append(("explicit", ["solve", path]))
+        if problem.get("parameters"):
+            calls += [("explicit", ["solve", path, "--instantiate", value])
+                      for value in INSTANTIATE_EXPLICIT]
+    return calls
 
 
 def _refusal_calls(workdir: str):

@@ -17,7 +17,11 @@ one pass:
   test shows to lie in the row space;
 * ``reverify``: the solution re-check summing each monomial at each
   point separately, where ``solver._reverify`` packs the points into
-  one integer.
+  one integer;
+* ``multiplier_dissipative_cells``: the ``thm3`` cells written out
+  formula by formula, where ``conditions.check_multiplier_dissipative``
+  evaluates the term table ``conditions.multiplier_terms`` that the
+  ansatz search also reads.
 
 They check their input in the same order and raise the same errors with
 the same messages, so a test can compare outcomes, errors included.
@@ -31,7 +35,8 @@ from operator import add
 from invlag.exprcore import NotPolynomialError, ZeroDenominatorError, lincomb
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, TensorField,
-                             matrix_det)
+                             curvature, horizontal_apply, matrix_det,
+                             theta_tensor)
 from invlag.reconstruct import BasePointError
 from invlag.solver import NonlinearCouplingError, _packed_layout
 
@@ -178,6 +183,37 @@ def reverify(system, space):
     if failures:
         raise InternalInconsistencyError(
             f"solution fails re-verification at {failures[min(failures)]}")
+
+
+def multiplier_dissipative_cells(s, g):
+    """``(label, residual)`` of every ``thm3`` cell, in report order:
+    ``HD1[i,j,k] = V_k g_ij - V_j g_ik``, ``DHSym[i,j,k] = H_i g_jk -
+    H_j g_ik + sum_l (g_il theta^l_jk - g_jl theta^l_ik)`` and
+    ``RCycle[i,k,l] = sum_j (g_ij R^j_kl + g_lj R^j_ik + g_kj
+    R^j_li)``."""
+    ctx, indices = s.ctx, range(1, s.n + 1)
+    cells = [(f"HD1[{i},{j},{k}]", g.entry(i, j).diff(ctx.v(k))
+              - g.entry(i, k).diff(ctx.v(j)))
+             for i in indices for j, k in combinations(indices, 2)]
+    theta = theta_tensor(s)
+    for k in indices:
+        for i, j in combinations(indices, 2):
+            total = (horizontal_apply(s, i, g.entry(j, k))
+                     - horizontal_apply(s, j, g.entry(i, k)))
+            for l in indices:
+                total = total + g.entry(i, l) * theta.entry(l, j, k) \
+                    - g.entry(j, l) * theta.entry(l, i, k)
+            cells.append((f"DHSym[{i},{j},{k}]", total))
+    if s.n >= 3:
+        R = curvature(s)
+        for i, k, l in combinations(indices, 3):
+            total = ctx.zero
+            for j in indices:
+                total = total + g.entry(i, j) * R.entry(j, k, l) \
+                    + g.entry(l, j) * R.entry(j, i, k) \
+                    + g.entry(k, j) * R.entry(j, l, i)
+            cells.append((f"RCycle[{i},{k},{l}]", total))
+    return cells
 
 
 def outcome(function, *args):

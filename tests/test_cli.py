@@ -872,7 +872,10 @@ _LIMIT = exprcore.MAX_GENERATORS
     ({"n": 3, "f": ["0", "0", "0"], "ansatz": {
         "suite": "classical", "g": {"entries": {"1,1": ["1"] * _LIMIT}}}},
      _LIMIT + 6),
-], ids=["dimension", "parameters", "ansatz"])
+    ({"n": 3, "f": ["0", "0", "0"], "ansatz": {
+        "suite": "thm3", "g": {"entries": {"1,1": ["1"] * _LIMIT}}}},
+     _LIMIT + 6),
+], ids=["dimension", "parameters", "ansatz", "thm3-ansatz"])
 def test_a_context_past_the_generator_limit_is_refused_unbuilt(
         tmp_path, monkeypatch, problem, count):
     """A dimension, a parameter list or an ansatz whose context would

@@ -6,6 +6,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlag import conditions
 from invlag.cli import ansatz_problem, load_problem, report_payload
@@ -21,6 +23,7 @@ from invlag.conditions import (Cell, ConditionReport, ImplicitOrderError,
                                total_derivative)
 from invlag.solver import _ansatz_tensors, assemble
 
+import oracles
 from exprgen import random_poly, random_sode, small_fraction
 
 
@@ -334,6 +337,28 @@ def test_cycle_cells_match_per_triple_reference_on_random_systems(n):
         random_sode(ctx, rng, degree=2), random_symmetric(ctx, rng))
         for _ in range(3))
     assert nonzero
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       velocities=st.booleans())
+def test_thm3_cells_equal_their_formulas(seed, n, velocities):
+    """The ``thm3`` suite evaluates its term table
+    (``multiplier_terms``, which the ansatz search reads too) to the
+    cells written out formula by formula, on random systems and random
+    symmetric candidates, with or without velocities in ``g``."""
+    rng = random.Random(seed)
+    ctx = ExprContext(n)
+    s = random_sode(ctx, rng, degree=2)
+    entries = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            entries[(i, j)] = entries[(j, i)] = random_poly(
+                ctx, rng, degree=2, terms=2, velocities=velocities)
+    g = TensorField(ctx, (0, 2), entries, sym=((1, 2),))
+    report = check_multiplier_dissipative(s, g)
+    assert [(cell.label, cell.residual) for cell in report.cells] == \
+        oracles.multiplier_dissipative_cells(s, g)
 
 
 def test_smoothness_indicator_flags_velocity_pole():

@@ -10,9 +10,9 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invlag import conditions, geometry, poly, solver
+from invlag import conditions, geometry, poly, solver, weights
 from invlag.cli import ansatz_problem, load_problem
-from invlag.exprcore import ExprContext
+from invlag.exprcore import ExprContext, convert
 from invlag.geometry import (InternalInconsistencyError, Sode, TensorField,
                              curvature, jacobi, matrix_det)
 from invlag.reconstruct import forward_accelerations, forward_sode
@@ -27,6 +27,7 @@ from invlag.conditions import (Cell, ConditionReport,
 
 import oracles
 from clirun import run_cli
+from exprgen import random_poly, random_sode
 from sympyref import terms
 
 
@@ -441,6 +442,13 @@ def assert_matches_sympy_rref(space, dense):
             [Fraction(int(y.p), int(y.q)) for y in ref]
 
 
+def extended_system(s, problem):
+    """The system of ``problem`` assembled on the suite's run in the
+    extended ring, the oracle of the ``thm3`` weight tables."""
+    names = solver._unknown_names(s.ctx, len(problem.layout))
+    return solver._extended(s, problem, names)
+
+
 def dense_fraction_rows(system):
     """The augmented rows of ``system`` rebuilt from the terms of its
     residuals' numerators, as dense Fractions: the terms grouped by the
@@ -500,10 +508,12 @@ def forward_search(n, degree):
       pytest.param(fixed_linear_drag, id="linear-drag")])
 def test_assembly_matches_the_dense_fraction_reference(build):
     """The sparse integer rows solve to what sympy makes of the dense
-    Fraction matrix of the same residuals, with as many rows."""
+    Fraction matrix of the same residuals, with as many rows; the
+    residuals are the extended-ring assembly's, which ``thm3`` reads
+    from weight tables instead."""
     s, problem = build()
     system = assemble(s, problem)
-    dense = dense_fraction_rows(system)
+    dense = dense_fraction_rows(extended_system(s, problem))
     assert len(system.rows) == len(dense)
     assert all(value and isinstance(value, int)
                for row in system.rows for value in row.values())
@@ -589,6 +599,285 @@ def test_assembly_factors_no_denominator_again(monkeypatch):
     system = assemble(s, polynomial_ansatz(ctx, "thm3", 1))
     assert len(system.unknowns) == 9
     assert calls == []
+
+
+# --------------------------------------------------------------------------
+# thm3 rows from weight tables against the extended-ring oracle
+
+
+def primitive_rows(system):
+    """``{label: sorted primitive rows}`` of an assembled system."""
+    rows = {}
+    for label, row in zip(system.labels, system.rows):
+        common = gcd(*row.values())
+        rows.setdefault(label, []).append(
+            tuple(sorted((col, value // common) for col, value in row.items())))
+    return {label: sorted(found) for label, found in rows.items()}
+
+
+def assert_rows_match_the_extended_oracle(s, problem):
+    """The weight-table rows of a ``thm3`` problem equal the extended
+    ring's, cell by cell, as multisets of primitive rows, and there are
+    as many of them."""
+    assert problem.suite == "thm3"
+    system = assemble(s, problem)
+    oracle = extended_system(s, problem)
+    assert system.residuals == () and system.context == s.ctx
+    assert len(system.rows) == len(oracle.rows)
+    assert primitive_rows(system) == primitive_rows(oracle)
+    return system
+
+
+EXPLICIT_BASIS = ("1", "q1", "q2", "v1", "q1*v2", "v1*v2", "1/q2",
+                  "q1/(q2^2 + 1)", "(1 + v2)/(2 + q1)")
+PARAMETRIC_BASIS = ("b*q1 + 1", "q2 - b", "b*v1", "1/(q1 + b)")
+
+
+def forward_thm3_case(rng, n, moving, parametric):
+    """A system from ``forward_accelerations``: a kinetic matrix with
+    diagonal ``k + 3`` and a symmetric +-1 or 0 next to it, whose first
+    entry gains ``q_n`` when ``moving`` (so theta and R are rational),
+    a polynomial potential and drift, and a random dissipation; a
+    parameter ``b`` enters ``D`` when ``parametric``."""
+    ctx = ExprContext(n, parameters=("b",) if parametric else ())
+
+    def term(velocities, positions):
+        value = ctx.const(Fraction(rng.choice((-3, -1, 1, 2)),
+                                   rng.choice((1, 2, 3))))
+        for _ in range(velocities):
+            value = value * ctx.var(ctx.v(rng.randint(1, n)))
+        for _ in range(rng.randint(0, positions)):
+            value = value * ctx.var(ctx.q(rng.randint(1, n)))
+        return value
+
+    v = [ctx.var(ctx.v(k)) for k in range(1, n + 1)]
+    L = ctx.zero
+    for k in range(1, n + 1):
+        entry = ctx.const(k + 3)
+        if moving and k == 1:
+            entry = entry + ctx.var(ctx.q(n))
+        L = L + entry * v[k - 1] ** 2 / 2
+        if k < n:
+            L = L + rng.choice((-1, 0, 1)) * v[k - 1] * v[k]
+        L = L + term(1, 1) - term(0, 2)
+    D = sum((term(rng.randint(2, 3), 1) for _ in range(3)), ctx.zero)
+    if parametric:
+        D = D + ctx.var(ctx.param("b")) * term(2, 1)
+    return ctx, Sode(ctx, forward_accelerations(L, D))
+
+
+def random_thm3_problem(rng, ctx, kind):
+    """A ``thm3`` ansatz over ``ctx``: a preset, or explicit entries on
+    random pairs whose basis functions are drawn from
+    ``EXPLICIT_BASIS`` (and ``PARAMETRIC_BASIS`` when ``ctx`` declares
+    ``b``): velocity-dependent, rational and parametric ones."""
+    n = ctx.n
+    if kind == "constant":
+        return constant_ansatz(ctx, "thm3")
+    if kind == "polynomial":
+        return polynomial_ansatz(ctx, "thm3", 1)
+    if kind == "diagonal":
+        return diagonal_ansatz(ctx, "thm3", 2)
+    texts = EXPLICIT_BASIS + (PARAMETRIC_BASIS if ctx.parameters else ())
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    entries = []
+    for pair in sorted(rng.sample(pairs, rng.randint(1, len(pairs)))):
+        basis = tuple(ctx.parse(text)
+                      for text in rng.sample(texts, rng.randint(1, 3)))
+        entries.append((pair, basis))
+    return AnsatzProblem("thm3", tuple(entries))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       moving=st.booleans(), parametric=st.booleans(),
+       kind=st.sampled_from(("constant", "polynomial", "diagonal",
+                             "explicit", "explicit")))
+def test_thm3_rows_equal_the_extended_ring_rows(seed, n, moving, parametric,
+                                               kind):
+    """On systems from ``forward_accelerations`` with constant and
+    position-dependent kinetic energy (rational theta and R), under
+    preset ansatze and explicit ones with velocity-dependent, rational
+    and parametric basis functions, the weight-table rows are the
+    extended ring's, cell by cell."""
+    rng = random.Random(seed)
+    ctx, s = forward_thm3_case(rng, n, moving and n < 4, parametric)
+    assert_rows_match_the_extended_oracle(
+        s, random_thm3_problem(rng, ctx, kind))
+
+
+def extended_table_rows(s, problem, table):
+    """``(label, row)`` of the cells of ``table`` over ``problem``'s
+    ansatz as the extended ring gives them: the terms evaluated on the
+    symbolic multiplier (``conditions._cells``, as the suites evaluate
+    them), each residual's numerator grouped as ``assemble`` groups
+    those of the other suites."""
+    names = solver._unknown_names(s.ctx, len(problem.layout))
+    ectx = s.ctx.with_parameters(names)
+    g, _omega = solver._ansatz_tensors(problem, ectx, [
+        ectx.var(ectx.param(name)) for name in names])
+    minus_g = TensorField(ectx, (0, 2), {
+        idx: -value for idx, value in g.entries.items()})
+    moved = [(family, indices, tuple(
+        (sign, pair, kind, convert(operand, ectx)
+         if kind == conditions.WEIGHT else operand)
+        for sign, pair, kind, operand in terms))
+        for family, indices, terms in table]
+    residuals = [(cell.label, cell.residual) for cell in conditions._cells(
+        s.extended(ectx), g, minus_g, moved) if not cell.residual.is_zero()]
+    return solver._labelled(residuals, ectx, names)
+
+
+def random_table(rng, s):
+    """Cells of random terms over ``s``: weights that are random
+    polynomials over products of a few shared factors, derivative
+    terms, and pairs of weights on one pair that differ by a polynomial,
+    so that a cell's denominator cancels and must be divided out."""
+    ctx, n = s.ctx, s.n
+    factors = [ctx.parse(text) for text in ("q1 + 2", f"q{n}^2 + 1",
+                                            "q1*v1 + 3")]
+
+    def weight():
+        den = ctx.one
+        for factor in rng.sample(factors, rng.randint(0, 2)):
+            den = den * factor ** rng.randint(1, 2)
+        return random_poly(ctx, rng, degree=2, terms=2) / den
+
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    table = []
+    for cell in range(rng.randint(1, 4)):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            pair, sign = rng.choice(pairs), rng.choice((1, -1))
+            kind = rng.choice((conditions.WEIGHT, conditions.WEIGHT,
+                               conditions.VELOCITY, conditions.HORIZONTAL,
+                               "cancel"))
+            if kind == "cancel":
+                w = weight()
+                terms += [(1, pair, conditions.WEIGHT, w),
+                          (-1, pair, conditions.WEIGHT,
+                           w + random_poly(ctx, rng, degree=1, terms=1))]
+            elif kind == conditions.WEIGHT:
+                w = weight()
+                if not w.is_zero():
+                    terms.append((sign, pair, kind, w))
+            else:
+                terms.append((sign, pair, kind, rng.randint(1, n)))
+        table.append(("Cell", (cell,), tuple(terms)))
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       kind=st.sampled_from(("constant", "polynomial", "explicit")))
+def test_ansatz_rows_of_random_tables_equal_the_extended_ring_rows(
+        seed, n, kind):
+    """For random term tables, with weights over shared factors and
+    cells whose denominator cancels, the rows of ``weights.ansatz_rows``
+    are the extended ring's, cell by cell, and as many."""
+    rng = random.Random(seed)
+    ctx = ExprContext(n, parameters=("b",))
+    s = random_sode(ctx, rng, degree=2)
+    if kind == "explicit" and n < 2:
+        kind = "polynomial"
+    problem = (constant_ansatz(ctx, "thm3") if kind == "constant" else
+               polynomial_ansatz(ctx, "thm3", 1) if kind == "polynomial"
+               else random_thm3_problem(rng, ctx, kind))
+    table = random_table(rng, s)
+    rows, labels = weights.ansatz_rows(s, problem.g_basis, table)
+    expected = extended_table_rows(s, problem, table)
+    assert len(rows) == len(expected)
+    new = LinearSystem((), tuple(rows), (), ctx, problem, tuple(labels))
+    old = LinearSystem((), tuple(row for _label, row in expected), (), ctx,
+                       problem, tuple(label for label, _row in expected))
+    assert primitive_rows(new) == primitive_rows(old)
+
+
+FIXTURES = ("planar_drag", "planar_drag_euclidean", "planar_drag_gyro",
+            "planar_drag_indefinite", "coupled3", "chain4", "chain4_gyro",
+            "free2")
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("search_n4_thm3",
+                                             "fixed_drag_n4", "dense4"))
+def test_thm3_rows_equal_the_extended_ring_rows_on_every_fixture(name):
+    """Every explicit fixture and test problem, under a polynomial
+    ansatz of degree 1 (constant for ``dense4``) and under its own
+    ansatz when that searches ``thm3``; the preset and explicit
+    families of the velocity-dependent, rational and parametric kinds
+    on ``coupled3`` and ``chain4``."""
+    if name in FIXTURES:
+        problem = load_problem(name, {})
+    else:
+        problem = load_problem(str(pathlib.Path(__file__).resolve().parent
+                                   / "problems" / f"{name}.json"), {})
+    s, ctx = problem.sode(), problem.ctx
+    families = [constant_ansatz(ctx, "thm3") if name == "dense4"
+                else polynomial_ansatz(ctx, "thm3", 1)]
+    if problem.ansatz is not None and problem.ansatz.get("suite") == "thm3":
+        families.append(ansatz_problem(problem)[0])
+    if name in ("coupled3", "chain4"):
+        rng = random.Random(name)
+        families += [random_thm3_problem(rng, ctx, "explicit")
+                     for _ in range(4)]
+    for family in families:
+        assert_rows_match_the_extended_oracle(s, family)
+
+
+def test_thm3_assembly_runs_no_suite_and_builds_no_context(monkeypatch):
+    """A ``thm3`` assembly reads the weight tables only: it neither
+    extends the context with the unknowns nor runs the suite, and its
+    rows are the oracle's; a ``classical`` one still does both."""
+    ctx, s = coupled_three()
+    problem = diagonal_ansatz(ctx, "thm3", 2)
+    expected = primitive_rows(extended_system(s, problem))
+    calls = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the extended path was taken")
+
+    monkeypatch.setattr(ExprContext, "with_parameters", refused)
+    monkeypatch.setattr(solver, "check_suite", refused)
+    system = assemble(s, problem)
+    assert primitive_rows(system) == expected
+    assert solve(system).dimension == 1
+    monkeypatch.undo()
+    original_extend, original_suite = ExprContext.with_parameters, \
+        solver.check_suite
+    monkeypatch.setattr(ExprContext, "with_parameters",
+                        lambda self, extra: calls.append("context")
+                        or original_extend(self, extra))
+    monkeypatch.setattr(solver, "check_suite",
+                        lambda *args, **kwargs: calls.append("suite")
+                        or original_suite(*args, **kwargs))
+    assemble(s, polynomial_ansatz(ctx, "classical", 1))
+    assert calls == ["context", "suite"]
+
+
+@pytest.mark.parametrize("name", ["coupled3", "chain4", "search_n4_thm3"])
+def test_thm3_reverification_names_the_oracles_cell(name):
+    """A perturbed solution point of a ``thm3`` system fails its packed
+    re-verification of the rows at the cell that the extended-ring
+    system's residuals name point by point (``oracles.reverify``), and
+    the true points pass."""
+    if name == "search_n4_thm3":
+        name = str(pathlib.Path(__file__).resolve().parent / "problems"
+                   / f"{name}.json")
+    problem = load_problem(name, {})
+    s, family = problem.sode(), ansatz_problem(problem)[0]
+    system = assemble(s, family)
+    oracle = extended_system(s, family)
+    space = solve(system)
+    assert space == solve(oracle)
+    assert reverify_outcome(solver._reverify, system, space) is None
+    rng = random.Random(name)
+    failed = 0
+    for _ in range(12):
+        wrong = perturbed(space, rng)
+        expected = reverify_outcome(oracles.reverify, oracle, wrong)
+        assert reverify_outcome(solver._reverify, system, wrong) == expected
+        failed += expected is not None
+    assert failed
 
 
 # --------------------------------------------------------------------------
