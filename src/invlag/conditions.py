@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, lincomb
 from .geometry import (DimensionMismatchError, GeometryError, Sode,
-                       TensorField, _horizontal_terms, curvature, d_basic,
+                       TensorField, _flow_terms, _horizontal_terms,
+                       _memoised, _neg_connection, curvature, d_basic,
                        jacobi, matrix_det, nabla_tensor02, theta_tensor)
 
 
@@ -177,10 +178,15 @@ def _require_two_form(s: Sode, omega: TensorField):
             entry = omega.entry(i, j)
             if entry != -omega.entry(j, i):
                 raise TwoFormError(f"two-form is not antisymmetric at {(i, j)}")
-            for k in range(1, s.n + 1):
-                if entry.depends_on(s.ctx.v(k)):
-                    raise TwoFormError(
-                        f"two-form entry {(i, j)} depends on velocities")
+            _require_velocity_free(s, (i, j), entry)
+
+
+def _require_velocity_free(s: Sode, pair: Tuple[int, int], entry: Expr):
+    """Refuse a two-form entry, or a basis function of one, that
+    depends on velocities."""
+    for k in range(1, s.n + 1):
+        if entry.depends_on(s.ctx.v(k)):
+            raise TwoFormError(f"two-form entry {pair} depends on velocities")
 
 
 def _require_function(s: Sode, D: Expr):
@@ -189,7 +195,7 @@ def _require_function(s: Sode, D: Expr):
 
 
 # --------------------------------------------------------------------------
-# shared cell families
+# a cell family shared by the implicit checks
 
 
 def _symmetry_cells(family: str, n: int, entry, velocity):
@@ -202,65 +208,17 @@ def _symmetry_cells(family: str, n: int, entry, velocity):
             for i in indices for j, k in combinations(indices, 2)]
 
 
-def _skew_cells(family: str, ctx: ExprContext, entry, extra=None):
-    """Skew part of a matrix ``M``: ``M_ij - M_ji`` on every ``i < j``,
-    where ``entry(i, j)`` is ``M_ij``, plus the correction terms
-    ``extra(i, j)`` (``lincomb`` terms) when they are given."""
-    return [Cell(_label(family, i, j), entry(i, j) - entry(j, i)
-                 if extra is None else
-                 lincomb(ctx, [entry(i, j), -entry(j, i), *extra(i, j)]))
-            for i, j in combinations(range(1, ctx.n + 1), 2)]
-
-
-def _hd1_cells(s: Sode, g: TensorField):
-    return _cells(s, g, None, _family(s, "HD1"))
-
-
-def _nabla_cells(s: Sode, g: TensorField, family: str = "NablaG", dD=None):
-    """The flow derivative ``(nabla g)_ij`` on ``i <= j``, less the velocity
-    Hessian of ``D`` when its velocity gradient ``dD`` is given."""
-    grad = nabla_tensor02(s, g)
-    return [Cell(_label(family, i, j), grad.entry(i, j) if dD is None else
-                 grad.entry(i, j) - dD[i - 1].diff(s.v_pos[j - 1]))
-            for i in range(1, s.n + 1) for j in range(i, s.n + 1)]
-
-
-def _lowered_jacobi(s: Sode, g: TensorField) -> TensorField:
-    """The Jacobi endomorphism lowered with the candidate, ``(g Phi)_ij
-    = sum_k g_ik Phi^k_j``: built once per report and read by every
-    cell that needs it."""
-    jac = jacobi(s)
-    indices = range(1, s.n + 1)
-    return TensorField(s.ctx, (0, 2), {
-        (i, j): lincomb(s.ctx, [(g.entry(i, k), jac.entry(k, j))
-                                for k in indices])
-        for i in indices for j in indices})
-
-
-def _curvature_cycles(s: Sode, g: TensorField) -> dict:
-    """The curvature cycle ``RCycle`` of ``multiplier_terms`` on every
-    ascending triple ``(i, k, l)``, built once per report; it is
-    totally antisymmetric, so these triples determine it."""
-    return {indices: _evaluated(s, g, None, terms)
-            for _name, indices, terms in _family(s, "RCycle")}
-
-
-def _velocity_contraction(ctx: ExprContext, form: dict, i: int, j: int) -> Expr:
-    """``sum_k form_ijk v^k`` for ``i < j`` and a totally antisymmetric
-    three-form stored on ascending index tuples: a repeated index reads
-    as zero, and ``(i, j, k)`` is an odd permutation of its ascending
-    order exactly when ``k`` lies between ``i`` and ``j``."""
-    return lincomb(ctx, [(form[tuple(sorted((i, j, k)))], -ctx.var(ctx.v(k))
-                          if i < k < j else ctx.var(ctx.v(k)))
-                         for k in range(1, ctx.n + 1) if k not in (i, j)])
-
-
 # --------------------------------------------------------------------------
 # cells as terms linear in the multiplier
 
-#: the kinds of a term: ``g_ab`` times an expression, and ``g_ab``
-#: differentiated by a velocity and horizontally
-WEIGHT, VELOCITY, HORIZONTAL = range(3)
+#: the kinds of a term ``(sign, pair, kind, operand)``, ``pair``
+#: ascending: ``sign`` times ``g_pair`` times the expression ``operand``
+#: (a weight), differentiated by the velocity ``v_operand``,
+#: horizontally along ``operand``, or along the flow; ``sign`` times
+#: ``v_m`` times the derivative of ``omega_pair`` by ``q_k``, ``operand``
+#: ``(k, m)``; and the expression ``operand``, free of the candidate
+#: data (``pair`` None, ``sign`` 1)
+WEIGHT, VELOCITY, HORIZONTAL, FLOW, TWO_FORM, KNOWN = range(6)
 
 
 def _pair(i: int, j: int) -> Tuple[int, int]:
@@ -269,88 +227,193 @@ def _pair(i: int, j: int) -> Tuple[int, int]:
 
 @lru_cache(maxsize=16)
 def _skeleton(n: int) -> dict:
-    """The ``thm3`` cells over dimension ``n`` by family, each ``(family,
-    indices, terms, slots)``: ``terms`` the derivative terms and
-    ``slots`` the weights, ``(sign, pair, key)`` for ``g_pair`` times
-    the entry ``key`` of theta (``DHSym``) or R (``RCycle``), a term
+    """The cells of every family over dimension ``n``, each ``(indices,
+    terms, slots)``: ``terms`` the terms without a weight and ``slots``
+    the weights, ``(sign, pair, table, key)`` for ``g_pair`` times the
+    entry ``key`` of the system's table ``table`` (``_WEIGHTS``), a term
     only where that entry is nonzero:
 
     * ``HD1[i,j,k] = V_k g_ij - V_j g_ik`` on every ``i`` and ``j < k``;
     * ``DHSym[i,j,k] = H_i g_jk - H_j g_ik + sum_l (g_il theta^l_jk -
       g_jl theta^l_ik)`` on every ``k`` and ``i < j``;
     * ``RCycle[i,k,l] = sum_j (g_ij R^j_kl + g_lj R^j_ik + g_kj
-      R^j_li)`` on every ascending triple."""
+      R^j_li)`` on every ascending triple;
+    * ``NablaG[i,j] = Gamma(g_ij) - sum_k (g_ik Gamma^k_j + g_jk
+      Gamma^k_i)`` on ``i <= j``, also labelled ``HD2`` and ``Hg2``;
+    * ``PhiSym[i,j] = sum_k (g_ik Phi^k_j - g_jk Phi^k_i)`` on ``i <
+      j``, also labelled ``HD3``, and ``Hg3`` less ``sum_k v^k (d
+      omega)_ijk``, where ``(d omega)_ijk = d_i omega_jk + d_j omega_ki
+      + d_k omega_ij`` vanishes for ``k`` in ``(i, j)``;
+    * ``PhiR[k,l] = -PhiSym[k,l] - sum_i v^i RCycle[i,k,l]``, the cycle
+      read as weights of ``g`` (``_cycle_weights``)."""
     indices = range(1, n + 1)
     pairs = list(combinations(indices, 2))
+    upper = [(i, j) for i in indices for j in range(i, n + 1)]
+    nabla = [((i, j), ((1, (i, j), FLOW, None),), tuple(
+        (1, _pair(a, k), "neg_connection", (k, b)) for k in indices
+        for a, b in ((i, j), (j, i)))) for i, j in upper]
+    skew = [((i, j), (), tuple(
+        (sign, _pair(a, k), "jacobi", (k, b)) for k in indices
+        for sign, a, b in ((1, i, j), (-1, j, i)))) for i, j in pairs]
+    # -d_at omega_ab = sign * d_at omega_pair, pair = (a, b) sorted
+    d_omega = [tuple((-1 if a < b else 1, _pair(a, b), TWO_FORM, (at, k))
+                     for k in indices if k not in (i, j)
+                     for at, a, b in ((i, j, k), (j, k, i), (k, i, j)))
+               for i, j in pairs]
     return {
-        "HD1": [("HD1", (i, j, k), ((1, _pair(i, j), VELOCITY, k),
-                                    (-1, _pair(i, k), VELOCITY, j)), ())
+        "HD1": [((i, j, k), ((1, _pair(i, j), VELOCITY, k),
+                             (-1, _pair(i, k), VELOCITY, j)), ())
                 for i in indices for j, k in pairs],
-        "DHSym": [("DHSym", (i, j, k), ((1, _pair(j, k), HORIZONTAL, i),
-                                        (-1, _pair(i, k), HORIZONTAL, j)),
-                   tuple((sign, _pair(a, l), (l, b, k)) for l in indices
+        "DHSym": [((i, j, k), ((1, _pair(j, k), HORIZONTAL, i),
+                               (-1, _pair(i, k), HORIZONTAL, j)),
+                   tuple((sign, _pair(a, l), "theta", (l, b, k))
+                         for l in indices
                          for sign, a, b in ((1, i, j), (-1, j, i))))
                   for k in indices for i, j in pairs],
-        "RCycle": [("RCycle", (i, k, l), (), tuple(
-            (1, _pair(a, j), (j,) + rest) for j in indices
+        "RCycle": [((i, k, l), (), tuple(
+            (1, _pair(a, j), "curvature", (j,) + rest) for j in indices
             for a, rest in ((i, (k, l)), (l, (i, k)), (k, (l, i)))))
             for i, k, l in combinations(indices, 3)],
+        "NablaG": nabla, "HD2": nabla, "Hg2": nabla,
+        "PhiSym": skew, "HD3": skew,
+        "Hg3": [(at, terms + extra, slots)
+                for (at, terms, slots), extra in zip(skew, d_omega)],
+        "PhiR": [(at, (), tuple((-sign, pair, table, key)
+                                for sign, pair, table, key in slots)
+                  + tuple((-1, pair, "cycles", at + pair)
+                          for pair in upper if n > 2))
+                 for at, _terms, slots in skew],
     }
 
 
+def _cycle_weights(s: Sode) -> dict:
+    """The weight of ``g_ab`` in ``sum_i v^i RCycle[i,k,l]`` for ``k <
+    l``, keyed ``(k, l, a, b)``, nonzero ones only; ``i`` runs outside
+    ``(k, l)``, where the cycle vanishes."""
+    indices, R, parts = range(1, s.n + 1), curvature(s).entries, {}
+    for (k, l), i, j in product(combinations(indices, 2), indices, indices):
+        for a, key in ((i, (j, k, l)), (l, (j, i, k)), (k, (j, l, i))):
+            if i not in (k, l) and key in R:
+                parts.setdefault((k, l) + _pair(a, j), []).append(
+                    (s.velocities[i - 1], R[key]))
+    weights = {key: lincomb(s.ctx, terms) for key, terms in parts.items()}
+    return {key: w for key, w in weights.items() if w.num.coeffs}
+
+
+#: the weight tables of a system that the skeleton's slots name
+_WEIGHTS = {
+    "theta": lambda s: theta_tensor(s).entries,
+    "curvature": lambda s: curvature(s).entries,
+    "jacobi": lambda s: jacobi(s).entries,
+    "neg_connection": lambda s: _memoised(s, "neg_connection",
+                                          _neg_connection).entries,
+    "cycles": _cycle_weights,
+}
+
+
 def _family(s: Sode, family: str) -> tuple:
-    """The cells of one family of ``multiplier_terms``, made once per
-    system; the curvature is built only when some cell reads it."""
+    """The cells of one family as ``(family, indices, terms)``, made
+    once per system; a weight table is built only when some cell reads
+    it."""
     key = f"{family} terms"
     if key not in s._memo:
-        cells = _skeleton(s.n)[family]
-        weights = (theta_tensor(s).entries if family == "DHSym" else
-                   curvature(s).entries if cells and family == "RCycle"
-                   else {})
-        s._memo[key] = tuple(
-            (family, indices, terms + tuple(
-                (sign, pair, WEIGHT, weights[at])
-                for sign, pair, at in slots if at in weights))
-            for family, indices, terms, slots in cells)
+        tables, cells = {}, []
+        for indices, terms, slots in _skeleton(s.n)[family]:
+            weights = []
+            for sign, pair, table, at in slots:
+                if table not in tables:
+                    tables[table] = _WEIGHTS[table](s)
+                weight = tables[table].get(at)
+                if weight is not None:
+                    weights.append((sign, pair, WEIGHT, weight))
+            cells.append((family, indices, terms + tuple(weights)))
+        s._memo[key] = tuple(cells)
     return s._memo[key]
 
 
-def multiplier_terms(s: Sode) -> tuple:
-    """The cells of the ``thm3`` suite as terms linear in the multiplier,
-    in report order, built once per system: ``(family, indices, terms)``
-    per cell (``_skeleton`` has the formulas), each term ``(sign, pair,
-    kind, operand)`` standing for ``sign`` times ``g_pair`` (``pair``
-    ascending) times the expression ``operand`` (``WEIGHT``: an entry of
-    theta or R), differentiated by the velocity ``v_operand``
-    (``VELOCITY``) or horizontally along ``operand`` (``HORIZONTAL``).
-    Zero weights are left out. The suite evaluates these terms on a
+def suite_terms(s: Sode, suite: str, D: Optional[Expr] = None,
+                omega: Optional[TensorField] = None) -> tuple:
+    """The cells of a searchable suite as terms linear in the candidate
+    (``WEIGHT`` to ``KNOWN``), in report order, ``(family, indices,
+    terms)`` per cell (``_skeleton`` has the formulas); zero weights are
+    left out. The terms in ``g`` and the two-form are made once per
+    system. A given ``D`` adds its velocity Hessian and horizontal
+    derivatives, and a given ``omega`` replaces the two-form terms, as
+    one known term per cell. The suites evaluate these terms on a
     candidate; the ansatz search reads them as weights of its unknowns
     (``weights.ansatz_rows``)."""
-    return _family(s, "HD1") + _family(s, "DHSym") + _family(s, "RCycle")
+    key = f"{suite} suite terms"
+    if key not in s._memo:
+        s._memo[key] = tuple(cell for family in SUITES[suite].families
+                             for cell in _family(s, family))
+    table = s._memo[key]
+    if D is not None:
+        _require_function(s, D)
+    if omega is not None:
+        _require_two_form(s, omega)
+    dD = ([D.diff(at) for at in s.v_pos]  # the velocity gradient of D
+          if D is not None and D.num.coeffs else None)
+    if dD is None and omega is None:
+        return table
+    out = []
+    for family, indices, terms in table:
+        known = []
+        if family == "HD2" and dD:
+            known = [-dD[indices[0] - 1].diff(s.v_pos[indices[1] - 1])]
+        elif family == "HD3" and dD:
+            i, j = indices
+            known = (_horizontal_terms(s, j, dD[i - 1])
+                     + _horizontal_terms(s, i, -dD[j - 1]))
+        elif family == "Hg3" and omega is not None:
+            # omega_ba = -omega_ab reads the sign of a two-form term
+            known = [(omega.entry(*(pair if sign > 0 else pair[::-1])).diff(
+                s.q_pos[at[0] - 1]), s.velocities[at[1] - 1])
+                for sign, pair, kind, at in terms if kind == TWO_FORM]
+            terms = tuple(term for term in terms if term[2] != TWO_FORM)
+        value = lincomb(s.ctx, known)
+        out.append((family, indices, terms + ((1, None, KNOWN, value),)
+                    if value.num.coeffs else terms))
+    return tuple(out)
 
 
-def _evaluated(s: Sode, g: TensorField, minus_g, terms) -> Expr:
-    """The sum of ``terms`` on ``g``; ``minus_g`` is ``-g``, which a
-    term of sign -1 other than a velocity derivative reads."""
+def _evaluated(s: Sode, plus: dict, minus: dict, terms) -> Expr:
+    """The sum of ``terms`` on the multiplier entries ``plus``. A term of
+    sign -1 reads the negated entry, made once per report and kept in
+    ``minus``."""
     parts = []
     for sign, pair, kind, operand in terms:
-        entry = (g if sign > 0 or kind == VELOCITY
-                 else minus_g).entries.get(pair)
+        if kind == KNOWN:
+            parts.append(operand)
+            continue
+        entry = plus.get(pair)
         if entry is None:  # a zero entry adds nothing
             continue
+        if sign < 0:
+            if pair not in minus:
+                minus[pair] = -entry
+            entry = minus[pair]
         if kind == WEIGHT:
             parts.append((entry, operand))
         elif kind == VELOCITY:
-            part = entry.diff(s.v_pos[operand - 1])
-            parts.append(part if sign > 0 else -part)
-        else:
+            parts.append(entry.diff(s.v_pos[operand - 1]))
+        elif kind == HORIZONTAL:
             parts += _horizontal_terms(s, operand, entry)
+        else:
+            parts += _flow_terms(s, entry)
     return lincomb(s.ctx, parts)
 
 
-def _cells(s: Sode, g: TensorField, minus_g, table) -> list:
-    return [Cell(_label(family, *indices), _evaluated(s, g, minus_g, terms))
-            for family, indices, terms in table]
+def _report(suite: str, s: Sode, g: TensorField, D: Optional[Expr] = None,
+            omega: Optional[TensorField] = None, extra=None) -> ConditionReport:
+    """The report of ``suite``'s terms on the candidate ``g``, followed
+    by the cells ``extra(s, g)`` when that is given."""
+    _require_multiplier(s, g)
+    minus = {}
+    cells = tuple(Cell(_label(family, *indices),
+                       _evaluated(s, g.entries, minus, terms))
+                  for family, indices, terms in suite_terms(s, suite, D, omega))
+    return ConditionReport(suite, cells + (extra(s, g) if extra else ()),
+                           multiplier=g)
 
 
 # --------------------------------------------------------------------------
@@ -361,10 +424,7 @@ def check_classical(s: Sode, g: TensorField) -> ConditionReport:
     """Multiplier conditions for a plain variational representation:
     velocity symmetry, covariant constancy along the flow, and symmetry
     of the force endomorphism lowered with the candidate."""
-    _require_multiplier(s, g)
-    cells = (_hd1_cells(s, g) + _nabla_cells(s, g)
-             + _skew_cells("PhiSym", s.ctx, _lowered_jacobi(s, g).entry))
-    return ConditionReport("classical", tuple(cells), multiplier=g)
+    return _report("classical", s, g)
 
 
 def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
@@ -372,14 +432,7 @@ def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
     velocity symmetry, the flow derivative of the candidate matching
     the velocity Hessian of ``D``, and the lowered force endomorphism
     being symmetric up to horizontal derivatives of ``D``."""
-    _require_multiplier(s, g)
-    _require_function(s, D)
-    dD = [D.diff(at) for at in s.v_pos]  # the velocity gradient of D
-    cells = (_hd1_cells(s, g) + _nabla_cells(s, g, "HD2", dD)
-             + _skew_cells("HD3", s.ctx, _lowered_jacobi(s, g).entry,
-                           lambda i, j: _horizontal_terms(s, i, -dD[j - 1])
-                           + _horizontal_terms(s, j, dD[i - 1])))
-    return ConditionReport("dissipative", tuple(cells), multiplier=g)
+    return _report("dissipative", s, g, D=D)
 
 
 def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionReport:
@@ -387,74 +440,51 @@ def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionRe
     basic two-form: velocity symmetry, covariant constancy, and the
     lowered force endomorphism being symmetric up to the contraction of
     the exterior derivative of the two-form with the velocity."""
-    _require_multiplier(s, g)
-    _require_two_form(s, omega)
-    d_omega = d_basic(s.ctx, omega.entries, 2)  # reads i < j only
-    cells = (_hd1_cells(s, g) + _nabla_cells(s, g, "Hg2")
-             + _skew_cells("Hg3", s.ctx, _lowered_jacobi(s, g).entry,
-                           lambda i, j: [-_velocity_contraction(
-                               s.ctx, d_omega, i, j)]))
-    return ConditionReport("gyroscopic", tuple(cells), multiplier=g)
+    return _report("gyroscopic", s, g, omega=omega)
 
 
 def check_multiplier_dissipative(s: Sode, g: TensorField) -> ConditionReport:
     """Existence conditions for some dissipation function, in terms of
     the candidate alone: velocity symmetry, symmetry of the horizontal
     covariant differential, and vanishing of the curvature cycle."""
-    _require_multiplier(s, g)
-    minus_g = TensorField(s.ctx, (0, 2), {
-        idx: -value for idx, value in g.entries.items()})
-    cells = _cells(s, g, minus_g, multiplier_terms(s))
-    return ConditionReport("thm3", tuple(cells), multiplier=g)
+    return _report("thm3", s, g)
 
 
-def check_multiplier_gyroscopic(s: Sode, g: TensorField,
-                                cycles: Optional[dict] = None
-                                ) -> ConditionReport:
+def check_multiplier_gyroscopic(s: Sode, g: TensorField) -> ConditionReport:
     """Existence conditions for some gyroscopic two-form, in terms of
     the candidate alone: velocity symmetry, covariant constancy, and
     the lowered force endomorphism matching the velocity contraction of
     the curvature cycle. Additionally flags entries of the candidate or
     of the lowered force endomorphism whose denominator vanishes
-    identically at zero velocity (those would not restrict smoothly).
-    A caller that needs the curvature cycles as well builds them with
-    ``_curvature_cycles(s, g)`` and passes them as ``cycles``."""
-    _require_multiplier(s, g)
-    g_phi = _lowered_jacobi(s, g)
-    if cycles is None:
-        cycles = _curvature_cycles(s, g)
-    # sum_i cycle_ikl v^i = sum_i cycle_kli v^i: the cycle is cyclic
-    cells = (_hd1_cells(s, g) + _nabla_cells(s, g)
-             + _skew_cells("PhiR", s.ctx, lambda k, l: g_phi.entry(l, k),
-                           lambda k, l: [-_velocity_contraction(
-                               s.ctx, cycles, k, l)])
-             + _smooth_at_rest_cells(s, g, g_phi))
-    return ConditionReport("thm4", tuple(cells), multiplier=g)
+    identically at zero velocity (those would not restrict smoothly)."""
+    return _report("thm4", s, g, extra=_smooth_at_rest_cells)
 
 
-def _smooth_at_rest_cells(s: Sode, g: TensorField, g_phi: TensorField):
+def _smooth_at_rest_cells(s: Sode, g: TensorField) -> tuple:
     """Indicator cells (one when bad, zero when fine) for denominators
-    of ``g`` and ``g Phi`` vanishing identically at zero velocity."""
-    ctx = s.ctx
-    rest = {ctx.v(k): ctx.zero for k in range(1, s.n + 1)}
-    cells = []
-    for name, matrix in (("g", g), ("PhiG", g_phi)):
-        for i in range(1, s.n + 1):
-            for j in range(i, s.n + 1):
-                den = matrix.entry(i, j).denominator_expr()
-                bad = den.subst(rest).is_zero()
-                cells.append(Cell(_label(f"{SMOOTH_AT_REST}.{name}", i, j),
-                                  ctx.one if bad else ctx.zero))
-    return cells
+    of ``g`` and of the lowered force endomorphism ``(g Phi)_ij = sum_k
+    g_ik Phi^k_j`` vanishing identically at zero velocity, on ``i <=
+    j``."""
+    ctx, indices, jac = s.ctx, range(1, s.n + 1), jacobi(s).entries
+    rest = {ctx.v(k): ctx.zero for k in indices}
+
+    def lowered(i, j):
+        return lincomb(ctx, [(g.entry(i, k), jac[k, j]) for k in indices
+                             if (k, j) in jac])
+
+    return tuple(
+        Cell(_label(f"SmoothV0.{name}", i, j),
+             ctx.one if entry(i, j).denominator_expr().subst(rest).is_zero()
+             else ctx.zero)
+        for name, entry in (("g", g.entry), ("PhiG", lowered))
+        for i in indices for j in range(i, s.n + 1))
 
 
 def check_prop2a(s: Sode, g: TensorField) -> ConditionReport:
     """The reduced pair of multiplier conditions: velocity symmetry and
     covariant constancy along the flow, with the force-endomorphism
     condition deliberately left out."""
-    _require_multiplier(s, g)
-    cells = _hd1_cells(s, g) + _nabla_cells(s, g)
-    return ConditionReport("prop2a", tuple(cells), multiplier=g)
+    return _report("prop2a", s, g)
 
 
 def check_rayleigh(s: Sode, g: TensorField) -> ConditionReport:
@@ -478,26 +508,31 @@ def check_rayleigh(s: Sode, g: TensorField) -> ConditionReport:
 
 class Suite(NamedTuple):
     """One explicit suite: the name of its checker in this module, the
-    candidate data it takes after ``g``, whether the ansatz search
-    supports it, and the reconstruction route that integrates its
-    multiplier, if there is one."""
+    candidate data it takes after ``g``, the reconstruction route that
+    integrates its multiplier, if there is one, and the families of its
+    cells as terms linear in the candidate (``suite_terms``), in report
+    order: the ansatz search supports exactly the suites that have
+    them."""
 
     checker: str
     takes: Tuple[str, ...] = ()
-    searchable: bool = True
     route: Optional[str] = None
+    families: Tuple[str, ...] = ()
 
 
-#: the label prefix of the smooth-at-rest cells, which the assembly skips
-SMOOTH_AT_REST = "SmoothV0"
 SUITES = {
-    "classical": Suite("check_classical"),
-    "dissipative": Suite("check_dissipative", ("D",), route="dissipative"),
-    "gyroscopic": Suite("check_gyroscopic", ("omega",), route="gyroscopic"),
-    "thm3": Suite("check_multiplier_dissipative", route="dissipative"),
-    "thm4": Suite("check_multiplier_gyroscopic", route="gyroscopic"),
-    "prop2a": Suite("check_prop2a"),
-    "rayleigh": Suite("check_rayleigh", searchable=False),
+    "classical": Suite("check_classical",
+                       families=("HD1", "NablaG", "PhiSym")),
+    "dissipative": Suite("check_dissipative", ("D",), "dissipative",
+                         ("HD1", "HD2", "HD3")),
+    "gyroscopic": Suite("check_gyroscopic", ("omega",), "gyroscopic",
+                        ("HD1", "Hg2", "Hg3")),
+    "thm3": Suite("check_multiplier_dissipative", (), "dissipative",
+                  ("HD1", "DHSym", "RCycle")),
+    "thm4": Suite("check_multiplier_gyroscopic", (), "gyroscopic",
+                  ("HD1", "NablaG", "PhiR")),
+    "prop2a": Suite("check_prop2a", families=("HD1", "NablaG")),
+    "rayleigh": Suite("check_rayleigh"),
 }
 
 
@@ -647,7 +682,8 @@ def _reduced_route_cells(sys: ImplicitSystem):
              for i in indices for j in indices}
     tail = {i: sys.f[i - 1].subst(rest) for i in indices}
 
-    cells = _skew_cells("XGSym", ctx, lambda i, j: block[i, j])
+    cells = [Cell(_label("XGSym", i, j), block[i, j] - block[j, i])
+             for i, j in combinations(indices, 2)]
     for i in indices:
         residual = lincomb(ctx, [sys.f[i - 1], -tail[i]] + [
             (-block[i, j], ctx.var(ctx.jet(j, 2))) for j in indices])

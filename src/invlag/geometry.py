@@ -133,9 +133,6 @@ class TensorField:
         body = ", ".join(f"{idx}: {value}" for idx, value in sorted(self.entries.items()))
         return f"TensorField(shape={self.shape}, {{{body}}})"
 
-    def all_indices(self):
-        return product(range(1, self.n + 1), repeat=self.rank)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -369,12 +366,17 @@ def gamma_apply(s: Sode, F: Expr, extra: Sequence = ()) -> Expr:
     plus the ``lincomb`` terms ``extra`` in the same pass."""
     if F.ctx != s.ctx:
         raise DimensionMismatchError("function from another context")
-    terms = list(extra)
+    return lincomb(s.ctx, [*extra, *_flow_terms(s, F)])
+
+
+def _flow_terms(s: Sode, F: Expr) -> list:
+    """The terms of ``gamma_apply(s, F)``, for a longer ``lincomb``."""
+    terms = []
     for k, velocity in enumerate(s.velocities):
         terms.append((velocity, F.diff(s.q_pos[k])))
         if s.f[k].num.coeffs:
             terms.append((s.f[k], F.diff(s.v_pos[k])))
-    return lincomb(s.ctx, terms)
+    return terms
 
 
 def horizontal_apply(s: Sode, i: int, F: Expr) -> Expr:

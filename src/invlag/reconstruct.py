@@ -25,8 +25,8 @@ from .geometry import (DimensionMismatchError, GeometryError,
                        InternalInconsistencyError, Sode, TensorField,
                        d_basic, gamma_apply, matrix_solve, nabla_tensor02)
 from .conditions import (ConditionReport, Cell, check_multiplier_dissipative,
-                         check_multiplier_gyroscopic, _curvature_cycles,
-                         _Frozen, _require_multiplier, _require_two_form)
+                         check_multiplier_gyroscopic, _evaluated, _family,
+                         _Frozen, _require_two_form)
 
 
 class ReconstructError(Exception):
@@ -370,12 +370,9 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
     basic and closed) — both verified symbolically. The velocity-free
     remainder must be exact and becomes a gauge potential.
     """
-    _require_multiplier(s, g)  # before the cycles read g
-    cycles = _curvature_cycles(s, g)
-
     def build():
         ctx = s.ctx
-        rho = {idx: -cycle for idx, cycle in cycles.items()}
+        rho = {idx: -cycle for idx, cycle in _curvature_cycles(s, g).items()}
         _require_basic(s, rho, "curvature form")
         if any(not value.is_zero() for value in d_basic(ctx, rho, 3).values()):
             raise NotClosedError("curvature form is not closed")
@@ -391,8 +388,15 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
                          1, "velocity-free residual part")[()]
         return L0 + phi, omega, GaugeRecord((ctx.zero,) * s.n, phi, ())
 
-    return _certify(s, g, "gyroscopic",
-                    check_multiplier_gyroscopic(s, g, cycles), build)
+    return _certify(s, g, "gyroscopic", check_multiplier_gyroscopic(s, g),
+                    build)
+
+
+def _curvature_cycles(s: Sode, g: TensorField) -> dict:
+    """The curvature cycle ``RCycle`` of the ``thm3`` terms on every
+    ascending triple, which determine it: it is totally antisymmetric."""
+    return {indices: _evaluated(s, g.entries, {}, terms)
+            for _family_name, indices, terms in _family(s, "RCycle")}
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,8 @@ rational combination of user-chosen basis functions turns "does a
 multiplier of this shape exist?" into an exact linear-algebra question.
 Assembly emits one sparse integer row per monomial, in everything that
 is not an unknown, of each condition cell's numerator, labelled with
-its cell: for ``thm3`` straight from the system's base-ring weight
-tables (``weights.ansatz_rows``), for the other suites from the suite
-run in a ring that holds the unknowns. Solving is exact reduction of
+its cell, for every suite straight from the system's base-ring weight
+tables (``weights.ansatz_rows``). Solving is exact reduction of
 those rows to reduced row echelon form in integers, which reduces each
 row by all its pivot rows in one combination and, once few columns are
 free, skips the rows a kernel test shows to lie in the row space
@@ -30,11 +29,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, check_generators, convert, lincomb
 from .geometry import InternalInconsistencyError, Sode, TensorField
-from .conditions import (SMOOTH_AT_REST, SUITES as SUITE_TABLE,
-                         ConditionReport, check_suite, multiplier_terms)
+from .conditions import (SUITES as SUITE_TABLE, ConditionReport,
+                         _require_velocity_free, check_suite, suite_terms)
 from .weights import ansatz_rows
 
-SUITES = tuple(name for name, suite in SUITE_TABLE.items() if suite.searchable)
+SUITES = tuple(name for name, suite in SUITE_TABLE.items() if suite.families)
 
 
 class SolverError(Exception):
@@ -42,8 +41,8 @@ class SolverError(Exception):
 
 
 class NonlinearCouplingError(SolverError):
-    """A condition residual is not linear in the unknowns (defensive:
-    the supported suites never trigger this)."""
+    """A condition residual is not linear in the unknowns (assembly reads
+    terms linear in them, so only rows read from residuals raise this)."""
 
 
 _Basis = Tuple[Tuple[Tuple[int, int], Tuple[Expr, ...]], ...]
@@ -109,15 +108,13 @@ class LinearSystem(NamedTuple):
     below ``len(unknowns)`` hold the coefficients of the unknowns and
     column ``len(unknowns)`` the right-hand side, so a row reads
     ``sum(row[k] * c[k]) = row[len(unknowns)]``. ``labels`` names the
-    cell of each row; ``residuals`` are the cells of the extended-ring
-    assembly, over the unknowns of ``context``."""
+    cell of each row; ``context`` is the system's."""
 
     unknowns: Tuple[str, ...]
     rows: Tuple[Dict[int, int], ...]
-    residuals: Tuple[Tuple[str, Expr], ...]
     context: ExprContext
     problem: AnsatzProblem
-    labels: Tuple[str, ...] = ()
+    labels: Tuple[str, ...]
 
 
 class SolutionSpace(NamedTuple):
@@ -239,82 +236,21 @@ def _unknown_names(ctx: ExprContext, count: int) -> Tuple[str, ...]:
 def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     """Expand the suite's condition cells over the ansatz into an exact
     linear system, one sparse integer row per monomial in everything
-    that is not an unknown. For ``thm3`` the rows come from the
-    system's own weight tables (``weights.ansatz_rows``); any other
-    suite runs on ``s.extended(...)``, whose ring holds the unknowns and
-    which reads the geometry of ``s`` instead of building it again."""
+    that is not an unknown, from the system's own weight tables
+    (``weights.ansatz_rows`` over ``conditions.suite_terms``). A fixed
+    ``D`` or two-form goes to the right-hand side; a two-form basis
+    function that depends on velocities is refused, as the suite does."""
     names = _unknown_names(s.ctx, len(p.layout))
-    if p.suite != "thm3":
-        return _extended(s, p, names)
     check_generators(len(s.ctx.all_varids()) + len(names))
-    rows, labels = ansatz_rows(s, p.g_basis, multiplier_terms(s))
-    return LinearSystem(names, tuple(rows), (), s.ctx, p, tuple(labels))
-
-
-def _extended(s: Sode, p: AnsatzProblem, names) -> LinearSystem:
-    """``assemble`` by running the suite on ``s.extended(...)``, in a
-    context whose parameters end with the unknowns ``names``."""
-    ectx = s.ctx.with_parameters(names)
-    s_e = s.extended(ectx)
-    g, omega = _ansatz_tensors(p, ectx, [ectx.var(ectx.param(name))
-                                         for name in names])
-    if omega is None and p.omega is not None:
-        w_entries = {idx: convert(p.omega.entry(*idx), ectx)
-                     for idx in p.omega.all_indices()}
-        omega = TensorField(ectx, (0, 2), w_entries, antisym=((1, 2),))
-    D = convert(p.D, ectx) if p.D is not None else None
-    report = check_suite(p.suite, s_e, g, D=D, omega=omega)
-
-    residuals = tuple((cell.label, cell.residual) for cell in report.cells
-                      if not (cell.label.startswith(SMOOTH_AT_REST)
-                              or cell.residual.is_zero()))
-    labelled = _labelled(residuals, ectx, names)
-    return LinearSystem(names, tuple(row for _label, row in labelled),
-                        residuals, ectx, p,
-                        tuple(label for label, _row in labelled))
-
-
-def _labelled(residuals, ectx: ExprContext, names) -> list:
-    """``(label, row)`` for each row of the residuals, over the unknowns
-    ``names`` of ``ectx``: a residual's numerator coefficients grouped
-    by the monomial in everything else, the unknown-free part negated
-    into the right-hand-side column. The coefficients share one
-    positive denominator, which leaves every row's direction as it
-    is."""
-    labelled, layout = [], residuals and _packed_layout(ectx, names)
-    for label, residual in residuals:
-        positions, cut, low, columns = layout
-        if any(not factor.gens.isdisjoint(positions)
-               for factor, _exponent in residual.den_factors):
-            raise NonlinearCouplingError(
-                f"unknowns in a denominator at cell {label}")
-        groups: Dict[int, Dict[int, int]] = {}
-        for monom, coeff in residual.num.coeffs.items():
-            unknowns = monom & low
-            if not unknowns:
-                column, coeff = len(columns), -coeff
-            else:
-                column = columns.get(unknowns)
-                if column is None:
-                    raise NonlinearCouplingError(
-                        f"nonlinear unknown coupling at cell {label}")
-            groups.setdefault(monom >> cut, {})[column] = coeff
-        labelled += [(label, row) for row in groups.values()]
-    return labelled
-
-
-def _packed_layout(ectx: ExprContext, names: Sequence[str]):
-    """``(positions, cut, low, columns)`` of the unknowns ``names``, the
-    last generators (``with_parameters`` appends them): ``key >> cut`` is
-    the rest of a packed monomial, ``key & low`` its unknown part."""
-    total = len(ectx.all_varids())
-    positions = range(total - len(names), total)
-    assert ectx.parameters[len(ectx.parameters) - len(names):] == \
-        tuple(names), "the unknowns must be the last generators"
-    shifts = ectx._ring.shifts
-    cut = shifts[positions.start - 1]
-    columns = {1 << shifts[at]: column for column, at in enumerate(positions)}
-    return positions, cut, (1 << cut) - 1, columns
+    for pair, basis in sorted(p.omega_basis):  # the pairs are distinct
+        for function in basis:
+            _require_velocity_free(s, pair, function)
+    takes = SUITE_TABLE[p.suite].takes
+    table = suite_terms(s, p.suite, D=p.D if "D" in takes else None,
+                        omega=p.omega if "omega" in takes
+                        and not p.omega_basis else None)
+    rows, labels = ansatz_rows(s, p, table)
+    return LinearSystem(names, tuple(rows), s.ctx, p, tuple(labels))
 
 
 def _ansatz_tensors(problem: AnsatzProblem, ctx: ExprContext,
@@ -444,11 +380,12 @@ def solve(system: LinearSystem) -> SolutionSpace:
     right-hand-side column is a pivot. Nullspace vectors are
     primitive-integer normalized, one per free unknown in declaration
     order. The particular solution and its shift by every basis vector
-    are re-verified against the residuals in one integer pass over their
-    packed numerators (``_reverify``). Assembly keeps unknowns out of the
-    denominators, so the numerators decide, as substitution would. Over
-    the lcm ``L`` of a point's denominators the unknown-free part of a
-    monomial is worth ``L`` and unknown ``k`` ``L*c_k``, all integers."""
+    are re-verified against the rows in one integer pass over their
+    packed values (``_reverify``). The rows are the cells' numerators
+    and unknowns stay out of the denominators, so the rows decide, as
+    substitution would. Over the lcm ``L`` of a point's denominators the
+    right-hand side is worth ``L`` and unknown ``k`` ``L*c_k``, all
+    integers."""
     count = len(system.unknowns)
     pivots, pivot_rows = _rref(system.rows)
 
@@ -492,8 +429,7 @@ def _primitive(vector: List[Fraction]) -> List[Fraction]:
 
 def _reverify(system: LinearSystem, space: SolutionSpace):
     """Insist the rows hold at every point ``solve`` names, and name the
-    cell of the first failing row at the first failing point; a system
-    without labels is checked on its residuals' rows (``_labelled``).
+    cell of the first failing row at the first failing point.
 
     Over the lcm ``L`` of its denominators each point is integral, and
     the values of one column at the ``d + 1`` points, ``L*c_k`` or
@@ -506,8 +442,7 @@ def _reverify(system: LinearSystem, space: SolutionSpace):
     ``B``, so a nonzero field is not divisible by ``2**width``: a sum is
     zero exactly when every field is, and the lowest set bit of a
     nonzero sum lies in its first nonzero field."""
-    labelled = list(zip(system.labels, system.rows)) or _labelled(
-        system.residuals, system.context, system.unknowns)
+    labelled = list(zip(system.labels, system.rows))
     points = [space.particular] + [tuple(map(add, space.particular, shift))
                                    for shift in space.nullspace]
     scales = [lcm(*(value.denominator for value in p)) for p in points]

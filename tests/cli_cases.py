@@ -120,6 +120,9 @@ REFUSALS = dict([
     _refusal("verify-two-form", ["verify", "--suite", "gyroscopic"],
              dict(_DRAG, omega=_VELOCITY_OMEGA),
              "{path}: two-form entry (1, 2) depends on velocities"),
+    _refusal("solve-two-form", ["solve"], _drag_ansatz(
+        suite="gyroscopic", omega={"entries": {"1,2": ["1", "q1", "v1"]}}),
+        "{path}: two-form entry (1, 2) depends on velocities"),
     _refusal("out", ["reconstruct", "--out", "{tmp}/missing/c.json"], _DRAG,
              "{tmp}/missing/c.json: No such file or directory"),
 ])

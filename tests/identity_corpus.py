@@ -36,6 +36,12 @@ worktree`` of the parent commit and the working tree. The corpus is:
   solution, and of a copy of ``tests/problems/lin5.json``, the lin
   n = 5 search of ``tests/shapes.py``, whose elimination reads 27,947
   rows in 90 unknowns;
+* ``solve`` of each ``EXPLICIT`` ansatz: ``thm3`` with
+  velocity-dependent, rational and parametric basis functions, and one
+  for each other searchable suite (two-form unknowns with a rational
+  basis function, a velocity-dependent ``thm4`` basis, a parametric
+  ``D``), those on a fixture with parameters also under
+  ``INSTANTIATE_EXPLICIT``;
 * each refusal of an unknown key that the command line had before it
   refused stray ansatz keys (a top-level field, an option, an ansatz
   key, a preset key), on copies of ``planar_drag``;
@@ -91,17 +97,34 @@ POWERS = ("(1/2*q1 - 3*v2 + 2/3)^7", "(q1*v1 - 1/3*q2 + a)^9",
           "(v1 + 2*b)^(-3)", "(q1 - 2/5*v1)^12*(omega + 1/7)",
           "(2/3*q1^2 - q2*v1 + omega)^6/(q1 - 1)^2",
           "(a*q1 + b*v2 - 1)^5*(q2 + v1)^-2")
-# thm3 ansatze with explicit bases that the generated problems never
-# use: velocity-dependent, rational and parametric basis functions
+# ansatze that the generated problems never use, as (fixture, fields
+# set in its problem, ansatz section): thm3 with velocity-dependent,
+# rational and parametric basis functions, and one for each other
+# searchable suite
 EXPLICIT = {
-    "velocity": ("coupled3", {"1,1": ["1", "v1", "q2*v3"],
-                              "2,2": ["1", "v2"], "1,3": ["v2"],
-                              "3,3": ["q2", "q2*v1", "1"]}),
-    "rational": ("coupled3", {"1,1": ["1", "1/q2"], "2,2": ["1", "q1/q2"],
-                              "2,3": ["1/q2"], "3,3": ["q2", "1/q2", "q1"]}),
-    "parametric": ("chain4", {"1,1": ["1", "q1 + b"], "1,2": ["v1 - b*q2"],
-                              "2,2": ["1", "1 + b*q2"], "3,3": ["1"],
-                              "4,4": ["1", "q2 - b*q1"]}),
+    "velocity": ("coupled3", {}, {"suite": "thm3", "g": {"entries": {
+        "1,1": ["1", "v1", "q2*v3"], "2,2": ["1", "v2"], "1,3": ["v2"],
+        "3,3": ["q2", "q2*v1", "1"]}}}),
+    "rational": ("coupled3", {}, {"suite": "thm3", "g": {"entries": {
+        "1,1": ["1", "1/q2"], "2,2": ["1", "q1/q2"], "2,3": ["1/q2"],
+        "3,3": ["q2", "1/q2", "q1"]}}}),
+    "parametric": ("chain4", {}, {"suite": "thm3", "g": {"entries": {
+        "1,1": ["1", "q1 + b"], "1,2": ["v1 - b*q2"],
+        "2,2": ["1", "1 + b*q2"], "3,3": ["1"],
+        "4,4": ["1", "q2 - b*q1"]}}}),
+    "classical": ("coupled3", {}, {"suite": "classical", "g": {
+        "preset": "polynomial", "degree": 1}}),
+    "prop2a": ("planar_drag", {}, {"suite": "prop2a", "g": {"entries": {
+        "1,1": ["1", "q2"], "1,2": ["1", "v1"], "2,2": ["1"]}}}),
+    "gyroscopic": ("planar_drag", {}, {
+        "suite": "gyroscopic", "g": {"preset": "constant"},
+        "omega": {"entries": {"1,2": ["1", "q1/(q2^2 + 1)", "q1"]}}}),
+    "thm4": ("planar_drag", {}, {"suite": "thm4", "g": {"entries": {
+        "1,1": ["1", "v1"], "1,2": ["1", "v2"], "2,2": ["1", "q1*v2"]}}}),
+    "dissipative": ("planar_drag", {
+        "D": "-a*(q1*v1 + q2*v2) + b*(q1*v2 - q2*v1) + 1/2*omega*(v2^2 - "
+             "v1^2)"}, {"suite": "dissipative", "g": {
+                 "preset": "diagonal", "degree": 1}}),
 }
 INSTANTIATE_EXPLICIT = ("b=2/3", "b=0")
 IMPLICIT = {
@@ -180,8 +203,8 @@ def _wide_calls(workdir: str):
     """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem,
     ``solve`` of the 50-unknown search problems and of lin n = 5,
     copied into the work directory so that both trees read the same
-    files, and ``solve`` of each ``EXPLICIT`` ansatz, the parametric
-    one also under ``INSTANTIATE_EXPLICIT``."""
+    files, and ``solve`` of each ``EXPLICIT`` ansatz, those over a
+    fixture with parameters also under ``INSTANTIATE_EXPLICIT``."""
     paths = {}
     for name in ("dense4", "search_n4_thm3", "fixed_drag_n4", "lin5"):
         paths[name] = os.path.join(workdir, f"{name}.json")
@@ -192,11 +215,10 @@ def _wide_calls(workdir: str):
              ("wide", ["solve", paths["search_n4_thm3"]]),
              ("wide", ["solve", paths["fixed_drag_n4"]]),
              ("wide", ["solve", paths["lin5"]])]
-    for name, (fixture, entries) in EXPLICIT.items():
+    for name, (fixture, fields, ansatz) in EXPLICIT.items():
         problem = json.loads((REPO / "src" / "invlag" / "fixtures" /
                               f"{fixture}.json").read_text(encoding="utf-8"))
-        problem["ansatz"] = {"suite": "thm3", "g": {"entries": entries},
-                             "bound": 1}
+        problem.update(fields, ansatz=dict(ansatz, bound=1))
         path = os.path.join(workdir, f"explicit-{name}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(problem, handle)

@@ -15,13 +15,20 @@ one pass:
   row at a time (``eliminate``), where ``solver._rref`` reduces a row
   by all its pivot rows in one combination and skips the rows a kernel
   test shows to lie in the row space;
-* ``reverify``: the solution re-check summing each monomial at each
-  point separately, where ``solver._reverify`` packs the points into
-  one integer;
-* ``multiplier_dissipative_cells``: the ``thm3`` cells written out
-  formula by formula, where ``conditions.check_multiplier_dissipative``
-  evaluates the term table ``conditions.multiplier_terms`` that the
-  ansatz search also reads.
+* ``reverify``: the solution re-check summing each monomial of each
+  residual at each point separately, where ``solver._reverify`` packs
+  the points into one integer and reads the rows;
+* ``extended_system``: the rows of an ansatz read off its suite's cells
+  (``suite_cells``) on ``Sode.extended`` in a ring whose last
+  generators are the unknowns, each residual's numerator grouped by the
+  monomial in everything else (``labelled``), where ``solver.assemble``
+  sums them from the term tables ``conditions.suite_terms``
+  (``weights.ansatz_rows``) and never builds that ring;
+* ``multiplier_dissipative_cells`` and ``suite_cells``: the cells of
+  every searchable suite written out formula by formula from whole
+  tensors (``nabla g``, ``g Phi``, ``d omega``, the curvature cycles),
+  where every checker evaluates the terms of
+  ``conditions.suite_terms``.
 
 They check their input in the same order and raise the same errors with
 the same messages, so a test can compare outcomes, errors included.
@@ -31,14 +38,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-from invlag.exprcore import NotPolynomialError, ZeroDenominatorError, lincomb
+from invlag import solver
+from invlag.exprcore import (Expr, ExprContext, NotPolynomialError,
+                             ZeroDenominatorError, convert, lincomb)
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, TensorField,
-                             curvature, horizontal_apply, matrix_det,
-                             theta_tensor)
+                             curvature, d_basic, horizontal_apply, jacobi,
+                             matrix_det, nabla_tensor02, theta_tensor)
 from invlag.reconstruct import BasePointError
-from invlag.solver import NonlinearCouplingError, _packed_layout
+from invlag.solver import LinearSystem, NonlinearCouplingError
 
 
 def cramer_solve(tensor, rhs):
@@ -155,11 +165,96 @@ def rref(rows):
                     for c, value in pivots[col].items()} for col in order]
 
 
-def reverify(system, space):
+class ResidualSystem(NamedTuple):
+    """The cells of a suite over an ansatz as residuals in ``context``,
+    whose last generators are the ``unknowns``."""
+
+    unknowns: Tuple[str, ...]
+    residuals: Tuple[Tuple[str, Expr], ...]
+    context: ExprContext
+    problem: solver.AnsatzProblem
+
+
+def extended_residuals(s, problem) -> ResidualSystem:
+    """The nonzero cells of ``problem``'s suite, less the smooth-at-rest
+    indicators, written out formula by formula (``suite_cells``) on
+    ``s.extended(...)`` with the ansatz's unknowns as parameters; a
+    fixed ``D`` or two-form is converted to that ring, and a missing one
+    is zero."""
+    names = solver._unknown_names(s.ctx, len(problem.layout))
+    ectx = s.ctx.with_parameters(names)
+    s_e = s.extended(ectx)
+    g, omega = solver._ansatz_tensors(problem, ectx, [
+        ectx.var(ectx.param(name)) for name in names])
+    if omega is None and problem.omega is not None:
+        omega = TensorField(ectx, (0, 2), {
+            idx: convert(problem.omega.entry(*idx), ectx)
+            for idx in problem.omega.entries}, antisym=((1, 2),))
+    D = convert(problem.D, ectx) if problem.D is not None else ectx.zero
+    if omega is None:
+        omega = TensorField(ectx, (0, 2), {}, antisym=((1, 2),))
+    return ResidualSystem(names, tuple(
+        (label, residual) for label, residual in suite_cells(
+            problem.suite, s_e, g, D=D, omega=omega)
+        if not (label.startswith("SmoothV0") or residual.is_zero())),
+        ectx, problem)
+
+
+def packed_layout(ectx: ExprContext, names: Sequence[str]):
+    """``(positions, cut, low, columns)`` of the unknowns ``names``, the
+    last generators (``with_parameters`` appends them): ``key >> cut`` is
+    the rest of a packed monomial, ``key & low`` its unknown part."""
+    total = len(ectx.all_varids())
+    positions = range(total - len(names), total)
+    assert ectx.parameters[len(ectx.parameters) - len(names):] == \
+        tuple(names), "the unknowns must be the last generators"
+    shifts = ectx._ring.shifts
+    cut = shifts[positions.start - 1]
+    columns = {1 << shifts[at]: column for column, at in enumerate(positions)}
+    return positions, cut, (1 << cut) - 1, columns
+
+
+def labelled(system: ResidualSystem) -> LinearSystem:
+    """The rows of the residuals, each labelled with its cell: a
+    residual's numerator coefficients grouped by the monomial in
+    everything else, the unknown-free part negated into the right-hand
+    side column. A residual with an unknown in a denominator factor,
+    or not linear in the unknowns, is refused."""
+    rows, labels = [], []
+    positions, cut, low, columns = packed_layout(system.context,
+                                                 system.unknowns)
+    for label, residual in system.residuals:
+        if any(not factor.gens.isdisjoint(positions)
+               for factor, _exponent in residual.den_factors):
+            raise NonlinearCouplingError(
+                f"unknowns in a denominator at cell {label}")
+        groups = {}
+        for monom, coeff in residual.num.coeffs.items():
+            unknowns = monom & low
+            if not unknowns:
+                column, coeff = len(columns), -coeff
+            else:
+                column = columns.get(unknowns)
+                if column is None:
+                    raise NonlinearCouplingError(
+                        f"nonlinear unknown coupling at cell {label}")
+            groups.setdefault(monom >> cut, {})[column] = coeff
+        rows += groups.values()
+        labels += [label] * len(groups)
+    return LinearSystem(system.unknowns, tuple(rows), system.context,
+                        system.problem, tuple(labels))
+
+
+def extended_system(s, problem) -> LinearSystem:
+    """The rows of ``problem`` read off the suite's extended-ring run."""
+    return labelled(extended_residuals(s, problem))
+
+
+def reverify(system: ResidualSystem, space):
     """Raise ``InternalInconsistencyError`` naming the first failing
     cell at the first failing point of ``space``, summing every
     monomial of every residual at every point."""
-    _, cut, low, columns = _packed_layout(system.context, system.unknowns)
+    _, cut, low, columns = packed_layout(system.context, system.unknowns)
     points = [space.particular] + [tuple(map(add, space.particular, shift))
                                    for shift in space.nullspace]
     scales = [lcm(*(value.denominator for value in p)) for p in points]
@@ -213,6 +308,75 @@ def multiplier_dissipative_cells(s, g):
                     + g.entry(l, j) * R.entry(j, i, k) \
                     + g.entry(k, j) * R.entry(j, l, i)
             cells.append((f"RCycle[{i},{k},{l}]", total))
+    return cells
+
+
+def _velocity_contraction(ctx, form, i, j):
+    """``sum_k form_ijk v^k`` for ``i < j`` and a totally antisymmetric
+    three-form stored on ascending index tuples."""
+    return lincomb(ctx, [(form[tuple(sorted((i, j, k)))], -ctx.var(ctx.v(k))
+                          if i < k < j else ctx.var(ctx.v(k)))
+                         for k in range(1, ctx.n + 1) if k not in (i, j)])
+
+
+def suite_cells(suite, s, g, D: Optional[Expr] = None,
+                omega: Optional[TensorField] = None):
+    """``(label, residual)`` of every cell of an explicit searchable
+    suite, in report order, as its checker built them from whole
+    tensors: ``HD1``; the flow derivative ``nabla g`` of
+    ``geometry.nabla_tensor02`` on ``i <= j`` (``NablaG``, ``Hg2``, and
+    ``HD2`` less ``D``'s velocity Hessian); the skew part of the lowered
+    Jacobi endomorphism ``g Phi`` on ``i < j`` (``PhiSym``; ``HD3`` plus
+    ``H_j D_(v_i) - H_i D_(v_j)``; ``Hg3`` less the velocity contraction
+    of ``d omega`` from ``geometry.d_basic``; ``PhiR[k,l] = (g Phi)_lk -
+    (g Phi)_kl`` less that of the curvature cycles); and for ``thm4``
+    the smooth-at-rest indicators of ``g`` and ``g Phi``."""
+    if suite == "thm3":
+        return multiplier_dissipative_cells(s, g)
+    ctx, n, indices = s.ctx, s.n, range(1, s.n + 1)
+    thm3 = multiplier_dissipative_cells(s, g)
+    cells = [cell for cell in thm3 if cell[0].startswith("HD1")]
+    cycles = dict(zip(combinations(indices, 3), (
+        residual for label, residual in thm3 if label.startswith("RCycle"))))
+    grad = nabla_tensor02(s, g)
+    family = {"dissipative": "HD2", "gyroscopic": "Hg2"}.get(suite, "NablaG")
+    dD = [D.diff(ctx.v(k)) for k in indices] if suite == "dissipative" \
+        else None
+    cells += [(f"{family}[{i},{j}]", grad.entry(i, j) if dD is None
+               else grad.entry(i, j) - dD[i - 1].diff(ctx.v(j)))
+              for i in indices for j in range(i, n + 1)]
+    if suite == "prop2a":
+        return cells
+    jac = jacobi(s)
+    g_phi = {(i, j): lincomb(ctx, [(g.entry(i, k), jac.entry(k, j))
+                                   for k in indices])
+             for i in indices for j in indices}
+    if suite == "gyroscopic":
+        d_omega = d_basic(ctx, omega.entries, 2)
+    for i, j in combinations(indices, 2):
+        skew = g_phi[i, j] - g_phi[j, i]
+        if suite == "classical":
+            cells.append((f"PhiSym[{i},{j}]", skew))
+        elif suite == "dissipative":
+            cells.append((f"HD3[{i},{j}]", skew
+                          + horizontal_apply(s, j, dD[i - 1])
+                          - horizontal_apply(s, i, dD[j - 1])))
+        elif suite == "gyroscopic":
+            cells.append((f"Hg3[{i},{j}]", skew - _velocity_contraction(
+                ctx, d_omega, i, j)))
+        else:
+            cells.append((f"PhiR[{i},{j}]", -skew - _velocity_contraction(
+                ctx, cycles, i, j)))
+    if suite == "thm4":
+        rest = {ctx.v(k): ctx.zero for k in indices}
+        for name, matrix in (("g", g.entry), ("PhiG",
+                                              lambda i, j: g_phi[i, j])):
+            for i in indices:
+                for j in range(i, n + 1):
+                    bad = matrix(i, j).denominator_expr().subst(
+                        rest).is_zero()
+                    cells.append((f"SmoothV0.{name}[{i},{j}]",
+                                  ctx.one if bad else ctx.zero))
     return cells
 
 

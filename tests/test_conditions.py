@@ -361,6 +361,40 @@ def test_thm3_cells_equal_their_formulas(seed, n, velocities):
         oracles.multiplier_dissipative_cells(s, g)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       velocities=st.booleans(), rational=st.booleans())
+@pytest.mark.parametrize("suite", ["classical", "dissipative", "gyroscopic",
+                                   "thm4", "prop2a"])
+def test_suite_cells_equal_their_formulas(suite, seed, n, velocities,
+                                          rational):
+    """Every explicit searchable suite evaluates its term table
+    (``suite_terms``, which the ansatz search reads too) to the cells its
+    checker built from whole tensors (``oracles.suite_cells``), on random
+    systems, random symmetric candidates with or without velocities, a
+    random ``D`` and a random basic two-form, rational in the positions
+    when ``rational``."""
+    rng = random.Random(seed)
+    ctx = ExprContext(n)
+    s = random_sode(ctx, rng, degree=2)
+    over = ctx.parse(f"q{n}^2 + 1") if rational else ctx.one
+    entries, two_form = {}, {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            entries[(i, j)] = entries[(j, i)] = random_poly(
+                ctx, rng, degree=2, terms=2, velocities=velocities) / over
+            if i < j:
+                value = random_poly(ctx, rng, degree=2, terms=2,
+                                    velocities=False) / over
+                two_form[(i, j)], two_form[(j, i)] = value, -value
+    g = TensorField(ctx, (0, 2), entries, sym=((1, 2),))
+    omega = TensorField(ctx, (0, 2), two_form, antisym=((1, 2),))
+    D = random_poly(ctx, rng, degree=3, terms=3) / over
+    report = conditions.check_suite(suite, s, g, D=D, omega=omega)
+    assert [(cell.label, cell.residual) for cell in report.cells] == \
+        oracles.suite_cells(suite, s, g, D=D, omega=omega)
+
+
 def test_smoothness_indicator_flags_velocity_pole():
     ctx, s = coupled_three()
     g = TensorField.from_matrix(

@@ -612,22 +612,23 @@ def test_verify_reports_nonconstant_determinant():
 
 def test_gyroscopic_reconstruction_builds_the_curvature_cycles_once(
         monkeypatch):
-    """The thm4 report and the curvature form ``rho`` share one set of
-    curvature cycles, on random n = 3 systems with gyroscopic forces."""
+    """Only the curvature form ``rho`` builds the curvature cycles, once
+    per reconstruction; the thm4 report reads the cycle's contraction
+    as weights of ``g``, on random n = 3 systems with gyroscopic
+    forces."""
     import random
 
-    from invlag import conditions, reconstruct
+    from invlag import reconstruct
     from invlag.reconstruct import forward_accelerations
 
     calls = []
-    original = conditions._curvature_cycles
+    original = reconstruct._curvature_cycles
 
     def counting(s, g):
         calls.append(s)
         return original(s, g)
 
-    for module in (conditions, reconstruct):
-        monkeypatch.setattr(module, "_curvature_cycles", counting)
+    monkeypatch.setattr(reconstruct, "_curvature_cycles", counting)
     rng = random.Random(31337)
     ctx = ExprContext(3)
     for _ in range(3):

@@ -22,8 +22,7 @@ from invlag.solver import (AnsatzProblem, LinearSystem,
                            constant_ansatz, diagonal_ansatz,
                            find_nonsingular, instantiate, polynomial_ansatz,
                            q_monomials, solve)
-from invlag.conditions import (Cell, ConditionReport,
-                               check_multiplier_dissipative)
+from invlag.conditions import check_multiplier_dissipative
 
 import oracles
 from clirun import run_cli
@@ -261,9 +260,10 @@ def test_joint_two_form_search():
 
 @pytest.mark.parametrize("name", ["coupled3", "chain4_gyro"])
 def test_solve_builds_each_geometric_object_once(monkeypatch, name):
-    """Assembly reads the system's geometry through an extension, so a
-    whole ``solve`` builds each object at most once, and only in the
-    fixture's own context, never in the one that declares unknowns."""
+    """Assembly reads the system's geometry through its weight tables,
+    cached on the system, so a whole ``solve`` builds each object at
+    most once, and only in the fixture's own context: no context
+    declares the unknowns."""
     builds = []
     for builder in ("_connection", "_jacobi", "_curvature", "_theta"):
         def counted(s, build=getattr(geometry, builder), builder=builder):
@@ -333,23 +333,23 @@ def test_problem_validation():
 ])
 def test_residuals_nonlinear_in_the_unknowns_are_refused(monkeypatch, text,
                                                          message):
-    """Assembly refuses a cell that is not linear in the unknowns and
-    names it; no supported suite makes one, so the suite is replaced."""
+    """The extended-ring rows oracle refuses a cell that is not linear in
+    the unknowns and names it; no supported suite makes one, so the
+    suite is replaced."""
     ctx = ExprContext(1)
     s = Sode(ctx, [ctx.zero])
     problem = AnsatzProblem("classical",
                             (((1, 1), (ctx.one, ctx.parse("q1"))),))
 
-    def report(suite, s_e, g, D=None, omega=None):
+    def cells(suite, s_e, g, D=None, omega=None):
         assert s_e.ctx.parameters == ("c0", "c1")
-        return ConditionReport(suite, (
-            Cell("HD1[1,1,1]", s_e.ctx.parse("c0 - q1*c1 + 2")),
-            Cell("DHSym[1,1]", s_e.ctx.parse(text))))
+        return [("HD1[1,1,1]", s_e.ctx.parse("c0 - q1*c1 + 2")),
+                ("DHSym[1,1]", s_e.ctx.parse(text))]
 
-    monkeypatch.setattr(solver, "check_suite", report)
+    monkeypatch.setattr(oracles, "suite_cells", cells)
     with pytest.raises(NonlinearCouplingError,
                        match=rf"^{message} at cell DHSym\[1,1\]$"):
-        assemble(s, problem)
+        oracles.extended_system(s, problem)
 
 
 def test_unknown_names_avoid_declared_parameters():
@@ -442,16 +442,10 @@ def assert_matches_sympy_rref(space, dense):
             [Fraction(int(y.p), int(y.q)) for y in ref]
 
 
-def extended_system(s, problem):
-    """The system of ``problem`` assembled on the suite's run in the
-    extended ring, the oracle of the ``thm3`` weight tables."""
-    names = solver._unknown_names(s.ctx, len(problem.layout))
-    return solver._extended(s, problem, names)
-
-
 def dense_fraction_rows(system):
-    """The augmented rows of ``system`` rebuilt from the terms of its
-    residuals' numerators, as dense Fractions: the terms grouped by the
+    """The augmented rows of the residual ``system`` rebuilt from the
+    terms of its residuals' numerators, as dense Fractions: the terms
+    grouped by the
     monomial in everything but the unknowns, the constant negated into
     the last column, all-zero rows dropped."""
     ectx = system.context
@@ -508,12 +502,12 @@ def forward_search(n, degree):
       pytest.param(fixed_linear_drag, id="linear-drag")])
 def test_assembly_matches_the_dense_fraction_reference(build):
     """The sparse integer rows solve to what sympy makes of the dense
-    Fraction matrix of the same residuals, with as many rows; the
-    residuals are the extended-ring assembly's, which ``thm3`` reads
-    from weight tables instead."""
+    Fraction matrix of the same cells, with as many rows; the cells are
+    the residuals of the suite's run in the extended ring, whose rows
+    assembly reads from weight tables instead."""
     s, problem = build()
     system = assemble(s, problem)
-    dense = dense_fraction_rows(extended_system(s, problem))
+    dense = dense_fraction_rows(oracles.extended_residuals(s, problem))
     assert len(system.rows) == len(dense)
     assert all(value and isinstance(value, int)
                for row in system.rows for value in row.values())
@@ -521,8 +515,8 @@ def test_assembly_matches_the_dense_fraction_reference(build):
 
 
 def random_system(rng, kind):
-    """A small rational system ``rows · c = rhs`` whose residuals
-    ``rows · c - rhs`` carry the unknowns as parameters, and its dense
+    """A small rational system ``rows · c = rhs``, the residual system
+    of ``rows · c - rhs`` with the unknowns as parameters, and its dense
     augmented rows. The system's sparse rows are the dense ones in
     integers, each times a nonzero multiple of its denominators' lcm.
     ``kind`` adds all-zero rows, dependent rows, or a dependent row with
@@ -567,8 +561,10 @@ def random_system(rng, kind):
         residuals.append((f"row {r}", total))
     problem = AnsatzProblem("classical",
                             (((1, 1), (ctx.one,) * count),))
-    return (LinearSystem(names, tuple(sparse), tuple(residuals), ctx,
-                         problem), dense)
+    return (LinearSystem(names, tuple(sparse), ctx, problem,
+                         tuple(f"row {r}" for r in range(len(sparse)))),
+            oracles.ResidualSystem(names, tuple(residuals), ctx, problem),
+            dense)
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,7 +572,7 @@ def random_system(rng, kind):
        kind=st.sampled_from(("random", "empty", "zero_rows",
                              "rank_deficient", "inconsistent")))
 def test_solve_matches_sympy_rref(seed, kind):
-    system, dense = random_system(random.Random(seed), kind)
+    system, _residuals, dense = random_system(random.Random(seed), kind)
     space = solve(system)
     if kind == "inconsistent":
         assert not space.consistent
@@ -602,7 +598,7 @@ def test_assembly_factors_no_denominator_again(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# thm3 rows from weight tables against the extended-ring oracle
+# rows from weight tables against the extended-ring oracle
 
 
 def primitive_rows(system):
@@ -616,13 +612,12 @@ def primitive_rows(system):
 
 
 def assert_rows_match_the_extended_oracle(s, problem):
-    """The weight-table rows of a ``thm3`` problem equal the extended
-    ring's, cell by cell, as multisets of primitive rows, and there are
-    as many of them."""
-    assert problem.suite == "thm3"
+    """The weight-table rows of ``problem`` equal the rows of its suite's
+    run in the extended ring, cell by cell, as multisets of primitive
+    rows, and there are as many of them."""
     system = assemble(s, problem)
-    oracle = extended_system(s, problem)
-    assert system.residuals == () and system.context == s.ctx
+    oracle = oracles.extended_system(s, problem)
+    assert system.context == s.ctx
     assert len(system.rows) == len(oracle.rows)
     assert primitive_rows(system) == primitive_rows(oracle)
     return system
@@ -631,14 +626,17 @@ def assert_rows_match_the_extended_oracle(s, problem):
 EXPLICIT_BASIS = ("1", "q1", "q2", "v1", "q1*v2", "v1*v2", "1/q2",
                   "q1/(q2^2 + 1)", "(1 + v2)/(2 + q1)")
 PARAMETRIC_BASIS = ("b*q1 + 1", "q2 - b", "b*v1", "1/(q1 + b)")
+# two-form basis functions depend on the positions only
+TWO_FORM_BASIS = ("1", "q1", "q2^2 - q1", "1/(q1^2 + 1)", "q2/(q1 + 3)")
+PARAMETRIC_TWO_FORM = ("b*q1", "1/(q2 + b)")
 
 
-def forward_thm3_case(rng, n, moving, parametric):
+def forward_case(rng, n, moving, parametric):
     """A system from ``forward_accelerations``: a kinetic matrix with
     diagonal ``k + 3`` and a symmetric +-1 or 0 next to it, whose first
-    entry gains ``q_n`` when ``moving`` (so theta and R are rational),
-    a polynomial potential and drift, and a random dissipation; a
-    parameter ``b`` enters ``D`` when ``parametric``."""
+    entry gains ``q_n`` when ``moving`` (so theta, Phi and R are
+    rational), a polynomial potential and drift, and a random
+    dissipation; a parameter ``b`` enters ``D`` when ``parametric``."""
     ctx = ExprContext(n, parameters=("b",) if parametric else ())
 
     def term(velocities, positions):
@@ -666,18 +664,60 @@ def forward_thm3_case(rng, n, moving, parametric):
     return ctx, Sode(ctx, forward_accelerations(L, D))
 
 
-def random_thm3_problem(rng, ctx, kind):
-    """A ``thm3`` ansatz over ``ctx``: a preset, or explicit entries on
-    random pairs whose basis functions are drawn from
-    ``EXPLICIT_BASIS`` (and ``PARAMETRIC_BASIS`` when ``ctx`` declares
-    ``b``): velocity-dependent, rational and parametric ones."""
+def random_data(rng, ctx, suite):
+    """The fixed data of a ``suite`` ansatz over ``ctx``: for
+    ``dissipative`` a random ``D``, sometimes with a denominator in the
+    positions or a term in ``b``, or none; for ``gyroscopic`` two-form
+    unknowns on random pairs, with basis functions drawn from
+    ``TWO_FORM_BASIS`` (and ``PARAMETRIC_TWO_FORM`` when ``ctx`` declares
+    ``b``), a fixed random two-form rational in the positions, or
+    neither."""
     n = ctx.n
+    if suite == "dissipative" and rng.random() < 0.8:
+        D = random_poly(ctx, rng, degree=3, terms=3)
+        if rng.random() < 0.4:
+            D = D + random_poly(ctx, rng, degree=2, terms=1) / ctx.parse(
+                f"q{n}^2 + 1")
+        if ctx.parameters and rng.random() < 0.5:
+            D = D + ctx.var(ctx.param("b")) * random_poly(ctx, rng, 2, 1)
+        return {"D": D}
+    if suite != "gyroscopic" or n < 2:
+        return {}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = sorted(rng.sample(pairs, rng.randint(1, len(pairs))))
+    kind = rng.choice(("unknowns", "unknowns", "fixed", "none"))
+    if kind == "unknowns":
+        texts = TWO_FORM_BASIS + (PARAMETRIC_TWO_FORM if ctx.parameters
+                                  else ())
+        return {"omega_basis": tuple(
+            (pair, tuple(ctx.parse(text) for text in
+                         rng.sample(texts, rng.randint(1, 2))))
+            for pair in chosen)}
+    if kind == "none":
+        return {}
+    entries = {}
+    for i, j in chosen:
+        entry = random_poly(ctx, rng, degree=2, terms=2, velocities=False)
+        if rng.random() < 0.4:
+            entry = entry / ctx.parse("q1 + 2")
+        entries[(i, j)], entries[(j, i)] = entry, -entry
+    return {"omega": TensorField(ctx, (0, 2), entries, antisym=((1, 2),))}
+
+
+def random_problem(rng, ctx, kind, suite="thm3"):
+    """An ansatz of ``suite`` over ``ctx`` with ``random_data``: a
+    preset, or explicit entries on random pairs whose basis functions
+    are drawn from ``EXPLICIT_BASIS`` (and ``PARAMETRIC_BASIS`` when
+    ``ctx`` declares ``b``): velocity-dependent, rational and parametric
+    ones."""
+    n = ctx.n
+    extra = random_data(rng, ctx, suite)
     if kind == "constant":
-        return constant_ansatz(ctx, "thm3")
+        return constant_ansatz(ctx, suite, **extra)
     if kind == "polynomial":
-        return polynomial_ansatz(ctx, "thm3", 1)
+        return polynomial_ansatz(ctx, suite, 1, **extra)
     if kind == "diagonal":
-        return diagonal_ansatz(ctx, "thm3", 2)
+        return diagonal_ansatz(ctx, suite, 2, **extra)
     texts = EXPLICIT_BASIS + (PARAMETRIC_BASIS if ctx.parameters else ())
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     entries = []
@@ -685,54 +725,58 @@ def random_thm3_problem(rng, ctx, kind):
         basis = tuple(ctx.parse(text)
                       for text in rng.sample(texts, rng.randint(1, 3)))
         entries.append((pair, basis))
-    return AnsatzProblem("thm3", tuple(entries))
+    return AnsatzProblem(suite, tuple(entries), **extra)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
        moving=st.booleans(), parametric=st.booleans(),
        kind=st.sampled_from(("constant", "polynomial", "diagonal",
-                             "explicit", "explicit")))
+                             "explicit", "explicit")),
+       suite=st.sampled_from(solver.SUITES))
 def test_thm3_rows_equal_the_extended_ring_rows(seed, n, moving, parametric,
-                                               kind):
+                                               kind, suite):
     """On systems from ``forward_accelerations`` with constant and
-    position-dependent kinetic energy (rational theta and R), under
-    preset ansatze and explicit ones with velocity-dependent, rational
-    and parametric basis functions, the weight-table rows are the
-    extended ring's, cell by cell."""
+    position-dependent kinetic energy (rational theta, Phi and R), under
+    every searchable suite, preset ansatze and explicit ones with
+    velocity-dependent, rational and parametric basis functions, a fixed
+    ``D``, a fixed two-form and two-form unknowns (``random_data``), the
+    weight-table rows are the extended ring's, cell by cell."""
     rng = random.Random(seed)
-    ctx, s = forward_thm3_case(rng, n, moving and n < 4, parametric)
+    ctx, s = forward_case(rng, n, moving and n < 4, parametric)
     assert_rows_match_the_extended_oracle(
-        s, random_thm3_problem(rng, ctx, kind))
+        s, random_problem(rng, ctx, kind, suite))
 
 
 def extended_table_rows(s, problem, table):
-    """``(label, row)`` of the cells of ``table`` over ``problem``'s
-    ansatz as the extended ring gives them: the terms evaluated on the
-    symbolic multiplier (``conditions._cells``, as the suites evaluate
-    them), each residual's numerator grouped as ``assemble`` groups
-    those of the other suites."""
+    """The rows of the cells of ``table`` over ``problem``'s ansatz as
+    the extended ring gives them: the terms evaluated on the symbolic
+    multiplier (``conditions._evaluated``, as the suites evaluate them),
+    each residual's numerator grouped as ``oracles.labelled`` groups
+    those of a suite's run."""
     names = solver._unknown_names(s.ctx, len(problem.layout))
     ectx = s.ctx.with_parameters(names)
     g, _omega = solver._ansatz_tensors(problem, ectx, [
         ectx.var(ectx.param(name)) for name in names])
-    minus_g = TensorField(ectx, (0, 2), {
-        idx: -value for idx, value in g.entries.items()})
-    moved = [(family, indices, tuple(
-        (sign, pair, kind, convert(operand, ectx)
-         if kind == conditions.WEIGHT else operand)
-        for sign, pair, kind, operand in terms))
-        for family, indices, terms in table]
-    residuals = [(cell.label, cell.residual) for cell in conditions._cells(
-        s.extended(ectx), g, minus_g, moved) if not cell.residual.is_zero()]
-    return solver._labelled(residuals, ectx, names)
+    extended = s.extended(ectx)
+    residuals = []
+    for family, indices, terms in table:
+        moved = tuple((sign, pair, kind, convert(operand, ectx)
+                       if kind in (conditions.WEIGHT, conditions.KNOWN)
+                       else operand) for sign, pair, kind, operand in terms)
+        residual = conditions._evaluated(extended, g.entries, {}, moved)
+        if not residual.is_zero():
+            residuals.append((conditions._label(family, *indices), residual))
+    return oracles.labelled(oracles.ResidualSystem(
+        names, tuple(residuals), ectx, problem))
 
 
 def random_table(rng, s):
-    """Cells of random terms over ``s``: weights that are random
-    polynomials over products of a few shared factors, derivative
-    terms, and pairs of weights on one pair that differ by a polynomial,
-    so that a cell's denominator cancels and must be divided out."""
+    """Cells of random terms over ``s``: weights and known terms that
+    are random polynomials over products of a few shared factors,
+    derivative terms, and pairs of weights on one pair that differ by a
+    polynomial, so that a cell's denominator cancels and must be divided
+    out."""
     ctx, n = s.ctx, s.n
     factors = [ctx.parse(text) for text in ("q1 + 2", f"q{n}^2 + 1",
                                             "q1*v1 + 3")]
@@ -751,18 +795,20 @@ def random_table(rng, s):
             pair, sign = rng.choice(pairs), rng.choice((1, -1))
             kind = rng.choice((conditions.WEIGHT, conditions.WEIGHT,
                                conditions.VELOCITY, conditions.HORIZONTAL,
-                               "cancel"))
+                               conditions.FLOW, conditions.KNOWN, "cancel"))
             if kind == "cancel":
                 w = weight()
                 terms += [(1, pair, conditions.WEIGHT, w),
                           (-1, pair, conditions.WEIGHT,
                            w + random_poly(ctx, rng, degree=1, terms=1))]
-            elif kind == conditions.WEIGHT:
+            elif kind in (conditions.WEIGHT, conditions.KNOWN):
                 w = weight()
                 if not w.is_zero():
-                    terms.append((sign, pair, kind, w))
+                    terms.append((sign, pair, kind, w) if kind ==
+                                 conditions.WEIGHT else (1, None, kind, w))
             else:
-                terms.append((sign, pair, kind, rng.randint(1, n)))
+                terms.append((sign, pair, kind, None if kind ==
+                              conditions.FLOW else rng.randint(1, n)))
         table.append(("Cell", (cell,), tuple(terms)))
     return table
 
@@ -772,25 +818,22 @@ def random_table(rng, s):
        kind=st.sampled_from(("constant", "polynomial", "explicit")))
 def test_ansatz_rows_of_random_tables_equal_the_extended_ring_rows(
         seed, n, kind):
-    """For random term tables, with weights over shared factors and
-    cells whose denominator cancels, the rows of ``weights.ansatz_rows``
-    are the extended ring's, cell by cell, and as many."""
+    """For random term tables, with weights and known terms over shared
+    factors and cells whose denominator cancels, the rows of
+    ``weights.ansatz_rows`` are the extended ring's, cell by cell, and
+    as many."""
     rng = random.Random(seed)
     ctx = ExprContext(n, parameters=("b",))
     s = random_sode(ctx, rng, degree=2)
     if kind == "explicit" and n < 2:
         kind = "polynomial"
-    problem = (constant_ansatz(ctx, "thm3") if kind == "constant" else
-               polynomial_ansatz(ctx, "thm3", 1) if kind == "polynomial"
-               else random_thm3_problem(rng, ctx, kind))
+    problem = random_problem(rng, ctx, kind)
     table = random_table(rng, s)
-    rows, labels = weights.ansatz_rows(s, problem.g_basis, table)
+    rows, labels = weights.ansatz_rows(s, problem, table)
     expected = extended_table_rows(s, problem, table)
-    assert len(rows) == len(expected)
-    new = LinearSystem((), tuple(rows), (), ctx, problem, tuple(labels))
-    old = LinearSystem((), tuple(row for _label, row in expected), (), ctx,
-                       problem, tuple(label for label, _row in expected))
-    assert primitive_rows(new) == primitive_rows(old)
+    assert len(rows) == len(expected.rows)
+    new = LinearSystem((), tuple(rows), ctx, problem, tuple(labels))
+    assert primitive_rows(new) == primitive_rows(expected)
 
 
 FIXTURES = ("planar_drag", "planar_drag_euclidean", "planar_drag_gyro",
@@ -798,77 +841,102 @@ FIXTURES = ("planar_drag", "planar_drag_euclidean", "planar_drag_gyro",
             "free2")
 
 
+def fixture_families(problem, suite, degree):
+    """Ansatze of ``suite`` over a loaded problem: a polynomial one of
+    ``degree``, with the problem's ``D`` fixed for ``dissipative``, and
+    for ``gyroscopic`` with its two-form fixed and with two-form
+    unknowns of degree 1 instead; and its own ansatz when that searches
+    ``suite``."""
+    ctx, n = problem.ctx, problem.ctx.n
+    extra = {}
+    if suite == "dissipative" and problem.D is not None:
+        extra["D"] = problem.D
+    families = [polynomial_ansatz(ctx, suite, degree, **extra)]
+    if suite == "gyroscopic":
+        if problem.omega is not None:
+            families.append(polynomial_ansatz(ctx, suite, degree,
+                                              omega=problem.omega))
+        families.append(polynomial_ansatz(ctx, suite, degree, omega_basis=tuple(
+            ((i, j), q_monomials(ctx, 1)) for i in range(1, n + 1)
+            for j in range(i + 1, n + 1))))
+    if problem.ansatz is not None and problem.ansatz.get("suite") == suite:
+        families.append(ansatz_problem(problem)[0])
+    return families
+
+
 @pytest.mark.parametrize("name", FIXTURES + ("search_n4_thm3",
                                              "fixed_drag_n4", "dense4"))
 def test_thm3_rows_equal_the_extended_ring_rows_on_every_fixture(name):
-    """Every explicit fixture and test problem, under a polynomial
-    ansatz of degree 1 (constant for ``dense4``) and under its own
-    ansatz when that searches ``thm3``; the preset and explicit
-    families of the velocity-dependent, rational and parametric kinds
-    on ``coupled3`` and ``chain4``."""
+    """Every explicit fixture and test problem under every searchable
+    suite (``fixture_families`` of degree 1, constant for ``dense4``,
+    whose n = 4 Phi is rational); and the preset and explicit families
+    of the velocity-dependent, rational and parametric kinds, with
+    ``random_data``, on ``coupled3`` and ``chain4``."""
     if name in FIXTURES:
         problem = load_problem(name, {})
     else:
         problem = load_problem(str(pathlib.Path(__file__).resolve().parent
                                    / "problems" / f"{name}.json"), {})
     s, ctx = problem.sode(), problem.ctx
-    families = [constant_ansatz(ctx, "thm3") if name == "dense4"
-                else polynomial_ansatz(ctx, "thm3", 1)]
-    if problem.ansatz is not None and problem.ansatz.get("suite") == "thm3":
-        families.append(ansatz_problem(problem)[0])
-    if name in ("coupled3", "chain4"):
-        rng = random.Random(name)
-        families += [random_thm3_problem(rng, ctx, "explicit")
-                     for _ in range(4)]
-    for family in families:
-        assert_rows_match_the_extended_oracle(s, family)
+    rng = random.Random(name)
+    for suite in solver.SUITES:
+        families = fixture_families(problem, suite,
+                                    0 if name == "dense4" else 1)
+        if name in ("coupled3", "chain4"):
+            families += [random_problem(rng, ctx, "explicit", suite)
+                         for _ in range(2)]
+        for family in families:
+            assert_rows_match_the_extended_oracle(s, family)
 
 
 def test_thm3_assembly_runs_no_suite_and_builds_no_context(monkeypatch):
-    """A ``thm3`` assembly reads the weight tables only: it neither
-    extends the context with the unknowns nor runs the suite, and its
-    rows are the oracle's; a ``classical`` one still does both."""
+    """Assembly of every searchable suite reads the weight tables only:
+    it neither extends the context with the unknowns, nor extends the
+    system, nor runs the suite, and its rows are the oracle's, with a
+    fixed ``D``, a fixed two-form and two-form unknowns too."""
     ctx, s = coupled_three()
-    problem = diagonal_ansatz(ctx, "thm3", 2)
-    expected = primitive_rows(extended_system(s, problem))
-    calls = []
+    omega = TensorField(ctx, (0, 2), {
+        (1, 2): ctx.parse("q3"), (2, 1): ctx.parse("-q3"),
+        (2, 3): ctx.parse("1/(q1^2 + 1)"), (3, 2): ctx.parse("-1/(q1^2 + 1)")},
+        antisym=((1, 2),))
+    problems = [diagonal_ansatz(ctx, suite, 2) for suite in solver.SUITES] + [
+        polynomial_ansatz(ctx, "dissipative", 1,
+                          D=ctx.parse("q2*v1^2*v3 - v2^3/3")),
+        polynomial_ansatz(ctx, "gyroscopic", 1, omega=omega),
+        polynomial_ansatz(ctx, "gyroscopic", 1, omega_basis=(
+            ((1, 3), (ctx.one, ctx.parse("q2/(q1 + 3)"))),
+            ((2, 3), (ctx.parse("q1"),))))]
+    expected = [primitive_rows(oracles.extended_system(s, problem))
+                for problem in problems]
 
     def refused(*args, **kwargs):
         raise AssertionError("the extended path was taken")
 
     monkeypatch.setattr(ExprContext, "with_parameters", refused)
+    monkeypatch.setattr(Sode, "extended", refused)
+    monkeypatch.setattr(conditions, "check_suite", refused)
     monkeypatch.setattr(solver, "check_suite", refused)
-    system = assemble(s, problem)
-    assert primitive_rows(system) == expected
-    assert solve(system).dimension == 1
-    monkeypatch.undo()
-    original_extend, original_suite = ExprContext.with_parameters, \
-        solver.check_suite
-    monkeypatch.setattr(ExprContext, "with_parameters",
-                        lambda self, extra: calls.append("context")
-                        or original_extend(self, extra))
-    monkeypatch.setattr(solver, "check_suite",
-                        lambda *args, **kwargs: calls.append("suite")
-                        or original_suite(*args, **kwargs))
-    assemble(s, polynomial_ansatz(ctx, "classical", 1))
-    assert calls == ["context", "suite"]
+    for problem, rows in zip(problems, expected):
+        system = assemble(s, problem)
+        assert primitive_rows(system) == rows and system.rows
+    assert solve(assemble(s, problems[3])).dimension == 1
 
 
 @pytest.mark.parametrize("name", ["coupled3", "chain4", "search_n4_thm3"])
 def test_thm3_reverification_names_the_oracles_cell(name):
     """A perturbed solution point of a ``thm3`` system fails its packed
     re-verification of the rows at the cell that the extended-ring
-    system's residuals name point by point (``oracles.reverify``), and
-    the true points pass."""
+    residuals name point by point (``oracles.reverify``), and the true
+    points pass."""
     if name == "search_n4_thm3":
         name = str(pathlib.Path(__file__).resolve().parent / "problems"
                    / f"{name}.json")
     problem = load_problem(name, {})
     s, family = problem.sode(), ansatz_problem(problem)[0]
     system = assemble(s, family)
-    oracle = extended_system(s, family)
+    oracle = oracles.extended_residuals(s, family)
     space = solve(system)
-    assert space == solve(oracle)
+    assert space == solve(oracles.labelled(oracle))
     assert reverify_outcome(solver._reverify, system, space) is None
     rng = random.Random(name)
     failed = 0
@@ -887,7 +955,8 @@ def test_thm3_reverification_names_the_oracles_cell(name):
 def subst_reverify(system, space):
     """Reference for ``solver._reverify``: substitute the particular
     solution, and the particular solution shifted by every basis vector,
-    into the assembled residuals and insist they vanish identically."""
+    into the residuals of the residual ``system`` and insist they vanish
+    identically."""
     ectx = system.context
     unknown_vars = [ectx.param(name) for name in system.unknowns]
     points = [space.particular]
@@ -913,7 +982,7 @@ def reverify_outcome(check, system, space):
 
 
 def spread(system, rng):
-    """``system`` with residual ``k`` multiplied by ``a + b*q1^(k+1)*v1``
+    """The residual ``system`` with residual ``k`` multiplied by ``a + b*q1^(k+1)*v1``
     for random nonzero integers ``a`` and ``b``: each residual vanishes
     where it did, and its unknowns now sit in monomials of ``q1`` and
     ``v1`` too."""
@@ -945,28 +1014,32 @@ def perturbed(space, rng):
 def test_reverification_agrees_with_substitution(seed, kind):
     """On the random systems of ``test_solve_matches_sympy_rref``, also
     with their residuals spread over monomials of ``q1`` and ``v1``, the
-    integer pass and substitution reach the same decision, with the same
-    cell, at the true points (both pass) and at perturbed ones."""
+    integer pass over the residuals' rows (``oracles.labelled``) and
+    substitution reach the same decision, with the same cell, at the
+    true points (both pass) and at perturbed ones."""
     rng = random.Random(seed)
-    system, _dense = random_system(rng, kind)
+    system, residuals, _dense = random_system(rng, kind)
     space = solve(system)
     assume(space.consistent)
-    for candidate in (system, spread(system, rng)):
-        assert reverify_outcome(solver._reverify, candidate, space) is None
+    for candidate in (residuals, spread(residuals, rng)):
+        rows = oracles.labelled(candidate)
+        assert reverify_outcome(solver._reverify, rows, space) is None
         assert reverify_outcome(subst_reverify, candidate, space) is None
         for _ in range(3):
             wrong = perturbed(space, rng)
-            assert reverify_outcome(solver._reverify, candidate, wrong) == \
+            assert reverify_outcome(solver._reverify, rows, wrong) == \
                 reverify_outcome(subst_reverify, candidate, wrong)
 
 
 def fixed_drag_system():
     """``tests/problems/fixed_drag_n4.json``: ``D`` fixed, so the system
     is inhomogeneous; its space has dimension 2 and the particular
-    solution ``g[1,1] = g[2,2] = -2/3``."""
+    solution ``g[1,1] = g[2,2] = -2/3``. Its assembled system, and the
+    residuals of its suite's run in the extended ring."""
     problem = load_problem(str(pathlib.Path(__file__).resolve().parent
                                / "problems" / "fixed_drag_n4.json"), {})
-    return assemble(problem.sode(), ansatz_problem(problem)[0])
+    s, family = problem.sode(), ansatz_problem(problem)[0]
+    return assemble(s, family), oracles.extended_residuals(s, family)
 
 
 def shifted_rref(column):
@@ -990,7 +1063,7 @@ def test_a_shifted_solution_fails_reverification_at_the_reference_cell(
     particular solution, or a wrong basis vector, fails re-verification
     at the cell that substitution names, and only the shifted points
     fail."""
-    system = fixed_drag_system()
+    system, residuals = fixed_drag_system()
     assert solve(system).dimension == 2
     pivots, _rows = solver._rref(system.rows)
     count = len(system.unknowns)
@@ -1007,30 +1080,31 @@ def test_a_shifted_solution_fails_reverification_at_the_reference_cell(
     with pytest.raises(InternalInconsistencyError) as caught:
         solve(system)
     (space,) = seen
-    expected = reverify_outcome(subst_reverify, system, space)
+    expected = reverify_outcome(subst_reverify, residuals, space)
     assert expected is not None and str(caught.value) == expected
     label = expected.rsplit(" ", 1)[1]
-    assert label in dict(system.residuals)
+    assert label in dict(residuals.residuals)
     points = [space.particular] + [tuple(p + d for p, d in zip(
         space.particular, direction)) for direction in space.nullspace]
     failing = [k for k, point in enumerate(points)
-               if reverify_outcome(subst_reverify, system, space._replace(
+               if reverify_outcome(subst_reverify, residuals, space._replace(
                    particular=point, nullspace=()))]
     assert failing == ([0, 1, 2] if target == "particular" else [1])
 
 
 @pytest.mark.parametrize("text", ["c0^2 - q1*c1", "c0*c1 + v1"])
 def test_reverification_refuses_a_residual_nonlinear_in_the_unknowns(text):
-    """A hand-built system whose residual is not linear in the unknowns
-    is refused by name, as assembly would refuse it."""
+    """A hand-built residual system whose residual is not linear in the
+    unknowns is refused by name when the rows oracle reads its rows, as
+    the oracle's extended-ring assembly would refuse it."""
     ctx = ExprContext(1, ("c0", "c1"))
     problem = AnsatzProblem("classical", (((1, 1), (ctx.one, ctx.one)),))
-    system = LinearSystem(("c0", "c1"), (), (
+    system = oracles.ResidualSystem(("c0", "c1"), (
         ("HD1[1,1,1]", ctx.parse("c0 - c1")),
         ("HD2[1,1]", ctx.parse(text))), ctx, problem)
     with pytest.raises(NonlinearCouplingError, match=r"^nonlinear unknown "
                        r"coupling at cell HD2\[1,1\]$"):
-        solve(system)
+        solve(oracles.labelled(system))
 
 
 # --------------------------------------------------------------------------
@@ -1149,8 +1223,9 @@ def test_rref_skips_the_rows_of_a_wide_search_by_kernel():
 
 
 def reverify_case(rng, big, points, cells, perturb):
-    """A hand-built system of ``cells`` residuals over ``points`` (the
-    particular solution and its shifts) in which residual ``r`` vanishes
+    """A hand-built residual system of ``cells`` residuals over
+    ``points`` (the particular solution and its shifts) in which
+    residual ``r`` vanishes
     at every point except those listed in ``perturb[r]``. Each shift moves its own unknown by a huge
     integer and leaves the others alone; a residual is a huge linear
     form in the other unknowns, less its value at the particular
@@ -1181,7 +1256,7 @@ def reverify_case(rng, big, points, cells, perturb):
                 particular[p - 1])) if p else nudge)
         residuals.append((f"cell {r}", total))
     problem = AnsatzProblem("classical", (((1, 1), (ctx.one,) * count),))
-    system = LinearSystem(names, (), tuple(residuals), ctx, problem)
+    system = oracles.ResidualSystem(names, tuple(residuals), ctx, problem)
     space = solver.SolutionSpace(names, tuple(shifts), tuple(particular),
                                  None, problem, 1)
     return system, space
@@ -1210,9 +1285,11 @@ def test_reverification_equals_the_point_by_point_oracle(
         system = spread(system, rng)
     expected = reverify_outcome(oracles.reverify, system, space)
     assert expected is not None
-    assert reverify_outcome(solver._reverify, system, space) == expected
-    clean = reverify_case(rng, big, points, cells, {})
-    assert reverify_outcome(solver._reverify, *clean) is None
+    assert reverify_outcome(solver._reverify, oracles.labelled(system),
+                            space) == expected
+    clean, clean_space = reverify_case(rng, big, points, cells, {})
+    assert reverify_outcome(solver._reverify, oracles.labelled(clean),
+                            clean_space) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -1235,10 +1312,11 @@ def test_reverification_at_the_field_boundary(k, sign, case):
     else:
         residuals = (("cell 0", c0), ("cell 1", c1))
         particular, shifts = (Fraction(0), Fraction(0)), ((top, 1),)
-    system = LinearSystem(("c0", "c1"), (), residuals, ctx, problem)
+    system = oracles.ResidualSystem(("c0", "c1"), residuals, ctx, problem)
     space = solver.SolutionSpace(("c0", "c1"), tuple(
         tuple(map(Fraction, shift)) for shift in shifts), particular, None,
         problem, 1)
     expected = reverify_outcome(oracles.reverify, system, space)
     assert expected == "solution fails re-verification at cell 0"
-    assert reverify_outcome(solver._reverify, system, space) == expected
+    assert reverify_outcome(solver._reverify, oracles.labelled(system),
+                            space) == expected
