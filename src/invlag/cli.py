@@ -398,7 +398,7 @@ def _preset_family(problem: Problem, section: dict, name: str):
 
 def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     """Build the search family declared in the file's ansatz section."""
-    from .solver import SUITES as SEARCHABLE, AnsatzProblem, SolverError
+    from .solver import AnsatzProblem, SolverError
     section = problem.ansatz
     if section is None:
         raise CliError("an 'ansatz' section is required for solve")
@@ -424,14 +424,9 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
     bound = section.get("bound", 2)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise CliError("ansatz.bound must be a nonnegative integer")
-    takes = SUITES[suite].takes if suite in SEARCHABLE else ()
-    fixed_D = problem.D if "D" in takes else None
-    fixed_omega = None
-    if "omega" in takes and not omega_basis:
-        fixed_omega = problem.omega
     try:
-        family = build(suite, omega_basis=omega_basis, D=fixed_D,
-                       omega=fixed_omega)
+        family = build(suite, omega_basis=omega_basis, D=problem.D,
+                       omega=problem.omega)
     except SolverError as exc:
         raise CliError(f"ansatz: {exc}") from exc
     return family, bound

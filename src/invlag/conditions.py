@@ -209,16 +209,17 @@ def _symmetry_cells(family: str, n: int, entry, velocity):
 
 
 # --------------------------------------------------------------------------
-# cells as terms linear in the multiplier
+# cells as terms linear in the candidate data
 
-#: the kinds of a term ``(sign, pair, kind, operand)``, ``pair``
-#: ascending: ``sign`` times ``g_pair`` times the expression ``operand``
-#: (a weight), differentiated by the velocity ``v_operand``,
-#: horizontally along ``operand``, or along the flow; ``sign`` times
-#: ``v_m`` times the derivative of ``omega_pair`` by ``q_k``, ``operand``
-#: ``(k, m)``; and the expression ``operand``, free of the candidate
-#: data (``pair`` None, ``sign`` 1)
-WEIGHT, VELOCITY, HORIZONTAL, FLOW, TWO_FORM, KNOWN = range(6)
+#: the kinds of a term ``(sign, key, kind, operand)``: ``sign`` times
+#: the entry ``key`` of the candidate data (``_data``) times the
+#: expression ``operand`` (a weight), differentiated by the velocity
+#: ``v_operand``, horizontally along ``operand``, or along the flow; or
+#: ``sign`` times ``v_m`` times its derivative by ``q_k``, ``operand``
+#: ``(k, m)``. A key is ``(i, j)`` for ``g_ij`` (``i <= j``), ``("omega",
+#: i, j)`` for ``omega_ij`` (``i < j``) and ``("D", i)`` for the
+#: derivative of ``D`` by ``v_i``
+WEIGHT, VELOCITY, HORIZONTAL, FLOW, TWO_FORM = range(5)
 
 
 def _pair(i: int, j: int) -> Tuple[int, int]:
@@ -231,7 +232,8 @@ def _skeleton(n: int) -> dict:
     terms, slots)``: ``terms`` the terms without a weight and ``slots``
     the weights, ``(sign, pair, table, key)`` for ``g_pair`` times the
     entry ``key`` of the system's table ``table`` (``_WEIGHTS``), a term
-    only where that entry is nonzero:
+    only where that entry is nonzero; ``D_i`` is the derivative of ``D``
+    by ``v_i``:
 
     * ``HD1[i,j,k] = V_k g_ij - V_j g_ik`` on every ``i`` and ``j < k``;
     * ``DHSym[i,j,k] = H_i g_jk - H_j g_ik + sum_l (g_il theta^l_jk -
@@ -239,11 +241,12 @@ def _skeleton(n: int) -> dict:
     * ``RCycle[i,k,l] = sum_j (g_ij R^j_kl + g_lj R^j_ik + g_kj
       R^j_li)`` on every ascending triple;
     * ``NablaG[i,j] = Gamma(g_ij) - sum_k (g_ik Gamma^k_j + g_jk
-      Gamma^k_i)`` on ``i <= j``, also labelled ``HD2`` and ``Hg2``;
+      Gamma^k_i)`` on ``i <= j``, also labelled ``Hg2``, and ``HD2``
+      less ``V_j D_i``;
     * ``PhiSym[i,j] = sum_k (g_ik Phi^k_j - g_jk Phi^k_i)`` on ``i <
-      j``, also labelled ``HD3``, and ``Hg3`` less ``sum_k v^k (d
-      omega)_ijk``, where ``(d omega)_ijk = d_i omega_jk + d_j omega_ki
-      + d_k omega_ij`` vanishes for ``k`` in ``(i, j)``;
+      j``, ``HD3`` plus ``H_j D_i - H_i D_j``, and ``Hg3`` less ``sum_k
+      v^k (d omega)_ijk``, where ``(d omega)_ijk = d_i omega_jk + d_j
+      omega_ki + d_k omega_ij`` vanishes for ``k`` in ``(i, j)``;
     * ``PhiR[k,l] = -PhiSym[k,l] - sum_i v^i RCycle[i,k,l]``, the cycle
       read as weights of ``g`` (``_cycle_weights``)."""
     indices = range(1, n + 1)
@@ -256,7 +259,8 @@ def _skeleton(n: int) -> dict:
         (sign, _pair(a, k), "jacobi", (k, b)) for k in indices
         for sign, a, b in ((1, i, j), (-1, j, i)))) for i, j in pairs]
     # -d_at omega_ab = sign * d_at omega_pair, pair = (a, b) sorted
-    d_omega = [tuple((-1 if a < b else 1, _pair(a, b), TWO_FORM, (at, k))
+    d_omega = [tuple((-1 if a < b else 1, ("omega",) + _pair(a, b),
+                      TWO_FORM, (at, k))
                      for k in indices if k not in (i, j)
                      for at, a, b in ((i, j, k), (j, k, i), (k, i, j)))
                for i, j in pairs]
@@ -274,8 +278,13 @@ def _skeleton(n: int) -> dict:
             (1, _pair(a, j), "curvature", (j,) + rest) for j in indices
             for a, rest in ((i, (k, l)), (l, (i, k)), (k, (l, i)))))
             for i, k, l in combinations(indices, 3)],
-        "NablaG": nabla, "HD2": nabla, "Hg2": nabla,
-        "PhiSym": skew, "HD3": skew,
+        "NablaG": nabla, "Hg2": nabla,
+        "HD2": [((i, j), terms + ((-1, ("D", i), VELOCITY, j),), slots)
+                for (i, j), terms, slots in nabla],
+        "PhiSym": skew,
+        "HD3": [((i, j), terms + ((1, ("D", i), HORIZONTAL, j),
+                                  (-1, ("D", j), HORIZONTAL, i)), slots)
+                for (i, j), terms, slots in skew],
         "Hg3": [(at, terms + extra, slots)
                 for (at, terms, slots), extra in zip(skew, d_omega)],
         "PhiR": [(at, (), tuple((-sign, pair, table, key)
@@ -331,87 +340,84 @@ def _family(s: Sode, family: str) -> tuple:
     return s._memo[key]
 
 
-def suite_terms(s: Sode, suite: str, D: Optional[Expr] = None,
-                omega: Optional[TensorField] = None) -> tuple:
+def suite_terms(s: Sode, suite: str) -> tuple:
     """The cells of a searchable suite as terms linear in the candidate
-    (``WEIGHT`` to ``KNOWN``), in report order, ``(family, indices,
-    terms)`` per cell (``_skeleton`` has the formulas); zero weights are
-    left out. The terms in ``g`` and the two-form are made once per
-    system. A given ``D`` adds its velocity Hessian and horizontal
-    derivatives, and a given ``omega`` replaces the two-form terms, as
-    one known term per cell. The suites evaluate these terms on a
-    candidate; the ansatz search reads them as weights of its unknowns
-    (``weights.ansatz_rows``)."""
+    data (``WEIGHT`` to ``TWO_FORM``), in report order, ``(family,
+    indices, terms)`` per cell (``_skeleton`` has the formulas), made
+    once per system; zero weights are left out. The suites evaluate
+    these terms on a candidate (``_evaluated``); the ansatz search reads
+    them as weights of its unknowns (``weights.ansatz_rows``)."""
     key = f"{suite} suite terms"
     if key not in s._memo:
         s._memo[key] = tuple(cell for family in SUITES[suite].families
                              for cell in _family(s, family))
-    table = s._memo[key]
+    return s._memo[key]
+
+
+def _data(s: Sode, g_entries: dict, D: Optional[Expr],
+          omega: Optional[TensorField]) -> dict:
+    """The nonzero entries of the candidate data by term key: those of
+    the multiplier ``g_entries``, the velocity gradient of ``D`` and the
+    two-form ``omega`` above its diagonal, each checked first."""
+    if D is None and omega is None:
+        return g_entries
+    data = dict(g_entries)
     if D is not None:
         _require_function(s, D)
+        for i, at in enumerate(s.v_pos, start=1):
+            entry = D.diff(at)
+            if entry.num.coeffs:
+                data["D", i] = entry
     if omega is not None:
         _require_two_form(s, omega)
-    dD = ([D.diff(at) for at in s.v_pos]  # the velocity gradient of D
-          if D is not None and D.num.coeffs else None)
-    if dD is None and omega is None:
-        return table
-    out = []
-    for family, indices, terms in table:
-        known = []
-        if family == "HD2" and dD:
-            known = [-dD[indices[0] - 1].diff(s.v_pos[indices[1] - 1])]
-        elif family == "HD3" and dD:
-            i, j = indices
-            known = (_horizontal_terms(s, j, dD[i - 1])
-                     + _horizontal_terms(s, i, -dD[j - 1]))
-        elif family == "Hg3" and omega is not None:
-            # omega_ba = -omega_ab reads the sign of a two-form term
-            known = [(omega.entry(*(pair if sign > 0 else pair[::-1])).diff(
-                s.q_pos[at[0] - 1]), s.velocities[at[1] - 1])
-                for sign, pair, kind, at in terms if kind == TWO_FORM]
-            terms = tuple(term for term in terms if term[2] != TWO_FORM)
-        value = lincomb(s.ctx, known)
-        out.append((family, indices, terms + ((1, None, KNOWN, value),)
-                    if value.num.coeffs else terms))
-    return tuple(out)
+        for i, j in combinations(range(1, s.n + 1), 2):
+            entry = omega.entry(i, j)
+            if entry.num.coeffs:
+                data["omega", i, j] = entry
+    return data
 
 
-def _evaluated(s: Sode, plus: dict, minus: dict, terms) -> Expr:
-    """The sum of ``terms`` on the multiplier entries ``plus``. A term of
-    sign -1 reads the negated entry, made once per report and kept in
-    ``minus``."""
+def _parts(s: Sode, kind: int, operand, entry: Expr) -> list:
+    """The ``lincomb`` parts of a term of ``kind`` and ``operand`` on the
+    entry ``entry``, negated already for a term of sign -1."""
+    if kind == WEIGHT:
+        return [(entry, operand)]
+    if kind == VELOCITY:
+        return [entry.diff(s.v_pos[operand - 1])]
+    if kind == HORIZONTAL:
+        return _horizontal_terms(s, operand, entry)
+    if kind == FLOW:
+        return _flow_terms(s, entry)
+    return [(entry.diff(s.q_pos[operand[0] - 1]), s.velocities[operand[1] - 1])]
+
+
+def _evaluated(s: Sode, data: dict, minus: dict, terms) -> Expr:
+    """The sum of ``terms`` on the candidate data ``data`` (``_data``); a
+    term on a missing (zero) entry adds nothing. A term of sign -1 reads
+    the negated entry, made once per report and kept in ``minus``."""
     parts = []
-    for sign, pair, kind, operand in terms:
-        if kind == KNOWN:
-            parts.append(operand)
-            continue
-        entry = plus.get(pair)
-        if entry is None:  # a zero entry adds nothing
+    for sign, key, kind, operand in terms:
+        entry = data.get(key)
+        if entry is None:
             continue
         if sign < 0:
-            if pair not in minus:
-                minus[pair] = -entry
-            entry = minus[pair]
-        if kind == WEIGHT:
-            parts.append((entry, operand))
-        elif kind == VELOCITY:
-            parts.append(entry.diff(s.v_pos[operand - 1]))
-        elif kind == HORIZONTAL:
-            parts += _horizontal_terms(s, operand, entry)
-        else:
-            parts += _flow_terms(s, entry)
+            if key not in minus:
+                minus[key] = -entry
+            entry = minus[key]
+        parts += _parts(s, kind, operand, entry)
     return lincomb(s.ctx, parts)
 
 
 def _report(suite: str, s: Sode, g: TensorField, D: Optional[Expr] = None,
             omega: Optional[TensorField] = None, extra=None) -> ConditionReport:
-    """The report of ``suite``'s terms on the candidate ``g``, followed
-    by the cells ``extra(s, g)`` when that is given."""
+    """The report of ``suite``'s terms on the candidate ``g``, ``D`` and
+    ``omega``, followed by the cells ``extra(s, g)`` when that is given;
+    a missing ``D`` or ``omega`` reads as zero."""
     _require_multiplier(s, g)
-    minus = {}
+    data, minus = _data(s, g.entries, D, omega), {}
     cells = tuple(Cell(_label(family, *indices),
-                       _evaluated(s, g.entries, minus, terms))
-                  for family, indices, terms in suite_terms(s, suite, D, omega))
+                       _evaluated(s, data, minus, terms))
+                  for family, indices, terms in suite_terms(s, suite))
     return ConditionReport(suite, cells + (extra(s, g) if extra else ()),
                            multiplier=g)
 
@@ -427,19 +433,23 @@ def check_classical(s: Sode, g: TensorField) -> ConditionReport:
     return _report("classical", s, g)
 
 
-def check_dissipative(s: Sode, g: TensorField, D: Expr) -> ConditionReport:
+def check_dissipative(s: Sode, g: TensorField,
+                      D: Optional[Expr]) -> ConditionReport:
     """Conditions for a representation with a dissipation function:
     velocity symmetry, the flow derivative of the candidate matching
     the velocity Hessian of ``D``, and the lowered force endomorphism
-    being symmetric up to horizontal derivatives of ``D``."""
+    being symmetric up to horizontal derivatives of ``D``; ``None``
+    reads as the zero function."""
     return _report("dissipative", s, g, D=D)
 
 
-def check_gyroscopic(s: Sode, g: TensorField, omega: TensorField) -> ConditionReport:
+def check_gyroscopic(s: Sode, g: TensorField,
+                     omega: Optional[TensorField]) -> ConditionReport:
     """Conditions for a representation with gyroscopic forces from a
     basic two-form: velocity symmetry, covariant constancy, and the
     lowered force endomorphism being symmetric up to the contraction of
-    the exterior derivative of the two-form with the velocity."""
+    the exterior derivative of the two-form with the velocity; ``None``
+    reads as the zero two-form."""
     return _report("gyroscopic", s, g, omega=omega)
 
 
@@ -538,14 +548,12 @@ SUITES = {
 
 def check_suite(suite: str, s: Sode, g: TensorField, D: Optional[Expr] = None,
                 omega: Optional[TensorField] = None) -> ConditionReport:
-    """Run the explicit suite named ``suite`` on the candidate ``g``. The
-    suites that take ``D`` or ``omega`` get the zero function or the zero
-    two-form when it is not given. The checker is looked up by name at
-    call time, so a rebinding of the module attribute reaches it."""
+    """Run the explicit suite named ``suite`` on the candidate ``g``,
+    passing the data it takes (``None`` reads as zero). The checker is
+    looked up by name at call time, so a rebinding of the module
+    attribute reaches it."""
     entry = SUITES[suite]
-    given = {"D": D if D is not None else s.ctx.zero, "omega": omega}
-    if omega is None and "omega" in entry.takes:
-        given["omega"] = TensorField(s.ctx, (0, 2), {}, antisym=((1, 2),))
+    given = {"D": D, "omega": omega}
     checker = globals()[entry.checker]
     return checker(s, g, *(given[name] for name in entry.takes))
 

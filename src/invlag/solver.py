@@ -60,7 +60,10 @@ class AnsatzProblem(_AnsatzFields):
     """A finite-dimensional search family: every multiplier entry (and
     optionally every two-form entry) is an unknown rational combination
     of fixed basis expressions, none of them zero. Symmetry is built in
-    by declaring only entries with i <= j (respectively i < j)."""
+    by declaring only entries with i <= j (respectively i < j). Of the
+    fixed ``D`` and ``omega`` it keeps what its suite reads: ``D`` when
+    the suite takes it, ``omega`` when the suite takes it and no
+    two-form unknowns are declared."""
 
     __slots__ = ()
 
@@ -88,10 +91,13 @@ class AnsatzProblem(_AnsatzFields):
                         raise SolverError(
                             f"{part} entry {i},{j}: basis function {k} is "
                             "zero, so its coefficient is undetermined")
-        if omega_basis and "omega" not in SUITE_TABLE[suite].takes:
+        takes = SUITE_TABLE[suite].takes
+        if omega_basis and "omega" not in takes:
             raise SolverError(
                 "two-form unknowns only make sense for the gyroscopic suite")
-        return super().__new__(cls, suite, g_basis, omega_basis, D, omega)
+        return super().__new__(
+            cls, suite, g_basis, omega_basis, D if "D" in takes else None,
+            omega if "omega" in takes and not omega_basis else None)
 
     @property
     def layout(self) -> Tuple[Tuple[str, int, int, int], ...]:
@@ -237,19 +243,16 @@ def assemble(s: Sode, p: AnsatzProblem) -> LinearSystem:
     """Expand the suite's condition cells over the ansatz into an exact
     linear system, one sparse integer row per monomial in everything
     that is not an unknown, from the system's own weight tables
-    (``weights.ansatz_rows`` over ``conditions.suite_terms``). A fixed
-    ``D`` or two-form goes to the right-hand side; a two-form basis
-    function that depends on velocities is refused, as the suite does."""
+    (``weights.ansatz_rows`` over ``conditions.suite_terms``). The terms
+    on the problem's fixed ``D`` or two-form go to the right-hand side;
+    a two-form basis function that depends on velocities is refused, as
+    the suite does."""
     names = _unknown_names(s.ctx, len(p.layout))
     check_generators(len(s.ctx.all_varids()) + len(names))
     for pair, basis in sorted(p.omega_basis):  # the pairs are distinct
         for function in basis:
             _require_velocity_free(s, pair, function)
-    takes = SUITE_TABLE[p.suite].takes
-    table = suite_terms(s, p.suite, D=p.D if "D" in takes else None,
-                        omega=p.omega if "omega" in takes
-                        and not p.omega_basis else None)
-    rows, labels = ansatz_rows(s, p, table)
+    rows, labels = ansatz_rows(s, p, suite_terms(s, p.suite))
     return LinearSystem(names, tuple(rows), s.ctx, p, tuple(labels))
 
 

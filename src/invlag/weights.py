@@ -1,13 +1,16 @@
 """Exact integer rows of condition cells over an ansatz, from weights.
 
-A cell given as terms linear in the multiplier and the two-form
-(``conditions.suite_terms``) is linear in every unknown of an ansatz
+A cell given as terms linear in the candidate data (the multiplier,
+the two-form and the velocity gradient of ``D``;
+``conditions.suite_terms``) is linear in every unknown of an ansatz
 ``g_ab = sum_m c_col b_m`` (and ``omega_ab`` alike) with base-ring
 coefficients, so its numerator's coefficient of each unknown can be
 summed straight from the system's own tables: no ring holding the
-unknowns is built and no suite is run. ``solver.assemble`` reads every
-searchable suite's rows from here; their oracle in ``tests/oracles.py``
-runs the suites' formulas in a ring that holds the unknowns.
+unknowns is built and no suite is run. The terms on fixed data are
+evaluated as the suites evaluate them and go to the right-hand side.
+``solver.assemble`` reads every searchable suite's rows from here;
+their oracle in ``tests/oracles.py`` runs the suites' formulas in a
+ring that holds the unknowns.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from math import gcd, lcm
 from operator import or_
 from typing import Tuple
 
-from .conditions import (FLOW, HORIZONTAL, KNOWN, TWO_FORM, VELOCITY, WEIGHT,
-                         _label)
-from .exprcore import _exact_quotient, _factorisation, convert
-from .geometry import Sode, gamma_apply, horizontal_apply
+from .conditions import WEIGHT, _data, _evaluated, _label, _parts
+from .exprcore import _exact_quotient, _factorisation, convert, lincomb
+from .geometry import Sode
 from .poly import Poly, limit_error
 
 
@@ -85,16 +87,6 @@ def _divided(ring, sums: dict, top: dict) -> dict:
     return sums
 
 
-#: a basis function ``b`` differentiated as a term of each kind
-#: differentiates its entry, by the term's operand
-_DERIVATIVES = {
-    VELOCITY: lambda s, k, b: b.diff(s.v_pos[k - 1]),
-    HORIZONTAL: lambda s, i, b: horizontal_apply(s, i, b),
-    FLOW: lambda s, _operand, b: gamma_apply(s, b),
-    TWO_FORM: lambda s, at, b: b.diff(s.q_pos[at[0] - 1]),
-}
-
-
 def ansatz_rows(s: Sode, problem, table) -> Tuple[list, list]:
     """The exact linear system of the cells of a term ``table``
     (``conditions.suite_terms``) over the ansatz ``problem``: the
@@ -102,52 +94,53 @@ def ansatz_rows(s: Sode, problem, table) -> Tuple[list, list]:
     two-form ``omega_ab = sum_m c_col b_m`` of its ``omega_basis``
     (``(pair, basis)`` entries, ``pair`` ascending, columns numbered in
     that order, as ``problem.layout`` numbers them): one row ``{column:
-    int}`` per monomial of a cell's numerator, the known terms negated
-    into the column after the unknowns', and the label of each row's
-    cell. Each row is the canonical residual's, made primitive.
+    int}`` per monomial of a cell's numerator, and the label of each
+    row's cell. The terms on the fixed ``problem.D`` and
+    ``problem.omega`` are evaluated (``conditions._evaluated``) and
+    negated into the column after the unknowns'; terms on any other
+    entry vanish. Each row is the canonical residual's, made primitive.
 
     The coefficient of ``c_col`` in a cell is a signed sum of products
-    ``b_m * w`` of a basis function and a weight or a velocity, and of
-    derivatives of ``b_m``, each derivative of a basis function taken
-    once. A cell is summed term by term, column by column, in integers
-    over one denominator, the lcm of its terms' (for a one-term ``b_m``
-    a product is a key shift). A factor of that lcm that divides every
-    column is divided out as often as it does, as in the canonical
-    residual, whose denominator keeps only the others."""
+    ``b_m * w`` of a basis function and a weight, and of derivatives of
+    ``b_m`` (``conditions._parts``), each taken once. A cell is summed
+    term by term, column by column, in integers over one denominator,
+    the lcm of its terms' (for a one-term ``b_m`` a product is a key
+    shift). A factor of that lcm that divides every column is divided
+    out as often as it does, as in the canonical residual, whose
+    denominator keeps only the others."""
     ctx = s.ctx
     ring, product = ctx._ring, ctx._base.product
     columns, count = {}, 0
-    for tensor, entries in (("g", problem.g_basis),
-                            ("omega", problem.omega_basis)):
+    for prefix, entries in (((), problem.g_basis),
+                            (("omega",), problem.omega_basis)):
         for pair, basis in entries:
-            columns[tensor, pair] = [(count + m, convert(b, ctx))
-                                     for m, b in enumerate(basis)]
+            columns[prefix + pair] = [(count + m, convert(b, ctx))
+                                      for m, b in enumerate(basis)]
             count += len(basis)
+    data, minus = _data(s, {}, problem.D, problem.omega), {}
     derived, rows, labels = {}, [], []
     for family, indices, terms in table:
         # (col, sign, a, b, the denominator factors of a and of b)
         pieces, fractional = [], False
-        for sign, pair, kind, operand in terms:
-            if kind == KNOWN:
-                fractional = fractional or operand.den_factors
-                pieces.append((count, -sign, operand.num, ctx.one.num,
-                               operand.den_factors, ()))
-                continue
-            tensor = "omega" if kind == TWO_FORM else "g"
-            for col, b in columns.get((tensor, pair), ()):
+        for sign, key, kind, operand in terms:
+            for col, b in columns.get(key, ()):
                 if kind == WEIGHT:
                     a = operand
                 else:
-                    key = kind, operand, id(b)
-                    if key not in derived:
-                        derived[key] = _DERIVATIVES[kind](s, operand, b)
-                    a, b = derived[key], (s.velocities[operand[1] - 1]
-                                          if kind == TWO_FORM else ctx.one)
+                    at = kind, operand, id(b)
+                    if at not in derived:
+                        derived[at] = lincomb(ctx, _parts(s, kind, operand, b))
+                    a, b = derived[at], ctx.one
                     if not a.num.coeffs:
                         continue
                 fractional = fractional or a.den_factors or b.den_factors
                 pieces.append((col, sign, a.num, b.num, a.den_factors,
                                b.den_factors))
+        known = _evaluated(s, data, minus, terms) if data else ctx.zero
+        if known.num.coeffs:
+            fractional = fractional or known.den_factors
+            pieces.append((count, -1, known.num, ctx.one.num,
+                           known.den_factors, ()))
         if not pieces:
             continue
         top = {}

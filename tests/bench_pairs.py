@@ -12,7 +12,10 @@ of the parent commit and the working tree. For each seed ``k`` in
 interpreters, the old tree first on even pairs and the new tree first on
 odd ones, so a drift of the host's speed falls on both sides alike.
 Each run measures its own tree with its own copy of ``perfbench/``;
-this script only reads the result line each run prints last.
+this script only reads the result line each run prints last. Every run
+has ``PYTHONDONTWRITEBYTECODE=1``, and a tree that holds a
+``__pycache__`` directory under ``src/`` is refused before the first
+run: bytecode on one side only skews ``setup_s`` and ``peak_rss_mb``.
 
 For every end-to-end metric of the new tree's ``BENCHMARK.json`` it
 prints both sides' medians and quartiles, the number of pairs the new
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -49,7 +53,8 @@ def run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{tree} seed {seed}: exit {done.returncode}\n"
@@ -97,6 +102,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("--seeds needs at least two seeds for quartiles")
+    caches = [cache for tree in (args.old, args.new)
+              for cache in sorted((tree / "src").rglob("__pycache__"))]
+    if caches:
+        raise SystemExit(f"{caches[0]}: bytecode under src/ skews setup_s "
+                         "and peak_rss_mb; remove it first")
     spec = json.loads((args.new / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
     old, new = [], []

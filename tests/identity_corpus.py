@@ -42,6 +42,12 @@ worktree`` of the parent commit and the working tree. The corpus is:
   basis function, a velocity-dependent ``thm4`` basis, a parametric
   ``D``), those on a fixture with parameters also under
   ``INSTANTIATE_EXPLICIT``;
+* ``check`` of each ``CHECKED`` problem, so the checkers read fixed
+  data beyond the README's: ``gyroscopic`` with a rational, parametric
+  two-form and ``dissipative`` with a rational ``D``, on copies of
+  ``planar_drag``, each also under ``INSTANTIATE_EXPLICIT``, and
+  ``gyroscopic`` with a rational two-form on a copy of ``coupled3``,
+  where (n = 3) its exterior derivative enters the cells;
 * each refusal of an unknown key that the command line had before it
   refused stray ansatz keys (a top-level field, an option, an ansatz
   key, a preset key), on copies of ``planar_drag``;
@@ -127,6 +133,17 @@ EXPLICIT = {
                  "preset": "diagonal", "degree": 1}}),
 }
 INSTANTIATE_EXPLICIT = ("b=2/3", "b=0")
+# checks of fixed data, as (fixture, fields set in its problem, suite)
+CHECKED = {
+    "gyroscopic": ("planar_drag", {"omega": [
+        ["0", "b*q1/(q2^2 + 1)"], ["-b*q1/(q2^2 + 1)", "0"]]}, "gyroscopic"),
+    "dissipative": ("planar_drag", {
+        "D": "(q1*v1^2 - b*v2^2)/(q2^2 + 1) + omega*v1*v2/(q1 + 3)"},
+        "dissipative"),
+    "gyroscopic-n3": ("coupled3", {"omega": [
+        ["0", "q3/(q1^2 + 1)", "q2"], ["-q3/(q1^2 + 1)", "0", "1/(q1 + 2)"],
+        ["-q2", "-1/(q1 + 2)", "0"]]}, "gyroscopic"),
+}
 IMPLICIT = {
     "pass": ["d2q1 - q1*v3^2 + q2*q3 + q1*v1", "d2q2 + q1*q3 + v2",
              "(1 + q1^2)*d2q3 + 2*q1*v1*v3 + q1*q2 + q3*v3"],
@@ -203,8 +220,9 @@ def _wide_calls(workdir: str):
     """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem,
     ``solve`` of the 50-unknown search problems and of lin n = 5,
     copied into the work directory so that both trees read the same
-    files, and ``solve`` of each ``EXPLICIT`` ansatz, those over a
-    fixture with parameters also under ``INSTANTIATE_EXPLICIT``."""
+    files, ``solve`` of each ``EXPLICIT`` ansatz and ``check`` of each
+    ``CHECKED`` problem, those over a fixture with parameters also under
+    ``INSTANTIATE_EXPLICIT``."""
     paths = {}
     for name in ("dense4", "search_n4_thm3", "fixed_drag_n4", "lin5"):
         paths[name] = os.path.join(workdir, f"{name}.json")
@@ -215,16 +233,22 @@ def _wide_calls(workdir: str):
              ("wide", ["solve", paths["search_n4_thm3"]]),
              ("wide", ["solve", paths["fixed_drag_n4"]]),
              ("wide", ["solve", paths["lin5"]])]
-    for name, (fixture, fields, ansatz) in EXPLICIT.items():
+    cases = [("explicit", name, fixture, dict(fields, ansatz=dict(
+        ansatz, bound=1)), ["solve"])
+        for name, (fixture, fields, ansatz) in EXPLICIT.items()]
+    cases += [("checked", name, fixture, fields, ["check", "--suite", suite])
+              for name, (fixture, fields, suite) in CHECKED.items()]
+    for label, name, fixture, fields, command in cases:
         problem = json.loads((REPO / "src" / "invlag" / "fixtures" /
                               f"{fixture}.json").read_text(encoding="utf-8"))
-        problem.update(fields, ansatz=dict(ansatz, bound=1))
-        path = os.path.join(workdir, f"explicit-{name}.json")
+        problem.update(fields)
+        path = os.path.join(workdir, f"{label}-{name}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(problem, handle)
-        calls.append(("explicit", ["solve", path]))
+        argv = command[:1] + [path] + command[1:]
+        calls.append((label, argv))
         if problem.get("parameters"):
-            calls += [("explicit", ["solve", path, "--instantiate", value])
+            calls += [(label, argv + ["--instantiate", value])
                       for value in INSTANTIATE_EXPLICIT]
     return calls
 

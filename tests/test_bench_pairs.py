@@ -1,9 +1,12 @@
 """The verdict of ``bench_pairs.summary`` on each metric's bound, on
-handmade lists of run values."""
+handmade lists of run values, and the refusal of a tree with bytecode."""
+
+import re
+import subprocess
 
 import pytest
 
-from bench_pairs import summary
+from bench_pairs import main, summary
 
 OLD = [1.0, 1.0, 1.0, 1.0]
 
@@ -30,3 +33,22 @@ def test_summary_reads_the_medians_not_single_runs():
                             [1.0, 5.0, 1.1, 0.95], True, 0.25)
     assert not flagged
     assert "won 1/4" in line
+
+
+def test_a_tree_with_bytecode_is_refused_before_any_run(tmp_path,
+                                                        monkeypatch):
+    """A ``__pycache__`` under either tree's ``src/`` stops the script,
+    naming the directory, before it starts a run."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    cache = old / "src" / "invlag" / "__pycache__"
+    cache.mkdir(parents=True)
+    (new / "src" / "invlag").mkdir(parents=True)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(subprocess, "run", refused)
+    for trees in ((old, new), (new, old)):
+        with pytest.raises(SystemExit, match=re.escape(str(cache))):
+            main([str(trees[0]), str(trees[1]), "--workload", "certify",
+                  "--seeds", "1-2"])

@@ -204,6 +204,20 @@ def test_gyroscopic_with_zero_form_matches_classical():
                 == check_classical(s, g).passes)
 
 
+def test_missing_data_reads_as_zero():
+    """``check_dissipative`` without ``D`` and ``check_gyroscopic``
+    without a two-form give the reports of the zero function and the
+    zero two-form, on candidates that pass and that fail."""
+    rng = random.Random(556)
+    for ctx, s in (planar_drag(), coupled_three()):
+        zero_form = TensorField(ctx, (0, 2), {}, antisym=((1, 2),))
+        for g in (identity_matrix(ctx), random_symmetric(ctx, rng)):
+            assert (check_dissipative(s, g, None)
+                    == check_dissipative(s, g, ctx.zero))
+            assert (check_gyroscopic(s, g, None)
+                    == check_gyroscopic(s, g, zero_form))
+
+
 def test_gyroscopic_with_curved_two_form():
     """A system whose force comes from a position-dependent two-form:
     the exterior-derivative contraction in the third cell family must

@@ -3,6 +3,7 @@
 import pathlib
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -323,6 +324,26 @@ def test_problem_validation():
                        f"function 2 is {undetermined}"):
         AnsatzProblem("gyroscopic", (((1, 1), (ctx.one,)),),
                       omega_basis=(((1, 2), (ctx.parse("q2"), ctx.zero)),))
+
+
+def test_problem_keeps_only_the_data_its_suite_reads():
+    """An ansatz keeps ``D`` only when its suite takes it, and the
+    two-form only when its suite takes it and no two-form unknowns are
+    declared."""
+    ctx = ExprContext(2)
+    D = ctx.parse("v1^2*q2")
+    omega = TensorField(ctx, (0, 2), {(1, 2): ctx.parse("q1"),
+                                      (2, 1): ctx.parse("-q1")},
+                        antisym=((1, 2),))
+    unknowns = (((1, 2), (ctx.one,)),)
+    for suite, omega_basis, kept in (("thm3", (), (None, None)),
+                                     ("dissipative", (), (D, None)),
+                                     ("gyroscopic", (), (None, omega)),
+                                     ("gyroscopic", unknowns, (None, None))):
+        problem = constant_ansatz(ctx, suite, omega_basis=omega_basis, D=D,
+                                  omega=omega)
+        assert (problem.D, problem.omega) == kept
+        assert problem.omega_basis == omega_basis
 
 
 @pytest.mark.parametrize("text, message", [
@@ -751,20 +772,28 @@ def test_thm3_rows_equal_the_extended_ring_rows(seed, n, moving, parametric,
 def extended_table_rows(s, problem, table):
     """The rows of the cells of ``table`` over ``problem``'s ansatz as
     the extended ring gives them: the terms evaluated on the symbolic
-    multiplier (``conditions._evaluated``, as the suites evaluate them),
-    each residual's numerator grouped as ``oracles.labelled`` groups
-    those of a suite's run."""
+    multiplier and two-form and the problem's fixed ``D`` and two-form,
+    all read through ``conditions._data`` (``conditions._evaluated``, as
+    the suites evaluate them), each residual's numerator grouped as
+    ``oracles.labelled`` groups those of a suite's run."""
     names = solver._unknown_names(s.ctx, len(problem.layout))
     ectx = s.ctx.with_parameters(names)
-    g, _omega = solver._ansatz_tensors(problem, ectx, [
+    g, omega = solver._ansatz_tensors(problem, ectx, [
         ectx.var(ectx.param(name)) for name in names])
+    if omega is None and problem.omega is not None:
+        omega = TensorField(ectx, (0, 2), {
+            idx: convert(entry, ectx)
+            for idx, entry in problem.omega.entries.items()},
+            antisym=((1, 2),))
+    D = convert(problem.D, ectx) if problem.D is not None else None
     extended = s.extended(ectx)
+    data = conditions._data(extended, g.entries, D, omega)
     residuals = []
     for family, indices, terms in table:
-        moved = tuple((sign, pair, kind, convert(operand, ectx)
-                       if kind in (conditions.WEIGHT, conditions.KNOWN)
-                       else operand) for sign, pair, kind, operand in terms)
-        residual = conditions._evaluated(extended, g.entries, {}, moved)
+        moved = tuple((sign, key, kind, convert(operand, ectx)
+                       if kind == conditions.WEIGHT else operand)
+                      for sign, key, kind, operand in terms)
+        residual = conditions._evaluated(extended, data, {}, moved)
         if not residual.is_zero():
             residuals.append((conditions._label(family, *indices), residual))
     return oracles.labelled(oracles.ResidualSystem(
@@ -772,63 +801,86 @@ def extended_table_rows(s, problem, table):
 
 
 def random_table(rng, s):
-    """Cells of random terms over ``s``: weights and known terms that
-    are random polynomials over products of a few shared factors,
-    derivative terms, and pairs of weights on one pair that differ by a
-    polynomial, so that a cell's denominator cancels and must be divided
-    out."""
+    """Cells of random terms over ``s``, with the random fixed ``D`` and
+    two-form they read: terms of every kind on multiplier entries, on
+    the velocity gradient of ``D`` and on two-form entries; weights,
+    ``D`` and the two-form's entries are random polynomials over
+    products of a few shared factors (the two-form's free of
+    velocities), and pairs of weights on one entry differ by a
+    polynomial, so that a cell's denominator, that of its known part
+    too, cancels and must be divided out."""
     ctx, n = s.ctx, s.n
+    indices = range(1, n + 1)
     factors = [ctx.parse(text) for text in ("q1 + 2", f"q{n}^2 + 1",
                                             "q1*v1 + 3")]
 
-    def weight():
+    def over(shared, degree=2, velocities=True):
         den = ctx.one
-        for factor in rng.sample(factors, rng.randint(0, 2)):
+        for factor in rng.sample(shared, rng.randint(0, 2)):
             den = den * factor ** rng.randint(1, 2)
-        return random_poly(ctx, rng, degree=2, terms=2) / den
+        return random_poly(ctx, rng, degree=degree, terms=2,
+                           velocities=velocities) / den
 
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    D = over(factors, degree=3) + over(factors, degree=3)
+    two_form = {}
+    for i, j in combinations(indices, 2):
+        if rng.random() < 0.7:
+            value = over(factors[:2], velocities=False)
+            two_form[(i, j)], two_form[(j, i)] = value, -value
+    omega = TensorField(ctx, (0, 2), two_form, antisym=((1, 2),))
+    keys = ([(i, j) for i in indices for j in range(i, n + 1)]
+            + [("D", i) for i in indices]
+            + [("omega", i, j) for i, j in combinations(indices, 2)])
     table = []
     for cell in range(rng.randint(1, 4)):
         terms = []
         for _ in range(rng.randint(1, 4)):
-            pair, sign = rng.choice(pairs), rng.choice((1, -1))
+            key, sign = rng.choice(keys), rng.choice((1, -1))
             kind = rng.choice((conditions.WEIGHT, conditions.WEIGHT,
                                conditions.VELOCITY, conditions.HORIZONTAL,
-                               conditions.FLOW, conditions.KNOWN, "cancel"))
+                               conditions.FLOW, conditions.TWO_FORM,
+                               "cancel"))
             if kind == "cancel":
-                w = weight()
-                terms += [(1, pair, conditions.WEIGHT, w),
-                          (-1, pair, conditions.WEIGHT,
+                w = over(factors)
+                terms += [(1, key, conditions.WEIGHT, w),
+                          (-1, key, conditions.WEIGHT,
                            w + random_poly(ctx, rng, degree=1, terms=1))]
-            elif kind in (conditions.WEIGHT, conditions.KNOWN):
-                w = weight()
+            elif kind == conditions.WEIGHT:
+                w = over(factors)
                 if not w.is_zero():
-                    terms.append((sign, pair, kind, w) if kind ==
-                                 conditions.WEIGHT else (1, None, kind, w))
+                    terms.append((sign, key, kind, w))
+            elif kind == conditions.TWO_FORM:
+                terms.append((sign, key, kind, (rng.randint(1, n),
+                                                rng.randint(1, n))))
             else:
-                terms.append((sign, pair, kind, None if kind ==
+                terms.append((sign, key, kind, None if kind ==
                               conditions.FLOW else rng.randint(1, n)))
         table.append(("Cell", (cell,), tuple(terms)))
-    return table
+    return table, D, omega
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
-       kind=st.sampled_from(("constant", "polynomial", "explicit")))
+       kind=st.sampled_from(("constant", "polynomial", "explicit")),
+       suite=st.sampled_from(("thm3", "gyroscopic")))
 def test_ansatz_rows_of_random_tables_equal_the_extended_ring_rows(
-        seed, n, kind):
-    """For random term tables, with weights and known terms over shared
-    factors and cells whose denominator cancels, the rows of
-    ``weights.ansatz_rows`` are the extended ring's, cell by cell, and
-    as many."""
+        seed, n, kind, suite):
+    """For random term tables on multiplier, ``D`` and two-form entries,
+    with weights and fixed data over shared factors and cells whose
+    denominator cancels, the rows of ``weights.ansatz_rows`` are the
+    extended ring's, cell by cell, and as many. The ansatz carries the
+    table's ``D``, and its two-form unless it declares two-form
+    unknowns (``random_data`` of ``gyroscopic``), whatever its suite
+    reads."""
     rng = random.Random(seed)
     ctx = ExprContext(n, parameters=("b",))
     s = random_sode(ctx, rng, degree=2)
     if kind == "explicit" and n < 2:
         kind = "polynomial"
-    problem = random_problem(rng, ctx, kind)
-    table = random_table(rng, s)
+    problem = random_problem(rng, ctx, kind, suite)
+    table, D, omega = random_table(rng, s)
+    problem = problem._replace(
+        D=D, omega=None if problem.omega_basis else omega)
     rows, labels = weights.ansatz_rows(s, problem, table)
     expected = extended_table_rows(s, problem, table)
     assert len(rows) == len(expected.rows)
