@@ -14,9 +14,9 @@ _EXPORTS = {
                  "eval_num", "integrate_poly", "is_zero", "parse", "subst",
                  "to_text"),
     "geometry": ("Sode", "TensorField", "connection", "curvature",
-                 "dh_jacobi", "gamma_apply", "horizontal_apply",
-                 "identity_matrix", "jacobi", "matrix_det", "matrix_solve",
-                 "nabla_tensor02", "nabla_tensor12", "theta_tensor"),
+                 "gamma_apply", "horizontal_apply", "identity_matrix",
+                 "jacobi", "matrix_det", "matrix_solve", "nabla_tensor02",
+                 "theta_tensor"),
     "conditions": ("Cell", "ConditionReport", "ImplicitSystem",
                    "NonsingularityRecord", "check_classical",
                    "check_dissipative", "check_gyroscopic", "check_implicit",
@@ -27,10 +27,10 @@ _EXPORTS = {
                     "reconstruct_dissipative", "reconstruct_gyroscopic",
                     "verify_dissipative", "verify_gyroscopic",
                     "vertical_homotopy2"),
-    "solver": ("AnsatzProblem", "LinearSystem", "NonlinearCouplingError",
-               "Representative", "SolutionSpace", "SolverError", "assemble",
-               "constant_ansatz", "diagonal_ansatz", "find_nonsingular",
-               "instantiate", "polynomial_ansatz", "q_monomials", "solve"),
+    "solver": ("AnsatzProblem", "LinearSystem", "Representative",
+               "SolutionSpace", "SolverError", "assemble", "constant_ansatz",
+               "diagonal_ansatz", "find_nonsingular", "instantiate",
+               "polynomial_ansatz", "q_monomials", "solve"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

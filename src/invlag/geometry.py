@@ -507,35 +507,6 @@ def nabla_tensor02(s: Sode, g: TensorField) -> TensorField:
     return TensorField(s.ctx, (0, 2), entries)
 
 
-def nabla_tensor12(s: Sode, T: TensorField) -> TensorField:
-    """Covariant derivative along the flow of a (1,2) tensor (slot order
-    (k, i, j)), by the Leibniz extension of the (1,0)/(0,1) rules."""
-    if T.ctx != s.ctx or T.shape != (1, 2):
-        raise DimensionMismatchError("expected a (1,2) tensor over the system")
-    conn, indices = connection(s), range(1, s.n + 1)
-    return TensorField(s.ctx, (1, 2), {
-        (k, i, j): gamma_apply(s, T.entry(k, i, j), [
-            term for l in indices for term in (
-                (conn.entry(k, l), T.entry(l, i, j)),
-                (-conn.entry(l, i), T.entry(k, l, j)),
-                (-conn.entry(l, j), T.entry(k, i, l)))])
-        for k in indices for i in indices for j in indices})
-
-
-def dh_jacobi(s: Sode) -> TensorField:
-    """Antisymmetrised horizontal derivative of the Jacobi endomorphism,
-    slot order (k, i, j); equals the covariant derivative of the
-    curvature along the flow (tested property)."""
-    jac, theta, indices = jacobi(s), theta_tensor(s), range(1, s.n + 1)
-    return TensorField(s.ctx, (1, 2), {
-        (k, i, j): lincomb(s.ctx, _horizontal_terms(s, i, jac.entry(k, j))
-                           + _horizontal_terms(s, j, -jac.entry(k, i)) + [
-            term for l in indices for term in (
-                (jac.entry(l, j), theta.entry(k, l, i)),
-                (-jac.entry(l, i), theta.entry(k, l, j)))])
-        for k in indices for i in indices for j in indices})
-
-
 def _expect_02(s: Sode, g: TensorField):
     if g.ctx != s.ctx:
         raise DimensionMismatchError("tensor belongs to another context")

@@ -26,7 +26,7 @@ from .geometry import (DimensionMismatchError, GeometryError,
                        d_basic, gamma_apply, matrix_solve, nabla_tensor02)
 from .conditions import (ConditionReport, Cell, check_multiplier_dissipative,
                          check_multiplier_gyroscopic, _evaluated, _family,
-                         _Frozen, _require_two_form)
+                         _Frozen, _require_multiplier, _require_two_form)
 
 
 class ReconstructError(Exception):
@@ -301,36 +301,58 @@ def _split_residuals(ctx: ExprContext, residuals):
                         pairs + [(j, i) for i, j in pairs]}
 
 
-def _certify(s: Sode, g: TensorField, kind: str, report: ConditionReport,
-             build) -> Certificate:
-    """The finish both routes share: refuse a multiplier whose existence
-    ``report`` fails; else verify the Lagrangian and force that
-    ``build()`` returns with their gauge, check that the Lagrangian's
-    velocity Hessian is ``g``, refuse it if ``g`` is singular (the
-    Lagrangian is then degenerate; the existence report attached to the
-    refusal shares the verification report's determinant), and certify
-    them."""
-    if not report.passes:
-        raise MultiplierCheckError(
-            f"multiplier fails the {kind} existence conditions", report)
-    L, force, gauge = build()
+def _certify(s: Sode, g: TensorField, kind: str, check, build) -> Certificate:
+    """The finish both routes share, certificate first: verify the
+    Lagrangian and force that ``build()`` returns with their gauge,
+    check that the Lagrangian's velocity Hessian is ``g`` and that ``g``
+    is nonsingular, and certify them. The existence report ``check()``
+    is built at most once, and only to explain a refusal: when the build
+    or the verification raises, the verification fails, the Hessian is
+    not ``g`` or ``g`` is singular. A failing report is refused with a
+    ``MultiplierCheckError``; else the refusal is the build's own
+    exception, an ``InternalInconsistencyError`` or, for a singular
+    ``g``, a ``MultiplierCheckError`` whose passing report shares the
+    verification report's determinant. The existence conditions are
+    necessary, so a certificate that passes all this proves they hold,
+    and the order decides no outcome differently."""
     gyroscopic = kind == "gyroscopic"
-    outcome = (verify_gyroscopic if gyroscopic else verify_dissipative)(
-        s, L, force)
+    try:
+        L, force, gauge = build()
+        outcome = (verify_gyroscopic if gyroscopic else verify_dissipative)(
+            s, L, force)
+    except Exception:
+        _explained(check, kind)
+        raise
     if not outcome.passes:
+        _explained(check, kind)
         raise InternalInconsistencyError(
             "reconstructed pair fails verification")
     if outcome.multiplier != g:
+        _explained(check, kind)
         raise InternalInconsistencyError(
             "reconstructed Lagrangian has the wrong velocity Hessian")
     if not outcome.nonsingularity.nonsingular:
+        report = _explained(check, kind, outcome)
         raise MultiplierCheckError(f"multiplier is singular: "
-                                   f"{outcome.nonsingularity.note}",
-                                   report.sharing_record(outcome))
+                                   f"{outcome.nonsingularity.note}", report)
     return Certificate("classical" if force.is_zero() else kind, L,
                        D=None if gyroscopic else force,
                        omega=force if gyroscopic else None,
                        gauge=gauge, verification=outcome)
+
+
+def _explained(check, kind: str,
+               outcome: Optional[ConditionReport] = None) -> ConditionReport:
+    """The existence report ``check()``, refused when it fails; with the
+    nonsingularity record of ``outcome``, a report on the same
+    multiplier, when that is given."""
+    report = check()
+    if outcome is not None:
+        report = report.sharing_record(outcome)
+    if not report.passes:
+        raise MultiplierCheckError(
+            f"multiplier fails the {kind} existence conditions", report)
+    return report
 
 
 def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
@@ -343,6 +365,13 @@ def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
     affine in velocity; its linear part is a closed two-form on the
     base absorbed into the Lagrangian through a base homotopy, and its
     constant part moves into the dissipation function.
+
+    ``g`` is checked to be a symmetric (0,2) tensor over the system
+    first. The ``thm3`` existence report is built only when the
+    certificate cannot be given, to explain the refusal (``_certify``):
+    a verified certificate with ``g`` as its nonsingular velocity
+    Hessian already proves the existence conditions, which are
+    necessary.
     """
     def build():
         ctx = s.ctx
@@ -355,8 +384,9 @@ def reconstruct_dissipative(s: Sode, g: TensorField) -> Certificate:
                 lincomb(ctx, [D0, *zip(base_terms, s.velocities)]),
                 GaugeRecord(tuple(alpha), ctx.zero, tuple(base_terms)))
 
-    return _certify(s, g, "dissipative", check_multiplier_dissipative(s, g),
-                    build)
+    _require_multiplier(s, g)
+    return _certify(s, g, "dissipative",
+                    lambda: check_multiplier_dissipative(s, g), build)
 
 
 def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
@@ -369,6 +399,11 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
     must reproduce the lowered curvature cycle (which itself has to be
     basic and closed) — both verified symbolically. The velocity-free
     remainder must be exact and becomes a gauge potential.
+
+    The ``thm4`` existence report is built first, and a failing one
+    refuses ``g`` before anything is built: its ``SmoothV0`` cells, on
+    smoothness at zero velocity, do not follow from a verified
+    certificate.
     """
     def build():
         ctx = s.ctx
@@ -388,8 +423,9 @@ def reconstruct_gyroscopic(s: Sode, g: TensorField) -> Certificate:
                          1, "velocity-free residual part")[()]
         return L0 + phi, omega, GaugeRecord((ctx.zero,) * s.n, phi, ())
 
-    return _certify(s, g, "gyroscopic", check_multiplier_gyroscopic(s, g),
-                    build)
+    report = check_multiplier_gyroscopic(s, g)
+    _explained(lambda: report, "gyroscopic")
+    return _certify(s, g, "gyroscopic", lambda: report, build)
 
 
 def _curvature_cycles(s: Sode, g: TensorField) -> dict:

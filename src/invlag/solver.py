@@ -40,11 +40,6 @@ class SolverError(Exception):
     """A search problem is malformed or cannot be assembled."""
 
 
-class NonlinearCouplingError(SolverError):
-    """A condition residual is not linear in the unknowns (assembly reads
-    terms linear in them, so only rows read from residuals raise this)."""
-
-
 _Basis = Tuple[Tuple[Tuple[int, int], Tuple[Expr, ...]], ...]
 
 

@@ -48,6 +48,13 @@ worktree`` of the parent commit and the working tree. The corpus is:
   ``planar_drag``, each also under ``INSTANTIATE_EXPLICIT``, and
   ``gyroscopic`` with a rational two-form on a copy of ``coupled3``,
   where (n = 3) its exterior derivative enters the cells;
+* ``reconstruct`` of each ``RECONSTRUCTED`` problem, a refusal under
+  each of its suites (failing existence conditions, a singular
+  multiplier on both routes, a multiplier rational in the velocities or
+  with a pole at the origin, a potential rational in the positions, a
+  non-symmetric multiplier), and of a copy of
+  ``tests/problems/dense4.json`` whose multiplier has ``q2*v1`` added to
+  its entry ``(2, 2)``, so every refusal of either route is compared;
 * each refusal of an unknown key that the command line had before it
   refused stray ansatz keys (a top-level field, an option, an ansatz
   key, a preset key), on copies of ``planar_drag``;
@@ -143,6 +150,29 @@ CHECKED = {
     "gyroscopic-n3": ("coupled3", {"omega": [
         ["0", "q3/(q1^2 + 1)", "q2"], ["-q3/(q1^2 + 1)", "0", "1/(q1 + 2)"],
         ["-q2", "-1/(q1 + 2)", "0"]]}, "gyroscopic"),
+}
+# refusals of ``reconstruct``, as (problem, suites): a multiplier that
+# fails its existence conditions, singular ones, a multiplier rational in
+# the velocities, one with a pole at the origin, a system whose
+# potential is rational in the positions and a non-symmetric multiplier
+_FREE = {"n": 2, "f": ["0", "0"]}
+RECONSTRUCTED = {
+    "failing": (dict(_FREE, g=[["1", "0"], ["0", "q1 + 1"]]),
+                ("thm3", "dissipative")),
+    "singular-00": (dict(_FREE, g=[["0", "0"], ["0", "0"]]),
+                    ("thm3", "gyroscopic")),
+    "singular-10": (dict(_FREE, g=[["1", "0"], ["0", "0"]]),
+                    ("thm3", "gyroscopic")),
+    "velocity-rational": (dict(_FREE, g=[["1/(1 + v1)", "0"], ["0", "1"]]),
+                          ("thm3",)),
+    # the forward system of 1/2*(v1^2 + v2^2)/q1 + v2/q1
+    "origin-pole": ({"n": 2, "f": ["(1/2*v1^2 - 1/2*v2^2 - v2)/(q1)",
+                                   "(v1*v2 + v1)/(q1)"],
+                     "g": [["1/q1", "0"], ["0", "1/q1"]]}, ("thm3",)),
+    # the forward system of 1/2*v1^2 + 1/2*v2^2 - 1/(1+q1^2)
+    "rational-potential": ({"n": 2, "f": ["(2*q1)/(q1^4 + 2*q1^2 + 1)", "0"],
+                            "g": [["1", "0"], ["0", "1"]]}, ("gyroscopic",)),
+    "nonsymmetric": (dict(_FREE, g=[["1", "1"], ["0", "1"]]), ("thm3",)),
 }
 IMPLICIT = {
     "pass": ["d2q1 - q1*v3^2 + q2*q3 + q1*v1", "d2q2 + q1*q3 + v2",
@@ -253,6 +283,25 @@ def _wide_calls(workdir: str):
     return calls
 
 
+def _reconstruct_calls(workdir: str):
+    """``reconstruct`` of each ``RECONSTRUCTED`` problem under each of
+    its suites, and of a copy of ``tests/problems/dense4.json`` with
+    ``q2*v1`` added to its multiplier's entry ``(2, 2)``; writes the
+    problem files."""
+    dense = json.loads((REPO / "tests" / "problems" / "dense4.json")
+                       .read_text(encoding="utf-8"))
+    dense["g"][1][1] = f"{dense['g'][1][1]} + q2*v1"
+    cases = dict(RECONSTRUCTED, dense4=(dense, ("dissipative",)))
+    calls = []
+    for name, (problem, suites) in cases.items():
+        path = os.path.join(workdir, f"reconstruct-{name}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(problem, handle)
+        calls += [("reconstruct", ["reconstruct", path, "--suite", suite])
+                  for suite in suites]
+    return calls
+
+
 def _refusal_calls(workdir: str):
     """The unknown-key and wrong-mode refusals, the implicit suite on
     ``IMPLICIT``, and the calls of ``cli_cases``; writes the problem
@@ -316,6 +365,7 @@ def _corpus(workdir: str):
                                   _noncanonical_texts())
              + _first_entry_calls(workdir, "powers", POWERS)
              + _wide_calls(workdir)
+             + _reconstruct_calls(workdir)
              + _refusal_calls(workdir))
     for workload in WORKLOADS:
         for seed in SEEDS:

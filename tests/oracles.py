@@ -28,7 +28,20 @@ one pass:
   every searchable suite written out formula by formula from whole
   tensors (``nabla g``, ``g Phi``, ``d omega``, the curvature cycles),
   where every checker evaluates the terms of
-  ``conditions.suite_terms``.
+  ``conditions.suite_terms``;
+* ``reconstruct_dissipative_gate_first`` and its finish
+  ``certify_gate_first``: the dissipative reconstruction that runs the
+  ``thm3`` existence suite before it builds anything, where
+  ``reconstruct_dissipative`` and ``reconstruct._certify`` build and
+  verify the certificate first and run the suite only to explain a
+  refusal;
+* ``dh_jacobi`` and ``nabla_tensor12``: the antisymmetrised horizontal
+  derivative of the Jacobi endomorphism and the flow derivative of a
+  (1,2) tensor, two routes to the flow derivative of the curvature that
+  the package no longer needs.
+
+``NonlinearCouplingError`` is raised only by the rows oracle here, which
+reads rows from residuals that may not be linear in the unknowns.
 
 They check their input in the same order and raise the same errors with
 the same messages, so a test can compare outcomes, errors included.
@@ -44,11 +57,23 @@ from invlag import solver
 from invlag.exprcore import (Expr, ExprContext, NotPolynomialError,
                              ZeroDenominatorError, convert, lincomb)
 from invlag.geometry import (DimensionMismatchError, GeometryError,
-                             InternalInconsistencyError, TensorField,
-                             curvature, d_basic, horizontal_apply, jacobi,
+                             InternalInconsistencyError, Sode, TensorField,
+                             _horizontal_terms, connection, curvature,
+                             d_basic, gamma_apply, horizontal_apply, jacobi,
                              matrix_det, nabla_tensor02, theta_tensor)
-from invlag.reconstruct import BasePointError
-from invlag.solver import LinearSystem, NonlinearCouplingError
+from invlag.conditions import (ConditionReport,
+                               check_multiplier_dissipative)
+from invlag.reconstruct import (BasePointError, Certificate, GaugeRecord,
+                                MultiplierCheckError, _potential,
+                                _split_residuals, lagrange_residuals,
+                                verify_dissipative, verify_gyroscopic,
+                                vertical_homotopy2)
+from invlag.solver import LinearSystem, SolverError
+
+
+class NonlinearCouplingError(SolverError):
+    """A condition residual is not linear in the unknowns (assembly reads
+    terms linear in them, so only rows read from residuals raise this)."""
 
 
 def cramer_solve(tensor, rhs):
@@ -387,3 +412,91 @@ def outcome(function, *args):
         return "returns", function(*args)
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc), getattr(exc, "var", None)
+
+
+def nabla_tensor12(s: Sode, T: TensorField) -> TensorField:
+    """Covariant derivative along the flow of a (1,2) tensor (slot order
+    (k, i, j)), by the Leibniz extension of the (1,0)/(0,1) rules."""
+    if T.ctx != s.ctx or T.shape != (1, 2):
+        raise DimensionMismatchError("expected a (1,2) tensor over the system")
+    conn, indices = connection(s), range(1, s.n + 1)
+    return TensorField(s.ctx, (1, 2), {
+        (k, i, j): gamma_apply(s, T.entry(k, i, j), [
+            term for l in indices for term in (
+                (conn.entry(k, l), T.entry(l, i, j)),
+                (-conn.entry(l, i), T.entry(k, l, j)),
+                (-conn.entry(l, j), T.entry(k, i, l)))])
+        for k in indices for i in indices for j in indices})
+
+
+def dh_jacobi(s: Sode) -> TensorField:
+    """Antisymmetrised horizontal derivative of the Jacobi endomorphism,
+    slot order (k, i, j); equals the covariant derivative of the
+    curvature along the flow (tested property)."""
+    jac, theta, indices = jacobi(s), theta_tensor(s), range(1, s.n + 1)
+    return TensorField(s.ctx, (1, 2), {
+        (k, i, j): lincomb(s.ctx, _horizontal_terms(s, i, jac.entry(k, j))
+                           + _horizontal_terms(s, j, -jac.entry(k, i)) + [
+            term for l in indices for term in (
+                (jac.entry(l, j), theta.entry(k, l, i)),
+                (-jac.entry(l, i), theta.entry(k, l, j)))])
+        for k in indices for i in indices for j in indices})
+
+
+def certify_gate_first(s: Sode, g: TensorField, kind: str,
+                        report: ConditionReport, build) -> Certificate:
+    """The finish both routes share: refuse a multiplier whose existence
+    ``report`` fails; else verify the Lagrangian and force that
+    ``build()`` returns with their gauge, check that the Lagrangian's
+    velocity Hessian is ``g``, refuse it if ``g`` is singular (the
+    Lagrangian is then degenerate; the existence report attached to the
+    refusal shares the verification report's determinant), and certify
+    them."""
+    if not report.passes:
+        raise MultiplierCheckError(
+            f"multiplier fails the {kind} existence conditions", report)
+    L, force, gauge = build()
+    gyroscopic = kind == "gyroscopic"
+    outcome = (verify_gyroscopic if gyroscopic else verify_dissipative)(
+        s, L, force)
+    if not outcome.passes:
+        raise InternalInconsistencyError(
+            "reconstructed pair fails verification")
+    if outcome.multiplier != g:
+        raise InternalInconsistencyError(
+            "reconstructed Lagrangian has the wrong velocity Hessian")
+    if not outcome.nonsingularity.nonsingular:
+        raise MultiplierCheckError(f"multiplier is singular: "
+                                   f"{outcome.nonsingularity.note}",
+                                   report.sharing_record(outcome))
+    return Certificate("classical" if force.is_zero() else kind, L,
+                       D=None if gyroscopic else force,
+                       omega=force if gyroscopic else None,
+                       gauge=gauge, verification=outcome)
+
+
+def reconstruct_dissipative_gate_first(s: Sode,
+                                       g: TensorField) -> Certificate:
+    """From a multiplier passing the dissipative existence test, build
+    a Lagrangian and a dissipation function and verify them.
+
+    The fibre homotopy of ``g`` gives the kinetic part; the fibre
+    homotopy of the flow derivative of ``g`` gives the leading part of
+    the dissipation function. What is left of the Lagrange residual is
+    affine in velocity; its linear part is a closed two-form on the
+    base absorbed into the Lagrangian through a base homotopy, and its
+    constant part moves into the dissipation function.
+    """
+    def build():
+        ctx = s.ctx
+        L0 = vertical_homotopy2(g)
+        D0 = vertical_homotopy2(nabla_tensor02(s, g))
+        base_terms, c = _split_residuals(ctx, lagrange_residuals(s, L0, D=D0))
+        alpha_map = _potential(ctx, c, 2, "velocity-linear residual part")
+        alpha = [alpha_map[(j,)] for j in range(1, s.n + 1)]
+        return (lincomb(ctx, [L0, *zip(alpha, s.velocities)]),
+                lincomb(ctx, [D0, *zip(base_terms, s.velocities)]),
+                GaugeRecord(tuple(alpha), ctx.zero, tuple(base_terms)))
+
+    return certify_gate_first(s, g, "dissipative",
+                               check_multiplier_dissipative(s, g), build)

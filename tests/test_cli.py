@@ -617,6 +617,42 @@ def test_the_forward_solve_builds_no_determinant(fixture, monkeypatch):
                          "--forward") == (0, 1)
 
 
+def _suite_work(monkeypatch, *args):
+    """The exit code of ``invlag *args`` and how often it builds the
+    curvature, builds the Jacobi endomorphism and runs the dissipative
+    existence check, counted through the bindings that ``geometry`` and
+    ``reconstruct`` read."""
+    calls = {}
+    for module, name in ((geometry, "_curvature"), (geometry, "_jacobi"),
+                         (reconstruct, "check_multiplier_dissipative")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return run_cli(*args).returncode, calls
+
+
+@pytest.mark.parametrize("fixture", ["coupled3", "free2"])
+def test_a_certified_multiplier_runs_no_existence_suite(fixture,
+                                                        monkeypatch):
+    """A certificate that verifies with ``g`` as its nonsingular velocity
+    Hessian proves the existence conditions, so the dissipative route
+    builds neither the curvature nor the Jacobi endomorphism and runs
+    no ``thm3`` check."""
+    assert _suite_work(monkeypatch, "reconstruct", fixture) == (0, {})
+
+
+def test_a_failing_multiplier_runs_the_existence_suite_once(tmp_path,
+                                                            monkeypatch):
+    """A refusal is explained by one ``thm3`` report, which fails."""
+    path = tmp_path / "badmult.json"
+    path.write_text(json.dumps({"n": 2, "f": ["0", "0"], "g": [
+        ["1", "0"], ["0", "q1 + 1"]]}))
+    code, calls = _suite_work(monkeypatch, "reconstruct", str(path))
+    assert (code, calls["check_multiplier_dissipative"]) == (1, 1)
+
+
 def test_reconstruct_reports_non_polynomial_base_form(tmp_path):
     # the forward system of 1/2*v1^2 + 1/2*v2^2 - 1/(1+q1^2): the
     # gyroscopic route's base homotopy needs polynomial position dependence

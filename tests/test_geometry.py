@@ -15,13 +15,12 @@ from invlag.exprcore import Expr, ExprContext, ExprError, convert, lincomb
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, Sode,
                              TensorField, connection, curvature, d_basic,
-                             dh_jacobi, gamma_apply, horizontal_apply,
+                             gamma_apply, horizontal_apply,
                              identity_matrix, jacobi, matrix_det,
-                             matrix_solve, nabla_tensor02, nabla_tensor12,
-                             theta_tensor)
+                             matrix_solve, nabla_tensor02, theta_tensor)
 
 from exprgen import random_expr, random_poly, random_sode
-from oracles import cramer_solve, outcome
+from oracles import cramer_solve, dh_jacobi, nabla_tensor12, outcome
 
 
 def planar_drag():

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 from invlag.exprcore import ExprContext, NotPolynomialError
 from invlag.geometry import (DimensionMismatchError, GeometryError, Sode,
                              TensorField, identity_matrix, matrix_det)
-from invlag.reconstruct import (BasePointError, Certificate,
-                                MultiplierCheckError,
+from invlag.reconstruct import (BasePointError, Certificate, GaugeRecord,
+                                MultiplierCheckError, _certify,
                                 SingularHessianError, base_homotopy,
                                 forward_accelerations,
                                 forward_sode, hessian, reconstruct_dissipative,
                                 reconstruct_gyroscopic, verify_dissipative,
                                 verify_gyroscopic, vertical_homotopy2)
-from invlag.conditions import TwoFormError, check_suite
+from invlag.conditions import (TwoFormError, check_multiplier_dissipative,
+                               check_suite)
 
 from exprgen import random_poly, small_fraction
-from oracles import (base_homotopy_by_parts, outcome,
+from oracles import (base_homotopy_by_parts, certify_gate_first, outcome,
+                     reconstruct_dissipative_gate_first,
                      vertical_homotopy2_by_parts)
 
 
@@ -502,6 +504,81 @@ def test_forward_then_reconstruct_returns_the_system(seed, n, gyroscopic):
         assert verify_dissipative(s, cert.L, cert.D).passes
         assert forward_accelerations(cert.L, cert.D) == list(s.f)
     assert hessian(cert.L) == g
+
+
+def _perturbed(g, rng):
+    """``g`` with a random symmetric change: ``c*q_k`` or ``c*v_k``
+    added at ``(i, j)`` and ``(j, i)``, or row and column ``i`` set to
+    zero."""
+    ctx, n = g.ctx, g.n
+    i, j, k = (rng.randint(1, n) for _ in range(3))
+    entries = {(a, b): g.entry(a, b) for a in range(1, n + 1)
+               for b in range(1, n + 1)}
+    kind = rng.choice(("position", "velocity", "zero row"))
+    if kind == "zero row":
+        entries.update({pair: ctx.zero for pair in entries if i in pair})
+    else:
+        at = ctx.q(k) if kind == "position" else ctx.v(k)
+        bump = ctx.const(rng.choice((-2, -1, 1, 2))) * ctx.var(at)
+        for pair in {(i, j), (j, i)}:
+            entries[pair] = entries[pair] + bump
+    return TensorField(ctx, (0, 2), entries, sym=((1, 2),))
+
+
+def _reconstructed(function, s, g):
+    """What ``function(s, g)`` returns, or the type and message of what
+    it raises, with the existence report and its nonsingularity record
+    for a ``MultiplierCheckError``."""
+    try:
+        return "returns", function(s, g)
+    except MultiplierCheckError as exc:
+        return (MultiplierCheckError, str(exc), exc.report,
+                exc.report.nonsingularity)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       perturb=st.booleans(),
+       pair=st.sampled_from(("homotopy", "generating", "undamped")))
+def test_certificate_first_reconstruction_equals_the_gate_first_one(
+        seed, n, perturb, pair):
+    """On the system of ``L`` with a constant invertible kinetic matrix
+    and a random polynomial ``D``, with ``g`` the Hessian of ``L`` or,
+    in half the examples, that Hessian randomly changed, building the
+    certificate first gives what running the ``thm3`` suite first does:
+    the same certificate, or the same error with the same message, the
+    same existence report and the same nonsingularity record; and every
+    certificate it gives has a passing ``thm3`` report. The pair
+    certified is the one the homotopies build, or, to reach the refusals
+    a correct build never reaches, the generating ``(L, D)`` (whose
+    Hessian a change of ``g`` makes wrong) or ``L`` with no dissipation
+    (which fails the verification)."""
+    rng = random.Random(seed)
+    ctx = ExprContext(n)
+    L, D = _random_regular_pair(ctx, rng)
+    s = Sode(ctx, forward_accelerations(L, D))
+    g = _perturbed(hessian(L), rng) if perturb else hessian(L)
+    if pair == "homotopy":
+        new, old = reconstruct_dissipative, reconstruct_dissipative_gate_first
+    else:
+        certified = (L, D if pair == "generating" else ctx.zero,
+                     GaugeRecord((ctx.zero,) * n, ctx.zero, ()))
+
+        def new(s, g):
+            return _certify(s, g, "dissipative",
+                            lambda: check_multiplier_dissipative(s, g),
+                            lambda: certified)
+
+        def old(s, g):
+            return certify_gate_first(s, g, "dissipative",
+                                      check_multiplier_dissipative(s, g),
+                                      lambda: certified)
+    result = _reconstructed(new, s, g)
+    assert result == _reconstructed(old, s, g)
+    if result[0] == "returns":
+        assert check_multiplier_dissipative(s, g).passes
 
 
 def _failing_families(report):

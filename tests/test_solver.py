@@ -17,8 +17,7 @@ from invlag.exprcore import ExprContext, convert
 from invlag.geometry import (InternalInconsistencyError, Sode, TensorField,
                              curvature, jacobi, matrix_det)
 from invlag.reconstruct import forward_accelerations, forward_sode
-from invlag.solver import (AnsatzProblem, LinearSystem,
-                           NonlinearCouplingError, Representative,
+from invlag.solver import (AnsatzProblem, LinearSystem, Representative,
                            SolverError, assemble,
                            constant_ansatz, diagonal_ansatz,
                            find_nonsingular, instantiate, polynomial_ansatz,
@@ -27,6 +26,7 @@ from invlag.conditions import check_multiplier_dissipative
 
 import oracles
 from clirun import run_cli
+from oracles import NonlinearCouplingError
 from exprgen import random_poly, random_sode
 from sympyref import terms
 
