@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .conditions import (SUITES, Cell, ConditionReport, ImplicitSystem,
                          check_implicit, check_suite, implicit_context)
 from .exprcore import (Expr, ExprContext, ExprError, LimitError,
-                       NotPolynomialError)
+                       NotPolynomialError, negated_text)
 from .geometry import (GeometryError, Sode, TensorField, connection,
                        curvature, jacobi, theta_tensor)
 
@@ -438,8 +438,27 @@ def ansatz_problem(problem: Problem) -> Tuple[AnsatzProblem, int]:
 
 def _strings(t: TensorField) -> list:
     """The entries of ``t`` as text, in lists nested one per index; a
-    zero entry, which ``t.entries`` leaves out, reads ``0``."""
-    texts = {idx: str(value) for idx, value in t.entries.items()}
+    zero entry, which ``t.entries`` leaves out, reads ``0``.
+
+    Each orbit of the declared ``sym`` and ``antisym`` pairs of slots is
+    printed once, at its first index in index order: a partner under a
+    symmetric pair copies that text and one under an antisymmetric pair
+    negates it (``negated_text``), since ``TensorField`` has checked
+    that the partner equals the entry or its negation."""
+    pairs = [(a - 1, b - 1, negated) for declared, negated in
+             ((t.sym, False), (t.antisym, True))
+             for a, b in map(sorted, declared)]
+    texts = {}
+    for idx, value in sorted(t.entries.items()):
+        for a, b, negated in pairs:
+            if idx[a] > idx[b]:
+                swapped = list(idx)
+                swapped[a], swapped[b] = idx[b], idx[a]
+                text = texts[tuple(swapped)]
+                texts[idx] = negated_text(text) if negated else text
+                break
+        else:
+            texts[idx] = str(value)
     n = t.n
     nested = [texts.get(idx, "0")
               for idx in product(range(1, n + 1), repeat=t.rank)]

@@ -63,7 +63,9 @@ integer coefficients over one denominator. The grammar, printing,
 trial division, substitution, conversion, integration and evaluation
 layers are implemented here, all on those integers: the printer, for
 one, reads each coefficient off its integer and the one denominator
-with one gcd.
+with one gcd, and each monomial's text off a table kept on the context
+instance, which unpacks a monomial the first time the context prints
+it.
 """
 
 from __future__ import annotations
@@ -343,7 +345,7 @@ class ExprContext:
 
     __slots__ = ("n", "max_jet_order", "parameters", "uses_time",
                  "_ring", "_gens", "_names", "_varids", "_name_key",
-                 "_var_pos", "_base", "zero", "one")
+                 "_var_pos", "_base", "_monomial_text", "zero", "one")
 
     def __init__(self, n: int, parameters: Iterable[str] = (),
                  max_jet_order: int = 1, uses_time: bool = False):
@@ -376,6 +378,7 @@ class ExprContext:
         object.__setattr__(self, "_name_key", name_key)
         object.__setattr__(self, "_var_pos", var_pos)
         object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_monomial_text", {})
         object.__setattr__(self, "zero", _factored(self, ring.zero, ()))
         object.__setattr__(self, "one", _factored(self, ring.one, ()))
 
@@ -1452,25 +1455,32 @@ class _Parser:
 
 def _poly_text(ctx: ExprContext, poly) -> str:
     """The terms of ``poly`` in descending lex order, each coefficient
-    read off its integer over ``poly.den`` with one gcd."""
+    read off its integer over ``poly.den`` with one gcd and each
+    monomial's factors (``q1^2*v3``) off the context's table, which
+    unpacks only the monomials it has not printed before."""
     coeffs = poly.coeffs
     if not coeffs:
         return "0"
-    names = ctx._names
+    table = ctx._monomial_text
+    keys = sorted(coeffs, reverse=True)
+    missing = [key for key in keys if key not in table]
+    if missing:
+        names = ctx._names
+        for key, monom in zip(missing, poly.ring.unpack(missing)):
+            table[key] = "*".join([names[position] if exponent == 1
+                                   else f"{names[position]}^{exponent}"
+                                   for position, exponent in enumerate(monom)
+                                   if exponent])
     den = poly.den
     chunks = []
-    keys = sorted(coeffs, reverse=True)
-    for key, monom in zip(keys, poly.ring.unpack(keys)):
+    for key in keys:
         coeff = coeffs[key]
         if coeff < 0:
             coeff = -coeff
             chunks.append(" - " if chunks else "-")
         elif chunks:
             chunks.append(" + ")
-        factors = "*".join([names[position] if exponent == 1
-                            else f"{names[position]}^{exponent}"
-                            for position, exponent in enumerate(monom)
-                            if exponent])
+        factors = table[key]
         if coeff == den and factors:  # the coefficient 1
             chunks.append(factors)
             continue
@@ -1490,6 +1500,31 @@ def to_text(expr: Expr) -> str:
     if not expr.den_factors:
         return _poly_text(expr.ctx, expr.num)
     return f"({_poly_text(expr.ctx, expr.num)})/({_poly_text(expr.ctx, expr.den)})"
+
+
+def negated_text(text: str) -> str:
+    """``to_text(-e)`` read off ``text``, which is ``to_text(e)``.
+
+    ``-e`` is ``_factored(ctx, -num, den_factors)``: the same monomials
+    in the same order with the same coefficient magnitudes, over the same
+    denominator, so only the signs of the numerator's terms change. The
+    first term's sign is a leading ``-`` or none, and each later term's
+    is its separator, `` + `` or `` - ``; no term's text holds either
+    separator, since coefficients and names hold no space. So toggling
+    the leading ``-`` and swapping the two separators negates a
+    polynomial's text. A fraction prints as ``(num)/(den)``, and as no
+    term's text holds a parenthesis, its numerator ends at the first
+    ``)``; the denominator is kept as it is. Zero prints ``0`` either
+    way.
+    """
+    if text == "0":
+        return text
+    if text[0] == "(":
+        end = text.index(")")
+        return f"({negated_text(text[1:end])}{text[end:]}"
+    text = text[1:] if text[0] == "-" else "-" + text
+    return " - ".join(part.replace(" - ", " + ")
+                      for part in text.split(" + "))
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,11 @@ worktree`` of the parent commit and the working tree. The corpus is:
   ``POWERS``: powers of multi-term sums with rational coefficients and
   a parameter, above the exponents ``random_text`` draws (-2..3), so
   the multiply-and-square loop of ``Poly.__pow__`` is compared too;
+* ``analyze`` of a copy of ``coupled3`` whose every ``f`` entry is
+  divided by ``(q2^2 + 3)``, and of a copy of ``chain4_gyro`` with and
+  without ``--instantiate b=-1/3``: rational curvature entries with
+  negative leading coefficients, and parameters, so the texts the
+  command line negates for an antisymmetric partner are compared too;
 * ``check --suite thm3`` and ``analyze`` (the largest printed output)
   of a copy of ``tests/problems/dense4.json``, the dense n = 4 system
   with a position-dependent kinetic energy, and ``solve`` of a copy of
@@ -246,6 +251,24 @@ def _first_entry_calls(workdir: str, label: str, texts):
     return calls
 
 
+def _negated_calls(workdir: str):
+    """``analyze`` of a copy of ``coupled3`` with every ``f`` entry over
+    ``(q2^2 + 3)`` and of a copy of ``chain4_gyro``, that one also under
+    ``--instantiate b=-1/3``; writes the problem files."""
+    fixtures = REPO / "src" / "invlag" / "fixtures"
+    coupled = json.loads((fixtures / "coupled3.json").read_text(
+        encoding="utf-8"))
+    coupled["f"] = [f"({entry})/(q2^2 + 3)" for entry in coupled["f"]]
+    paths = [os.path.join(workdir, name) for name in (
+        "negated-coupled3.json", "negated-chain4_gyro.json")]
+    with open(paths[0], "w", encoding="utf-8") as handle:
+        json.dump(coupled, handle)
+    shutil.copyfile(fixtures / "chain4_gyro.json", paths[1])
+    return [("negated", ["analyze", paths[0]]),
+            ("negated", ["analyze", paths[1]]),
+            ("negated", ["analyze", paths[1], "--instantiate", "b=-1/3"])]
+
+
 def _wide_calls(workdir: str):
     """``check --suite thm3`` and ``analyze`` of the dense n = 4 problem,
     ``solve`` of the 50-unknown search problems and of lin n = 5,
@@ -364,6 +387,7 @@ def _corpus(workdir: str):
              + _first_entry_calls(workdir, "noncanonical",
                                   _noncanonical_texts())
              + _first_entry_calls(workdir, "powers", POWERS)
+             + _negated_calls(workdir)
              + _wide_calls(workdir)
              + _reconstruct_calls(workdir)
              + _refusal_calls(workdir))

@@ -38,7 +38,12 @@ one pass:
 * ``dh_jacobi`` and ``nabla_tensor12``: the antisymmetrised horizontal
   derivative of the Jacobi endomorphism and the flow derivative of a
   (1,2) tensor, two routes to the flow derivative of the curvature that
-  the package no longer needs.
+  the package no longer needs;
+* ``poly_text``, ``to_text`` and ``strings``: the printer that builds
+  every monomial's text from its exponent tuple each time it prints it,
+  where ``exprcore._poly_text`` reads it off the context's table, and
+  the command line's tensor texts printed entry by entry, where
+  ``cli._strings`` prints each symmetry orbit once.
 
 ``NonlinearCouplingError`` is raised only by the rows oracle here, which
 reads rows from residuals that may not be linear in the unknowns.
@@ -47,15 +52,17 @@ They check their input in the same order and raise the same errors with
 the same messages, so a test can compare outcomes, errors included.
 """
 
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from invlag import solver
-from invlag.exprcore import (Expr, ExprContext, NotPolynomialError,
-                             ZeroDenominatorError, convert, lincomb)
+from invlag.exprcore import (Expr, ExprContext, LimitError,
+                             NotPolynomialError, ZeroDenominatorError,
+                             convert, lincomb)
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, Sode, TensorField,
                              _horizontal_terms, connection, curvature,
@@ -500,3 +507,57 @@ def reconstruct_dissipative_gate_first(s: Sode,
 
     return certify_gate_first(s, g, "dissipative",
                                check_multiplier_dissipative(s, g), build)
+
+
+def poly_text(ctx: ExprContext, poly) -> str:
+    """The terms of ``poly`` in descending lex order, each coefficient
+    read off its integer over ``poly.den`` with one gcd."""
+    coeffs = poly.coeffs
+    if not coeffs:
+        return "0"
+    names = ctx._names
+    den = poly.den
+    chunks = []
+    keys = sorted(coeffs, reverse=True)
+    for key, monom in zip(keys, poly.ring.unpack(keys)):
+        coeff = coeffs[key]
+        if coeff < 0:
+            coeff = -coeff
+            chunks.append(" - " if chunks else "-")
+        elif chunks:
+            chunks.append(" + ")
+        factors = "*".join([names[position] if exponent == 1
+                            else f"{names[position]}^{exponent}"
+                            for position, exponent in enumerate(monom)
+                            if exponent])
+        if coeff == den and factors:  # the coefficient 1
+            chunks.append(factors)
+            continue
+        g = gcd(coeff, den)
+        try:
+            coefficient = (str(coeff // g) if g == den
+                           else f"{coeff // g}/{den // g}")
+        except ValueError:  # past Python's limit for int to str
+            raise LimitError("cannot print a coefficient of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+        chunks.append(f"{coefficient}*{factors}" if factors else coefficient)
+    return "".join(chunks)
+
+
+def to_text(expr: Expr) -> str:
+    """Canonical text form; feeding it back to ``parse`` reproduces ``expr``."""
+    if not expr.den_factors:
+        return poly_text(expr.ctx, expr.num)
+    return f"({poly_text(expr.ctx, expr.num)})/({poly_text(expr.ctx, expr.den)})"
+
+
+def strings(t: TensorField) -> list:
+    """The entries of ``t`` as text, in lists nested one per index; a
+    zero entry, which ``t.entries`` leaves out, reads ``0``."""
+    texts = {idx: str(value) for idx, value in t.entries.items()}
+    n = t.n
+    nested = [texts.get(idx, "0")
+              for idx in product(range(1, n + 1), repeat=t.rank)]
+    for _ in range(t.rank - 1):
+        nested = [nested[k:k + n] for k in range(0, len(nested), n)]
+    return nested

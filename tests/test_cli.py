@@ -14,14 +14,18 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import product
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.rings import PolyElement
 
 import invlag
@@ -30,8 +34,10 @@ from invlag import (cli, conditions, exprcore, geometry, poly, reconstruct,
 from invlag.exprcore import ExprContext
 from invlag.reconstruct import forward_accelerations
 
+import oracles
 from cli_cases import RARE_VERDICTS, REFUSALS, prepare
 from clirun import run_cli, run_json
+from exprgen import random_expr
 
 
 @lru_cache(maxsize=None)
@@ -651,6 +657,101 @@ def test_a_failing_multiplier_runs_the_existence_suite_once(tmp_path,
         ["1", "0"], ["0", "q1 + 1"]]}))
     code, calls = _suite_work(monkeypatch, "reconstruct", str(path))
     assert (code, calls["check_multiplier_dissipative"]) == (1, 1)
+
+
+def _printing(monkeypatch, *args):
+    """The exit code of ``invlag *args``, its number of printer calls
+    (``exprcore.to_text``, which ``str`` of an expression reads) and
+    the packed monomials those calls unpack, in order."""
+    calls, unpacked, printing = [], [], []
+    original, unpack = exprcore.to_text, poly.PolyRing.unpack
+
+    def counting(expr):
+        calls.append(expr)
+        printing.append(expr)
+        try:
+            return original(expr)
+        finally:
+            printing.pop()
+
+    def recording(ring, keys):
+        if printing:
+            keys = list(keys)
+            unpacked.extend(keys)
+        return unpack(ring, keys)
+
+    monkeypatch.setattr(exprcore, "to_text", counting)
+    monkeypatch.setattr(poly.PolyRing, "unpack", recording)
+    return run_cli(*args).returncode, len(calls), unpacked
+
+
+@pytest.mark.parametrize("problem", ["coupled3", "dense4"])
+def test_analyze_prints_each_orbit_once(problem, monkeypatch):
+    """``analyze`` prints each nonzero entry of Gamma and Phi, each
+    nonzero curvature entry ``R[i,j,k]`` with ``j < k`` and each nonzero
+    ``theta[i,j,k]`` with ``j <= k`` once, the rest of each orbit being
+    copied or negated, and unpacks each distinct monomial at most once.
+    The counts are read off the JSON report of an uncounted run."""
+    path = (problem if problem == "coupled3"
+            else str(pathlib.Path(__file__).parent / "problems"
+                     / f"{problem}.json"))
+    objects = run_json("analyze", path)[1]["objects"]
+    n = len(objects["Gamma"])
+    indices = range(n)
+    expected = sum(objects[name][i][j] != "0" for name in ("Gamma", "Phi")
+                   for i in indices for j in indices)
+    expected += sum(objects[name][i][j][k] != "0" and keep(j, k)
+                    for name, keep in (("R", int.__lt__), ("theta", int.__le__))
+                    for i in indices for j in indices for k in indices)
+    if problem == "dense4":  # every entry of Gamma and Phi is printed
+        assert all("0" not in row for name in ("Gamma", "Phi")
+                   for row in objects[name])
+    code, calls, unpacked = _printing(monkeypatch, "analyze", path)
+    assert (code, calls) == (0, expected)
+    assert unpacked and len(unpacked) == len(set(unpacked))
+
+
+_ORBIT_CTXS = (ExprContext(2), ExprContext(3, parameters=("a", "b")))
+
+
+@st.composite
+def _symmetric_tensor(draw):
+    """A rank-2 or rank-3 ``TensorField`` at n = 2 or 3 with one declared
+    ``sym`` or ``antisym`` pair, its entries random trees (polynomial,
+    rational, with parameters, some with large coefficients) or zero."""
+    ctx = draw(st.sampled_from(_ORBIT_CTXS))
+    rank = draw(st.sampled_from((2, 3)))
+    pair = draw(st.sampled_from(((1, 2), (1, 3), (2, 3))
+                                if rank == 3 else ((1, 2),)))
+    negated = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a, b = pair[0] - 1, pair[1] - 1
+    entries = {}
+    for idx in product(range(1, ctx.n + 1), repeat=rank):
+        if idx[a] > idx[b]:
+            swapped = list(idx)
+            swapped[a], swapped[b] = idx[b], idx[a]
+            value = entries.get(tuple(swapped), ctx.zero)
+            entries[idx] = -value if negated else value
+        elif (negated and idx[a] == idx[b]) or rng.random() < 0.2:
+            entries[idx] = ctx.zero
+        else:
+            value = random_expr(ctx, rng, depth=2)
+            if rng.random() < 0.2:
+                value = value * ctx.const(Fraction(-(10**30 + 7), 3**40))
+            entries[idx] = value
+    shape = (1, rank - 1) if rng.random() < 0.5 else (0, rank)
+    return geometry.TensorField(ctx, shape, entries,
+                                **{"antisym" if negated else "sym": (pair,)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=_symmetric_tensor())
+def test_strings_print_each_orbit_as_the_entry_by_entry_oracle(t):
+    """``_strings`` prints each orbit of a symmetric or antisymmetric
+    pair once and copies or negates that text for the partner; the texts
+    equal those printed entry by entry (``oracles.strings``)."""
+    assert cli._strings(t) == oracles.strings(t)
 
 
 def test_reconstruct_reports_non_polynomial_base_form(tmp_path):

@@ -20,7 +20,9 @@ from invlag.numeric import (central_difference, sample_point, seeded_rng,
                             nonzero_somewhere)
 from invlag.poly import MAX_EXPONENT, Poly
 
+import oracles
 from exprgen import random_expr, random_text, rearranged, small_fraction
+from oracles import outcome
 from sympyref import sympy_ring, to_sympy
 
 
@@ -756,6 +758,52 @@ def test_printing_reads_the_integer_coefficients():
              "0": "0", "-7/3": "-7/3", "12*q1 - q2": "12*q1 - q2"}
     exprs = {text: ctx.parse(text) for text in cases}
     assert {text: exprcore.to_text(e) for text, e in exprs.items()} == cases
+
+
+_PRINT_CTXS = (ExprContext(2), ExprContext(3, parameters=("a", "b")),
+               ExprContext(2, parameters=("omega",), max_jet_order=2,
+                           uses_time=True))
+
+
+@st.composite
+def _printed_expr(draw):
+    """A random tree in one of ``_PRINT_CTXS``, half of them over a
+    random polynomial: a polynomial, a rational expression, or either
+    times a coefficient of 20 to 4,400 digits, the largest past
+    Python's default limit for int to str."""
+    ctx = draw(st.sampled_from(_PRINT_CTXS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    e = random_expr(ctx, rng, depth=3, allow_div=draw(st.booleans()))
+    if draw(st.booleans()):
+        divisor = random_expr(ctx, rng, depth=2, allow_div=False)
+        e = e / (divisor if divisor else ctx.one)
+    digits = draw(st.sampled_from((0, 0, 20, 60, 4400)))
+    if digits:
+        e = e * ctx.const(Fraction(-(10**digits + 3), 7**(digits // 2)))
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_printed_expr())
+def test_to_text_equals_the_printer_without_a_monomial_table(e):
+    """``to_text``, which reads each monomial's text off its context's
+    table, prints what the printer that builds every monomial's text
+    each time prints (``oracles.to_text``), or raises the same
+    ``LimitError``, and the table holds every monomial printed."""
+    assert outcome(to_text, e) == outcome(oracles.to_text, e)
+    table = e.ctx._monomial_text
+    assert all(key in table for key in e.num.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_printed_expr())
+def test_negated_text_prints_the_negation(e):
+    """``negated_text`` of the text of ``e`` is the text of ``-e``."""
+    try:
+        text = to_text(e)
+    except LimitError:
+        return
+    assert exprcore.negated_text(text) == to_text(-e)
 
 
 def test_expressions_and_contexts_stay_immutable():
