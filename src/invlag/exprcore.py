@@ -964,21 +964,23 @@ _set_num = Expr.num.__set__
 _set_den_factors = Expr.den_factors.__set__
 
 
-def common_denominator(exprs):
-    """The lcm of the denominators of ``exprs`` (the largest exponent of
-    each factor: no gcd), the factors two or more of them reach at that
-    exponent (dict keys), and each one's lift to the lcm."""
+def common_denominator(factorisations):
+    """The lcm of ``factorisations``, each a tuple of ``(factor,
+    exponent)`` pairs with every factor once (as ``Expr.den_factors``):
+    the largest exponent of each factor (no gcd), the factors two or
+    more of them reach at that exponent (dict keys), and each one's lift
+    to the lcm."""
+    owns = [dict(fac) for fac in factorisations]
     top, ties = {}, {}
-    for expr in exprs:
-        for factor, exponent in expr.den_factors:
-            own = top.get(factor, 0)
-            if exponent > own:
+    for own in owns:
+        for factor, exponent in own.items():
+            most = top.get(factor, 0)
+            if exponent > most:
                 top[factor] = exponent
                 ties.pop(factor, None)
-            elif exponent == own:
+            elif exponent == most:
                 ties[factor] = None
     fac = _factorisation(top)
-    owns = [dict(expr.den_factors) for expr in exprs]
     return fac, ties, [tuple((factor, exponent - own.get(factor, 0))
                              for factor, exponent in fac
                              if exponent > own.get(factor, 0)) for own in owns]
@@ -1028,7 +1030,8 @@ def lincomb(ctx: ExprContext, terms) -> Expr:
     if not fractional:
         return _factored(ctx, ring.sum_of_products(
             [expr.num for expr in reduced], pairs), ())
-    fac, ties, lifts = common_denominator(reduced)
+    fac, ties, lifts = common_denominator(
+        expr.den_factors for expr in reduced)
     product = ctx._base.product
     if pairs and fac:
         pairs = [(ring.sum_of_products((), pairs), product(fac))]

@@ -213,7 +213,7 @@ def _numerator_rows(tensor: TensorField, rhs=None):
     if rhs is not None:
         matrix = [row + [value] for row, value in zip(matrix, rhs)]
     for row in matrix:
-        lcm, _ties, lifts = common_denominator(row)
+        lcm, _ties, lifts = common_denominator(e.den_factors for e in row)
         rows.append([e.num * expand(lift) if lift else e.num
                      for e, lift in zip(row, lifts)])
         scale.extend(lcm)

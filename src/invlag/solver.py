@@ -11,12 +11,13 @@ tables (``weights.ansatz_rows``). Solving is exact reduction of
 those rows to reduced row echelon form in integers, which reduces each
 row by all its pivot rows in one combination and, once few columns are
 free, skips the rows a kernel test shows to lie in the row space
-already; the points of the solution are re-verified against every row
-in one integer pass, all points packed into one integer per column; the
-nonsingular-representative search is a bounded integer enumeration
-over the solution space with a structural shortcut for spaces that
-force an identically-zero row; it returns the member it finds and
-leaves the space as it was.
+already; the basis of the solution space is the same integer kernel
+over the unknowns; the points of the solution are re-verified against
+every row in one integer pass, all points packed into one integer per
+column; the nonsingular-representative search is a bounded integer
+enumeration over the solution space with a structural shortcut for
+spaces that force an identically-zero row; it returns the member it
+finds and leaves the space as it was.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
 from operator import add
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .exprcore import Expr, ExprContext, check_generators, convert, lincomb
 from .geometry import InternalInconsistencyError, Sode, TensorField
@@ -314,32 +315,36 @@ def _reduce(row, pivots):
 
 def _kernel(pivots, columns):
     """A basis of the kernel of the fully reduced pivot rows over
-    ``columns``, in integers: for each free column ``f``, the vector
-    with ``L`` at ``f`` and ``-L * pivot[f] / pivot[c]`` at each pivot
-    column ``c`` whose row touches ``f``, ``L`` the lcm of those pivot
-    entries."""
+    ``columns``, in coprime integers with the first nonzero entry
+    positive: for each free column ``f``, in increasing order, the
+    vector with ``L`` at ``f`` and ``-L * pivot[f] / pivot[c]`` at each
+    pivot column ``c`` whose row touches ``f``, ``L`` the lcm of those
+    pivot entries, divided by the gcd of its entries."""
     kernel = []
-    for free in columns.difference(pivots):
+    for free in sorted(columns.difference(pivots)):
         hits = [(col, pivot) for col, pivot in pivots.items() if free in pivot]
         scale = lcm(*(pivot[col] for col, pivot in hits))
         vector = {free: scale}
         for col, pivot in hits:
             vector[col] = -pivot[free] * scale // pivot[col]
-        kernel.append(vector)
+        common = gcd(*vector.values())
+        if vector[min(vector)] < 0:
+            common = -common
+        kernel.append({col: value // common for col, value in vector.items()})
     return kernel
 
 
-def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
+def _rref(rows) -> Dict[int, Dict[int, int]]:
     """Reduced row echelon form of sparse rows of nonzero integers
-    (``{column: int}``): the pivot columns in increasing order and, for
-    each, its row with the pivot entry 1.
+    (``{column: int}``), in integers: ``{pivot column: row}``, each row
+    in coprime integers with a positive pivot entry.
 
     Rows are taken one at a time, sparsest first, and pivot rows are
-    kept fully reduced, in coprime integers with a positive pivot entry.
-    Once at most ``KERNEL_FREE_COLUMNS`` of the columns the rows use are
-    free, a row is first tested against an integer basis of the kernel
-    of the pivot rows (``_kernel``): a row orthogonal to all of it lies
-    in their row space and adds nothing, so it is skipped. Any other row
+    kept fully reduced. Once at most ``KERNEL_FREE_COLUMNS`` of the
+    columns the rows use are free, a row is first tested against an
+    integer basis of the kernel of the pivot rows (``_kernel``): a row
+    orthogonal to all of it lies in their row space and adds nothing,
+    so it is skipped. Any other row
     is reduced by every pivot row it touches in one combination
     (``_reduce``); if anything is left, its first column becomes a pivot
     and is cleared from the earlier pivot rows the same way, and the
@@ -367,62 +372,41 @@ def _rref(rows) -> Tuple[List[int], List[Dict[int, Fraction]]]:
         pivots[lead] = current
         if len(columns) - len(pivots) <= KERNEL_FREE_COLUMNS:
             kernel = _kernel(pivots, columns)
-    order = sorted(pivots)
-    return order, [{c: Fraction(value, pivots[col][col])
-                    for c, value in pivots[col].items()} for col in order]
+    return pivots
 
 
 def solve(system: LinearSystem) -> SolutionSpace:
-    """Reduced row echelon form over exact rationals of the augmented
-    rows (``_rref``); the system is inconsistent exactly when the
-    right-hand-side column is a pivot. Nullspace vectors are
-    primitive-integer normalized, one per free unknown in declaration
-    order. The particular solution and its shift by every basis vector
-    are re-verified against the rows in one integer pass over their
-    packed values (``_reverify``). The rows are the cells' numerators
-    and unknowns stay out of the denominators, so the rows decide, as
-    substitution would. Over the lcm ``L`` of a point's denominators the
-    right-hand side is worth ``L`` and unknown ``k`` ``L*c_k``, all
-    integers."""
+    """Reduced row echelon form in integers of the augmented rows
+    (``_rref``); the system is inconsistent exactly when the
+    right-hand-side column is a pivot. The particular solution sets
+    each pivot unknown to its row's right-hand side over its pivot
+    entry, and the nullspace basis is the integer kernel of the pivot
+    rows over the unknowns (``_kernel``), one vector per free unknown in
+    declaration order, in coprime integers with the first nonzero entry
+    positive. The particular solution and its shift by every basis
+    vector are re-verified against the rows in one integer pass over
+    their packed values (``_reverify``). The rows are the cells'
+    numerators and unknowns stay out of the denominators, so the rows
+    decide, as substitution would. Over the lcm ``L`` of a point's
+    denominators the right-hand side is worth ``L`` and unknown ``k``
+    ``L*c_k``, all integers."""
     count = len(system.unknowns)
-    pivots, pivot_rows = _rref(system.rows)
+    pivots = _rref(system.rows)
 
     if count in pivots:
         certificate = "0 = 1 after elimination: no solution in this ansatz"
         return SolutionSpace(system.unknowns, (), None, certificate,
                              system.problem, system.context.n)
 
-    zero = Fraction(0)
-
-    particular = [zero] * count
-    for col, row in zip(pivots, pivot_rows):
-        particular[col] = row.get(count, zero)
-
-    free_columns = [c for c in range(count) if c not in pivots]
-    basis = []
-    for free in free_columns:
-        vector = [zero] * count
-        vector[free] = Fraction(1)
-        for col, row in zip(pivots, pivot_rows):
-            vector[col] = -row.get(free, zero)
-        basis.append(_primitive(vector))
-
-    space = SolutionSpace(system.unknowns, tuple(tuple(v) for v in basis),
-                          tuple(particular), None, system.problem,
-                          system.context.n)
+    particular = [Fraction(0)] * count
+    for col, row in pivots.items():
+        particular[col] = Fraction(row.get(count, 0), row[col])
+    basis = tuple(tuple(Fraction(vector.get(k, 0)) for k in range(count))
+                  for vector in _kernel(pivots, set(range(count))))
+    space = SolutionSpace(system.unknowns, basis, tuple(particular), None,
+                          system.problem, system.context.n)
     _reverify(system, space)
     return space
-
-
-def _primitive(vector: List[Fraction]) -> List[Fraction]:
-    """Scale a nonzero vector to coprime integers, keeping the first
-    nonzero entry positive."""
-    scale = lcm(*(value.denominator for value in vector))
-    integers = [value * scale for value in vector]
-    common = gcd(*map(int, integers))
-    if next(filter(None, integers)) < 0:
-        common = -common
-    return [value / common for value in integers]
 
 
 def _reverify(system: LinearSystem, space: SolutionSpace):

@@ -21,7 +21,8 @@ from operator import or_
 from typing import Tuple
 
 from .conditions import WEIGHT, _data, _evaluated, _label, _parts
-from .exprcore import _exact_quotient, _factorisation, convert, lincomb
+from .exprcore import (_exact_quotient, common_denominator, convert,
+                       lincomb)
 from .geometry import Sode
 from .poly import Poly, limit_error
 
@@ -29,28 +30,24 @@ from .poly import Poly, limit_error
 def _over_lcm(pieces, product):
     """The ``(col, sign, a, b, fa, fb)`` pieces of ``ansatz_rows`` with
     each ``a`` brought over the lcm of every ``a * b``'s denominator
-    (``fa`` and ``fb`` factors), and that lcm as ``{factor:
-    exponent}``."""
-    dens, top = [], {}
+    (``fa`` and ``fb`` factors, their exponents added), lifted as
+    ``exprcore.common_denominator`` lifts it, and that lcm as
+    ``{factor: exponent}``."""
+    dens = []
     for *_rest, fa, fb in pieces:
         den = dict(fa)
         for factor, exponent in fb:
             den[factor] = den.get(factor, 0) + exponent
-        dens.append(den)
-        for factor, exponent in den.items():
-            if exponent > top.get(factor, 0):
-                top[factor] = exponent
+        dens.append(tuple(den.items()))
+    top, _ties, lifts = common_denominator(dens)
     lifted, out = {}, []
-    for (col, sign, a, b, _fa, _fb), den in zip(pieces, dens):
-        lift = _factorisation({factor: exponent - den.get(factor, 0)
-                               for factor, exponent in top.items()
-                               if exponent > den.get(factor, 0)})
+    for (col, sign, a, b, _fa, _fb), lift in zip(pieces, lifts):
         if lift:
             if (id(a), lift) not in lifted:
                 lifted[id(a), lift] = a * product(lift)
             a = lifted[id(a), lift]
         out.append((col, sign, a, b, (), ()))
-    return out, top
+    return out, dict(top)
 
 
 def _divided(ring, sums: dict, top: dict) -> dict:
@@ -104,10 +101,11 @@ def ansatz_rows(s: Sode, problem, table) -> Tuple[list, list]:
     ``b_m * w`` of a basis function and a weight, and of derivatives of
     ``b_m`` (``conditions._parts``), each taken once. A cell is summed
     term by term, column by column, in integers over one denominator,
-    the lcm of its terms' (for a one-term ``b_m`` a product is a key
-    shift). A factor of that lcm that divides every column is divided
-    out as often as it does, as in the canonical residual, whose
-    denominator keeps only the others."""
+    the lcm of its terms' (``exprcore.common_denominator``, as for
+    ``lincomb`` and the determinant rows; for a one-term ``b_m`` a
+    product is a key shift). A factor of that lcm that divides every
+    column is divided out as often as it does, as in the canonical
+    residual, whose denominator keeps only the others."""
     ctx = s.ctx
     ring, product = ctx._ring, ctx._base.product
     columns, count = {}, 0

@@ -15,6 +15,15 @@ one pass:
   row at a time (``eliminate``), where ``solver._rref`` reduces a row
   by all its pivot rows in one combination and skips the rows a kernel
   test shows to lie in the row space;
+* ``solution`` and ``primitive``: the particular solution and the
+  nullspace basis read off those rows in ``Fraction``s, one free
+  unknown at a time, each basis vector scaled to coprime integers
+  afterwards, where ``solver.solve`` reads the basis as the integer
+  kernel of its integer pivot rows (``solver._kernel``);
+* ``over_lcm``: an ansatz cell's pieces lifted to the lcm of their
+  denominators by their own loops, where ``weights._over_lcm`` merges
+  each piece's factors and lifts them by
+  ``exprcore.common_denominator``;
 * ``reverify``: the solution re-check summing each monomial of each
   residual at each point separately, where ``solver._reverify`` packs
   the points into one integer and reads the rows;
@@ -62,7 +71,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 from invlag import solver
 from invlag.exprcore import (Expr, ExprContext, LimitError,
                              NotPolynomialError, ZeroDenominatorError,
-                             convert, lincomb)
+                             _factorisation, convert, lincomb)
 from invlag.geometry import (DimensionMismatchError, GeometryError,
                              InternalInconsistencyError, Sode, TensorField,
                              _horizontal_terms, connection, curvature,
@@ -195,6 +204,68 @@ def rref(rows):
     order = sorted(pivots)
     return order, [{c: Fraction(value, pivots[col][col])
                     for c, value in pivots[col].items()} for col in order]
+
+
+def solution(pivots, pivot_rows, count):
+    """The particular solution and the nullspace basis of ``count``
+    unknowns from the pivot columns and rows ``rref`` returns, the
+    right-hand side in column ``count``: each pivot unknown is its
+    row's right-hand side, and each free unknown in declaration order
+    gives the vector with 1 there and the negated entries of its column
+    at the pivot unknowns, made primitive (``primitive``)."""
+    zero = Fraction(0)
+
+    particular = [zero] * count
+    for col, row in zip(pivots, pivot_rows):
+        particular[col] = row.get(count, zero)
+
+    free_columns = [c for c in range(count) if c not in pivots]
+    basis = []
+    for free in free_columns:
+        vector = [zero] * count
+        vector[free] = Fraction(1)
+        for col, row in zip(pivots, pivot_rows):
+            vector[col] = -row.get(free, zero)
+        basis.append(primitive(vector))
+    return tuple(particular), tuple(tuple(v) for v in basis)
+
+
+def primitive(vector):
+    """Scale a nonzero vector to coprime integers, keeping the first
+    nonzero entry positive."""
+    scale = lcm(*(value.denominator for value in vector))
+    integers = [value * scale for value in vector]
+    common = gcd(*map(int, integers))
+    if next(filter(None, integers)) < 0:
+        common = -common
+    return [value / common for value in integers]
+
+
+def over_lcm(pieces, product):
+    """The ``(col, sign, a, b, fa, fb)`` pieces of
+    ``weights.ansatz_rows`` with each ``a`` brought over the lcm of
+    every ``a * b``'s denominator (``fa`` and ``fb`` factors), and that
+    lcm as ``{factor: exponent}``."""
+    dens, top = [], {}
+    for *_rest, fa, fb in pieces:
+        den = dict(fa)
+        for factor, exponent in fb:
+            den[factor] = den.get(factor, 0) + exponent
+        dens.append(den)
+        for factor, exponent in den.items():
+            if exponent > top.get(factor, 0):
+                top[factor] = exponent
+    lifted, out = {}, []
+    for (col, sign, a, b, _fa, _fb), den in zip(pieces, dens):
+        lift = _factorisation({factor: exponent - den.get(factor, 0)
+                               for factor, exponent in top.items()
+                               if exponent > den.get(factor, 0)})
+        if lift:
+            if (id(a), lift) not in lifted:
+                lifted[id(a), lift] = a * product(lift)
+            a = lifted[id(a), lift]
+        out.append((col, sign, a, b, (), ()))
+    return out, top
 
 
 class ResidualSystem(NamedTuple):

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invlag import conditions, geometry, poly, solver, weights
+from invlag import conditions, exprcore, geometry, poly, solver, weights
 from invlag.cli import ansatz_problem, load_problem
 from invlag.exprcore import ExprContext, convert
 from invlag.geometry import (InternalInconsistencyError, Sode, TensorField,
@@ -1096,15 +1096,18 @@ def fixed_drag_system():
 
 def shifted_rref(column):
     """``solver._rref`` with ``1/2`` added to entry ``column`` of its
-    first pivot row: the right-hand side shifts the particular solution,
-    a free column one basis vector."""
+    first pivot row over its pivot entry: in integers, the row doubled
+    and its pivot entry added at ``column``. The right-hand side shifts
+    the particular solution, a free column one basis vector."""
     original = solver._rref
 
     def shifted(rows):
-        pivots, pivot_rows = original(rows)
-        row = dict(pivot_rows[0])
-        row[column] = row.get(column, 0) + Fraction(1, 2)
-        return pivots, [row] + pivot_rows[1:]
+        pivots = original(rows)
+        first = min(pivots)
+        row = {col: 2 * value for col, value in pivots[first].items()}
+        row[column] = row.get(column, 0) + pivots[first][first]
+        pivots[first] = row
+        return pivots
     return shifted
 
 
@@ -1117,7 +1120,7 @@ def test_a_shifted_solution_fails_reverification_at_the_reference_cell(
     fail."""
     system, residuals = fixed_drag_system()
     assert solve(system).dimension == 2
-    pivots, _rows = solver._rref(system.rows)
+    pivots = solver._rref(system.rows)
     count = len(system.unknowns)
     free = [c for c in range(count) if c not in pivots]
     monkeypatch.setattr(solver, "_rref", shifted_rref(
@@ -1163,15 +1166,16 @@ def test_reverification_refuses_a_residual_nonlinear_in_the_unknowns(text):
 # elimination and re-verification against the straightforward oracles
 
 
-def sparse_system(rng):
-    """Sparse integer rows over up to 40 columns, the last of them the
-    right-hand side, in random order: random independent-looking rows,
+def sparse_system(rng, width=None):
+    """Sparse integer rows over ``width`` columns (up to 40 drawn from
+    ``rng`` when not given), the last of them the right-hand side, in
+    random order: random independent-looking rows,
     then duplicated, scaled and dependent ones, rows in the
     right-hand-side column only, and dependent rows with a shifted
     right-hand side, which make the system inconsistent; a third of the
     systems have neither and fewer base rows than columns. Values are
     small or past ``2**64``."""
-    width = rng.randint(1, 40)
+    width = width or rng.randint(1, 40)
     rhs = width - 1
     consistent = rng.random() < 1 / 3
     kinds = ("duplicate", "scaled", "dependent")
@@ -1218,6 +1222,54 @@ def sparse_system(rng):
     return rows
 
 
+def shared_factor_system(rng, width):
+    """Rows over ``width`` columns, the last the right-hand side, whose
+    reduced pivot rows are fixed up front: each has a pivot entry 2, 3,
+    4 or 6, often also at a free column times an integer, so that a
+    kernel vector has a common factor above 1 and a particular solution
+    is often not integral; the rows are the pivot rows scaled and
+    random combinations of them, in random order."""
+    rhs = width - 1
+    leads = sorted(rng.sample(range(rhs), rng.randint(0, min(rhs, 6))))
+    free = [col for col in range(width) if col not in leads]
+    pivots = []
+    for lead in leads:
+        k = rng.choice((2, 3, 4, 6))
+        row = {lead: k}
+        for col in free:
+            if col > lead and rng.random() < 0.5:
+                row[col] = rng.choice((-1, 1)) * (
+                    k * rng.randint(1, 3) if rng.random() < 0.6
+                    else rng.randint(1, 9))
+        pivots.append(row)
+    rows = []
+    for row in pivots:
+        weight = rng.choice((-3, -1, 1, 2, 5))
+        rows.append({col: weight * value for col, value in row.items()})
+    for _ in range(rng.randint(0, 2 * len(pivots))):
+        total = {}
+        for row in rng.sample(pivots, rng.randint(1, len(pivots))):
+            weight = rng.choice((-2, -1, 1, 3))
+            for col, value in row.items():
+                total[col] = total.get(col, 0) + weight * value
+        rows.append({col: value for col, value in total.items() if value})
+    rng.shuffle(rows)
+    return rows
+
+
+def normalised(pivots):
+    """The integer pivot rows ``solver._rref`` returns, each checked to
+    be in coprime integers with a positive pivot entry, in the form of
+    ``oracles.rref``: the pivot columns in increasing order and each
+    row over its pivot entry."""
+    for col, row in pivots.items():
+        assert all(type(value) is int and value for value in row.values())
+        assert row[col] > 0 and gcd(*row.values()) == 1
+    order = sorted(pivots)
+    return order, [{c: Fraction(value, pivots[col][col])
+                    for c, value in pivots[col].items()} for col in order]
+
+
 def traced_rref(rows):
     """``solver._rref(rows)``, and whether some row passed the kernel
     test and still reduced to nothing: a row the test lets through must
@@ -1250,8 +1302,71 @@ def test_rref_equals_the_one_pivot_at_a_time_oracle(seed):
     not skip adds a pivot."""
     rows = sparse_system(random.Random(seed))
     result, wasted = traced_rref(rows)
-    assert result == oracles.rref(rows)
+    assert normalised(result) == oracles.rref(rows)
     assert not wasted
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+def test_solve_reads_the_space_as_the_fraction_oracle(seed, shared):
+    """On the random sparse systems of
+    ``test_rref_equals_the_one_pivot_at_a_time_oracle``, and on systems
+    whose pivot rows share a factor with entries at free columns (so a
+    kernel vector is divided by a common factor above 1 and a particular
+    solution is not integral), ``solve``'s particular solution and
+    nullspace basis equal, entry by entry and in order, those read off
+    the one-pivot-at-a-time rows in ``Fraction``s and made primitive
+    (``oracles.solution``)."""
+    rng = random.Random(seed)
+    width = rng.randint(1, 40)
+    rows = (shared_factor_system if shared else sparse_system)(rng, width)
+    count = width - 1
+    system = LinearSystem(tuple(f"c{k}" for k in range(count)), tuple(rows),
+                          ExprContext(1), None,
+                          tuple(f"row{k}" for k in range(len(rows))))
+    space = solve(system)
+    order, pivot_rows = oracles.rref(rows)
+    if count in order:
+        assert not space.consistent
+        return
+    assert (space.particular, space.nullspace) == oracles.solution(
+        order, pivot_rows, count)
+    assert all(type(value) is Fraction for point in (
+        space.particular, *space.nullspace) for value in point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_over_lcm_equals_the_oracle_with_its_own_loops(seed):
+    """On random pieces over shared denominator factors, some with a
+    factor in both ``fa`` and ``fb`` (whose exponents add), and some
+    sharing their ``a``, ``weights._over_lcm`` lifts every ``a`` and
+    returns the lcm as the oracle's own top and lift loops do."""
+    rng = random.Random(seed)
+    ctx = ExprContext(2)
+    factors = [factor for text in ("q1 + 1", "q2^2 + 1", "q1 - 2*q2",
+                                   "q1*q2 + 3")
+               for factor, _k in ctx.parse(f"1/({text})").den_factors]
+    numerators = [ctx.parse(text).num for text in (
+        "1", "q1", "2*q2 - 1", "q1^2*q2 + 3*q1", "-5")]
+
+    def factorisation():
+        return exprcore._factorisation({
+            factor: rng.randint(1, 3)
+            for factor in rng.sample(factors, rng.randint(0, 3))})
+
+    pieces = []
+    for _ in range(rng.randint(1, 6)):
+        fa, fb = factorisation(), factorisation()
+        if fa and rng.random() < 0.5:
+            fb = exprcore._factorisation({**dict(fb),
+                                          fa[0][0]: rng.randint(1, 2)})
+        pieces.append((rng.randrange(5), rng.choice((-1, 1)),
+                       rng.choice(numerators), rng.choice(numerators),
+                       fa, fb))
+    product = ctx._base.product
+    assert weights._over_lcm(pieces, product) == oracles.over_lcm(
+        pieces, product)
 
 
 def test_rref_skips_the_rows_of_a_wide_search_by_kernel():
@@ -1269,7 +1384,7 @@ def test_rref_skips_the_rows_of_a_wide_search_by_kernel():
         result = solver._rref(rows)
     finally:
         solver._reduce = reduce
-    assert result == oracles.rref(rows)
+    assert normalised(result) == oracles.rref(rows)
     assert len(set().union(*rows)) > solver.KERNEL_FREE_COLUMNS
     assert len(calls) < len(rows) // 2
 
